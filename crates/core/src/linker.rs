@@ -13,7 +13,7 @@ use mb_datagen::LinkedMention;
 use mb_encoders::biencoder::BiEncoder;
 use mb_encoders::crossencoder::{CandidateSet, CrossEncoder};
 use mb_encoders::frozen::{FrozenBiEncoder, FrozenCrossEncoder};
-use mb_encoders::input::{entity_bag, mention_bag, surface_bag, title_bag, InputConfig, TrainPair};
+use mb_encoders::input::{mention_bag, surface_bag, EntityFeatures, InputConfig};
 use mb_encoders::retrieval::{CandidateSource, DenseIndex, QuantizedIndex};
 use mb_kb::{EntityId, KnowledgeBase};
 use mb_tensor::QuantMode;
@@ -101,6 +101,10 @@ pub struct TwoStageLinker<'a> {
     ann: Option<Arc<dyn CandidateSource>>,
     frozen_bi: FrozenBiEncoder,
     frozen_cross: FrozenCrossEncoder,
+    /// Featurised entities, covering every id stage one can return
+    /// (validated at construction); the same table `frozen_cross`
+    /// carries.
+    features: Arc<EntityFeatures>,
 }
 
 impl<'a> TwoStageLinker<'a> {
@@ -138,22 +142,22 @@ impl<'a> TwoStageLinker<'a> {
         entities: &[EntityId],
         cfg: LinkerConfig,
     ) -> mb_common::Result<Self> {
-        let index = Arc::new(DenseIndex::try_build(bi, vocab, &cfg.input, kb, entities)?);
-        let qindex = QuantizedIndex::from_dense(&index, cfg.quant).map(Arc::new);
-        let frozen_bi = bi.freeze(cfg.quant);
-        let frozen_cross = cross.freeze(cfg.quant);
-        Ok(TwoStageLinker {
+        // One featurisation of the dictionary feeds both the index
+        // embeddings and the link-time candidate table.
+        let features = Arc::new(EntityFeatures::try_build(vocab, &cfg.input, kb, entities)?);
+        let index = Arc::new(DenseIndex::from_features(bi, &features, entities)?);
+        let frozen_cross = cross.freeze(cfg.quant).with_features(features);
+        Self::with_frozen(
             bi,
             cross,
             vocab,
             kb,
             cfg,
             index,
-            qindex,
-            ann: None,
-            frozen_bi,
+            None,
+            bi.freeze(cfg.quant),
             frozen_cross,
-        })
+        )
     }
 
     /// Assemble a linker around a **precomputed** entity index — the
@@ -187,8 +191,16 @@ impl<'a> TwoStageLinker<'a> {
     /// `qindex` is supplied, the index is quantized here (once per
     /// call — pass a shared one to avoid that).
     ///
+    /// Candidate entities are read from the [`EntityFeatures`] table
+    /// `frozen_cross` carries; a handle without one gets a table built
+    /// here for the index's ids (once per call, like `qindex`). Either
+    /// way the linker only assembles if the table covers every indexed
+    /// id, so no request can reach an unfeaturised entity.
+    ///
     /// # Errors
-    /// Same validation as [`TwoStageLinker::with_index`].
+    /// Same validation as [`TwoStageLinker::with_index`], plus
+    /// [`mb_common::Error::NotFound`] when the carried table does not
+    /// cover an indexed id.
     #[allow(clippy::too_many_arguments)] // the point is threading shared handles through
     pub fn with_frozen(
         bi: &'a BiEncoder,
@@ -203,17 +215,37 @@ impl<'a> TwoStageLinker<'a> {
     ) -> mb_common::Result<Self> {
         if !index.is_empty() && index.dim() != bi.config().out_dim {
             return Err(mb_common::Error::shape(
-                "TwoStageLinker::with_index",
-                format!("index dim {}", bi.config().out_dim),
+                "TwoStageLinker::with_frozen",
+                format!("bi-encoder out_dim {}", bi.config().out_dim),
                 format!("index dim {}", index.dim()),
             ));
         }
-        if let Some(&bad) = index.ids().iter().find(|id| id.0 as usize >= kb.len()) {
-            return Err(mb_common::Error::NotFound(format!(
-                "indexed entity {} outside knowledge base of {} entities",
-                bad.0,
-                kb.len()
-            )));
+        let (features, frozen_cross) = match frozen_cross.features() {
+            Some(features) => (Arc::clone(features), frozen_cross),
+            None => {
+                let features =
+                    Arc::new(EntityFeatures::try_build(vocab, &cfg.input, kb, index.ids())?);
+                (Arc::clone(&features), frozen_cross.with_features(features))
+            }
+        };
+        // Every id either exact backend can return must resolve in the
+        // KB and in the feature table.
+        let supplied = qindex.as_deref().map_or(&[][..], QuantizedIndex::ids);
+        for &id in index.ids().iter().chain(supplied) {
+            if id.0 as usize >= kb.len() {
+                return Err(mb_common::Error::NotFound(format!(
+                    "indexed entity {} outside knowledge base of {} entities",
+                    id.0,
+                    kb.len()
+                )));
+            }
+            if features.entity(id).is_none() {
+                return Err(mb_common::Error::NotFound(format!(
+                    "indexed entity {} outside the entity feature table of {} entities",
+                    id.0,
+                    features.len()
+                )));
+            }
         }
         let qindex = qindex.or_else(|| QuantizedIndex::from_dense(&index, cfg.quant).map(Arc::new));
         Ok(TwoStageLinker {
@@ -227,23 +259,25 @@ impl<'a> TwoStageLinker<'a> {
             ann: None,
             frozen_bi,
             frozen_cross,
+            features,
         })
     }
 
     /// Attach an approximate retrieval backend; stage one then queries
     /// it instead of the exact indexes. The backend must agree with the
-    /// bi-encoder dimension and stay inside the knowledge base.
+    /// bi-encoder dimension, stay inside the knowledge base, and return
+    /// only ids the entity feature table covers.
     ///
     /// # Errors
     /// [`mb_common::Error::ShapeMismatch`] on a dimension mismatch;
     /// [`mb_common::Error::NotFound`] when the backend's id range
-    /// exceeds `kb`.
+    /// exceeds `kb` or the feature table.
     pub fn with_ann(mut self, ann: Arc<dyn CandidateSource>) -> mb_common::Result<Self> {
         if !ann.is_empty() && ann.dim() != self.bi.config().out_dim {
             return Err(mb_common::Error::shape(
                 "TwoStageLinker::with_ann",
-                format!("index dim {}", self.bi.config().out_dim),
-                format!("index dim {}", ann.dim()),
+                format!("bi-encoder out_dim {}", self.bi.config().out_dim),
+                format!("ann dim {}", ann.dim()),
             ));
         }
         if let Some(max) = ann.max_id() {
@@ -252,6 +286,15 @@ impl<'a> TwoStageLinker<'a> {
                     "ann entity {} outside knowledge base of {} entities",
                     max.0,
                     self.kb.len()
+                )));
+            }
+            // The backend reports only its largest id, so every id up
+            // to it must be featurised.
+            if !self.features.covers_through(max) {
+                return Err(mb_common::Error::NotFound(format!(
+                    "ann ids 0..={} are not all inside the entity feature table of {} entities",
+                    max.0,
+                    self.features.len()
                 )));
             }
         }
@@ -296,28 +339,27 @@ impl<'a> TwoStageLinker<'a> {
     }
 
     /// Build a cross-encoder candidate set for a mention from retrieved
-    /// candidates, marking the gold index when present.
+    /// candidates, marking the gold index when present. Entity and
+    /// title bags are slices of the [`EntityFeatures`] table: nothing
+    /// on the entity side is tokenised per request.
+    ///
+    /// `retrieved` must come from this linker's stage one
+    /// ([`TwoStageLinker::candidates`] / `link_batch`), whose ids the
+    /// table covers by construction; a foreign id featurises as an
+    /// entity without text instead of panicking on the serving path.
     pub fn candidate_set(
         &self,
         mention: &LinkedMention,
         retrieved: &[(EntityId, f64)],
     ) -> CandidateSet {
-        let pair = TrainPair {
+        let bag = |bag: Option<&[u32]>| bag.unwrap_or_default().to_vec();
+        CandidateSet {
             mention: mention_bag(self.vocab, &self.cfg.input, mention),
             surface: surface_bag(self.vocab, mention),
-            entity: Vec::new(),
-            title: Vec::new(),
-            gold: mention.entity,
-        };
-        let gold_index = retrieved.iter().position(|(id, _)| *id == mention.entity);
-        let cands: Vec<(Vec<u32>, Vec<u32>)> = retrieved
-            .iter()
-            .map(|(id, _)| {
-                let e = self.kb.entity(*id);
-                (entity_bag(self.vocab, &self.cfg.input, e), title_bag(self.vocab, e))
-            })
-            .collect();
-        CandidateSet::new(&pair, cands, gold_index)
+            entities: retrieved.iter().map(|&(id, _)| bag(self.features.entity(id))).collect(),
+            titles: retrieved.iter().map(|&(id, _)| bag(self.features.title(id))).collect(),
+            gold_index: retrieved.iter().position(|(id, _)| *id == mention.entity),
+        }
     }
 
     /// Full two-stage prediction: the re-ranked best entity, or `None`
@@ -572,9 +614,17 @@ impl<'a> TwoStageLinker<'a> {
         &self.frozen_bi
     }
 
-    /// The frozen cross-encoder handle this linker scores with.
+    /// The frozen cross-encoder handle this linker scores with; it
+    /// carries [`TwoStageLinker::features`], so a
+    /// [`TwoStageLinker::with_frozen`] peer built from it shares the
+    /// table.
     pub fn frozen_cross(&self) -> &FrozenCrossEncoder {
         &self.frozen_cross
+    }
+
+    /// The entity feature table candidate sets are read from.
+    pub fn features(&self) -> &Arc<EntityFeatures> {
+        &self.features
     }
 }
 
@@ -585,7 +635,7 @@ mod tests {
     use mb_datagen::{World, WorldConfig};
     use mb_encoders::biencoder::BiEncoderConfig;
     use mb_encoders::crossencoder::CrossEncoderConfig;
-    use mb_encoders::input::build_vocab;
+    use mb_encoders::input::{build_vocab, TrainPair};
     use mb_encoders::train::{train_biencoder, train_crossencoder, TrainConfig};
 
     struct Fixture {
@@ -846,10 +896,48 @@ mod tests {
         .expect("shared state is consistent");
         assert!(worker.frozen_bi().shares_storage(owner.frozen_bi()));
         assert!(worker.frozen_cross().shares_storage(owner.frozen_cross()));
+        assert!(Arc::ptr_eq(worker.features(), owner.features()), "the table rides on the handle");
         assert_eq!(
             worker.link_batch(&f.test[..16]).expect("link"),
             owner.link_batch(&f.test[..16]).expect("link")
         );
+    }
+
+    #[test]
+    fn feature_table_coverage_is_validated_at_construction() {
+        let f = fixture();
+        let kb = f.world.kb();
+        let dict = kb.domain_entities(f.world.domain("TargetX").id);
+        let cfg = LinkerConfig { k: 8, ..LinkerConfig::default() };
+        let owner = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, kb, dict, cfg);
+        let assemble = |index: DenseIndex| {
+            TwoStageLinker::with_frozen(
+                &f.bi,
+                &f.cross,
+                &f.vocab,
+                kb,
+                cfg,
+                Arc::new(index),
+                None,
+                owner.frozen_bi().clone(),
+                owner.frozen_cross().clone(),
+            )
+        };
+        // An index over entities the carried table was not built for is
+        // a typed error at assembly, not a panic on the first request.
+        let foreign = kb.domain_entities(f.world.domain("SrcA").id);
+        let err = assemble(DenseIndex::build(&f.bi, &f.vocab, &cfg.input, kb, foreign)).err();
+        assert!(matches!(err, Some(mb_common::Error::NotFound(_))), "got {err:?}");
+        // So is an ANN backend whose id range the table does not fill:
+        // TargetX is not a prefix of the KB's id space.
+        let covered = assemble(owner.index().clone()).expect("the table's own dictionary");
+        let err = covered.with_ann(Arc::new(owner.index().clone())).err();
+        assert!(matches!(err, Some(mb_common::Error::NotFound(_))), "got {err:?}");
+        // A foreign id handed straight to `candidate_set` featurises as
+        // an entity without text rather than panicking.
+        let set = owner.candidate_set(&f.test[0], &[(foreign[0], 0.0), (dict[0], 0.0)]);
+        assert!(set.entities[0].is_empty() && set.titles[0].is_empty());
+        assert!(!set.entities[1].is_empty());
     }
 
     #[test]

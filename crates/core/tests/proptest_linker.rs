@@ -4,7 +4,7 @@
 //! contract `mb-serve` relies on — micro-batching must never change
 //! model outputs.
 
-use mb_check::{gen, prop_assert_eq};
+use mb_check::{gen, prop_assert, prop_assert_eq};
 use mb_common::Rng;
 use mb_core::linker::{EmbedCache, LinkResult, LinkerConfig, TwoStageLinker};
 use mb_core::pipeline::{train, DataSource, MetaBlinkConfig, Method};
@@ -13,9 +13,11 @@ use mb_datagen::{World, WorldConfig};
 use mb_encoders::biencoder::BiEncoder;
 use mb_encoders::crossencoder::CrossEncoder;
 use mb_encoders::input::build_vocab;
+use mb_encoders::retrieval::CandidateSource;
+use mb_kb::EntityId;
 
 use mb_text::Vocab;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 struct Fixture {
     world: World,
@@ -70,8 +72,66 @@ fn linker(f: &Fixture) -> TwoStageLinker<'_> {
     )
 }
 
+/// Everything each `LinkResult` says, flattened, with scores as bit
+/// patterns.
+fn bits(results: &[LinkResult]) -> Vec<Vec<u64>> {
+    results
+        .iter()
+        .map(|r| {
+            let predicted = r.predicted.map_or(u64::MAX, |id| u64::from(id.0));
+            let ids = r.retrieved.iter().map(|(id, _)| u64::from(id.0));
+            let stage_one = r.retrieved.iter().map(|(_, s)| s.to_bits());
+            let stage_two = r.rerank_scores.iter().map(|s| s.to_bits());
+            std::iter::once(predicted).chain(ids).chain(stage_one).chain(stage_two).collect()
+        })
+        .collect()
+}
+
 mb_check::check! {
     #![config(cases = 16)]
+
+    fn linkers_sharing_one_feature_table_agree_at_any_thread_count(
+        n in gen::usize_in(8..250),
+        k in gen::usize_in(1..10),
+        picks in gen::vec_of(gen::usize_in(0..48), 1..14),
+    ) {
+        let f = fixture();
+        let batch: Vec<LinkedMention> =
+            picks.iter().map(|&i| f.mentions[i].clone()).collect();
+        // A prefix dictionary, so an ANN backend (which reports only
+        // its largest id) is coverable by the table.
+        let dict: Vec<EntityId> = (0..n as u32).map(EntityId).collect();
+        let mut reference = None;
+        for threads in 1..=4 {
+            let cfg = LinkerConfig { k, threads: mb_par::Threads::new(threads), ..LinkerConfig::default() };
+            let owner = TwoStageLinker::try_new(&f.bi, &f.cross, &f.vocab, f.world.kb(), &dict, cfg)
+                .expect("dictionary inside kb");
+            let peer = || {
+                TwoStageLinker::with_frozen(
+                    &f.bi,
+                    &f.cross,
+                    &f.vocab,
+                    f.world.kb(),
+                    cfg,
+                    owner.index_shared(),
+                    owner.quantized_index(),
+                    owner.frozen_bi().clone(),
+                    owner.frozen_cross().clone(),
+                )
+                .expect("shared state is consistent")
+            };
+            let flat = peer();
+            let ann = peer()
+                .with_ann(Arc::new(owner.index().clone()) as Arc<dyn CandidateSource>)
+                .expect("prefix dictionary is covered");
+            prop_assert!(Arc::ptr_eq(flat.features(), owner.features()), "one table, not a rebuild");
+            prop_assert!(Arc::ptr_eq(ann.features(), owner.features()), "one table, not a rebuild");
+            let want = bits(&owner.link_batch(&batch).expect("link"));
+            prop_assert_eq!(&bits(&flat.link_batch(&batch).expect("link")), &want);
+            prop_assert_eq!(&bits(&ann.link_batch(&batch).expect("link")), &want);
+            prop_assert_eq!(reference.get_or_insert_with(|| want.clone()), &want);
+        }
+    }
 
     fn link_batch_matches_sequential_for_any_batch(
         picks in gen::vec_of(gen::usize_in(0..48), 1..14),

@@ -62,8 +62,9 @@ pub struct CandidateSet {
 }
 
 impl CandidateSet {
-    /// Build a ranking example from a featurized pair and candidate
-    /// pairs (the gold candidate is found by comparing entity bags).
+    /// Build a ranking example from a featurized pair and its
+    /// candidates' `(entity bag, title bag)` pairs; `gold_index` is the
+    /// gold candidate's position among them, when it was retrieved.
     pub fn new(
         pair: &TrainPair,
         candidates: Vec<(Vec<u32>, Vec<u32>)>,

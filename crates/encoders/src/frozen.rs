@@ -18,12 +18,12 @@
 
 use crate::biencoder::{BiEncoderConfig, SideIds, EMBED_CHUNK};
 use crate::crossencoder::{CandidateSet, CrossEncoderConfig, SCORE_CHUNK};
+use crate::input::EntityFeatures;
 use mb_par::Threads;
 use mb_tensor::frozen::{self, FrozenParams};
 use mb_tensor::params::ParamId;
 use mb_tensor::quant::{QuantF16, QuantI8};
 use mb_tensor::{Params, QuantMode, Tensor};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Embedding-table storage of a frozen encoder.
@@ -46,7 +46,7 @@ impl EmbTable {
         }
     }
 
-    fn bag_embed(&self, exact: &Tensor, bags: &[Vec<u32>]) -> Tensor {
+    fn bag_embed(&self, exact: &Tensor, bags: &[impl AsRef<[u32]>]) -> Tensor {
         match self {
             EmbTable::Exact => frozen::bag_embed(exact, bags),
             EmbTable::F16(t) => t.bag_embed(bags),
@@ -217,9 +217,16 @@ struct CrossInner {
 /// The frozen cross-encoder: the tape-free counterpart of
 /// [`crate::crossencoder::CrossEncoder::score_batch`]. Clone is an
 /// `Arc` bump.
+///
+/// The handle also carries the [`EntityFeatures`] table of the
+/// dictionary it re-ranks, once one is attached: the cross-encoder is
+/// the consumer of the entity bags, so whoever is handed this handle
+/// (a worker linker, a peer assembled from shared state) gets the
+/// matching featurised entities with it.
 #[derive(Debug, Clone)]
 pub struct FrozenCrossEncoder {
     inner: Arc<CrossInner>,
+    features: Option<Arc<EntityFeatures>>,
 }
 
 impl FrozenCrossEncoder {
@@ -231,7 +238,22 @@ impl FrozenCrossEncoder {
     ) -> Self {
         let params = FrozenParams::freeze(params);
         let table = EmbTable::build(mode, params.get(ids.emb));
-        FrozenCrossEncoder { inner: Arc::new(CrossInner { cfg, params, ids, table, mode }) }
+        FrozenCrossEncoder {
+            inner: Arc::new(CrossInner { cfg, params, ids, table, mode }),
+            features: None,
+        }
+    }
+
+    /// The same model with `features` as its entity table (replacing
+    /// any previous one).
+    pub fn with_features(mut self, features: Arc<EntityFeatures>) -> Self {
+        self.features = Some(features);
+        self
+    }
+
+    /// The attached entity feature table, when any.
+    pub fn features(&self) -> Option<&Arc<EntityFeatures>> {
+        self.features.as_ref()
     }
 
     /// The model's configuration.
@@ -254,49 +276,50 @@ impl FrozenCrossEncoder {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Pooled embeddings for `bags`, embedding each *distinct* bag once
-    /// and copying its row to every duplicate position. Each row of
-    /// `bag_embed` depends only on its own bag, so this is bit-identical
-    /// to embedding the full list — it just skips the redundant work
-    /// (the mention and surface bags repeat once per candidate).
-    fn pooled_dedup(&self, exact: &Tensor, bags: &[Vec<u32>]) -> Tensor {
-        let mut slot: BTreeMap<&[u32], usize> = BTreeMap::new();
-        let mut uniq: Vec<Vec<u32>> = Vec::new();
-        for bag in bags {
-            if !slot.contains_key(bag.as_slice()) {
-                slot.insert(bag.as_slice(), uniq.len());
-                uniq.push(bag.clone());
+    /// Pooled embeddings of one bag per set, row `i` repeated
+    /// `sets[i].len()` times: the mention and surface bags are shared
+    /// by every candidate row of their set, and each row of `bag_embed`
+    /// depends only on its own bag, so pooling once and broadcasting is
+    /// bit-identical to pooling per row.
+    fn pooled_per_set(
+        &self,
+        exact: &Tensor,
+        sets: &[CandidateSet],
+        total: usize,
+        bag: impl Fn(&CandidateSet) -> &[u32],
+    ) -> Tensor {
+        let bags: Vec<&[u32]> = sets.iter().map(bag).collect();
+        let small = self.inner.table.bag_embed(exact, &bags);
+        let mut data = Vec::with_capacity(total * small.cols());
+        for (i, set) in sets.iter().enumerate() {
+            for _ in 0..set.len() {
+                data.extend_from_slice(small.row(i));
             }
         }
-        if uniq.len() == bags.len() {
-            return self.inner.table.bag_embed(exact, bags);
-        }
-        let small = self.inner.table.bag_embed(exact, &uniq);
-        let dim = small.shape()[1];
-        let mut out = Tensor::zeros(vec![bags.len(), dim]);
-        for (i, bag) in bags.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(small.row(slot[bag.as_slice()]));
-        }
-        out
+        Tensor::from_vec(vec![total, small.cols()], data)
     }
 
-    /// Score `n` (mention, candidate) rows — exactly the op sequence
-    /// of the tape's `score_rows`, returning the `[n, 1]` scores.
-    fn score_rows(
-        &self,
-        m_bags: &[Vec<u32>],
-        s_bags: &[Vec<u32>],
-        e_bags: &[Vec<u32>],
-        t_bags: &[Vec<u32>],
-    ) -> Tensor {
-        let n = m_bags.len();
+    /// Tape-free batched scoring (see
+    /// [`crate::crossencoder::CrossEncoder::score_batch`]): one fused
+    /// forward over all `Σ len(setᵢ)` rows — exactly the op sequence of
+    /// the tape's `score_rows`, with the bags pooled in place from the
+    /// sets. Empty sets yield empty score vectors.
+    pub fn score_batch(&self, sets: &[CandidateSet]) -> Vec<Vec<f64>> {
+        let n: usize = sets.iter().map(|s| s.len()).sum();
+        if n == 0 {
+            return sets.iter().map(|_| Vec::new()).collect();
+        }
         let p = &self.inner.params;
         let ids = self.inner.ids;
         let exact = p.get(ids.emb);
-        let m_pool = self.pooled_dedup(exact, m_bags);
-        let s_pool = self.pooled_dedup(exact, s_bags);
-        let e_pool = self.pooled_dedup(exact, e_bags);
-        let t_pool = self.pooled_dedup(exact, t_bags);
+        let m_pool = self.pooled_per_set(exact, sets, n, |s| &s.mention);
+        let s_pool = self.pooled_per_set(exact, sets, n, |s| &s.surface);
+        let e_bags: Vec<&[u32]> =
+            sets.iter().flat_map(|s| s.entities.iter().map(Vec::as_slice)).collect();
+        let t_bags: Vec<&[u32]> =
+            sets.iter().flat_map(|s| s.titles.iter().map(Vec::as_slice)).collect();
+        let e_pool = self.inner.table.bag_embed(exact, &e_bags);
+        let t_pool = self.inner.table.bag_embed(exact, &t_bags);
         let sem = m_pool.mul(&e_pool);
         let surf = s_pool.mul(&t_pool);
         let h_sem = frozen::linear(&sem, p.get(ids.w_sem), p.get(ids.b_sem), Threads::single());
@@ -306,31 +329,7 @@ impl FrozenCrossEncoder {
         let dots = frozen::rows_dot(&m_pool, &e_pool);
         let dots_col = dots.reshape(vec![n, 1]);
         let dot_scores = dots_col.matmul(p.get(ids.gamma));
-        mlp_scores.add(&dot_scores)
-    }
-
-    /// Tape-free batched scoring (see
-    /// [`crate::crossencoder::CrossEncoder::score_batch`]): one fused
-    /// forward over all `Σ len(setᵢ)` rows, empty sets yield empty
-    /// score vectors.
-    pub fn score_batch(&self, sets: &[CandidateSet]) -> Vec<Vec<f64>> {
-        let total: usize = sets.iter().map(|s| s.len()).sum();
-        if total == 0 {
-            return sets.iter().map(|_| Vec::new()).collect();
-        }
-        let mut m_bags = Vec::with_capacity(total);
-        let mut s_bags = Vec::with_capacity(total);
-        let mut e_bags = Vec::with_capacity(total);
-        let mut t_bags = Vec::with_capacity(total);
-        for set in sets {
-            for (e, t) in set.entities.iter().zip(&set.titles) {
-                m_bags.push(set.mention.clone());
-                s_bags.push(set.surface.clone());
-                e_bags.push(e.clone());
-                t_bags.push(t.clone());
-            }
-        }
-        let scores = self.score_rows(&m_bags, &s_bags, &e_bags, &t_bags);
+        let scores = mlp_scores.add(&dot_scores);
         let flat = scores.data();
         let mut out = Vec::with_capacity(sets.len());
         let mut offset = 0;

@@ -12,7 +12,7 @@
 
 use mb_datagen::LinkedMention;
 use mb_kb::{Entity, EntityId, KnowledgeBase};
-use mb_text::tokenizer::tokenize;
+use mb_text::tokenizer::for_each_token;
 use mb_text::vocab::VocabBuilder;
 use mb_text::Vocab;
 
@@ -34,23 +34,33 @@ impl Default for InputConfig {
 /// Token bag for a mention: surface tokens + the last `max_context`
 /// tokens of the left context + the first `max_context` of the right.
 pub fn mention_bag(vocab: &Vocab, cfg: &InputConfig, mention: &LinkedMention) -> Vec<u32> {
-    let mut tokens = tokenize(&mention.surface);
-    let left = tokenize(&mention.left);
-    let skip = left.len().saturating_sub(cfg.max_context);
-    tokens.extend(left.into_iter().skip(skip));
-    let mut right = tokenize(&mention.right);
-    right.truncate(cfg.max_context);
-    tokens.extend(right);
-    vocab.encode_tokens(&tokens)
+    let mut bag = vocab.encode(&mention.surface);
+    let surface_len = bag.len();
+    vocab.encode_into(&mention.left, usize::MAX, &mut bag);
+    let skip = (bag.len() - surface_len).saturating_sub(cfg.max_context);
+    bag.drain(surface_len..surface_len + skip);
+    vocab.encode_into(&mention.right, cfg.max_context, &mut bag);
+    bag
+}
+
+/// Append an entity's token run — title tokens, then the first
+/// `max_description` description tokens — to `out`; returns the title
+/// length. The one definition of the entity side of Eqs. 3–4:
+/// [`entity_bag`] and [`EntityFeatures`] are views of it, and
+/// [`title_bag`] is its title prefix.
+fn push_entity_run(vocab: &Vocab, cfg: &InputConfig, entity: &Entity, out: &mut Vec<u32>) -> usize {
+    let start = out.len();
+    vocab.encode_into(&entity.title, usize::MAX, out);
+    let title_len = out.len() - start;
+    vocab.encode_into(&entity.description, cfg.max_description, out);
+    title_len
 }
 
 /// Token bag for an entity: title tokens + truncated description.
 pub fn entity_bag(vocab: &Vocab, cfg: &InputConfig, entity: &Entity) -> Vec<u32> {
-    let mut tokens = tokenize(&entity.title);
-    let mut desc = tokenize(&entity.description);
-    desc.truncate(cfg.max_description);
-    tokens.extend(desc);
-    vocab.encode_tokens(&tokens)
+    let mut bag = Vec::new();
+    push_entity_run(vocab, cfg, entity, &mut bag);
+    bag
 }
 
 /// Token bag of just the mention surface (cross-encoder interaction
@@ -60,9 +70,140 @@ pub fn surface_bag(vocab: &Vocab, mention: &LinkedMention) -> Vec<u32> {
 }
 
 /// Token bag of just the entity title (cross-encoder interaction
-/// feature).
+/// feature). By construction a prefix of [`entity_bag`].
 pub fn title_bag(vocab: &Vocab, entity: &Entity) -> Vec<u32> {
     vocab.encode(&entity.title)
+}
+
+/// Title length marking an id the table does not cover.
+const UNCOVERED: u32 = u32::MAX;
+
+/// The entity side of every encoder input, featurised once: an
+/// immutable CSR table holding one token run per covered entity
+/// (`title tokens ++ truncated description`, i.e. [`entity_bag`]) plus
+/// the title length (the [`title_bag`] is the run's prefix).
+///
+/// A pure function of (KB text, vocab, [`InputConfig`], covered ids):
+/// it is built once per linker dictionary / served generation, shared
+/// by `Arc`, and read on the link path instead of re-tokenising
+/// retrieved entities per mention. Derived state — never serialized
+/// (DESIGN.md § "Entity feature table").
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EntityFeatures {
+    /// Token runs of the covered entities, in ascending entity id.
+    tokens: Vec<u32>,
+    /// CSR offsets by entity id: id `i` owns
+    /// `tokens[starts[i]..starts[i + 1]]` (empty for uncovered ids).
+    starts: Vec<u32>,
+    /// Title-token count by entity id; [`UNCOVERED`] for ids outside
+    /// the table.
+    titles: Vec<u32>,
+}
+
+impl EntityFeatures {
+    /// Featurise `ids` (any order, duplicates allowed) from `kb`.
+    ///
+    /// # Errors
+    /// [`mb_common::Error::NotFound`] when an id is outside `kb`;
+    /// [`mb_common::Error::InvalidConfig`] when the table would exceed
+    /// `u32` token offsets.
+    pub fn try_build(
+        vocab: &Vocab,
+        cfg: &InputConfig,
+        kb: &KnowledgeBase,
+        ids: &[EntityId],
+    ) -> mb_common::Result<Self> {
+        let mut order = ids.to_vec();
+        order.sort_unstable();
+        order.dedup();
+        let slots = order.last().map_or(0, |id| id.0 as usize + 1);
+        let mut table = EntityFeatures {
+            tokens: Vec::new(),
+            starts: Vec::with_capacity(slots + 1),
+            titles: vec![UNCOVERED; slots],
+        };
+        // One allocation for the runs, trimmed below: growth by doubling
+        // would strand up to half the buffer and, at a store-backed
+        // reload, overshoot the heap the IVF build has just freed. Titles
+        // are short, so they are counted exactly; a description
+        // contributes its truncation limit or a byte bound (n tokens
+        // span at least 2n - 1 bytes), whichever is smaller.
+        let count = |text: &str| {
+            let mut n = 0;
+            for_each_token(text, usize::MAX, |_| n += 1);
+            n
+        };
+        table.tokens.reserve_exact(
+            order
+                .iter()
+                .filter_map(|id| kb.entities().get(id.0 as usize))
+                .map(|e| count(&e.title) + cfg.max_description.min(e.description.len().div_ceil(2)))
+                .sum(),
+        );
+        for id in order {
+            let slot = id.0 as usize;
+            let (Some(entity), Some(title)) = (kb.entities().get(slot), table.titles.get_mut(slot))
+            else {
+                return Err(mb_common::Error::NotFound(format!(
+                    "dictionary entity {} outside knowledge base of {} entities",
+                    id.0,
+                    kb.len()
+                )));
+            };
+            // Ids skipped since the last covered one own empty runs.
+            table.starts.resize(slot + 1, Self::offset(table.tokens.len())?);
+            *title = Self::offset(push_entity_run(vocab, cfg, entity, &mut table.tokens))?;
+        }
+        table.starts.push(Self::offset(table.tokens.len())?);
+        table.tokens.shrink_to_fit();
+        Ok(table)
+    }
+
+    /// A token count as a table entry; [`UNCOVERED`] itself is not a
+    /// representable count.
+    fn offset(n: usize) -> mb_common::Result<u32> {
+        u32::try_from(n).ok().filter(|&n| n != UNCOVERED).ok_or_else(|| {
+            mb_common::Error::InvalidConfig(format!(
+                "entity feature table of {n} tokens exceeds u32 offsets"
+            ))
+        })
+    }
+
+    /// `(run, title length)` of a covered id.
+    fn run(&self, id: EntityId) -> Option<(&[u32], usize)> {
+        let slot = id.0 as usize;
+        let title = *self.titles.get(slot).filter(|&&t| t != UNCOVERED)? as usize;
+        let (start, end) = (*self.starts.get(slot)? as usize, *self.starts.get(slot + 1)? as usize);
+        Some((self.tokens.get(start..end)?, title))
+    }
+
+    /// The [`entity_bag`] of `id`, `None` when the table does not
+    /// cover it.
+    pub fn entity(&self, id: EntityId) -> Option<&[u32]> {
+        self.run(id).map(|(run, _)| run)
+    }
+
+    /// The [`title_bag`] of `id`, `None` when the table does not cover
+    /// it.
+    pub fn title(&self, id: EntityId) -> Option<&[u32]> {
+        self.run(id).and_then(|(run, title)| run.get(..title))
+    }
+
+    /// True when every id in `0..=max` is covered — the check for a
+    /// retrieval backend that only reports its largest id.
+    pub fn covers_through(&self, max: EntityId) -> bool {
+        self.titles.get(..=max.0 as usize).is_some_and(|t| t.iter().all(|&t| t != UNCOVERED))
+    }
+
+    /// Number of covered entities.
+    pub fn len(&self) -> usize {
+        self.titles.iter().filter(|&&t| t != UNCOVERED).count()
+    }
+
+    /// True when no entity is covered.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// A featurized training pair `(mᵢ, eᵢ)`.
@@ -121,6 +262,7 @@ pub fn build_vocab<'a>(
 mod tests {
     use super::*;
     use mb_datagen::{World, WorldConfig};
+    use mb_text::tokenize;
 
     fn setup() -> (mb_datagen::World, Vocab) {
         let world = World::generate(WorldConfig::tiny(13));
@@ -162,6 +304,38 @@ mod tests {
         let bag = entity_bag(&vocab, &cfg, e);
         let title_len = tokenize(&e.title).len();
         assert_eq!(bag.len(), title_len + 3.min(tokenize(&e.description).len()));
+    }
+
+    #[test]
+    fn feature_table_matches_the_bag_functions_and_reports_coverage() {
+        let (world, vocab) = setup();
+        let cfg = InputConfig { max_context: 4, max_description: 3 };
+        let kb = world.kb();
+        let target = kb.domain_entities(world.domain("TargetX").id);
+        // Reversed with a duplicate: build order must not matter.
+        let mut ids: Vec<EntityId> = target.iter().rev().copied().collect();
+        ids.push(target[0]);
+        let table = EntityFeatures::try_build(&vocab, &cfg, kb, &ids).expect("ids inside kb");
+        assert_eq!(table.len(), target.len());
+        for e in kb.entities() {
+            if target.contains(&e.id) {
+                assert_eq!(table.entity(e.id), Some(entity_bag(&vocab, &cfg, e).as_slice()));
+                assert_eq!(table.title(e.id), Some(title_bag(&vocab, e).as_slice()));
+            } else {
+                assert_eq!(table.entity(e.id), None, "entity {} is outside the table", e.id.0);
+                assert_eq!(table.title(e.id), None);
+            }
+        }
+        let all: Vec<EntityId> = kb.entities().iter().map(|e| e.id).collect();
+        let full = EntityFeatures::try_build(&vocab, &cfg, kb, &all).expect("ids inside kb");
+        let last = EntityId(kb.len() as u32 - 1);
+        assert!(full.covers_through(last));
+        assert!(!full.covers_through(EntityId(kb.len() as u32)));
+        assert_eq!(table.covers_through(last), target.len() == kb.len());
+        let outside = EntityFeatures::try_build(&vocab, &cfg, kb, &[EntityId(kb.len() as u32)]);
+        assert!(matches!(outside, Err(mb_common::Error::NotFound(_))), "got {outside:?}");
+        let empty = EntityFeatures::try_build(&vocab, &cfg, kb, &[]).expect("empty table");
+        assert!(empty.is_empty() && empty.entity(EntityId(0)).is_none());
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub mod train;
 pub use biencoder::{BiEncoder, BiEncoderConfig};
 pub use crossencoder::{CrossEncoder, CrossEncoderConfig};
 pub use frozen::{FrozenBiEncoder, FrozenCrossEncoder};
-pub use input::{entity_bag, mention_bag, InputConfig, TrainPair};
+pub use input::{entity_bag, mention_bag, EntityFeatures, InputConfig, TrainPair};
 pub use retrieval::{DenseIndex, QuantizedIndex};

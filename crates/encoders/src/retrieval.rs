@@ -17,7 +17,7 @@
 //! at any [`mb_par::Threads`] value.
 
 use crate::biencoder::BiEncoder;
-use crate::input::{entity_bag, InputConfig};
+use crate::input::{EntityFeatures, InputConfig};
 use mb_common::util::{top_k_desc, TopK};
 use mb_common::Rng;
 use mb_kb::{EntityId, KnowledgeBase};
@@ -177,6 +177,10 @@ impl DenseIndex {
     }
 
     /// Embed and index a set of entities with a bi-encoder.
+    ///
+    /// # Panics
+    /// Panics when an id is outside `kb`; callers handling untrusted
+    /// dictionaries use [`DenseIndex::try_build`].
     pub fn build(
         model: &BiEncoder,
         vocab: &Vocab,
@@ -184,10 +188,8 @@ impl DenseIndex {
         kb: &KnowledgeBase,
         ids: &[EntityId],
     ) -> Self {
-        let bags: Vec<Vec<u32>> =
-            ids.iter().map(|&id| entity_bag(vocab, cfg, kb.entity(id))).collect();
-        let vectors = model.embed_entities(bags);
-        DenseIndex { vectors, ids: ids.to_vec() }
+        Self::try_build(model, vocab, cfg, kb, ids)
+            .expect("dictionary ids inside the knowledge base")
     }
 
     /// Embed and index a set of entities, rejecting ids outside the
@@ -204,14 +206,33 @@ impl DenseIndex {
         kb: &KnowledgeBase,
         ids: &[EntityId],
     ) -> mb_common::Result<Self> {
-        if let Some(&bad) = ids.iter().find(|id| id.0 as usize >= kb.len()) {
-            return Err(mb_common::Error::NotFound(format!(
-                "dictionary entity {} outside knowledge base of {} entities",
-                bad.0,
-                kb.len()
-            )));
-        }
-        Ok(Self::build(model, vocab, cfg, kb, ids))
+        Self::from_features(model, &EntityFeatures::try_build(vocab, cfg, kb, ids)?, ids)
+    }
+
+    /// Embed and index `ids` from an already-built feature table, so a
+    /// caller that keeps the table (the linker, a served generation)
+    /// featurises its dictionary exactly once.
+    ///
+    /// # Errors
+    /// [`mb_common::Error::NotFound`] when `features` does not cover
+    /// an id.
+    pub fn from_features(
+        model: &BiEncoder,
+        features: &EntityFeatures,
+        ids: &[EntityId],
+    ) -> mb_common::Result<Self> {
+        let bags = ids
+            .iter()
+            .map(|&id| {
+                features.entity(id).map(<[u32]>::to_vec).ok_or_else(|| {
+                    mb_common::Error::NotFound(format!(
+                        "dictionary entity {} outside the entity feature table",
+                        id.0
+                    ))
+                })
+            })
+            .collect::<mb_common::Result<Vec<Vec<u32>>>>()?;
+        Ok(DenseIndex { vectors: model.embed_entities(bags), ids: ids.to_vec() })
     }
 
     /// Number of indexed entities.

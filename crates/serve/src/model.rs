@@ -6,9 +6,11 @@ use mb_core::pipeline::{BI_KEY, CROSS_KEY};
 use mb_encoders::biencoder::{BiEncoder, BiEncoderConfig};
 use mb_encoders::crossencoder::{CrossEncoder, CrossEncoderConfig};
 use mb_encoders::frozen::{FrozenBiEncoder, FrozenCrossEncoder};
+use mb_encoders::input::EntityFeatures;
 use mb_kb::{EntityId, KnowledgeBase};
 use mb_tensor::checkpoint::Checkpoint;
 use mb_text::Vocab;
+use std::sync::Arc;
 
 /// Everything the server owns: the trained encoders plus the world
 /// they were trained against. Self-contained (no borrows), so the
@@ -62,8 +64,19 @@ impl ServeModel {
     }
 
     /// The shared tape-free cross-encoder every worker serves with.
+    /// Inside a published [`crate::Generation`] it carries that
+    /// generation's [`EntityFeatures`] table, so a linker assembled
+    /// from it reads candidates from the table instead of featurising
+    /// them per request.
     pub fn frozen_cross(&self) -> &FrozenCrossEncoder {
         &self.frozen_cross
+    }
+
+    /// Attach the entity feature table of the ids this model serves —
+    /// called once by [`crate::Generation`] while it is being built, so
+    /// the table is always derived from this model's own KB and vocab.
+    pub(crate) fn attach_features(&mut self, features: Arc<EntityFeatures>) {
+        self.frozen_cross = self.frozen_cross.clone().with_features(features);
     }
 
     /// Rebuild the encoders from an `mb-params v2` [`Checkpoint`]

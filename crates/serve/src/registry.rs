@@ -28,7 +28,9 @@
 use crate::model::ServeModel;
 use mb_common::{Error, Result};
 use mb_core::linker::TwoStageLinker;
+use mb_encoders::input::EntityFeatures;
 use mb_encoders::retrieval::{CandidateSource, DenseIndex, QuantizedIndex};
+use mb_kb::EntityId;
 use mb_store::{EntityStore, IvfConfig, IvfIndex, Threads, IVF_FILE, MANIFEST};
 use mb_tensor::Tensor;
 use std::path::{Path, PathBuf};
@@ -49,6 +51,11 @@ pub type ModelLoader = Box<dyn Fn(&Path) -> Result<ServeModel> + Send + Sync>;
 /// retrieval index built and validated from it. Workers and handlers
 /// hold it via `Arc`, so an old generation stays alive exactly as long
 /// as requests still riding it.
+///
+/// Building a generation also featurises the served entities once into
+/// an [`EntityFeatures`] table and attaches it to the model's frozen
+/// cross-encoder handle (`model.frozen_cross().features()`), which is
+/// how every worker linker receives it.
 pub struct Generation {
     /// Monotonic generation number (1 = the model the server started
     /// with).
@@ -80,14 +87,15 @@ impl Generation {
     /// # Errors
     /// Index- or model-consistency errors from
     /// [`TwoStageLinker::with_frozen`].
-    pub fn build(id: u64, source: String, model: ServeModel) -> Result<Generation> {
-        let index = Arc::new(DenseIndex::try_build(
-            &model.bi,
+    pub fn build(id: u64, source: String, mut model: ServeModel) -> Result<Generation> {
+        let features = Arc::new(EntityFeatures::try_build(
             &model.vocab,
             &model.linker.input,
             &model.kb,
             &model.dictionary,
         )?);
+        let index = Arc::new(DenseIndex::from_features(&model.bi, &features, &model.dictionary)?);
+        model.attach_features(features);
         let qindex = QuantizedIndex::from_dense(&index, model.linker.quant).map(Arc::new);
         TwoStageLinker::with_frozen(
             &model.bi,
@@ -112,6 +120,9 @@ impl Generation {
     ///   never re-quantizes;
     /// - the IVF index is loaded from `store_dir/IVF` when present and
     ///   otherwise built deterministically with a size-scaled config;
+    /// - the entity feature table covers every store id and is built
+    ///   last, after the IVF k-means has released its scratch, so it
+    ///   adds nothing to the reload's peak memory;
     /// - the same throwaway-linker validation as [`Generation::build`]
     ///   runs, with the ANN source attached, before anything is
     ///   published.
@@ -123,7 +134,7 @@ impl Generation {
     pub fn with_store(
         id: u64,
         source: String,
-        model: ServeModel,
+        mut model: ServeModel,
         store_dir: &Path,
     ) -> Result<Generation> {
         let store = Arc::new(EntityStore::open(store_dir)?);
@@ -158,6 +169,13 @@ impl Generation {
                 Threads::default(),
             )?)
         };
+        let served: Vec<EntityId> = (0..store.len() as u32).map(EntityId).collect();
+        model.attach_features(Arc::new(EntityFeatures::try_build(
+            &model.vocab,
+            &model.linker.input,
+            &model.kb,
+            &served,
+        )?));
         TwoStageLinker::with_frozen(
             &model.bi,
             &model.cross,
@@ -379,7 +397,11 @@ mod tests {
     use mb_encoders::input::build_vocab;
 
     fn model(seed: u64) -> ServeModel {
-        let world = World::generate(WorldConfig::tiny(91));
+        model_of_world(91, seed)
+    }
+
+    fn model_of_world(world_seed: u64, seed: u64) -> ServeModel {
+        let world = World::generate(WorldConfig::tiny(world_seed));
         let vocab = build_vocab(world.kb(), [], 1);
         let domain = world.domain("TargetX").clone();
         let bi_cfg = BiEncoderConfig { emb_dim: 16, hidden: 16, out_dim: 16, ..Default::default() };
@@ -419,6 +441,56 @@ mod tests {
         assert_eq!(held.id, 1);
         assert!(!held.model.dictionary.is_empty());
         assert_eq!(registry.current().id, 2);
+    }
+
+    /// The table a generation must carry: its own dictionary featurised
+    /// with its own KB, vocab and truncation.
+    fn expected_features(g: &Generation) -> EntityFeatures {
+        let m = &g.model;
+        EntityFeatures::try_build(&m.vocab, &m.linker.input, &m.kb, &m.dictionary)
+            .expect("published dictionary is inside its kb")
+    }
+
+    #[test]
+    fn each_generation_carries_the_feature_table_of_its_own_kb_and_vocab() {
+        let registry = ModelRegistry::new(model_of_world(91, 1)).expect("valid model");
+        let first = registry.current();
+        // A different world: other entity text, other vocabulary ids.
+        registry.publish(model_of_world(92, 2), "test".to_string()).expect("swap");
+        let second = registry.current();
+        let table = |g: &Generation| {
+            Arc::clone(g.model.frozen_cross().features().expect("published generations carry one"))
+        };
+        assert_eq!(*table(&first), expected_features(&first));
+        assert_eq!(*table(&second), expected_features(&second));
+        assert_ne!(*table(&first), *table(&second), "the swap must not reuse the old table");
+
+        // Coverage is checked when a linker is assembled, never on a
+        // request: an index over entities outside the served dictionary
+        // and an ANN backend over an id range the table does not fill
+        // are both typed errors.
+        let m = &second.model;
+        let assemble = |index: Arc<DenseIndex>| {
+            TwoStageLinker::with_frozen(
+                &m.bi,
+                &m.cross,
+                &m.vocab,
+                &m.kb,
+                m.linker,
+                index,
+                None,
+                m.frozen_bi().clone(),
+                m.frozen_cross().clone(),
+            )
+        };
+        let outside: Vec<EntityId> =
+            (0..m.kb.len() as u32).map(EntityId).filter(|id| !m.dictionary.contains(id)).collect();
+        let foreign = DenseIndex::build(&m.bi, &m.vocab, &m.linker.input, &m.kb, &outside);
+        let err = assemble(Arc::new(foreign)).err();
+        assert!(matches!(err, Some(Error::NotFound(_))), "got {err:?}");
+        let served = assemble(Arc::clone(&second.index)).expect("the generation's own index");
+        let err = served.with_ann(Arc::clone(&second.index) as Arc<dyn CandidateSource>).err();
+        assert!(matches!(err, Some(Error::NotFound(_))), "got {err:?}");
     }
 
     #[test]

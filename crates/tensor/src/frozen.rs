@@ -126,11 +126,11 @@ pub fn row_l2_normalize(x: &Tensor, eps: f64) -> Tensor {
 ///
 /// # Panics
 /// Panics if any id is out of range.
-pub fn bag_embed(table: &Tensor, bags: &[Vec<u32>]) -> Tensor {
+pub fn bag_embed(table: &Tensor, bags: &[impl AsRef<[u32]>]) -> Tensor {
     assert_eq!(table.rank(), 2, "bag_embed: table must be rank-2, got {:?}", table.shape());
     let (vocab, dim) = (table.shape()[0], table.shape()[1]);
     let mut out = Tensor::zeros(vec![bags.len(), dim]);
-    for (i, bag) in bags.iter().enumerate() {
+    for (i, bag) in bags.iter().map(AsRef::as_ref).enumerate() {
         if bag.is_empty() {
             continue;
         }

@@ -202,9 +202,9 @@ impl QuantF16 {
 
     /// Mean-pool dequantized table rows per bag, in bag order — the
     /// quantized counterpart of the tape's `bag_embed`.
-    pub fn bag_embed(&self, bags: &[Vec<u32>]) -> Tensor {
+    pub fn bag_embed(&self, bags: &[impl AsRef<[u32]>]) -> Tensor {
         let mut out = Tensor::zeros(vec![bags.len(), self.cols]);
-        for (i, bag) in bags.iter().enumerate() {
+        for (i, bag) in bags.iter().map(AsRef::as_ref).enumerate() {
             if bag.is_empty() {
                 continue;
             }
@@ -347,9 +347,9 @@ impl QuantI8 {
 
     /// Mean-pool dequantized table rows per bag, in bag order — the
     /// quantized counterpart of the tape's `bag_embed`.
-    pub fn bag_embed(&self, bags: &[Vec<u32>]) -> Tensor {
+    pub fn bag_embed(&self, bags: &[impl AsRef<[u32]>]) -> Tensor {
         let mut out = Tensor::zeros(vec![bags.len(), self.cols]);
-        for (i, bag) in bags.iter().enumerate() {
+        for (i, bag) in bags.iter().map(AsRef::as_ref).enumerate() {
             if bag.is_empty() {
                 continue;
             }

@@ -5,6 +5,7 @@
 //! the encoders behave on out-of-domain words (the paper's premise is
 //! exactly that target domains contain unseen vocabulary).
 
+use crate::tokenizer::for_each_token;
 use std::collections::HashMap;
 
 /// Reserved id for unknown tokens.
@@ -43,9 +44,12 @@ impl VocabBuilder {
 
     /// Count every token of a raw text.
     pub fn add_text(&mut self, text: &str) {
-        for t in crate::tokenizer::tokenize(text) {
-            *self.counts.entry(t).or_insert(0) += 1;
-        }
+        for_each_token(text, usize::MAX, |t| match self.counts.get_mut(t) {
+            Some(count) => *count += 1,
+            None => {
+                self.counts.insert(t.to_string(), 1);
+            }
+        });
     }
 
     /// Freeze into a [`Vocab`], keeping tokens with at least `min_count`
@@ -105,7 +109,16 @@ impl Vocab {
 
     /// Encode a raw text into ids (unknowns map to [`UNK`]).
     pub fn encode(&self, text: &str) -> Vec<u32> {
-        crate::tokenizer::tokenize(text).iter().map(|t| self.id(t)).collect()
+        let mut ids = Vec::new();
+        self.encode_into(text, usize::MAX, &mut ids);
+        ids
+    }
+
+    /// Append the ids of the first `limit` tokens of `text` to `out`
+    /// (unknowns map to [`UNK`]) — the allocation-free form of
+    /// [`Vocab::encode`] followed by `truncate(limit)`.
+    pub fn encode_into(&self, text: &str, limit: usize, out: &mut Vec<u32>) {
+        for_each_token(text, limit, |t| out.push(self.id(t)));
     }
 
     /// Encode pre-tokenized tokens into ids.
@@ -168,6 +181,14 @@ mod tests {
         let v = sample();
         let ids = v.encode("the dog");
         assert_eq!(ids, vec![v.id("the"), UNK]);
+    }
+
+    #[test]
+    fn encode_into_appends_a_truncated_encoding() {
+        let v = sample();
+        let mut out = vec![7];
+        v.encode_into("the cat sat on the mat", 3, &mut out);
+        assert_eq!(out, vec![7, v.id("the"), v.id("cat"), v.id("sat")]);
     }
 
     #[test]

@@ -5,8 +5,37 @@ use mb_check::{prop_assert, prop_assert_eq};
 use mb_text::edit::levenshtein;
 use mb_text::overlap::{classify, OverlapCategory};
 use mb_text::rouge::{rouge_1, rouge_l};
-use mb_text::tokenizer::{detokenize, tokenize};
+use mb_text::tokenizer::{detokenize, for_each_token, tokenize};
 use mb_text::vocab::VocabBuilder;
+
+/// The tokenizer as it was before the streaming core (one `String`
+/// per token, no early stop) — the reference `for_each_token` is
+/// checked against.
+fn reference_tokenize(text: &str) -> Vec<String> {
+    let mut tokens = Vec::new();
+    let mut current = String::new();
+    for ch in text.chars() {
+        if ch.is_alphanumeric() {
+            for lower in ch.to_lowercase() {
+                if lower.is_alphanumeric() {
+                    current.push(lower);
+                }
+            }
+        } else if !current.is_empty() {
+            tokens.push(std::mem::take(&mut current));
+        }
+    }
+    if !current.is_empty() {
+        tokens.push(current);
+    }
+    tokens
+}
+
+fn streamed(text: &str, limit: usize) -> Vec<String> {
+    let mut seen = Vec::new();
+    for_each_token(text, limit, |t| seen.push(t.to_string()));
+    seen
+}
 
 fn word() -> StringGen<gen::CharIn> {
     gen::lowercase_string(1..=8)
@@ -33,6 +62,45 @@ mb_check::check! {
             // Lowercasing is idempotent (some chars, e.g. mathematical
             // capitals, have no lowercase mapping and stay as-is).
             prop_assert_eq!(t.to_lowercase(), t);
+        }
+    }
+
+    fn streaming_tokenizer_matches_the_reference_and_truncation(
+        s in gen::any_string(0..=120),
+        dotted in gen::usize_in(0..121),
+        limit in gen::usize_in(0..24),
+    ) {
+        // Splice in 'İ' (lowercases to "i\u{307}": an expansion whose
+        // second char must be dropped) at an arbitrary char boundary.
+        let at = s.char_indices().map(|(i, _)| i).nth(dotted).unwrap_or(s.len());
+        let text = format!("{}İ{}", &s[..at], &s[at..]);
+        let want = reference_tokenize(&text);
+        prop_assert_eq!(&streamed(&text, usize::MAX), &want);
+        prop_assert_eq!(&tokenize(&text), &want);
+        // Early stop ≡ tokenize-then-truncate.
+        let mut truncated = want;
+        truncated.truncate(limit);
+        prop_assert_eq!(streamed(&text, limit), truncated);
+    }
+
+    fn vocab_encode_into_is_encode_then_truncate(
+        docs in gen::vec_of(words(10), 1..6),
+        limit in gen::usize_in(0..12),
+    ) {
+        let mut b = VocabBuilder::new();
+        for d in &docs {
+            b.add_text(&d.join(" "));
+        }
+        // min_count 2 leaves some tokens out of vocabulary (UNK).
+        let v = b.build(2);
+        for d in &docs {
+            let text = d.join(" ");
+            let mut want = v.encode_tokens(&tokenize(&text));
+            prop_assert_eq!(&v.encode(&text), &want);
+            want.truncate(limit);
+            let mut got = vec![u32::MAX];
+            v.encode_into(&text, limit, &mut got);
+            prop_assert_eq!(&got[1..], &want[..]);
         }
     }
 

@@ -62,6 +62,12 @@ STEPS=(
     # build the deterministic IVF index over it, and assert recall@64
     # >= 0.95 plus a byte-identical rebuild at 1 and 3 workers.
     "retrieval-smoke|cargo run --release -q -p mb-bench --bin bench_retrieval -- --smoke"
+    # Benchmark smoke: build benchmark/ (a package of its own, outside
+    # this workspace) against the current crates and run both passes of
+    # every workload in miniature with its oracles on. This is the
+    # stage that catches a crates/ API change that stops the benchmark
+    # compiling, or that changes what a workload computes.
+    "benchmark-smoke|benchmark/run.sh --smoke"
     # Bench regression: rerun the kernel + inference benchmarks and fail
     # if any median regressed >25% vs the committed bench-baseline.json.
     "bench-regression|scripts/bench_gate.sh"

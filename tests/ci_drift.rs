@@ -82,6 +82,25 @@ fn ci_script_includes_the_retrieval_smoke_stage() {
 }
 
 #[test]
+fn ci_script_runs_the_benchmark_smoke_right_after_retrieval_smoke() {
+    let script = script_steps();
+    let retrieval = script
+        .iter()
+        .position(|s| s == "cargo run --release -q -p mb-bench --bin bench_retrieval -- --smoke");
+    let benchmark = script.iter().position(|s| s == "benchmark/run.sh --smoke");
+    assert!(
+        benchmark.is_some(),
+        "the benchmark-smoke stage must build benchmark/ against the current crates and run \
+         every workload's oracle (benchmark/run.sh --smoke): nothing else compiles that package"
+    );
+    assert_eq!(
+        benchmark,
+        retrieval.map(|i| i + 1),
+        "benchmark-smoke must run right after retrieval-smoke, before the bench-regression gate"
+    );
+}
+
+#[test]
 fn bench_baseline_pins_the_fused_batch_retrieval_benches() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/bench-baseline.json");
     let baseline = std::fs::read_to_string(path).expect("cannot read bench-baseline.json");
