@@ -100,11 +100,10 @@ pub struct TwoStageLinker<'a> {
     /// indexes.
     ann: Option<Arc<dyn CandidateSource>>,
     frozen_bi: FrozenBiEncoder,
+    /// Carries the [`EntityFeatures`] table candidate sets are read
+    /// from; it covers every id stage one can return (validated at
+    /// construction).
     frozen_cross: FrozenCrossEncoder,
-    /// Featurised entities, covering every id stage one can return
-    /// (validated at construction); the same table `frozen_cross`
-    /// carries.
-    features: Arc<EntityFeatures>,
 }
 
 impl<'a> TwoStageLinker<'a> {
@@ -194,13 +193,16 @@ impl<'a> TwoStageLinker<'a> {
     /// Candidate entities are read from the [`EntityFeatures`] table
     /// `frozen_cross` carries; a handle without one gets a table built
     /// here for the index's ids (once per call, like `qindex`). Either
-    /// way the linker only assembles if the table covers every indexed
-    /// id, so no request can reach an unfeaturised entity.
+    /// way the linker only assembles if the table was built with this
+    /// `vocab` and `cfg.input` and covers every indexed id, so no
+    /// request can reach an unfeaturised or stale entity.
     ///
     /// # Errors
     /// Same validation as [`TwoStageLinker::with_index`], plus
-    /// [`mb_common::Error::NotFound`] when the carried table does not
-    /// cover an indexed id.
+    /// [`mb_common::Error::InvalidConfig`] when the carried table was
+    /// built with another vocabulary or description truncation and
+    /// [`mb_common::Error::NotFound`] when it does not cover an
+    /// indexed id.
     #[allow(clippy::too_many_arguments)] // the point is threading shared handles through
     pub fn with_frozen(
         bi: &'a BiEncoder,
@@ -220,14 +222,14 @@ impl<'a> TwoStageLinker<'a> {
                 format!("index dim {}", index.dim()),
             ));
         }
-        let (features, frozen_cross) = match frozen_cross.features() {
-            Some(features) => (Arc::clone(features), frozen_cross),
-            None => {
-                let features =
-                    Arc::new(EntityFeatures::try_build(vocab, &cfg.input, kb, index.ids())?);
-                (Arc::clone(&features), frozen_cross.with_features(features))
-            }
+        let frozen_cross = if frozen_cross.features().is_empty() {
+            let features = EntityFeatures::try_build(vocab, &cfg.input, kb, index.ids())?;
+            frozen_cross.with_features(Arc::new(features))
+        } else {
+            frozen_cross.features().check_inputs(vocab, &cfg.input)?;
+            frozen_cross
         };
+        let features = frozen_cross.features();
         // Every id either exact backend can return must resolve in the
         // KB and in the feature table.
         let supplied = qindex.as_deref().map_or(&[][..], QuantizedIndex::ids);
@@ -239,7 +241,7 @@ impl<'a> TwoStageLinker<'a> {
                     kb.len()
                 )));
             }
-            if features.entity(id).is_none() {
+            if !features.covers(id) {
                 return Err(mb_common::Error::NotFound(format!(
                     "indexed entity {} outside the entity feature table of {} entities",
                     id.0,
@@ -259,7 +261,6 @@ impl<'a> TwoStageLinker<'a> {
             ann: None,
             frozen_bi,
             frozen_cross,
-            features,
         })
     }
 
@@ -270,8 +271,8 @@ impl<'a> TwoStageLinker<'a> {
     ///
     /// # Errors
     /// [`mb_common::Error::ShapeMismatch`] on a dimension mismatch;
-    /// [`mb_common::Error::NotFound`] when the backend's id range
-    /// exceeds `kb` or the feature table.
+    /// [`mb_common::Error::NotFound`] when the backend can return an
+    /// id outside `kb` or the feature table.
     pub fn with_ann(mut self, ann: Arc<dyn CandidateSource>) -> mb_common::Result<Self> {
         if !ann.is_empty() && ann.dim() != self.bi.config().out_dim {
             return Err(mb_common::Error::shape(
@@ -280,23 +281,17 @@ impl<'a> TwoStageLinker<'a> {
                 format!("ann dim {}", ann.dim()),
             ));
         }
-        if let Some(max) = ann.max_id() {
-            if max.0 as usize >= self.kb.len() {
-                return Err(mb_common::Error::NotFound(format!(
-                    "ann entity {} outside knowledge base of {} entities",
-                    max.0,
-                    self.kb.len()
-                )));
-            }
-            // The backend reports only its largest id, so every id up
-            // to it must be featurised.
-            if !self.features.covers_through(max) {
-                return Err(mb_common::Error::NotFound(format!(
-                    "ann ids 0..={} are not all inside the entity feature table of {} entities",
-                    max.0,
-                    self.features.len()
-                )));
-            }
+        let (kb_len, features) = (self.kb.len(), self.features());
+        if let Some(id) = ann.find_id(&mut |id| id.0 as usize >= kb_len || !features.covers(id)) {
+            let (outside, len) = if id.0 as usize >= kb_len {
+                ("knowledge base", kb_len)
+            } else {
+                ("the entity feature table", features.len())
+            };
+            return Err(mb_common::Error::NotFound(format!(
+                "ann entity {} outside {outside} of {len} entities",
+                id.0
+            )));
         }
         self.ann = Some(ann);
         Ok(self)
@@ -345,19 +340,24 @@ impl<'a> TwoStageLinker<'a> {
     ///
     /// `retrieved` must come from this linker's stage one
     /// ([`TwoStageLinker::candidates`] / `link_batch`), whose ids the
-    /// table covers by construction; a foreign id featurises as an
-    /// entity without text instead of panicking on the serving path.
+    /// table covers by construction. An id from anywhere else is a
+    /// caller bug: debug builds assert, release builds featurise it as
+    /// an entity without text rather than panic on the serving path.
     pub fn candidate_set(
         &self,
         mention: &LinkedMention,
         retrieved: &[(EntityId, f64)],
     ) -> CandidateSet {
-        let bag = |bag: Option<&[u32]>| bag.unwrap_or_default().to_vec();
+        let features = self.features();
+        let bag = |bag: Option<&[u32]>| {
+            debug_assert!(bag.is_some(), "candidate outside the linker's entity feature table");
+            bag.unwrap_or_default().to_vec()
+        };
         CandidateSet {
             mention: mention_bag(self.vocab, &self.cfg.input, mention),
             surface: surface_bag(self.vocab, mention),
-            entities: retrieved.iter().map(|&(id, _)| bag(self.features.entity(id))).collect(),
-            titles: retrieved.iter().map(|&(id, _)| bag(self.features.title(id))).collect(),
+            entities: retrieved.iter().map(|&(id, _)| bag(features.entity(id))).collect(),
+            titles: retrieved.iter().map(|&(id, _)| bag(features.title(id))).collect(),
             gold_index: retrieved.iter().position(|(id, _)| *id == mention.entity),
         }
     }
@@ -624,7 +624,7 @@ impl<'a> TwoStageLinker<'a> {
 
     /// The entity feature table candidate sets are read from.
     pub fn features(&self) -> &Arc<EntityFeatures> {
-        &self.features
+        self.frozen_cross.features()
     }
 }
 
@@ -928,16 +928,50 @@ mod tests {
         let foreign = kb.domain_entities(f.world.domain("SrcA").id);
         let err = assemble(DenseIndex::build(&f.bi, &f.vocab, &cfg.input, kb, foreign)).err();
         assert!(matches!(err, Some(mb_common::Error::NotFound(_))), "got {err:?}");
-        // So is an ANN backend whose id range the table does not fill:
-        // TargetX is not a prefix of the KB's id space.
-        let covered = assemble(owner.index().clone()).expect("the table's own dictionary");
-        let err = covered.with_ann(Arc::new(owner.index().clone())).err();
+        // So is an ANN backend that can return such an entity.
+        let covered = || assemble(owner.index().clone()).expect("the table's own dictionary");
+        let foreign_ann = DenseIndex::build(&f.bi, &f.vocab, &cfg.input, kb, &foreign[..1]);
+        let err = covered().with_ann(Arc::new(foreign_ann)).err();
         assert!(matches!(err, Some(mb_common::Error::NotFound(_))), "got {err:?}");
-        // A foreign id handed straight to `candidate_set` featurises as
-        // an entity without text rather than panicking.
-        let set = owner.candidate_set(&f.test[0], &[(foreign[0], 0.0), (dict[0], 0.0)]);
-        assert!(set.entities[0].is_empty() && set.titles[0].is_empty());
-        assert!(!set.entities[1].is_empty());
+        // An ANN backend over the dictionary itself attaches, although
+        // TargetX is not a prefix of the KB's id space.
+        let ann = covered().with_ann(Arc::new(owner.index().clone())).expect("covered ids");
+        assert_eq!(
+            ann.link_batch(&f.test[..8]).expect("link"),
+            owner.link_batch(&f.test[..8]).expect("link")
+        );
+    }
+
+    #[test]
+    fn a_table_built_with_other_inputs_is_rejected_at_construction() {
+        let f = fixture();
+        let kb = f.world.kb();
+        let dict = kb.domain_entities(f.world.domain("TargetX").id);
+        let cfg = LinkerConfig { k: 8, ..LinkerConfig::default() };
+        let owner = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, kb, dict, cfg);
+        let reuse = |vocab: &Vocab, cfg: LinkerConfig| {
+            TwoStageLinker::with_frozen(
+                &f.bi,
+                &f.cross,
+                vocab,
+                kb,
+                cfg,
+                owner.index_shared(),
+                None,
+                owner.frozen_bi().clone(),
+                owner.frozen_cross().clone(),
+            )
+            .err()
+        };
+        // The handle's table was cut at the default truncation and
+        // holds ids of `f.vocab`: reusing it under any other is stale.
+        let mut longer = cfg;
+        longer.input.max_description += 1;
+        let err = reuse(&f.vocab, longer);
+        assert!(matches!(err, Some(mb_common::Error::InvalidConfig(_))), "got {err:?}");
+        let err = reuse(&build_vocab(kb, [], 2), cfg);
+        assert!(matches!(err, Some(mb_common::Error::InvalidConfig(_))), "got {err:?}");
+        assert!(reuse(&f.vocab, cfg).is_none());
     }
 
     #[test]

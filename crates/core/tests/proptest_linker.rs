@@ -98,9 +98,9 @@ mb_check::check! {
         let f = fixture();
         let batch: Vec<LinkedMention> =
             picks.iter().map(|&i| f.mentions[i].clone()).collect();
-        // A prefix dictionary, so an ANN backend (which reports only
-        // its largest id) is coverable by the table.
-        let dict: Vec<EntityId> = (0..n as u32).map(EntityId).collect();
+        // The last `n` ids: dictionaries need not start at id 0.
+        let len = f.world.kb().len() as u32;
+        let dict: Vec<EntityId> = (len - n as u32..len).map(EntityId).collect();
         let mut reference = None;
         for threads in 1..=4 {
             let cfg = LinkerConfig { k, threads: mb_par::Threads::new(threads), ..LinkerConfig::default() };
@@ -123,7 +123,7 @@ mb_check::check! {
             let flat = peer();
             let ann = peer()
                 .with_ann(Arc::new(owner.index().clone()) as Arc<dyn CandidateSource>)
-                .expect("prefix dictionary is covered");
+                .expect("the table covers its own dictionary");
             prop_assert!(Arc::ptr_eq(flat.features(), owner.features()), "one table, not a rebuild");
             prop_assert!(Arc::ptr_eq(ann.features(), owner.features()), "one table, not a rebuild");
             let want = bits(&owner.link_batch(&batch).expect("link"));

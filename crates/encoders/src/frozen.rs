@@ -219,14 +219,14 @@ struct CrossInner {
 /// `Arc` bump.
 ///
 /// The handle also carries the [`EntityFeatures`] table of the
-/// dictionary it re-ranks, once one is attached: the cross-encoder is
-/// the consumer of the entity bags, so whoever is handed this handle
-/// (a worker linker, a peer assembled from shared state) gets the
-/// matching featurised entities with it.
+/// dictionary it re-ranks (empty until one is attached): the
+/// cross-encoder is the consumer of the entity bags, so whoever is
+/// handed this handle (a worker linker, a peer assembled from shared
+/// state) gets the matching featurised entities with it.
 #[derive(Debug, Clone)]
 pub struct FrozenCrossEncoder {
     inner: Arc<CrossInner>,
-    features: Option<Arc<EntityFeatures>>,
+    features: Arc<EntityFeatures>,
 }
 
 impl FrozenCrossEncoder {
@@ -240,20 +240,20 @@ impl FrozenCrossEncoder {
         let table = EmbTable::build(mode, params.get(ids.emb));
         FrozenCrossEncoder {
             inner: Arc::new(CrossInner { cfg, params, ids, table, mode }),
-            features: None,
+            features: Arc::default(),
         }
     }
 
     /// The same model with `features` as its entity table (replacing
     /// any previous one).
     pub fn with_features(mut self, features: Arc<EntityFeatures>) -> Self {
-        self.features = Some(features);
+        self.features = features;
         self
     }
 
-    /// The attached entity feature table, when any.
-    pub fn features(&self) -> Option<&Arc<EntityFeatures>> {
-        self.features.as_ref()
+    /// The attached entity feature table; empty when none was.
+    pub fn features(&self) -> &Arc<EntityFeatures> {
+        &self.features
     }
 
     /// The model's configuration.

@@ -88,7 +88,7 @@ const UNCOVERED: u32 = u32::MAX;
 /// by `Arc`, and read on the link path instead of re-tokenising
 /// retrieved entities per mention. Derived state — never serialized
 /// (DESIGN.md § "Entity feature table").
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EntityFeatures {
     /// Token runs of the covered entities, in ascending entity id.
     tokens: Vec<u32>,
@@ -98,6 +98,12 @@ pub struct EntityFeatures {
     /// Title-token count by entity id; [`UNCOVERED`] for ids outside
     /// the table.
     titles: Vec<u32>,
+    /// Number of covered ids.
+    covered: usize,
+    /// The description truncation the runs were cut at.
+    max_description: usize,
+    /// [`Vocab::fingerprint`] of the vocabulary the runs are ids of.
+    vocab: u64,
 }
 
 impl EntityFeatures {
@@ -121,6 +127,9 @@ impl EntityFeatures {
             tokens: Vec::new(),
             starts: Vec::with_capacity(slots + 1),
             titles: vec![UNCOVERED; slots],
+            covered: order.len(),
+            max_description: cfg.max_description,
+            vocab: vocab.fingerprint(),
         };
         // One allocation for the runs, trimmed below: growth by doubling
         // would strand up to half the buffer and, at a store-backed
@@ -189,20 +198,41 @@ impl EntityFeatures {
         self.run(id).and_then(|(run, title)| run.get(..title))
     }
 
-    /// True when every id in `0..=max` is covered — the check for a
-    /// retrieval backend that only reports its largest id.
-    pub fn covers_through(&self, max: EntityId) -> bool {
-        self.titles.get(..=max.0 as usize).is_some_and(|t| t.iter().all(|&t| t != UNCOVERED))
+    /// True when the table holds the features of `id`.
+    pub fn covers(&self, id: EntityId) -> bool {
+        self.titles.get(id.0 as usize).is_some_and(|&t| t != UNCOVERED)
     }
 
     /// Number of covered entities.
     pub fn len(&self) -> usize {
-        self.titles.iter().filter(|&&t| t != UNCOVERED).count()
+        self.covered
     }
 
-    /// True when no entity is covered.
+    /// True when no entity is covered (the [`Default`] table).
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.covered == 0
+    }
+
+    /// Check that the table was built with `vocab` and `cfg`'s
+    /// description truncation, i.e. that its runs are what
+    /// [`entity_bag`] would return under them.
+    ///
+    /// # Errors
+    /// [`mb_common::Error::InvalidConfig`] naming the input that
+    /// differs.
+    pub fn check_inputs(&self, vocab: &Vocab, cfg: &InputConfig) -> mb_common::Result<()> {
+        if self.max_description != cfg.max_description {
+            return Err(mb_common::Error::InvalidConfig(format!(
+                "entity feature table built with max_description {}, linker configured with {}",
+                self.max_description, cfg.max_description
+            )));
+        }
+        if self.vocab != vocab.fingerprint() {
+            return Err(mb_common::Error::InvalidConfig(
+                "entity feature table built with a different vocabulary".to_string(),
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -326,16 +356,29 @@ mod tests {
                 assert_eq!(table.title(e.id), None);
             }
         }
-        let all: Vec<EntityId> = kb.entities().iter().map(|e| e.id).collect();
-        let full = EntityFeatures::try_build(&vocab, &cfg, kb, &all).expect("ids inside kb");
-        let last = EntityId(kb.len() as u32 - 1);
-        assert!(full.covers_through(last));
-        assert!(!full.covers_through(EntityId(kb.len() as u32)));
-        assert_eq!(table.covers_through(last), target.len() == kb.len());
+        assert!(table.covers(target[0]) && !table.covers(EntityId(kb.len() as u32)));
         let outside = EntityFeatures::try_build(&vocab, &cfg, kb, &[EntityId(kb.len() as u32)]);
         assert!(matches!(outside, Err(mb_common::Error::NotFound(_))), "got {outside:?}");
         let empty = EntityFeatures::try_build(&vocab, &cfg, kb, &[]).expect("empty table");
         assert!(empty.is_empty() && empty.entity(EntityId(0)).is_none());
+        assert!(EntityFeatures::default().is_empty());
+    }
+
+    #[test]
+    fn feature_table_remembers_its_vocab_and_truncation() {
+        let (world, vocab) = setup();
+        let cfg = InputConfig { max_context: 4, max_description: 3 };
+        let kb = world.kb();
+        let ids = kb.domain_entities(world.domain("TargetX").id);
+        let table = EntityFeatures::try_build(&vocab, &cfg, kb, ids).expect("ids inside kb");
+        table.check_inputs(&vocab, &cfg).expect("its own inputs");
+        // The mention-side limit is not an input of the table.
+        table.check_inputs(&vocab, &InputConfig { max_context: 9, ..cfg }).expect("entity side");
+        let longer = InputConfig { max_description: 4, ..cfg };
+        let err = table.check_inputs(&vocab, &longer);
+        assert!(matches!(err, Err(mb_common::Error::InvalidConfig(_))), "got {err:?}");
+        let err = table.check_inputs(&build_vocab(kb, [], 2), &cfg);
+        assert!(matches!(err, Err(mb_common::Error::InvalidConfig(_))), "got {err:?}");
     }
 
     #[test]

@@ -87,10 +87,10 @@ fn check_queries(
 ///
 /// Contract (DESIGN.md §14): `top_k` returns candidates best-first with
 /// a deterministic lowest-position tie-break, `len`/`dim` describe the
-/// indexed table, `max_id` bounds the entity ids a search can return
-/// (so a caller can validate the source against its knowledge base
-/// once, up front), and `top_k_batch` must be bit-identical at any
-/// worker count.
+/// indexed table, `find_id` visits the entity ids a search can return
+/// (so a caller can validate the source against its knowledge base and
+/// feature table once, up front), and `top_k_batch` must be
+/// bit-identical at any worker count.
 pub trait CandidateSource: Send + Sync {
     /// Number of indexed entities.
     fn len(&self) -> usize;
@@ -103,8 +103,9 @@ pub trait CandidateSource: Send + Sync {
     /// Dimensionality of the indexed vectors.
     fn dim(&self) -> usize;
 
-    /// The largest entity id a search can return, `None` when empty.
-    fn max_id(&self) -> Option<EntityId>;
+    /// The first entity id a search can return that `reject` holds
+    /// for, `None` when it holds for none of them.
+    fn find_id(&self, reject: &mut dyn FnMut(EntityId) -> bool) -> Option<EntityId>;
 
     /// Top-k candidates for one query, best first.
     fn top_k(&self, query: &[f64], k: usize) -> Vec<(EntityId, f64)>;
@@ -559,8 +560,8 @@ impl CandidateSource for DenseIndex {
         DenseIndex::dim(self)
     }
 
-    fn max_id(&self) -> Option<EntityId> {
-        self.ids.iter().copied().max_by_key(|id| id.0)
+    fn find_id(&self, reject: &mut dyn FnMut(EntityId) -> bool) -> Option<EntityId> {
+        self.ids.iter().copied().find(|&id| reject(id))
     }
 
     fn top_k(&self, query: &[f64], k: usize) -> Vec<(EntityId, f64)> {
@@ -586,8 +587,8 @@ impl CandidateSource for QuantizedIndex {
         QuantizedIndex::dim(self)
     }
 
-    fn max_id(&self) -> Option<EntityId> {
-        self.ids.iter().copied().max_by_key(|id| id.0)
+    fn find_id(&self, reject: &mut dyn FnMut(EntityId) -> bool) -> Option<EntityId> {
+        self.ids.iter().copied().find(|&id| reject(id))
     }
 
     fn top_k(&self, query: &[f64], k: usize) -> Vec<(EntityId, f64)> {

@@ -29,7 +29,6 @@ mb_check::check! {
         let all: Vec<EntityId> = kb.entities().iter().rev().map(|e| e.id).collect();
         let full = EntityFeatures::try_build(&vocab, &cfg, kb, &all).expect("ids inside kb");
         prop_assert_eq!(full.len(), kb.len());
-        prop_assert!(full.covers_through(EntityId(kb.len() as u32 - 1)));
         for e in kb.entities() {
             prop_assert_eq!(full.entity(e.id).map(<[u32]>::to_vec), Some(entity_bag(&vocab, &cfg, e)));
             prop_assert_eq!(full.title(e.id).map(<[u32]>::to_vec), Some(title_bag(&vocab, e)));
@@ -41,17 +40,16 @@ mb_check::check! {
         let subset: Vec<EntityId> = picks.iter().map(|&i| EntityId(i as u32)).collect();
         let part = EntityFeatures::try_build(&vocab, &cfg, kb, &subset).expect("ids inside kb");
         for e in kb.entities() {
-            if subset.contains(&e.id) {
+            prop_assert_eq!(part.covers(e.id), subset.contains(&e.id));
+            if part.covers(e.id) {
                 prop_assert_eq!(part.entity(e.id), full.entity(e.id));
                 prop_assert_eq!(part.title(e.id), full.title(e.id));
             } else {
                 prop_assert!(part.entity(e.id).is_none() && part.title(e.id).is_none());
             }
         }
-        let dense_prefix = (0..kb.len() as u32).take_while(|&i| subset.contains(&EntityId(i))).count();
-        for probe in [0usize, dense_prefix.saturating_sub(1), dense_prefix, kb.len() - 1] {
-            prop_assert_eq!(part.covers_through(EntityId(probe as u32)), probe < dense_prefix);
-        }
+        let distinct: std::collections::BTreeSet<EntityId> = subset.iter().copied().collect();
+        prop_assert_eq!(part.len(), distinct.len());
     }
 }
 

@@ -458,17 +458,15 @@ mod tests {
         // A different world: other entity text, other vocabulary ids.
         registry.publish(model_of_world(92, 2), "test".to_string()).expect("swap");
         let second = registry.current();
-        let table = |g: &Generation| {
-            Arc::clone(g.model.frozen_cross().features().expect("published generations carry one"))
-        };
+        let table = |g: &Generation| Arc::clone(g.model.frozen_cross().features());
         assert_eq!(*table(&first), expected_features(&first));
         assert_eq!(*table(&second), expected_features(&second));
         assert_ne!(*table(&first), *table(&second), "the swap must not reuse the old table");
 
         // Coverage is checked when a linker is assembled, never on a
-        // request: an index over entities outside the served dictionary
-        // and an ANN backend over an id range the table does not fill
-        // are both typed errors.
+        // request: an index or an ANN backend over entities outside the
+        // served dictionary is a typed error, as is pairing the table
+        // with the previous generation's vocabulary.
         let m = &second.model;
         let assemble = |index: Arc<DenseIndex>| {
             TwoStageLinker::with_frozen(
@@ -485,12 +483,28 @@ mod tests {
         };
         let outside: Vec<EntityId> =
             (0..m.kb.len() as u32).map(EntityId).filter(|id| !m.dictionary.contains(id)).collect();
-        let foreign = DenseIndex::build(&m.bi, &m.vocab, &m.linker.input, &m.kb, &outside);
-        let err = assemble(Arc::new(foreign)).err();
+        let foreign =
+            Arc::new(DenseIndex::build(&m.bi, &m.vocab, &m.linker.input, &m.kb, &outside));
+        let err = assemble(Arc::clone(&foreign)).err();
         assert!(matches!(err, Some(Error::NotFound(_))), "got {err:?}");
-        let served = assemble(Arc::clone(&second.index)).expect("the generation's own index");
-        let err = served.with_ann(Arc::clone(&second.index) as Arc<dyn CandidateSource>).err();
+        let served = || assemble(Arc::clone(&second.index)).expect("the generation's own index");
+        let err = served().with_ann(foreign as Arc<dyn CandidateSource>).err();
         assert!(matches!(err, Some(Error::NotFound(_))), "got {err:?}");
+        served()
+            .with_ann(Arc::clone(&second.index) as Arc<dyn CandidateSource>)
+            .expect("an ANN backend over the served dictionary itself");
+        let stale = TwoStageLinker::with_frozen(
+            &m.bi,
+            &m.cross,
+            &first.model.vocab,
+            &m.kb,
+            m.linker,
+            Arc::clone(&second.index),
+            None,
+            m.frozen_bi().clone(),
+            m.frozen_cross().clone(),
+        );
+        assert!(matches!(stale.err(), Some(Error::InvalidConfig(_))));
     }
 
     #[test]

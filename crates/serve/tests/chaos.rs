@@ -274,26 +274,26 @@ fn overloaded_deadlines_shed_fast_503s_with_retry_after() {
         workers: 1,
         max_batch: 1,
         max_delay_us: 100,
-        queue_capacity: 256,
+        queue_capacity: 64,
         ..ServerConfig::default()
     };
     let server = Server::start(model, cfg).expect("start");
     let addr = server.addr();
     // The overload must not depend on how fast the linker is: every
-    // request carries a ~48 KB left context (under the 64 KB body cap),
+    // request carries a ~47 KB left context (under the 64 KB body cap),
     // which the worker has to tokenise in full to find its last twelve
-    // tokens — a fixed few hundred microseconds of service each, so
-    // 148 concurrent arrivals queue for many milliseconds.
-    let long_left = |m: &LinkedMention| format!("{} ", clip(&m.left, 12)).repeat(400);
+    // tokens — a fixed service cost well past the 1 ms budgets once a
+    // few requests are queued.
+    let long_left = |m: &LinkedMention| format!("{} ", clip(&m.left, 12)).repeat(3600);
 
     type Outcome = (u64, Result<(u16, bool, String), String>, Duration);
     let outcomes: Vec<Outcome> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..148u64)
+        let handles: Vec<_> = (0..52u64)
             .map(|i| {
                 let m = &mentions[i as usize % mentions.len()];
-                // 144 requests with a hopeless 1 ms budget, 4 with
+                // 48 requests with a hopeless 1 ms budget, 4 with
                 // the generous default.
-                let deadline = if i < 144 { Some(1) } else { None };
+                let deadline = if i < 48 { Some(1) } else { None };
                 let raw = link_request_with_left(m, &long_left(m), deadline);
                 scope.spawn(move || {
                     let t0 = Instant::now();
@@ -323,7 +323,7 @@ fn overloaded_deadlines_shed_fast_503s_with_retry_after() {
             other => panic!("client {i}: unexpected status {other}: {body}"),
         }
     }
-    assert!(shed >= 16, "expected many of the 144 1 ms-budget requests shed, got {shed}");
+    assert!(shed >= 16, "expected most 1 ms-budget requests shed, got {shed}");
     assert!(served >= 4, "generous-deadline requests must be served, got {served}");
 
     // Recovery probe: normal traffic flows again and the shed counters

@@ -658,13 +658,10 @@ impl CandidateSource for IvfIndex {
         self.dim
     }
 
-    fn max_id(&self) -> Option<EntityId> {
-        let n = self.store.len();
-        if n == 0 {
-            None
-        } else {
-            u32::try_from(n - 1).ok().map(EntityId)
-        }
+    /// Store rows are entity ids: a search can return `0..len`.
+    fn find_id(&self, reject: &mut dyn FnMut(EntityId) -> bool) -> Option<EntityId> {
+        let n = u32::try_from(self.store.len()).unwrap_or(u32::MAX);
+        (0..n).map(EntityId).find(|&id| reject(id))
     }
 
     fn top_k(&self, query: &[f64], k: usize) -> Vec<(EntityId, f64)> {

@@ -121,9 +121,18 @@ impl Vocab {
         for_each_token(text, limit, |t| out.push(self.id(t)));
     }
 
-    /// Encode pre-tokenized tokens into ids.
-    pub fn encode_tokens(&self, tokens: &[String]) -> Vec<u32> {
-        tokens.iter().map(|t| self.id(t)).collect()
+    /// FNV-1a hash of the tokens in id order: equal for equal
+    /// vocabularies, so state derived from one (a featurised entity
+    /// table) can tell when it is paired with another.
+    pub fn fingerprint(&self) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for token in &self.id_to_token {
+            // 0xff never occurs in UTF-8, so it delimits tokens.
+            for byte in token.bytes().chain([0xff]) {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
     }
 
     /// Fraction of tokens in `text` that are out-of-vocabulary — a cheap
@@ -208,5 +217,22 @@ mod tests {
         for id in 0..v1.len() as u32 {
             assert_eq!(v1.token(id), v2.token(id));
         }
+        assert_eq!(v1.fingerprint(), v2.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_tells_vocabularies_apart() {
+        let mut b = VocabBuilder::new();
+        b.add_text("the cat sat on the mat the cat sat");
+        // Same tokens, different id order.
+        assert_ne!(b.build(1).fingerprint(), sample().fingerprint());
+        // Token boundaries count: {"ab", "c"} vs {"a", "bc"}.
+        let split = |text: &str| {
+            let mut b = VocabBuilder::new();
+            b.add_text(text);
+            b.build(1).fingerprint()
+        };
+        assert_ne!(split("ab ab c"), split("a a bc"));
+        assert_ne!(Vocab::default().fingerprint(), sample().fingerprint());
     }
 }

@@ -95,7 +95,7 @@ mb_check::check! {
         let v = b.build(2);
         for d in &docs {
             let text = d.join(" ");
-            let mut want = v.encode_tokens(&tokenize(&text));
+            let mut want: Vec<u32> = tokenize(&text).iter().map(|t| v.id(t)).collect();
             prop_assert_eq!(&v.encode(&text), &want);
             want.truncate(limit);
             let mut got = vec![u32::MAX];

@@ -45,13 +45,12 @@ fn linkers_sharing_one_table_link_bit_identically_at_any_thread_count() {
     let cross = CrossEncoder::new(&vocab, cross_cfg, &mut Rng::seed_from_u64(2));
     let domain = world.domain("TargetX").clone();
     let mentions = generate_mentions(&world, &domain, 40, &mut Rng::seed_from_u64(3)).mentions;
-    // The whole KB, so the ANN peer's id range is covered.
-    let dict: Vec<EntityId> = kb.entities().iter().map(|e| e.id).collect();
+    let dict = kb.domain_entities(domain.id);
 
     let mut reference: Option<Vec<Vec<u64>>> = None;
     for threads in 1..=4 {
         let cfg = LinkerConfig { k: 8, threads: Threads::new(threads), ..LinkerConfig::default() };
-        let owner = TwoStageLinker::try_new(&bi, &cross, &vocab, kb, &dict, cfg).expect("linker");
+        let owner = TwoStageLinker::try_new(&bi, &cross, &vocab, kb, dict, cfg).expect("linker");
         let peer = TwoStageLinker::with_frozen(
             &bi,
             &cross,
@@ -65,7 +64,7 @@ fn linkers_sharing_one_table_link_bit_identically_at_any_thread_count() {
         )
         .expect("shared state is consistent")
         .with_ann(Arc::new(owner.index().clone()) as Arc<dyn CandidateSource>)
-        .expect("the table covers the whole kb");
+        .expect("the table covers its own dictionary");
         assert!(Arc::ptr_eq(peer.features(), owner.features()), "one table, not a rebuild");
 
         let bits = |linker: &TwoStageLinker<'_>| -> Vec<Vec<u64>> {
