@@ -1,8 +1,9 @@
 //! Micro-benchmarks of the substrate hot paths: tokenizer throughput,
-//! encoder forward/training steps, exact vs partitioned top-k
-//! retrieval, one meta-reweight step vs a plain training step, and
-//! world generation. Runs on the in-repo timing harness (`mb_bench::harness`)
-//! and writes `target/experiments/micro.{txt,json}`.
+//! encoder forward/training steps, exact top-k retrieval (the IVF is
+//! timed by `bench_retrieval`), one meta-reweight step vs a plain
+//! training step, and world generation. Runs on the in-repo timing
+//! harness (`mb_bench::harness`) and writes
+//! `target/experiments/micro.{txt,json}`.
 
 use mb_bench::harness::Harness;
 use mb_common::Rng;
@@ -11,7 +12,7 @@ use mb_datagen::mentions::generate_mentions;
 use mb_datagen::{World, WorldConfig};
 use mb_encoders::biencoder::{BiEncoder, BiEncoderConfig};
 use mb_encoders::input::{build_vocab, InputConfig, TrainPair};
-use mb_encoders::retrieval::{DenseIndex, PartitionedIndex};
+use mb_encoders::retrieval::{CandidateSource, DenseIndex};
 use mb_tensor::optim::{Adam, Sgd};
 use mb_tensor::Tensor;
 use mb_text::tokenize;
@@ -107,16 +108,11 @@ fn bench_retrieval(h: &mut Harness) {
             }
         }
         let ids: Vec<mb_kb::EntityId> = (0..n as u32).map(mb_kb::EntityId).collect();
-        let exact = DenseIndex::try_from_vectors(vectors.clone(), ids.clone())
+        let exact = DenseIndex::try_from_vectors(vectors, ids)
             .expect("unit-norm bench vectors are well-formed");
-        let nlist = (n as f64).sqrt() as usize;
-        let ivf = PartitionedIndex::build(vectors, ids, nlist, nlist / 8 + 1, &mut rng);
         let query: Vec<f64> = (0..32).map(|_| rng.gaussian()).collect();
         h.bench_units(&format!("retrieval_top64/exact/{n}"), n as f64, "vec", || {
             std::hint::black_box(exact.top_k(std::hint::black_box(&query), 64));
-        });
-        h.bench_units(&format!("retrieval_top64/ivf_probe12%/{n}"), n as f64, "vec", || {
-            std::hint::black_box(ivf.top_k(std::hint::black_box(&query), 64));
         });
     }
 }

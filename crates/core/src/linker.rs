@@ -159,28 +159,6 @@ impl<'a> TwoStageLinker<'a> {
         )
     }
 
-    /// Assemble a linker around a **precomputed** entity index — the
-    /// serving constructor: the server embeds its dictionary once at
-    /// startup and then builds a (cheap, borrowing) linker per batch.
-    ///
-    /// # Errors
-    /// [`mb_common::Error::ShapeMismatch`] when the index vectors do
-    /// not match the bi-encoder's output dimension;
-    /// [`mb_common::Error::NotFound`] when the index references an
-    /// entity id outside `kb`.
-    pub fn with_index(
-        bi: &'a BiEncoder,
-        cross: &'a CrossEncoder,
-        vocab: &'a Vocab,
-        kb: &'a KnowledgeBase,
-        cfg: LinkerConfig,
-        index: DenseIndex,
-    ) -> mb_common::Result<Self> {
-        let frozen_bi = bi.freeze(cfg.quant);
-        let frozen_cross = cross.freeze(cfg.quant);
-        Self::with_frozen(bi, cross, vocab, kb, cfg, Arc::new(index), None, frozen_bi, frozen_cross)
-    }
-
     /// Assemble a linker around **pre-frozen** shared state — the
     /// per-worker serving constructor. Every argument that carries
     /// model weight (`index`, `qindex`, `frozen_bi`, `frozen_cross`)
@@ -194,15 +172,18 @@ impl<'a> TwoStageLinker<'a> {
     /// `frozen_cross` carries; a handle without one gets a table built
     /// here for the index's ids (once per call, like `qindex`). Either
     /// way the linker only assembles if the table was built with this
-    /// `vocab` and `cfg.input` and covers every indexed id, so no
-    /// request can reach an unfeaturised or stale entity.
+    /// `vocab` and `cfg.input`, and if `index` and a supplied `qindex`
+    /// each pass [`TwoStageLinker::with_ann`]'s backend check, so no
+    /// request can fail on a mis-sized table or reach an unfeaturised
+    /// or stale entity.
     ///
     /// # Errors
-    /// Same validation as [`TwoStageLinker::with_index`], plus
+    /// [`mb_common::Error::ShapeMismatch`] when `index` or `qindex`
+    /// does not match the bi-encoder's output dimension;
+    /// [`mb_common::Error::NotFound`] when either can return an entity
+    /// id outside `kb` or the feature table;
     /// [`mb_common::Error::InvalidConfig`] when the carried table was
-    /// built with another vocabulary or description truncation and
-    /// [`mb_common::Error::NotFound`] when it does not cover an
-    /// indexed id.
+    /// built with another vocabulary or description truncation.
     #[allow(clippy::too_many_arguments)] // the point is threading shared handles through
     pub fn with_frozen(
         bi: &'a BiEncoder,
@@ -215,13 +196,6 @@ impl<'a> TwoStageLinker<'a> {
         frozen_bi: FrozenBiEncoder,
         frozen_cross: FrozenCrossEncoder,
     ) -> mb_common::Result<Self> {
-        if !index.is_empty() && index.dim() != bi.config().out_dim {
-            return Err(mb_common::Error::shape(
-                "TwoStageLinker::with_frozen",
-                format!("bi-encoder out_dim {}", bi.config().out_dim),
-                format!("index dim {}", index.dim()),
-            ));
-        }
         let frozen_cross = if frozen_cross.features().is_empty() {
             let features = EntityFeatures::try_build(vocab, &cfg.input, kb, index.ids())?;
             frozen_cross.with_features(Arc::new(features))
@@ -230,24 +204,9 @@ impl<'a> TwoStageLinker<'a> {
             frozen_cross
         };
         let features = frozen_cross.features();
-        // Every id either exact backend can return must resolve in the
-        // KB and in the feature table.
-        let supplied = qindex.as_deref().map_or(&[][..], QuantizedIndex::ids);
-        for &id in index.ids().iter().chain(supplied) {
-            if id.0 as usize >= kb.len() {
-                return Err(mb_common::Error::NotFound(format!(
-                    "indexed entity {} outside knowledge base of {} entities",
-                    id.0,
-                    kb.len()
-                )));
-            }
-            if !features.covers(id) {
-                return Err(mb_common::Error::NotFound(format!(
-                    "indexed entity {} outside the entity feature table of {} entities",
-                    id.0,
-                    features.len()
-                )));
-            }
+        Self::check_backend("TwoStageLinker::with_frozen", index.as_ref(), bi, kb, features)?;
+        if let Some(qi) = &qindex {
+            Self::check_backend("TwoStageLinker::with_frozen", qi.as_ref(), bi, kb, features)?;
         }
         let qindex = qindex.or_else(|| QuantizedIndex::from_dense(&index, cfg.quant).map(Arc::new));
         Ok(TwoStageLinker {
@@ -274,62 +233,67 @@ impl<'a> TwoStageLinker<'a> {
     /// [`mb_common::Error::NotFound`] when the backend can return an
     /// id outside `kb` or the feature table.
     pub fn with_ann(mut self, ann: Arc<dyn CandidateSource>) -> mb_common::Result<Self> {
-        if !ann.is_empty() && ann.dim() != self.bi.config().out_dim {
-            return Err(mb_common::Error::shape(
-                "TwoStageLinker::with_ann",
-                format!("bi-encoder out_dim {}", self.bi.config().out_dim),
-                format!("ann dim {}", ann.dim()),
-            ));
-        }
-        let (kb_len, features) = (self.kb.len(), self.features());
-        if let Some(id) = ann.find_id(&mut |id| id.0 as usize >= kb_len || !features.covers(id)) {
-            let (outside, len) = if id.0 as usize >= kb_len {
-                ("knowledge base", kb_len)
-            } else {
-                ("the entity feature table", features.len())
-            };
-            return Err(mb_common::Error::NotFound(format!(
-                "ann entity {} outside {outside} of {len} entities",
-                id.0
-            )));
-        }
+        Self::check_backend(
+            "TwoStageLinker::with_ann",
+            ann.as_ref(),
+            self.bi,
+            self.kb,
+            self.features(),
+        )?;
         self.ann = Some(ann);
         Ok(self)
+    }
+
+    /// The one check every stage-one backend passes before it may
+    /// answer: its vectors match the bi-encoder's output dimension and
+    /// every id it can return resolves in `kb` and in `features`.
+    fn check_backend(
+        op: &'static str,
+        source: &dyn CandidateSource,
+        bi: &BiEncoder,
+        kb: &KnowledgeBase,
+        features: &EntityFeatures,
+    ) -> mb_common::Result<()> {
+        let out_dim = bi.config().out_dim;
+        if !source.is_empty() && source.dim() != out_dim {
+            return Err(mb_common::Error::shape(
+                op,
+                format!("bi-encoder out_dim {out_dim}"),
+                format!("retrieval backend dim {}", source.dim()),
+            ));
+        }
+        let kb_len = kb.len();
+        match source.find_id(&mut |id| id.0 as usize >= kb_len || !features.covers(id)) {
+            None => Ok(()),
+            Some(id) => {
+                let (outside, len) = if id.0 as usize >= kb_len {
+                    ("knowledge base", kb_len)
+                } else {
+                    ("the entity feature table", features.len())
+                };
+                Err(mb_common::Error::NotFound(format!(
+                    "{op}: indexed entity {} outside {outside} of {len} entities",
+                    id.0
+                )))
+            }
+        }
     }
 
     /// Stage one: retrieve the top-k candidates for a mention.
     pub fn candidates(&self, mention: &LinkedMention) -> Vec<(EntityId, f64)> {
         let bag = mention_bag(self.vocab, &self.cfg.input, mention);
         let q = self.frozen_bi.embed_mentions_batch(&[bag]);
-        self.retrieve(q.row(0))
+        self.backend().top_k(q.row(0), self.cfg.k)
     }
 
-    /// Top-k for stage one: the approximate backend when attached,
-    /// else the quantized index when one is active, else the exact
-    /// index.
-    fn retrieve(&self, query: &[f64]) -> Vec<(EntityId, f64)> {
-        if let Some(ann) = &self.ann {
-            return ann.top_k(query, self.cfg.k);
-        }
-        match &self.qindex {
-            Some(qi) => qi.top_k(query, self.cfg.k),
-            None => self.index.top_k(query, self.cfg.k),
-        }
-    }
-
-    /// Fused stage one for a whole batch: one `top_k_batch` call on
-    /// the same backend [`TwoStageLinker::retrieve`] would pick, so
-    /// row `i` is bit-identical to `retrieve(queries.row(i))`.
-    fn retrieve_batch(
-        &self,
-        queries: &mb_tensor::Tensor,
-    ) -> mb_common::Result<Vec<Vec<(EntityId, f64)>>> {
-        if let Some(ann) = &self.ann {
-            return ann.top_k_batch(queries, self.cfg.k, self.cfg.threads);
-        }
-        match &self.qindex {
-            Some(qi) => qi.top_k_batch(queries, self.cfg.k, self.cfg.threads),
-            None => self.index.top_k_batch(queries, self.cfg.k, self.cfg.threads),
+    /// The backend that answers stage one: the approximate one when
+    /// attached, else the quantized index when one is active, else the
+    /// exact index.
+    fn backend(&self) -> &dyn CandidateSource {
+        match (&self.ann, &self.qindex) {
+            (Some(ann), _) => ann.as_ref(),
+            (None, Some(qindex)) => qindex.as_ref(),
+            (None, None) => self.index.as_ref(),
         }
     }
 
@@ -420,60 +384,48 @@ impl<'a> TwoStageLinker<'a> {
         }
         let bags: Vec<Vec<u32>> =
             mentions.iter().map(|m| mention_bag(self.vocab, &self.cfg.input, m)).collect();
-        // Resolve embeddings: cache hits first, then one fused forward
-        // over the distinct misses.
-        let mut rows: Vec<Option<Vec<f64>>> = vec![None; bags.len()];
-        if let Some(cache) = cache.as_deref_mut() {
-            for (row, bag) in rows.iter_mut().zip(&bags) {
-                *row = cache.get(bag).cloned();
-            }
-        }
+        // Resolve embeddings straight into the `[n, out_dim]` query
+        // matrix: cache hits first, then one fused forward over the
+        // distinct misses.
+        let dim = self.bi.config().out_dim;
+        let mut qdata = vec![0.0f64; mentions.len() * dim];
         let mut need: Vec<Vec<u32>> = Vec::new();
         // BTreeMap so the cache-fill loop below iterates in sorted key
         // order — HashMap iteration is per-process random and would make
         // LRU insertion/eviction order (cache state) non-replayable.
         let mut slot: BTreeMap<&[u32], usize> = BTreeMap::new();
-        for (row, bag) in rows.iter().zip(&bags) {
-            if row.is_none() && !slot.contains_key(bag.as_slice()) {
-                slot.insert(bag.as_slice(), need.len());
-                need.push(bag.clone());
-            }
-        }
-        let fresh = (!need.is_empty())
-            .then(|| self.frozen_bi.embed_mentions_batch_with(&need, self.cfg.threads));
-        if let (Some(cache), Some(fresh)) = (cache, &fresh) {
-            for (bag, &j) in &slot {
-                cache.put(bag.to_vec(), fresh.row(j).to_vec());
-            }
-        }
-        // Fold the fresh rows back into `rows`: every miss bag has a
-        // slot, so after this loop every mention has a resolved
-        // embedding and the fan-out below is panic-free.
-        if let Some(fresh) = &fresh {
-            for (row, bag) in rows.iter_mut().zip(&bags) {
-                if row.is_none() {
-                    if let Some(&j) = slot.get(bag.as_slice()) {
-                        *row = Some(fresh.row(j).to_vec());
-                    }
+        // `(query row, row of the fresh forward)` per cache miss.
+        let mut misses: Vec<(usize, usize)> = Vec::new();
+        for (i, bag) in bags.iter().enumerate() {
+            // An entry of another width cannot be this model's: a miss.
+            let hit = cache.as_deref_mut().and_then(|c| c.get(bag)).filter(|h| h.len() == dim);
+            match hit {
+                Some(hit) => qdata[i * dim..(i + 1) * dim].copy_from_slice(hit),
+                None => {
+                    let j = *slot.entry(bag.as_slice()).or_insert_with(|| {
+                        need.push(bag.clone());
+                        need.len() - 1
+                    });
+                    misses.push((i, j));
                 }
             }
         }
-        // Stage one, fused: pack the resolved embeddings into one
-        // `[n, out_dim]` matrix and issue a single multi-query
-        // retrieval call — the backend streams its centroid table /
-        // entity rows once per query block instead of once per query
-        // (DESIGN.md §16), and is bit-identical to per-query `top_k`.
-        let dim = self.bi.config().out_dim;
-        let mut qdata = vec![0.0f64; mentions.len() * dim];
-        for (i, row) in rows.iter().enumerate() {
-            if let Some(r) = row {
-                for (dst, &src) in qdata[i * dim..(i + 1) * dim].iter_mut().zip(r) {
-                    *dst = src;
+        if !need.is_empty() {
+            let fresh = self.frozen_bi.embed_mentions_batch_with(&need, self.cfg.threads);
+            if let Some(cache) = cache {
+                for (bag, &j) in &slot {
+                    cache.put(bag.to_vec(), fresh.row(j).to_vec());
                 }
             }
+            for (i, j) in misses {
+                qdata[i * dim..(i + 1) * dim].copy_from_slice(fresh.row(j));
+            }
         }
+        // Stage one: a single multi-query retrieval call — the backend
+        // streams its centroid table / entity rows once per query block
+        // instead of once per query (DESIGN.md §16).
         let queries = mb_tensor::Tensor::from_vec(vec![mentions.len(), dim], qdata);
-        let retrieved = self.retrieve_batch(&queries)?;
+        let retrieved = self.backend().top_k_batch(&queries, self.cfg.k, self.cfg.threads)?;
         // Candidate-set assembly fans out over mention index (each
         // mention's work reads only shared immutable state); stage two
         // is one cross-encoder pass over every candidate set. Results
@@ -816,34 +768,51 @@ mod tests {
     }
 
     #[test]
-    fn with_index_validates_dimensions_and_ids() {
+    fn with_frozen_validates_dimensions_and_ids() {
         let f = fixture();
         let domain = f.world.domain("TargetX");
         let dict = f.world.kb().domain_entities(domain.id);
         let cfg = LinkerConfig { k: 8, ..LinkerConfig::default() };
+        let assemble = |index: DenseIndex, qindex: Option<QuantizedIndex>| {
+            TwoStageLinker::with_frozen(
+                &f.bi,
+                &f.cross,
+                &f.vocab,
+                f.world.kb(),
+                cfg,
+                Arc::new(index),
+                qindex.map(Arc::new),
+                f.bi.freeze(cfg.quant),
+                f.cross.freeze(cfg.quant),
+            )
+        };
         let index = DenseIndex::build(&f.bi, &f.vocab, &cfg.input, f.world.kb(), dict);
-        let linker =
-            TwoStageLinker::with_index(&f.bi, &f.cross, &f.vocab, f.world.kb(), cfg, index)
-                .expect("well-formed index");
+        let linker = assemble(index.clone(), None).expect("well-formed index");
         let direct = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, f.world.kb(), dict, cfg);
         assert_eq!(
             linker.link_batch(&f.test[..4]).expect("link"),
             direct.link_batch(&f.test[..4]).expect("link")
         );
         // Wrong dimensionality is rejected.
-        let bad_dim = DenseIndex::from_vectors(
-            mb_tensor::Tensor::zeros([1, f.bi.config().out_dim + 1]),
-            vec![dict[0]],
-        );
-        assert!(TwoStageLinker::with_index(&f.bi, &f.cross, &f.vocab, f.world.kb(), cfg, bad_dim)
-            .is_err());
+        let out_dim = f.bi.config().out_dim;
+        let bad_dim =
+            DenseIndex::from_vectors(mb_tensor::Tensor::zeros([1, out_dim + 1]), vec![dict[0]]);
+        let err = assemble(bad_dim, None).err();
+        assert!(matches!(err, Some(mb_common::Error::ShapeMismatch { .. })), "got {err:?}");
         // Out-of-range entity ids are rejected.
         let bad_id = DenseIndex::from_vectors(
-            mb_tensor::Tensor::zeros([1, f.bi.config().out_dim]),
+            mb_tensor::Tensor::zeros([1, out_dim]),
             vec![EntityId(f.world.kb().len() as u32)],
         );
-        assert!(TwoStageLinker::with_index(&f.bi, &f.cross, &f.vocab, f.world.kb(), cfg, bad_id)
-            .is_err());
+        let err = assemble(bad_id, None).err();
+        assert!(matches!(err, Some(mb_common::Error::NotFound(_))), "got {err:?}");
+        // So is a supplied quantized table of the wrong width: it would
+        // answer every request, so it must fail here, not there.
+        let wide = mb_tensor::Tensor::zeros([dict.len(), out_dim + 1]);
+        let table = mb_tensor::quant::QuantI8::from_tensor(&wide);
+        let mis_sized = QuantizedIndex::from_i8(table, dict.to_vec()).expect("aligned ids");
+        let err = assemble(index, Some(mis_sized)).err();
+        assert!(matches!(err, Some(mb_common::Error::ShapeMismatch { .. })), "got {err:?}");
     }
 
     #[test]

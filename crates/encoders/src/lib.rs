@@ -11,8 +11,8 @@
 //! * [`frozen`] — tape-free `Arc`-shared serving forwards for both
 //!   encoders, bit-identical to the tape path (optionally with f16/int8
 //!   quantized embedding tables under a bounded-error contract).
-//! * [`retrieval`] — brute-force and partitioned (IVF-style) top-k dense
-//!   indices over entity embeddings.
+//! * [`retrieval`] — the top-k retrieval scan and the flat
+//!   (f64 / f16 / int8) indices over entity embeddings built on it.
 //! * [`input`] — featurization of mentions/entities into token bags and
 //!   vocabulary construction.
 //! * [`train`] — plain (unweighted) trainers used by the BLINK baseline;

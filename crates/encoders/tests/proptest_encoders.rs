@@ -4,7 +4,7 @@ use mb_check::gen::{self, U32In, VecGen};
 use mb_check::{prop_assert, prop_assert_eq};
 use mb_common::Rng;
 use mb_encoders::biencoder::{BiEncoder, BiEncoderConfig};
-use mb_encoders::retrieval::DenseIndex;
+use mb_encoders::retrieval::{CandidateSource, DenseIndex};
 use mb_kb::EntityId;
 use mb_tensor::Tensor;
 use mb_text::vocab::VocabBuilder;
@@ -64,7 +64,7 @@ mb_check::check! {
         let mut rng = Rng::seed_from_u64(seed);
         let vectors = Tensor::randn(vec![n, d], 0.0, 1.0, &mut rng);
         let ids: Vec<EntityId> = (0..n as u32).map(EntityId).collect();
-        let index = DenseIndex::from_vectors(vectors, ids);
+        let index = DenseIndex::from_vectors(vectors.clone(), ids);
         let query: Vec<f64> = (0..d).map(|_| rng.gaussian()).collect();
         let top = index.top_k(&query, k);
         prop_assert_eq!(top.len(), k.min(n));
@@ -72,9 +72,10 @@ mb_check::check! {
             prop_assert!(pair[0].1 >= pair[1].1);
         }
         // Scores agree with a direct recomputation.
-        let all = index.score_all(&query);
         for (id, s) in &top {
-            prop_assert!((all[id.0 as usize] - s).abs() < 1e-12);
+            let direct: f64 =
+                vectors.row(id.0 as usize).iter().zip(&query).map(|(a, b)| a * b).sum();
+            prop_assert!((direct - s).abs() < 1e-12);
         }
     }
 }

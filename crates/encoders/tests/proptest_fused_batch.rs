@@ -1,22 +1,31 @@
-//! Property suite for the fused multi-query retrieval path
-//! (DESIGN.md §16): for ANY batch size, ANY k, and ANY worker count,
-//! `top_k_batch` must be **byte-for-byte** identical to per-query
-//! `top_k` — same entity ids, same `f64::to_bits` score patterns. The
-//! fixtures are the adversarial near-tie distributions from the
-//! quantized-retrieval suite, so the lowest-position tie-break is
-//! actually exercised, not just the clear-margin happy path.
+//! Property suite for the retrieval scan (DESIGN.md §16): for ANY
+//! batch size, ANY k, and ANY worker count, `top_k_batch` must be
+//! **byte-for-byte** identical to (a) per-query `top_k` — the one-row
+//! batch, which crosses different block compositions and `push_block`
+//! pre-filter states — and (b) the independent oracle in `support`
+//! (score every row with the reference fold, sort everything): same
+//! entity ids, same `f64::to_bits` score patterns, for all three
+//! element types. The fixtures are the adversarial near-tie
+//! distributions from the quantized-retrieval suite, so the
+//! lowest-position tie-break is actually exercised, not just the
+//! clear-margin happy path.
+
+mod support;
 
 use mb_check::gen;
 use mb_check::prop_assert_eq;
 use mb_common::Rng;
+use mb_encoders::retrieval::CandidateSource;
 use mb_encoders::{DenseIndex, QuantizedIndex};
 use mb_kb::EntityId;
 use mb_par::Threads;
+use mb_tensor::quant::{QuantF16, QuantI8};
 use mb_tensor::{QuantMode, Tensor};
+use support::{reference_top_k, Table};
 
-/// An index whose rows are small perturbations of one base direction:
-/// every pair of scores is a near tie by construction.
-fn near_tie_index(n: usize, dim: usize, spread: f64, seed: u64) -> DenseIndex {
+/// Rows that are small perturbations of one base direction: every pair
+/// of scores is a near tie by construction.
+fn near_tie_vectors(n: usize, dim: usize, spread: f64, seed: u64) -> Tensor {
     let mut rng = Rng::seed_from_u64(seed);
     let base: Vec<f64> = (0..dim).map(|_| rng.f64() * 2.0 - 1.0).collect();
     let mut data = Vec::with_capacity(n * dim);
@@ -25,8 +34,16 @@ fn near_tie_index(n: usize, dim: usize, spread: f64, seed: u64) -> DenseIndex {
             data.push(b + (rng.f64() * 2.0 - 1.0) * spread);
         }
     }
-    let ids = (0..n as u32).map(EntityId).collect();
-    DenseIndex::from_vectors(Tensor::from_vec(vec![n, dim], data), ids)
+    Tensor::from_vec(vec![n, dim], data)
+}
+
+/// Row `i` is entity `i`, so oracle rows compare to ids directly.
+fn row_ids(n: usize) -> Vec<EntityId> {
+    (0..n as u32).map(EntityId).collect()
+}
+
+fn near_tie_index(n: usize, dim: usize, spread: f64, seed: u64) -> DenseIndex {
+    DenseIndex::from_vectors(near_tie_vectors(n, dim, spread, seed), row_ids(n))
 }
 
 /// A `[batch, dim]` query matrix drawn near the index distribution so
@@ -42,50 +59,67 @@ fn bits(rankings: &[Vec<(EntityId, f64)>]) -> Vec<Vec<(u32, u64)>> {
     rankings.iter().map(|r| r.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()).collect()
 }
 
+/// `top_k_batch` at 1..4 threads ≡ per-row `top_k` ≡ the oracle.
+fn check_against_serial_and_oracle(
+    what: &str,
+    index: &dyn CandidateSource,
+    table: Table<'_>,
+    queries: &Tensor,
+    k: usize,
+) -> Result<(), String> {
+    let batch = queries.rows();
+    let serial: Vec<Vec<(EntityId, f64)>> =
+        (0..batch).map(|i| index.top_k(queries.row(i), k)).collect();
+    let oracle: Vec<Vec<(u32, u64)>> =
+        (0..batch).map(|i| reference_top_k(table, queries.row(i), k)).collect();
+    prop_assert_eq!(&bits(&serial), &oracle, "{}: serial vs oracle, batch={} k={}", what, batch, k);
+    for t in 1..4 {
+        let fused = index.top_k_batch(queries, k, Threads::new(t)).expect("fused");
+        prop_assert_eq!(
+            &bits(&fused),
+            &oracle,
+            "{}: batch={} k={} n={} threads={}",
+            what,
+            batch,
+            k,
+            index.len(),
+            t
+        );
+    }
+    Ok(())
+}
+
 mb_check::check! {
     #![config(cases = 24)]
 
-    fn dense_fused_batch_is_bit_identical_to_serial(seed in gen::u64_any()) {
+    fn dense_batch_is_bit_identical_to_serial_and_oracle(seed in gen::u64_any()) {
         let mut rng = Rng::seed_from_u64(seed);
         let (n, dim) = (4 + rng.below(60), 3 + rng.below(14));
         let batch = 1 + rng.below(64);
         let k = 1 + rng.below(n + 4); // sometimes k > n
         let spread = [1e-12, 1e-6, 1e-2][rng.below(3)];
-        let index = near_tie_index(n, dim, spread, seed ^ 1);
+        let vectors = near_tie_vectors(n, dim, spread, seed ^ 1);
+        let index = DenseIndex::from_vectors(vectors.clone(), row_ids(n));
         let queries = query_matrix(batch, dim, seed ^ 2);
-        let serial: Vec<Vec<(EntityId, f64)>> =
-            (0..batch).map(|i| index.top_k(queries.row(i), k)).collect();
-        let want = bits(&serial);
-        for t in 1..4 {
-            let fused = index.top_k_batch(&queries, k, Threads::new(t)).expect("fused");
-            prop_assert_eq!(
-                &bits(&fused), &want,
-                "dense: batch={} k={} n={} threads={}", batch, k, n, t
-            );
-        }
+        check_against_serial_and_oracle("dense", &index, Table::F64(&vectors), &queries, k)?;
     }
 
-    fn quantized_fused_batch_is_bit_identical_to_serial(seed in gen::u64_any()) {
+    fn quantized_batch_is_bit_identical_to_serial_and_oracle(seed in gen::u64_any()) {
         let mut rng = Rng::seed_from_u64(seed);
-        let (n, dim) = (4 + rng.below(60), 3 + rng.below(14));
+        // Past 512 rows the int8 scan crosses a run boundary.
+        let n = if rng.below(4) == 0 { 500 + rng.below(600) } else { 4 + rng.below(60) };
+        let dim = 3 + rng.below(14);
         let batch = 1 + rng.below(64);
-        let k = 1 + rng.below(n + 4);
+        let k = 1 + rng.below(n.min(64) + 4);
         let spread = [1e-6, 1e-3, 1e-1][rng.below(3)];
-        let dense = near_tie_index(n, dim, spread, seed ^ 3);
+        let vectors = near_tie_vectors(n, dim, spread, seed ^ 3);
         let queries = query_matrix(batch, dim, seed ^ 4);
-        for mode in [QuantMode::F16, QuantMode::Int8] {
-            let index = QuantizedIndex::from_dense(&dense, mode).expect("lossy mode");
-            let serial: Vec<Vec<(EntityId, f64)>> =
-                (0..batch).map(|i| index.top_k(queries.row(i), k)).collect();
-            let want = bits(&serial);
-            for t in 1..4 {
-                let fused = index.top_k_batch(&queries, k, Threads::new(t)).expect("fused");
-                prop_assert_eq!(
-                    &bits(&fused), &want,
-                    "{:?}: batch={} k={} n={} threads={}", mode, batch, k, n, t
-                );
-            }
-        }
+        let f16 = QuantF16::from_tensor(&vectors);
+        let index = QuantizedIndex::from_f16(f16.clone(), row_ids(n)).expect("aligned");
+        check_against_serial_and_oracle("f16", &index, Table::F16(&f16), &queries, k)?;
+        let i8s = QuantI8::from_tensor(&vectors);
+        let index = QuantizedIndex::from_i8(i8s.clone(), row_ids(n)).expect("aligned");
+        check_against_serial_and_oracle("int8", &index, Table::Int8(&i8s), &queries, k)?;
     }
 }
 

@@ -11,16 +11,21 @@
 //!    storage may only reorder candidates the exact scores could not
 //!    separate by more than the guaranteed error.
 
+mod support;
+
 use mb_check::gen;
 use mb_check::{prop_assert, prop_assert_eq};
 use mb_common::Rng;
+use mb_encoders::retrieval::CandidateSource;
 use mb_encoders::{DenseIndex, QuantizedIndex};
 use mb_kb::EntityId;
+use mb_tensor::quant::{QuantF16, QuantI8};
 use mb_tensor::{QuantMode, Tensor};
+use support::{reference_scores, Table};
 
-/// An index whose rows are small perturbations of one base direction:
-/// every pair of scores is a near tie by construction.
-fn near_tie_index(n: usize, dim: usize, spread: f64, seed: u64) -> DenseIndex {
+/// Rows that are small perturbations of one base direction: every pair
+/// of scores is a near tie by construction.
+fn near_tie_vectors(n: usize, dim: usize, spread: f64, seed: u64) -> Tensor {
     let mut rng = Rng::seed_from_u64(seed);
     let base: Vec<f64> = (0..dim).map(|_| rng.f64() * 2.0 - 1.0).collect();
     let mut data = Vec::with_capacity(n * dim);
@@ -29,17 +34,50 @@ fn near_tie_index(n: usize, dim: usize, spread: f64, seed: u64) -> DenseIndex {
             data.push(b + (rng.f64() * 2.0 - 1.0) * spread);
         }
     }
-    let ids = (0..n as u32).map(EntityId).collect();
-    DenseIndex::from_vectors(Tensor::from_vec(vec![n, dim], data), ids)
+    Tensor::from_vec(vec![n, dim], data)
 }
 
-/// Worst-case absolute score error of quantizing `index` under `mode`,
-/// for a given query: f16 stores each element within `|v|·2⁻¹¹`, int8
-/// within half a per-row step; a dot accumulates at most the sum of
-/// per-element bounds (plus float-rounding headroom).
-fn error_bound(index: &DenseIndex, quant: &QuantizedIndex, query: &[f64]) -> f64 {
-    let exact = index.score_all(query);
-    let lossy = quant.score_all(query, mb_par::Threads::single());
+fn row_ids(n: usize) -> Vec<EntityId> {
+    (0..n as u32).map(EntityId).collect()
+}
+
+/// Both lossy copies of `vectors`, as the raw tables the reference
+/// folds score (`mb_tensor::quant`) and as the index built over them.
+struct Lossy {
+    f16: QuantF16,
+    int8: QuantI8,
+}
+
+impl Lossy {
+    fn of(vectors: &Tensor) -> Lossy {
+        Lossy { f16: QuantF16::from_tensor(vectors), int8: QuantI8::from_tensor(vectors) }
+    }
+
+    fn table(&self, mode: QuantMode) -> Table<'_> {
+        if mode == QuantMode::F16 {
+            Table::F16(&self.f16)
+        } else {
+            Table::Int8(&self.int8)
+        }
+    }
+
+    fn index(&self, mode: QuantMode) -> QuantizedIndex {
+        let ids = row_ids(self.f16.rows());
+        if mode == QuantMode::F16 {
+            QuantizedIndex::from_f16(self.f16.clone(), ids).expect("aligned")
+        } else {
+            QuantizedIndex::from_i8(self.int8.clone(), ids).expect("aligned")
+        }
+    }
+}
+
+/// Worst-case absolute score error of a lossy `table` against the
+/// exact `vectors` for a given query: f16 stores each element within
+/// `|v|·2⁻¹¹`, int8 within half a per-row step; a dot accumulates at
+/// most the sum of per-element bounds (plus float-rounding headroom).
+fn error_bound(vectors: &Tensor, table: Table<'_>, query: &[f64]) -> f64 {
+    let exact = reference_scores(Table::F64(vectors), query);
+    let lossy = reference_scores(table, query);
     exact.iter().zip(&lossy).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max)
 }
 
@@ -49,17 +87,17 @@ mb_check::check! {
     fn quantized_scores_stay_within_the_analytic_bound(seed in gen::u64_any()) {
         let mut rng = Rng::seed_from_u64(seed);
         let (n, dim) = (8 + rng.below(56), 4 + rng.below(28));
-        let index = near_tie_index(n, dim, 1e-3, seed ^ 1);
+        let vectors = near_tie_vectors(n, dim, 1e-3, seed ^ 1);
+        let lossy = Lossy::of(&vectors);
         let query: Vec<f64> = (0..dim).map(|_| rng.f64() * 2.0 - 1.0).collect();
         let q1 = |v: f64| v.abs();
         let query_l1: f64 = query.iter().copied().map(q1).sum();
         for (mode, per_elem) in [(QuantMode::F16, 1.0 / 2048.0), (QuantMode::Int8, 1.0 / 127.0)] {
-            let quant = QuantizedIndex::from_dense(&index, mode).expect("lossy mode");
             // Elements are bounded by ~1 + spread, so per-element error
             // is ≤ per_elem·max_abs; the dot accumulates ≤ l1(query)
             // of it. int8 additionally quantizes the query itself.
             let bound = 2.5 * per_elem * (query_l1 + dim as f64);
-            let worst = error_bound(&index, &quant, &query);
+            let worst = error_bound(&vectors, lossy.table(mode), &query);
             prop_assert!(
                 worst <= bound,
                 "mode={:?} worst={} bound={} n={} dim={}", mode, worst, bound, n, dim
@@ -73,16 +111,18 @@ mb_check::check! {
         // Spreads from genuinely adversarial (scores within ~1e-4 of
         // each other) to comfortably separated.
         let spread = [1e-4, 1e-3, 1e-2, 1e-1][rng.below(4)];
-        let index = near_tie_index(n, dim, spread, seed ^ 2);
+        let vectors = near_tie_vectors(n, dim, spread, seed ^ 2);
+        let index = DenseIndex::from_vectors(vectors.clone(), row_ids(n));
+        let lossy = Lossy::of(&vectors);
         let query: Vec<f64> = (0..dim).map(|_| rng.f64() * 2.0 - 1.0).collect();
         let exact_top = index.top_k(&query, k);
         prop_assert_eq!(exact_top.len(), k.min(n));
-        let mut sorted = index.score_all(&query);
+        let exact_scores = reference_scores(Table::F64(&vectors), &query);
+        let mut sorted = exact_scores.clone();
         sorted.sort_by(|a, b| b.total_cmp(a));
         for mode in [QuantMode::F16, QuantMode::Int8] {
-            let quant = QuantizedIndex::from_dense(&index, mode).expect("lossy mode");
-            let worst = error_bound(&index, &quant, &query);
-            let quant_top = quant.top_k(&query, k);
+            let worst = error_bound(&vectors, lossy.table(mode), &query);
+            let quant_top = lossy.index(mode).top_k(&query, k);
             prop_assert_eq!(quant_top.len(), exact_top.len());
             let margin = sorted[k.min(n) - 1] - sorted.get(k.min(n)).copied()
                 .unwrap_or(f64::NEG_INFINITY);
@@ -103,7 +143,6 @@ mb_check::check! {
                 // quantized pick's exact score is within 2·worst of the
                 // exact k-th score.
                 let kth = sorted[k.min(n) - 1];
-                let exact_scores = index.score_all(&query);
                 for &(id, _) in &quant_top {
                     let s = exact_scores[id.0 as usize];
                     prop_assert!(

@@ -1,0 +1,39 @@
+//! The retrieval oracle the scan is checked against: score every row
+//! with the reference folds, sort everything, take the first `k`. It
+//! shares no code with `mb_encoders::retrieval` — no blocks, no
+//! selectors, no transposed queries.
+
+#![allow(dead_code)] // each suite uses its own subset
+
+use mb_par::Threads;
+use mb_tensor::quant::{QuantF16, QuantI8};
+use mb_tensor::Tensor;
+
+/// A table the oracle can score, one variant per scan element type.
+#[derive(Clone, Copy)]
+pub enum Table<'a> {
+    F64(&'a Tensor),
+    F16(&'a QuantF16),
+    Int8(&'a QuantI8),
+}
+
+/// `query` against every row: the naive in-order f64 dot, or the
+/// `mb_tensor` reference fold for the quantized tables.
+pub fn reference_scores(table: Table<'_>, query: &[f64]) -> Vec<f64> {
+    match table {
+        Table::F64(t) => {
+            (0..t.rows()).map(|i| t.row(i).iter().zip(query).map(|(a, b)| a * b).sum()).collect()
+        }
+        Table::F16(t) => t.score_all(query, Threads::single()),
+        Table::Int8(t) => t.score_all(query, Threads::single()),
+    }
+}
+
+/// The `k` best `(row, score bits)`: a full stable sort by `total_cmp`
+/// descending, so exact ties keep ascending row order.
+pub fn reference_top_k(table: Table<'_>, query: &[f64], k: usize) -> Vec<(u32, u64)> {
+    let scores = reference_scores(table, query);
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
+    order.into_iter().take(k).map(|i| (i as u32, scores[i].to_bits())).collect()
+}

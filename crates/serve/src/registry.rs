@@ -85,8 +85,7 @@ impl Generation {
     /// here instead of failing per request after a swap.
     ///
     /// # Errors
-    /// Index- or model-consistency errors from
-    /// [`TwoStageLinker::with_frozen`].
+    /// Index- or model-consistency errors from [`Generation::linker`].
     pub fn build(id: u64, source: String, mut model: ServeModel) -> Result<Generation> {
         let features = Arc::new(EntityFeatures::try_build(
             &model.vocab,
@@ -97,18 +96,9 @@ impl Generation {
         let index = Arc::new(DenseIndex::from_features(&model.bi, &features, &model.dictionary)?);
         model.attach_features(features);
         let qindex = QuantizedIndex::from_dense(&index, model.linker.quant).map(Arc::new);
-        TwoStageLinker::with_frozen(
-            &model.bi,
-            &model.cross,
-            &model.vocab,
-            &model.kb,
-            model.linker,
-            Arc::clone(&index),
-            qindex.clone(),
-            model.frozen_bi().clone(),
-            model.frozen_cross().clone(),
-        )?;
-        Ok(Generation { id, source, model, index, qindex, store: None, ann: None })
+        let generation = Generation { id, source, model, index, qindex, store: None, ann: None };
+        generation.linker()?;
+        Ok(generation)
     }
 
     /// Build a generation whose stage-one retrieval reads from a
@@ -176,25 +166,43 @@ impl Generation {
             &model.kb,
             &served,
         )?));
-        TwoStageLinker::with_frozen(
-            &model.bi,
-            &model.cross,
-            &model.vocab,
-            &model.kb,
-            model.linker,
-            Arc::clone(&index),
-            qindex.clone(),
-            model.frozen_bi().clone(),
-            model.frozen_cross().clone(),
-        )?
-        .with_ann(Arc::clone(&ann) as Arc<dyn CandidateSource>)?;
-        Ok(Generation { id, source, model, index, qindex, store: Some(store), ann: Some(ann) })
+        let generation =
+            Generation { id, source, model, index, qindex, store: Some(store), ann: Some(ann) };
+        generation.linker()?;
+        Ok(generation)
     }
 
-    /// The ANN candidate source for worker linkers, when this
-    /// generation is store-backed.
+    /// The ANN candidate source, when this generation is store-backed.
     pub fn ann_source(&self) -> Option<Arc<dyn CandidateSource>> {
         self.ann.clone().map(|a| a as Arc<dyn CandidateSource>)
+    }
+
+    /// The one place a generation becomes a linker: assembled from
+    /// `Arc` handles only (no tape, no parameter or index copies), with
+    /// stage one routed through the IVF index when store-backed.
+    /// Building a generation proves this succeeds, so a worker's call
+    /// cannot fail in practice.
+    ///
+    /// # Errors
+    /// Index- or model-consistency errors from
+    /// [`TwoStageLinker::with_frozen`] and [`TwoStageLinker::with_ann`].
+    pub fn linker(&self) -> Result<TwoStageLinker<'_>> {
+        let m = &self.model;
+        let linker = TwoStageLinker::with_frozen(
+            &m.bi,
+            &m.cross,
+            &m.vocab,
+            &m.kb,
+            m.linker,
+            Arc::clone(&self.index),
+            self.qindex.clone(),
+            m.frozen_bi().clone(),
+            m.frozen_cross().clone(),
+        )?;
+        match self.ann_source() {
+            Some(ann) => linker.with_ann(ann),
+            None => Ok(linker),
+        }
     }
 
     /// Size-scaled IVF defaults for a store shipped without a prebuilt
@@ -487,7 +495,7 @@ mod tests {
             Arc::new(DenseIndex::build(&m.bi, &m.vocab, &m.linker.input, &m.kb, &outside));
         let err = assemble(Arc::clone(&foreign)).err();
         assert!(matches!(err, Some(Error::NotFound(_))), "got {err:?}");
-        let served = || assemble(Arc::clone(&second.index)).expect("the generation's own index");
+        let served = || second.linker().expect("the generation's own linker");
         let err = served().with_ann(foreign as Arc<dyn CandidateSource>).err();
         assert!(matches!(err, Some(Error::NotFound(_))), "got {err:?}");
         served()

@@ -327,41 +327,16 @@ fn worker_loop(shared: &Arc<Shared>) {
     // the *new* generation's linker after the rebuild below.
     let mut pending: Vec<Job> = Vec::with_capacity(shared.cfg.max_batch.max(1));
     loop {
-        // Resolve the current generation and assemble its linker from
-        // Arc handles only: no tape, no parameter or index copies.
         let generation = shared.registry.current();
-        let linker = match TwoStageLinker::with_frozen(
-            &generation.model.bi,
-            &generation.model.cross,
-            &generation.model.vocab,
-            &generation.model.kb,
-            generation.model.linker,
-            Arc::clone(&generation.index),
-            generation.qindex.clone(),
-            generation.model.frozen_bi().clone(),
-            generation.model.frozen_cross().clone(),
-        ) {
+        let linker = match generation.linker() {
             Ok(linker) => linker,
             Err(e) => {
-                // Generation::build validated this exact construction,
-                // so this arm is unreachable in practice; losing one
-                // worker beats taking the process down.
+                // Publishing validated this exact construction, so this
+                // arm is unreachable in practice; losing one worker
+                // beats taking the process down.
                 eprintln!("mb-serve: worker failed to build linker: {e}");
                 return;
             }
-        };
-        // Store-backed generations route stage-one retrieval through
-        // the IVF index; validated at publish time, so the same
-        // unreachable-in-practice policy applies here.
-        let linker = match generation.ann_source() {
-            Some(ann) => match linker.with_ann(ann) {
-                Ok(linker) => linker,
-                Err(e) => {
-                    eprintln!("mb-serve: worker failed to attach ANN index: {e}");
-                    return;
-                }
-            },
-            None => linker,
         };
         loop {
             let drained = if pending.is_empty() {

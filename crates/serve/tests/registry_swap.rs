@@ -12,6 +12,7 @@ use mb_datagen::{LinkedMention, World, WorldConfig};
 use mb_encoders::biencoder::{BiEncoder, BiEncoderConfig};
 use mb_encoders::crossencoder::{CrossEncoder, CrossEncoderConfig};
 use mb_encoders::input::build_vocab;
+use mb_encoders::retrieval::CandidateSource;
 use mb_serve::{ModelLoader, ModelRegistry, ServeModel, Server, ServerConfig};
 use mb_tensor::checkpoint::Checkpoint;
 use std::io::{BufRead, BufReader, Read, Write};

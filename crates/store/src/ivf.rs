@@ -22,26 +22,24 @@
 //!   empty cluster keeps its previous centroid;
 //! - ties (assignment and search) break toward the lowest index, so
 //!   float equality never consults arrival order;
-//! - search is serial per query; batches fan out over fixed
-//!   [`QUERY_BLOCK`]-query blocks, and within a block the fused path
+//! - search fans out over fixed query blocks, and within a block
 //!   (DESIGN.md §16) streams each probed inverted list once for all
-//!   queries that probe it — bit-identical to the serial path because
-//!   every dot product keeps the serial element order and candidates
-//!   are ranked by their position in the serial candidate layout.
+//!   queries that probe it; every score is a pure function of (row,
+//!   query) and candidates are ranked by their position in the query's
+//!   own probe-ordered candidate layout, so a query's ranking never
+//!   depends on which other queries share its block.
 //!
 //! `save`/`load` round-trip the exact `f64` bit patterns, so a loaded
 //! index answers queries identically to the one that was built.
 
-use crate::shard::{self, read_section, verify_frames, PreparedQuery, ShardTable, MAGIC};
+use crate::shard::{self, read_section, verify_frames, ShardTable, MAGIC};
 use crate::store::EntityStore;
 use mb_common::storage::{atomic_write, Crc32};
-use mb_common::util::{top_k_desc, TopK};
 use mb_common::{Error, Result, Rng};
-use mb_encoders::retrieval::CandidateSource;
+use mb_encoders::retrieval::{top_k_blocks, CandidateSource, QueryBlock, Rows};
 use mb_kb::EntityId;
-use mb_par::{par_chunk_ranges, par_map_range, Threads};
-use mb_tensor::kernels::{dot_block_f64, dot_i8_i32, dot_i8_i64, DOT_BLOCK, I8_EXACT_I32_COLS};
-use mb_tensor::quant::{f16_to_f64, QuantMode};
+use mb_par::{par_map_range, Threads};
+use mb_tensor::quant::QuantMode;
 use mb_tensor::Tensor;
 use std::fs::File;
 use std::path::Path;
@@ -52,13 +50,6 @@ pub const IVF_FILE: &str = "IVF";
 
 /// Rows scored per parallel work item during build.
 const ASSIGN_CHUNK: usize = 4096;
-
-/// Queries per fused search block: centroid rows and probed inverted
-/// lists are streamed once per block instead of once per query. Blocks
-/// are a fixed function of query index, so the worker count never
-/// changes which queries share a block. Pinned to the width the
-/// multi-accumulator kernels specialize for.
-const QUERY_BLOCK: usize = DOT_BLOCK;
 
 /// Build-time parameters of an IVF index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,13 +82,13 @@ pub struct IvfIndex {
     /// Row ids per centroid, each list ascending.
     lists: Vec<Vec<u32>>,
     /// Per-list packed copies of the quantized rows (FAISS-style:
-    /// lists own their codes), so the fused batch path streams each
-    /// probed list as one contiguous block with no per-row shard
-    /// resolution. Derived from the store at build/load — never
-    /// serialized — and byte-identical to the shard tables, so scoring
-    /// from it is bit-identical to [`EntityStore::score_row_prepared`].
-    /// Costs one extra copy of the code tables (`n * dim` codes plus
-    /// `n` scales for int8).
+    /// lists own their codes), so search streams each probed list as
+    /// one contiguous block with no per-row shard resolution. Derived
+    /// from the store at build/load — never serialized — and
+    /// byte-identical to the shard tables, so scoring from it is
+    /// bit-identical to the flat scan of
+    /// [`EntityStore::quantized_index`]. Costs one extra copy of the
+    /// code tables (`n * dim` codes plus `n` scales for int8).
     packed: PackedLists,
 }
 
@@ -112,6 +103,18 @@ enum PackedLists {
         /// One dequantization scale per list row.
         scales: Vec<Vec<f64>>,
     },
+}
+
+impl PackedLists {
+    /// List `c` as scannable rows.
+    fn rows(&self, c: usize) -> Rows<'_> {
+        match self {
+            PackedLists::F16(bits) => Rows::F16(&bits[c]),
+            PackedLists::Int8 { codes, scales } => {
+                Rows::Int8 { codes: &codes[c], scales: &scales[c] }
+            }
+        }
+    }
 }
 
 /// Gather every list's rows out of the shard tables into contiguous
@@ -463,178 +466,60 @@ impl IvfIndex {
         Ok(IvfIndex { store, dim, nprobe, centroids, lists, packed })
     }
 
-    /// Fused search for one block of queries (DESIGN.md §16).
-    ///
-    /// Layout: (1) one centroid-outer pass scores every centroid
-    /// against every query in the block — each centroid row is
-    /// streamed once per block; (2) each query picks its probes with
-    /// [`top_k_desc`] and quantizes once into a [`PreparedQuery`];
-    /// (3) `(query, probed list)` pairs are grouped by list, each pair
-    /// carrying the offset of that list's first candidate in the
-    /// query's *serial* candidate array; (4) each distinct list is
-    /// streamed once — rows resolved to their shard once, f16 rows
-    /// decoded once — and scored against every member query, feeding
-    /// per-query [`TopK`] selectors keyed by serial candidate
-    /// position; (5) selected positions map back through the query's
-    /// probe spans to row ids.
-    ///
-    /// Bit-identical to [`CandidateSource::top_k`] per query: every
-    /// dot product keeps the serial element order (the int8 fold may
-    /// narrow to `i32`, which sums to the same exact integer), pushed
-    /// positions equal the serial candidate layout, and [`TopK`] keeps
-    /// exactly the set and order of [`top_k_desc`] regardless of
-    /// arrival order.
-    fn top_k_block(
-        &self,
-        queries: &Tensor,
-        range: std::ops::Range<usize>,
-        k: usize,
-    ) -> Vec<Vec<(EntityId, f64)>> {
-        let nq = range.len();
-        let nlist = self.lists.len();
-        let dim = self.dim;
-        // (1) Centroid scores via the multi-accumulator block dot: the
-        // query block is transposed once, then every centroid row is
-        // streamed once and folded into `nq` independent accumulator
-        // chains — same per-query fold order, ~`nq`-way ILP.
-        let mut qt = vec![0.0f64; dim * nq];
-        for (qslot, qi) in range.clone().enumerate() {
-            for (j, &x) in queries.row(qi).iter().enumerate() {
-                qt[j * nq + qslot] = x;
-            }
-        }
-        let mut cscores = vec![0.0f64; nq * nlist];
-        let mut cacc = vec![0.0f64; nq];
-        for c in 0..nlist {
-            let cent = &self.centroids[c * dim..(c + 1) * dim];
-            dot_block_f64(cent, &qt, nq, &mut cacc);
-            for (qslot, &s) in cacc.iter().enumerate() {
-                cscores[qslot * nlist + c] = s;
-            }
-        }
-        // (2) Probe selection + one quantization per query.
-        let mut probes_per_q: Vec<Vec<usize>> = Vec::with_capacity(nq);
-        let mut preps: Vec<PreparedQuery<'_>> = Vec::with_capacity(nq);
-        for (qslot, qi) in range.clone().enumerate() {
-            probes_per_q
-                .push(top_k_desc(&cscores[qslot * nlist..(qslot + 1) * nlist], self.nprobe));
-            preps.push(PreparedQuery::new(queries.row(qi)));
-        }
-        // (3) Group probes by list. `base` is where this list's
-        // candidates start in the query's serial candidate array.
-        let mut members: Vec<(usize, usize, usize)> = Vec::new();
-        for (qslot, probes) in probes_per_q.iter().enumerate() {
+    /// Search for one block of queries (DESIGN.md §16): the centroid
+    /// table is one list every query scans keeping its `nprobe` best;
+    /// `(query, probed list)` pairs are then grouped by list — each
+    /// pair carrying the offset of that list's first candidate in the
+    /// query's probe-ordered candidate layout — and each distinct list
+    /// is scanned once for all its member queries; selected positions
+    /// map back through the query's probe spans to row ids.
+    fn rank_block(&self, block: &mut QueryBlock<'_>, k: usize) -> Vec<Vec<(EntityId, f64)>> {
+        let mut coarse = block.selectors(self.nprobe);
+        block.scan(Rows::F64(&self.centroids), &block.every_query(), &mut coarse);
+        let probes: Vec<Vec<usize>> = coarse
+            .into_iter()
+            .map(|sel| sel.into_sorted().into_iter().map(|(c, _)| c).collect())
+            .collect();
+        let mut pairs: Vec<(usize, usize, usize)> = Vec::new();
+        for (slot, probed) in probes.iter().enumerate() {
             let mut base = 0usize;
-            for &c in probes {
-                members.push((c, qslot, base));
+            for &c in probed {
+                pairs.push((c, slot, base));
                 base += self.lists[c].len();
             }
         }
-        members.sort_unstable();
-        // (4) Stream each probed list once for all its member queries,
-        // straight out of its packed code block — no per-row shard
-        // resolution on the hot path. The two table types want
-        // opposite loop orders: f16 rows decode once and take the
-        // multi-accumulator f64 tile across members (f64 dots are
-        // latency chains a lone fold is stuck behind), while int8 rows
-        // take one contiguous SIMD dot per member — integer folds
-        // vectorize on their own, so a plain dot against the member's
-        // prepared codes beats an interleaved tile. Int8 scores land
-        // in a flat scratch first, so selection runs as a block pass.
-        let mut sels: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
-        let narrow = dim <= I8_EXACT_I32_COLS;
-        let mut decoded = vec![0.0f64; dim];
-        let mut rscores = vec![0.0f64; self.lists.iter().map(Vec::len).max().unwrap_or(0)];
-        let (mut gslots, mut gbases) = (Vec::new(), Vec::new());
-        let (mut gq_t, mut gscales) = (Vec::new(), Vec::new());
-        let mut gqc: Vec<&[i8]> = Vec::new();
-        let mut macc = Vec::new();
+        pairs.sort_unstable();
+        let mut sels = block.selectors(k);
+        let mut members: Vec<(usize, usize)> = Vec::new();
         let mut at = 0usize;
-        while at < members.len() {
-            let c = members[at].0;
-            let mut end = at;
-            while end < members.len() && members[end].0 == c {
-                end += 1;
+        while at < pairs.len() {
+            let c = pairs[at].0;
+            members.clear();
+            while at < pairs.len() && pairs[at].0 == c {
+                members.push((pairs[at].1, pairs[at].2));
+                at += 1;
             }
-            let group = &members[at..end];
-            let m = group.len();
-            gslots.clear();
-            gbases.clear();
-            gq_t.clear();
-            gscales.clear();
-            gqc.clear();
-            for &(_, qslot, base) in group {
-                gslots.push(qslot);
-                gbases.push(base);
-                gscales.push(preps[qslot].scale);
-                gqc.push(preps[qslot].codes.as_slice());
-            }
-            for j in 0..dim {
-                for &(_, qslot, _) in group {
-                    gq_t.push(preps[qslot].query[j]);
-                }
-            }
-            macc.clear();
-            macc.resize(m, 0.0);
-            let rows = self.lists[c].len();
-            match &self.packed {
-                PackedLists::F16(bits) => {
-                    let lb = &bits[c];
-                    for pos in 0..rows {
-                        for (d, &h) in decoded.iter_mut().zip(&lb[pos * dim..(pos + 1) * dim]) {
-                            *d = f16_to_f64(h);
-                        }
-                        dot_block_f64(&decoded, &gq_t, m, &mut macc);
-                        for (mi, &s) in macc.iter().enumerate() {
-                            sels[gslots[mi]].push(gbases[mi] + pos, s);
-                        }
-                    }
-                }
-                PackedLists::Int8 { codes, scales } => {
-                    let lc = &codes[c];
-                    let ls = &scales[c];
-                    for mi in 0..m {
-                        let qc = gqc[mi];
-                        let qs = gscales[mi];
-                        // Branch-free scoring pass into a flat scratch —
-                        // one contiguous streamed dot per row — then one
-                        // block-select pass over the L1-hot scores.
-                        let sc = &mut rscores[..rows];
-                        if narrow {
-                            for ((s, rc), &rs) in sc.iter_mut().zip(lc.chunks_exact(dim)).zip(ls) {
-                                *s = f64::from(dot_i8_i32(rc, qc)) * (rs * qs);
-                            }
-                        } else {
-                            for ((s, rc), &rs) in sc.iter_mut().zip(lc.chunks_exact(dim)).zip(ls) {
-                                *s = dot_i8_i64(rc, qc) as f64 * (rs * qs);
-                            }
-                        }
-                        sels[gslots[mi]].push_block(gbases[mi], sc);
-                    }
-                }
-            }
-            at = end;
+            block.scan(self.packed.rows(c), &members, &mut sels);
         }
-        // (5) Selected serial positions map back to rows through the
-        // query's probe spans (nprobe spans — a linear scan is cheap).
-        let mut out = Vec::with_capacity(nq);
-        for (qslot, sel) in sels.into_iter().enumerate() {
-            let ranked = sel.into_sorted();
-            let mut result = Vec::with_capacity(ranked.len());
-            for (posn, score) in ranked {
-                let mut start = 0usize;
-                for &c in &probes_per_q[qslot] {
-                    let len = self.lists[c].len();
-                    if posn < start + len {
-                        result.push((EntityId(self.lists[c][posn - start]), score));
-                        break;
+        // nprobe spans per query — a linear walk is cheap.
+        sels.into_iter()
+            .zip(&probes)
+            .map(|(sel, probed)| {
+                let mut ranked = Vec::with_capacity(k);
+                for (pos, score) in sel.into_sorted() {
+                    let mut start = 0usize;
+                    for &c in probed {
+                        let len = self.lists[c].len();
+                        if pos < start + len {
+                            ranked.push((EntityId(self.lists[c][pos - start]), score));
+                            break;
+                        }
+                        start += len;
                     }
-                    start += len;
                 }
-            }
-            out.push(result);
-        }
-        out
+                ranked
+            })
+            .collect()
     }
 }
 
@@ -664,35 +549,8 @@ impl CandidateSource for IvfIndex {
         (0..n).map(EntityId).find(|&id| reject(id))
     }
 
-    fn top_k(&self, query: &[f64], k: usize) -> Vec<(EntityId, f64)> {
-        let nlist = self.lists.len();
-        let cscores: Vec<f64> = (0..nlist)
-            .map(|c| {
-                let base = c * self.dim;
-                query.iter().enumerate().map(|(j, &q)| self.centroids[base + j] * q).sum()
-            })
-            .collect();
-        let probes = top_k_desc(&cscores, self.nprobe);
-        // Quantize the query once; each probed row then costs one
-        // integer dot (int8 stores), matching the flat-scan kernel's
-        // arithmetic bit for bit.
-        let prep = crate::shard::PreparedQuery::new(query);
-        let mut rows: Vec<u32> = Vec::new();
-        let mut scores: Vec<f64> = Vec::new();
-        for c in probes {
-            for &row in &self.lists[c] {
-                rows.push(row);
-                scores.push(self.store.score_row_prepared(row as usize, &prep));
-            }
-        }
-        top_k_desc(&scores, k).into_iter().map(|i| (EntityId(rows[i]), scores[i])).collect()
-    }
-
-    /// Fused multi-query search: fixed [`QUERY_BLOCK`]-query blocks
-    /// fan out across workers, and [`IvfIndex::top_k_block`] streams
-    /// each probed inverted list once per block. Bit-identical to
-    /// per-query [`CandidateSource::top_k`] at any batch size and any
-    /// [`Threads`] value.
+    /// Fixed query blocks fan out across workers; each is ranked by
+    /// [`IvfIndex::rank_block`].
     ///
     /// # Errors
     /// [`Error::ShapeMismatch`] when `queries` is not rank-2 or its
@@ -703,23 +561,9 @@ impl CandidateSource for IvfIndex {
         k: usize,
         threads: Threads,
     ) -> Result<Vec<Vec<(EntityId, f64)>>> {
-        if queries.rank() != 2 {
-            return Err(Error::shape(
-                "IvfIndex::top_k_batch",
-                "[q, dim] queries",
-                format!("rank-{} tensor {:?}", queries.rank(), queries.shape()),
-            ));
-        }
-        if queries.rows() > 0 && queries.cols() != self.dim {
-            return Err(Error::shape(
-                "IvfIndex::top_k_batch",
-                format!("query dim {}", self.dim),
-                format!("query dim {}", queries.cols()),
-            ));
-        }
-        let blocks = par_chunk_ranges(threads, queries.rows(), QUERY_BLOCK, |_, range| {
-            self.top_k_block(queries, range, k)
-        });
-        Ok(blocks.into_iter().flatten().collect())
+        let (dim, len) = (self.dim, self.store.len());
+        top_k_blocks("IvfIndex::top_k_batch", queries, dim, len, threads, |block| {
+            self.rank_block(block, k)
+        })
     }
 }

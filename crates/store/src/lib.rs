@@ -27,7 +27,7 @@ pub mod shard;
 pub mod store;
 
 pub use ivf::{IvfConfig, IvfIndex, IVF_FILE};
-pub use shard::{PreparedQuery, Shard, ShardTable, StoreRecord};
+pub use shard::{Shard, ShardTable, StoreRecord};
 pub use store::{EntityStore, StoreBuilder, StoreConfig, MANIFEST};
 
 pub use mb_encoders::retrieval::CandidateSource;

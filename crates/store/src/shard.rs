@@ -43,7 +43,7 @@
 
 use mb_common::storage::{atomic_write, Crc32};
 use mb_common::{Error, Result};
-use mb_tensor::quant::{f16_to_f64, quantize_i8, QuantF16, QuantI8};
+use mb_tensor::quant::{f16_to_f64, QuantF16, QuantI8};
 use mb_tensor::{QuantMode, Tensor};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -62,27 +62,6 @@ pub const DIR_RECORD_BYTES: usize = 16;
 
 /// Upper bound on the `meta` section (it is a handful of short lines).
 const META_MAX_BYTES: usize = 4096;
-
-/// A query prepared once for repeated row scoring: the f64 form plus
-/// its symmetric int8 quantization, so int8 shards can accumulate
-/// exactly in integers per probed row instead of paying a per-element
-/// float conversion — the same arithmetic the flat `score_all_i8`
-/// kernel uses.
-#[derive(Debug, Clone)]
-pub struct PreparedQuery<'a> {
-    pub(crate) query: &'a [f64],
-    pub(crate) codes: Vec<i8>,
-    pub(crate) scale: f64,
-}
-
-impl<'a> PreparedQuery<'a> {
-    /// Quantize `query` once for scoring against any shard of either
-    /// quant mode.
-    pub fn new(query: &'a [f64]) -> PreparedQuery<'a> {
-        let (codes, scale) = quantize_i8(query);
-        PreparedQuery { query, codes, scale }
-    }
-}
 
 /// One entity on its way into a shard.
 #[derive(Debug, Clone, PartialEq)]
@@ -669,41 +648,6 @@ impl Shard {
             e.desc_len as usize,
             "description",
         )
-    }
-
-    /// Dot product of `query` against the dequantized vector at `row`.
-    /// Sequential accumulation in row-element order — a pure function
-    /// of (table, query), identical on every thread.
-    ///
-    /// One-off convenience; for repeated scoring against the same
-    /// query, prepare it once ([`PreparedQuery::new`]) and use
-    /// [`Shard::score_row_prepared`] — both paths compute the exact
-    /// same bits.
-    pub fn score_row(&self, row: usize, query: &[f64]) -> f64 {
-        self.score_row_prepared(row, &PreparedQuery::new(query))
-    }
-
-    /// Dot product of a prepared query against the vector at `row`,
-    /// using the same arithmetic as the flat `score_all_*` kernels:
-    /// int8 rows accumulate exactly in integers against the
-    /// once-quantized query codes; f16 rows take the sequential f64
-    /// dot. Bit-identical to scoring the row through a flat
-    /// `QuantizedIndex` over the same table.
-    pub fn score_row_prepared(&self, row: usize, prep: &PreparedQuery<'_>) -> f64 {
-        debug_assert_eq!(prep.query.len(), self.dim);
-        let d = self.dim;
-        match &self.table {
-            ShardTable::F16(t) => {
-                let row_bits = &t.bits()[row * d..(row + 1) * d];
-                row_bits.iter().zip(prep.query).map(|(&h, &q)| f16_to_f64(h) * q).sum()
-            }
-            ShardTable::Int8(t) => {
-                let codes = &t.codes()[row * d..(row + 1) * d];
-                let acc: i64 =
-                    codes.iter().zip(&prep.codes).map(|(&c, &q)| i64::from(c) * i64::from(q)).sum();
-                acc as f64 * (t.scales()[row] * prep.scale)
-            }
-        }
     }
 
     /// Dequantize the vector at `row` into `out` (length `dim`).

@@ -19,8 +19,8 @@
 //! nothing, like the `mb-params v2` loader it descends from.
 
 use crate::shard::{
-    self, parse_quant_token, quant_token, read_section, verify_frames, PreparedQuery, Shard,
-    ShardTable, StoreRecord, MAGIC,
+    self, parse_quant_token, quant_token, read_section, verify_frames, Shard, ShardTable,
+    StoreRecord, MAGIC,
 };
 use mb_common::storage::{atomic_write, Crc32};
 use mb_common::{Error, Result};
@@ -387,22 +387,6 @@ impl EntityStore {
             .locate(id.0 as usize)
             .ok_or_else(|| Error::NotFound(format!("entity {} of {}", id.0, self.total)))?;
         self.shards.get(s).ok_or_else(|| Error::NotFound(format!("shard {s}")))?.description(row)
-    }
-
-    /// Dot product of `query` against the dequantized vector at
-    /// `global_row`. Pure and thread-independent (DESIGN.md §14).
-    pub fn score_row(&self, global_row: usize, query: &[f64]) -> f64 {
-        let (s, row) = (global_row / self.capacity, global_row % self.capacity);
-        self.shards[s].score_row(row, query)
-    }
-
-    /// Dot product of a once-prepared query ([`PreparedQuery::new`])
-    /// against the vector at `global_row` — the hot path for probing
-    /// many rows with the same query; bit-identical to
-    /// [`EntityStore::score_row`].
-    pub fn score_row_prepared(&self, global_row: usize, prep: &PreparedQuery<'_>) -> f64 {
-        let (s, row) = (global_row / self.capacity, global_row % self.capacity);
-        self.shards[s].score_row_prepared(row, prep)
     }
 
     /// Dequantize the vector at `global_row` into `out`.

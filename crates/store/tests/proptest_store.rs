@@ -157,10 +157,11 @@ mb_check::check! {
         nprobe_pick in gen::usize_in(0..3),
         batch in gen::usize_in(1..65),
     ) {
-        // DESIGN.md §16: the fused list-grouped batch path must be
-        // byte-for-byte identical to serial per-query probing — same
-        // ids, same `to_bits` scores — at every nprobe and worker
-        // count, for both shard table encodings.
+        // DESIGN.md §16: a list-grouped batch must be byte-for-byte
+        // identical to per-query probing (the one-row batch: other
+        // list groupings, other member lists) — same ids, same
+        // `to_bits` scores — at every nprobe and worker count, for
+        // both shard table encodings.
         let quant = if int8 == 1 { QuantMode::Int8 } else { QuantMode::F16 };
         let dir = scratch("ivf-fused");
         let (store, _) = streamed_store(&dir, 300, seed, quant, 64);
@@ -203,6 +204,48 @@ mb_check::check! {
                 "quant={:?} nprobe={} batch={} threads={}", quant, ivf.nprobe(), batch, t
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn ivf_probing_every_list_scores_like_the_flat_scan(
+        seed in gen::u64_any(),
+        int8 in gen::usize_in(0..2),
+        batch in gen::usize_in(1..20),
+    ) {
+        // With `nprobe == nlist` and `k == n` the IVF returns every
+        // row, scored out of its `PackedLists` copies; the flat scan of
+        // `store.quantized_index()` scores the same rows out of the
+        // concatenated shard tables — an independent data path. Same
+        // (id, score bits) multiset, or one of the two gathers is
+        // wrong. (Order may differ on exact ties: the IVF breaks them
+        // by probe-ordered position, the flat scan by row.)
+        let quant = if int8 == 1 { QuantMode::Int8 } else { QuantMode::F16 };
+        let dir = scratch("ivf-flat");
+        let (store, _) = streamed_store(&dir, 300, seed, quant, 64);
+        let (n, dim) = (store.len(), store.dim());
+        let store = Arc::new(store);
+        let cfg = IvfConfig { nlist: 12, nprobe: 12, train_cap: 256, rounds: 4, seed: 7 };
+        let ivf = IvfIndex::build(Arc::clone(&store), cfg, Threads::new(2)).expect("build");
+        prop_assert_eq!(ivf.nprobe(), ivf.nlist());
+        let flat = store.quantized_index().expect("flat index");
+        let mut rng = mb_common::Rng::seed_from_u64(seed ^ 0xF1A7);
+        let qdata: Vec<f64> = (0..batch * dim).map(|_| rng.gaussian()).collect();
+        let queries = mb_tensor::Tensor::from_vec(vec![batch, dim], qdata);
+        let by_id = |rankings: Vec<Vec<(mb_kb::EntityId, f64)>>| -> Vec<Vec<(u32, u64)>> {
+            rankings
+                .into_iter()
+                .map(|r| {
+                    let mut r: Vec<(u32, u64)> =
+                        r.into_iter().map(|(id, s)| (id.0, s.to_bits())).collect();
+                    r.sort_unstable();
+                    r
+                })
+                .collect()
+        };
+        let got = by_id(ivf.top_k_batch(&queries, n, Threads::single()).expect("ivf"));
+        let want = by_id(flat.top_k_batch(&queries, n, Threads::single()).expect("flat"));
+        prop_assert!(want.iter().all(|r| r.len() == n));
+        prop_assert_eq!(&got, &want, "quant={:?} batch={}", quant, batch);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

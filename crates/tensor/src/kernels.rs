@@ -279,10 +279,10 @@ pub fn score_all_i8(
     })
 }
 
-/// Queries per fused-retrieval scoring block (DESIGN.md §16). The
-/// block-dot kernels below carry a specialization unrolled for exactly
-/// this width, so the fused `top_k_batch` paths in `mb-encoders` and
-/// `mb-store` block their queries at the same number.
+/// Queries per retrieval scan block (DESIGN.md §16). The block-dot
+/// kernel below carries a specialization unrolled for exactly this
+/// width, so `mb_encoders::retrieval` blocks its queries at the same
+/// number.
 pub const DOT_BLOCK: usize = 8;
 
 /// Widest int8 row whose per-element products (each at most
@@ -343,8 +343,8 @@ pub fn dot_block_f64(v: &[f64], qt: &[f64], nq: usize, acc: &mut [f64]) {
 /// reference `i64` fold of [`score_all_i8`] produces whenever the row
 /// is at most [`I8_EXACT_I32_COLS`] wide (callers guard). Integer
 /// addition is associative, so this vectorizes freely; it is the
-/// per-member kernel the fused IVF scan uses where the interleaved
-/// tiles lose to plain SIMD dots.
+/// per-member kernel of the retrieval scan (an interleaved int8 tile
+/// scalarized and lost to plain SIMD dots).
 #[inline]
 pub fn dot_i8_i32(a: &[i8], b: &[i8]) -> i32 {
     a.iter().zip(b).map(|(&x, &y)| i32::from(x) * i32::from(y)).sum()
@@ -355,90 +355,6 @@ pub fn dot_i8_i32(a: &[i8], b: &[i8]) -> i32 {
 #[inline]
 pub fn dot_i8_i64(a: &[i8], b: &[i8]) -> i64 {
     a.iter().zip(b).map(|(&x, &y)| i64::from(x) * i64::from(y)).sum()
-}
-
-/// Fixed-width tile of [`dot_block_i8`] — see [`dot_tile_f64`].
-#[inline]
-fn dot_tile_i8<const N: usize>(row: &[i8], qt: &[i8], acc: &mut [i32]) {
-    let mut a = [0i32; N];
-    for (&x, q) in row.iter().zip(qt.chunks_exact(N)) {
-        let xv = i32::from(x);
-        for (slot, &qv) in a.iter_mut().zip(q) {
-            *slot += xv * i32::from(qv);
-        }
-    }
-    acc[..N].copy_from_slice(&a);
-}
-
-/// Multi-query int8 dot: `acc[s] = Σ_j row[j] * qt[j * nq + s]` in
-/// `i32`. Integer addition is associative, so each slot equals the
-/// reference `i64` fold of [`score_all_i8`] exactly whenever the row is
-/// at most [`I8_EXACT_I32_COLS`] wide — callers guard on that and fall
-/// back to [`dot_block_i8_wide`] beyond it.
-#[inline]
-pub fn dot_block_i8(row: &[i8], qt: &[i8], nq: usize, acc: &mut [i32]) {
-    debug_assert_eq!(qt.len(), row.len() * nq, "dot_block_i8: qt shape");
-    debug_assert_eq!(acc.len(), nq, "dot_block_i8: acc length");
-    match nq {
-        1 => acc[0] = row.iter().zip(qt).map(|(&x, &q)| i32::from(x) * i32::from(q)).sum(),
-        2 => dot_tile_i8::<2>(row, qt, acc),
-        3 => dot_tile_i8::<3>(row, qt, acc),
-        4 => dot_tile_i8::<4>(row, qt, acc),
-        5 => dot_tile_i8::<5>(row, qt, acc),
-        6 => dot_tile_i8::<6>(row, qt, acc),
-        7 => dot_tile_i8::<7>(row, qt, acc),
-        8 => dot_tile_i8::<8>(row, qt, acc),
-        _ => {
-            acc.fill(0);
-            for (&x, q) in row.iter().zip(qt.chunks_exact(nq.max(1))) {
-                let xv = i32::from(x);
-                for (slot, &qv) in acc.iter_mut().zip(q) {
-                    *slot += xv * i32::from(qv);
-                }
-            }
-        }
-    }
-}
-
-/// Fixed-width tile of [`dot_block_i8_wide`] — see [`dot_tile_f64`].
-#[inline]
-fn dot_tile_i8_wide<const N: usize>(row: &[i8], qt: &[i8], acc: &mut [i64]) {
-    let mut a = [0i64; N];
-    for (&x, q) in row.iter().zip(qt.chunks_exact(N)) {
-        let xv = i64::from(x);
-        for (slot, &qv) in a.iter_mut().zip(q) {
-            *slot += xv * i64::from(qv);
-        }
-    }
-    acc[..N].copy_from_slice(&a);
-}
-
-/// `i64` fallback of [`dot_block_i8`] for rows wider than
-/// [`I8_EXACT_I32_COLS`] — same arithmetic as the reference fold at any
-/// width.
-#[inline]
-pub fn dot_block_i8_wide(row: &[i8], qt: &[i8], nq: usize, acc: &mut [i64]) {
-    debug_assert_eq!(qt.len(), row.len() * nq, "dot_block_i8_wide: qt shape");
-    debug_assert_eq!(acc.len(), nq, "dot_block_i8_wide: acc length");
-    match nq {
-        1 => acc[0] = row.iter().zip(qt).map(|(&x, &q)| i64::from(x) * i64::from(q)).sum(),
-        2 => dot_tile_i8_wide::<2>(row, qt, acc),
-        3 => dot_tile_i8_wide::<3>(row, qt, acc),
-        4 => dot_tile_i8_wide::<4>(row, qt, acc),
-        5 => dot_tile_i8_wide::<5>(row, qt, acc),
-        6 => dot_tile_i8_wide::<6>(row, qt, acc),
-        7 => dot_tile_i8_wide::<7>(row, qt, acc),
-        8 => dot_tile_i8_wide::<8>(row, qt, acc),
-        _ => {
-            acc.fill(0);
-            for (&x, q) in row.iter().zip(qt.chunks_exact(nq.max(1))) {
-                let xv = i64::from(x);
-                for (slot, &qv) in acc.iter_mut().zip(q) {
-                    *slot += xv * i64::from(qv);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -545,24 +461,12 @@ mod tests {
                 .enumerate()
                 .map(|(i, &x)| ((x * 100.0) as i8).wrapping_add(i as i8))
                 .collect();
-            let qi8: Vec<Vec<i8>> = (0..nq)
-                .map(|s| queries.row(s).iter().map(|&x| (x * 127.0) as i8).collect())
-                .collect();
-            let mut qt8 = vec![0i8; dim * nq];
             for s in 0..nq {
-                for j in 0..dim {
-                    qt8[j * nq + s] = qi8[s][j];
-                }
-            }
-            let mut acc32 = vec![0i32; nq];
-            dot_block_i8(&row, &qt8, nq, &mut acc32);
-            let mut acc64 = vec![0i64; nq];
-            dot_block_i8_wide(&row, &qt8, nq, &mut acc64);
-            for s in 0..nq {
+                let q8: Vec<i8> = queries.row(s).iter().map(|&x| (x * 127.0) as i8).collect();
                 let want: i64 =
-                    row.iter().zip(&qi8[s]).map(|(&a, &b)| i64::from(a) * i64::from(b)).sum();
-                assert_eq!(i64::from(acc32[s]), want, "i8/i32 slot {s} of {nq}");
-                assert_eq!(acc64[s], want, "i8/i64 slot {s} of {nq}");
+                    row.iter().zip(&q8).map(|(&a, &b)| i64::from(a) * i64::from(b)).sum();
+                assert_eq!(i64::from(dot_i8_i32(&row, &q8)), want, "i8/i32 slot {s} of {nq}");
+                assert_eq!(dot_i8_i64(&row, &q8), want, "i8/i64 slot {s} of {nq}");
             }
         }
         const { assert!(32 <= I8_EXACT_I32_COLS) };
