@@ -54,7 +54,7 @@ fn bench_encoder(h: &mut Harness) {
     }
     let bags: Vec<Vec<u32>> = pairs[..64].iter().map(|p| p.entity.clone()).collect();
     h.bench_units("biencoder/embed_entities_batch64", 64.0, "entity", || {
-        std::hint::black_box(model.embed_entities(std::hint::black_box(bags.clone())));
+        std::hint::black_box(model.embed_entities(std::hint::black_box(&bags)));
     });
 }
 

@@ -1,9 +1,10 @@
-//! Serving-path inference benchmark: the tape forward (which clones
-//! every parameter tensor per batch via `Params::inject`) against the
-//! tape-free frozen forward and its f16/int8 quantized variants, at the
-//! serving batch size. Verifies frozen/tape bit-identity before timing,
-//! measures the embedding-table memory shrink, and computes quantized
-//! top-1 agreement on a trained tiny-world eval set. Writes
+//! Serving-path inference benchmark: the frozen tape-free forward and
+//! its f16/int8 quantized variants at the serving batch size. Measures
+//! the embedding-table memory shrink and computes quantized top-1
+//! agreement on a trained tiny-world eval set. (There is no tape-built
+//! inference path left to compare against; bit-identity of the frozen
+//! forward with the training graph is pinned by the `mb-encoders`
+//! tests and `tests/one_forward.rs`.) Writes
 //! `target/experiments/BENCH_inference.{txt,json}`; the JSON carries a
 //! `summary` object with the acceptance metrics, and the medians feed
 //! the bench-regression CI gate (`scripts/bench_gate.sh`).
@@ -31,7 +32,7 @@ fn main() {
     // --- Throughput: production-scale vocabulary (32k tokens,
     // BERT-sized), untrained weights (timings do not depend on
     // training). The padded vocab makes the embedding tables the bulk
-    // of what each tape forward clones, as in a real deployment.
+    // of the model, as in a real deployment.
     let world = World::generate(WorldConfig::tiny(17));
     let filler: Vec<String> = (0..32768).map(|i| format!("tok{i}")).collect();
     let extra = filler.join(" ");
@@ -81,19 +82,7 @@ fn main() {
     let f16_bi = bi.freeze(QuantMode::F16);
     let i8_bi = bi.freeze(QuantMode::Int8);
 
-    // The frozen forward must be *bit-identical* to the tape forward —
-    // check before timing, like bench_kernels does.
-    let want = bi.embed_mentions_batch(&bags);
-    let got = frozen_bi.embed_mentions_batch(&bags);
-    assert_eq!(want.data(), got.data(), "frozen bi-encoder diverged from the tape forward");
-    let want_scores = cross.score_batch(&sets);
-    let got_scores = frozen_cross.score_batch(&sets);
-    assert_eq!(want_scores, got_scores, "frozen cross-encoder diverged from the tape forward");
-
     let mut h = Harness::new();
-    h.bench_units(&format!("inference/embed/tape/batch{BATCH}"), BATCH as f64, "mention", || {
-        black_box(bi.embed_mentions_batch(black_box(&bags)));
-    });
     h.bench_units(&format!("inference/embed/frozen/batch{BATCH}"), BATCH as f64, "mention", || {
         black_box(frozen_bi.embed_mentions_batch(black_box(&bags)));
     });
@@ -103,28 +92,9 @@ fn main() {
     h.bench_units(&format!("inference/embed/int8/batch{BATCH}"), BATCH as f64, "mention", || {
         black_box(i8_bi.embed_mentions_batch(black_box(&bags)));
     });
-    h.bench_units(&format!("inference/rerank/tape/batch{BATCH}"), BATCH as f64, "set", || {
-        black_box(cross.score_batch(black_box(&sets)));
-    });
     h.bench_units(&format!("inference/rerank/frozen/batch{BATCH}"), BATCH as f64, "set", || {
         black_box(frozen_cross.score_batch(black_box(&sets)));
     });
-
-    let median = |name: &str| {
-        h.results()
-            .iter()
-            .find(|m| m.name == name)
-            .map(|m| m.median_ns)
-            .unwrap_or_else(|| panic!("no measurement named {name}"))
-    };
-    let embed_speedup = median(&format!("inference/embed/tape/batch{BATCH}"))
-        / median(&format!("inference/embed/frozen/batch{BATCH}"));
-    let rerank_speedup = median(&format!("inference/rerank/tape/batch{BATCH}"))
-        / median(&format!("inference/rerank/frozen/batch{BATCH}"));
-    let forward_speedup = (median(&format!("inference/embed/tape/batch{BATCH}"))
-        + median(&format!("inference/rerank/tape/batch{BATCH}")))
-        / (median(&format!("inference/embed/frozen/batch{BATCH}"))
-            + median(&format!("inference/rerank/frozen/batch{BATCH}")));
 
     // Embedding-table residency across modes (bi + cross tables; the
     // tables dominate model size at production vocab scale).
@@ -138,9 +108,6 @@ fn main() {
 
     let summary = format!(
         "{{\"batch\":{BATCH},\"k\":{K},\
-         \"embed_speedup\":{embed_speedup:.2},\
-         \"rerank_speedup\":{rerank_speedup:.2},\
-         \"forward_speedup\":{forward_speedup:.2},\
          \"table_bytes_f64\":{bytes_f64},\
          \"table_bytes_f16\":{bytes_f16},\
          \"table_bytes_int8\":{bytes_i8},\
@@ -153,15 +120,12 @@ fn main() {
         bytes_f64 as f64 / bytes_i8 as f64,
     );
     h.report_with_summary(
-        "Serving-path inference: tape vs tape-free vs quantized",
+        "Serving-path inference: frozen f64 vs quantized",
         "BENCH_inference",
         &summary,
     );
 
     println!("\nacceptance metrics (batch {BATCH}):");
-    println!("  forward speedup (tape / frozen):   {forward_speedup:.2}x");
-    println!("    embed stage:                     {embed_speedup:.2}x");
-    println!("    rerank stage:                    {rerank_speedup:.2}x");
     println!(
         "  table memory: f64 {bytes_f64} B, f16 {bytes_f16} B ({:.2}x), int8 {bytes_i8} B ({:.2}x)",
         bytes_f64 as f64 / bytes_f16 as f64,

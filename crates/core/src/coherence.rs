@@ -63,16 +63,13 @@ pub fn link_document(
     mentions: &[LinkedMention],
     cfg: &CoherenceConfig,
 ) -> Vec<Option<EntityId>> {
-    // Stage 1+2 per mention: top-k candidates with normalised scores.
+    // Stage 1+2 per mention, through the linker's own inference path:
+    // top-k candidates with normalised scores (none when retrieval is
+    // empty or fails).
     let mut candidates: Vec<Vec<(EntityId, f64)>> = Vec::with_capacity(mentions.len());
     for m in mentions {
-        let retrieved = linker.candidates(m);
-        if retrieved.is_empty() {
-            candidates.push(Vec::new());
-            continue;
-        }
-        let set = linker.candidate_set(m, &retrieved);
-        let scores = linker.cross.score(&set);
+        let (retrieved, scores) =
+            linker.link(m).map(|r| (r.retrieved, r.rerank_scores)).unwrap_or_default();
         let probs = mb_common::util::softmax(&scores);
         let mut scored: Vec<(EntityId, f64)> =
             retrieved.iter().map(|(id, _)| *id).zip(probs).collect();

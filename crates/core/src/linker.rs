@@ -33,9 +33,9 @@ pub struct LinkerConfig {
     /// outputs are bit-identical for every value.
     pub threads: mb_par::Threads,
     /// Embedding-table storage for the frozen inference path.
-    /// [`QuantMode::Exact`] (the default) is bit-identical to the tape
-    /// forward; `F16`/`Int8` trade bounded score error for a smaller
-    /// resident model (see `mb_tensor::quant`).
+    /// [`QuantMode::Exact`] (the default) is bit-identical to the
+    /// training graph; `F16`/`Int8` trade bounded score error for a
+    /// smaller resident model (see `mb_tensor::quant`).
     pub quant: QuantMode,
 }
 

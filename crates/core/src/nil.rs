@@ -169,16 +169,13 @@ impl<'a> NilAwareLinker<'a> {
     }
 }
 
-/// Top cross-encoder score and entity for a mention.
+/// Top cross-encoder score and entity for a mention, as
+/// [`TwoStageLinker::link`] ranks it — the NIL threshold is applied to
+/// the model that answers `link`, whatever its quantization.
 fn top_scored(linker: &TwoStageLinker<'_>, mention: &LinkedMention) -> Option<(f64, EntityId)> {
-    let retrieved = linker.candidates(mention);
-    if retrieved.is_empty() {
-        return None;
-    }
-    let set = linker.candidate_set(mention, &retrieved);
-    let scores = linker.cross.score(&set);
-    let best = mb_common::util::argmax(&scores)?;
-    Some((scores[best], retrieved[best].0))
+    let result = linker.link(mention).ok()?;
+    let best = mb_common::util::argmax(&result.rerank_scores)?;
+    Some((result.rerank_scores[best], result.retrieved[best].0))
 }
 
 #[cfg(test)]

@@ -446,10 +446,10 @@ fn train_impl(
                 .parse()
                 .map_err(|e| Error::Checkpoint(format!("bad stage cursor {stage:?}: {e}")))?;
             if let Some(p) = ck.params.get(BI_KEY) {
-                bi.set_params(p.clone());
+                bi.set_params(p.clone())?;
             }
             if let Some(p) = ck.params.get(CROSS_KEY) {
-                cross.set_params(p.clone());
+                cross.set_params(p.clone())?;
             }
             bi_meta_stats = stats_from_checkpoint(BI_KEY, &ck);
             cross_meta_stats = stats_from_checkpoint(CROSS_KEY, &ck);

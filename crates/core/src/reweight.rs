@@ -679,7 +679,7 @@ mod tests {
                 phi_hat.axpy(-alpha * wj, gj);
             }
             let mut m2 = model.clone();
-            m2.set_params(phi_hat);
+            m2.set_params(phi_hat).expect("the model's own params, stepped");
             m2.batch_loss(seed_set)
         };
         for j in 0..syn.len() {

@@ -12,9 +12,9 @@
 //! (`score_scale`) compensates for normalised vectors; rankings are
 //! unaffected.
 
+use crate::frozen::{self, EmbTable};
 use crate::input::TrainPair;
-use mb_common::Rng;
-use mb_par::Threads;
+use mb_common::{Error, Result, Rng};
 use mb_tensor::optim::Optimizer;
 use mb_tensor::params::{GradVec, ParamId};
 use mb_tensor::{init, Params, QuantMode, Tape, Tensor, Var};
@@ -25,6 +25,10 @@ use mb_text::Vocab;
 /// them every floating-point result — are identical at any thread
 /// count.
 pub const EMBED_CHUNK: usize = 32;
+
+/// Norm floor of the output row normalisation, shared by the training
+/// graph and the tape-free forward.
+pub(crate) const NORM_EPS: f64 = 1e-9;
 
 /// Bi-encoder hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -61,9 +65,7 @@ impl Default for BiEncoderConfig {
     }
 }
 
-/// Parameter handles of one encoder side (shared with the frozen
-/// serving encoder, which replays the same ids against a
-/// [`mb_tensor::FrozenParams`] snapshot).
+/// Parameter handles of one encoder side.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct SideIds {
     pub(crate) w1: ParamId,
@@ -72,15 +74,22 @@ pub(crate) struct SideIds {
     pub(crate) b2: ParamId,
 }
 
+/// Parameter handles of the bi-encoder (shared with the frozen serving
+/// encoder, which resolves the same ids against a
+/// [`mb_tensor::FrozenParams`] snapshot).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BiIds {
+    pub(crate) emb: ParamId,
+    pub(crate) mention: SideIds,
+    pub(crate) entity: SideIds,
+}
+
 /// The bi-encoder model.
 #[derive(Debug, Clone)]
 pub struct BiEncoder {
     cfg: BiEncoderConfig,
     params: Params,
-    emb: ParamId,
-    mention_side: SideIds,
-    entity_side: SideIds,
-    vocab_len: usize,
+    ids: BiIds,
 }
 
 impl BiEncoder {
@@ -119,9 +128,9 @@ impl BiEncoder {
                 b2: params.add(format!("{prefix}.b2"), init::zeros_bias(cfg.out_dim)),
             }
         };
-        let mention_side = side("mention", &mut params, rng);
-        let entity_side = side("entity", &mut params, rng);
-        BiEncoder { cfg, params, emb, mention_side, entity_side, vocab_len: vocab.len() }
+        let mention = side("mention", &mut params, rng);
+        let entity = side("entity", &mut params, rng);
+        BiEncoder { cfg, params, ids: BiIds { emb, mention, entity } }
     }
 
     /// The model's configuration.
@@ -141,15 +150,12 @@ impl BiEncoder {
 
     /// Replace the parameters (e.g. restoring a checkpoint).
     ///
-    /// # Panics
-    /// Panics if the shapes don't match the current model.
-    pub fn set_params(&mut self, params: Params) {
-        assert_eq!(params.len(), self.params.len(), "set_params: layout mismatch");
-        for ((na, ta), (nb, tb)) in params.iter().zip(self.params.iter()) {
-            assert_eq!(na, nb, "set_params: name mismatch");
-            assert_eq!(ta.shape(), tb.shape(), "set_params: shape mismatch for {na}");
-        }
-        self.params = params;
+    /// # Errors
+    /// [`Error::Checkpoint`] / [`Error::ShapeMismatch`] (naming the
+    /// tensor) when `params` was not produced by a model of this
+    /// vocabulary and configuration; the model is left unchanged.
+    pub fn set_params(&mut self, params: Params) -> Result<()> {
+        replace_params("BiEncoder::set_params", &mut self.params, params)
     }
 
     fn encode_side(
@@ -159,15 +165,11 @@ impl BiEncoder {
         side: SideIds,
         bags: Vec<Vec<u32>>,
     ) -> Var {
-        let pooled = tape.bag_embed(vars[self.emb_var_index()], bags);
+        let pooled = tape.bag_embed(vars[self.ids.emb.index()], bags);
         let h = tape.linear(pooled, vars[side.w1.index()], vars[side.b1.index()]);
         let h = tape.tanh(h);
         let out = tape.linear(h, vars[side.w2.index()], vars[side.b2.index()]);
-        tape.row_l2_normalize(out, 1e-9)
-    }
-
-    fn emb_var_index(&self) -> usize {
-        self.emb.index()
+        tape.row_l2_normalize(out, NORM_EPS)
     }
 
     /// Build the forward graph for a batch of pairs, returning the
@@ -182,8 +184,8 @@ impl BiEncoder {
         let vars = self.params.inject(tape);
         let m_bags: Vec<Vec<u32>> = batch.iter().map(|p| p.mention.clone()).collect();
         let e_bags: Vec<Vec<u32>> = batch.iter().map(|p| p.entity.clone()).collect();
-        let m_enc = self.encode_side(tape, &vars, self.mention_side, m_bags);
-        let e_enc = self.encode_side(tape, &vars, self.entity_side, e_bags);
+        let m_enc = self.encode_side(tape, &vars, self.ids.mention, m_bags);
+        let e_enc = self.encode_side(tape, &vars, self.ids.entity, e_bags);
         let raw_scores = tape.matmul_t(m_enc, e_enc);
         let scores = tape.scale(raw_scores, self.cfg.score_scale);
         let exclude = self.cfg.exclude_gold_in_loss && batch.len() >= 2;
@@ -210,8 +212,8 @@ impl BiEncoder {
         let m_bags: Vec<Vec<u32>> = batch.iter().map(|p| p.mention.clone()).collect();
         let mut e_bags: Vec<Vec<u32>> = batch.iter().map(|p| p.entity.clone()).collect();
         e_bags.extend(extra_entity_bags);
-        let m_enc = self.encode_side(tape, &vars, self.mention_side, m_bags);
-        let e_enc = self.encode_side(tape, &vars, self.entity_side, e_bags);
+        let m_enc = self.encode_side(tape, &vars, self.ids.mention, m_bags);
+        let e_enc = self.encode_side(tape, &vars, self.ids.entity, e_bags);
         let raw_scores = tape.matmul_t(m_enc, e_enc);
         let scores = tape.scale(raw_scores, self.cfg.score_scale);
         let targets: Vec<usize> = (0..batch.len()).collect();
@@ -262,104 +264,66 @@ impl BiEncoder {
         loss
     }
 
-    /// Encode mention bags to vectors (inference).
-    pub fn embed_mentions(&self, bags: Vec<Vec<u32>>) -> Tensor {
-        self.embed(bags, self.mention_side)
+    /// Encode mention bags to `[bags.len(), out_dim]` vectors
+    /// (inference): the tape-free forward over this model's own
+    /// parameters — no tape, no parameter copy — and bit-identical to
+    /// [`BiForward::mentions`] and to `freeze(QuantMode::Exact)`.
+    pub fn embed_mentions(&self, bags: &[Vec<u32>]) -> Tensor {
+        self.embed(self.ids.mention, bags)
     }
 
-    /// Encode entity bags to vectors (inference).
-    pub fn embed_entities(&self, bags: Vec<Vec<u32>>) -> Tensor {
-        self.embed(bags, self.entity_side)
+    /// Encode entity bags to vectors (inference); see
+    /// [`BiEncoder::embed_mentions`].
+    pub fn embed_entities(&self, bags: &[Vec<u32>]) -> Tensor {
+        self.embed(self.ids.entity, bags)
     }
 
-    /// Batched mention encoding — the serving entry point.
-    ///
-    /// One fused forward over the whole batch: the tape is built once
-    /// and the parameters (including the full token-embedding table)
-    /// are injected once, so the per-call overhead is amortised across
-    /// all `bags`. Row `i` of the result is bit-identical to
-    /// `embed_mentions(vec![bags[i].clone()]).row(0)` — every tensor op
-    /// in the encoder is row-independent.
-    pub fn embed_mentions_batch(&self, bags: &[Vec<u32>]) -> Tensor {
-        self.embed(bags.to_vec(), self.mention_side)
-    }
-
-    /// Batched entity encoding (see [`BiEncoder::embed_mentions_batch`]);
-    /// used to precompute a serving entity table.
-    pub fn embed_entities_batch(&self, bags: &[Vec<u32>]) -> Tensor {
-        self.embed(bags.to_vec(), self.entity_side)
-    }
-
-    /// [`BiEncoder::embed_mentions_batch`] with fixed-size chunks of
-    /// bags encoded on separate workers.
-    ///
-    /// Every op in the encoder (bag lookup, linear, tanh, row
-    /// normalisation) computes each output row from its input row
-    /// alone, so the chunked forward is bit-identical to the fused one
-    /// — and, because the chunk size is [`EMBED_CHUNK`] regardless of
-    /// the worker count, bit-identical at every [`Threads`] value.
-    pub fn embed_mentions_batch_with(&self, bags: &[Vec<u32>], threads: Threads) -> Tensor {
-        self.embed_chunked(bags, self.mention_side, threads)
-    }
-
-    /// [`BiEncoder::embed_entities_batch`] with fixed-size chunks of
-    /// bags encoded on separate workers (see
-    /// [`BiEncoder::embed_mentions_batch_with`]).
-    pub fn embed_entities_batch_with(&self, bags: &[Vec<u32>], threads: Threads) -> Tensor {
-        self.embed_chunked(bags, self.entity_side, threads)
-    }
-
-    fn embed_chunked(&self, bags: &[Vec<u32>], side: SideIds, threads: Threads) -> Tensor {
-        if threads.is_single() || bags.len() <= EMBED_CHUNK {
-            return self.embed(bags.to_vec(), side);
-        }
-        let chunks =
-            mb_par::par_chunks(threads, bags, EMBED_CHUNK, |_, c| self.embed(c.to_vec(), side));
-        let mut data = Vec::with_capacity(bags.len() * self.cfg.out_dim);
-        for chunk in &chunks {
-            data.extend_from_slice(chunk.data());
-        }
-        Tensor::from_vec(vec![bags.len(), self.cfg.out_dim], data)
-    }
-
-    fn embed(&self, bags: Vec<Vec<u32>>, side: SideIds) -> Tensor {
-        if bags.is_empty() {
-            return Tensor::zeros(vec![0, self.cfg.out_dim]);
-        }
-        let mut tape = Tape::new();
-        let vars = self.params.inject(&mut tape);
-        let enc = self.encode_side(&mut tape, &vars, side, bags);
-        tape.value(enc).clone()
+    fn embed(&self, side: SideIds, bags: &[Vec<u32>]) -> Tensor {
+        frozen::encode_side(|id| self.params.get(id), &EmbTable::Exact, self.ids.emb, side, bags)
     }
 
     /// Freeze the encoder for tape-free serving: snapshot the
     /// parameters once into an `Arc`-shared
     /// [`crate::frozen::FrozenBiEncoder`] (quantizing the embedding
-    /// table per `mode`). The frozen forward is bit-identical to this
-    /// model's embed path when `mode` is [`QuantMode::Exact`].
+    /// table per `mode`). Under [`QuantMode::Exact`] it runs the same
+    /// code as [`BiEncoder::embed_mentions`] over the snapshot.
     pub fn freeze(&self, mode: QuantMode) -> crate::frozen::FrozenBiEncoder {
-        crate::frozen::FrozenBiEncoder::new(
-            self.cfg,
-            &self.params,
-            self.emb,
-            self.mention_side,
-            self.entity_side,
-            self.vocab_len,
-            mode,
-        )
+        crate::frozen::FrozenBiEncoder::new(self.cfg, &self.params, self.ids, mode)
     }
 
     /// Vocabulary size this model was built for.
     pub fn vocab_len(&self) -> usize {
-        self.vocab_len
+        self.params.get(self.ids.emb).rows()
     }
 
     /// Index (in parameter order) of the token-embedding table —
     /// the sparse parameter the meta-reweighting excludes from its
     /// gradient dot products.
     pub fn embedding_param_index(&self) -> usize {
-        self.emb.index()
+        self.ids.emb.index()
     }
+}
+
+/// `*current = incoming` if both hold the same tensors — count, names
+/// and shapes, in order — which is what makes parameters read from
+/// disk safe to run a forward over.
+pub(crate) fn replace_params(
+    op: &'static str,
+    current: &mut Params,
+    incoming: Params,
+) -> Result<()> {
+    if incoming.len() != current.len() {
+        let (got, want) = (incoming.len(), current.len());
+        return Err(Error::Checkpoint(format!("{op}: {got} tensors, the model has {want}")));
+    }
+    for ((got_name, got), (name, want)) in incoming.iter().zip(current.iter()) {
+        if got_name != name || got.shape() != want.shape() {
+            let describe = |name: &str, t: &Tensor| format!("{name:?} of shape {:?}", t.shape());
+            return Err(Error::shape(op, describe(name, want), describe(got_name, got)));
+        }
+    }
+    *current = incoming;
+    Ok(())
 }
 
 /// Handles produced by [`BiEncoder::forward_losses`].
@@ -406,7 +370,8 @@ mod tests {
     fn encodings_are_unit_norm() {
         let (_, vocab, pairs) = setup();
         let model = BiEncoder::new(&vocab, tiny_cfg(), &mut Rng::seed_from_u64(3));
-        let vecs = model.embed_entities(pairs.iter().take(8).map(|p| p.entity.clone()).collect());
+        let bags: Vec<Vec<u32>> = pairs.iter().take(8).map(|p| p.entity.clone()).collect();
+        let vecs = model.embed_entities(&bags);
         for i in 0..vecs.rows() {
             let n: f64 = vecs.row(i).iter().map(|v| v * v).sum::<f64>().sqrt();
             assert!((n - 1.0).abs() < 1e-9, "row norm {n}");
@@ -417,7 +382,7 @@ mod tests {
     fn empty_embed_is_empty() {
         let (_, vocab, _) = setup();
         let model = BiEncoder::new(&vocab, tiny_cfg(), &mut Rng::seed_from_u64(3));
-        assert_eq!(model.embed_mentions(vec![]).rows(), 0);
+        assert_eq!(model.embed_mentions(&[]).rows(), 0);
     }
 
     #[test]
@@ -443,7 +408,7 @@ mod tests {
         let (_, analytic) = model.batch_grad(&batch);
         let mut f = |p: &mb_tensor::Params| {
             let mut m = model.clone();
-            m.set_params(p.clone());
+            m.set_params(p.clone()).expect("perturbed copy of the model's own params");
             m.batch_loss(&batch)
         };
         let numeric = mb_tensor::gradcheck::numeric_grad_params(&mut f, model.params(), 1e-5);
@@ -466,10 +431,30 @@ mod tests {
         let model = BiEncoder::new(&vocab, tiny_cfg(), &mut Rng::seed_from_u64(7));
         let saved = model.params().clone();
         let mut model2 = BiEncoder::new(&vocab, tiny_cfg(), &mut Rng::seed_from_u64(99));
-        model2.set_params(saved);
-        let a = model.embed_entities(vec![pairs[0].entity.clone()]);
-        let b = model2.embed_entities(vec![pairs[0].entity.clone()]);
-        assert_eq!(a, b);
+        model2.set_params(saved).expect("same vocabulary and config");
+        let bag = std::slice::from_ref(&pairs[0].entity);
+        assert_eq!(model.embed_entities(bag), model2.embed_entities(bag));
+    }
+
+    #[test]
+    fn set_params_rejects_another_models_layout_and_keeps_its_own() {
+        let (_, vocab, _) = setup();
+        let mut model = BiEncoder::new(&vocab, tiny_cfg(), &mut Rng::seed_from_u64(7));
+        let before = model.params().clone();
+        // Another hidden width: valid tensors, wrong shapes.
+        let wider = BiEncoderConfig { emb_dim: 8, hidden: 8, out_dim: 8, ..Default::default() };
+        let foreign = BiEncoder::new(&vocab, wider, &mut Rng::seed_from_u64(7)).params().clone();
+        let err = model.set_params(foreign).unwrap_err();
+        assert!(matches!(err, Error::ShapeMismatch { .. }), "got {err:?}");
+        assert!(err.to_string().contains("\"emb\""), "the error names the tensor: {err}");
+        // Another model family: wrong names, wrong count.
+        let mut renamed = Params::new();
+        for (name, t) in before.iter() {
+            renamed.add(format!("x.{name}"), t.clone());
+        }
+        assert!(matches!(model.set_params(renamed), Err(Error::ShapeMismatch { .. })));
+        assert!(matches!(model.set_params(Params::new()), Err(Error::Checkpoint(_))));
+        assert_eq!(model.params(), &before);
     }
 
     #[test]
@@ -477,12 +462,11 @@ mod tests {
         let (_, vocab, pairs) = setup();
         let model = BiEncoder::new(&vocab, tiny_cfg(), &mut Rng::seed_from_u64(11));
         let bags: Vec<Vec<u32>> = pairs.iter().take(9).map(|p| p.mention.clone()).collect();
-        let batched = model.embed_mentions_batch(&bags);
+        let batched = model.embed_mentions(&bags);
         for (i, bag) in bags.iter().enumerate() {
-            let single = model.embed_mentions(vec![bag.clone()]);
+            let single = model.embed_mentions(std::slice::from_ref(bag));
             assert_eq!(batched.row(i), single.row(0), "row {i} differs");
         }
-        assert_eq!(model.embed_mentions_batch(&[]).rows(), 0);
     }
 
     #[test]

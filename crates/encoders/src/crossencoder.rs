@@ -13,9 +13,10 @@
 //! surface shortcut the paper describes — and what the syn data then
 //! corrects (Table X).
 
+use crate::biencoder::replace_params;
+use crate::frozen::{self, EmbTable};
 use crate::input::TrainPair;
-use mb_common::Rng;
-use mb_par::Threads;
+use mb_common::{Result, Rng};
 use mb_tensor::optim::Optimizer;
 use mb_tensor::params::{GradVec, ParamId};
 use mb_tensor::{init, Params, QuantMode, Tape, Var};
@@ -91,35 +92,45 @@ impl CandidateSet {
     }
 }
 
+/// Parameter handles of the cross-encoder (shared with the frozen
+/// serving scorer, which resolves the same ids against a
+/// [`mb_tensor::FrozenParams`] snapshot).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CrossIds {
+    pub(crate) emb: ParamId,
+    pub(crate) w_sem: ParamId,
+    pub(crate) b_sem: ParamId,
+    pub(crate) w_surf: ParamId,
+    pub(crate) b_surf: ParamId,
+    pub(crate) w_out: ParamId,
+    pub(crate) b_out: ParamId,
+    pub(crate) gamma: ParamId,
+}
+
 /// The cross-encoder model.
 #[derive(Debug, Clone)]
 pub struct CrossEncoder {
     cfg: CrossEncoderConfig,
     params: Params,
-    emb: ParamId,
-    w_sem: ParamId,
-    b_sem: ParamId,
-    w_surf: ParamId,
-    b_surf: ParamId,
-    w_out: ParamId,
-    b_out: ParamId,
-    gamma: ParamId,
+    ids: CrossIds,
 }
 
 impl CrossEncoder {
     /// Initialise a cross-encoder for the given vocabulary.
     pub fn new(vocab: &Vocab, cfg: CrossEncoderConfig, rng: &mut Rng) -> Self {
         let mut params = Params::new();
-        let emb = params.add("emb", init::embedding(vocab.len(), cfg.emb_dim, rng));
-        let w_sem = params.add("sem.w", init::xavier_uniform(cfg.emb_dim, cfg.hidden, rng));
-        let b_sem = params.add("sem.b", init::zeros_bias(cfg.hidden));
-        let w_surf = params.add("surf.w", init::xavier_uniform(cfg.emb_dim, cfg.hidden, rng));
-        let b_surf = params.add("surf.b", init::zeros_bias(cfg.hidden));
-        let w_out = params.add("out.w", init::xavier_uniform(cfg.hidden, 1, rng));
-        let b_out = params.add("out.b", init::zeros_bias(1));
-        let gamma =
-            params.add("gamma", mb_tensor::Tensor::from_vec(vec![1, 1], vec![cfg.dot_gamma_init]));
-        CrossEncoder { cfg, params, emb, w_sem, b_sem, w_surf, b_surf, w_out, b_out, gamma }
+        let ids = CrossIds {
+            emb: params.add("emb", init::embedding(vocab.len(), cfg.emb_dim, rng)),
+            w_sem: params.add("sem.w", init::xavier_uniform(cfg.emb_dim, cfg.hidden, rng)),
+            b_sem: params.add("sem.b", init::zeros_bias(cfg.hidden)),
+            w_surf: params.add("surf.w", init::xavier_uniform(cfg.emb_dim, cfg.hidden, rng)),
+            b_surf: params.add("surf.b", init::zeros_bias(cfg.hidden)),
+            w_out: params.add("out.w", init::xavier_uniform(cfg.hidden, 1, rng)),
+            b_out: params.add("out.b", init::zeros_bias(1)),
+            gamma: params
+                .add("gamma", mb_tensor::Tensor::from_vec(vec![1, 1], vec![cfg.dot_gamma_init])),
+        };
+        CrossEncoder { cfg, params, ids }
     }
 
     /// The model's configuration.
@@ -139,47 +150,17 @@ impl CrossEncoder {
 
     /// Replace the parameters.
     ///
-    /// # Panics
-    /// Panics on layout mismatch.
-    pub fn set_params(&mut self, params: Params) {
-        assert_eq!(params.len(), self.params.len(), "set_params: layout mismatch");
-        self.params = params;
+    /// # Errors
+    /// [`mb_common::Error::Checkpoint`] / [`mb_common::Error::ShapeMismatch`]
+    /// (naming the tensor) when `params` was not produced by a model of
+    /// this vocabulary and configuration; the model is left unchanged.
+    pub fn set_params(&mut self, params: Params) -> Result<()> {
+        replace_params("CrossEncoder::set_params", &mut self.params, params)
     }
 
-    /// Core forward: score `n` (mention, candidate) rows, given the
-    /// four bag columns row-aligned with each other. Returns the
-    /// `[n, 1]` score node. Every op is row-independent, so scores are
-    /// bit-identical however rows are grouped into tapes.
-    fn score_rows(
-        &self,
-        tape: &mut Tape,
-        vars: &[Var],
-        m_bags: Vec<Vec<u32>>,
-        s_bags: Vec<Vec<u32>>,
-        e_bags: Vec<Vec<u32>>,
-        t_bags: Vec<Vec<u32>>,
-    ) -> Var {
-        let n = m_bags.len();
-        let emb = vars[self.emb.index()];
-        let m_pool = tape.bag_embed(emb, m_bags);
-        let s_pool = tape.bag_embed(emb, s_bags);
-        let e_pool = tape.bag_embed(emb, e_bags);
-        let t_pool = tape.bag_embed(emb, t_bags);
-        let sem = tape.mul_elem(m_pool, e_pool);
-        let surf = tape.mul_elem(s_pool, t_pool);
-        let h_sem = tape.linear(sem, vars[self.w_sem.index()], vars[self.b_sem.index()]);
-        let h_surf = tape.linear(surf, vars[self.w_surf.index()], vars[self.b_surf.index()]);
-        let h = tape.add(h_sem, h_surf);
-        let h = tape.tanh(h);
-        let mlp_scores = tape.linear(h, vars[self.w_out.index()], vars[self.b_out.index()]);
-        // Dot-product channel: γ · (m̄ · ē) per candidate.
-        let dots = tape.rows_dot(m_pool, e_pool);
-        let dots_col = tape.reshape(dots, vec![n, 1]);
-        let dot_scores = tape.matmul(dots_col, vars[self.gamma.index()]);
-        tape.add(mlp_scores, dot_scores)
-    }
-
-    /// Build the forward graph scoring every candidate of `set`.
+    /// Build the forward graph scoring every candidate of `set`: the
+    /// mention and surface bags against each candidate's entity and
+    /// title bags, one row per candidate.
     ///
     /// Returns the parameter vars and a `[1, k]` logits node.
     ///
@@ -188,81 +169,37 @@ impl CrossEncoder {
     pub fn forward_logits(&self, tape: &mut Tape, set: &CandidateSet) -> (Vec<Var>, Var) {
         assert!(!set.is_empty(), "forward_logits: empty candidate set");
         let k = set.len();
-        let vars = self.params.inject(tape);
-        let m_bags: Vec<Vec<u32>> =
-            std::iter::repeat_with(|| set.mention.clone()).take(k).collect();
-        let s_bags: Vec<Vec<u32>> =
-            std::iter::repeat_with(|| set.surface.clone()).take(k).collect();
-        let scores =
-            self.score_rows(tape, &vars, m_bags, s_bags, set.entities.clone(), set.titles.clone());
+        let (vars, ids) = (self.params.inject(tape), self.ids);
+        let var = |id: ParamId| vars[id.index()];
+        let m_pool = tape.bag_embed(var(ids.emb), vec![set.mention.clone(); k]);
+        let s_pool = tape.bag_embed(var(ids.emb), vec![set.surface.clone(); k]);
+        let e_pool = tape.bag_embed(var(ids.emb), set.entities.clone());
+        let t_pool = tape.bag_embed(var(ids.emb), set.titles.clone());
+        let sem = tape.mul_elem(m_pool, e_pool);
+        let surf = tape.mul_elem(s_pool, t_pool);
+        let h_sem = tape.linear(sem, var(ids.w_sem), var(ids.b_sem));
+        let h_surf = tape.linear(surf, var(ids.w_surf), var(ids.b_surf));
+        let h = tape.add(h_sem, h_surf);
+        let h = tape.tanh(h);
+        let mlp_scores = tape.linear(h, var(ids.w_out), var(ids.b_out));
+        // Dot-product channel: γ · (m̄ · ē) per candidate.
+        let dots = tape.rows_dot(m_pool, e_pool);
+        let dots_col = tape.reshape(dots, vec![k, 1]);
+        let dot_scores = tape.matmul(dots_col, var(ids.gamma));
+        let scores = tape.add(mlp_scores, dot_scores);
         let logits = tape.reshape(scores, vec![1, k]);
         (vars, logits)
     }
 
-    /// Score all candidates (inference); higher is better.
+    /// Score every candidate of every set (inference); higher is
+    /// better. The tape-free forward over this model's own parameters
+    /// — no tape, no parameter copy — and bit-identical to
+    /// [`CrossEncoder::forward_logits`] per set and to
+    /// `freeze(QuantMode::Exact)`.
     ///
-    /// # Panics
-    /// Panics on an empty candidate set.
-    pub fn score(&self, set: &CandidateSet) -> Vec<f64> {
-        assert!(!set.is_empty(), "score: empty candidate set");
-        self.score_batch(std::slice::from_ref(set)).pop().expect("one set in, one out")
-    }
-
-    /// Batched scoring — the serving entry point.
-    ///
-    /// Scores every candidate of every set in **one fused forward**:
-    /// one tape, one parameter injection (including the full token-
-    /// embedding table), one pass through each tensor op over all
-    /// `Σ len(setᵢ)` rows. Per-set results are bit-identical to
-    /// [`CrossEncoder::score`] on that set alone, because every op in
-    /// the scorer is row-independent.
-    ///
-    /// Empty sets are allowed and yield empty score vectors (a serving
-    /// process must not panic on a mention with no retrieved
-    /// candidates).
+    /// Empty sets are allowed and yield empty score vectors.
     pub fn score_batch(&self, sets: &[CandidateSet]) -> Vec<Vec<f64>> {
-        let total: usize = sets.iter().map(|s| s.len()).sum();
-        if total == 0 {
-            return sets.iter().map(|_| Vec::new()).collect();
-        }
-        let mut m_bags = Vec::with_capacity(total);
-        let mut s_bags = Vec::with_capacity(total);
-        let mut e_bags = Vec::with_capacity(total);
-        let mut t_bags = Vec::with_capacity(total);
-        for set in sets {
-            for (e, t) in set.entities.iter().zip(&set.titles) {
-                m_bags.push(set.mention.clone());
-                s_bags.push(set.surface.clone());
-                e_bags.push(e.clone());
-                t_bags.push(t.clone());
-            }
-        }
-        let mut tape = Tape::new();
-        let vars = self.params.inject(&mut tape);
-        let scores = self.score_rows(&mut tape, &vars, m_bags, s_bags, e_bags, t_bags);
-        let flat = tape.value(scores).data().to_vec();
-        let mut out = Vec::with_capacity(sets.len());
-        let mut offset = 0;
-        for set in sets {
-            out.push(flat[offset..offset + set.len()].to_vec());
-            offset += set.len();
-        }
-        out
-    }
-
-    /// [`CrossEncoder::score_batch`] with fixed-size chunks of sets
-    /// scored on separate workers.
-    ///
-    /// Because the scorer is row-independent, the chunked forward is
-    /// bit-identical to the fused one, and the [`SCORE_CHUNK`]
-    /// granularity depends only on the data — so results are
-    /// bit-identical at every [`Threads`] value.
-    pub fn score_batch_with(&self, sets: &[CandidateSet], threads: Threads) -> Vec<Vec<f64>> {
-        if threads.is_single() || sets.len() <= SCORE_CHUNK {
-            return self.score_batch(sets);
-        }
-        let chunks = mb_par::par_chunks(threads, sets, SCORE_CHUNK, |_, c| self.score_batch(c));
-        chunks.into_iter().flatten().collect()
+        frozen::score_sets(|id| self.params.get(id), &EmbTable::Exact, self.ids, sets)
     }
 
     /// Ranking loss of one candidate set (softmax cross-entropy against
@@ -300,31 +237,16 @@ impl CrossEncoder {
     /// Freeze the scorer for tape-free serving: snapshot the
     /// parameters once into an `Arc`-shared
     /// [`crate::frozen::FrozenCrossEncoder`] (quantizing the embedding
-    /// table per `mode`). The frozen forward is bit-identical to
-    /// [`CrossEncoder::score_batch`] when `mode` is
-    /// [`QuantMode::Exact`].
+    /// table per `mode`). Under [`QuantMode::Exact`] it runs the same
+    /// code as [`CrossEncoder::score_batch`] over the snapshot.
     pub fn freeze(&self, mode: QuantMode) -> crate::frozen::FrozenCrossEncoder {
-        crate::frozen::FrozenCrossEncoder::new(
-            self.cfg,
-            &self.params,
-            crate::frozen::CrossIds {
-                emb: self.emb,
-                w_sem: self.w_sem,
-                b_sem: self.b_sem,
-                w_surf: self.w_surf,
-                b_surf: self.b_surf,
-                w_out: self.w_out,
-                b_out: self.b_out,
-                gamma: self.gamma,
-            },
-            mode,
-        )
+        crate::frozen::FrozenCrossEncoder::new(self.cfg, &self.params, self.ids, mode)
     }
 
     /// Index (in parameter order) of the token-embedding table (see
     /// `BiEncoder::embedding_param_index`).
     pub fn embedding_param_index(&self) -> usize {
-        self.emb.index()
+        self.ids.emb.index()
     }
 
     /// One optimizer step on a single example (the paper trains the
@@ -386,7 +308,7 @@ mod tests {
     fn scores_one_per_candidate() {
         let (_, vocab, sets) = setup();
         let model = CrossEncoder::new(&vocab, tiny_cfg(), &mut Rng::seed_from_u64(1));
-        let s = model.score(&sets[0]);
+        let s = &model.score_batch(&sets[..1])[0];
         assert_eq!(s.len(), sets[0].len());
         assert!(s.iter().all(|x| x.is_finite()));
     }
@@ -401,13 +323,8 @@ mod tests {
                 model.train_step(s, &mut opt);
             }
         }
-        let mut correct = 0;
-        for s in &sets {
-            let scores = model.score(s);
-            if mb_common::util::argmax(&scores) == Some(0) {
-                correct += 1;
-            }
-        }
+        let scores = model.score_batch(&sets);
+        let correct = scores.iter().filter(|s| mb_common::util::argmax(s) == Some(0)).count();
         assert!(correct >= sets.len() * 3 / 4, "only {correct}/{} ranked gold first", sets.len());
     }
 
@@ -420,27 +337,12 @@ mod tests {
         let (_, analytic) = model.example_grad(set);
         let mut f = |p: &mb_tensor::Params| {
             let mut m = model.clone();
-            m.set_params(p.clone());
+            m.set_params(p.clone()).expect("perturbed copy of the model's own params");
             m.example_loss(set)
         };
         let numeric = mb_tensor::gradcheck::numeric_grad_params(&mut f, model.params(), 1e-5);
         let err = mb_tensor::gradcheck::max_rel_error(&analytic, &numeric);
         assert!(err < 1e-5, "gradcheck failed: {err}");
-    }
-
-    #[test]
-    fn score_batch_matches_per_set_forward() {
-        let (_, vocab, sets) = setup();
-        let model = CrossEncoder::new(&vocab, tiny_cfg(), &mut Rng::seed_from_u64(9));
-        let batched = model.score_batch(&sets[..6]);
-        assert_eq!(batched.len(), 6);
-        for (set, got) in sets[..6].iter().zip(&batched) {
-            // Independent single-set tape through forward_logits.
-            let mut tape = Tape::new();
-            let (_, logits) = model.forward_logits(&mut tape, set);
-            let single = tape.value(logits).data().to_vec();
-            assert_eq!(got, &single, "batched scores differ from single-set forward");
-        }
     }
 
     #[test]
@@ -477,6 +379,6 @@ mod tests {
         let mut s = sets[0].clone();
         s.entities.clear();
         s.titles.clear();
-        model.score(&s);
+        model.example_loss(&s);
     }
 }

@@ -1,23 +1,27 @@
-//! Tape-free frozen encoders — the serving-side forward path.
+//! The tape-free forward of both encoders, and their frozen handles.
 //!
-//! [`FrozenBiEncoder`] and [`FrozenCrossEncoder`] replay exactly the
-//! tensor ops of the tape forwards in [`crate::biencoder`] /
-//! [`crate::crossencoder`] against an `Arc`-shared
-//! [`mb_tensor::FrozenParams`] snapshot: no tape is allocated and no
-//! parameter tensor is ever cloned per forward (`Params::inject`
-//! clones *every* parameter — embedding table included — per batch).
-//! Cloning a frozen encoder is an `Arc` bump, so every serving worker
-//! shares one model.
+//! Each encoder's inference op sequence is written once here, over
+//! *borrowed* tensors: `encode_side` (bag-embed → linear → tanh →
+//! linear → row-normalise) and `score_sets` (four pooled bags → two
+//! linears → tanh → linear + γ·dot). The trainable models run them over
+//! their own `Params` (`BiEncoder::embed_*`,
+//! `CrossEncoder::score_batch`); [`FrozenBiEncoder`] and
+//! [`FrozenCrossEncoder`] run them over an `Arc`-shared
+//! [`mb_tensor::FrozenParams`] snapshot, so cloning a handle is an
+//! `Arc` bump and every serving worker shares one model. Neither
+//! allocates a tape or copies a parameter tensor.
 //!
-//! With [`QuantMode::Exact`] the frozen forward is **bit-identical**
-//! to the tape forward at any thread count (pinned by the tests below
-//! and `tests/proptest_frozen.rs`). With [`QuantMode::F16`] /
+//! The *training* graphs (`forward_losses*`, `forward_logits`) stay a
+//! second statement of the same chains, because they need `Var`s. Both
+//! are built from the `mb_tensor::frozen` kernels, and one test per
+//! encoder below pins graph value ≡ this forward ≡ the frozen handle,
+//! bit for bit, at any thread count. With [`QuantMode::F16`] /
 //! [`QuantMode::Int8`] the embedding table is quantized once at freeze
 //! time and carries the bounded-error contract of
-//! [`mb_tensor::quant`] instead of bit equality.
+//! [`mb_tensor::quant`] instead.
 
-use crate::biencoder::{BiEncoderConfig, SideIds, EMBED_CHUNK};
-use crate::crossencoder::{CandidateSet, CrossEncoderConfig, SCORE_CHUNK};
+use crate::biencoder::{BiEncoderConfig, BiIds, SideIds, EMBED_CHUNK, NORM_EPS};
+use crate::crossencoder::{CandidateSet, CrossEncoderConfig, CrossIds, SCORE_CHUNK};
 use crate::input::EntityFeatures;
 use mb_par::Threads;
 use mb_tensor::frozen::{self, FrozenParams};
@@ -26,10 +30,10 @@ use mb_tensor::quant::{QuantF16, QuantI8};
 use mb_tensor::{Params, QuantMode, Tensor};
 use std::sync::Arc;
 
-/// Embedding-table storage of a frozen encoder.
+/// How a forward reads the token-embedding table.
 #[derive(Debug)]
-enum EmbTable {
-    /// Use the `f64` master copy inside the frozen params (bit-exact).
+pub(crate) enum EmbTable {
+    /// The `f64` parameter tensor itself (bit-exact).
     Exact,
     /// IEEE-754 binary16 copy, 4× smaller.
     F16(QuantF16),
@@ -63,50 +67,112 @@ impl EmbTable {
     }
 }
 
+/// One side of the bi-encoder over `bags` → `[bags.len(), out_dim]`.
+/// `p` resolves a parameter id (`Params::get` or `FrozenParams::get`).
+/// Every op computes each output row from its input row alone, so the
+/// result is bit-identical however rows are grouped into calls.
+pub(crate) fn encode_side<'a>(
+    p: impl Fn(ParamId) -> &'a Tensor,
+    table: &EmbTable,
+    emb: ParamId,
+    side: SideIds,
+    bags: &[Vec<u32>],
+) -> Tensor {
+    let pooled = table.bag_embed(p(emb), bags);
+    let h = frozen::linear(&pooled, p(side.w1), p(side.b1), Threads::single());
+    let h = frozen::tanh(&h);
+    let out = frozen::linear(&h, p(side.w2), p(side.b2), Threads::single());
+    frozen::row_l2_normalize(&out, NORM_EPS)
+}
+
+/// Pooled embeddings of one bag per set, row `i` repeated
+/// `sets[i].len()` times: the mention and surface bags are shared by
+/// every candidate row of their set, and each row of `bag_embed`
+/// depends only on its own bag, so pooling once and broadcasting is
+/// bit-identical to pooling per row.
+fn pooled_per_set(
+    table: &EmbTable,
+    exact: &Tensor,
+    sets: &[CandidateSet],
+    total: usize,
+    bag: impl Fn(&CandidateSet) -> &[u32],
+) -> Tensor {
+    let bags: Vec<&[u32]> = sets.iter().map(bag).collect();
+    let small = table.bag_embed(exact, &bags);
+    let mut data = Vec::with_capacity(total * small.cols());
+    for (i, set) in sets.iter().enumerate() {
+        for _ in 0..set.len() {
+            data.extend_from_slice(small.row(i));
+        }
+    }
+    Tensor::from_vec(vec![total, small.cols()], data)
+}
+
+/// Cross-encoder scores of every candidate of every set, in one fused
+/// forward over all `Σ len(setᵢ)` rows (`p` as in [`encode_side`]).
+/// Every op is row-independent, so per-set scores are bit-identical
+/// however sets are grouped into calls. Empty sets yield empty score
+/// vectors: a serving process must not panic on a mention with no
+/// retrieved candidates.
+pub(crate) fn score_sets<'a>(
+    p: impl Fn(ParamId) -> &'a Tensor,
+    table: &EmbTable,
+    ids: CrossIds,
+    sets: &[CandidateSet],
+) -> Vec<Vec<f64>> {
+    let n: usize = sets.iter().map(|s| s.len()).sum();
+    let exact = p(ids.emb);
+    let m_pool = pooled_per_set(table, exact, sets, n, |s| &s.mention);
+    let s_pool = pooled_per_set(table, exact, sets, n, |s| &s.surface);
+    let e_bags: Vec<&[u32]> =
+        sets.iter().flat_map(|s| s.entities.iter().map(Vec::as_slice)).collect();
+    let t_bags: Vec<&[u32]> =
+        sets.iter().flat_map(|s| s.titles.iter().map(Vec::as_slice)).collect();
+    let e_pool = table.bag_embed(exact, &e_bags);
+    let t_pool = table.bag_embed(exact, &t_bags);
+    let sem = m_pool.mul(&e_pool);
+    let surf = s_pool.mul(&t_pool);
+    let h_sem = frozen::linear(&sem, p(ids.w_sem), p(ids.b_sem), Threads::single());
+    let h_surf = frozen::linear(&surf, p(ids.w_surf), p(ids.b_surf), Threads::single());
+    let h = frozen::tanh(&h_sem.add(&h_surf));
+    let mlp_scores = frozen::linear(&h, p(ids.w_out), p(ids.b_out), Threads::single());
+    // Dot-product channel: γ · (m̄ · ē) per candidate.
+    let dots = frozen::rows_dot(&m_pool, &e_pool);
+    let dots_col = dots.reshape(vec![n, 1]);
+    let dot_scores = dots_col.matmul(p(ids.gamma));
+    let scores = mlp_scores.add(&dot_scores);
+    let flat = scores.data();
+    let mut out = Vec::with_capacity(sets.len());
+    let mut offset = 0;
+    for set in sets {
+        // mb-lint: allow(alloc-in-hot-loop) -- the per-set Vec is the return value, not scratch
+        out.push(flat[offset..offset + set.len()].to_vec());
+        offset += set.len();
+    }
+    out
+}
+
 #[derive(Debug)]
 struct BiInner {
     cfg: BiEncoderConfig,
     params: FrozenParams,
-    emb: ParamId,
+    ids: BiIds,
     table: EmbTable,
-    mention_side: SideIds,
-    entity_side: SideIds,
-    vocab_len: usize,
     mode: QuantMode,
 }
 
-/// The frozen bi-encoder: the tape-free counterpart of
-/// [`crate::biencoder::BiEncoder`]'s embed path. Clone is an `Arc`
-/// bump.
+/// The frozen bi-encoder: [`crate::biencoder::BiEncoder`]'s inference
+/// forward over an immutable snapshot. Clone is an `Arc` bump.
 #[derive(Debug, Clone)]
 pub struct FrozenBiEncoder {
     inner: Arc<BiInner>,
 }
 
 impl FrozenBiEncoder {
-    pub(crate) fn new(
-        cfg: BiEncoderConfig,
-        params: &Params,
-        emb: ParamId,
-        mention_side: SideIds,
-        entity_side: SideIds,
-        vocab_len: usize,
-        mode: QuantMode,
-    ) -> Self {
+    pub(crate) fn new(cfg: BiEncoderConfig, params: &Params, ids: BiIds, mode: QuantMode) -> Self {
         let params = FrozenParams::freeze(params);
-        let table = EmbTable::build(mode, params.get(emb));
-        FrozenBiEncoder {
-            inner: Arc::new(BiInner {
-                cfg,
-                params,
-                emb,
-                table,
-                mention_side,
-                entity_side,
-                vocab_len,
-                mode,
-            }),
-        }
+        let table = EmbTable::build(mode, params.get(ids.emb));
+        FrozenBiEncoder { inner: Arc::new(BiInner { cfg, params, ids, table, mode }) }
     }
 
     /// The model's configuration.
@@ -121,14 +187,14 @@ impl FrozenBiEncoder {
 
     /// Vocabulary size the source model was built for.
     pub fn vocab_len(&self) -> usize {
-        self.inner.vocab_len
+        self.inner.params.get(self.inner.ids.emb).rows()
     }
 
     /// Resident bytes of the embedding table as served (quantized
     /// modes shrink this; the `f64` master copy inside the snapshot is
     /// shared by every handle either way).
     pub fn table_bytes(&self) -> usize {
-        self.inner.table.bytes(self.inner.params.get(self.inner.emb))
+        self.inner.table.bytes(self.inner.params.get(self.inner.ids.emb))
     }
 
     /// True when both handles share one underlying model (no copy).
@@ -136,73 +202,46 @@ impl FrozenBiEncoder {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// One side of the encoder, exactly the op sequence of the tape
-    /// forward: bag-embed → linear → tanh → linear → row-normalize.
-    fn encode_side(&self, side: SideIds, bags: &[Vec<u32>]) -> Tensor {
-        let p = &self.inner.params;
-        let pooled = self.inner.table.bag_embed(p.get(self.inner.emb), bags);
-        let h = frozen::linear(&pooled, p.get(side.w1), p.get(side.b1), Threads::single());
-        let h = frozen::tanh(&h);
-        let out = frozen::linear(&h, p.get(side.w2), p.get(side.b2), Threads::single());
-        frozen::row_l2_normalize(&out, 1e-9)
-    }
-
-    fn embed(&self, bags: &[Vec<u32>], side: SideIds) -> Tensor {
-        if bags.is_empty() {
-            return Tensor::zeros(vec![0, self.inner.cfg.out_dim]);
-        }
-        self.encode_side(side, bags)
-    }
-
-    fn embed_chunked(&self, bags: &[Vec<u32>], side: SideIds, threads: Threads) -> Tensor {
+    /// [`encode_side`] over the snapshot, in fixed [`EMBED_CHUNK`]-sized
+    /// chunks on separate workers when `threads` allows.
+    fn embed(&self, side: SideIds, bags: &[Vec<u32>], threads: Threads) -> Tensor {
+        let m = &*self.inner;
+        let encode =
+            |bags: &[Vec<u32>]| encode_side(|id| m.params.get(id), &m.table, m.ids.emb, side, bags);
         if threads.is_single() || bags.len() <= EMBED_CHUNK {
-            return self.embed(bags, side);
+            return encode(bags);
         }
-        let chunks = mb_par::par_chunks(threads, bags, EMBED_CHUNK, |_, c| self.embed(c, side));
-        let mut data = Vec::with_capacity(bags.len() * self.inner.cfg.out_dim);
+        let chunks = mb_par::par_chunks(threads, bags, EMBED_CHUNK, |_, c| encode(c));
+        let mut data = Vec::with_capacity(bags.len() * m.cfg.out_dim);
         for chunk in &chunks {
             data.extend_from_slice(chunk.data());
         }
-        Tensor::from_vec(vec![bags.len(), self.inner.cfg.out_dim], data)
+        Tensor::from_vec(vec![bags.len(), m.cfg.out_dim], data)
     }
 
-    /// Tape-free batched mention encoding (see
-    /// [`crate::biencoder::BiEncoder::embed_mentions_batch`]).
+    /// Batched mention encoding → `[bags.len(), out_dim]`.
     pub fn embed_mentions_batch(&self, bags: &[Vec<u32>]) -> Tensor {
-        self.embed(bags, self.inner.mention_side)
+        self.embed(self.inner.ids.mention, bags, Threads::single())
     }
 
-    /// Tape-free batched entity encoding.
+    /// Batched entity encoding → `[bags.len(), out_dim]`.
     pub fn embed_entities_batch(&self, bags: &[Vec<u32>]) -> Tensor {
-        self.embed(bags, self.inner.entity_side)
+        self.embed(self.inner.ids.entity, bags, Threads::single())
     }
 
     /// [`FrozenBiEncoder::embed_mentions_batch`] with fixed
-    /// [`EMBED_CHUNK`]-sized chunks on separate workers — bit-identical
-    /// at every [`Threads`] value, like the tape path.
+    /// [`EMBED_CHUNK`]-sized chunks on separate workers. The chunk size
+    /// depends only on the data, so the result is bit-identical at
+    /// every [`Threads`] value.
     pub fn embed_mentions_batch_with(&self, bags: &[Vec<u32>], threads: Threads) -> Tensor {
-        self.embed_chunked(bags, self.inner.mention_side, threads)
+        self.embed(self.inner.ids.mention, bags, threads)
     }
 
     /// [`FrozenBiEncoder::embed_entities_batch`] with fixed-size chunks
     /// on separate workers.
     pub fn embed_entities_batch_with(&self, bags: &[Vec<u32>], threads: Threads) -> Tensor {
-        self.embed_chunked(bags, self.inner.entity_side, threads)
+        self.embed(self.inner.ids.entity, bags, threads)
     }
-}
-
-/// Parameter handles of the cross-encoder, passed by
-/// `CrossEncoder::freeze`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CrossIds {
-    pub(crate) emb: ParamId,
-    pub(crate) w_sem: ParamId,
-    pub(crate) b_sem: ParamId,
-    pub(crate) w_surf: ParamId,
-    pub(crate) b_surf: ParamId,
-    pub(crate) w_out: ParamId,
-    pub(crate) b_out: ParamId,
-    pub(crate) gamma: ParamId,
 }
 
 #[derive(Debug)]
@@ -214,9 +253,9 @@ struct CrossInner {
     mode: QuantMode,
 }
 
-/// The frozen cross-encoder: the tape-free counterpart of
-/// [`crate::crossencoder::CrossEncoder::score_batch`]. Clone is an
-/// `Arc` bump.
+/// The frozen cross-encoder:
+/// [`crate::crossencoder::CrossEncoder::score_batch`] over an immutable
+/// snapshot. Clone is an `Arc` bump.
 ///
 /// The handle also carries the [`EntityFeatures`] table of the
 /// dictionary it re-ranks (empty until one is attached): the
@@ -276,74 +315,17 @@ impl FrozenCrossEncoder {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Pooled embeddings of one bag per set, row `i` repeated
-    /// `sets[i].len()` times: the mention and surface bags are shared
-    /// by every candidate row of their set, and each row of `bag_embed`
-    /// depends only on its own bag, so pooling once and broadcasting is
-    /// bit-identical to pooling per row.
-    fn pooled_per_set(
-        &self,
-        exact: &Tensor,
-        sets: &[CandidateSet],
-        total: usize,
-        bag: impl Fn(&CandidateSet) -> &[u32],
-    ) -> Tensor {
-        let bags: Vec<&[u32]> = sets.iter().map(bag).collect();
-        let small = self.inner.table.bag_embed(exact, &bags);
-        let mut data = Vec::with_capacity(total * small.cols());
-        for (i, set) in sets.iter().enumerate() {
-            for _ in 0..set.len() {
-                data.extend_from_slice(small.row(i));
-            }
-        }
-        Tensor::from_vec(vec![total, small.cols()], data)
-    }
-
-    /// Tape-free batched scoring (see
-    /// [`crate::crossencoder::CrossEncoder::score_batch`]): one fused
-    /// forward over all `Σ len(setᵢ)` rows — exactly the op sequence of
-    /// the tape's `score_rows`, with the bags pooled in place from the
-    /// sets. Empty sets yield empty score vectors.
+    /// Batched scoring: one fused forward over every candidate of
+    /// every set. Empty sets yield empty score vectors.
     pub fn score_batch(&self, sets: &[CandidateSet]) -> Vec<Vec<f64>> {
-        let n: usize = sets.iter().map(|s| s.len()).sum();
-        if n == 0 {
-            return sets.iter().map(|_| Vec::new()).collect();
-        }
-        let p = &self.inner.params;
-        let ids = self.inner.ids;
-        let exact = p.get(ids.emb);
-        let m_pool = self.pooled_per_set(exact, sets, n, |s| &s.mention);
-        let s_pool = self.pooled_per_set(exact, sets, n, |s| &s.surface);
-        let e_bags: Vec<&[u32]> =
-            sets.iter().flat_map(|s| s.entities.iter().map(Vec::as_slice)).collect();
-        let t_bags: Vec<&[u32]> =
-            sets.iter().flat_map(|s| s.titles.iter().map(Vec::as_slice)).collect();
-        let e_pool = self.inner.table.bag_embed(exact, &e_bags);
-        let t_pool = self.inner.table.bag_embed(exact, &t_bags);
-        let sem = m_pool.mul(&e_pool);
-        let surf = s_pool.mul(&t_pool);
-        let h_sem = frozen::linear(&sem, p.get(ids.w_sem), p.get(ids.b_sem), Threads::single());
-        let h_surf = frozen::linear(&surf, p.get(ids.w_surf), p.get(ids.b_surf), Threads::single());
-        let h = frozen::tanh(&h_sem.add(&h_surf));
-        let mlp_scores = frozen::linear(&h, p.get(ids.w_out), p.get(ids.b_out), Threads::single());
-        let dots = frozen::rows_dot(&m_pool, &e_pool);
-        let dots_col = dots.reshape(vec![n, 1]);
-        let dot_scores = dots_col.matmul(p.get(ids.gamma));
-        let scores = mlp_scores.add(&dot_scores);
-        let flat = scores.data();
-        let mut out = Vec::with_capacity(sets.len());
-        let mut offset = 0;
-        for set in sets {
-            // mb-lint: allow(alloc-in-hot-loop) -- the per-set Vec is the return value, not scratch
-            out.push(flat[offset..offset + set.len()].to_vec());
-            offset += set.len();
-        }
-        out
+        let m = &*self.inner;
+        score_sets(|id| m.params.get(id), &m.table, m.ids, sets)
     }
 
     /// [`FrozenCrossEncoder::score_batch`] with fixed
-    /// [`SCORE_CHUNK`]-sized chunks of sets scored on separate workers
-    /// — bit-identical at every [`Threads`] value, like the tape path.
+    /// [`SCORE_CHUNK`]-sized chunks of sets scored on separate workers.
+    /// The chunk size depends only on the data, so the result is
+    /// bit-identical at every [`Threads`] value.
     pub fn score_batch_with(&self, sets: &[CandidateSet], threads: Threads) -> Vec<Vec<f64>> {
         if threads.is_single() || sets.len() <= SCORE_CHUNK {
             return self.score_batch(sets);
@@ -361,6 +343,7 @@ mod tests {
     use crate::input::{build_vocab, entity_bag, title_bag, InputConfig, TrainPair};
     use mb_common::Rng;
     use mb_datagen::{World, WorldConfig};
+    use mb_tensor::Tape;
 
     fn setup() -> (World, mb_text::Vocab, Vec<TrainPair>) {
         let world = World::generate(WorldConfig::tiny(31));
@@ -384,25 +367,36 @@ mod tests {
         }
     }
 
+    /// The bi-encoder chain is stated twice — as a training graph and
+    /// as the tape-free `encode_side` — and this pins the two, and both
+    /// of `encode_side`'s callers, to one value.
     #[test]
-    fn frozen_bi_is_bit_identical_to_tape_at_any_thread_count() {
-        let (_, vocab, pairs) = setup();
+    fn bi_training_graph_model_and_frozen_forwards_are_bit_identical() {
+        let (_, vocab, mut pairs) = setup();
+        // 70 rows crosses the EMBED_CHUNK=32 chunked-dispatch threshold.
+        pairs.truncate(70);
+        pairs[3].mention.clear();
+        pairs[40].entity.clear();
         let cfg = BiEncoderConfig { emb_dim: 16, hidden: 16, out_dim: 16, ..Default::default() };
         let model = BiEncoder::new(&vocab, cfg, &mut Rng::seed_from_u64(5));
         let frozen = model.freeze(QuantMode::Exact);
-        // 70 bags crosses the EMBED_CHUNK=32 chunked-dispatch threshold.
-        let m_bags: Vec<Vec<u32>> = pairs.iter().take(70).map(|p| p.mention.clone()).collect();
-        let e_bags: Vec<Vec<u32>> = pairs.iter().take(70).map(|p| p.entity.clone()).collect();
-        let want_m = model.embed_mentions_batch(&m_bags);
-        let want_e = model.embed_entities_batch(&e_bags);
+        let m_bags: Vec<Vec<u32>> = pairs.iter().map(|p| p.mention.clone()).collect();
+        let e_bags: Vec<Vec<u32>> = pairs.iter().map(|p| p.entity.clone()).collect();
+        let want_m = model.embed_mentions(&m_bags);
+        let want_e = model.embed_entities(&e_bags);
         assert_bits_eq(&frozen.embed_mentions_batch(&m_bags), &want_m);
         assert_bits_eq(&frozen.embed_entities_batch(&e_bags), &want_e);
         for t in [1usize, 2, 3, 4] {
             let threads = Threads::new(t);
+            let mut tape = Tape::with_threads(threads);
+            let fwd = model.forward_losses(&mut tape, &pairs);
+            assert_bits_eq(tape.value(fwd.mentions), &want_m);
+            assert_bits_eq(tape.value(fwd.entities), &want_e);
             assert_bits_eq(&frozen.embed_mentions_batch_with(&m_bags, threads), &want_m);
             assert_bits_eq(&frozen.embed_entities_batch_with(&e_bags, threads), &want_e);
         }
-        assert_eq!(frozen.embed_mentions_batch(&[]).rows(), 0);
+        assert_eq!(model.embed_mentions(&[]).shape(), &[0, 16]);
+        assert_eq!(frozen.embed_mentions_batch(&[]).shape(), &[0, 16]);
         assert_eq!(frozen.vocab_len(), model.vocab_len());
     }
 
@@ -447,29 +441,34 @@ mod tests {
             .collect()
     }
 
+    /// The cross-encoder twin: `forward_logits` per set ≡ `score_sets`
+    /// over `Params` ≡ `score_sets` over the frozen snapshot.
     #[test]
-    fn frozen_cross_is_bit_identical_to_tape_at_any_thread_count() {
+    fn cross_training_graph_model_and_frozen_forwards_are_bit_identical() {
         let (world, vocab, pairs) = setup();
         let cfg = CrossEncoderConfig { emb_dim: 16, hidden: 16, ..Default::default() };
         let model = CrossEncoder::new(&vocab, cfg, &mut Rng::seed_from_u64(7));
         let frozen = model.freeze(QuantMode::Exact);
         // 20 sets crosses the SCORE_CHUNK=8 chunked-dispatch threshold;
-        // include an empty set mid-batch.
+        // one set is empty mid-batch, one has an empty mention bag.
         let mut sets = candidate_sets(&world, &vocab, &pairs[..20], 6);
         sets[9].entities.clear();
         sets[9].titles.clear();
-        let want = model.score_batch(&sets);
-        let got = frozen.score_batch(&sets);
-        assert_eq!(want.len(), got.len());
-        for (w, g) in want.iter().zip(&got) {
-            assert_eq!(w.len(), g.len());
-            for (x, y) in w.iter().zip(g) {
-                assert_eq!(x.to_bits(), y.to_bits());
+        sets[4].mention.clear();
+        let bits = |scores: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            scores.iter().map(|s| s.iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        let want = bits(&model.score_batch(&sets));
+        assert!(want[9].is_empty() && want.iter().filter(|w| w.len() == 6).count() == 19);
+        assert_eq!(bits(&frozen.score_batch(&sets)), want);
+        for t in [1usize, 2, 3, 4] {
+            let threads = Threads::new(t);
+            assert_eq!(bits(&frozen.score_batch_with(&sets, threads)), want);
+            for (set, want) in sets.iter().zip(&want).filter(|(s, _)| !s.is_empty()) {
+                let mut tape = Tape::with_threads(threads);
+                let (_, logits) = model.forward_logits(&mut tape, set);
+                assert_eq!(&bits(&[tape.value(logits).data().to_vec()])[0], want);
             }
-        }
-        for t in [2usize, 3, 4] {
-            let par = frozen.score_batch_with(&sets, Threads::new(t));
-            assert_eq!(par, want);
         }
     }
 

@@ -8,9 +8,10 @@
 //! * [`crossencoder::CrossEncoder`] — joint mention–entity scorer over
 //!   interaction features, trained with per-mention softmax ranking
 //!   loss; powers candidate re-ranking.
-//! * [`frozen`] — tape-free `Arc`-shared serving forwards for both
-//!   encoders, bit-identical to the tape path (optionally with f16/int8
-//!   quantized embedding tables under a bounded-error contract).
+//! * [`frozen`] — each encoder's tape-free inference forward, written
+//!   once, and the `Arc`-shared frozen handles that serve it
+//!   (optionally with f16/int8 quantized embedding tables under a
+//!   bounded-error contract).
 //! * [`retrieval`] — the top-k retrieval scan and the flat
 //!   (f64 / f16 / int8) indices over entity embeddings built on it.
 //! * [`input`] — featurization of mentions/entities into token bags and

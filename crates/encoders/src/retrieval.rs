@@ -430,7 +430,7 @@ impl DenseIndex {
                 })
             })
             .collect::<mb_common::Result<Vec<Vec<u32>>>>()?;
-        Ok(DenseIndex { vectors: model.embed_entities(bags), ids: ids.to_vec() })
+        Ok(DenseIndex { vectors: model.embed_entities(&bags), ids: ids.to_vec() })
     }
 
     /// The indexed ids in row order.

@@ -101,7 +101,7 @@ pub fn try_train_biencoder(
         }
         // Failure injection guard: roll back and stop on divergence.
         if model.params().has_non_finite() {
-            model.set_params(checkpoint);
+            model.set_params(checkpoint).expect("the model's own snapshot");
             stats.diverged = true;
             return Ok(stats);
         }
@@ -150,7 +150,7 @@ pub fn try_train_crossencoder(
             losses.push(model.train_step(trainable[i], &mut opt));
         }
         if model.params().has_non_finite() {
-            model.set_params(checkpoint);
+            model.set_params(checkpoint).expect("the model's own snapshot");
             stats.diverged = true;
             return Ok(stats);
         }
@@ -222,7 +222,7 @@ pub fn try_train_biencoder_hard_negatives(
     for _ in 0..cfg.epochs {
         budget.tick()?;
         // Re-embed the pool with the current model each epoch.
-        let pool_vecs = model.embed_entities(pool_bags.to_vec());
+        let pool_vecs = model.embed_entities(pool_bags);
         rng.shuffle(&mut order);
         let mut losses = Vec::new();
         for chunk in order.chunks(cfg.batch_size.max(2)) {
@@ -231,7 +231,7 @@ pub fn try_train_biencoder_hard_negatives(
             }
             let batch: Vec<TrainPair> = chunk.iter().map(|&i| pairs[i].clone()).collect();
             let mention_bags: Vec<Vec<u32>> = batch.iter().map(|p| p.mention.clone()).collect();
-            let queries = model.embed_mentions(mention_bags);
+            let queries = model.embed_mentions(&mention_bags);
             let mut extra: Vec<Vec<u32>> = Vec::new();
             for (row, pair) in batch.iter().enumerate() {
                 let q = queries.row(row);
@@ -253,7 +253,7 @@ pub fn try_train_biencoder_hard_negatives(
             losses.push(model.train_step_with_negatives(&batch, extra, &mut opt));
         }
         if model.params().has_non_finite() {
-            model.set_params(checkpoint);
+            model.set_params(checkpoint).expect("the model's own snapshot");
             stats.diverged = true;
             return Ok(stats);
         }
@@ -421,10 +421,10 @@ mod tests {
         ids: &[mb_kb::EntityId],
         k: usize,
     ) -> f64 {
-        let pool = model.embed_entities(pool_bags.to_vec());
+        let pool = model.embed_entities(pool_bags);
         let mut hits = 0;
         for p in pairs {
-            let q = model.embed_mentions(vec![p.mention.clone()]);
+            let q = model.embed_mentions(std::slice::from_ref(&p.mention));
             let scores: Vec<f64> = (0..pool.rows())
                 .map(|i| pool.row(i).iter().zip(q.row(0)).map(|(a, b)| a * b).sum())
                 .collect();

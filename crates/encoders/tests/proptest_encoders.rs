@@ -31,8 +31,8 @@ mb_check::check! {
         let v = vocab(39); // +1 for <unk> = 40 ids
         let cfg = BiEncoderConfig { emb_dim: 8, hidden: 8, out_dim: 8, ..Default::default() };
         let model = BiEncoder::new(&v, cfg, &mut Rng::seed_from_u64(seed));
-        let a = model.embed_entities(bags.clone());
-        let b = model.embed_entities(bags.clone());
+        let a = model.embed_entities(&bags);
+        let b = model.embed_entities(&bags);
         prop_assert_eq!(a.clone(), b);
         for i in 0..a.rows() {
             let n: f64 = a.row(i).iter().map(|x| x * x).sum::<f64>().sqrt();
@@ -47,9 +47,9 @@ mb_check::check! {
         let v = vocab(39);
         let cfg = BiEncoderConfig { emb_dim: 8, hidden: 8, out_dim: 8, ..Default::default() };
         let model = BiEncoder::new(&v, cfg, &mut Rng::seed_from_u64(seed));
-        let a = model.embed_mentions(vec![bag.clone()]);
+        let a = model.embed_mentions(std::slice::from_ref(&bag));
         bag.reverse();
-        let b = model.embed_mentions(vec![bag]);
+        let b = model.embed_mentions(std::slice::from_ref(&bag));
         for (x, y) in a.data().iter().zip(b.data()) {
             prop_assert!((x - y).abs() < 1e-9);
         }

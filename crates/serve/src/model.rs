@@ -18,8 +18,8 @@ use std::sync::Arc;
 ///
 /// Construction freezes (and, per `linker.quant`, quantizes) both
 /// encoders exactly once; every worker thread then serves from those
-/// `Arc`-shared tape-free handles — the serving hot path never touches
-/// the tape encoders or clones a parameter tensor.
+/// `Arc`-shared handles — no serve path, index building and reload
+/// included, allocates a tape or clones a parameter tensor.
 pub struct ServeModel {
     /// Shared vocabulary (featurization must match training).
     pub vocab: Vocab,
@@ -27,8 +27,10 @@ pub struct ServeModel {
     pub kb: KnowledgeBase,
     /// The candidate dictionary served (usually one domain's entities).
     pub dictionary: Vec<EntityId>,
-    /// Trained bi-encoder (stage one; kept for index building and
-    /// diagnostics — serving uses [`ServeModel::frozen_bi`]).
+    /// Trained bi-encoder (stage one). It embeds the dictionary when a
+    /// [`crate::Generation`] builds its exact index — tape-free, over
+    /// these parameters as trained, whatever `linker.quant` is —
+    /// while requests are served by [`ServeModel::frozen_bi`].
     pub bi: BiEncoder,
     /// Trained cross-encoder (stage two; serving uses
     /// [`ServeModel::frozen_cross`]).
@@ -86,7 +88,9 @@ impl ServeModel {
     ///
     /// # Errors
     /// [`Error::Checkpoint`] when either encoder's parameters are
-    /// missing from the checkpoint.
+    /// missing from the checkpoint; [`Error::Checkpoint`] /
+    /// [`Error::ShapeMismatch`] when a section was trained with another
+    /// vocabulary or encoder configuration.
     #[allow(clippy::too_many_arguments)]
     pub fn from_checkpoint(
         ck: &Checkpoint,
@@ -107,10 +111,10 @@ impl ServeModel {
         // The init RNG is irrelevant: every tensor is overwritten.
         let mut bi = BiEncoder::new(&vocab, bi_cfg, &mut Rng::seed_from_u64(0));
         // mb-lint: allow(tape-free) -- one-time checkpoint load, not a forward path
-        bi.set_params(bi_params.clone());
+        bi.set_params(bi_params.clone())?;
         let mut cross = CrossEncoder::new(&vocab, cross_cfg, &mut Rng::seed_from_u64(0));
         // mb-lint: allow(tape-free) -- one-time checkpoint load, not a forward path
-        cross.set_params(cross_params.clone());
+        cross.set_params(cross_params.clone())?;
         Ok(ServeModel::new(vocab, kb, dictionary, bi, cross, linker, domain))
     }
 }

@@ -536,4 +536,51 @@ mod tests {
         assert_eq!(registry.rejected(), 1);
         assert_eq!(registry.swaps(), 0);
     }
+
+    #[test]
+    fn a_checkpoint_of_another_model_shape_is_rejected_and_reloads_keep_working() {
+        use mb_core::pipeline::{BI_KEY, CROSS_KEY};
+        use mb_tensor::checkpoint::Checkpoint;
+
+        let world = World::generate(WorldConfig::tiny(91));
+        let vocab = build_vocab(world.kb(), [], 1);
+        let dictionary = world.kb().domain_entities(world.domain("TargetX").id).to_vec();
+        let bi_cfg = BiEncoderConfig { emb_dim: 16, hidden: 16, out_dim: 16, ..Default::default() };
+        let cross_cfg = CrossEncoderConfig { emb_dim: 16, hidden: 16, ..Default::default() };
+        // Valid sections (CRCs would pass) holding a bi-encoder of `dim`.
+        let checkpoint_of = |dim: usize| {
+            let cfg = BiEncoderConfig { emb_dim: dim, hidden: dim, out_dim: dim, ..bi_cfg };
+            let bi = BiEncoder::new(&vocab, cfg, &mut Rng::seed_from_u64(3));
+            let cross = CrossEncoder::new(&vocab, cross_cfg, &mut Rng::seed_from_u64(4));
+            let mut ck = Checkpoint::new();
+            ck.params.insert(BI_KEY.to_string(), bi.params().clone());
+            ck.params.insert(CROSS_KEY.to_string(), cross.params().clone());
+            ck
+        };
+        let (good, mis_shaped) = (checkpoint_of(16), checkpoint_of(8));
+        let (kb, vocab) = (world.kb().clone(), vocab.clone());
+        let loader: ModelLoader = Box::new(move |path| {
+            let ck = if path.ends_with("mis-shaped.mbc") { &mis_shaped } else { &good };
+            ServeModel::from_checkpoint(
+                ck,
+                vocab.clone(),
+                kb.clone(),
+                dictionary.clone(),
+                "TargetX".to_string(),
+                bi_cfg,
+                cross_cfg,
+                LinkerConfig::default(),
+            )
+        });
+        let registry = ModelRegistry::with_loader(model(1), PathBuf::from("good.mbc"), loader)
+            .expect("valid model");
+        // Rejected like a corrupt candidate — an `Err`, not a panic
+        // that would leave the reload flag set for good.
+        let err = registry.reload(Some(Path::new("mis-shaped.mbc"))).unwrap_err();
+        assert!(matches!(err, Error::ShapeMismatch { .. }), "got {err:?}");
+        assert_eq!(registry.generation_id(), 1, "old generation keeps serving");
+        assert_eq!((registry.rejected(), registry.swaps()), (1, 0));
+        assert_eq!(registry.reload(None).expect("a good candidate after a bad one"), 2);
+        assert_eq!((registry.rejected(), registry.swaps()), (1, 1));
+    }
 }

@@ -1,22 +1,19 @@
-//! Tape-free forward-only inference over frozen parameters.
+//! The forward kernels of the encoder ops, and frozen parameters.
 //!
-//! The training forward injects every parameter tensor — embedding
-//! tables included — into a fresh [`crate::Tape`] per batch
-//! (`Params::inject` clones each tensor into a leaf node), which is
-//! pure overhead when no gradient will ever be taken. This module is
-//! the serving-side alternative: an immutable [`FrozenParams`]
-//! snapshot shared via [`Arc`] (zero per-forward clones, zero
-//! allocations beyond the activations) plus free-function forward ops.
+//! [`linear`], [`tanh`], [`row_l2_normalize`], [`bag_embed`] and
+//! [`rows_dot`] are the **only** forward arithmetic for those ops: the
+//! [`crate::Tape`] ops of the same names call them and record just the
+//! `Op` their backward needs, so a tape-built forward and a tape-free
+//! one are the same function calls and agree bit for bit at any thread
+//! count. The mean-pooling loop behind every `bag_embed` (f64 here, f16
+//! and int8 in [`crate::quant`]) is written once, in `pool_bags`.
 //!
-//! ## Bit-identity contract
-//!
-//! Every op here reproduces the arithmetic of the corresponding
-//! [`crate::Tape`] op **verbatim** — same kernels, same accumulation
-//! order, same broadcast loops — so a frozen forward is bit-identical
-//! to the tape forward at any thread count. The unit tests below and
-//! the `tests/proptest_frozen.rs` property suite pin that equivalence;
-//! the `tape-free` mb-lint rule keeps tape construction and parameter
-//! cloning out of the serving path statically.
+//! [`FrozenParams`] is the serving-side parameter container: an
+//! immutable snapshot shared via [`Arc`], so a forward over it clones
+//! no parameter tensor (`Params::inject` clones every one into a tape
+//! leaf, which only a training step needs). The `tape-free` mb-lint
+//! rule keeps tape construction and parameter cloning out of the
+//! inference path statically.
 
 use crate::params::{ParamId, Params};
 use crate::tensor::Tensor;
@@ -80,8 +77,7 @@ impl FrozenParams {
     }
 }
 
-/// Forward-only affine map `x @ w + b` (bias broadcast over rows);
-/// bit-identical to the tape's `linear`.
+/// Affine map `x @ w + b` (bias broadcast over rows).
 ///
 /// # Panics
 /// Panics unless `x: [n, f]`, `w: [f, o]`, `b: [o]`.
@@ -98,15 +94,13 @@ pub fn linear(x: &Tensor, w: &Tensor, b: &Tensor, threads: Threads) -> Tensor {
     y
 }
 
-/// Forward-only elementwise hyperbolic tangent; bit-identical to the
-/// tape's `tanh`.
+/// Elementwise hyperbolic tangent.
 pub fn tanh(x: &Tensor) -> Tensor {
     x.map(f64::tanh)
 }
 
-/// Forward-only row-wise L2 normalisation (each row divided by
-/// `max(‖row‖₂, eps)`); bit-identical to the tape's
-/// `row_l2_normalize`.
+/// Row-wise L2 normalisation: each row is divided by
+/// `max(‖row‖₂, eps)`.
 pub fn row_l2_normalize(x: &Tensor, eps: f64) -> Tensor {
     assert_eq!(x.rank(), 2, "row_l2_normalize: rank-2 required, got {:?}", x.shape());
     let mut y = x.clone();
@@ -120,15 +114,20 @@ pub fn row_l2_normalize(x: &Tensor, eps: f64) -> Tensor {
     y
 }
 
-/// Forward-only mean-pooled embedding-bag lookup over a `[vocab, dim]`
-/// table; bit-identical to the tape's `bag_embed`. Empty bags yield
-/// zero rows.
+/// The mean-pooling loop of every embedding-bag lookup: row `i` of the
+/// `[bags.len(), dim]` output is the mean of the table rows listed in
+/// `bags[i]` (zero for an empty bag). `add_row(out_row, id, inv)` adds
+/// `inv ×` table row `id` into `out_row`; the element type of the table
+/// (f64 / f16 / int8) is the caller's business.
 ///
 /// # Panics
-/// Panics if any id is out of range.
-pub fn bag_embed(table: &Tensor, bags: &[impl AsRef<[u32]>]) -> Tensor {
-    assert_eq!(table.rank(), 2, "bag_embed: table must be rank-2, got {:?}", table.shape());
-    let (vocab, dim) = (table.shape()[0], table.shape()[1]);
+/// Panics if any id is `>= vocab`.
+pub(crate) fn pool_bags(
+    vocab: usize,
+    dim: usize,
+    bags: &[impl AsRef<[u32]>],
+    add_row: impl Fn(&mut [f64], usize, f64),
+) -> Tensor {
     let mut out = Tensor::zeros(vec![bags.len(), dim]);
     for (i, bag) in bags.iter().map(AsRef::as_ref).enumerate() {
         if bag.is_empty() {
@@ -139,17 +138,29 @@ pub fn bag_embed(table: &Tensor, bags: &[impl AsRef<[u32]>]) -> Tensor {
         for &id in bag {
             let id = id as usize;
             assert!(id < vocab, "bag_embed: token id {id} out of vocab {vocab}");
-            let emb = &table.data()[id * dim..(id + 1) * dim];
-            for (r, e) in row.iter_mut().zip(emb) {
-                *r += inv * e;
-            }
+            add_row(row, id, inv);
         }
     }
     out
 }
 
-/// Forward-only row-wise dot product of two `[n, d]` tensors → `[n]`;
-/// bit-identical to the tape's `rows_dot`.
+/// Mean-pooled embedding-bag lookup over a `[vocab, dim]` table;
+/// `bags[i]` lists the token ids of example `i`. Empty bags yield zero
+/// rows.
+///
+/// # Panics
+/// Panics if any id is out of range.
+pub fn bag_embed(table: &Tensor, bags: &[impl AsRef<[u32]>]) -> Tensor {
+    assert_eq!(table.rank(), 2, "bag_embed: table must be rank-2, got {:?}", table.shape());
+    let (vocab, dim) = (table.shape()[0], table.shape()[1]);
+    pool_bags(vocab, dim, bags, |row, id, inv| {
+        for (r, e) in row.iter_mut().zip(&table.data()[id * dim..(id + 1) * dim]) {
+            *r += inv * e;
+        }
+    })
+}
+
+/// Row-wise dot product of two `[n, d]` tensors → `[n]`.
 pub fn rows_dot(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.shape(), b.shape(), "rows_dot: {:?} vs {:?}", a.shape(), b.shape());
     assert_eq!(a.rank(), 2, "rows_dot: rank-2 required");
@@ -164,7 +175,6 @@ pub fn rows_dot(a: &Tensor, b: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::Tape;
     use mb_common::Rng;
 
     fn assert_bits_eq(got: &Tensor, want: &Tensor) {
@@ -190,55 +200,5 @@ mod tests {
         let handle = frozen.clone();
         assert!(handle.shares_storage(&frozen));
         assert!(!FrozenParams::freeze(&params).shares_storage(&frozen));
-    }
-
-    #[test]
-    fn linear_is_bit_identical_to_tape() {
-        let mut rng = Rng::seed_from_u64(11);
-        let x = Tensor::randn(vec![7, 5], 0.0, 1.0, &mut rng);
-        let w = Tensor::randn(vec![5, 3], 0.0, 1.0, &mut rng);
-        let b = Tensor::randn(vec![3], 0.0, 1.0, &mut rng);
-        for t in [1usize, 2, 4] {
-            let threads = mb_par::Threads::new(t);
-            let mut tape = Tape::with_threads(threads);
-            let (xv, wv, bv) = (tape.leaf(x.clone()), tape.leaf(w.clone()), tape.leaf(b.clone()));
-            let out = tape.linear(xv, wv, bv);
-            let want = tape.value(out).clone();
-            assert_bits_eq(&linear(&x, &w, &b, threads), &want);
-        }
-    }
-
-    #[test]
-    fn pointwise_ops_are_bit_identical_to_tape() {
-        let mut rng = Rng::seed_from_u64(13);
-        let mut x = Tensor::randn(vec![6, 8], 0.0, 2.0, &mut rng);
-        // An all-zero row exercises the eps branch of the normaliser.
-        for v in x.row_mut(2) {
-            *v = 0.0;
-        }
-        let y = Tensor::randn(vec![6, 8], 0.0, 1.0, &mut rng);
-        let mut tape = Tape::new();
-        let xv = tape.leaf(x.clone());
-        let yv = tape.leaf(y.clone());
-        let (th, no, dt) = (tape.tanh(xv), tape.row_l2_normalize(xv, 1e-9), tape.rows_dot(xv, yv));
-        let want_tanh = tape.value(th).clone();
-        let want_norm = tape.value(no).clone();
-        let want_dot = tape.value(dt).clone();
-        assert_bits_eq(&tanh(&x), &want_tanh);
-        assert_bits_eq(&row_l2_normalize(&x, 1e-9), &want_norm);
-        assert_bits_eq(&rows_dot(&x, &y), &want_dot);
-    }
-
-    #[test]
-    fn bag_embed_is_bit_identical_to_tape() {
-        let mut rng = Rng::seed_from_u64(17);
-        let table = Tensor::randn(vec![12, 4], 0.0, 1.0, &mut rng);
-        // Repeated ids, an empty bag, and singleton bags.
-        let bags: Vec<Vec<u32>> = vec![vec![0, 3, 3, 11], vec![], vec![5], vec![2, 1, 0]];
-        let mut tape = Tape::new();
-        let tv = tape.leaf(table.clone());
-        let bv = tape.bag_embed(tv, bags.clone());
-        let want = tape.value(bv).clone();
-        assert_bits_eq(&bag_embed(&table, &bags), &want);
     }
 }

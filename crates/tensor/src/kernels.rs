@@ -89,8 +89,10 @@ fn simple(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize, b
 /// the parallel wrapper hands each worker a disjoint band.
 fn blocked_rows(a: &[f64], b: &[f64], out: &mut [f64], rows: usize, k: usize, n: usize, bt: bool) {
     let ldb = if bt { k } else { n };
-    let mut apack = vec![0.0; MC * KC];
-    let mut bpack = vec![0.0; KC * NR];
+    // Packed as arrays, so the micro-kernel's tile operands are
+    // `[f64; MR]` / `[f64; NR]` by type.
+    let mut apack = vec![[0.0; MR]; MC / MR * KC];
+    let mut bpack = vec![[0.0; NR]; KC];
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
         for ic in (0..rows).step_by(MC) {
@@ -104,18 +106,18 @@ fn blocked_rows(a: &[f64], b: &[f64], out: &mut [f64], rows: usize, k: usize, n:
                 for panel in 0..full_panels {
                     let r0 = ic + panel * MR;
                     for p in 0..kc {
-                        for ii in 0..MR {
-                            apack[w] = a[(r0 + ii) * k + pc + p];
-                            w += 1;
+                        for (ii, slot) in apack[w].iter_mut().enumerate() {
+                            *slot = a[(r0 + ii) * k + pc + p];
                         }
+                        w += 1;
                     }
                 }
             }
             for jc in (0..n).step_by(NR) {
                 let nr = NR.min(n - jc);
                 if nr == NR {
-                    for p in 0..kc {
-                        for (jj, slot) in bpack[p * NR..(p + 1) * NR].iter_mut().enumerate() {
+                    for (p, bv) in bpack[..kc].iter_mut().enumerate() {
+                        for (jj, slot) in bv.iter_mut().enumerate() {
                             *slot = b_at(b, ldb, pc + p, jc + jj, bt);
                         }
                     }
@@ -130,10 +132,8 @@ fn blocked_rows(a: &[f64], b: &[f64], out: &mut [f64], rows: usize, k: usize, n:
                             row.copy_from_slice(&out[(i0 + ii) * n + jc..(i0 + ii) * n + jc + NR]);
                         }
                         let panel = ir / MR;
-                        let ap = &apack[panel * (kc * MR)..(panel + 1) * (kc * MR)];
-                        for (ach, bch) in ap.chunks_exact(MR).zip(bpack.chunks_exact(NR).take(kc)) {
-                            let av: &[f64; MR] = ach.try_into().expect("MR chunk");
-                            let bv: &[f64; NR] = bch.try_into().expect("NR chunk");
+                        let ap = &apack[panel * kc..(panel + 1) * kc];
+                        for (av, bv) in ap.iter().zip(&bpack[..kc]) {
                             for (ii, row) in acc.iter_mut().enumerate() {
                                 for (jj, slot) in row.iter_mut().enumerate() {
                                     *slot += av[ii] * bv[jj];

@@ -22,9 +22,9 @@
 //! * [`gradcheck`] — central-finite-difference gradient verification,
 //!   used extensively by this crate's tests and by `mb-core`'s
 //!   meta-gradient tests.
-//! * [`frozen`] — tape-free forward-only inference ops over an
-//!   `Arc`-shared [`frozen::FrozenParams`] snapshot, pinned
-//!   bit-identical to the tape forward.
+//! * [`frozen`] — the forward kernels of the encoder ops (the tape ops
+//!   of the same names call them) and the `Arc`-shared
+//!   [`frozen::FrozenParams`] snapshot inference runs them over.
 //! * [`quant`] — f16/int8 quantized embedding tables with a
 //!   bounded-error scoring contract for the serving path.
 //!

@@ -3,8 +3,8 @@
 //! Frozen embedding tables (see [`crate::frozen`]) can be stored in
 //! IEEE-754 binary16 ([`QuantF16`], 4× smaller than the `f64` master
 //! copy) or per-row symmetric int8 ([`QuantI8`], ~8× smaller). Unlike
-//! the frozen `f64` forward — which is pinned *bit-identical* to the
-//! tape forward — quantized scoring carries a **bounded-error
+//! the `f64` forward — the same kernels the training graph runs, so
+//! bit-identical to it — quantized scoring carries a **bounded-error
 //! contract** instead of bit equality:
 //!
 //! - **f16 round-trip**: `f16_to_f64(f16_from_f64(x))` is within half
@@ -24,6 +24,7 @@
 //! (`ServeModel::from_checkpoint`); no serving-path code re-quantizes a
 //! table or allocates a dequantized copy.
 
+use crate::frozen::pool_bags;
 use crate::kernels;
 use crate::tensor::Tensor;
 use mb_par::Threads;
@@ -31,7 +32,7 @@ use mb_par::Threads;
 /// How a frozen embedding table is stored and scored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QuantMode {
-    /// Keep the `f64` master copy: bit-identical to the tape forward.
+    /// Keep the `f64` master copy: bit-identical to the training graph.
     #[default]
     Exact,
     /// IEEE-754 binary16 storage (4× smaller), bounded-error scoring.
@@ -201,25 +202,14 @@ impl QuantF16 {
     }
 
     /// Mean-pool dequantized table rows per bag, in bag order — the
-    /// quantized counterpart of the tape's `bag_embed`.
+    /// f16 counterpart of [`crate::frozen::bag_embed`].
     pub fn bag_embed(&self, bags: &[impl AsRef<[u32]>]) -> Tensor {
-        let mut out = Tensor::zeros(vec![bags.len(), self.cols]);
-        for (i, bag) in bags.iter().map(AsRef::as_ref).enumerate() {
-            if bag.is_empty() {
-                continue;
+        pool_bags(self.rows, self.cols, bags, |row, id, inv| {
+            let emb = &self.data[id * self.cols..(id + 1) * self.cols];
+            for (r, &e) in row.iter_mut().zip(emb) {
+                *r += inv * f16_to_f64(e);
             }
-            let inv = 1.0 / bag.len() as f64;
-            let row = out.row_mut(i);
-            for &id in bag {
-                let id = id as usize;
-                assert!(id < self.rows, "bag_embed: token id {id} out of vocab {}", self.rows);
-                let emb = &self.data[id * self.cols..(id + 1) * self.cols];
-                for (r, &e) in row.iter_mut().zip(emb) {
-                    *r += inv * f16_to_f64(e);
-                }
-            }
-        }
-        out
+        })
     }
 
     /// Dot product of `query` against every row, dequantizing on the
@@ -346,26 +336,15 @@ impl QuantI8 {
     }
 
     /// Mean-pool dequantized table rows per bag, in bag order — the
-    /// quantized counterpart of the tape's `bag_embed`.
+    /// int8 counterpart of [`crate::frozen::bag_embed`].
     pub fn bag_embed(&self, bags: &[impl AsRef<[u32]>]) -> Tensor {
-        let mut out = Tensor::zeros(vec![bags.len(), self.cols]);
-        for (i, bag) in bags.iter().map(AsRef::as_ref).enumerate() {
-            if bag.is_empty() {
-                continue;
+        pool_bags(self.rows, self.cols, bags, |row, id, inv| {
+            let scale = self.scales[id];
+            let emb = &self.data[id * self.cols..(id + 1) * self.cols];
+            for (r, &q) in row.iter_mut().zip(emb) {
+                *r += inv * (f64::from(q) * scale);
             }
-            let inv = 1.0 / bag.len() as f64;
-            let row = out.row_mut(i);
-            for &id in bag {
-                let id = id as usize;
-                assert!(id < self.rows, "bag_embed: token id {id} out of vocab {}", self.rows);
-                let scale = self.scales[id];
-                let emb = &self.data[id * self.cols..(id + 1) * self.cols];
-                for (r, &q) in row.iter_mut().zip(emb) {
-                    *r += inv * (f64::from(q) * scale);
-                }
-            }
-        }
-        out
+        })
     }
 
     /// Dot product of `query` against every row without dequantizing

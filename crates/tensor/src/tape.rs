@@ -8,10 +8,17 @@
 //! `mb-core` runs one backward pass *per synthetic example* to obtain
 //! the per-example gradients of Eq. 12.
 //!
+//! The forward value of `linear`, `tanh`, `row_l2_normalize`,
+//! `bag_embed` and `rows_dot` — the ops both encoders are made of — is
+//! computed by the tape-free kernels in [`crate::frozen`]; the tape only
+//! records what their backward needs. Inference calls the same kernels
+//! without a tape, so there is one forward implementation.
+//!
 //! Gradients are accumulated in node-creation order reversed, which is a
 //! valid topological order because an op can only reference previously
 //! created vars.
 
+use crate::frozen;
 use crate::tensor::Tensor;
 use mb_common::util::log_sum_exp;
 
@@ -245,30 +252,13 @@ impl Tape {
     /// # Panics
     /// Panics unless `x: [n, f]`, `w: [f, o]`, `b: [o]`.
     pub fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
-        let xv = self.val(x);
-        let wv = self.val(w);
-        let bv = self.val(b);
-        assert_eq!(bv.rank(), 1, "linear: bias must be rank-1, got {:?}", bv.shape());
-        assert_eq!(
-            wv.shape()[1],
-            bv.shape()[0],
-            "linear: w {:?} vs b {:?}",
-            wv.shape(),
-            bv.shape()
-        );
-        let mut y = xv.matmul_with(wv, self.threads);
-        let o = bv.shape()[0];
-        for i in 0..y.rows() {
-            for (yj, bj) in y.row_mut(i).iter_mut().zip(&bv.data()[..o]) {
-                *yj += *bj;
-            }
-        }
-        self.push(y, Op::Linear { x, w, b })
+        let value = frozen::linear(self.val(x), self.val(w), self.val(b), self.threads);
+        self.push(value, Op::Linear { x, w, b })
     }
 
     /// Elementwise hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let value = self.val(a).map(f64::tanh);
+        let value = frozen::tanh(self.val(a));
         self.push(value, Op::Tanh(a))
     }
 
@@ -299,17 +289,8 @@ impl Tape {
     /// Row-wise L2 normalisation: each row is divided by
     /// `max(‖row‖₂, eps)`.
     pub fn row_l2_normalize(&mut self, x: Var, eps: f64) -> Var {
-        let xv = self.val(x);
-        assert_eq!(xv.rank(), 2, "row_l2_normalize: rank-2 required, got {:?}", xv.shape());
-        let mut y = xv.clone();
-        for i in 0..y.rows() {
-            let row = y.row_mut(i);
-            let norm = row.iter().map(|v| v * v).sum::<f64>().sqrt().max(eps);
-            for v in row {
-                *v /= norm;
-            }
-        }
-        self.push(y, Op::RowL2Normalize { x, eps })
+        let value = frozen::row_l2_normalize(self.val(x), eps);
+        self.push(value, Op::RowL2Normalize { x, eps })
     }
 
     /// Mean-pooled embedding-bag lookup.
@@ -321,40 +302,14 @@ impl Tape {
     /// # Panics
     /// Panics if any id is out of range.
     pub fn bag_embed(&mut self, table: Var, bags: Vec<Vec<u32>>) -> Var {
-        let tv = self.val(table);
-        assert_eq!(tv.rank(), 2, "bag_embed: table must be rank-2, got {:?}", tv.shape());
-        let (vocab, dim) = (tv.shape()[0], tv.shape()[1]);
-        let mut out = Tensor::zeros(vec![bags.len(), dim]);
-        for (i, bag) in bags.iter().enumerate() {
-            if bag.is_empty() {
-                continue;
-            }
-            let inv = 1.0 / bag.len() as f64;
-            let row = out.row_mut(i);
-            for &id in bag {
-                let id = id as usize;
-                assert!(id < vocab, "bag_embed: token id {id} out of vocab {vocab}");
-                let emb = &tv.data()[id * dim..(id + 1) * dim];
-                for (r, e) in row.iter_mut().zip(emb) {
-                    *r += inv * e;
-                }
-            }
-        }
-        self.push(out, Op::BagEmbed { table, bags })
+        let value = frozen::bag_embed(self.val(table), &bags);
+        self.push(value, Op::BagEmbed { table, bags })
     }
 
     /// Row-wise dot product of two `[n, d]` tensors → `[n]`.
     pub fn rows_dot(&mut self, a: Var, b: Var) -> Var {
-        let av = self.val(a);
-        let bv = self.val(b);
-        assert_eq!(av.shape(), bv.shape(), "rows_dot: {:?} vs {:?}", av.shape(), bv.shape());
-        assert_eq!(av.rank(), 2, "rows_dot: rank-2 required");
-        let n = av.rows();
-        let mut out = vec![0.0; n];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = av.row(i).iter().zip(bv.row(i)).map(|(x, y)| x * y).sum();
-        }
-        self.push(Tensor::from_vec(vec![n], out), Op::RowsDot(a, b))
+        let value = frozen::rows_dot(self.val(a), self.val(b));
+        self.push(value, Op::RowsDot(a, b))
     }
 
     /// The paper's Eq. 6 per-example in-batch negative loss.

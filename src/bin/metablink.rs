@@ -292,9 +292,12 @@ fn load_model(dir: &Path) -> Result<(ExperimentContext, String, BiEncoder, Cross
         MetaBlinkConfig::fast_test()
     };
     let mut bi = BiEncoder::new(&ctx.vocab, cfg.bi, &mut Rng::seed_from_u64(0));
-    bi.set_params(serialize::load(&dir.join("biencoder.mbp")).map_err(|e| e.to_string())?);
     let mut cross = CrossEncoder::new(&ctx.vocab, cfg.cross, &mut Rng::seed_from_u64(0));
-    cross.set_params(serialize::load(&dir.join("crossencoder.mbp")).map_err(|e| e.to_string())?);
+    serialize::load(&dir.join("biencoder.mbp"))
+        .and_then(|p| bi.set_params(p))
+        .and_then(|()| serialize::load(&dir.join("crossencoder.mbp")))
+        .and_then(|p| cross.set_params(p))
+        .map_err(|e| e.to_string())?;
     Ok((ctx, manifest.domain, bi, cross))
 }
 
@@ -461,14 +464,13 @@ fn cmd_link(opts: &HashMap<String, String>) -> Result<(), String> {
         entity: mb_kb::EntityId(0), // unknown; only used for gold marking
         category: OverlapCategory::LowOverlap,
     };
-    let retrieved = linker.candidates(&mention);
-    let set = linker.candidate_set(&mention, &retrieved);
-    let scores = cross.score(&set);
-    let mut ranked: Vec<(usize, f64)> = scores.iter().copied().enumerate().collect();
+    let result = linker.link(&mention).map_err(|e| e.to_string())?;
+    let mut ranked: Vec<(mb_kb::EntityId, f64)> =
+        result.retrieved.iter().map(|&(id, _)| id).zip(result.rerank_scores).collect();
     ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("top candidates in {domain}:");
-    for (rank, (idx, score)) in ranked.into_iter().take(k).enumerate() {
-        let e = world.kb().entity(retrieved[idx].0);
+    for (rank, (id, score)) in ranked.into_iter().take(k).enumerate() {
+        let e = world.kb().entity(id);
         let mut desc = e.description.clone();
         desc.truncate(60);
         println!("  {:>2}. {:<30} {score:>8.3}  {desc}…", rank + 1, e.title);

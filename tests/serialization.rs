@@ -17,7 +17,7 @@ fn biencoder_checkpoint_round_trip_preserves_behaviour() {
     let text = serialize::to_string(model.params()).expect("finite params serialize");
     let restored = serialize::from_string(&text).expect("parse own output");
     let mut other = BiEncoder::new(&vocab, cfg, &mut Rng::seed_from_u64(999));
-    other.set_params(restored);
+    other.set_params(restored).expect("same vocabulary and config");
 
     let domain = world.domain("TargetX").clone();
     let ms = generate_mentions(&world, &domain, 12, &mut Rng::seed_from_u64(2));
@@ -27,7 +27,7 @@ fn biencoder_checkpoint_round_trip_preserves_behaviour() {
         .iter()
         .map(|m| TrainPair::from_mention(&vocab, &icfg, world.kb(), m).mention)
         .collect();
-    assert_eq!(model.embed_mentions(bags.clone()), other.embed_mentions(bags));
+    assert_eq!(model.embed_mentions(&bags), other.embed_mentions(&bags));
 }
 
 #[test]
