@@ -63,10 +63,9 @@ loadgen — load generator for mb-serve (closed-loop and open-loop)
 
 USAGE:
   loadgen --self-contained [--requests <n>] [--concurrency <n>]
-          [--max-batch <n>] [--max-delay-us <n>]
+          [--max-batch <n>]
   loadgen --open-loop [--qps <a,b,c>] [--duration-ms <n>]
-          [--deadline-ms <n>] [--concurrency <n>]
-          [--max-batch <n>] [--max-delay-us <n>]
+          [--deadline-ms <n>] [--concurrency <n>] [--max-batch <n>]
   loadgen (--addr <host:port> | --addr-file <path>) [--requests <n>]
           [--concurrency <n>] [--strict] [--check-metrics] [--shutdown]
 
@@ -100,6 +99,11 @@ fn run(args: &[String]) -> Result<(), String> {
         println!("{USAGE}");
         return Ok(());
     }
+    if flags.contains_key("max-delay-us") {
+        return Err(
+            "--max-delay-us was removed: batches now form while the worker is busy".to_string()
+        );
+    }
     let parse = |key: &str, default: usize| -> Result<usize, String> {
         match flags.get(key) {
             None => Ok(default),
@@ -111,17 +115,13 @@ fn run(args: &[String]) -> Result<(), String> {
     if flags.contains_key("self-contained") {
         let requests = parse("requests", 400)?;
         // Default the batch limit to the offered concurrency: a batch
-        // can never exceed the number of in-flight requests, and a
-        // larger limit only adds linger time waiting for requests that
-        // cannot arrive.
+        // can never exceed the number of in-flight requests.
         let max_batch = parse("max-batch", concurrency)?.max(2);
-        let max_delay_us = parse("max-delay-us", 2_000)? as u64;
-        return self_contained(requests, concurrency, max_batch, max_delay_us);
+        return self_contained(requests, concurrency, max_batch);
     }
 
     if flags.contains_key("open-loop") {
         let max_batch = parse("max-batch", concurrency)?.max(2);
-        let max_delay_us = parse("max-delay-us", 2_000)? as u64;
         let duration_ms = parse("duration-ms", 2_000)?.max(100) as u64;
         let deadline_ms = parse("deadline-ms", 1_000)?.max(1) as u64;
         let qps: Vec<usize> = flags
@@ -134,7 +134,7 @@ fn run(args: &[String]) -> Result<(), String> {
         if qps.is_empty() || qps.contains(&0) {
             return Err("--qps needs a comma-separated list of positive rates".to_string());
         }
-        return open_loop(&qps, duration_ms, deadline_ms, concurrency, max_batch, max_delay_us);
+        return open_loop(&qps, duration_ms, deadline_ms, concurrency, max_batch);
     }
 
     let addr = match (flags.get("addr"), flags.get("addr-file")) {
@@ -411,9 +411,9 @@ fn demo_payloads() -> Vec<Vec<u8>> {
 
 /// Build the benchmark model. Untrained weights are fine — serving
 /// cost does not depend on parameter values — but the MODEL SIZE
-/// matters: batching amortizes the per-tape parameter injection (which
-/// clones every tensor, token-embedding tables included), so the bench
-/// uses a realistic vocabulary rather than the test-sized tiny world.
+/// matters: the embedding tables are what a forward gathers from, so
+/// the bench uses a realistic vocabulary rather than the test-sized
+/// tiny world.
 fn bench_model() -> (ServeModel, Vec<LinkedMention>) {
     // World generation panics only when a WorldConfig exhausts the KB
     // id space; this fixed bench config is far below those caps.
@@ -428,9 +428,8 @@ fn bench_model() -> (ServeModel, Vec<LinkedMention>) {
         ],
     });
     // Pad the vocabulary to production scale (~24k types, the order of
-    // a wordpiece vocab): the embedding tables are the bulk of what
-    // each tape injection clones, and a test-sized vocab would
-    // understate the fixed cost that batching amortises.
+    // a wordpiece vocab): a test-sized vocab would keep the embedding
+    // tables cache-resident and understate the cost of a forward.
     let filler: Vec<String> = (0..24_000).map(|i| format!("tok{i}")).collect();
     let extra = filler.join(" ");
     let vocab = build_vocab(world.kb(), [extra.as_str()], 1);
@@ -463,14 +462,12 @@ fn bench_model() -> (ServeModel, Vec<LinkedMention>) {
 fn measure_config(
     model: ServeModel,
     max_batch: usize,
-    max_delay_us: u64,
     requests: usize,
     concurrency: usize,
     payloads: &[Vec<u8>],
 ) -> Result<LoadStats, String> {
     let cfg = ServerConfig {
         max_batch,
-        max_delay_us,
         // One worker on purpose: the comparison isolates batching
         // (fused forwards), not thread-level parallelism. The cache is
         // off so every request pays the full two-stage forward.
@@ -500,12 +497,7 @@ fn stats_json(s: &LoadStats, max_batch: usize) -> String {
     )
 }
 
-fn self_contained(
-    requests: usize,
-    concurrency: usize,
-    max_batch: usize,
-    max_delay_us: u64,
-) -> Result<(), String> {
+fn self_contained(requests: usize, concurrency: usize, max_batch: usize) -> Result<(), String> {
     eprintln!("building model …");
     let (model_a, mentions) = bench_model();
     eprintln!(
@@ -517,12 +509,11 @@ fn self_contained(
     let payloads: Vec<Vec<u8>> =
         mentions.iter().map(|m| link_payload(&m.surface, &m.left, &m.right)).collect();
 
-    eprintln!("measuring max_batch=1 (every request pays a full tape) …");
-    let unbatched = measure_config(model_a, 1, 0, requests, concurrency, &payloads)?;
+    eprintln!("measuring max_batch=1 (one forward per request) …");
+    let unbatched = measure_config(model_a, 1, requests, concurrency, &payloads)?;
     unbatched.print("unbatched");
     eprintln!("measuring max_batch={max_batch} (fused forwards) …");
-    let batched =
-        measure_config(model_b, max_batch, max_delay_us, requests, concurrency, &payloads)?;
+    let batched = measure_config(model_b, max_batch, requests, concurrency, &payloads)?;
     batched.print("batched");
 
     let speedup = batched.rps() / unbatched.rps().max(1e-9);
@@ -532,7 +523,7 @@ fn self_contained(
     }
 
     let payload = format!(
-        "{{\"kind\":\"serve_bench\",\"concurrency\":{concurrency},\"workers\":1,\"cache\":\"off\",\"max_delay_us\":{max_delay_us},\"unbatched\":{},\"batched\":{},\"speedup\":{:.3}}}",
+        "{{\"kind\":\"serve_bench\",\"concurrency\":{concurrency},\"workers\":1,\"cache\":\"off\",\"unbatched\":{},\"batched\":{},\"speedup\":{:.3}}}",
         stats_json(&unbatched, 1),
         stats_json(&batched, max_batch),
         speedup,
@@ -779,7 +770,6 @@ fn open_loop(
     deadline_ms: u64,
     concurrency: usize,
     max_batch: usize,
-    max_delay_us: u64,
 ) -> Result<(), String> {
     eprintln!("building model …");
     let (model, mentions) = bench_model();
@@ -789,7 +779,6 @@ fn open_loop(
         .collect();
     let cfg = ServerConfig {
         max_batch,
-        max_delay_us,
         // Same isolation as the closed-loop bench: one worker, cache
         // off, so rungs measure the batching engine and the shedding
         // policy, not thread parallelism or cache luck.

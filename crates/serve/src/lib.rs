@@ -2,17 +2,17 @@
 //!
 //! Production inference serving for metablink-rs: a std-only HTTP/1.1
 //! server answering `POST /link` with two-stage entity linking, built
-//! around an **adaptive micro-batching engine**.
+//! around a **work-conserving micro-batching engine**.
 //!
-//! Why batching is the whole game: every un-batched forward pass pays
-//! a fixed tape-construction cost (cloning all parameter tensors into
-//! the autodiff tape, including the token-embedding tables) before the
-//! first multiply. The [`queue::BatchQueue`] lingers up to
-//! `max_delay_us` after a request arrives, fuses up to `max_batch`
-//! concurrent requests into **one**
-//! [`mb_core::linker::TwoStageLinker::link_batch_cached`] call, and
-//! amortizes that cost across all of them. Because every tensor op on
-//! the inference path is row-independent, batched responses are
+//! A worker waits only on an empty queue. When it wakes it takes what
+//! is already queued in the [`queue::BatchQueue`] — up to `max_batch`
+//! requests — and answers them with **one**
+//! [`mb_core::linker::TwoStageLinker::link_batch_cached`] call, so
+//! batch size is the backlog that built up while the worker was busy:
+//! a lone caller is served at once as a batch of one, and a saturated
+//! server fuses up to `max_batch` requests through one multi-query
+//! retrieval scan and one cross-encoder pass. Because every tensor op
+//! on the inference path is row-independent, batched responses are
 //! bit-identical to sequential [`mb_core::linker::TwoStageLinker::link`]
 //! calls — serving never changes model outputs.
 //!

@@ -66,7 +66,9 @@ pub struct Metrics {
     batch: [AtomicU64; NBATCH],
     batches: AtomicU64,
     batched_requests: AtomicU64,
-    /// Mention-embedding cache counters (mirrored from the LRU).
+    /// Mention-embedding cache lookups, summed over every worker's LRU
+    /// and every generation (monotone: a hot swap resets the LRUs, not
+    /// these).
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
 }
@@ -150,10 +152,10 @@ impl Metrics {
         self.batched_requests.fetch_add(size as u64, Ordering::Relaxed);
     }
 
-    /// Mirror the embedding cache's hit/miss counters.
-    pub fn set_cache_counters(&self, hits: u64, misses: u64) {
-        self.cache_hits.store(hits, Ordering::Relaxed);
-        self.cache_misses.store(misses, Ordering::Relaxed);
+    /// Add one batch's embedding-cache hits and misses.
+    pub fn add_cache_counters(&self, hits: u64, misses: u64) {
+        self.cache_hits.fetch_add(hits, Ordering::Relaxed);
+        self.cache_misses.fetch_add(misses, Ordering::Relaxed);
     }
 
     /// Total requests seen so far.
@@ -276,7 +278,10 @@ mod tests {
         m.record_response(200);
         m.record_batch(3);
         m.record_latency_us(700);
-        m.set_cache_counters(3, 1);
+        // Per-batch deltas accumulate; a batch served by a fresh LRU
+        // (all misses) never pulls the totals back.
+        m.add_cache_counters(3, 0);
+        m.add_cache_counters(0, 1);
         let gauges =
             Gauges { queue_depth: 2, inflight: 1, generation: 3, swaps: 2, reload_rejected: 1 };
         let text = m.render(&gauges);

@@ -1,17 +1,18 @@
-//! Bounded MPSC queue with adaptive batch draining.
+//! Bounded MPSC queue with work-conserving batch draining.
 //!
 //! Acceptor threads [`BatchQueue::try_push`] jobs; a full queue rejects
 //! immediately (the server turns that into `503 Service Unavailable`)
 //! instead of buffering without bound. Worker threads call
-//! [`BatchQueue::pop_batch`], which blocks for the first job and then
-//! lingers up to `max_delay` for more — whichever of `max_batch` or the
-//! deadline comes first closes the batch. That linger window is what
-//! turns concurrent single requests into one fused forward pass.
+//! [`BatchQueue::pop_batch`], which blocks only while the queue is
+//! empty and then takes what is already queued, up to `max_batch`. A
+//! worker never waits while a job is queued: batches form from the
+//! backlog that builds while the worker is busy, so batch size follows
+//! load (idle server: batch 1, no added latency; saturated server:
+//! `max_batch` per fused forward pass) and no clock is involved.
 
-use crate::sync::{lock_recover, wait_recover, wait_timeout_recover};
+use crate::sync::{lock_recover, wait_recover};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Why a push was rejected.
 #[derive(Debug, PartialEq, Eq)]
@@ -88,13 +89,13 @@ impl<T> BatchQueue<T> {
     }
 
     /// Drain the next batch: block until one item is queued (or the
-    /// queue closes), then keep collecting until `max_batch` items are
-    /// in hand or `max_delay` has passed since the first item arrived.
+    /// queue closes), then take the items already queued, oldest
+    /// first, up to `max_batch`.
     ///
     /// Returns an empty vector only when the queue is closed and fully
     /// drained — the worker-thread exit signal.
-    pub fn pop_batch(&self, max_batch: usize, max_delay: Duration) -> Vec<T> {
-        self.pop_batch_shed(max_batch, max_delay, |_| false).batch
+    pub fn pop_batch(&self, max_batch: usize) -> Vec<T> {
+        self.pop_batch_shed(max_batch, |_| false).batch
     }
 
     /// Like [`BatchQueue::pop_batch`], but every item is first offered
@@ -102,16 +103,7 @@ impl<T> BatchQueue<T> {
     /// in [`Drained::shed`] instead of the batch and do **not** count
     /// toward `max_batch`. Each popped item is classified exactly once,
     /// so no item can be both shed and served.
-    ///
-    /// When the first drain pass yields only shed items, the call
-    /// returns immediately (no linger): their rejections should reach
-    /// clients as fast as possible.
-    pub fn pop_batch_shed(
-        &self,
-        max_batch: usize,
-        max_delay: Duration,
-        mut shed: impl FnMut(&T) -> bool,
-    ) -> Drained<T> {
+    pub fn pop_batch_shed(&self, max_batch: usize, mut shed: impl FnMut(&T) -> bool) -> Drained<T> {
         let max_batch = max_batch.max(1);
         let mut s = lock_recover(&self.state);
         while s.items.is_empty() {
@@ -122,29 +114,11 @@ impl<T> BatchQueue<T> {
             s = wait_recover(&self.available, s);
         }
         let mut drained = Drained::empty(max_batch.min(s.items.len()));
-        let deadline = Instant::now() + max_delay;
-        loop {
-            while drained.batch.len() < max_batch {
-                match s.items.pop_front() {
-                    Some(item) if shed(&item) => drained.shed.push(item),
-                    Some(item) => drained.batch.push(item),
-                    None => break,
-                }
-            }
-            if drained.batch.len() >= max_batch || s.closed {
-                break;
-            }
-            if drained.batch.is_empty() && !drained.shed.is_empty() {
-                break; // all-shed drain: reject now, don't linger
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, timeout) = wait_timeout_recover(&self.available, s, deadline - now);
-            s = guard;
-            if timeout.timed_out() && s.items.is_empty() {
-                break;
+        while drained.batch.len() < max_batch {
+            match s.items.pop_front() {
+                Some(item) if shed(&item) => drained.shed.push(item),
+                Some(item) => drained.batch.push(item),
+                None => break,
             }
         }
         drained
@@ -194,10 +168,8 @@ mod tests {
         for i in 0..10 {
             q.try_push(i).unwrap();
         }
-        let batch = q.pop_batch(4, Duration::from_millis(0));
-        assert_eq!(batch, vec![0, 1, 2, 3]);
-        let batch = q.pop_batch(100, Duration::from_millis(0));
-        assert_eq!(batch, vec![4, 5, 6, 7, 8, 9]);
+        assert_eq!(q.pop_batch(4), vec![0, 1, 2, 3]);
+        assert_eq!(q.pop_batch(100), vec![4, 5, 6, 7, 8, 9]);
     }
 
     #[test]
@@ -206,15 +178,15 @@ mod tests {
         q.try_push(1).unwrap();
         q.close();
         assert_eq!(q.try_push(2), Err(PushError::Closed(2)));
-        assert_eq!(q.pop_batch(8, Duration::from_millis(5)), vec![1]);
-        assert!(q.pop_batch(8, Duration::from_millis(5)).is_empty());
+        assert_eq!(q.pop_batch(8), vec![1]);
+        assert!(q.pop_batch(8).is_empty());
     }
 
     #[test]
     fn closing_wakes_a_blocked_worker() {
         let q = Arc::new(BatchQueue::<u32>::new(4));
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop_batch(4, Duration::from_secs(5)));
+        let h = std::thread::spawn(move || q2.pop_batch(4));
         std::thread::sleep(Duration::from_millis(20));
         q.close();
         assert!(h.join().unwrap().is_empty());
@@ -227,22 +199,20 @@ mod tests {
             q.try_push(i).unwrap();
         }
         // Shed the evens; the batch should still fill to 4 odds.
-        let d = q.pop_batch_shed(4, Duration::from_millis(0), |i| i % 2 == 0);
+        let d = q.pop_batch_shed(4, |i| i % 2 == 0);
         assert_eq!(d.batch, vec![1, 3, 5, 7]);
         assert_eq!(d.shed, vec![0, 2, 4, 6]);
         assert!(q.is_empty());
     }
 
     #[test]
-    fn all_shed_drain_returns_without_linger() {
+    fn all_shed_drain_is_not_the_exit_signal() {
         let q = BatchQueue::new(8);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
-        let started = Instant::now();
-        let d = q.pop_batch_shed(8, Duration::from_secs(2), |_| true);
+        let d = q.pop_batch_shed(8, |_| true);
         assert!(d.batch.is_empty());
         assert_eq!(d.shed, vec![1, 2]);
-        assert!(started.elapsed() < Duration::from_millis(500), "lingered on an all-shed drain");
         assert!(!d.is_exit(), "shed-only drains are not the exit signal");
     }
 
@@ -250,20 +220,7 @@ mod tests {
     fn closed_and_drained_is_the_exit_signal() {
         let q = BatchQueue::<u32>::new(4);
         q.close();
-        let d = q.pop_batch_shed(4, Duration::from_millis(1), |_| true);
+        let d = q.pop_batch_shed(4, |_| true);
         assert!(d.is_exit());
-    }
-
-    #[test]
-    fn linger_window_collects_late_arrivals() {
-        let q = Arc::new(BatchQueue::new(8));
-        let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop_batch(3, Duration::from_secs(5)));
-        for i in 0..3 {
-            std::thread::sleep(Duration::from_millis(10));
-            q.try_push(i).unwrap();
-        }
-        // The batch fills to max_batch well before the 5 s linger cap.
-        assert_eq!(h.join().unwrap(), vec![0, 1, 2]);
     }
 }

@@ -8,9 +8,11 @@
 //!   admission gate, then the bounded [`BatchQueue`] (full queue →
 //!   `503`) and block on a reply channel; `/healthz`, `/metrics`,
 //!   `/admin/reload`, and `/admin/shutdown` answer inline;
-//! - a pool of **batch workers** drains the queue adaptively (up to
-//!   `max_batch` jobs or `max_delay_us`, whichever first) and runs one
-//!   fused [`TwoStageLinker::link_batch_cached`] per drained batch.
+//! - a pool of **batch workers** drains the queue work-conservingly (a
+//!   worker waits only on an empty queue, then takes what is queued, up
+//!   to `max_batch`) and runs one fused
+//!   [`mb_core::linker::TwoStageLinker::link_batch_cached`] per drained batch, each
+//!   worker through its own mention-embedding LRU.
 //!
 //! Every batch is served by exactly one model [`Generation`] resolved
 //! from the [`ModelRegistry`]: workers re-check the generation id after
@@ -34,7 +36,7 @@ use crate::metrics::{Gauges, Metrics};
 use crate::model::ServeModel;
 use crate::queue::{BatchQueue, PushError};
 use crate::registry::{Generation, ModelRegistry};
-use mb_core::linker::{EmbedCache, LinkResult, TwoStageLinker};
+use mb_core::linker::{EmbedCache, LinkResult};
 use mb_datagen::LinkedMention;
 use mb_kb::EntityId;
 use mb_text::OverlapCategory;
@@ -42,7 +44,7 @@ use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -53,11 +55,9 @@ pub struct ServerConfig {
     pub addr: String,
     /// Most requests fused into one forward pass.
     pub max_batch: usize,
-    /// How long a batch lingers for more requests (µs) after its first.
-    pub max_delay_us: u64,
     /// Bounded queue capacity; beyond it, `/link` answers 503.
     pub queue_capacity: usize,
-    /// Mention-embedding LRU capacity (0 disables caching).
+    /// Mention-embedding LRU capacity per worker (0 disables caching).
     pub cache_capacity: usize,
     /// Batch-worker threads.
     pub workers: usize,
@@ -72,7 +72,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             max_batch: 16,
-            max_delay_us: 2_000,
             queue_capacity: 256,
             cache_capacity: 4_096,
             workers: 1,
@@ -102,13 +101,6 @@ struct Job {
     /// Absolute deadline derived from the request's budget; the drain
     /// predicate sheds jobs whose deadline is unreachable.
     deadline: Instant,
-}
-
-/// The mention-embedding LRU, tagged with the generation whose
-/// embeddings it holds — a hot swap must not serve stale vectors.
-struct GenCache {
-    generation: u64,
-    cache: EmbedCache,
 }
 
 /// One routed response, plus the `Retry-After` seconds carried by
@@ -143,7 +135,6 @@ struct Shared {
     queue: BatchQueue<Job>,
     gate: AdmissionGate,
     metrics: Metrics,
-    cache: Mutex<GenCache>,
     shutdown: AtomicBool,
     addr: SocketAddr,
 }
@@ -187,7 +178,8 @@ impl Server {
     /// # Errors
     /// [`mb_common::Error::Io`] when the address cannot be bound;
     /// index-validation errors from
-    /// [`TwoStageLinker::with_frozen`] when the model is inconsistent.
+    /// [`mb_core::linker::TwoStageLinker::with_frozen`] when the model is
+    /// inconsistent.
     pub fn start(model: ServeModel, cfg: ServerConfig) -> mb_common::Result<Server> {
         Server::start_with_registry(ModelRegistry::new(model)?, cfg)
     }
@@ -214,10 +206,6 @@ impl Server {
             queue: BatchQueue::new(cfg.queue_capacity.max(1)),
             gate: AdmissionGate::new(admission),
             metrics: Metrics::new(),
-            cache: Mutex::new(GenCache {
-                generation: registry.generation_id(),
-                cache: EmbedCache::new(cfg.cache_capacity),
-            }),
             shutdown: AtomicBool::new(false),
             registry,
             cfg,
@@ -322,7 +310,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    let delay = Duration::from_micros(shared.cfg.max_delay_us);
     // A batch drained across a hot swap is carried here and served by
     // the *new* generation's linker after the rebuild below.
     let mut pending: Vec<Job> = Vec::with_capacity(shared.cfg.max_batch.max(1));
@@ -338,10 +325,13 @@ fn worker_loop(shared: &Arc<Shared>) {
                 return;
             }
         };
+        // This worker's mention-embedding LRU. It lives exactly as long
+        // as `linker`, so it only ever holds this generation's vectors.
+        let mut cache = EmbedCache::new(shared.cfg.cache_capacity);
         loop {
             let drained = if pending.is_empty() {
                 let margin = Duration::from_micros(shared.metrics.service_ewma_us());
-                shared.queue.pop_batch_shed(shared.cfg.max_batch, delay, |job| {
+                shared.queue.pop_batch_shed(shared.cfg.max_batch, |job| {
                     // Shed when one more batch's service time would
                     // already land past the job's deadline.
                     job.deadline < Instant::now() + margin
@@ -367,58 +357,35 @@ fn worker_loop(shared: &Arc<Shared>) {
                 break;
             }
             shared.metrics.record_batch(drained.batch.len());
-            let mentions: Vec<LinkedMention> =
-                drained.batch.iter().map(|j| j.mention.clone()).collect();
+            // Move the mentions out of the jobs: linking wants a slice
+            // of mentions, replying wants only the senders.
+            let (mentions, replies): (Vec<LinkedMention>, Vec<mpsc::Sender<Reply>>) =
+                drained.batch.into_iter().map(|job| (job.mention, job.reply)).unzip();
+            let (hits, misses) = (cache.hits(), cache.misses());
             let started = Instant::now();
-            let outcome = link_with_cache(shared, &linker, generation.id, &mentions);
+            let outcome = linker.link_batch_cached(&mentions, Some(&mut cache));
             shared
                 .metrics
                 .record_service_us(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
+            shared.metrics.add_cache_counters(cache.hits() - hits, cache.misses() - misses);
             match outcome {
                 Ok(results) => {
-                    for (job, result) in drained.batch.into_iter().zip(results) {
+                    for (reply, result) in replies.into_iter().zip(results) {
                         // A dropped receiver just means the client went away.
-                        let _ = job.reply.send(Reply::Done(result, Arc::clone(&generation)));
+                        let _ = reply.send(Reply::Done(result, Arc::clone(&generation)));
                     }
                 }
                 Err(e) => {
                     // Every job in the batch gets the typed failure;
                     // the worker stays up for the next drain.
                     let msg = e.to_string();
-                    for job in drained.batch {
-                        let _ = job.reply.send(Reply::Failed(msg.clone()));
+                    for reply in replies {
+                        let _ = reply.send(Reply::Failed(msg.clone()));
                     }
                 }
             }
         }
     }
-}
-
-/// Run one fused batch through the shared embedding cache — but only
-/// when the cache belongs to this worker's generation. After a swap the
-/// first current-generation worker resets the cache (stale vectors must
-/// never be served); a worker still finishing on an older generation
-/// skips the cache entirely rather than polluting the new one.
-fn link_with_cache(
-    shared: &Arc<Shared>,
-    linker: &TwoStageLinker<'_>,
-    generation_id: u64,
-    mentions: &[LinkedMention],
-) -> mb_common::Result<Vec<LinkResult>> {
-    let mut guard = crate::sync::lock_recover(&shared.cache);
-    if guard.generation != generation_id {
-        if shared.registry.generation_id() == generation_id {
-            guard.generation = generation_id;
-            guard.cache = EmbedCache::new(shared.cfg.cache_capacity);
-        } else {
-            // Stale generation: serve cacheless.
-            drop(guard);
-            return linker.link_batch_cached(mentions, None);
-        }
-    }
-    let results = linker.link_batch_cached(mentions, Some(&mut guard.cache));
-    shared.metrics.set_cache_counters(guard.cache.hits(), guard.cache.misses());
-    results
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {

@@ -7,15 +7,14 @@
 //! leak in from test code or a future bug. Either way, aborting the
 //! whole server (what `.expect("poisoned")` did) is the worst possible
 //! response for availability: every protected structure in this crate
-//! ([`crate::queue::BatchQueue`] state, the embedding LRU) is valid
-//! after *any* interleaving of its mutations, because each critical
-//! section performs single-field writes and `VecDeque`/`LruCache`
-//! operations that never leave the structure half-updated at a panic
-//! point. Recovering the guard with [`std::sync::PoisonError::into_inner`]
+//! ([`crate::queue::BatchQueue`] state, the registry's current
+//! generation) is valid after *any* interleaving of its mutations,
+//! because each critical section performs single-field writes and
+//! `VecDeque` operations that never leave the structure half-updated
+//! at a panic point. Recovering the guard with [`std::sync::PoisonError::into_inner`]
 //! is therefore sound, and it keeps serving.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Lock `m`, recovering the guard from a poisoned mutex.
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -25,15 +24,6 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// `Condvar::wait`, recovering the guard from a poisoned mutex.
 pub(crate) fn wait_recover<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-/// `Condvar::wait_timeout`, recovering the guard from a poisoned mutex.
-pub(crate) fn wait_timeout_recover<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: Duration,
-) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-    cv.wait_timeout(guard, dur).unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

@@ -180,7 +180,6 @@ fn faulted_traffic_never_wedges_the_server_even_across_a_hot_swap() {
     let cfg = ServerConfig {
         workers: 2,
         max_batch: 4,
-        max_delay_us: 500,
         serve: ServeConfig {
             // Tight enough that a wedged read would fail the test fast,
             // loose enough for the slowest seeded loris (~6 s).
@@ -273,7 +272,6 @@ fn overloaded_deadlines_shed_fast_503s_with_retry_after() {
         // times — far past a 1 ms budget, never near the 10 s default.
         workers: 1,
         max_batch: 1,
-        max_delay_us: 100,
         queue_capacity: 64,
         ..ServerConfig::default()
     };

@@ -1,15 +1,15 @@
-//! Property tests for [`BatchQueue`] under concurrent push, shed, and
-//! shutdown: the shedding drain must partition work exactly — every
-//! accepted item is either answered (drained into a batch) or shed,
-//! never both and never neither — and shed decisions must be a pure
-//! function of the item given a deterministic predicate, so a seeded
-//! arrival schedule replays to the same shed set.
+//! Property tests for [`BatchQueue`]. Single-threaded, the queue is
+//! checked against a `VecDeque` reference model — the drain involves no
+//! clock, so any interleaving of push / drain / close has exactly one
+//! right answer. Under concurrent push, shed, and shutdown the shedding
+//! drain must partition work exactly: every accepted item is either
+//! answered (drained into a batch) or shed, never both and never
+//! neither.
 
 use mb_check::{gen, prop_assert, prop_assert_eq};
 use mb_serve::queue::{BatchQueue, PushError};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Drain the queue to exhaustion with a deterministic predicate,
 /// returning (answered ids, shed ids) in drain order.
@@ -17,9 +17,7 @@ fn drain_all(queue: &BatchQueue<u64>, max_batch: usize, shed_mod: u64) -> (Vec<u
     let mut answered = Vec::new();
     let mut shed = Vec::new();
     loop {
-        let drained = queue.pop_batch_shed(max_batch, Duration::from_micros(200), |id| {
-            shed_mod > 1 && id % shed_mod == 0
-        });
+        let drained = queue.pop_batch_shed(max_batch, |id| shed_mod > 1 && id % shed_mod == 0);
         if drained.is_exit() {
             return (answered, shed);
         }
@@ -78,40 +76,71 @@ mb_check::check! {
         prop_assert_eq!(accepted.len() + rejected.len(), items);
     }
 
-    /// Shed membership is decided by the predicate alone: with a
-    /// deterministic predicate, the shed SET depends only on which
-    /// items were accepted, not on drain timing or batch boundaries.
-    fn shed_set_is_deterministic_for_a_seeded_schedule(
-        seed in gen::u32_in(0..10_000),
-        items in gen::usize_in(1..64),
-        max_batch in gen::usize_in(1..8),
+    /// Any single-threaded interleaving of `try_push`, `pop_batch_shed`
+    /// and `close` equals a `VecDeque` reference: FIFO order; a drain
+    /// returns the first ≤ `max_batch` unshed items present at the call
+    /// plus every shed item ahead of the last one taken; each popped
+    /// item is offered to the predicate exactly once; the exit signal
+    /// appears only when closed and empty. Ops are `(kind, max_batch)`:
+    /// kind 0–8 pushes the next id, 9–14 drains, 15 closes. A drain of
+    /// an open, empty queue would block forever and is skipped.
+    fn drain_matches_a_vecdeque_reference(
+        ops in gen::vec_of((gen::u32_in(0..16), gen::usize_in(1..6)), 1..80),
+        capacity in gen::usize_in(1..12),
+        shed_mod in gen::u32_in(0..5),
     ) {
-        let shed_mod = 2 + (seed as u64 % 3);
-        let run = || {
-            let queue = BatchQueue::new(items.max(1));
-            // Seeded arrival schedule: the same ids in the same order.
-            for i in 0..items as u64 {
-                let id = (seed as u64)
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(i)
-                    % 1_000;
-                queue.try_push(id).expect("capacity covers the schedule");
+        let shed_mod = shed_mod as u64;
+        let sheds = |id: u64| shed_mod > 1 && id.is_multiple_of(shed_mod);
+        let queue = BatchQueue::new(capacity);
+        let mut model: VecDeque<u64> = VecDeque::new();
+        let mut closed = false;
+        let mut next_id = 0u64;
+        for (kind, max_batch) in ops {
+            match kind {
+                0..=8 => {
+                    let id = next_id;
+                    next_id += 1;
+                    let want = if closed {
+                        Err(PushError::Closed(id))
+                    } else if model.len() >= capacity {
+                        Err(PushError::Full(id))
+                    } else {
+                        model.push_back(id);
+                        Ok(())
+                    };
+                    prop_assert_eq!(queue.try_push(id), want);
+                }
+                9..=14 => {
+                    if model.is_empty() && !closed {
+                        continue;
+                    }
+                    let (mut batch, mut shed, mut popped) = (Vec::new(), Vec::new(), Vec::new());
+                    while batch.len() < max_batch {
+                        let Some(id) = model.pop_front() else { break };
+                        popped.push(id);
+                        if sheds(id) {
+                            shed.push(id)
+                        } else {
+                            batch.push(id)
+                        }
+                    }
+                    let mut offered = Vec::new();
+                    let drained = queue.pop_batch_shed(max_batch, |&id| {
+                        offered.push(id);
+                        sheds(id)
+                    });
+                    prop_assert_eq!(&offered, &popped, "each popped item is classified once");
+                    prop_assert_eq!(drained.is_exit(), popped.is_empty(), "exit iff closed and empty");
+                    prop_assert_eq!(drained.batch, batch);
+                    prop_assert_eq!(drained.shed, shed);
+                }
+                _ => {
+                    queue.close();
+                    closed = true;
+                }
             }
-            queue.close();
-            let (answered, shed) = drain_all(&queue, max_batch, shed_mod);
-            let answered: BTreeSet<u64> = answered.into_iter().collect();
-            let shed: BTreeSet<u64> = shed.into_iter().collect();
-            (answered, shed)
-        };
-        let (a1, s1) = run();
-        let (a2, s2) = run();
-        prop_assert_eq!(&s1, &s2, "replaying the schedule changed the shed set");
-        prop_assert_eq!(&a1, &a2, "replaying the schedule changed the answered set");
-        for id in &s1 {
-            prop_assert_eq!(id % shed_mod, 0, "shed an id the predicate accepts");
-        }
-        for id in &a1 {
-            prop_assert!(id % shed_mod != 0, "answered an id the predicate sheds");
+            prop_assert_eq!(queue.len(), model.len());
+            prop_assert_eq!(queue.is_closed(), closed);
         }
     }
 

@@ -152,7 +152,7 @@ fn hot_swap_under_load_drops_nothing_and_flips_the_generation() {
         ModelRegistry::with_loader(model, candidate, loader).expect("valid startup model");
     let server = Server::start_with_registry(
         registry,
-        ServerConfig { workers: 2, max_batch: 4, max_delay_us: 500, ..ServerConfig::default() },
+        ServerConfig { workers: 2, max_batch: 4, ..ServerConfig::default() },
     )
     .expect("start");
     let addr = server.addr();
@@ -208,6 +208,45 @@ fn hot_swap_under_load_drops_nothing_and_flips_the_generation() {
     let (_, metrics) = roundtrip(addr, b"GET /metrics HTTP/1.1\r\nhost: t\r\n\r\n");
     assert!(metrics.contains("serve_model_generation 2"), "{metrics}");
     assert!(metrics.contains("serve_model_swaps_total 1"), "{metrics}");
+    server.shutdown();
+}
+
+/// The embedding LRU is scoped to the generation that filled it, the
+/// `/metrics` cache counters are not: across a reload they only grow,
+/// and a mention repeated after the swap is a *miss* in the new
+/// generation's LRU — never a hit on the old generation's vector.
+#[test]
+fn cache_counters_never_decrease_across_a_reload() {
+    let dir = scratch("cachecount");
+    let candidate = dir.0.join("model.mbc");
+    write_candidate(&candidate, 7);
+    let (model, mentions, loader) = fixture();
+    let registry =
+        ModelRegistry::with_loader(model, candidate, loader).expect("valid startup model");
+    let server = Server::start_with_registry(registry, ServerConfig::default()).expect("start");
+    let addr = server.addr();
+    let assert_counters = |hits: u64, misses: u64, why: &str| {
+        let (_, metrics) = roundtrip(addr, b"GET /metrics HTTP/1.1\r\nhost: t\r\n\r\n");
+        assert!(
+            metrics.contains(&format!("serve_cache_hits_total {hits}\n"))
+                && metrics.contains(&format!("serve_cache_misses_total {misses}\n")),
+            "{why}: want {hits} hits / {misses} misses in\n{metrics}"
+        );
+    };
+
+    for _ in 0..4 {
+        let (status, body) = roundtrip(addr, &link_request(&mentions[0]));
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(response_generation(&body), 1);
+    }
+    assert_counters(3, 1, "one miss fills the LRU, three repeats hit it");
+
+    let (status, body) = roundtrip(addr, RELOAD);
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = roundtrip(addr, &link_request(&mentions[0]));
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(response_generation(&body), 2);
+    assert_counters(3, 2, "generation 2 starts with an empty LRU; totals keep growing");
     server.shutdown();
 }
 

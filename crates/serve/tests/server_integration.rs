@@ -8,6 +8,7 @@ use mb_datagen::{LinkedMention, World, WorldConfig};
 use mb_encoders::biencoder::{BiEncoder, BiEncoderConfig};
 use mb_encoders::crossencoder::{CrossEncoder, CrossEncoderConfig};
 use mb_encoders::input::build_vocab;
+use mb_serve::http::HttpLimits;
 use mb_serve::{ServeModel, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -94,6 +95,21 @@ fn link_request(m: &LinkedMention, k: usize) -> Vec<u8> {
     req
 }
 
+fn fetch_metrics(addr: SocketAddr) -> String {
+    let (status, metrics) = roundtrip(addr, b"GET /metrics HTTP/1.1\r\nhost: t\r\n\r\n");
+    assert_eq!(status, 200);
+    metrics
+}
+
+/// The value of the un-labelled `/metrics` line `name`.
+fn metric(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} in metrics:\n{metrics}"))
+}
+
 /// The mention as the server reconstructs it (no gold label).
 fn served_mention(m: &LinkedMention) -> LinkedMention {
     LinkedMention { entity: mb_kb::EntityId(0), ..m.clone() }
@@ -146,15 +162,13 @@ fn concurrent_batched_responses_match_sequential_link() {
     let mentions: Vec<LinkedMention> = f.mentions.iter().take(12).map(served_mention).collect();
     let expected: Vec<_> = mentions.iter().map(|m| linker.link(m).expect("link")).collect();
 
-    let server = Server::start(
-        f.model,
-        ServerConfig { max_batch: 8, max_delay_us: 5_000, ..ServerConfig::default() },
-    )
-    .expect("start");
+    let server = Server::start(f.model, ServerConfig { max_batch: 8, ..ServerConfig::default() })
+        .expect("start");
     let addr = server.addr();
 
-    // Fire all requests concurrently so the linger window actually
-    // fuses them into batches.
+    // Fire all requests concurrently: whatever queues up while the
+    // worker is busy is fused, and however the batches fall the answers
+    // must not change.
     let responses: Vec<(u16, String)> = std::thread::scope(|scope| {
         let handles: Vec<_> = mentions
             .iter()
@@ -185,23 +199,107 @@ fn concurrent_batched_responses_match_sequential_link() {
         assert_eq!(served_top.to_bits(), top.to_bits(), "rerank score drifted: {body}");
     }
 
-    // The server must have fused at least one multi-request batch.
-    let (_, metrics) = roundtrip(addr, b"GET /metrics HTTP/1.1\r\nhost: t\r\n\r\n");
-    let batches: u64 = metrics
-        .lines()
-        .find_map(|l| l.strip_prefix("serve_batches_total "))
-        .and_then(|v| v.parse().ok())
-        .expect("batches counter");
-    let batched: u64 = metrics
-        .lines()
-        .find_map(|l| l.strip_prefix("serve_batched_requests_total "))
-        .and_then(|v| v.parse().ok())
-        .expect("batched counter");
+    // Every request went through exactly one batch.
+    let metrics = fetch_metrics(addr);
+    let batches = metric(&metrics, "serve_batches_total");
+    let batched = metric(&metrics, "serve_batched_requests_total");
     assert_eq!(batched, mentions.len() as u64);
     assert!(batches <= batched, "{batches} batches for {batched} requests");
 
     server.shutdown();
     let _ = f.world; // keep the world alive alongside kb clones
+}
+
+/// Work conservation, fusing side: jobs that queue up while the single
+/// worker is inside a batch come out together as its next batch. The
+/// blocker carries a 2 MB left context (the worker tokenises all of it:
+/// tens of milliseconds even in release), and the test *observes*
+/// through `/metrics` that the worker took the blocker alone and that
+/// every follower was queued before it came back — from that state the
+/// outcome is determined.
+#[test]
+fn requests_queued_behind_a_busy_worker_are_fused_into_one_batch() {
+    const FOLLOWERS: usize = 6;
+    let f = fixture();
+    let blocker = LinkedMention {
+        left: "the quick brown fox jumps over the lazy dog ".repeat(45_000),
+        ..served_mention(&f.mentions[0])
+    };
+    let followers: Vec<LinkedMention> =
+        f.mentions[1..=FOLLOWERS].iter().map(served_mention).collect();
+    let limits = HttpLimits { max_body: 4 << 20, ..HttpLimits::default() };
+    let server =
+        Server::start(f.model, ServerConfig { limits, ..ServerConfig::default() }).expect("start");
+    let addr = server.addr();
+
+    // The hold is real compute, so a starved box could let the worker
+    // finish early; such an attempt proves nothing and is repeated.
+    for attempt in 0..20 {
+        let before = fetch_metrics(addr);
+        let (batches, batched) = (
+            metric(&before, "serve_batches_total"),
+            metric(&before, "serve_batched_requests_total"),
+        );
+        let held = std::thread::scope(|scope| {
+            let blocked = scope.spawn(|| roundtrip(addr, &link_request(&blocker, 1)));
+            // `serve_batches_total` moves when the worker has taken the
+            // blocker (alone: nothing else was sent yet).
+            while metric(&fetch_metrics(addr), "serve_batches_total") == batches {
+                std::thread::yield_now();
+            }
+            let clients: Vec<_> = followers
+                .iter()
+                .map(|m| scope.spawn(move || roundtrip(addr, &link_request(m, 1))))
+                .collect();
+            // Held = one snapshot shows every follower queued and the
+            // worker not yet back for its next batch.
+            let held = loop {
+                let now = fetch_metrics(addr);
+                if metric(&now, "serve_batches_total") != batches + 1 {
+                    break false;
+                }
+                if metric(&now, "serve_queue_depth") == FOLLOWERS as u64 {
+                    break true;
+                }
+                std::thread::yield_now();
+            };
+            assert_eq!(blocked.join().expect("blocker").0, 200);
+            for c in clients {
+                assert_eq!(c.join().expect("follower").0, 200);
+            }
+            held
+        });
+        if !held {
+            eprintln!("attempt {attempt}: the worker came back before all followers queued");
+            continue;
+        }
+        let after = fetch_metrics(addr);
+        assert_eq!(metric(&after, "serve_batches_total"), batches + 2, "blocker, then ONE batch");
+        assert_eq!(metric(&after, "serve_batched_requests_total"), batched + 1 + FOLLOWERS as u64);
+        server.shutdown();
+        return;
+    }
+    panic!("never observed the worker held while {FOLLOWERS} requests queued");
+}
+
+/// Work conservation, idle side: a lone caller is never held back to
+/// wait for company. Fifty sequential calls on the default config; the
+/// server-side median must sit below the 1 ms histogram bound (any
+/// linger of a millisecond or more would push it into the next bucket).
+#[test]
+fn a_lone_caller_is_answered_without_waiting_for_a_batch() {
+    let f = fixture();
+    let server = Server::start(f.model, ServerConfig::default()).expect("start");
+    let addr = server.addr();
+    for m in f.mentions.iter().cycle().take(50) {
+        let (status, body) = roundtrip(addr, &link_request(&served_mention(m), 3));
+        assert_eq!(status, 200, "{body}");
+    }
+    let metrics = fetch_metrics(addr);
+    assert_eq!(metric(&metrics, "serve_batches_total"), 50, "one batch per lone request");
+    let p50 = metric(&metrics, "serve_latency_p50_us");
+    assert!(p50 < 1_500, "lone-caller p50 {p50} µs, metrics:\n{metrics}");
+    server.shutdown();
 }
 
 #[test]
@@ -216,12 +314,8 @@ fn repeated_requests_hit_the_embedding_cache() {
         assert_eq!(status, 200);
         assert_eq!(body, first, "cached answers must be identical");
     }
-    let (_, metrics) = roundtrip(addr, b"GET /metrics HTTP/1.1\r\nhost: t\r\n\r\n");
-    let hits: u64 = metrics
-        .lines()
-        .find_map(|l| l.strip_prefix("serve_cache_hits_total "))
-        .and_then(|v| v.parse().ok())
-        .expect("cache hits");
+    let metrics = fetch_metrics(addr);
+    let hits = metric(&metrics, "serve_cache_hits_total");
     assert!(hits >= 3, "expected cache hits, metrics:\n{metrics}");
     server.shutdown();
 }

@@ -75,8 +75,8 @@ USAGE:
   metablink evaluate  --model <dir> [--limit <n>] [--threads <n>]
   metablink link      --model <dir> --surface <text> [--left <text>] [--right <text>] [--k <n>]
   metablink serve     --model <dir> [--addr <host:port>] [--addr-file <path>]
-                      [--max-batch <n>] [--max-delay-us <n>] [--queue-capacity <n>]
-                      [--cache-capacity <n>] [--workers <n>] [--threads <n>]
+                      [--max-batch <n>] [--queue-capacity <n>] [--cache-capacity <n>]
+                      [--workers <n>] [--threads <n>]
                       [--read-timeout-ms <n>] [--reply-timeout-ms <n>]
                       [--default-deadline-ms <n>] [--max-deadline-ms <n>]
                       [--retry-after-s <n>] [--admission-limit <n>]
@@ -86,7 +86,7 @@ USAGE:
   metablink lint      --explain <rule>
 
 serve runs an HTTP server over the trained model: POST /link answers
-linking requests (adaptive micro-batching fuses concurrent requests
+linking requests (requests that queue while a worker is busy are fused
 into one forward pass), GET /healthz and GET /metrics report status,
 POST /admin/reload hot-swaps the next model.mbc generation without
 dropping requests, POST /admin/shutdown drains in-flight work and
@@ -343,6 +343,11 @@ fn load_checkpoint(dir: &Path) -> Result<Checkpoint, String> {
 }
 
 fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
+    if opts.contains_key("max-delay-us") {
+        return Err(
+            "--max-delay-us was removed: batches now form while the worker is busy".to_string()
+        );
+    }
     let dir = PathBuf::from(flag(opts, "model", "metablink_model"));
     let defaults = ServerConfig::default();
     let num = |key: &str, default: usize| -> Result<usize, String> {
@@ -355,7 +360,6 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     let cfg = ServerConfig {
         addr: flag(opts, "addr", "127.0.0.1:7878").to_string(),
         max_batch: num("max-batch", defaults.max_batch)?,
-        max_delay_us: num("max-delay-us", defaults.max_delay_us as usize)? as u64,
         queue_capacity: num("queue-capacity", defaults.queue_capacity)?,
         cache_capacity: num("cache-capacity", defaults.cache_capacity)?,
         workers: num("workers", defaults.workers)?,
