@@ -1,5 +1,28 @@
-//! Durable storage with atomic writes, plus the fault-injection seams
+//! Durable storage with atomic writes, the sectioned-CRC container
+//! every persisted file is framed in, plus the fault-injection seams
 //! (storage and step budget) used by the checkpoint/resume machinery.
+//!
+//! # Container
+//!
+//! Checkpoints, store shards, the store manifest and IVF indexes are
+//! all the same frame sequence, and [`write_frames`] / [`verify_frames`]
+//! are the only code that writes or walks it (DESIGN.md §8):
+//!
+//! ```text
+//! <magic> <nsections>
+//! section <name> <len> <crc32>
+//! <exactly len payload bytes>
+//! section <name> <len> <crc32>
+//! ...
+//! ```
+//!
+//! The magic line pins the section count, each header pins its payload
+//! length, and each CRC-32 (exactly eight lowercase hex digits) covers
+//! `name + '\n' + payload`, so any truncation or single-bit flip of a
+//! name, a payload or a header is detected. Verification is
+//! all-or-nothing and streams every payload through one bounded
+//! buffer; what the sections *mean* — which names, in which order, of
+//! which sizes — is each caller's schema.
 //!
 //! Everything that persists training state goes through the [`Storage`]
 //! trait so that tests can substitute an in-memory backend or a
@@ -12,13 +35,13 @@
 
 use crate::{Error, Result};
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// CRC-32 (ISO-HDLC, the zlib/PNG polynomial) of a byte slice.
 ///
-/// Used as the per-section integrity check of the `mb-params v2`
-/// checkpoint format: any single-bit corruption of a protected payload
+/// Used as the per-section integrity check of the container (see the
+/// module docs): any single-bit corruption of a protected payload
 /// changes the checksum.
 ///
 /// # Examples
@@ -33,26 +56,16 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     h.finish()
 }
 
-/// The reflected CRC-32 byte table (poly 0xEDB88320), built once at
-/// compile time.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
+/// The reflected CRC-32 byte table (poly 0xEDB88320), built on first
+/// use.
+fn crc32_table() -> &'static [u32; 256] {
+    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| {
+        std::array::from_fn(|i| {
+            (0..8).fold(i as u32, |crc, _| (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg()))
+        })
+    })
 }
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
 
 /// Incremental CRC-32 (reflected, poly 0xEDB88320) — the streaming
 /// form of [`crc32`], for payloads too large to hold in memory (the
@@ -72,11 +85,12 @@ impl Crc32 {
 
     /// Absorb the next chunk.
     pub fn update(&mut self, bytes: &[u8]) {
+        let table = crc32_table();
         let mut crc = self.state;
         for &b in bytes {
             let idx = ((crc ^ b as u32) & 0xFF) as usize;
             // mb-lint: allow(indexing) -- idx is masked to 0..=255 over a 256-entry table
-            crc = (crc >> 8) ^ CRC32_TABLE[idx];
+            crc = (crc >> 8) ^ table[idx];
         }
         self.state = crc;
     }
@@ -92,6 +106,204 @@ impl Default for Crc32 {
     fn default() -> Self {
         Crc32::new()
     }
+}
+
+/// Verify buffer size: the largest allocation [`verify_frames`] makes,
+/// whatever lengths the headers declare.
+const VERIFY_CHUNK: usize = 64 * 1024;
+
+/// Longest header line [`verify_frames`] reads, newline included.
+const HEADER_MAX: usize = 256;
+
+/// Fewest bytes one frame can occupy.
+const FRAME_MIN: u64 = "section x 0 00000000\n\n".len() as u64;
+
+/// One verified section: its name and where its payload sits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Frame {
+    /// Section name, as written in its header.
+    pub name: String,
+    /// Byte offset of the payload from the start of the source.
+    pub pos: u64,
+    /// Payload length in bytes.
+    pub len: usize,
+}
+
+fn read_err(what: &str, e: std::io::Error) -> Error {
+    Error::Io(format!("{what}: {e}"))
+}
+
+/// A hasher primed with what a section CRC covers ahead of the
+/// payload: `name + '\n'`.
+fn section_hasher(name: &str) -> Crc32 {
+    let mut h = Crc32::new();
+    h.update(name.as_bytes());
+    h.update(b"\n");
+    h
+}
+
+/// Serialize `sections` as one container: the `<magic> <count>` line,
+/// then one frame per `(name, payload)` pair in order.
+///
+/// # Errors
+/// [`Error::Checkpoint`] for a name [`verify_frames`] would not read
+/// back: empty, containing whitespace, or so long that its header line
+/// exceeds the walker's line cap.
+pub fn write_frames<N: AsRef<str>, P: AsRef<[u8]>>(
+    magic: &str,
+    sections: &[(N, P)],
+) -> Result<Vec<u8>> {
+    let mut out = format!("{magic} {}\n", sections.len()).into_bytes();
+    for (name, payload) in sections {
+        let (name, payload) = (name.as_ref(), payload.as_ref());
+        let mut h = section_hasher(name);
+        h.update(payload);
+        let header = format!("section {name} {} {:08x}\n", payload.len(), h.finish());
+        if name.is_empty() || name.contains(char::is_whitespace) || header.len() > HEADER_MAX {
+            return Err(Error::Checkpoint(format!("unwritable section name {name:?}")));
+        }
+        out.extend_from_slice(header.as_bytes());
+        out.extend_from_slice(payload);
+        out.push(b'\n');
+    }
+    Ok(out)
+}
+
+/// Read one `\n`-terminated header line of at most [`HEADER_MAX`]
+/// bytes, without its newline.
+fn header_line(src: &mut impl BufRead, what: &str) -> Result<String> {
+    let mut line = Vec::new();
+    src.take(HEADER_MAX as u64).read_until(b'\n', &mut line).map_err(|e| read_err(what, e))?;
+    if line.pop() != Some(b'\n') {
+        return Err(Error::Checkpoint(format!("{what}: unterminated or overlong header line")));
+    }
+    String::from_utf8(line)
+        .map_err(|_| Error::Checkpoint(format!("{what}: header line is not UTF-8")))
+}
+
+/// Walk a container of `len` bytes from the start of `src`, checking
+/// the magic line, every header, every payload CRC and the absence of
+/// trailing bytes, and return the frames in file order. All-or-nothing:
+/// any defect is an error and yields no frames.
+///
+/// Every header number is range-checked against `len` before it is
+/// used, so no input — a count or length of `u64::MAX` included — can
+/// make the walk panic, over-allocate or read past the end; payloads
+/// stream through one [`VERIFY_CHUNK`]-sized buffer.
+///
+/// # Errors
+/// [`Error::Checkpoint`] on any framing or CRC problem (`what` prefixes
+/// the message); [`Error::Io`] when `src` cannot be read.
+pub fn verify_frames<R: Read>(
+    src: &mut R,
+    len: u64,
+    magic: &str,
+    what: &str,
+) -> Result<Vec<Frame>> {
+    let bad = |msg: String| Error::Checkpoint(format!("{what}: {msg}"));
+    let mut src = BufReader::with_capacity(VERIFY_CHUNK, src);
+    let line = header_line(&mut src, what)?;
+    let mut head = line.split_whitespace();
+    if !magic.split_whitespace().all(|token| head.next() == Some(token)) {
+        return Err(bad(format!("bad magic line {line:?}")));
+    }
+    let nsections: usize = head
+        .next()
+        .and_then(|t| t.parse().ok())
+        .ok_or_else(|| bad(format!("bad section count in {line:?}")))?;
+    if head.next().is_some() {
+        return Err(bad(format!("trailing tokens in magic line {line:?}")));
+    }
+    let mut pos = line.len() as u64 + 1;
+    if nsections as u64 > len.saturating_sub(pos) / FRAME_MIN {
+        return Err(bad(format!(
+            "{nsections} sections declared, {} bytes cannot hold them",
+            len.saturating_sub(pos)
+        )));
+    }
+    let mut frames = Vec::with_capacity(nsections);
+    for i in 0..nsections {
+        let header = header_line(&mut src, what)
+            .map_err(|_| bad(format!("truncated before section {i}")))?;
+        let mut parts = header.split_whitespace();
+        if parts.next() != Some("section") {
+            return Err(bad(format!("bad section header {header:?}")));
+        }
+        let name =
+            parts.next().ok_or_else(|| bad(format!("section header {header:?} lacks name")))?;
+        let payload_len: usize = parts
+            .next()
+            .and_then(|t| t.parse().ok())
+            .ok_or_else(|| bad(format!("bad length in {header:?}")))?;
+        // Strict canonical form: exactly 8 lowercase hex digits, so no
+        // bit flip of the stored CRC can parse to the same value.
+        let crc_expect = parts
+            .next()
+            .filter(|t| {
+                t.len() == 8 && t.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
+            })
+            .and_then(|t| u32::from_str_radix(t, 16).ok())
+            .ok_or_else(|| bad(format!("bad crc in {header:?}")))?;
+        if parts.next().is_some() {
+            return Err(bad(format!("trailing tokens in {header:?}")));
+        }
+        pos += header.len() as u64 + 1;
+        let end = pos
+            .checked_add(payload_len as u64)
+            .and_then(|e| e.checked_add(1))
+            .filter(|&e| e <= len)
+            .ok_or_else(|| {
+                bad(format!(
+                    "section {name}: payload truncated ({} of {payload_len} bytes present)",
+                    len.saturating_sub(pos)
+                ))
+            })?;
+        let mut h = section_hasher(name);
+        // Stream the payload through the bounded buffer. `end <= len`
+        // holds, so running out of bytes here means `len` was wrong —
+        // an I/O inconsistency, reported as such by the terminator read.
+        let mut body = src.by_ref().take(payload_len as u64);
+        loop {
+            let buf = body.fill_buf().map_err(|e| read_err(what, e))?;
+            if buf.is_empty() {
+                break;
+            }
+            h.update(buf);
+            let n = buf.len();
+            body.consume(n);
+        }
+        let mut terminator = [0u8; 1];
+        src.read_exact(&mut terminator).map_err(|e| read_err(what, e))?;
+        if terminator != [b'\n'] {
+            return Err(bad(format!("section {name}: missing terminator after payload")));
+        }
+        if h.finish() != crc_expect {
+            return Err(bad(format!(
+                "section {name}: crc mismatch (stored {crc_expect:08x}, computed {:08x})",
+                h.finish()
+            )));
+        }
+        frames.push(Frame { name: name.to_string(), pos, len: payload_len });
+        pos = end;
+    }
+    if pos != len {
+        return Err(bad(format!("{} trailing bytes after final section", len - pos)));
+    }
+    Ok(frames)
+}
+
+/// Read the payload of a frame [`verify_frames`] returned for `src`.
+/// Allocates `frame.len` bytes: callers with a fixed-width schema
+/// size-check the frame first.
+///
+/// # Errors
+/// [`Error::Io`] when `src` cannot be read.
+pub fn read_frame<R: Read + Seek>(src: &mut R, frame: &Frame, what: &str) -> Result<Vec<u8>> {
+    let mut buf = vec![0u8; frame.len];
+    src.seek(SeekFrom::Start(frame.pos))
+        .and_then(|_| src.read_exact(&mut buf))
+        .map_err(|e| read_err(what, e))?;
+    Ok(buf)
 }
 
 /// Abstract byte storage with atomic replace semantics.
@@ -347,6 +559,79 @@ mod tests {
                 let mut flipped = data.clone();
                 flipped[byte] ^= 1 << bit;
                 assert_ne!(crc32(&flipped), base, "flip at {byte}:{bit} undetected");
+            }
+        }
+    }
+
+    const MAGIC: &str = "mb-test v1";
+
+    fn sample_frames() -> Vec<u8> {
+        let big = vec![0xA5u8; 3 * VERIFY_CHUNK + 17];
+        write_frames(MAGIC, &[("meta", &b"k v\n"[..]), ("empty", b""), ("big", &big)]).unwrap()
+    }
+
+    fn verify(bytes: &[u8]) -> Result<Vec<Frame>> {
+        verify_frames(&mut std::io::Cursor::new(bytes), bytes.len() as u64, MAGIC, "t")
+    }
+
+    #[test]
+    fn frames_round_trip_with_positions() {
+        let bytes = sample_frames();
+        assert!(bytes.starts_with(b"mb-test v1 3\nsection meta 4 "));
+        let frames = verify(&bytes).unwrap();
+        let names: Vec<&str> = frames.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["meta", "empty", "big"]);
+        let mut src = std::io::Cursor::new(&bytes);
+        assert_eq!(read_frame(&mut src, &frames[0], "t").unwrap(), b"k v\n");
+        assert_eq!(read_frame(&mut src, &frames[1], "t").unwrap(), b"");
+        let big = read_frame(&mut src, &frames[2], "t").unwrap();
+        assert_eq!(big.len(), 3 * VERIFY_CHUNK + 17);
+        assert!(big.iter().all(|&b| b == 0xA5));
+    }
+
+    #[test]
+    fn every_truncation_flip_and_trailing_byte_is_rejected() {
+        let bytes =
+            write_frames(MAGIC, &[("meta", &b"k v\n"[..]), ("body", b"payload bytes")]).unwrap();
+        for cut in 0..bytes.len() {
+            assert!(verify(&bytes[..cut]).is_err(), "prefix {cut} verified");
+        }
+        for byte in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[byte] ^= 1 << bit;
+                assert!(verify(&flipped).is_err(), "flip {byte}:{bit} verified");
+            }
+        }
+        let mut longer = bytes.clone();
+        longer.push(b'\n');
+        assert!(verify(&longer).is_err());
+        assert!(verify_frames(&mut &bytes[..], bytes.len() as u64, "mb-other v1", "t").is_err());
+    }
+
+    #[test]
+    fn writer_refuses_names_the_walker_would_not_read_back() {
+        for name in ["", "has space", "tab\there", "line\nbreak", &"x".repeat(HEADER_MAX)] {
+            let err = write_frames(MAGIC, &[(name, b"")]).unwrap_err();
+            assert!(matches!(err, Error::Checkpoint(_)), "{name:?}: {err:?}");
+        }
+        // The longest name whose header still fits the line cap reads back.
+        let fits = "x".repeat(HEADER_MAX - "section  0 00000000\n".len());
+        let bytes = write_frames(MAGIC, &[(fits.as_str(), b"")]).unwrap();
+        assert_eq!(verify(&bytes).unwrap()[0].name, fits);
+        assert!(write_frames(MAGIC, &[(format!("{fits}x"), b"")]).is_err());
+    }
+
+    #[test]
+    fn oversized_header_numbers_are_typed_rejections() {
+        let huge = ["4294967296", "9223372036854775808", "18446744073709551615"];
+        for n in huge.iter().copied().chain(["99999999999999999999", "2"]) {
+            for doc in [
+                format!("mb-test v1 {n}\nsection meta 0 00000000\n\n"),
+                format!("mb-test v1 1\nsection meta {n} 00000000\n\n"),
+            ] {
+                let err = verify(doc.as_bytes()).unwrap_err();
+                assert!(matches!(err, Error::Checkpoint(_)), "{doc:?}: {err:?}");
             }
         }
     }

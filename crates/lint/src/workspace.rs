@@ -5,7 +5,9 @@
 //! signed up for (DESIGN.md §10):
 //!
 //! - **panic-freedom** on the serving path (`crates/serve/src`) and the
-//!   checkpoint request/load paths (`crates/tensor/src/checkpoint.rs`,
+//!   checkpoint request/load paths (`crates/common/src/storage.rs` —
+//!   the one container walker behind checkpoints, shards, manifests and
+//!   IVF files — `crates/tensor/src/checkpoint.rs`,
 //!   `crates/tensor/src/serialize.rs`, `crates/kb/src/store.rs`);
 //! - **determinism** in every crate covered by the bit-identical
 //!   resume guarantee (`tensor`, `core`, `datagen`, `nlg`, `kb`,
@@ -60,6 +62,7 @@ const DETERMINISM_CRATES: &[&str] =
 
 /// Files (beyond `crates/serve/src`) on the panic-free path.
 const PANIC_FREE_FILES: &[&str] = &[
+    "crates/common/src/storage.rs",
     "crates/tensor/src/checkpoint.rs",
     "crates/tensor/src/serialize.rs",
     "crates/kb/src/store.rs",
@@ -374,6 +377,11 @@ mod tests {
         for f in PANIC_FREE_FILES {
             assert!(rules_for(f).panic_freedom, "{f}");
         }
+        // The container walker is the single place corrupt bytes must
+        // become typed errors; its neighbours in mb-common are not.
+        let walker = rules_for("crates/common/src/storage.rs");
+        assert!(walker.panic_freedom && walker.panic_reach);
+        assert!(!rules_for("crates/common/src/lru.rs").panic_freedom);
         assert!(!rules_for("crates/tensor/src/tensor.rs").panic_freedom);
     }
 

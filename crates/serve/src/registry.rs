@@ -216,6 +216,26 @@ impl Generation {
     }
 }
 
+/// Holds a registry's `reloading` flag and clears it on drop, so an
+/// unwind out of a loader or an index build cannot strand the flag and
+/// turn every later reload into "already in progress".
+struct ReloadGuard<'a>(&'a AtomicBool);
+
+impl<'a> ReloadGuard<'a> {
+    fn acquire(flag: &'a AtomicBool) -> Result<Self> {
+        if flag.swap(true, Ordering::AcqRel) {
+            return Err(Error::Io("a model reload is already in progress".to_string()));
+        }
+        Ok(ReloadGuard(flag))
+    }
+}
+
+impl Drop for ReloadGuard<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
+}
+
 /// The registry: current generation, swap bookkeeping, and an optional
 /// loader for pulling new generations from disk.
 pub struct ModelRegistry {
@@ -313,12 +333,8 @@ impl ModelRegistry {
     /// [`Error::Io`] when another reload is already in flight (shed and
     /// retry); validation errors from [`Generation::build`].
     pub fn publish(&self, model: ServeModel, source: String) -> Result<u64> {
-        if self.reloading.swap(true, Ordering::AcqRel) {
-            return Err(Error::Io("a model reload is already in progress".to_string()));
-        }
-        let result = self.publish_locked(model, source, None);
-        self.reloading.store(false, Ordering::Release);
-        result
+        let _reloading = ReloadGuard::acquire(&self.reloading)?;
+        self.publish_locked(model, source, None)
     }
 
     /// The sharded-store directory a reload from `path` should bind,
@@ -346,12 +362,10 @@ impl ModelRegistry {
         let Some(path) = path.or(self.source.as_deref()) else {
             return Err(Error::Checkpoint("no reload source configured".to_string()));
         };
-        if self.reloading.swap(true, Ordering::AcqRel) {
-            return Err(Error::Io("a model reload is already in progress".to_string()));
-        }
+        let _reloading = ReloadGuard::acquire(&self.reloading)?;
         // Load + validate run here, on the admin/watcher thread, with
         // the old generation still serving every request.
-        let result = loader(path)
+        loader(path)
             .inspect_err(|_| {
                 self.rejected.fetch_add(1, Ordering::Relaxed);
             })
@@ -361,9 +375,7 @@ impl ModelRegistry {
                     path.to_string_lossy().into_owned(),
                     Self::store_dir_for(path),
                 )
-            });
-        self.reloading.store(false, Ordering::Release);
-        result
+            })
     }
 
     /// The swap itself; caller holds the `reloading` flag.

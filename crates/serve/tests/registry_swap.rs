@@ -368,6 +368,63 @@ fn reload_binds_a_sharded_store_next_to_the_checkpoint() {
     server.shutdown();
 }
 
+/// A store manifest declaring `u64::MAX` sections used to panic the
+/// reload (`Vec::with_capacity`), and any unwind out of a reload used
+/// to strand the `reloading` flag: every later reload then answered
+/// "already in progress" until restart.
+#[test]
+fn a_rejected_or_unwound_reload_leaves_the_old_generation_and_the_next_reload_working() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let dir = scratch("hugecount");
+    let candidate = dir.0.join("model.mbc");
+    write_candidate(&candidate, 7);
+    let (model, mentions, load) = fixture();
+    write_store(&dir.0.join("store"), model.kb.len().min(48));
+    static LOADER_BUG: AtomicBool = AtomicBool::new(false);
+    let loader: ModelLoader = Box::new(move |path: &Path| {
+        assert!(!LOADER_BUG.load(Ordering::SeqCst), "a bug in the loader");
+        load(path)
+    });
+    let registry =
+        ModelRegistry::with_loader(model, candidate, loader).expect("valid startup model");
+    assert_eq!(registry.reload(None).expect("store-backed reload"), 2);
+    let serving = registry.current();
+    // Per mention: every candidate id, then both stages' score bits.
+    let answers = |generation: &mb_serve::Generation| -> Vec<Vec<u64>> {
+        let results = generation.linker().expect("linker").link_batch(&mentions).expect("link");
+        results
+            .iter()
+            .map(|r| {
+                let ids = r.retrieved.iter().map(|&(id, _)| u64::from(id.0));
+                let scores = r.retrieved.iter().map(|(_, s)| s).chain(&r.rerank_scores);
+                ids.chain(scores.map(|s| s.to_bits())).collect()
+            })
+            .collect()
+    };
+    let before = answers(&serving);
+
+    let manifest = dir.0.join("store").join(mb_store::MANIFEST);
+    let good = std::fs::read(&manifest).expect("manifest bytes");
+    let rest = good.strip_prefix(b"mb-store v1 1\n").expect("one-section manifest");
+    std::fs::write(&manifest, [b"mb-store v1 18446744073709551615\n", rest].concat())
+        .expect("write corrupted");
+    let err = registry.reload(None).expect_err("corrupt manifest");
+    assert!(matches!(err, mb_common::Error::Checkpoint(_)), "{err:?}");
+    assert_eq!((registry.rejected(), registry.generation_id()), (1, 2));
+    assert!(std::sync::Arc::ptr_eq(&serving, &registry.current()));
+    assert_eq!(answers(&registry.current()), before);
+
+    LOADER_BUG.store(true, Ordering::SeqCst);
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| registry.reload(None)));
+    assert!(unwound.is_err(), "the loader panicked");
+    LOADER_BUG.store(false, Ordering::SeqCst);
+    assert_eq!(registry.generation_id(), 2);
+
+    std::fs::write(&manifest, &good).expect("restore");
+    assert_eq!(registry.reload(None).expect("the next good reload"), 3);
+    assert_eq!(answers(&registry.current()), before, "same checkpoint, same store");
+}
+
 #[test]
 fn reload_without_a_configured_source_is_a_conflict() {
     let (model, _, _) = fixture();

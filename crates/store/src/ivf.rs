@@ -29,12 +29,23 @@
 //!   own probe-ordered candidate layout, so a query's ranking never
 //!   depends on which other queries share its block.
 //!
+//! # File format
+//!
+//! Three sections of the workspace container (`mb_common::storage`,
+//! DESIGN.md §8) under the `mb-store v1` magic, in this order:
+//!
+//! | section     | payload                                                    | size rule             |
+//! |-------------|------------------------------------------------------------|-----------------------|
+//! | `meta`      | text: `entities`, `dim`, `nlist`, `nprobe` lines           | must match the store  |
+//! | `centroids` | `f64` bit patterns, LE                                     | `nlist × dim × 8`     |
+//! | `lists`     | per list: `u32` LE length, then ascending `u32` LE row ids | covers every row once |
+//!
 //! `save`/`load` round-trip the exact `f64` bit patterns, so a loaded
 //! index answers queries identically to the one that was built.
 
-use crate::shard::{self, read_section, verify_frames, ShardTable, MAGIC};
+use crate::shard::{self, open_frames, ShardTable, MAGIC};
 use crate::store::EntityStore;
-use mb_common::storage::{atomic_write, Crc32};
+use mb_common::storage::{atomic_write, read_frame, write_frames};
 use mb_common::{Error, Result, Rng};
 use mb_encoders::retrieval::{top_k_blocks, CandidateSource, QueryBlock, Rows};
 use mb_kb::EntityId;
@@ -164,11 +175,10 @@ fn pack_lists(store: &EntityStore, lists: &[Vec<u32>], dim: usize) -> PackedList
 fn best_centroid(v: &[f64], centroids: &[f64], nlist: usize, dim: usize) -> u32 {
     let mut best = 0usize;
     let mut best_score = f64::NEG_INFINITY;
-    for c in 0..nlist {
-        let base = c * dim;
+    for (c, centroid) in centroids.chunks_exact(dim).take(nlist).enumerate() {
         let mut s = 0.0;
-        for (j, &x) in v.iter().enumerate() {
-            s += centroids[base + j] * x;
+        for (&w, &x) in centroid.iter().zip(v) {
+            s += w * x;
         }
         if s > best_score {
             best_score = s;
@@ -326,19 +336,21 @@ impl IvfIndex {
         &self.store
     }
 
-    /// Serialize to `mb-store v1` framing: sections `meta`,
-    /// `centroids` (f64 bit patterns, LE), `lists` (per-list length
-    /// prefix then row ids, u32 LE).
+    /// Write [`IvfIndex::to_bytes`] to `path` atomically.
     ///
     /// # Errors
     /// [`Error::Io`] when the file cannot be written.
     pub fn save(&self, path: &Path) -> Result<()> {
-        atomic_write(path, &self.to_bytes())
+        atomic_write(path, &self.to_bytes()?)
     }
 
     /// The serialized index, byte-for-byte what [`IvfIndex::save`]
     /// writes (exposed so tests can assert bit-identical rebuilds).
-    pub fn to_bytes(&self) -> Vec<u8> {
+    ///
+    /// # Errors
+    /// The container writer's; its only failure is an unwritable
+    /// section name, which this fixed schema never produces.
+    pub fn to_bytes(&self) -> Result<Vec<u8>> {
         let nlist = self.lists.len();
         let meta = format!(
             "entities {}\ndim {}\nnlist {nlist}\nnprobe {}\n",
@@ -358,21 +370,10 @@ impl IvfIndex {
                 lists.extend_from_slice(&row.to_le_bytes());
             }
         }
-        let mut out = format!("{MAGIC} 3\n").into_bytes();
-        for (name, payload) in
-            [("meta", meta.as_bytes()), ("centroids", &centroids), ("lists", &lists)]
-        {
-            let mut h = Crc32::new();
-            h.update(name.as_bytes());
-            h.update(b"\n");
-            h.update(payload);
-            out.extend_from_slice(
-                format!("section {name} {} {:08x}\n", payload.len(), h.finish()).as_bytes(),
-            );
-            out.extend_from_slice(payload);
-            out.push(b'\n');
-        }
-        out
+        write_frames(
+            MAGIC,
+            &[("meta", meta.as_bytes()), ("centroids", &centroids), ("lists", &lists)],
+        )
     }
 
     /// Load a saved index and bind it to `store`, verifying framing,
@@ -384,14 +385,9 @@ impl IvfIndex {
     pub fn load(path: &Path, store: Arc<EntityStore>) -> Result<IvfIndex> {
         let what = path.to_string_lossy().into_owned();
         let mut file = File::open(path).map_err(|e| Error::Io(format!("{what}: {e}")))?;
-        let frames = verify_frames(&mut file, &what)?;
-        let names: Vec<&str> = frames.iter().map(|(n, _, _)| n.as_str()).collect();
-        if names != ["meta", "centroids", "lists"] {
-            return Err(Error::Checkpoint(format!(
-                "{what}: expected sections [meta, centroids, lists], got {names:?}"
-            )));
-        }
-        let meta_bytes = read_section(&mut file, frames[0].2, frames[0].1, &what)?;
+        let [meta, centroids, lists] =
+            open_frames(&mut file, ["meta", "centroids", "lists"], &what)?;
+        let meta_bytes = read_frame(&mut file, &meta, &what)?;
         let meta = shard::parse_meta(&meta_bytes, &what)?;
         let entities = shard::meta_number(&meta, "entities", &what)? as usize;
         let dim = shard::meta_number(&meta, "dim", &what)? as usize;
@@ -409,7 +405,7 @@ impl IvfIndex {
                 "{what}: inconsistent nlist {nlist} / nprobe {nprobe}"
             )));
         }
-        let cbytes = read_section(&mut file, frames[1].2, frames[1].1, &what)?;
+        let cbytes = read_frame(&mut file, &centroids, &what)?;
         if cbytes.len() != nlist * dim * 8 {
             return Err(Error::Checkpoint(format!(
                 "{what}: centroids section is {} bytes, want {}",
@@ -423,7 +419,7 @@ impl IvfIndex {
             b.copy_from_slice(chunk);
             centroids.push(f64::from_bits(u64::from_le_bytes(b)));
         }
-        let lbytes = read_section(&mut file, frames[2].2, frames[2].1, &what)?;
+        let lbytes = read_frame(&mut file, &lists, &what)?;
         let mut lists = Vec::with_capacity(nlist);
         let mut pos = 0usize;
         let mut covered = 0usize;

@@ -17,10 +17,12 @@
 //!   same [`CandidateSource`] trait as the exact indexes. Build and
 //!   search are bit-identical across runs and `mb-par` worker counts.
 //!
-//! Corruption handling is all-or-nothing, inherited from the
-//! `mb-params v2` section framing: any flipped bit or truncation in a
-//! manifest, shard, or index file fails the open with
-//! [`mb_common::Error::Checkpoint`] rather than serving partial data.
+//! All three file kinds are section schemas over the workspace
+//! container (`mb_common::storage`, DESIGN.md §8), so corruption
+//! handling is all-or-nothing: any flipped bit, truncation or
+//! out-of-range header number in a manifest, shard, or index file fails
+//! the open with [`mb_common::Error::Checkpoint`] rather than serving
+//! partial data.
 
 pub mod ivf;
 pub mod shard;

@@ -1,38 +1,23 @@
-//! One on-disk entity shard: checksummed sections, a fixed-width
-//! record directory, and a varlen text payload read by byte offset.
+//! One on-disk entity shard: a fixed-width record directory, the
+//! quantized vector table, and a varlen text payload read by byte
+//! offset — four sections of the workspace container
+//! (`mb_common::storage`, DESIGN.md §8) under the magic `mb-store v1`.
 //!
-//! The file reuses the `mb-params v2` section+CRC machinery
-//! (DESIGN.md §14):
+//! | section | payload                                                   | size rule                     |
+//! |---------|-----------------------------------------------------------|-------------------------------|
+//! | `meta`  | text: `shard`, `base`, `entities`, `dim`, `quant` lines   | ≤ 4 KiB                       |
+//! | `dir`   | one 16-byte LE record per entity: `text_off`, `title_len`, `desc_len`, reserved zero | `entities × 16`; offsets tile `text` contiguously |
+//! | `vecs`  | the raw `QuantF16` / `QuantI8` table fields               | f16 `n·dim·2`; int8 `n·8 + n·dim` |
+//! | `text`  | concatenated UTF-8 titles and descriptions, in row order  | what `dir` covers             |
 //!
-//! ```text
-//! mb-store v1 4
-//! section meta <len> <crc32>
-//! <len payload bytes>
-//! section dir <len> <crc32>
-//! ...
-//! section vecs <len> <crc32>
-//! ...
-//! section text <len> <crc32>
-//! ...
-//! ```
+//! Sections appear in exactly that order. `vecs` holds the table
+//! fields as quantized at build time, so loading a shard reassembles
+//! the tables byte-for-byte without re-quantizing.
 //!
-//! Sections appear in exactly that order. `meta` is a small text block
-//! (shard ordinal, base row, entity count, dim, quant mode). `dir` is
-//! the fixed-width record directory: one 16-byte little-endian record
-//! per entity (`text_off`, `title_len`, `desc_len`, reserved zero)
-//! pointing into the `text` payload region. `vecs` holds the entity
-//! vectors as the raw `QuantF16`/`QuantI8` table fields, so loading a
-//! shard reassembles the quantized tables byte-for-byte without
-//! re-quantizing. `text` is the concatenated UTF-8 titles and
-//! descriptions, in row order.
-//!
-//! Integrity model — identical to `mb-params v2`: the magic line pins
-//! the section count, each header pins the payload length, and each
-//! CRC-32 covers `name + '\n' + payload`, so any truncation or
-//! single-bit flip is detected. [`Shard::open`] is all-or-nothing: it
-//! verifies every section CRC (streaming the large ones through a
-//! bounded 64 KiB buffer) before returning a handle, and a failure
-//! yields no partially-usable shard.
+//! [`Shard::open`] is all-or-nothing: the container walker verifies
+//! every section CRC (streaming the large ones through its bounded
+//! buffer) before any schema check runs, and a failure yields no
+//! partially-usable shard.
 //!
 //! Memory model: only the directory and the quantized vector tables
 //! become resident (both fixed-width, bounded by the shard capacity).
@@ -41,7 +26,7 @@
 //! ranges, mmap-style, so a million-entity store never holds its
 //! description text in RAM.
 
-use mb_common::storage::{atomic_write, Crc32};
+use mb_common::storage::{atomic_write, read_frame, verify_frames, write_frames, Frame};
 use mb_common::{Error, Result};
 use mb_tensor::quant::{f16_to_f64, QuantF16, QuantI8};
 use mb_tensor::{QuantMode, Tensor};
@@ -50,12 +35,9 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-/// Magic prefix shared by shard files and the store manifest.
+/// Magic prefix shared by shard files, the store manifest and the IVF
+/// index.
 pub const MAGIC: &str = "mb-store v1";
-
-/// Streaming-verify chunk size: the largest buffer the load path ever
-/// allocates for the varlen text region.
-const VERIFY_CHUNK: usize = 64 * 1024;
 
 /// Bytes per fixed-width directory record.
 pub const DIR_RECORD_BYTES: usize = 16;
@@ -136,19 +118,6 @@ fn le_f64(bytes: &[u8]) -> f64 {
         *d = *s;
     }
     f64::from_le_bytes(b)
-}
-
-/// Append one `section <name> <len> <crc>\n<payload>\n` frame.
-fn append_section(out: &mut Vec<u8>, name: &str, payload: &[u8]) {
-    let mut h = Crc32::new();
-    h.update(name.as_bytes());
-    h.update(b"\n");
-    h.update(payload);
-    out.extend_from_slice(
-        format!("section {name} {} {:08x}\n", payload.len(), h.finish()).as_bytes(),
-    );
-    out.extend_from_slice(payload);
-    out.push(b'\n');
 }
 
 /// Quantization-mode token used in `meta` and the manifest.
@@ -251,146 +220,28 @@ pub fn write_shard(
 
     let meta =
         format!("shard {ordinal}\nbase {base}\nentities {n}\ndim {dim}\nquant {quant_name}\n");
-    let mut out = format!("{MAGIC} 4\n").into_bytes();
-    append_section(&mut out, "meta", meta.as_bytes());
-    append_section(&mut out, "dir", &dir);
-    append_section(&mut out, "vecs", &vecs);
-    append_section(&mut out, "text", &text);
+    let out = write_frames(
+        MAGIC,
+        &[("meta", meta.as_bytes()), ("dir", &dir), ("vecs", &vecs), ("text", &text)],
+    )?;
     let bytes = out.len() as u64;
     atomic_write(path, &out)?;
     Ok(bytes)
 }
 
-/// Read one `\n`-terminated header line at `*pos` through a small
-/// fixed buffer, advancing `*pos` past the newline.
-fn read_line_at(file: &mut File, pos: &mut u64, what: &str) -> Result<String> {
-    file.seek(SeekFrom::Start(*pos)).map_err(|e| io_err(what, e))?;
-    let mut buf = [0u8; 256];
-    let mut filled = 0usize;
-    loop {
-        let got = file.read(&mut buf[filled..]).map_err(|e| io_err(what, e))?;
-        if got == 0 {
-            break;
-        }
-        filled += got;
-        if buf[..filled].contains(&b'\n') || filled == buf.len() {
-            break;
-        }
-    }
-    let Some(nl) = buf[..filled].iter().position(|&b| b == b'\n') else {
-        return Err(Error::Checkpoint(format!("{what}: unterminated or overlong header line")));
-    };
-    let line = std::str::from_utf8(&buf[..nl])
-        .map_err(|_| Error::Checkpoint(format!("{what}: header line is not UTF-8")))?
-        .to_string();
-    *pos += nl as u64 + 1;
-    Ok(line)
-}
-
-/// Walk and CRC-verify every section frame of an `mb-store v1` file,
-/// returning the frames. Verification streams each payload through a
-/// bounded buffer; nothing section-sized is allocated here.
-///
-/// Shared by shards and the manifest: both carry the same framing.
-pub(crate) fn verify_frames(file: &mut File, what: &str) -> Result<Vec<(String, usize, u64)>> {
-    let file_len = file.metadata().map_err(|e| io_err(what, e)).map(|m| m.len())?;
-    let mut pos = 0u64;
-    let magic = read_line_at(file, &mut pos, what)?;
-    let mut head = magic.split_whitespace();
-    let magic_ok = head.next() == Some("mb-store") && head.next() == Some("v1");
-    if !magic_ok {
-        return Err(Error::Checkpoint(format!("{what}: bad magic line {magic:?}")));
-    }
-    let nsections: usize = head
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| Error::Checkpoint(format!("{what}: bad section count in {magic:?}")))?;
-    if head.next().is_some() {
-        return Err(Error::Checkpoint(format!("{what}: trailing tokens in magic line {magic:?}")));
-    }
-    let mut frames = Vec::with_capacity(nsections);
-    let mut chunk = vec![0u8; VERIFY_CHUNK];
-    for i in 0..nsections {
-        let header = read_line_at(file, &mut pos, what)
-            .map_err(|_| Error::Checkpoint(format!("{what}: truncated before section {i}")))?;
-        let mut parts = header.split_whitespace();
-        if parts.next() != Some("section") {
-            return Err(Error::Checkpoint(format!("{what}: bad section header {header:?}")));
-        }
-        let name = parts
-            .next()
-            .ok_or_else(|| {
-                Error::Checkpoint(format!("{what}: section header {header:?} lacks name"))
-            })?
-            .to_string();
-        let len: usize = parts
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| Error::Checkpoint(format!("{what}: bad length in {header:?}")))?;
-        // Strict canonical CRC form: exactly 8 lowercase hex digits, so
-        // no bit flip of the stored CRC can parse to the same value.
-        let crc_tok = parts
-            .next()
-            .filter(|t| {
-                t.len() == 8 && t.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-            })
-            .ok_or_else(|| Error::Checkpoint(format!("{what}: bad crc in {header:?}")))?;
-        let crc_expect = u32::from_str_radix(crc_tok, 16)
-            .map_err(|e| Error::Checkpoint(format!("{what}: bad crc in {header:?}: {e}")))?;
-        if parts.next().is_some() {
-            return Err(Error::Checkpoint(format!("{what}: trailing tokens in {header:?}")));
-        }
-        let payload_pos = pos;
-        if payload_pos + len as u64 + 1 > file_len {
-            return Err(Error::Checkpoint(format!(
-                "{what}: section {name}: payload truncated ({} of {len} bytes present)",
-                file_len.saturating_sub(payload_pos)
-            )));
-        }
-        let mut h = Crc32::new();
-        h.update(name.as_bytes());
-        h.update(b"\n");
-        file.seek(SeekFrom::Start(payload_pos)).map_err(|e| io_err(what, e))?;
-        let mut remaining = len;
-        while remaining > 0 {
-            let take = remaining.min(chunk.len());
-            file.read_exact(&mut chunk[..take]).map_err(|e| io_err(what, e))?;
-            h.update(&chunk[..take]);
-            remaining -= take;
-        }
-        let mut nl = [0u8; 1];
-        file.read_exact(&mut nl).map_err(|e| io_err(what, e))?;
-        if nl != [b'\n'] {
-            return Err(Error::Checkpoint(format!(
-                "{what}: section {name}: missing terminator after payload"
-            )));
-        }
-        if h.finish() != crc_expect {
-            return Err(Error::Checkpoint(format!(
-                "{what}: section {name}: crc mismatch (stored {crc_expect:08x}, computed {:08x})",
-                h.finish()
-            )));
-        }
-        pos = payload_pos + len as u64 + 1;
-        frames.push((name, len, payload_pos));
-    }
-    if pos != file_len {
-        return Err(Error::Checkpoint(format!(
-            "{what}: {} trailing bytes after final section",
-            file_len - pos
-        )));
-    }
-    Ok(frames)
-}
-
-/// Read one already-verified section payload into memory. Bounded by
-/// the header-declared length, which callers size-check against their
-/// fixed-width schema before calling.
-pub(crate) fn read_section(file: &mut File, pos: u64, len: usize, what: &str) -> Result<Vec<u8>> {
-    file.seek(SeekFrom::Start(pos)).map_err(|e| io_err(what, e))?;
-    let mut buf = vec![0u8; len];
-    file.read_exact(&mut buf).map_err(|e| io_err(what, e))?;
-    Ok(buf)
+/// Verify every frame of the `mb-store v1` file `file` and require it
+/// to hold exactly the sections `names`, in order.
+pub(crate) fn open_frames<const N: usize>(
+    file: &mut File,
+    names: [&str; N],
+    what: &str,
+) -> Result<[Frame; N]> {
+    let len = file.metadata().map_err(|e| io_err(what, e))?.len();
+    let frames = verify_frames(file, len, MAGIC, what)?;
+    let got: Vec<String> = frames.iter().map(|f| f.name.clone()).collect();
+    frames.try_into().ok().filter(|_| got == names).ok_or_else(|| {
+        Error::Checkpoint(format!("{what}: expected sections {names:?}, got {got:?}"))
+    })
 }
 
 /// Parse a `key value` meta payload into pairs, in order.
@@ -443,21 +294,12 @@ impl Shard {
     pub fn open(path: &Path) -> Result<Shard> {
         let what = path.to_string_lossy().into_owned();
         let mut file = File::open(path).map_err(|e| io_err(&what, e))?;
-        let frames = verify_frames(&mut file, &what)?;
-        let names: Vec<&str> = frames.iter().map(|(n, _, _)| n.as_str()).collect();
-        if names != ["meta", "dir", "vecs", "text"] {
-            return Err(Error::Checkpoint(format!(
-                "{what}: expected sections [meta, dir, vecs, text], got {names:?}"
-            )));
-        }
-        let frame = |i: usize| -> (usize, u64) {
-            frames.get(i).map(|&(_, len, pos)| (len, pos)).unwrap_or((0, 0))
-        };
-        let (meta_len, meta_pos) = frame(0);
-        if meta_len > META_MAX_BYTES {
+        let [meta, dir, vecs, text] =
+            open_frames(&mut file, ["meta", "dir", "vecs", "text"], &what)?;
+        if meta.len > META_MAX_BYTES {
             return Err(Error::Checkpoint(format!("{what}: meta section implausibly large")));
         }
-        let meta_bytes = read_section(&mut file, meta_pos, meta_len, &what)?;
+        let meta_bytes = read_frame(&mut file, &meta, &what)?;
         let meta = parse_meta(&meta_bytes, &what)?;
         let ordinal = meta_number(&meta, "shard", &what)? as usize;
         let base_u64 = meta_number(&meta, "base", &what)?;
@@ -470,17 +312,16 @@ impl Shard {
         }
         let quant = parse_quant_token(meta_value(&meta, "quant", &what)?)?;
 
-        let (dir_len, dir_pos) = frame(1);
-        if dir_len != n * DIR_RECORD_BYTES {
+        if dir.len != n * DIR_RECORD_BYTES {
             return Err(Error::Checkpoint(format!(
-                "{what}: dir section is {dir_len} bytes, want {} for {n} records",
+                "{what}: dir section is {} bytes, want {} for {n} records",
+                dir.len,
                 n * DIR_RECORD_BYTES
             )));
         }
-        let (vecs_len, vecs_pos) = frame(2);
-        let (text_len, text_pos) = frame(3);
+        let (vecs_len, text_len, text_pos) = (vecs.len, text.len, text.pos);
 
-        let dir_bytes = read_section(&mut file, dir_pos, dir_len, &what)?;
+        let dir_bytes = read_frame(&mut file, &dir, &what)?;
         let mut dir = Vec::with_capacity(n);
         let mut expect_off = 0u64;
         for (row, rec) in dir_bytes.chunks_exact(DIR_RECORD_BYTES).enumerate() {
@@ -513,7 +354,7 @@ impl Shard {
             )));
         }
 
-        let vecs_bytes = read_section(&mut file, vecs_pos, vecs_len, &what)?;
+        let vecs_bytes = read_frame(&mut file, &vecs, &what)?;
         let table = match quant {
             QuantMode::F16 => {
                 if vecs_len != n * dim * 2 {

@@ -2,7 +2,7 @@
 //! checksummed `MANIFEST` naming them.
 //!
 //! ```text
-//! <dir>/MANIFEST          mb-store v1 framing, one `manifest` section
+//! <dir>/MANIFEST          container (DESIGN.md §8), one `manifest` section
 //! <dir>/shard-00000.mbs   entities [0, capacity)
 //! <dir>/shard-00001.mbs   entities [capacity, 2*capacity)
 //! ...
@@ -14,15 +14,17 @@
 //! validation enforces contiguity). [`StoreBuilder`] consumes a record
 //! stream and rolls a new shard every `shard_capacity` entities, so
 //! peak RAM during a build is one shard regardless of store size.
+//! The `manifest` section (≤ 16 MiB) is text: `entities`, `dim`,
+//! `quant`, `capacity` and `shards` lines, then one
+//! `shard <ordinal> <file> <base> <count> <bytes>` line per shard.
 //! [`EntityStore::open`] verifies the manifest and every shard
 //! (section CRCs, schema, contiguity) before returning — all or
-//! nothing, like the `mb-params v2` loader it descends from.
+//! nothing.
 
 use crate::shard::{
-    self, parse_quant_token, quant_token, read_section, verify_frames, Shard, ShardTable,
-    StoreRecord, MAGIC,
+    self, open_frames, parse_quant_token, quant_token, Shard, ShardTable, StoreRecord, MAGIC,
 };
-use mb_common::storage::{atomic_write, Crc32};
+use mb_common::storage::{atomic_write, read_frame, write_frames};
 use mb_common::{Error, Result};
 use mb_encoders::retrieval::QuantizedIndex;
 use mb_kb::EntityId;
@@ -179,15 +181,7 @@ impl StoreBuilder {
         for (ordinal, (file, base, count, bytes)) in self.shards.iter().enumerate() {
             payload.push_str(&format!("shard {ordinal} {file} {base} {count} {bytes}\n"));
         }
-        let mut h = Crc32::new();
-        h.update(b"manifest\n");
-        h.update(payload.as_bytes());
-        let mut out = format!("{MAGIC} 1\n").into_bytes();
-        out.extend_from_slice(
-            format!("section manifest {} {:08x}\n", payload.len(), h.finish()).as_bytes(),
-        );
-        out.extend_from_slice(payload.as_bytes());
-        out.push(b'\n');
+        let out = write_frames(MAGIC, &[("manifest", payload)])?;
         atomic_write(&self.dir.join(MANIFEST), &out)?;
         EntityStore::open(&self.dir)
     }
@@ -216,20 +210,11 @@ impl EntityStore {
         let what = manifest_path.to_string_lossy().into_owned();
         let mut file = File::open(&manifest_path)
             .map_err(|e| Error::Io(format!("{what}: {e} (not a store directory?)")))?;
-        let frames = verify_frames(&mut file, &what)?;
-        let [(name, len, pos)] = frames.as_slice() else {
-            return Err(Error::Checkpoint(format!(
-                "{what}: expected exactly one manifest section, got {}",
-                frames.len()
-            )));
-        };
-        if name != "manifest" {
-            return Err(Error::Checkpoint(format!("{what}: unexpected section {name:?}")));
-        }
-        if *len > MANIFEST_MAX_BYTES {
+        let [manifest] = open_frames(&mut file, ["manifest"], &what)?;
+        if manifest.len > MANIFEST_MAX_BYTES {
             return Err(Error::Checkpoint(format!("{what}: manifest implausibly large")));
         }
-        let payload = read_section(&mut file, *pos, *len, &what)?;
+        let payload = read_frame(&mut file, &manifest, &what)?;
         let meta = shard::parse_meta(&payload, &what)?;
         let total = shard::meta_number(&meta, "entities", &what)? as usize;
         let dim = shard::meta_number(&meta, "dim", &what)? as usize;

@@ -1,4 +1,5 @@
-//! Sectioned `mb-params v2` checkpoint format with per-section CRCs.
+//! `mb-params v2` training checkpoints: a section schema over the
+//! workspace container (`mb_common::storage`, DESIGN.md §8).
 //!
 //! A v2 checkpoint bundles everything needed to resume a training run
 //! bit-identically after a crash: model parameters (one [`Params`] per
@@ -6,38 +7,36 @@
 //! (`mb_common::Rng` state words), accumulated metric vectors, and a
 //! free-form string map for the pipeline-stage cursor.
 //!
-//! ```text
-//! mb-params v2 <nsections>
-//! section <name> <len> <crc32>
-//! <exactly len payload bytes>
-//! section <name> <len> <crc32>
-//! ...
-//! ```
+//! | section        | payload (UTF-8 text)                                  |
+//! |----------------|-------------------------------------------------------|
+//! | `meta`         | one `<key> <value>` line per entry; always first      |
+//! | `params/<key>` | parameter body: one `param <name>` tensor per tensor  |
+//! | `optim/<key>`  | hyper-parameter line, then `tensor` moments/velocity  |
+//! | `rng/<key>`    | the four `u64` state words                            |
+//! | `vec/<key>`    | `f64` values, 17 significant digits                   |
 //!
-//! Integrity model: the magic line carries the section count, so
-//! truncation at a section boundary is detected; each section header
-//! carries the payload byte length, so truncation inside a section is
-//! detected; and the CRC-32 is computed over `name + '\n' + payload`,
-//! so any single-bit corruption of either the section name or its
-//! payload is detected. A corrupted checkpoint never loads partially —
-//! [`Checkpoint::from_bytes`] is all-or-nothing, and the checkpoint
-//! manager in `mb-core` falls back to the previous good generation.
+//! Sections are written in that order, keys ascending within a kind;
+//! the reader accepts any order and rejects duplicates and unknown
+//! kinds. Framing, CRCs and all-or-nothing verification are the
+//! container's: a corrupted checkpoint never loads partially, and the
+//! checkpoint manager in `mb-core` falls back to the previous good
+//! generation.
 //!
-//! Legacy `mb-params v1` documents (bare parameter files from
-//! [`crate::serialize`]) still load, as a params-only checkpoint under
-//! the key `"model"`.
+//! Legacy `mb-params v1` documents (bare, CRC-less parameter files)
+//! still load, as a params-only checkpoint under the key `"model"`;
+//! nothing writes them any more.
 
 use crate::optim::OptimState;
 use crate::params::Params;
 use crate::serialize;
 use crate::tensor::Tensor;
-use mb_common::storage::{crc32, Storage};
+use mb_common::storage::{read_frame, verify_frames, write_frames, Storage};
 use mb_common::{Error, Result};
 use std::collections::BTreeMap;
+use std::io::Cursor;
 use std::path::Path;
 
 const MAGIC_V2: &str = "mb-params v2";
-const MAGIC_V1: &str = "mb-params v1";
 
 /// Key under which a legacy v1 document's parameters appear after
 /// loading through [`Checkpoint::from_bytes`].
@@ -73,8 +72,9 @@ impl Checkpoint {
     ///
     /// # Errors
     /// [`Error::Diverged`] if any parameter tensor holds non-finite
-    /// values; [`Error::Checkpoint`] if a key is empty or contains
-    /// whitespace, or a meta value contains a newline.
+    /// values; [`Error::Checkpoint`] if a key is empty, contains
+    /// whitespace or is too long for a section header, or a meta value
+    /// contains a newline.
     pub fn to_bytes(&self) -> Result<Vec<u8>> {
         let mut sections: Vec<(String, String)> = Vec::new();
         let mut meta_payload = String::new();
@@ -118,19 +118,7 @@ impl Checkpoint {
             }
             sections.push((format!("vec/{k}"), payload));
         }
-        let mut out = format!("{MAGIC_V2} {}\n", sections.len()).into_bytes();
-        for (name, payload) in &sections {
-            let mut protected = name.as_bytes().to_vec();
-            protected.push(b'\n');
-            protected.extend_from_slice(payload.as_bytes());
-            let crc = crc32(&protected);
-            out.extend_from_slice(
-                format!("section {name} {} {crc:08x}\n", payload.len()).as_bytes(),
-            );
-            out.extend_from_slice(payload.as_bytes());
-            out.push(b'\n');
-        }
-        Ok(out)
+        write_frames(MAGIC_V2, &sections)
     }
 
     /// Parse a checkpoint from bytes, verifying framing and CRCs.
@@ -143,92 +131,18 @@ impl Checkpoint {
     /// problem; [`Error::Parse`] if a CRC-valid payload fails to decode
     /// (which indicates a writer bug, not storage corruption).
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint> {
-        let mut pos = 0usize;
-        let magic = read_line(bytes, &mut pos)?;
-        if magic.trim() == MAGIC_V1 {
-            let s = std::str::from_utf8(bytes)
-                .map_err(|_| Error::Checkpoint("v1 checkpoint is not UTF-8".into()))?;
-            let params = serialize::from_string(s)?;
-            let mut ck = Checkpoint::new();
-            ck.params.insert(V1_PARAMS_KEY.to_string(), params);
+        let mut ck = Checkpoint::new();
+        if let Some(params) = serialize::read_v1(bytes) {
+            ck.params.insert(V1_PARAMS_KEY.to_string(), params?);
             return Ok(ck);
         }
-        let mut head = magic.split_whitespace();
-        let magic_ok = head.next() == Some("mb-params") && head.next() == Some("v2");
-        if !magic_ok {
-            return Err(Error::Checkpoint(format!("bad magic line {magic:?}")));
-        }
-        let nsections: usize = head
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| Error::Checkpoint(format!("bad section count in {magic:?}")))?;
-        if head.next().is_some() {
-            return Err(Error::Checkpoint(format!("trailing tokens in magic line {magic:?}")));
-        }
-        let mut ck = Checkpoint::new();
-        for i in 0..nsections {
-            let header = read_line(bytes, &mut pos)
-                .map_err(|_| Error::Checkpoint(format!("truncated before section {i}")))?;
-            let mut parts = header.split_whitespace();
-            if parts.next() != Some("section") {
-                return Err(Error::Checkpoint(format!("bad section header {header:?}")));
-            }
-            let name = parts
-                .next()
-                .ok_or_else(|| Error::Checkpoint(format!("section header {header:?} lacks name")))?
-                .to_string();
-            let len: usize = parts
-                .next()
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| Error::Checkpoint(format!("bad length in {header:?}")))?;
-            // Strict canonical form: exactly 8 lowercase hex digits, so
-            // no bit flip of the stored CRC can parse to the same value.
-            let crc_tok = parts
-                .next()
-                .filter(|t| {
-                    t.len() == 8
-                        && t.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b))
-                })
-                .ok_or_else(|| Error::Checkpoint(format!("bad crc in {header:?}")))?;
-            let crc_expect = u32::from_str_radix(crc_tok, 16)
-                .map_err(|e| Error::Checkpoint(format!("bad crc in {header:?}: {e}")))?;
-            if parts.next().is_some() {
-                return Err(Error::Checkpoint(format!("trailing tokens in {header:?}")));
-            }
-            if pos + len + 1 > bytes.len() {
-                return Err(Error::Checkpoint(format!(
-                    "section {name}: payload truncated ({} of {len} bytes present)",
-                    bytes.len().saturating_sub(pos + 1)
-                )));
-            }
-            // mb-lint: allow(indexing) -- the truncation check above proves pos + len + 1 <= len()
-            let payload = &bytes[pos..pos + len];
-            pos += len;
-            // mb-lint: allow(indexing) -- same bound: pos + 1 <= len() after the payload slice
-            if bytes[pos] != b'\n' {
-                return Err(Error::Checkpoint(format!(
-                    "section {name}: missing terminator after payload"
-                )));
-            }
-            pos += 1;
-            let mut protected = name.as_bytes().to_vec();
-            protected.push(b'\n');
-            protected.extend_from_slice(payload);
-            let crc_actual = crc32(&protected);
-            if crc_actual != crc_expect {
-                return Err(Error::Checkpoint(format!(
-                    "section {name}: crc mismatch (stored {crc_expect:08x}, computed {crc_actual:08x})"
-                )));
-            }
-            let payload = std::str::from_utf8(payload)
-                .map_err(|_| Error::Checkpoint(format!("section {name}: payload is not UTF-8")))?;
-            decode_section(&mut ck, &name, payload)?;
-        }
-        if pos != bytes.len() {
-            return Err(Error::Checkpoint(format!(
-                "{} trailing bytes after final section",
-                bytes.len() - pos
-            )));
+        let what = "checkpoint";
+        let mut src = Cursor::new(bytes);
+        for frame in verify_frames(&mut src, bytes.len() as u64, MAGIC_V2, what)? {
+            let payload = String::from_utf8(read_frame(&mut src, &frame, what)?).map_err(|_| {
+                Error::Checkpoint(format!("{what}: {} payload is not UTF-8", frame.name))
+            })?;
+            decode_section(&mut ck, &frame.name, &payload)?;
         }
         Ok(ck)
     }
@@ -256,21 +170,6 @@ fn check_key(k: &str) -> Result<()> {
         return Err(Error::Checkpoint(format!("invalid checkpoint key {k:?}")));
     }
     Ok(())
-}
-
-fn read_line(bytes: &[u8], pos: &mut usize) -> Result<String> {
-    // mb-lint: allow(indexing) -- pos only ever advances past bytes already found in range
-    let rest = &bytes[*pos..];
-    let nl = rest
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| Error::Checkpoint("unterminated line".into()))?;
-    // mb-lint: allow(indexing) -- nl is a position() inside rest
-    let line = std::str::from_utf8(&rest[..nl])
-        .map_err(|_| Error::Checkpoint("header line is not UTF-8".into()))?
-        .to_string();
-    *pos += nl + 1;
-    Ok(line)
 }
 
 fn decode_section(ck: &mut Checkpoint, name: &str, payload: &str) -> Result<()> {
@@ -331,56 +230,6 @@ fn decode_section(ck: &mut Checkpoint, name: &str, payload: &str) -> Result<()> 
     }
 }
 
-fn write_tensor(t: &Tensor, out: &mut String) {
-    out.push_str("tensor ");
-    out.push_str(&t.rank().to_string());
-    for d in t.shape() {
-        out.push(' ');
-        out.push_str(&d.to_string());
-    }
-    out.push('\n');
-    for (i, v) in t.data().iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        out.push_str(&format!("{v:.17e}"));
-    }
-    out.push('\n');
-}
-
-fn parse_tensor(lines: &mut std::str::Lines<'_>) -> Result<Tensor> {
-    let header = lines.next().ok_or_else(|| Error::Parse("missing tensor header".into()))?;
-    let mut parts = header.split_whitespace();
-    if parts.next() != Some("tensor") {
-        return Err(Error::Parse(format!("expected tensor header, got {header:?}")));
-    }
-    let rank: usize = parts
-        .next()
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| Error::Parse(format!("bad tensor rank in {header:?}")))?;
-    let mut shape = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        let d: usize = parts
-            .next()
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| Error::Parse(format!("bad tensor dim in {header:?}")))?;
-        shape.push(d);
-    }
-    let numel: usize = shape.iter().product();
-    let data_line = lines.next().ok_or_else(|| Error::Parse("missing tensor data line".into()))?;
-    let data: Vec<f64> = data_line
-        .split_whitespace()
-        .map(|t| t.parse::<f64>().map_err(|e| Error::Parse(format!("bad tensor value: {e}"))))
-        .collect::<Result<_>>()?;
-    if data.len() != numel {
-        return Err(Error::Parse(format!(
-            "tensor shape {shape:?} needs {numel} values, found {}",
-            data.len()
-        )));
-    }
-    Ok(Tensor::from_vec(shape, data))
-}
-
 fn encode_optim(s: &OptimState) -> String {
     let mut out = String::new();
     match s {
@@ -391,7 +240,7 @@ fn encode_optim(s: &OptimState) -> String {
                 Some(vs) => {
                     out.push_str(&format!("velocity {}\n", vs.len()));
                     for t in vs {
-                        write_tensor(t, &mut out);
+                        serialize::write_tensor("tensor", t, &mut out);
                     }
                 }
             }
@@ -403,7 +252,7 @@ fn encode_optim(s: &OptimState) -> String {
                 Some((m, v)) => {
                     out.push_str(&format!("moments {}\n", m.len()));
                     for t in m.iter().chain(v.iter()) {
-                        write_tensor(t, &mut out);
+                        serialize::write_tensor("tensor", t, &mut out);
                     }
                 }
             }
@@ -474,10 +323,17 @@ fn parse_tensor_group(lines: &mut std::str::Lines<'_>, label: &str) -> Result<Op
     }
     let count: usize =
         count_tok.parse().map_err(|e| Error::Parse(format!("bad {label} count: {e}")))?;
-    let total = if label == "moments" { count * 2 } else { count };
-    let mut tensors = Vec::with_capacity(total);
+    let total = if label == "moments" { count.checked_mul(2) } else { Some(count) }
+        .ok_or_else(|| Error::Parse(format!("bad {label} count {count}")))?;
+    // Not `with_capacity(total)`: the count is input, the lines are what is there.
+    let mut tensors = Vec::new();
     for _ in 0..total {
-        tensors.push(parse_tensor(lines)?);
+        let header = lines.next().ok_or_else(|| Error::Parse("missing tensor header".into()))?;
+        let mut parts = header.split_whitespace();
+        if parts.next() != Some("tensor") {
+            return Err(Error::Parse(format!("expected tensor header, got {header:?}")));
+        }
+        tensors.push(serialize::parse_tensor(parts, lines, "tensor")?);
     }
     Ok(Some(tensors))
 }
@@ -577,7 +433,7 @@ mod tests {
     fn v1_documents_load_as_params_only() {
         let mut p = Params::new();
         p.add("w", Tensor::vector(&[1.0, 2.0, 3.0]));
-        let v1 = serialize::to_string(&p).unwrap();
+        let v1 = "mb-params v1\nparam w 1 3\n1 2e0 3.0\n";
         let ck = Checkpoint::from_bytes(v1.as_bytes()).unwrap();
         assert_eq!(ck.params.len(), 1);
         assert_eq!(ck.params[V1_PARAMS_KEY], p);

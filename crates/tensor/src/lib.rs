@@ -43,7 +43,7 @@ pub mod kernels;
 pub mod optim;
 pub mod params;
 pub mod quant;
-pub mod serialize;
+mod serialize;
 pub mod tape;
 pub mod tensor;
 

@@ -1,26 +1,81 @@
-//! Plain-text checkpoint format for [`Params`].
+//! The text tensor codec shared by every checkpoint section, and the
+//! reader for legacy `mb-params v1` documents.
 //!
-//! The format is deliberately simple and diff-able:
+//! A tensor is two lines — a header ending in its rank and dimensions,
+//! then its values with 17 significant digits (exact `f64` round trip):
 //!
 //! ```text
-//! mb-params v1
-//! param <name> <rank> <dim0> <dim1> ...
+//! <head> <rank> <dim0> <dim1> ...
 //! <value> <value> ...
 //! ```
 //!
-//! Values are written with `{:e}` (full round-trip precision for f64 via
-//! 17 significant digits), one line per parameter. The body encoding
-//! (everything after the magic line) is shared with the sectioned
-//! `mb-params v2` format in [`crate::checkpoint`].
+//! `<head>` is `param <name>` inside a parameter body and `tensor`
+//! inside optimizer state ([`crate::checkpoint`]). A v1 document is the
+//! line `mb-params v1` followed by one parameter body; it carries no
+//! CRC. Nothing writes v1 any more — `metablink train` used to, one
+//! `.mbp` file per encoder — but [`read_v1`] keeps those files loadable
+//! through [`crate::checkpoint::Checkpoint::from_bytes`].
 
 use crate::params::Params;
 use crate::tensor::Tensor;
 use mb_common::{Error, Result};
 
-const MAGIC: &str = "mb-params v1";
+const MAGIC_V1: &str = "mb-params v1";
 
-/// Append the parameter body (header + value lines per parameter, no
-/// magic line) to `out`.
+/// Append one tensor under the header prefix `head`.
+pub(crate) fn write_tensor(head: &str, tensor: &Tensor, out: &mut String) {
+    out.push_str(head);
+    out.push(' ');
+    out.push_str(&tensor.rank().to_string());
+    for d in tensor.shape() {
+        out.push(' ');
+        out.push_str(&d.to_string());
+    }
+    out.push('\n');
+    for (i, v) in tensor.data().iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        out.push_str(&format!("{v:.17e}"));
+    }
+    out.push('\n');
+}
+
+/// Parse one tensor: `header` is what is left of its header line after
+/// the prefix (`<rank> <dims…>`), its values are the next of `lines`.
+/// The rank is bounded by the tokens actually on the line and the
+/// element count is overflow-checked, so no header sizes an allocation.
+pub(crate) fn parse_tensor<'a>(
+    mut header: impl Iterator<Item = &'a str>,
+    lines: &mut std::str::Lines<'_>,
+    what: &str,
+) -> Result<Tensor> {
+    let bad = |msg: String| Error::Parse(format!("{what}: {msg}"));
+    let rank: usize =
+        header.next().and_then(|t| t.parse().ok()).ok_or_else(|| bad("bad rank".into()))?;
+    let shape: Vec<usize> = header
+        .map(|t| t.parse().map_err(|e| bad(format!("bad dimension {t:?}: {e}"))))
+        .collect::<Result<_>>()?;
+    if shape.len() != rank {
+        return Err(bad(format!("rank {rank} but {} dimensions", shape.len())));
+    }
+    let numel = shape
+        .iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .ok_or_else(|| bad(format!("shape {shape:?} overflows")))?;
+    let data: Vec<f64> = lines
+        .next()
+        .ok_or_else(|| bad("missing data line".into()))?
+        .split_whitespace()
+        .map(|t| t.parse().map_err(|e| bad(format!("bad value {t:?}: {e}"))))
+        .collect::<Result<_>>()?;
+    if data.len() != numel {
+        return Err(bad(format!("shape {shape:?} needs {numel} values, found {}", data.len())));
+    }
+    Ok(Tensor::from_vec(shape, data))
+}
+
+/// Append the parameter body: one `param <name>` tensor per parameter.
 ///
 /// # Errors
 /// [`Error::Diverged`] if any value is NaN or infinite — a checkpoint
@@ -34,24 +89,7 @@ pub(crate) fn write_params_body(params: &Params, out: &mut String) -> Result<()>
                 "refusing to serialize non-finite values in param {name:?}"
             )));
         }
-        out.push_str("param ");
-        out.push_str(name);
-        out.push(' ');
-        out.push_str(&tensor.rank().to_string());
-        for d in tensor.shape() {
-            out.push(' ');
-            out.push_str(&d.to_string());
-        }
-        out.push('\n');
-        let mut first = true;
-        for v in tensor.data() {
-            if !first {
-                out.push(' ');
-            }
-            first = false;
-            out.push_str(&format!("{v:.17e}"));
-        }
-        out.push('\n');
+        write_tensor(&format!("param {name}"), tensor, out);
     }
     Ok(())
 }
@@ -61,174 +99,87 @@ pub(crate) fn parse_params_body(s: &str) -> Result<Params> {
     let mut lines = s.lines();
     let mut params = Params::new();
     while let Some(header) = lines.next() {
-        let header = header.trim();
-        if header.is_empty() {
-            continue;
-        }
         let mut parts = header.split_whitespace();
         match parts.next() {
+            None => continue,
             Some("param") => {}
             other => return Err(Error::Parse(format!("expected 'param', got {other:?}"))),
         }
         let name = parts.next().ok_or_else(|| Error::Parse("param line missing name".into()))?;
-        let rank: usize = parts
-            .next()
-            .ok_or_else(|| Error::Parse("param line missing rank".into()))?
-            .parse()
-            .map_err(|e| Error::Parse(format!("bad rank: {e}")))?;
-        let mut shape = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            let d: usize = parts
-                .next()
-                .ok_or_else(|| Error::Parse(format!("param {name}: missing dimension")))?
-                .parse()
-                .map_err(|e| Error::Parse(format!("param {name}: bad dimension: {e}")))?;
-            shape.push(d);
+        if params.id_of(name).is_ok() {
+            return Err(Error::Parse(format!("param {name}: duplicate name")));
         }
-        if parts.next().is_some() {
-            return Err(Error::Parse(format!("param {name}: trailing tokens on header")));
-        }
-        let numel: usize = shape.iter().product();
-        let data_line =
-            lines.next().ok_or_else(|| Error::Parse(format!("param {name}: missing data line")))?;
-        let data: Vec<f64> = data_line
-            .split_whitespace()
-            .map(|t| {
-                t.parse::<f64>()
-                    .map_err(|e| Error::Parse(format!("param {name}: bad value {t:?}: {e}")))
-            })
-            .collect::<Result<_>>()?;
-        if data.len() != numel {
-            return Err(Error::Parse(format!(
-                "param {name}: shape {shape:?} needs {numel} values, found {}",
-                data.len()
-            )));
-        }
-        params.add(name, Tensor::from_vec(shape, data));
+        let tensor = parse_tensor(parts, &mut lines, &format!("param {name}"))?;
+        params.add(name, tensor);
     }
     Ok(params)
 }
 
-/// Serialize parameters to the text format.
-///
-/// # Errors
-/// [`Error::Diverged`] if any parameter contains NaN or infinite
-/// values; such state is rejected at save time.
-pub fn to_string(params: &Params) -> Result<String> {
-    let mut out = String::from(MAGIC);
-    out.push('\n');
-    write_params_body(params, &mut out)?;
-    Ok(out)
-}
-
-/// Parse parameters from the text format.
-///
-/// # Errors
-/// Returns [`Error::Parse`] on any structural or numeric problem.
-pub fn from_string(s: &str) -> Result<Params> {
-    let mut lines = s.lines();
-    let magic = lines.next().ok_or_else(|| Error::Parse("empty checkpoint".into()))?;
-    if magic.trim() != MAGIC {
-        return Err(Error::Parse(format!("bad magic line {magic:?}")));
+/// The parameters of an `mb-params v1` document, or `None` when `bytes`
+/// does not open with the v1 magic line.
+pub(crate) fn read_v1(bytes: &[u8]) -> Option<Result<Params>> {
+    let (magic, body) = bytes.split_at(bytes.iter().position(|&b| b == b'\n')?);
+    if std::str::from_utf8(magic).ok()?.trim() != MAGIC_V1 {
+        return None;
     }
-    let body_start = s.find('\n').map(|i| i + 1).unwrap_or(s.len());
-    // mb-lint: allow(indexing) -- body_start is a found newline + 1 or len(), both <= len()
-    parse_params_body(&s[body_start..])
-}
-
-/// Write parameters to a file (atomically: temp sibling + rename).
-///
-/// # Errors
-/// [`Error::Diverged`] for non-finite values, [`Error::Io`] on write
-/// failure.
-pub fn save(params: &Params, path: &std::path::Path) -> Result<()> {
-    mb_common::storage::atomic_write(path, to_string(params)?.as_bytes())
-}
-
-/// Read parameters from a file.
-///
-/// # Errors
-/// Returns [`Error::Parse`] on IO or format problems.
-pub fn load(path: &std::path::Path) -> Result<Params> {
-    let s = std::fs::read_to_string(path)
-        .map_err(|e| Error::Parse(format!("reading {}: {e}", path.display())))?;
-    from_string(&s)
+    Some(
+        std::str::from_utf8(body)
+            .map_err(|_| Error::Checkpoint("v1 checkpoint is not UTF-8".into()))
+            .and_then(parse_params_body),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mb_common::Rng;
 
-    fn sample() -> Params {
-        let mut rng = Rng::seed_from_u64(42);
-        let mut p = Params::new();
-        p.add("emb", Tensor::randn(vec![4, 3], 0.0, 1.0, &mut rng));
-        p.add("w1", Tensor::randn(vec![3, 2], 0.0, 0.3, &mut rng));
-        p.add("b1", Tensor::vector(&[0.0, -1.5]));
-        p.add("scalar", Tensor::scalar(std::f64::consts::PI));
-        p
+    fn read(doc: &str) -> Result<Params> {
+        read_v1(doc.as_bytes()).expect("v1 magic")
     }
 
     #[test]
-    fn round_trip_is_exact() {
-        let p = sample();
-        let s = to_string(&p).unwrap();
-        let q = from_string(&s).unwrap();
-        assert_eq!(p, q);
+    fn reads_a_v1_document() {
+        let p = read("mb-params v1\nparam w 2 1 2\n1.5 -2\nparam s 0\n3\n").unwrap();
+        assert_eq!(p.len(), 2);
+        assert_eq!(p.get(p.id_of("w").unwrap()), &Tensor::from_vec(vec![1, 2], vec![1.5, -2.0]));
+        assert_eq!(p.get(p.id_of("s").unwrap()), &Tensor::scalar(3.0));
     }
 
     #[test]
-    fn round_trip_preserves_extreme_values() {
-        let mut p = Params::new();
-        p.add("x", Tensor::vector(&[1e-308, -1e308, 0.0, f64::MIN_POSITIVE, 1.0 / 3.0]));
-        let q = from_string(&to_string(&p).unwrap()).unwrap();
-        assert_eq!(p, q);
-    }
-
-    #[test]
-    fn rejects_non_finite_values_at_save_time() {
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let mut p = Params::new();
-            p.add("ok", Tensor::vector(&[1.0]));
-            p.add("poisoned", Tensor::vector(&[0.5, bad]));
-            let err = to_string(&p).unwrap_err();
-            assert!(matches!(err, Error::Diverged(_)), "expected Diverged for {bad}, got {err:?}");
-            assert!(err.to_string().contains("poisoned"));
-            let dir = std::env::temp_dir().join("mb_tensor_nonfinite_test");
-            let path = dir.join("ckpt.txt");
-            assert!(save(&p, &path).is_err());
-        }
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        assert!(from_string("nope\n").is_err());
-        assert!(from_string("").is_err());
+    fn other_magic_is_not_v1() {
+        assert!(read_v1(b"nope\n").is_none());
+        assert!(read_v1(b"").is_none());
+        assert!(read_v1(b"mb-params v1").is_none(), "unterminated magic line");
+        assert!(read_v1(b"mb-params v2 0\n").is_none());
     }
 
     #[test]
     fn rejects_wrong_value_count() {
-        let s = "mb-params v1\nparam w 1 3\n1.0 2.0\n";
-        let err = from_string(s).unwrap_err();
+        let err = read("mb-params v1\nparam w 1 3\n1.0 2.0\n").unwrap_err();
         assert!(err.to_string().contains("needs 3 values"));
     }
 
     #[test]
     fn rejects_garbage_values() {
-        let s = "mb-params v1\nparam w 1 1\nhello\n";
-        assert!(from_string(s).is_err());
+        assert!(read("mb-params v1\nparam w 1 1\nhello\n").is_err());
     }
 
     #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("mb_tensor_serialize_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.txt");
-        let p = sample();
-        save(&p, &path).unwrap();
-        let q = load(&path).unwrap();
-        assert_eq!(p, q);
-        std::fs::remove_file(&path).ok();
+    fn oversized_rank_is_a_parse_error() {
+        let err = read("mb-params v1\nparam w 18446744073709551615 3\n1 2 3\n").unwrap_err();
+        assert!(matches!(err, Error::Parse(_)), "{err:?}");
+    }
+
+    #[test]
+    fn repeated_name_is_a_parse_error() {
+        let err = read("mb-params v1\nparam w 1 1\n1\nparam w 1 1\n2\n").unwrap_err();
+        assert!(matches!(err, Error::Parse(_)), "{err:?}");
+    }
+
+    #[test]
+    fn overflowing_shape_is_a_parse_error() {
+        // 2^63 * 2 wraps to 0 == the number of values on an empty line.
+        let err = read("mb-params v1\nparam w 2 9223372036854775808 2\n\n").unwrap_err();
+        assert!(matches!(err, Error::Parse(_)), "{err:?}");
     }
 }

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Serve smoke test, called from scripts/ci.sh and the serve-smoke CI
-# job: train a small model, serve it on an ephemeral port, drive it
-# with the closed-loop load generator, and require
+# job: train a small model, evaluate it, serve it on an ephemeral
+# port, drive it with the closed-loop load generator, and require
 #
+#   - a model directory of exactly model.mbc + manifest.txt, which
+#     `evaluate` and `serve` both load,
 #   - 100% 2xx responses under concurrent load (loadgen --strict),
 #   - a non-empty /metrics endpoint (loadgen --check-metrics),
 #   - a graceful drain: after POST /admin/shutdown the server process
@@ -18,6 +20,13 @@ trap 'rm -rf "$workdir"' EXIT
 
 cargo run --release -q --bin metablink -- train --seed 7 --scale small \
     --domain Lego --method blink --source seed --out "$workdir/model"
+
+if [[ "$(ls "$workdir/model" | sort | xargs)" != "manifest.txt model.mbc" ]]; then
+    echo "train left more than model.mbc + manifest.txt: $(ls "$workdir/model" | xargs)" >&2
+    exit 1
+fi
+
+cargo run --release -q --bin metablink -- evaluate --model "$workdir/model" --limit 50
 
 cargo run --release -q --bin metablink -- serve --model "$workdir/model" \
     --addr 127.0.0.1:0 --addr-file "$workdir/addr.txt" &

@@ -7,9 +7,12 @@
 //! metablink link     --model model_dir --left "after the duel, " --surface "the dark magician" --right " summoned a trap"
 //! ```
 //!
-//! Checkpoints are plain-text parameter files plus a manifest recording
-//! the benchmark configuration, so a model can be reloaded without
-//! shipping the (deterministically regenerable) benchmark itself.
+//! A model directory is `model.mbc` — one `mb-params v2` checkpoint
+//! holding both encoders — plus `manifest.txt` recording the benchmark
+//! configuration, so a model can be reloaded without shipping the
+//! (deterministically regenerable) benchmark itself. Directories from
+//! before the single file (one `mb-params v1` document per encoder,
+//! [`LEGACY_FILES`]) still load; nothing writes them.
 
 use metablink::common::storage::DiskStorage;
 use metablink::common::Rng;
@@ -20,9 +23,8 @@ use metablink::encoders::biencoder::BiEncoder;
 use metablink::encoders::crossencoder::CrossEncoder;
 use metablink::eval::{ContextConfig, ExperimentContext};
 use metablink::serve::{ModelLoader, ModelRegistry, ServeConfig, ServeModel, Server, ServerConfig};
-use metablink::tensor::checkpoint::Checkpoint;
-use metablink::tensor::serialize;
-use metablink::text::OverlapCategory;
+use metablink::tensor::checkpoint::{Checkpoint, V1_PARAMS_KEY};
+use metablink::text::{OverlapCategory, Vocab};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -268,36 +270,79 @@ fn cmd_train(opts: &HashMap<String, String>) -> Result<(), String> {
     );
 
     std::fs::create_dir_all(&out).map_err(|e| e.to_string())?;
-    serialize::save(model.bi.params(), &out.join("biencoder.mbp")).map_err(|e| e.to_string())?;
-    serialize::save(model.cross.params(), &out.join("crossencoder.mbp"))
-        .map_err(|e| e.to_string())?;
-    // Also write the v2 sectioned checkpoint `serve` prefers: one file,
-    // per-section CRCs, both encoders under their pipeline keys.
-    let mut ck = Checkpoint::new();
-    ck.params.insert(BI_KEY.to_string(), model.bi.params().clone());
-    ck.params.insert(CROSS_KEY.to_string(), model.cross.params().clone());
-    ck.save(&mut DiskStorage::new(), &out.join("model.mbc")).map_err(|e| e.to_string())?;
+    save_checkpoint(&out, &model.bi, &model.cross)?;
     Manifest { seed, scale, domain }.save(&out)?;
     println!("model written to {}", out.display());
     Ok(())
 }
 
+/// The model directory's one model file.
+const MODEL_FILE: &str = "model.mbc";
+
+/// What a model directory held before [`MODEL_FILE`]: one `mb-params
+/// v1` document per encoder. Read by [`load_checkpoint`], never written.
+const LEGACY_FILES: [(&str, &str); 2] =
+    [(BI_KEY, "biencoder.mbp"), (CROSS_KEY, "crossencoder.mbp")];
+
+/// Write [`MODEL_FILE`]: both encoders under their pipeline keys.
+fn save_checkpoint(dir: &Path, bi: &BiEncoder, cross: &CrossEncoder) -> Result<(), String> {
+    let mut ck = Checkpoint::new();
+    ck.params.insert(BI_KEY.to_string(), bi.params().clone());
+    ck.params.insert(CROSS_KEY.to_string(), cross.params().clone());
+    ck.save(&mut DiskStorage::new(), &dir.join(MODEL_FILE)).map_err(|e| e.to_string())
+}
+
+/// Load the directory's model — the one reader behind `evaluate`,
+/// `link` and `serve`: [`MODEL_FILE`] when present, otherwise the
+/// legacy per-encoder files assembled under the same keys.
+fn load_checkpoint(dir: &Path) -> Result<Checkpoint, String> {
+    let mut storage = DiskStorage::new();
+    let model = dir.join(MODEL_FILE);
+    if model.exists() {
+        return Checkpoint::load(&mut storage, &model).map_err(|e| e.to_string());
+    }
+    let mut ck = Checkpoint::new();
+    for (key, file) in LEGACY_FILES {
+        let params = Checkpoint::load(&mut storage, &dir.join(file))
+            .map_err(|e| e.to_string())?
+            .params
+            .remove(V1_PARAMS_KEY)
+            .ok_or_else(|| format!("{file} is not an mb-params v1 document"))?;
+        ck.params.insert(key.to_string(), params);
+    }
+    Ok(ck)
+}
+
+/// The encoders `evaluate` and `link` run: built for `vocab`, then
+/// overwritten with the checkpoint's parameters (as
+/// `ServeModel::from_checkpoint` does for `serve`).
+fn encoders(
+    ck: &Checkpoint,
+    vocab: &Vocab,
+    cfg: &MetaBlinkConfig,
+) -> Result<(BiEncoder, CrossEncoder), String> {
+    let params = |key: &str| {
+        ck.params.get(key).cloned().ok_or_else(|| format!("checkpoint has no {key:?} parameters"))
+    };
+    // The init RNG is irrelevant: every tensor is overwritten.
+    let mut bi = BiEncoder::new(vocab, cfg.bi, &mut Rng::seed_from_u64(0));
+    bi.set_params(params(BI_KEY)?).map_err(|e| e.to_string())?;
+    let mut cross = CrossEncoder::new(vocab, cfg.cross, &mut Rng::seed_from_u64(0));
+    cross.set_params(params(CROSS_KEY)?).map_err(|e| e.to_string())?;
+    Ok((bi, cross))
+}
+
 /// Rebuild the context and models from a checkpoint directory.
 fn load_model(dir: &Path) -> Result<(ExperimentContext, String, BiEncoder, CrossEncoder), String> {
     let manifest = Manifest::load(dir)?;
+    let ck = load_checkpoint(dir)?;
     let ctx = context(manifest.seed, &manifest.scale)?;
     let cfg = if manifest.scale == "bench" {
         MetaBlinkConfig::default()
     } else {
         MetaBlinkConfig::fast_test()
     };
-    let mut bi = BiEncoder::new(&ctx.vocab, cfg.bi, &mut Rng::seed_from_u64(0));
-    let mut cross = CrossEncoder::new(&ctx.vocab, cfg.cross, &mut Rng::seed_from_u64(0));
-    serialize::load(&dir.join("biencoder.mbp"))
-        .and_then(|p| bi.set_params(p))
-        .and_then(|()| serialize::load(&dir.join("crossencoder.mbp")))
-        .and_then(|p| cross.set_params(p))
-        .map_err(|e| e.to_string())?;
+    let (bi, cross) = encoders(&ck, &ctx.vocab, &cfg)?;
     Ok((ctx, manifest.domain, bi, cross))
 }
 
@@ -324,22 +369,6 @@ fn cmd_evaluate(opts: &HashMap<String, String>) -> Result<(), String> {
         m.count, m.recall_at_k, m.normalized_acc, m.unnormalized_acc
     );
     Ok(())
-}
-
-/// Load the checkpoint for serving: the v2 `model.mbc` when present,
-/// otherwise the legacy per-encoder `.mbp` files assembled into an
-/// in-memory [`Checkpoint`].
-fn load_checkpoint(dir: &Path) -> Result<Checkpoint, String> {
-    let v2 = dir.join("model.mbc");
-    if v2.exists() {
-        return Checkpoint::load(&mut DiskStorage::new(), &v2).map_err(|e| e.to_string());
-    }
-    let mut ck = Checkpoint::new();
-    let bi = serialize::load(&dir.join("biencoder.mbp")).map_err(|e| e.to_string())?;
-    let cross = serialize::load(&dir.join("crossencoder.mbp")).map_err(|e| e.to_string())?;
-    ck.params.insert(BI_KEY.to_string(), bi);
-    ck.params.insert(CROSS_KEY.to_string(), cross);
-    Ok(ck)
 }
 
 fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
@@ -396,26 +425,11 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     let kb = world.kb().clone();
     let dictionary = world.kb().domain_entities(dom.id).to_vec();
     let domain_name = manifest.domain.clone();
-    let model = ServeModel::from_checkpoint(
-        &ck,
-        vocab.clone(),
-        kb.clone(),
-        dictionary.clone(),
-        domain_name.clone(),
-        train_cfg.bi,
-        train_cfg.cross,
-        train_cfg.linker,
-    )
-    .map_err(|e| e.to_string())?;
-
-    // Hot reloads rebuild the model from the same world context; the
-    // v2 loader's per-section CRCs reject corrupt candidates before a
-    // swap is attempted.
-    let source = dir.join("model.mbc");
-    let loader: ModelLoader = Box::new(move |path: &Path| {
-        let ck = Checkpoint::load(&mut DiskStorage::new(), path)?;
+    // The model served at start-up and every hot-reloaded candidate are
+    // built the same way, against the same world context.
+    let build = move |ck: &Checkpoint| {
         ServeModel::from_checkpoint(
-            &ck,
+            ck,
             vocab.clone(),
             kb.clone(),
             dictionary.clone(),
@@ -424,7 +438,13 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
             train_cfg.cross,
             train_cfg.linker,
         )
-    });
+    };
+    let model = build(&ck).map_err(|e| e.to_string())?;
+    // A reload candidate is verified by the checkpoint loader (framing,
+    // per-section CRCs) before a swap is attempted.
+    let source = dir.join(MODEL_FILE);
+    let loader: ModelLoader =
+        Box::new(move |path: &Path| build(&Checkpoint::load(&mut DiskStorage::new(), path)?));
     let registry = ModelRegistry::with_loader(model, source, loader).map_err(|e| e.to_string())?;
     let server = Server::start_with_registry(registry, cfg).map_err(|e| e.to_string())?;
     let addr = server.addr();
@@ -480,4 +500,79 @@ fn cmd_link(opts: &HashMap<String, String>) -> Result<(), String> {
         println!("  {:>2}. {:<30} {score:>8.3}  {desc}…", rank + 1, e.title);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use metablink::datagen::{World, WorldConfig};
+    use metablink::encoders::input::build_vocab;
+    use metablink::tensor::Params;
+
+    /// An `mb-params v1` document as `train` used to write one — by a
+    /// writer of the test's own, since the workspace has none left.
+    fn v1_document(params: &Params) -> String {
+        let mut doc = String::from("mb-params v1\n");
+        for (name, tensor) in params.iter() {
+            let dims: Vec<String> = tensor.shape().iter().map(ToString::to_string).collect();
+            let values: Vec<String> = tensor.data().iter().map(|v| format!("{v:e}")).collect();
+            doc +=
+                &format!("param {name} {} {}\n{}\n", dims.len(), dims.join(" "), values.join(" "));
+        }
+        doc
+    }
+
+    fn write_legacy_pair(dir: &Path, bi: &BiEncoder, cross: &CrossEncoder) {
+        std::fs::create_dir_all(dir).unwrap();
+        for ((_, file), params) in LEGACY_FILES.iter().zip([bi.params(), cross.params()]) {
+            std::fs::write(dir.join(file), v1_document(params)).unwrap();
+        }
+    }
+
+    #[test]
+    fn every_model_directory_layout_loads_the_same_parameters() {
+        let world = World::generate(WorldConfig::tiny(5));
+        let vocab = build_vocab(world.kb(), [], 1);
+        let cfg = MetaBlinkConfig::fast_test();
+        let bi = BiEncoder::new(&vocab, cfg.bi, &mut Rng::seed_from_u64(1));
+        let cross = CrossEncoder::new(&vocab, cfg.cross, &mut Rng::seed_from_u64(2));
+        let other_bi = BiEncoder::new(&vocab, cfg.bi, &mut Rng::seed_from_u64(3));
+        let other_cross = CrossEncoder::new(&vocab, cfg.cross, &mut Rng::seed_from_u64(4));
+        assert_ne!(bi.params(), other_bi.params());
+
+        let root = std::env::temp_dir().join(format!("metablink-cli-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        // (a) what `train` writes; (b) a directory from before model.mbc;
+        // (c) both, disagreeing: model.mbc wins.
+        let (current, legacy, both) = (root.join("a"), root.join("b"), root.join("c"));
+        std::fs::create_dir_all(&current).unwrap();
+        save_checkpoint(&current, &bi, &cross).unwrap();
+        write_legacy_pair(&legacy, &bi, &cross);
+        write_legacy_pair(&both, &other_bi, &other_cross);
+        save_checkpoint(&both, &bi, &cross).unwrap();
+
+        for dir in [&current, &legacy, &both] {
+            let ck = load_checkpoint(dir).unwrap();
+            // `evaluate` / `link` …
+            let (eval_bi, eval_cross) = encoders(&ck, &vocab, &cfg).unwrap();
+            // … and `serve` build the same encoders from it.
+            let served = ServeModel::from_checkpoint(
+                &ck,
+                vocab.clone(),
+                world.kb().clone(),
+                Vec::new(),
+                "TargetX".to_string(),
+                cfg.bi,
+                cfg.cross,
+                cfg.linker,
+            )
+            .unwrap();
+            for (got_bi, got_cross) in [(&eval_bi, &eval_cross), (&served.bi, &served.cross)] {
+                assert_eq!(got_bi.params(), bi.params(), "{}", dir.display());
+                assert_eq!(got_cross.params(), cross.params(), "{}", dir.display());
+            }
+        }
+        assert!(load_checkpoint(&root.join("missing")).is_err());
+        std::fs::remove_dir_all(&root).unwrap();
+    }
 }
