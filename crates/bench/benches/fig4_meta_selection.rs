@@ -7,7 +7,7 @@
 //! Paper shape: normal data selected ≈ 50% of the time, bad data ≈ 20%.
 
 use mb_common::Rng;
-use mb_core::reweight::{train_biencoder_meta, MetaConfig};
+use mb_core::reweight::{train_meta, MetaConfig};
 use mb_datagen::noise::inject_bad_pairs;
 use mb_encoders::biencoder::BiEncoder;
 use mb_encoders::input::TrainPair;
@@ -93,9 +93,11 @@ fn main() {
     let burn = env_u("BURN_STEPS", 0);
     if burn > 0 {
         let burn_cfg = MetaConfig { steps: burn, ..meta_cfg };
-        let _ = train_biencoder_meta(&mut model, &pairs, &seed_pairs, &mut opt, &burn_cfg);
+        train_meta(&mut model, &pairs, &seed_pairs, &mut opt, &burn_cfg, None)
+            .expect("no checkpoint manager, nothing to fail");
     }
-    let stats = train_biencoder_meta(&mut model, &pairs, &seed_pairs, &mut opt, &meta_cfg);
+    let stats = train_meta(&mut model, &pairs, &seed_pairs, &mut opt, &meta_cfg, None)
+        .expect("no checkpoint manager, nothing to fail");
 
     let normal_idx: Vec<usize> = (0..tagged.len()).filter(|&i| !tagged[i].is_bad).collect();
     let bad_idx: Vec<usize> = (0..tagged.len()).filter(|&i| tagged[i].is_bad).collect();

@@ -23,10 +23,23 @@
 //!   scratch — losing all checkpoints at once is not a state this
 //!   code should paper over.
 //! * [`Error::Aborted`] — an injected kill; always propagated.
+//!
+//! This is also the one file that interprets a *loaded* checkpoint:
+//! passing its CRCs says the bytes are the bytes that were written,
+//! not that they describe this run. [`stage_cursor`],
+//! [`stats_from_checkpoint`] and [`MetaResume::restore`] turn a
+//! cursor outside the pipeline's stages, statistics that cannot be
+//! those of the run being resumed, or missing mid-stage state into
+//! [`Error::Checkpoint`] — never into a panic, and never into a
+//! quietly untrained model (the file is on `mb-lint`'s panic-free
+//! list).
 
 use mb_common::storage::{DiskStorage, NoBudget, StepBudget, Storage};
-use mb_common::{Error, Result};
+use mb_common::{Error, Result, Rng};
 use mb_tensor::checkpoint::Checkpoint;
+use mb_tensor::optim::Optimizer;
+use mb_tensor::Params;
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 
 use crate::reweight::MetaStats;
@@ -133,11 +146,6 @@ impl CheckpointManager {
         self.budget.tick()
     }
 
-    /// The last stage-boundary snapshot (empty before the first one).
-    pub fn base(&self) -> &Checkpoint {
-        &self.base
-    }
-
     fn gen_path(&self, generation: u64) -> PathBuf {
         self.cfg.dir.join(format!("ckpt-{generation:06}.mbc"))
     }
@@ -172,7 +180,7 @@ impl CheckpointManager {
     /// Scan the checkpoint directory and load the newest generation
     /// that passes integrity checks, falling back over corrupt ones.
     /// Returns `None` when no generation exists (fresh run). Also
-    /// primes [`Self::base`] with the loaded snapshot.
+    /// primes the base mid-stage saves patch with the loaded snapshot.
     ///
     /// # Errors
     /// [`Error::Checkpoint`] if generations exist but every one is
@@ -207,10 +215,8 @@ impl CheckpointManager {
         Ok(None)
     }
 
-    /// Save a stage-boundary snapshot: records it as the new [`base`]
-    /// (the template mid-stage saves patch) and writes a generation.
-    ///
-    /// [`base`]: Self::base
+    /// Save a stage-boundary snapshot: records it as the new base (the
+    /// template mid-stage saves patch) and writes a generation.
     ///
     /// # Errors
     /// Serialization errors, or [`Error::Io`] after retries.
@@ -242,10 +248,7 @@ impl CheckpointManager {
         let mut gens: Vec<u64> = names.iter().filter_map(|n| Self::parse_gen(n)).collect();
         gens.sort_unstable();
         let keep = self.cfg.keep.max(1);
-        if gens.len() <= keep {
-            return;
-        }
-        for &g in &gens[..gens.len() - keep] {
+        for &g in gens.iter().take(gens.len().saturating_sub(keep)) {
             let path = self.gen_path(g);
             let _ = self.storage.remove(&path);
         }
@@ -262,23 +265,55 @@ pub fn stats_to_checkpoint(prefix: &str, stats: &MetaStats, ck: &mut Checkpoint)
     ck.meta.insert(format!("{prefix}_zero_weight_steps"), stats.zero_weight_steps.to_string());
 }
 
-/// Recover a [`MetaStats`] stored by [`stats_to_checkpoint`]; `None`
-/// when the checkpoint has no stats under `prefix`.
-pub fn stats_from_checkpoint(prefix: &str, ck: &Checkpoint) -> Option<MetaStats> {
-    let sampled = ck.vectors.get(&format!("{prefix}_sampled"))?;
-    let selected = ck.vectors.get(&format!("{prefix}_selected"))?;
-    let step_losses = ck.vectors.get(&format!("{prefix}_step_losses"))?;
-    let zero = ck
+/// Recover the [`MetaStats`] stored by [`stats_to_checkpoint`] under
+/// `prefix` (`None` when the checkpoint has none), checked against the
+/// run that is about to carry them: a pool of `pool` synthetic
+/// examples and `steps` finished meta steps.
+///
+/// # Errors
+/// [`Error::Checkpoint`] unless both count vectors hold `pool`
+/// non-negative integers with `selected[i] ≤ sampled[i]`, there is one
+/// loss per finished step, and the δ-guard counter is at most `steps`.
+pub fn stats_from_checkpoint(
+    prefix: &str,
+    ck: &Checkpoint,
+    pool: usize,
+    steps: usize,
+) -> Result<Option<MetaStats>> {
+    let vector = |name: &str| ck.vectors.get(&format!("{prefix}_{name}"));
+    let (Some(sampled), Some(selected), Some(step_losses)) =
+        (vector("sampled"), vector("selected"), vector("step_losses"))
+    else {
+        return Ok(None);
+    };
+    let bad = |what: String| Error::Checkpoint(format!("{prefix} meta stats: {what}"));
+    let counts = |name: &str, xs: &[f64]| -> Result<Vec<usize>> {
+        if xs.len() != pool {
+            return Err(bad(format!("{name} covers {} examples, the pool has {pool}", xs.len())));
+        }
+        xs.iter()
+            .map(|&x| {
+                // Exactly the values `count as f64` can have produced.
+                let is_count = x >= 0.0 && x.fract() == 0.0 && x < 2f64.powi(53);
+                is_count.then_some(x as usize).ok_or_else(|| bad(format!("{name} holds {x}")))
+            })
+            .collect()
+    };
+    let (sampled, selected) = (counts("sampled", sampled)?, counts("selected", selected)?);
+    if selected.iter().zip(&sampled).any(|(sel, sam)| sel > sam) {
+        return Err(bad("an example was selected more often than sampled".to_string()));
+    }
+    if step_losses.len() != steps {
+        let n = step_losses.len();
+        return Err(bad(format!("{n} step losses for {steps} finished steps")));
+    }
+    let zero_weight_steps = ck
         .meta
         .get(&format!("{prefix}_zero_weight_steps"))
         .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    Some(MetaStats {
-        sampled: sampled.iter().map(|&x| x as usize).collect(),
-        selected: selected.iter().map(|&x| x as usize).collect(),
-        step_losses: step_losses.clone(),
-        zero_weight_steps: zero,
-    })
+        .filter(|&z: &usize| z <= steps)
+        .ok_or_else(|| bad(format!("no zero-weight step count within {steps} steps")))?;
+    Ok(Some(MetaStats { sampled, selected, step_losses: step_losses.clone(), zero_weight_steps }))
 }
 
 /// The stage-cursor key in checkpoint metadata: the next pipeline
@@ -289,6 +324,102 @@ pub const STAGE_KEY: &str = "stage";
 /// The in-stage meta-step key: how many meta steps of the stage named
 /// by [`STAGE_KEY`] had completed when the checkpoint was taken.
 pub const STEP_KEY: &str = "step";
+
+/// The values a stage cursor can take: the pipeline's six stages, and
+/// one past them for a finished run.
+pub const STAGES: RangeInclusive<u64> = 1..=7;
+
+/// The stage cursor of a loaded checkpoint.
+///
+/// # Errors
+/// [`Error::Checkpoint`] when it is absent, not a number, or outside
+/// [`STAGES`] — a cursor no stage guard matches would otherwise skip
+/// every stage and return the freshly initialised models.
+pub fn stage_cursor(ck: &Checkpoint) -> Result<u64> {
+    let stage = ck
+        .meta
+        .get(STAGE_KEY)
+        .ok_or_else(|| Error::Checkpoint("checkpoint lacks a stage cursor".to_string()))?;
+    stage
+        .parse()
+        .ok()
+        .filter(|cursor| STAGES.contains(cursor))
+        .ok_or_else(|| Error::Checkpoint(format!("bad stage cursor {stage:?}: not in {STAGES:?}")))
+}
+
+/// Checkpointing context of one meta phase ([`crate::reweight::train_meta`]):
+/// the manager, which pipeline stage the phase occupies, the key its
+/// model state saves under, and (when restarting) the checkpoint being
+/// resumed.
+pub struct MetaResume<'a> {
+    /// Manager owning storage, budget, and the stage-boundary base.
+    pub mgr: &'a mut CheckpointManager,
+    /// Stage-cursor value identifying this phase's pipeline stage.
+    pub stage: u64,
+    /// Key under which this model's params/optimizer/RNG state is
+    /// saved in checkpoints (`"bi"` or `"cross"`).
+    pub model_key: &'a str,
+    /// Checkpoint to resume from. Only honoured when it carries a
+    /// mid-stage step cursor; a stage-boundary checkpoint starts the
+    /// stage from the beginning.
+    pub resume: Option<&'a Checkpoint>,
+}
+
+impl MetaResume<'_> {
+    /// Restore mid-stage state (optimizer, RNG, stats) into the
+    /// trainer's locals. Returns the step to resume from: 0 when there
+    /// is nothing to resume or the checkpoint is a stage boundary.
+    ///
+    /// # Errors
+    /// [`Error::Checkpoint`] when the step cursor is not a number in
+    /// `0..=steps`, when the optimizer state, RNG state or stats are
+    /// missing, and when the stats are not those of `start` steps over
+    /// a pool of `pool` (see [`stats_from_checkpoint`]).
+    pub fn restore(
+        &self,
+        pool: usize,
+        steps: usize,
+        opt: &mut dyn Optimizer,
+        rng: &mut Rng,
+        stats: &mut MetaStats,
+    ) -> Result<usize> {
+        let Some(ck) = self.resume else { return Ok(0) };
+        let Some(step) = ck.meta.get(STEP_KEY) else { return Ok(0) };
+        let start = step.parse().ok().filter(|&s: &usize| s <= steps).ok_or_else(|| {
+            Error::Checkpoint(format!("bad step cursor {step:?}: the stage has {steps} steps"))
+        })?;
+        let key = self.model_key;
+        let lacks = |what| Error::Checkpoint(format!("mid-stage checkpoint lacks {what} {key:?}"));
+        opt.restore(ck.optim.get(key).ok_or_else(|| lacks("optimizer state"))?.clone())?;
+        *rng = Rng::from_state(*ck.rng.get(key).ok_or_else(|| lacks("RNG state"))?);
+        *stats = stats_from_checkpoint(key, ck, pool, start)?.ok_or_else(|| lacks("stats"))?;
+        Ok(start)
+    }
+
+    /// Save a mid-stage checkpoint after `done` steps: the
+    /// stage-boundary base patched with the live model/optimizer/RNG
+    /// state and the accumulated stats.
+    ///
+    /// # Errors
+    /// Serialization errors, or [`Error::Io`] after retries.
+    pub fn save(
+        &mut self,
+        params: &Params,
+        opt: &dyn Optimizer,
+        rng: &Rng,
+        stats: &MetaStats,
+        done: usize,
+    ) -> Result<()> {
+        let mut ck = self.mgr.base.clone();
+        ck.params.insert(self.model_key.to_string(), params.clone());
+        ck.optim.insert(self.model_key.to_string(), opt.state());
+        ck.rng.insert(self.model_key.to_string(), rng.state());
+        stats_to_checkpoint(self.model_key, stats, &mut ck);
+        ck.meta.insert(STAGE_KEY.to_string(), self.stage.to_string());
+        ck.meta.insert(STEP_KEY.to_string(), done.to_string());
+        self.mgr.save(ck)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -326,7 +457,7 @@ mod tests {
         assert_eq!(resumed.meta["tag"], "b");
         assert_eq!(mgr2.fallbacks(), 0);
         // base primed from the resumed checkpoint.
-        assert_eq!(mgr2.base().meta["tag"], "b");
+        assert_eq!(mgr2.base.meta["tag"], "b");
     }
 
     #[test]
@@ -386,12 +517,12 @@ mod tests {
         let mut ck = Checkpoint::new();
         stats_to_checkpoint("bi", &stats, &mut ck);
         let ck = Checkpoint::from_bytes(&ck.to_bytes().unwrap()).unwrap();
-        let back = stats_from_checkpoint("bi", &ck).unwrap();
+        let back = stats_from_checkpoint("bi", &ck, 3, 2).unwrap().unwrap();
         assert_eq!(back.sampled, stats.sampled);
         assert_eq!(back.selected, stats.selected);
         assert_eq!(back.step_losses, stats.step_losses);
         assert_eq!(back.zero_weight_steps, 2);
-        assert!(stats_from_checkpoint("cross", &ck).is_none());
+        assert!(stats_from_checkpoint("cross", &ck, 3, 2).unwrap().is_none());
     }
 
     #[test]

@@ -6,14 +6,23 @@
 //! in `mb-nlg`; this module consumes their output and runs step 3 —
 //! training the two-stage linker, with or without the meta-learning
 //! reweighting of Algorithm 1.
+//!
+//! [`train`] and [`train_resumable`] are one function (`train_impl`)
+//! with and without a [`CheckpointManager`]: six stages behind a
+//! resume cursor, the same three phases on each encoder (plain pass,
+//! [`train_meta`], seed mix). Algorithm 1 itself is
+//! `reweight::train_meta`, called once per encoder; what a resumed
+//! checkpoint must satisfy before any stage trusts it is
+//! `checkpoint::{stage_cursor, stats_from_checkpoint}` (DESIGN.md §8
+//! "Recovery semantics").
 
 use crate::baselines::{train_biencoder_dl4el, Dl4elConfig};
-use crate::checkpoint::{stats_from_checkpoint, stats_to_checkpoint, CheckpointManager, STAGE_KEY};
-use crate::linker::{LinkMetrics, LinkerConfig, TwoStageLinker};
-use crate::reweight::{
-    train_biencoder_meta, train_biencoder_meta_resumable, train_crossencoder_meta,
-    train_crossencoder_meta_resumable, MetaConfig, MetaResume, MetaStats,
+use crate::checkpoint::{
+    stage_cursor, stats_from_checkpoint, stats_to_checkpoint, CheckpointManager, MetaResume,
+    STAGE_KEY,
 };
+use crate::linker::{LinkMetrics, LinkerConfig, TwoStageLinker};
+use crate::reweight::{train_meta, MetaConfig, MetaStats};
 use mb_common::storage::{NoBudget, StepBudget};
 use mb_common::{Error, Result, Rng};
 use mb_datagen::world::{DomainInfo, World};
@@ -377,18 +386,17 @@ fn save_boundary(
     next_stage: u64,
     bi: &BiEncoder,
     cross: &CrossEncoder,
-    bi_stats: Option<&MetaStats>,
-    cross_stats: Option<&MetaStats>,
+    bi_stats: &Option<MetaStats>,
+    cross_stats: &Option<MetaStats>,
 ) -> Result<()> {
     let Some(m) = mgr.as_deref_mut() else { return Ok(()) };
     let mut ck = Checkpoint::new();
     ck.params.insert(BI_KEY.to_string(), bi.params().clone());
     ck.params.insert(CROSS_KEY.to_string(), cross.params().clone());
-    if let Some(s) = bi_stats {
-        stats_to_checkpoint(BI_KEY, s, &mut ck);
-    }
-    if let Some(s) = cross_stats {
-        stats_to_checkpoint(CROSS_KEY, s, &mut ck);
+    for (key, stats) in [(BI_KEY, bi_stats), (CROSS_KEY, cross_stats)] {
+        if let Some(s) = stats {
+            stats_to_checkpoint(key, s, &mut ck);
+        }
     }
     ck.meta.insert(STAGE_KEY.to_string(), next_stage.to_string());
     m.save_boundary(ck)
@@ -398,6 +406,14 @@ fn save_boundary(
 /// runs only when the cursor (the next stage to execute, 1-based) is
 /// `<= N`; each boundary checkpoint stores `N + 1`. Stage 7 means the
 /// run finished — resuming it rebuilds the result without training.
+///
+/// Stages 1–3 and 4–6 are the same three phases on the two encoders:
+/// a plain pass over all the data (the whole of a baseline's
+/// training; MetaBLINK's warm start), Algorithm 1
+/// ([`train_meta`], MetaBLINK only), and a few plain epochs on the
+/// seed. What differs is stated where it differs: DL4EL replaces the
+/// bi-encoder's plain pass, and the seed mix lasts a fraction of the
+/// bi-encoder's epochs but one cross-encoder epoch.
 fn train_impl(
     task: &TargetTask<'_>,
     method: Method,
@@ -410,86 +426,75 @@ fn train_impl(
     let mut cross = CrossEncoder::new(task.vocab, cfg.cross, &mut rng.split(2));
 
     // ---------------- Assemble data ----------------
-    let syn_mentions: Vec<&LinkedMention> =
-        source.synthetic_kind().map(|k| synthetic_mentions(task, k)).unwrap_or_default();
-    let seed_mentions: Vec<&LinkedMention> =
-        if source.uses_seed() { task.seed.iter().collect() } else { Vec::new() };
-    let general_mentions: Vec<&LinkedMention> =
-        if source.uses_general() { task.general.iter().collect() } else { Vec::new() };
-    let syn_pairs = featurize(task, cfg, &syn_mentions);
-    let seed_pairs = featurize(task, cfg, &seed_mentions);
-    let general_pairs = featurize(task, cfg, &general_mentions);
-
     // For meta methods: the reweighted pool is synthetic (+ general,
     // which the meta mechanism may also weight); the seed is the
     // meta-supervision. For plain methods everything is concatenated.
-    let mut weighted_pool = syn_pairs.clone();
-    weighted_pool.extend(general_pairs.iter().cloned());
-    let mut concat = weighted_pool.clone();
-    concat.extend(seed_pairs.iter().cloned());
+    let mut pool_mentions: Vec<&LinkedMention> =
+        source.synthetic_kind().map(|k| synthetic_mentions(task, k)).unwrap_or_default();
+    if source.uses_general() {
+        pool_mentions.extend(task.general);
+    }
+    let seed_mentions: Vec<&LinkedMention> =
+        if source.uses_seed() { task.seed.iter().collect() } else { Vec::new() };
+    let weighted_pool = featurize(task, cfg, &pool_mentions);
+    let seed_pairs = featurize(task, cfg, &seed_mentions);
+    let concat = [weighted_pool.as_slice(), &seed_pairs].concat();
 
     let use_meta =
         method == Method::MetaBlink && !seed_pairs.is_empty() && weighted_pool.len() >= 2;
 
     // ---------------- Resume ----------------
+    // A checkpoint that passed its CRCs is still only trusted as far
+    // as it describes this run (DESIGN.md §8): the cursor names a
+    // stage, every later stage finds both models, and carried stats
+    // are those of a finished meta phase over this run's pool.
     let mut cursor: u64 = 1;
     let mut resume_ck: Option<Checkpoint> = None;
     let mut bi_meta_stats: Option<MetaStats> = None;
     let mut cross_meta_stats: Option<MetaStats> = None;
-    if let Some(m) = mgr.as_deref_mut() {
-        if let Some(ck) = m.begin()? {
-            let stage = ck
-                .meta
-                .get(STAGE_KEY)
-                .ok_or_else(|| Error::Checkpoint("checkpoint lacks a stage cursor".to_string()))?;
-            cursor = stage
-                .parse()
-                .map_err(|e| Error::Checkpoint(format!("bad stage cursor {stage:?}: {e}")))?;
-            if let Some(p) = ck.params.get(BI_KEY) {
-                bi.set_params(p.clone())?;
-            }
-            if let Some(p) = ck.params.get(CROSS_KEY) {
-                cross.set_params(p.clone())?;
-            }
-            bi_meta_stats = stats_from_checkpoint(BI_KEY, &ck);
-            cross_meta_stats = stats_from_checkpoint(CROSS_KEY, &ck);
-            resume_ck = Some(ck);
+    if let Some(ck) = mgr.as_deref_mut().map(CheckpointManager::begin).transpose()?.flatten() {
+        cursor = stage_cursor(&ck)?;
+        if cursor > 1 {
+            let params = |key: &str| {
+                ck.params.get(key).cloned().ok_or_else(|| {
+                    Error::Checkpoint(format!("stage-{cursor} checkpoint lacks {key:?} parameters"))
+                })
+            };
+            bi.set_params(params(BI_KEY)?)?;
+            cross.set_params(params(CROSS_KEY)?)?;
         }
+        if cursor > 2 {
+            bi_meta_stats =
+                stats_from_checkpoint(BI_KEY, &ck, weighted_pool.len(), cfg.bi_meta.steps)?;
+        }
+        resume_ck = Some(ck);
     }
     // Mid-stage state in the resumed checkpoint only applies to the
     // stage the run died in; later visits to the same guard (and other
     // stages) must start from scratch.
     let resume_stage = cursor;
+    let resume_at = |stage: u64| resume_ck.as_ref().filter(|_| resume_stage == stage);
+    // The plain pass is skipped only by a meta run told not to warm
+    // start; the seed mix is a meta run's, when configured.
+    let plain_pass = |meta: bool| !meta || cfg.warm_start;
+    let seed_mix = |meta: bool| meta && cfg.seed_supervision_mix > 0.0;
     let mut no_budget = NoBudget;
 
-    // ---------------- Stage 1: bi-encoder warm-up ----------------
+    // ---------------- Stage 1: bi-encoder plain pass ----------------
     // For MetaBLINK this is the plain BLINK warm start (the paper
     // builds MetaBLINK on BLINK and keeps its hyper-parameters); for
     // the baselines it is their entire bi-encoder training.
     if cursor <= 1 {
-        if use_meta {
-            if cfg.warm_start {
-                try_train_biencoder(
-                    &mut bi,
-                    &concat,
-                    &cfg.bi_train,
-                    budget_of(&mut mgr, &mut no_budget),
-                )?;
-            }
-        } else if method == Method::Dl4el {
+        let budget = budget_of(&mut mgr, &mut no_budget);
+        if method == Method::Dl4el {
             // No epoch seam inside DL4EL: the whole baseline is one
             // unit of work for kill-injection purposes.
-            budget_of(&mut mgr, &mut no_budget).tick()?;
+            budget.tick()?;
             train_biencoder_dl4el(&mut bi, &concat, &cfg.dl4el);
-        } else {
-            try_train_biencoder(
-                &mut bi,
-                &concat,
-                &cfg.bi_train,
-                budget_of(&mut mgr, &mut no_budget),
-            )?;
+        } else if plain_pass(use_meta) {
+            try_train_biencoder(&mut bi, &concat, &cfg.bi_train, budget)?;
         }
-        save_boundary(&mut mgr, 2, &bi, &cross, None, None)?;
+        save_boundary(&mut mgr, 2, &bi, &cross, &bi_meta_stats, &cross_meta_stats)?;
         cursor = 2;
     }
 
@@ -498,35 +503,23 @@ fn train_impl(
     // seed's meta-gradient.
     if cursor <= 2 {
         if use_meta {
+            let mut ctl = mgr.as_deref_mut().map(|mgr| MetaResume {
+                mgr,
+                stage: 2,
+                model_key: BI_KEY,
+                resume: resume_at(2),
+            });
             let mut opt = Adam::new(cfg.bi_meta.lr);
-            let stats = match mgr.as_deref_mut() {
-                Some(m) => {
-                    let mut ctl = MetaResume {
-                        mgr: m,
-                        stage: 2,
-                        model_key: BI_KEY,
-                        resume: if resume_stage == 2 { resume_ck.as_ref() } else { None },
-                    };
-                    train_biencoder_meta_resumable(
-                        &mut bi,
-                        &weighted_pool,
-                        &seed_pairs,
-                        &mut opt,
-                        &cfg.bi_meta,
-                        &mut ctl,
-                    )?
-                }
-                None => train_biencoder_meta(
-                    &mut bi,
-                    &weighted_pool,
-                    &seed_pairs,
-                    &mut opt,
-                    &cfg.bi_meta,
-                ),
-            };
-            bi_meta_stats = Some(stats);
+            bi_meta_stats = Some(train_meta(
+                &mut bi,
+                &weighted_pool,
+                &seed_pairs,
+                &mut opt,
+                &cfg.bi_meta,
+                ctl.as_mut(),
+            )?);
         }
-        save_boundary(&mut mgr, 3, &bi, &cross, bi_meta_stats.as_ref(), None)?;
+        save_boundary(&mut mgr, 3, &bi, &cross, &bi_meta_stats, &cross_meta_stats)?;
         cursor = 3;
     }
 
@@ -534,12 +527,12 @@ fn train_impl(
     // A few plain epochs on the seed (it is labeled data, not only
     // meta-supervision).
     if cursor <= 3 {
-        if use_meta && cfg.seed_supervision_mix > 0.0 && !seed_pairs.is_empty() {
+        if seed_mix(use_meta) {
             let epochs = ((cfg.bi_train.epochs as f64) * cfg.seed_supervision_mix).ceil() as usize;
             let tc = TrainConfig { epochs, ..cfg.bi_train };
             try_train_biencoder(&mut bi, &seed_pairs, &tc, budget_of(&mut mgr, &mut no_budget))?;
         }
-        save_boundary(&mut mgr, 4, &bi, &cross, bi_meta_stats.as_ref(), None)?;
+        save_boundary(&mut mgr, 4, &bi, &cross, &bi_meta_stats, &cross_meta_stats)?;
         cursor = 4;
     }
 
@@ -552,60 +545,45 @@ fn train_impl(
     //
     // Retrieval reads only the frozen bi-encoder, so on resume the
     // rebuilt sets are identical to the original run's — they are
-    // recomputed, not checkpointed.
-    let (syn_sets, seed_sets) = if cursor <= 6 {
-        let build_sets = |mentions: &[&LinkedMention], cap: usize| -> Vec<CandidateSet> {
-            use std::collections::BTreeMap;
-            let mut linkers: BTreeMap<mb_kb::DomainId, TwoStageLinker<'_>> = BTreeMap::new();
-            let mut out = Vec::new();
-            for m in mentions.iter().take(cap) {
-                let domain = task.world.kb().entity(m.entity).domain;
-                let linker = linkers.entry(domain).or_insert_with(|| {
-                    TwoStageLinker::new(
-                        &bi,
-                        &cross,
-                        task.vocab,
-                        task.world.kb(),
-                        task.world.kb().domain_entities(domain),
-                        LinkerConfig { k: cfg.k_train_candidates, ..cfg.linker },
-                    )
-                });
-                let retrieved = linker.candidates(m);
-                let set = linker.candidate_set(m, &retrieved);
-                if set.gold_index.is_some() {
-                    out.push(set);
-                }
+    // recomputed, not checkpointed (a finished run rebuilds them too:
+    // their count is what its cross-encoder stats are checked against).
+    let build_sets = |mentions: &[&LinkedMention]| -> Vec<CandidateSet> {
+        use std::collections::BTreeMap;
+        let mut linkers: BTreeMap<mb_kb::DomainId, TwoStageLinker<'_>> = BTreeMap::new();
+        let mut out = Vec::new();
+        for m in mentions.iter().take(cfg.cross_train_cap) {
+            let domain = task.world.kb().entity(m.entity).domain;
+            let linker = linkers.entry(domain).or_insert_with(|| {
+                TwoStageLinker::new(
+                    &bi,
+                    &cross,
+                    task.vocab,
+                    task.world.kb(),
+                    task.world.kb().domain_entities(domain),
+                    LinkerConfig { k: cfg.k_train_candidates, ..cfg.linker },
+                )
+            });
+            let retrieved = linker.candidates(m);
+            let set = linker.candidate_set(m, &retrieved);
+            if set.gold_index.is_some() {
+                out.push(set);
             }
-            out
-        };
-        (
-            build_sets(
-                &weighted_pool_mentions(&syn_mentions, &general_mentions),
-                cfg.cross_train_cap,
-            ),
-            build_sets(&seed_mentions, cfg.cross_train_cap),
-        )
-    } else {
-        (Vec::new(), Vec::new())
+        }
+        out
     };
+    let syn_sets = build_sets(&pool_mentions);
+    let seed_sets = build_sets(&seed_mentions);
     let cross_meta = use_meta && !syn_sets.is_empty() && !seed_sets.is_empty();
+    if let Some(ck) = resume_ck.as_ref().filter(|_| cursor > 5) {
+        cross_meta_stats =
+            stats_from_checkpoint(CROSS_KEY, ck, syn_sets.len(), cfg.cross_meta.steps)?;
+    }
 
-    // ---------------- Stage 4: cross-encoder warm-up ----------------
+    // ---------------- Stage 4: cross-encoder plain pass ----------------
     // For MetaBLINK: warm start like BLINK. For the baselines: their
     // entire cross-encoder training.
     if cursor <= 4 {
-        if cross_meta {
-            if cfg.warm_start {
-                let mut warm = syn_sets.clone();
-                warm.extend(seed_sets.iter().cloned());
-                try_train_crossencoder(
-                    &mut cross,
-                    &warm,
-                    &cfg.cross_train,
-                    budget_of(&mut mgr, &mut no_budget),
-                )?;
-            }
-        } else {
+        if plain_pass(cross_meta) {
             let mut all_sets = syn_sets.clone();
             all_sets.extend(seed_sets.iter().cloned());
             try_train_crossencoder(
@@ -615,56 +593,45 @@ fn train_impl(
                 budget_of(&mut mgr, &mut no_budget),
             )?;
         }
-        save_boundary(&mut mgr, 5, &bi, &cross, bi_meta_stats.as_ref(), None)?;
+        save_boundary(&mut mgr, 5, &bi, &cross, &bi_meta_stats, &cross_meta_stats)?;
         cursor = 5;
     }
 
     // ---------------- Stage 5: cross-encoder meta phase ----------------
     if cursor <= 5 {
         if cross_meta {
+            let mut ctl = mgr.as_deref_mut().map(|mgr| MetaResume {
+                mgr,
+                stage: 5,
+                model_key: CROSS_KEY,
+                resume: resume_at(5),
+            });
             let mut opt = Adam::new(cfg.cross_meta.lr);
-            let stats = match mgr.as_deref_mut() {
-                Some(m) => {
-                    let mut ctl = MetaResume {
-                        mgr: m,
-                        stage: 5,
-                        model_key: CROSS_KEY,
-                        resume: if resume_stage == 5 { resume_ck.as_ref() } else { None },
-                    };
-                    train_crossencoder_meta_resumable(
-                        &mut cross,
-                        &syn_sets,
-                        &seed_sets,
-                        &mut opt,
-                        &cfg.cross_meta,
-                        &mut ctl,
-                    )?
-                }
-                None => train_crossencoder_meta(
-                    &mut cross,
-                    &syn_sets,
-                    &seed_sets,
-                    &mut opt,
-                    &cfg.cross_meta,
-                ),
-            };
-            cross_meta_stats = Some(stats);
+            cross_meta_stats = Some(train_meta(
+                &mut cross,
+                &syn_sets,
+                &seed_sets,
+                &mut opt,
+                &cfg.cross_meta,
+                ctl.as_mut(),
+            )?);
         }
-        save_boundary(&mut mgr, 6, &bi, &cross, bi_meta_stats.as_ref(), cross_meta_stats.as_ref())?;
+        save_boundary(&mut mgr, 6, &bi, &cross, &bi_meta_stats, &cross_meta_stats)?;
         cursor = 6;
     }
 
     // ---------------- Stage 6: cross-encoder seed mix ----------------
     if cursor <= 6 {
-        if cross_meta && cfg.seed_supervision_mix > 0.0 {
+        if seed_mix(cross_meta) {
+            let tc = TrainConfig { epochs: 1, ..cfg.cross_train };
             try_train_crossencoder(
                 &mut cross,
                 &seed_sets,
-                &TrainConfig { epochs: 1, ..cfg.cross_train },
+                &tc,
                 budget_of(&mut mgr, &mut no_budget),
             )?;
         }
-        save_boundary(&mut mgr, 7, &bi, &cross, bi_meta_stats.as_ref(), cross_meta_stats.as_ref())?;
+        save_boundary(&mut mgr, 7, &bi, &cross, &bi_meta_stats, &cross_meta_stats)?;
     }
 
     Ok(TrainedLinker {
@@ -675,15 +642,6 @@ fn train_impl(
         cross_meta_stats,
         syn_len: weighted_pool.len(),
     })
-}
-
-fn weighted_pool_mentions<'t>(
-    syn: &[&'t LinkedMention],
-    general: &[&'t LinkedMention],
-) -> Vec<&'t LinkedMention> {
-    let mut v: Vec<&LinkedMention> = syn.to_vec();
-    v.extend(general.iter().copied());
-    v
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Learning to reweight synthetic data (Algorithm 1).
+//! Learning to reweight synthetic data (Algorithm 1), stated once.
 //!
 //! The optimisation is the bilevel objective of Eq. 7. Following Ren et
 //! al. (and the paper's Eqs. 9–14), each training step:
@@ -18,19 +18,24 @@
 //! The dot-product form needs only first-order gradients, which is why
 //! this reproduction does not require the second-order autodiff that
 //! gates GPU frameworks (see DESIGN.md §4); `tests` verify the form
-//! against finite differences of the true bilevel objective.
+//! against finite differences of the true bilevel objective, for both
+//! encoders.
+//!
+//! The procedure is the same for both halves of the linker, so it is
+//! written once: [`meta_step`] is steps 1–5 and [`train_meta`] the
+//! resumable loop around it, both over [`MetaModel`] — what a step
+//! needs from a model. The two implementations at the bottom of this
+//! file are everything that is stated per encoder.
 
-use crate::checkpoint::{
-    stats_from_checkpoint, stats_to_checkpoint, CheckpointManager, STAGE_KEY, STEP_KEY,
-};
-use mb_common::{Error, Result, Rng};
+use crate::checkpoint::MetaResume;
+use mb_common::{Result, Rng};
 use mb_encoders::biencoder::BiEncoder;
 use mb_encoders::crossencoder::{CandidateSet, CrossEncoder};
 use mb_encoders::input::TrainPair;
-use mb_tensor::checkpoint::Checkpoint;
+use mb_par::Threads;
 use mb_tensor::optim::Optimizer;
 use mb_tensor::params::GradVec;
-use mb_tensor::Tape;
+use mb_tensor::{Params, Tape, Var};
 
 /// Hyperparameters of the meta-training loop.
 #[derive(Debug, Clone, Copy)]
@@ -114,29 +119,21 @@ impl Default for MetaConfig {
 /// assert_eq!(w, vec![1.0, 0.0]);
 /// ```
 pub fn meta_example_weights(example_grads: &[GradVec], seed_grad: &GradVec) -> Vec<f64> {
-    meta_example_weights_opts(example_grads, seed_grad, false)
+    meta_example_weights_masked(example_grads, seed_grad, false, &|_| true)
 }
 
 /// [`meta_example_weights`] with optional per-example gradient
-/// normalisation (see [`MetaConfig::normalize_example_grads`]).
-pub fn meta_example_weights_opts(
-    example_grads: &[GradVec],
-    seed_grad: &GradVec,
-    normalize: bool,
-) -> Vec<f64> {
-    meta_example_weights_masked(example_grads, seed_grad, normalize, &|_| true)
-}
-
-/// [`meta_example_weights_opts`] restricted to parameters selected by
-/// `keep` (see [`MetaConfig::shared_params_only`]).
-pub fn meta_example_weights_masked(
-    example_grads: &[GradVec],
+/// normalisation (see [`MetaConfig::normalize_example_grads`]),
+/// restricted to the parameters selected by `keep` (see
+/// [`MetaConfig::shared_params_only`]).
+pub fn meta_example_weights_masked<'a>(
+    example_grads: impl IntoIterator<Item = &'a GradVec>,
     seed_grad: &GradVec,
     normalize: bool,
     keep: &dyn Fn(usize) -> bool,
 ) -> Vec<f64> {
     let clipped: Vec<f64> = example_grads
-        .iter()
+        .into_iter()
         .map(|g| {
             let dot = seed_grad.masked_dot(g, keep);
             let dot = if normalize {
@@ -154,7 +151,7 @@ pub fn meta_example_weights_masked(
         .collect();
     let total: f64 = clipped.iter().sum();
     if total <= 0.0 || !total.is_finite() {
-        return vec![0.0; example_grads.len()];
+        return vec![0.0; clipped.len()];
     }
     clipped.into_iter().map(|w| w / total).collect()
 }
@@ -204,66 +201,73 @@ impl MetaStats {
     }
 }
 
-/// Per-example losses and gradients of a bi-encoder synthetic batch.
-///
-/// One forward tape, then one backward per example through a `gather`
-/// on the loss vector — each yields `∇_φ l_j(φ)` with the in-batch
-/// negatives of Eq. 6 held fixed.
-///
-/// The in-batch negatives couple every example's *loss* to the whole
-/// batch, so the batch cannot be sharded — but given the shared
-/// forward, the per-example backward sweeps are independent. All
-/// gather nodes are recorded up front (they need `&mut Tape`); the
-/// backward passes (`&Tape`) then fan out across workers, each
-/// producing exactly the tensors the serial loop would.
-fn biencoder_example_grads(
-    model: &BiEncoder,
-    batch: &[TrainPair],
-    threads: mb_par::Threads,
-) -> Vec<(f64, GradVec)> {
-    let mut tape = Tape::new();
-    let fwd = model.forward_losses(&mut tape, batch);
-    let gathers: Vec<mb_tensor::Var> =
-        (0..batch.len()).map(|j| tape.gather(fwd.losses, j)).collect();
-    mb_par::par_map(threads, &gathers, |_, &lj| {
-        let value = tape.value(lj).item();
-        let grads = tape.backward(lj);
-        (value, model.params().collect_grads(&fwd.vars, &grads))
-    })
+/// What one step of Algorithm 1 needs from a model: its parameters,
+/// per-example gradients of a synthetic batch, and the gradient of a
+/// seed batch. Everything else — sampling, Eqs. 12–15, statistics,
+/// checkpointing — is [`meta_step`] and [`train_meta`].
+pub trait MetaModel {
+    /// One labeled example, synthetic or seed.
+    type Example;
+
+    /// Smallest synthetic batch the model's loss is defined on.
+    const MIN_SYN_BATCH: usize;
+
+    /// The parameters φ.
+    fn params(&self) -> &Params;
+
+    /// The parameters, for the optimizer step.
+    fn params_mut(&mut self) -> &mut Params;
+
+    /// Index (in parameter order) of the token-embedding table, which
+    /// [`MetaConfig::shared_params_only`] leaves out of the dot
+    /// products.
+    fn embedding_param_index(&self) -> usize;
+
+    /// `(l_j(φ), ∇_φ l_j(φ))` for every example of a synthetic batch,
+    /// in batch order, bit-identical at any `threads`.
+    fn example_grads(&self, batch: &[&Self::Example], threads: Threads) -> Vec<(f64, GradVec)>;
+
+    /// `∇_φ l_g(φ)`: gradient of the mean loss over a seed batch,
+    /// bit-identical at any `threads`.
+    fn seed_grad(&self, batch: &[&Self::Example], threads: Threads) -> GradVec;
 }
 
-/// One meta step of Algorithm 1 on the bi-encoder. Returns
+/// One meta step of Algorithm 1. Of `cfg` it reads the batch sizes,
+/// `seed_mix`, the two dot-product switches and `threads`. Returns
 /// `(weights, sampled synthetic indices, weighted loss)`.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 1's explicit inputs
-pub fn biencoder_meta_step(
-    model: &mut BiEncoder,
-    syn: &[TrainPair],
-    seed_set: &[TrainPair],
+///
+/// # Panics
+/// Panics if `syn` is smaller than [`MetaModel::MIN_SYN_BATCH`] or
+/// `seed_set` is empty.
+pub fn meta_step<M: MetaModel>(
+    model: &mut M,
+    syn: &[M::Example],
+    seed_set: &[M::Example],
     opt: &mut dyn Optimizer,
-    syn_batch: usize,
-    seed_batch: usize,
-    seed_mix: f64,
-    normalize: bool,
-    shared_only: bool,
-    threads: mb_par::Threads,
+    cfg: &MetaConfig,
     rng: &mut Rng,
 ) -> (Vec<f64>, Vec<usize>, f64) {
-    assert!(syn.len() >= 2, "meta step needs at least two synthetic examples");
+    let min = M::MIN_SYN_BATCH;
+    assert!(syn.len() >= min, "meta step needs at least {min} synthetic example(s)");
     assert!(!seed_set.is_empty(), "meta step needs a non-empty seed set");
-    let syn_idx = rng.sample_indices(syn.len(), syn_batch.max(2));
-    let seed_idx = rng.sample_indices(seed_set.len(), seed_batch.max(1));
-    let syn_batch_data: Vec<TrainPair> = syn_idx.iter().map(|&i| syn[i].clone()).collect();
-    let seed_batch_data: Vec<TrainPair> = seed_idx.iter().map(|&i| seed_set[i].clone()).collect();
+    let syn_idx = rng.sample_indices(syn.len(), cfg.syn_batch.max(min));
+    let seed_idx = rng.sample_indices(seed_set.len(), cfg.seed_batch.max(1));
+    let syn_batch: Vec<&M::Example> = syn_idx.iter().map(|&i| &syn[i]).collect();
+    let seed_batch: Vec<&M::Example> = seed_idx.iter().map(|&i| &seed_set[i]).collect();
 
     // Lines 4–6: w = 0 ⇒ φ̂ = φ. Per-example synthetic grads at φ.
-    let example = biencoder_example_grads(model, &syn_batch_data, threads);
+    let example = model.example_grads(&syn_batch, cfg.threads);
     // Line 7–8: seed loss gradient at φ̂ (= φ).
-    let (_, seed_grad) = model.batch_grad(&seed_batch_data);
+    let seed_grad = model.seed_grad(&seed_batch, cfg.threads);
     // Line 9: weights.
-    let grads_only: Vec<GradVec> = example.iter().map(|(_, g)| g.clone()).collect();
     let emb_index = model.embedding_param_index();
-    let keep = move |i: usize| !shared_only || i != emb_index;
-    let weights = meta_example_weights_masked(&grads_only, &seed_grad, normalize, &keep);
+    let keep = |i: usize| !cfg.shared_params_only || i != emb_index;
+    let weights = meta_example_weights_masked(
+        example.iter().map(|(_, g)| g),
+        &seed_grad,
+        cfg.normalize_example_grads,
+        &keep,
+    );
     // Lines 10–12: weighted update, reusing the per-example grads:
     // ∇(Σ wⱼ lⱼ) = Σ wⱼ ∇lⱼ.
     let mut update = GradVec::zeros_like(model.params());
@@ -274,28 +278,11 @@ pub fn biencoder_meta_step(
             weighted_loss += wj * lj;
         }
     }
-    if seed_mix > 0.0 {
-        update.axpy(seed_mix, &seed_grad);
+    if cfg.seed_mix > 0.0 {
+        update.axpy(cfg.seed_mix, &seed_grad);
     }
     opt.step(model.params_mut(), &update);
     (weights, syn_idx, weighted_loss)
-}
-
-/// Checkpointing context for the resumable meta trainers: the manager,
-/// which pipeline stage this trainer occupies, the key its model state
-/// saves under, and (when restarting) the checkpoint being resumed.
-pub struct MetaResume<'a> {
-    /// Manager owning storage, budget, and the stage-boundary base.
-    pub mgr: &'a mut CheckpointManager,
-    /// Stage-cursor value identifying this trainer's pipeline stage.
-    pub stage: u64,
-    /// Key under which this model's params/optimizer/RNG state is
-    /// saved in checkpoints (`"bi"` or `"cross"`).
-    pub model_key: &'a str,
-    /// Checkpoint to resume from. Only honoured when it carries a
-    /// mid-stage step cursor; a stage-boundary checkpoint starts the
-    /// stage from the beginning.
-    pub resume: Option<&'a Checkpoint>,
 }
 
 /// Fold one meta step's outputs into the accumulated stats.
@@ -313,154 +300,168 @@ fn record_step(stats: &mut MetaStats, cfg: &MetaConfig, weights: &[f64], idx: &[
     stats.step_losses.push(loss);
 }
 
-/// Restore mid-stage state (step cursor, optimizer, RNG, stats) from a
-/// checkpoint into the trainer's locals. Returns the step to resume
-/// from (0 when the checkpoint is a stage boundary).
-fn restore_mid_stage(
-    ctl: &MetaResume<'_>,
-    syn_len: usize,
-    opt: &mut dyn Optimizer,
-    rng: &mut Rng,
-    stats: &mut MetaStats,
-) -> Result<usize> {
-    let Some(ck) = ctl.resume else { return Ok(0) };
-    let Some(step_s) = ck.meta.get(STEP_KEY) else { return Ok(0) };
-    let start: usize = step_s
-        .parse()
-        .map_err(|e| Error::Checkpoint(format!("bad step cursor {step_s:?}: {e}")))?;
-    let key = ctl.model_key;
-    let os = ck.optim.get(key).ok_or_else(|| {
-        Error::Checkpoint(format!("mid-stage checkpoint lacks optimizer state {key:?}"))
-    })?;
-    opt.restore(os.clone())?;
-    let rs = ck.rng.get(key).ok_or_else(|| {
-        Error::Checkpoint(format!("mid-stage checkpoint lacks RNG state {key:?}"))
-    })?;
-    *rng = Rng::from_state(*rs);
-    if let Some(s) = stats_from_checkpoint(key, ck) {
-        if s.sampled.len() != syn_len {
-            return Err(Error::Checkpoint(format!(
-                "checkpoint stats cover {} synthetic examples, run has {syn_len}",
-                s.sampled.len()
-            )));
-        }
-        *stats = s;
-    }
-    Ok(start)
-}
-
-/// Save a mid-stage checkpoint: the stage-boundary base patched with
-/// the live model/optimizer/RNG state and the accumulated stats.
-fn save_mid_stage(
-    ctl: &mut MetaResume<'_>,
-    params: &mb_tensor::Params,
-    opt: &dyn Optimizer,
-    rng: &Rng,
-    stats: &MetaStats,
-    done: usize,
-) -> Result<()> {
-    let mut ck = ctl.mgr.base().clone();
-    ck.params.insert(ctl.model_key.to_string(), params.clone());
-    ck.optim.insert(ctl.model_key.to_string(), opt.state());
-    ck.rng.insert(ctl.model_key.to_string(), rng.state());
-    stats_to_checkpoint(ctl.model_key, stats, &mut ck);
-    ck.meta.insert(STAGE_KEY.to_string(), ctl.stage.to_string());
-    ck.meta.insert(STEP_KEY.to_string(), done.to_string());
-    ctl.mgr.save(ck)
-}
-
-/// Run Algorithm 1 on the bi-encoder for `cfg.steps` steps.
-pub fn train_biencoder_meta(
-    model: &mut BiEncoder,
-    syn: &[TrainPair],
-    seed_set: &[TrainPair],
-    opt: &mut dyn Optimizer,
-    cfg: &MetaConfig,
-) -> MetaStats {
-    run_biencoder_meta(model, syn, seed_set, opt, cfg, None)
-        .expect("meta training without a checkpoint manager is infallible")
-}
-
-/// [`train_biencoder_meta`] with crash-safe checkpointing: ticks the
-/// manager's budget once per meta step, saves every
-/// `every_n_steps`, and resumes bit-identically from a mid-stage
-/// checkpoint (step cursor + optimizer moments + RNG stream + stats).
+/// Run Algorithm 1 for `cfg.steps` steps; empty stats when `syn` or
+/// `seed_set` is too small to take a step.
+///
+/// With `ctl`, training is crash-safe: the manager's budget is ticked
+/// once per meta step, a checkpoint is saved every `every_n_steps`,
+/// and a mid-stage checkpoint (step cursor + optimizer moments + RNG
+/// stream + stats) resumes bit-identically. With `None` nothing can
+/// fail.
 ///
 /// # Errors
-/// [`Error::Aborted`] from an injected kill, [`Error::Io`] from
-/// storage after retries, [`Error::Checkpoint`] on unusable resume
-/// state.
-pub fn train_biencoder_meta_resumable(
-    model: &mut BiEncoder,
-    syn: &[TrainPair],
-    seed_set: &[TrainPair],
-    opt: &mut dyn Optimizer,
-    cfg: &MetaConfig,
-    ctl: &mut MetaResume<'_>,
-) -> Result<MetaStats> {
-    run_biencoder_meta(model, syn, seed_set, opt, cfg, Some(ctl))
-}
-
-fn run_biencoder_meta(
-    model: &mut BiEncoder,
-    syn: &[TrainPair],
-    seed_set: &[TrainPair],
+/// [`mb_common::Error::Aborted`] from an injected kill,
+/// [`mb_common::Error::Io`] from storage after retries,
+/// [`mb_common::Error::Checkpoint`] on unusable resume state.
+pub fn train_meta<M: MetaModel>(
+    model: &mut M,
+    syn: &[M::Example],
+    seed_set: &[M::Example],
     opt: &mut dyn Optimizer,
     cfg: &MetaConfig,
     mut ctl: Option<&mut MetaResume<'_>>,
 ) -> Result<MetaStats> {
     let mut stats = MetaStats::new(syn.len());
-    if syn.len() < 2 || seed_set.is_empty() {
+    if syn.len() < M::MIN_SYN_BATCH || seed_set.is_empty() {
         return Ok(stats);
     }
     let mut rng = Rng::seed_from_u64(cfg.seed);
     let mut start = 0;
     if let Some(c) = ctl.as_deref_mut() {
-        start = restore_mid_stage(c, syn.len(), opt, &mut rng, &mut stats)?;
+        start = c.restore(syn.len(), cfg.steps, opt, &mut rng, &mut stats)?;
     }
     for step in start..cfg.steps {
         if let Some(c) = ctl.as_deref_mut() {
             c.mgr.tick()?;
         }
-        let (weights, idx, loss) = biencoder_meta_step(
-            model,
-            syn,
-            seed_set,
-            opt,
-            cfg.syn_batch,
-            cfg.seed_batch,
-            cfg.seed_mix,
-            cfg.normalize_example_grads,
-            cfg.shared_params_only,
-            cfg.threads,
-            &mut rng,
-        );
+        let (weights, idx, loss) = meta_step(model, syn, seed_set, opt, cfg, &mut rng);
         record_step(&mut stats, cfg, &weights, &idx, loss);
         let done = step + 1;
         if let Some(c) = ctl.as_deref_mut() {
             let every = c.mgr.every_n_steps();
             if every > 0 && done % every == 0 && done < cfg.steps {
-                save_mid_stage(c, model.params(), opt, &rng, &stats, done)?;
+                c.save(model.params(), opt, &rng, &stats, done)?;
             }
         }
     }
     Ok(stats)
 }
 
-/// Per-example gradients for cross-encoder candidate sets (each set is
-/// its own tape; the paper trains the cross-encoder at batch size 1).
-/// Embarrassingly parallel: one forward+backward tape per set, results
-/// reassembled in batch order.
-fn crossencoder_example_grads(
-    model: &CrossEncoder,
-    batch: &[&CandidateSet],
-    threads: mb_par::Threads,
-) -> Vec<(f64, GradVec)> {
-    mb_par::par_map(threads, batch, |_, s| model.example_grad(s))
+/// The bi-encoder under Algorithm 1. The in-batch negatives of Eq. 6
+/// couple every example's *loss* to the whole batch, so the batch
+/// cannot be sharded: one forward tape, then one backward per example
+/// through a `gather` on the loss vector, each yielding `∇_φ l_j(φ)`
+/// with the negatives held fixed. All gather nodes are recorded up
+/// front (they need `&mut Tape`); the backward sweeps (`&Tape`) then
+/// fan out across workers, each producing exactly the tensors the
+/// serial loop would. The seed gradient is one backward through the
+/// batch mean ([`BiEncoder::batch_grad`]).
+impl MetaModel for BiEncoder {
+    type Example = TrainPair;
+    const MIN_SYN_BATCH: usize = 2;
+
+    fn params(&self) -> &Params {
+        BiEncoder::params(self)
+    }
+
+    fn params_mut(&mut self) -> &mut Params {
+        BiEncoder::params_mut(self)
+    }
+
+    fn embedding_param_index(&self) -> usize {
+        BiEncoder::embedding_param_index(self)
+    }
+
+    fn example_grads(&self, batch: &[&TrainPair], threads: Threads) -> Vec<(f64, GradVec)> {
+        let batch: Vec<TrainPair> = batch.iter().map(|&p| p.clone()).collect();
+        let mut tape = Tape::new();
+        let fwd = self.forward_losses(&mut tape, &batch);
+        let gathers: Vec<Var> = (0..batch.len()).map(|j| tape.gather(fwd.losses, j)).collect();
+        mb_par::par_map(threads, &gathers, |_, &lj| {
+            let value = tape.value(lj).item();
+            let grads = tape.backward(lj);
+            (value, BiEncoder::params(self).collect_grads(&fwd.vars, &grads))
+        })
+    }
+
+    fn seed_grad(&self, batch: &[&TrainPair], _threads: Threads) -> GradVec {
+        let batch: Vec<TrainPair> = batch.iter().map(|&p| p.clone()).collect();
+        self.batch_grad(&batch).1
+    }
 }
 
-/// One meta step of Algorithm 1 on the cross-encoder.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 1's explicit inputs
+/// The cross-encoder under Algorithm 1. Each candidate set is its own
+/// tape (the paper trains the cross-encoder at batch size 1), so both
+/// gradients are embarrassingly parallel. The seed gradient has no
+/// batch graph to differentiate: per-example gradients fan out and
+/// their mean is folded serially in sample order, so the accumulation
+/// order is the serial loop's at any thread count.
+impl MetaModel for CrossEncoder {
+    type Example = CandidateSet;
+    const MIN_SYN_BATCH: usize = 1;
+
+    fn params(&self) -> &Params {
+        CrossEncoder::params(self)
+    }
+
+    fn params_mut(&mut self) -> &mut Params {
+        CrossEncoder::params_mut(self)
+    }
+
+    fn embedding_param_index(&self) -> usize {
+        CrossEncoder::embedding_param_index(self)
+    }
+
+    fn example_grads(&self, batch: &[&CandidateSet], threads: Threads) -> Vec<(f64, GradVec)> {
+        mb_par::par_map(threads, batch, |_, s| self.example_grad(s))
+    }
+
+    fn seed_grad(&self, batch: &[&CandidateSet], threads: Threads) -> GradVec {
+        let mut mean = GradVec::zeros_like(CrossEncoder::params(self));
+        let inv = 1.0 / batch.len() as f64;
+        for (_, g) in &self.example_grads(batch, threads) {
+            mean.axpy(inv, g);
+        }
+        mean
+    }
+}
+
+/// [`meta_step`] on the bi-encoder under the name and argument list
+/// the frozen `benchmark/` calls (ROADMAP item 1(b)).
+#[allow(clippy::too_many_arguments)]
+pub fn biencoder_meta_step(
+    model: &mut BiEncoder,
+    syn: &[TrainPair],
+    seed_set: &[TrainPair],
+    opt: &mut dyn Optimizer,
+    syn_batch: usize,
+    seed_batch: usize,
+    seed_mix: f64,
+    normalize: bool,
+    shared_only: bool,
+    threads: Threads,
+    rng: &mut Rng,
+) -> (Vec<f64>, Vec<usize>, f64) {
+    meta_step(
+        model,
+        syn,
+        seed_set,
+        opt,
+        &MetaConfig {
+            syn_batch,
+            seed_batch,
+            seed_mix,
+            normalize_example_grads: normalize,
+            shared_params_only: shared_only,
+            threads,
+            ..MetaConfig::default()
+        },
+        rng,
+    )
+}
+
+/// [`meta_step`] on the cross-encoder; see [`biencoder_meta_step`].
+#[allow(clippy::too_many_arguments)]
 pub fn crossencoder_meta_step(
     model: &mut CrossEncoder,
     syn: &[CandidateSet],
@@ -471,119 +472,25 @@ pub fn crossencoder_meta_step(
     seed_mix: f64,
     normalize: bool,
     shared_only: bool,
-    threads: mb_par::Threads,
+    threads: Threads,
     rng: &mut Rng,
 ) -> (Vec<f64>, Vec<usize>, f64) {
-    assert!(!syn.is_empty(), "meta step needs synthetic examples");
-    assert!(!seed_set.is_empty(), "meta step needs a non-empty seed set");
-    let syn_idx = rng.sample_indices(syn.len(), syn_batch.max(1));
-    let seed_idx = rng.sample_indices(seed_set.len(), seed_batch.max(1));
-    let syn_refs: Vec<&CandidateSet> = syn_idx.iter().map(|&i| &syn[i]).collect();
-
-    let example = crossencoder_example_grads(model, &syn_refs, threads);
-    // Seed gradient: mean over the seed batch. Per-example grads fan
-    // out; the mean is folded serially in sample order, so the
-    // accumulation order matches the serial loop exactly.
-    let seed_examples =
-        mb_par::par_map(threads, &seed_idx, |_, &i| model.example_grad(&seed_set[i]));
-    let mut seed_grad = GradVec::zeros_like(model.params());
-    let inv = 1.0 / seed_idx.len() as f64;
-    for (_, g) in &seed_examples {
-        seed_grad.axpy(inv, g);
-    }
-    let grads_only: Vec<GradVec> = example.iter().map(|(_, g)| g.clone()).collect();
-    let emb_index = model.embedding_param_index();
-    let keep = move |i: usize| !shared_only || i != emb_index;
-    let weights = meta_example_weights_masked(&grads_only, &seed_grad, normalize, &keep);
-    let mut update = GradVec::zeros_like(model.params());
-    let mut weighted_loss = 0.0;
-    for ((lj, gj), &wj) in example.iter().zip(&weights) {
-        if wj > 0.0 {
-            update.axpy(wj, gj);
-            weighted_loss += wj * lj;
-        }
-    }
-    if seed_mix > 0.0 {
-        update.axpy(seed_mix, &seed_grad);
-    }
-    opt.step(model.params_mut(), &update);
-    (weights, syn_idx, weighted_loss)
-}
-
-/// Run Algorithm 1 on the cross-encoder for `cfg.steps` steps.
-pub fn train_crossencoder_meta(
-    model: &mut CrossEncoder,
-    syn: &[CandidateSet],
-    seed_set: &[CandidateSet],
-    opt: &mut dyn Optimizer,
-    cfg: &MetaConfig,
-) -> MetaStats {
-    run_crossencoder_meta(model, syn, seed_set, opt, cfg, None)
-        .expect("meta training without a checkpoint manager is infallible")
-}
-
-/// [`train_crossencoder_meta`] with crash-safe checkpointing; see
-/// [`train_biencoder_meta_resumable`] for the contract.
-///
-/// # Errors
-/// [`Error::Aborted`] from an injected kill, [`Error::Io`] from
-/// storage after retries, [`Error::Checkpoint`] on unusable resume
-/// state.
-pub fn train_crossencoder_meta_resumable(
-    model: &mut CrossEncoder,
-    syn: &[CandidateSet],
-    seed_set: &[CandidateSet],
-    opt: &mut dyn Optimizer,
-    cfg: &MetaConfig,
-    ctl: &mut MetaResume<'_>,
-) -> Result<MetaStats> {
-    run_crossencoder_meta(model, syn, seed_set, opt, cfg, Some(ctl))
-}
-
-fn run_crossencoder_meta(
-    model: &mut CrossEncoder,
-    syn: &[CandidateSet],
-    seed_set: &[CandidateSet],
-    opt: &mut dyn Optimizer,
-    cfg: &MetaConfig,
-    mut ctl: Option<&mut MetaResume<'_>>,
-) -> Result<MetaStats> {
-    let mut stats = MetaStats::new(syn.len());
-    if syn.is_empty() || seed_set.is_empty() {
-        return Ok(stats);
-    }
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let mut start = 0;
-    if let Some(c) = ctl.as_deref_mut() {
-        start = restore_mid_stage(c, syn.len(), opt, &mut rng, &mut stats)?;
-    }
-    for step in start..cfg.steps {
-        if let Some(c) = ctl.as_deref_mut() {
-            c.mgr.tick()?;
-        }
-        let (weights, idx, loss) = crossencoder_meta_step(
-            model,
-            syn,
-            seed_set,
-            opt,
-            cfg.syn_batch,
-            cfg.seed_batch,
-            cfg.seed_mix,
-            cfg.normalize_example_grads,
-            cfg.shared_params_only,
-            cfg.threads,
-            &mut rng,
-        );
-        record_step(&mut stats, cfg, &weights, &idx, loss);
-        let done = step + 1;
-        if let Some(c) = ctl.as_deref_mut() {
-            let every = c.mgr.every_n_steps();
-            if every > 0 && done % every == 0 && done < cfg.steps {
-                save_mid_stage(c, model.params(), opt, &rng, &stats, done)?;
-            }
-        }
-    }
-    Ok(stats)
+    meta_step(
+        model,
+        syn,
+        seed_set,
+        opt,
+        &MetaConfig {
+            syn_batch,
+            seed_batch,
+            seed_mix,
+            normalize_example_grads: normalize,
+            shared_params_only: shared_only,
+            threads,
+            ..MetaConfig::default()
+        },
+        rng,
+    )
 }
 
 #[cfg(test)]
@@ -591,31 +498,73 @@ mod tests {
     use super::*;
     use mb_datagen::{World, WorldConfig};
     use mb_encoders::biencoder::BiEncoderConfig;
-    use mb_encoders::input::{build_vocab, InputConfig};
+    use mb_encoders::crossencoder::CrossEncoderConfig;
+    use mb_encoders::input::{build_vocab, entity_bag, title_bag, InputConfig};
     use mb_tensor::optim::Sgd;
     use mb_tensor::Tensor;
 
     fn setup_pairs(seed: u64, n: usize) -> (BiEncoder, Vec<TrainPair>) {
+        let (model, _, pairs, _) = setup(seed, n);
+        (model, pairs)
+    }
+
+    /// Both encoders over one tiny world: `n` featurized mentions, and
+    /// for each a candidate set of its gold plus five random others.
+    fn setup(seed: u64, n: usize) -> (BiEncoder, CrossEncoder, Vec<TrainPair>, Vec<CandidateSet>) {
         let world = World::generate(WorldConfig::tiny(41));
         let vocab = build_vocab(world.kb(), [], 1);
         let domain = world.domain("TargetX").clone();
         let mut rng = Rng::seed_from_u64(seed);
         let ms = mb_datagen::mentions::generate_mentions(&world, &domain, n, &mut rng);
         let cfg = InputConfig::default();
-        let pairs = ms
+        let pairs: Vec<TrainPair> = ms
             .mentions
             .iter()
             .map(|m| TrainPair::from_mention(&vocab, &cfg, world.kb(), m))
             .collect();
+        let ids = world.kb().domain_entities(domain.id);
+        let sets = pairs
+            .iter()
+            .map(|p| {
+                let mut cands = vec![p.gold];
+                while cands.len() < 6 {
+                    let c = *rng.choose(ids);
+                    if !cands.contains(&c) {
+                        cands.push(c);
+                    }
+                }
+                let bags = |id: &mb_kb::EntityId| {
+                    let e = world.kb().entity(*id);
+                    (entity_bag(&vocab, &cfg, e), title_bag(&vocab, e))
+                };
+                CandidateSet::new(p, cands.iter().map(bags).collect(), Some(0))
+            })
+            .collect();
         let bi_cfg = BiEncoderConfig { emb_dim: 8, hidden: 8, out_dim: 8, ..Default::default() };
-        let model = BiEncoder::new(&vocab, bi_cfg, &mut Rng::seed_from_u64(seed + 1));
-        (model, pairs)
+        let bi = BiEncoder::new(&vocab, bi_cfg, &mut Rng::seed_from_u64(seed + 1));
+        let cross_cfg = CrossEncoderConfig { emb_dim: 8, hidden: 8, ..Default::default() };
+        let cross = CrossEncoder::new(&vocab, cross_cfg, &mut Rng::seed_from_u64(seed + 2));
+        (bi, cross, pairs, sets)
+    }
+
+    fn refs<T>(xs: &[T]) -> Vec<&T> {
+        xs.iter().collect()
+    }
+
+    fn train_plain<M: MetaModel>(
+        model: &mut M,
+        syn: &[M::Example],
+        seed_set: &[M::Example],
+        opt: &mut dyn Optimizer,
+        cfg: &MetaConfig,
+    ) -> MetaStats {
+        train_meta(model, syn, seed_set, opt, cfg, None).expect("nothing to fail without a manager")
     }
 
     #[test]
     fn weights_are_normalized_and_nonnegative() {
         let (model, pairs) = setup_pairs(1, 12);
-        let grads = biencoder_example_grads(&model, &pairs[..6], mb_par::Threads::single());
+        let grads = model.example_grads(&refs(&pairs[..6]), Threads::single());
         let gv: Vec<GradVec> = grads.into_iter().map(|(_, g)| g).collect();
         let (_, seed_grad) = model.batch_grad(&pairs[6..12]);
         let w = meta_example_weights(&gv, &seed_grad);
@@ -629,42 +578,46 @@ mod tests {
     fn delta_guard_yields_all_zero() {
         // Seed gradient orthogonal-by-construction: zero gradient.
         let (model, pairs) = setup_pairs(2, 8);
-        let grads = biencoder_example_grads(&model, &pairs[..4], mb_par::Threads::single());
+        let grads = model.example_grads(&refs(&pairs[..4]), Threads::single());
         let gv: Vec<GradVec> = grads.into_iter().map(|(_, g)| g).collect();
         let zero = GradVec::zeros_like(model.params());
         let w = meta_example_weights(&gv, &zero);
         assert!(w.iter().all(|&x| x == 0.0));
     }
 
+    /// `seed_grad` is the gradient of the MEAN loss, so the mean of the
+    /// per-example gradients over the same batch must reproduce it.
+    fn assert_example_grads_average_to_seed_grad<M: MetaModel>(model: &M, batch: &[M::Example]) {
+        let batch = refs(batch);
+        let per = model.example_grads(&batch, Threads::single());
+        let mut diff = model.seed_grad(&batch, Threads::single());
+        for (_, g) in &per {
+            diff.axpy(-1.0 / batch.len() as f64, g);
+        }
+        assert!(diff.norm() < 1e-10, "mean of per-example grads != batch grad: {}", diff.norm());
+    }
+
     #[test]
     fn per_example_grads_sum_to_batch_grad() {
-        let (model, pairs) = setup_pairs(3, 8);
-        let batch = &pairs[..5];
-        let per = biencoder_example_grads(&model, batch, mb_par::Threads::single());
-        let (_, batch_grad) = model.batch_grad(batch);
-        // batch_grad is the gradient of the MEAN loss.
-        let mut summed = GradVec::zeros_like(model.params());
-        for (_, g) in &per {
-            summed.axpy(1.0 / batch.len() as f64, g);
-        }
-        let mut diff = summed.clone();
-        diff.axpy(-1.0, &batch_grad);
-        assert!(diff.norm() < 1e-10, "sum of per-example grads != batch grad: {}", diff.norm());
+        let (bi, cross, pairs, sets) = setup(3, 8);
+        assert_example_grads_average_to_seed_grad(&bi, &pairs[..5]);
+        assert_example_grads_average_to_seed_grad(&cross, &sets[..5]);
     }
 
     /// The central correctness test: the analytic meta-derivative
     /// (gradient dot product) must match the finite-difference
     /// derivative of the true bilevel objective
-    /// `w ↦ l_g(φ − α ∇_φ Σ_j w_j l_j(φ))` at `w = 0`.
-    #[test]
-    fn meta_gradient_matches_finite_differences_of_bilevel_objective() {
-        let (model, pairs) = setup_pairs(4, 12);
-        let syn = &pairs[..4];
-        let seed_set = &pairs[4..10];
+    /// `w ↦ l_g(φ − α ∇_φ Σ_j w_j l_j(φ))` at `w = 0`, where
+    /// `seed_loss_at(φ̂)` evaluates `l_g` on the seed batch at `φ̂`.
+    fn assert_meta_gradient_matches_finite_differences<M: MetaModel>(
+        model: &M,
+        syn: &[M::Example],
+        seed_set: &[M::Example],
+        seed_loss_at: impl Fn(Params) -> f64,
+    ) {
         let alpha = 0.05;
-
-        let per = biencoder_example_grads(&model, syn, mb_par::Threads::single());
-        let (_, seed_grad_at_phi) = model.batch_grad(seed_set);
+        let per = model.example_grads(&refs(syn), Threads::single());
+        let seed_grad_at_phi = model.seed_grad(&refs(seed_set), Threads::single());
 
         // Analytic: ∂l_g/∂w_j |_{w=0} = −α ⟨∇l_g(φ), ∇l_j(φ)⟩.
         let analytic: Vec<f64> =
@@ -678,9 +631,7 @@ mod tests {
             for (wj, (_, gj)) in w.iter().zip(&per) {
                 phi_hat.axpy(-alpha * wj, gj);
             }
-            let mut m2 = model.clone();
-            m2.set_params(phi_hat).expect("the model's own params, stepped");
-            m2.batch_loss(seed_set)
+            seed_loss_at(phi_hat)
         };
         for j in 0..syn.len() {
             let mut wp = vec![0.0; syn.len()];
@@ -698,19 +649,36 @@ mod tests {
     }
 
     #[test]
+    fn meta_gradient_matches_finite_differences_of_bilevel_objective() {
+        let (bi, cross, pairs, sets) = setup(4, 12);
+        assert_meta_gradient_matches_finite_differences(&bi, &pairs[..4], &pairs[4..10], |phi| {
+            let mut m2 = bi.clone();
+            m2.set_params(phi).expect("the model's own params, stepped");
+            m2.batch_loss(&pairs[4..10])
+        });
+        assert_meta_gradient_matches_finite_differences(&cross, &sets[..4], &sets[4..10], |phi| {
+            let mut m2 = cross.clone();
+            m2.set_params(phi).expect("the model's own params, stepped");
+            let losses: Vec<f64> = sets[4..10].iter().map(|s| m2.example_loss(s)).collect();
+            mb_common::util::mean(&losses)
+        });
+    }
+
+    #[test]
     fn meta_training_runs_and_records_stats() {
-        let (mut model, pairs) = setup_pairs(5, 40);
-        let syn = &pairs[..30];
-        let seed_set = &pairs[30..];
-        let mut opt = Sgd::new(0.05);
+        let (mut bi, mut cross, pairs, sets) = setup(5, 40);
         let cfg =
             MetaConfig { steps: 20, syn_batch: 8, seed_batch: 6, seed: 3, ..Default::default() };
-        let stats = train_biencoder_meta(&mut model, syn, seed_set, &mut opt, &cfg);
-        assert_eq!(stats.step_losses.len(), 20);
-        assert_eq!(stats.sampled.len(), 30);
-        assert!(stats.sampled.iter().sum::<usize>() == 20 * 8);
-        assert!(stats.selected.iter().sum::<usize>() <= stats.sampled.iter().sum::<usize>());
-        assert!(!model.params().has_non_finite());
+        let bi_stats = train_plain(&mut bi, &pairs[..30], &pairs[30..], &mut Sgd::new(0.05), &cfg);
+        let cross_stats =
+            train_plain(&mut cross, &sets[..30], &sets[30..], &mut Sgd::new(0.05), &cfg);
+        for stats in [bi_stats, cross_stats] {
+            assert_eq!(stats.step_losses.len(), 20);
+            assert_eq!(stats.sampled.len(), 30);
+            assert!(stats.sampled.iter().sum::<usize>() == 20 * 8);
+            assert!(stats.selected.iter().sum::<usize>() <= stats.sampled.iter().sum::<usize>());
+        }
+        assert!(!bi.params().has_non_finite() && !cross.params().has_non_finite());
     }
 
     #[test]
@@ -748,7 +716,7 @@ mod tests {
         let mut opt = Sgd::new(0.01);
         let cfg =
             MetaConfig { steps: 250, syn_batch: 12, seed_batch: 16, seed: 9, ..Default::default() };
-        let stats = train_biencoder_meta(&mut model, &syn, &seed_set, &mut opt, &cfg);
+        let stats = train_plain(&mut model, &syn, &seed_set, &mut opt, &cfg);
         (stats.mean_selection_ratio(0..40), stats.mean_selection_ratio(40..80))
     }
 
@@ -757,9 +725,9 @@ mod tests {
         let (mut model, pairs) = setup_pairs(7, 8);
         let mut opt = Sgd::new(0.1);
         let cfg = MetaConfig { steps: 5, ..Default::default() };
-        let s1 = train_biencoder_meta(&mut model, &pairs[..1], &pairs[4..], &mut opt, &cfg);
+        let s1 = train_plain(&mut model, &pairs[..1], &pairs[4..], &mut opt, &cfg);
         assert!(s1.step_losses.is_empty());
-        let s2 = train_biencoder_meta(&mut model, &pairs[..4], &[], &mut opt, &cfg);
+        let s2 = train_plain(&mut model, &pairs[..4], &[], &mut opt, &cfg);
         assert!(s2.step_losses.is_empty());
     }
 

@@ -2,7 +2,7 @@
 
 use mb_check::gen::{self, F64In, VecGen};
 use mb_check::{prop_assert, prop_assert_eq};
-use mb_core::reweight::{meta_example_weights, meta_example_weights_opts};
+use mb_core::reweight::{meta_example_weights, meta_example_weights_masked};
 use mb_tensor::params::GradVec;
 use mb_tensor::Tensor;
 
@@ -24,7 +24,7 @@ mb_check::check! {
         let example: Vec<GradVec> = gs.into_iter().map(gradvec).collect();
         let seed_grad = gradvec(seed);
         for normalize in [false, true] {
-            let w = meta_example_weights_opts(&example, &seed_grad, normalize);
+            let w = meta_example_weights_masked(&example, &seed_grad, normalize, &|_| true);
             prop_assert_eq!(w.len(), example.len());
             prop_assert!(w.iter().all(|&x| x >= 0.0));
             let total: f64 = w.iter().sum();
@@ -70,8 +70,8 @@ mb_check::check! {
         let e1 = gradvec(example.clone());
         let e2 = gradvec(example.iter().map(|x| x * k).collect());
         let other = gradvec(vec![1.0, 0.5, -0.3, 0.2, 0.9]);
-        let w1 = meta_example_weights_opts(&[e1, other.clone()], &seed_grad, true);
-        let w2 = meta_example_weights_opts(&[e2, other], &seed_grad, true);
+        let w1 = meta_example_weights_masked(&[e1, other.clone()], &seed_grad, true, &|_| true);
+        let w2 = meta_example_weights_masked(&[e2, other], &seed_grad, true, &|_| true);
         for (a, b) in w1.iter().zip(&w2) {
             prop_assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }

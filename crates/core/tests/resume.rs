@@ -8,7 +8,7 @@
 //! as the CI fault-injection smoke stage:
 //! `cargo test --release -p mb-core --test resume -- --include-ignored`.
 
-use mb_common::storage::{MemStorage, NoBudget};
+use mb_common::storage::{MemStorage, NoBudget, Storage};
 use mb_common::{Error, Rng};
 use mb_core::checkpoint::{CheckpointConfig, CheckpointManager};
 use mb_core::pipeline::{
@@ -21,8 +21,9 @@ use mb_fault::KillAt;
 use mb_nlg::generate::{generate_syn, train_source_rewriter};
 use mb_nlg::rewriter::RewriterConfig;
 use mb_nlg::SynDataset;
+use mb_tensor::checkpoint::Checkpoint;
 use mb_text::Vocab;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 struct Fixture {
     ds: Dataset,
@@ -119,6 +120,37 @@ fn kill_and_resume(f: &Fixture, cfg: &MetaBlinkConfig, kill_at: u64) -> TrainedL
         .unwrap_or_else(|e| panic!("resume after kill at {kill_at} failed: {e}"))
 }
 
+/// CRC-32 over everything training produces: both parameter sets and
+/// both `MetaStats`, floats by bit pattern.
+fn training_digest(m: &TrainedLinker) -> u32 {
+    let mut bytes = Vec::new();
+    for params in [m.bi.params(), m.cross.params()] {
+        for (name, t) in params.iter() {
+            bytes.extend_from_slice(name.as_bytes());
+            bytes.extend(t.data().iter().flat_map(|v| v.to_bits().to_le_bytes()));
+        }
+    }
+    for stats in [&m.bi_meta_stats, &m.cross_meta_stats] {
+        let s = stats.as_ref().expect("MetaBLINK records meta stats");
+        for counts in [&s.sampled, &s.selected, &vec![s.zero_weight_steps]] {
+            bytes.extend(counts.iter().flat_map(|&c| (c as u64).to_le_bytes()));
+        }
+        bytes.extend(s.step_losses.iter().flat_map(|v| v.to_bits().to_le_bytes()));
+    }
+    mb_common::storage::crc32(&bytes)
+}
+
+#[test]
+fn training_outputs_are_pinned() {
+    // Captured at the commit before Algorithm 1 moved behind
+    // `MetaModel` (four trainers → one `train_meta`); a change here is
+    // a change of training arithmetic, sampling or fold order.
+    const DIGEST: u32 = 0x0345_6ab2;
+    let f = fixture();
+    let model = train(&task(&f), Method::MetaBlink, DataSource::SynSeed, &test_cfg());
+    assert_eq!(format!("{:#010x}", training_digest(&model)), format!("{DIGEST:#010x}"));
+}
+
 #[test]
 fn uninterrupted_checkpointed_run_matches_plain_train() {
     let f = fixture();
@@ -146,6 +178,127 @@ fn resume_after_kill_is_bit_identical_sampled() {
         let resumed = kill_and_resume(&f, &cfg, kill_at);
         assert_bit_identical(&baseline, &resumed, &format!("kill at {kill_at}"));
     }
+}
+
+/// A checkpoint directory whose run was killed at tick `kill_at`
+/// (`None`: ran to the end), with the newest generation decoded.
+fn checkpoints_of(
+    f: &Fixture,
+    cfg: &MetaBlinkConfig,
+    kill_at: Option<u64>,
+) -> (MemStorage, PathBuf, Checkpoint) {
+    let mem = MemStorage::new();
+    let budget: Box<dyn mb_common::storage::StepBudget> = match kill_at {
+        Some(at) => Box::new(KillAt::new(at)),
+        None => Box::new(NoBudget),
+    };
+    let run = train_resumable(
+        &task(f),
+        Method::MetaBlink,
+        DataSource::SynSeed,
+        cfg,
+        &mut mem_manager(&mem, budget),
+    );
+    assert_eq!(run.is_err(), kill_at.is_some());
+    let dir = Path::new("ckpts");
+    let newest = mem.clone().list(dir).expect("list").into_iter().max().expect("a generation");
+    let path = dir.join(newest);
+    let ck = Checkpoint::from_bytes(&mem.peek(&path).expect("bytes")).expect("intact");
+    (mem, path, ck)
+}
+
+/// Resume over `mem` after rewriting its newest generation as `ck` —
+/// CRC-valid bytes whose content lies — and return the error, which
+/// must be the typed checkpoint error: not a panic, not a model.
+fn resume_error(
+    f: &Fixture,
+    cfg: &MetaBlinkConfig,
+    mem: &MemStorage,
+    path: &Path,
+    ck: &Checkpoint,
+) -> String {
+    mem.poke(path, ck.to_bytes().expect("serializable"));
+    let mut mgr = mem_manager(mem, Box::new(NoBudget));
+    match train_resumable(&task(f), Method::MetaBlink, DataSource::SynSeed, cfg, &mut mgr) {
+        Err(Error::Checkpoint(msg)) => msg,
+        Err(other) => panic!("expected Error::Checkpoint, got {other:?}"),
+        Ok(_) => panic!("resumed from a checkpoint that does not describe this run"),
+    }
+}
+
+#[test]
+fn stage_cursor_outside_the_pipeline_is_a_checkpoint_error() {
+    let (f, cfg) = (fixture(), test_cfg());
+    let (mem, path, finished) = checkpoints_of(&f, &cfg, None);
+    assert_eq!(finished.meta["stage"], "7");
+    // No stage guard matches these: every stage would be skipped and
+    // the freshly initialised encoders returned as the trained linker.
+    for stage in ["9", "0", "18446744073709551615"] {
+        let mut ck = finished.clone();
+        ck.meta.insert("stage".into(), stage.into());
+        let msg = resume_error(&f, &cfg, &mem, &path, &ck);
+        assert!(msg.contains("stage cursor"), "stage {stage}: {msg}");
+    }
+}
+
+#[test]
+fn resumed_stage_without_both_models_is_a_checkpoint_error() {
+    let (f, cfg) = (fixture(), test_cfg());
+    let (mem, path, finished) = checkpoints_of(&f, &cfg, None);
+    for key in ["bi", "cross"] {
+        let mut ck = finished.clone();
+        ck.params.remove(key);
+        let msg = resume_error(&f, &cfg, &mem, &path, &ck);
+        assert!(msg.contains(key) && msg.contains("parameters"), "without {key}: {msg}");
+    }
+}
+
+#[test]
+fn resumed_meta_stats_must_be_those_of_this_run() {
+    let (f, cfg) = (fixture(), test_cfg());
+    let check = |kill_at: Option<u64>, expect: &str, edit: &dyn Fn(&mut Checkpoint)| {
+        let (mem, path, mut ck) = checkpoints_of(&f, &cfg, kill_at);
+        assert_eq!(ck.meta.contains_key("step"), kill_at.is_some(), "{expect}: wrong generation");
+        edit(&mut ck);
+        let msg = resume_error(&f, &cfg, &mem, &path, &ck);
+        assert!(msg.contains(expect), "expected {expect:?} in {msg:?}");
+    };
+    fn vector<'a>(ck: &'a mut Checkpoint, name: &str) -> &'a mut Vec<f64> {
+        ck.vectors.get_mut(name).unwrap_or_else(|| panic!("checkpoint has no {name}"))
+    }
+    // Mid bi-meta (2 warm-up epochs + 6 steps, saved at step 5): a
+    // count vector shorter than the pool used to index out of range.
+    let mid = Some(8);
+    check(mid, "selected covers 1 examples", &|ck| vector(ck, "bi_selected").truncate(1));
+    check(mid, "6 step losses for 5", &|ck| vector(ck, "bi_step_losses").push(0.5));
+    check(mid, "bad step cursor \"13\"", &|ck| {
+        ck.meta.insert("step".into(), "13".into());
+    });
+    check(mid, "lacks optimizer state", &|ck| {
+        ck.optim.remove("bi");
+    });
+    // Finished run: stats for another pool, and counts that are not
+    // counts, used to be carried into the result.
+    check(None, "bi meta stats: sampled covers", &|ck| {
+        vector(ck, "bi_sampled").pop();
+        vector(ck, "bi_selected").pop();
+    });
+    check(None, "cross meta stats: sampled covers", &|ck| {
+        vector(ck, "cross_sampled").push(0.0);
+        vector(ck, "cross_selected").push(0.0);
+    });
+    check(None, "selected holds -1", &|ck| vector(ck, "bi_selected")[0] = -1.0);
+    check(None, "sampled holds 1.5", &|ck| vector(ck, "cross_sampled")[0] = 1.5);
+    check(None, "more often than sampled", &|ck| {
+        let sampled = vector(ck, "bi_sampled")[0];
+        vector(ck, "bi_selected")[0] = sampled + 1.0;
+    });
+    check(None, "7 step losses for 8", &|ck| {
+        vector(ck, "cross_step_losses").pop();
+    });
+    check(None, "zero-weight step count", &|ck| {
+        ck.meta.insert("bi_zero_weight_steps".into(), "13".into());
+    });
 }
 
 #[test]

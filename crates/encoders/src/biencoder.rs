@@ -193,53 +193,6 @@ impl BiEncoder {
         BiForward { vars, mentions: m_enc, entities: e_enc, scores, losses }
     }
 
-    /// Like [`BiEncoder::forward_losses`], with extra entity bags
-    /// appended as additional negatives: the score matrix becomes
-    /// `[n, n + extras]` and each row's loss is softmax cross-entropy
-    /// against its diagonal gold (the standard hard-negative in-batch
-    /// formulation of BLINK's second training stage).
-    ///
-    /// # Panics
-    /// Panics on an empty batch.
-    pub fn forward_losses_with_negatives(
-        &self,
-        tape: &mut Tape,
-        batch: &[TrainPair],
-        extra_entity_bags: Vec<Vec<u32>>,
-    ) -> (Vec<Var>, Var) {
-        assert!(!batch.is_empty(), "forward_losses_with_negatives: empty batch");
-        let vars = self.params.inject(tape);
-        let m_bags: Vec<Vec<u32>> = batch.iter().map(|p| p.mention.clone()).collect();
-        let mut e_bags: Vec<Vec<u32>> = batch.iter().map(|p| p.entity.clone()).collect();
-        e_bags.extend(extra_entity_bags);
-        let m_enc = self.encode_side(tape, &vars, self.ids.mention, m_bags);
-        let e_enc = self.encode_side(tape, &vars, self.ids.entity, e_bags);
-        let raw_scores = tape.matmul_t(m_enc, e_enc);
-        let scores = tape.scale(raw_scores, self.cfg.score_scale);
-        let targets: Vec<usize> = (0..batch.len()).collect();
-        let losses = tape.softmax_ce_rows(scores, targets);
-        (vars, losses)
-    }
-
-    /// One optimizer step on a batch augmented with extra negatives;
-    /// returns the mean loss.
-    pub fn train_step_with_negatives(
-        &mut self,
-        batch: &[TrainPair],
-        extra_entity_bags: Vec<Vec<u32>>,
-        opt: &mut dyn Optimizer,
-    ) -> f64 {
-        let mut tape = Tape::new();
-        let (vars, losses) =
-            self.forward_losses_with_negatives(&mut tape, batch, extra_entity_bags);
-        let mean = tape.mean_all(losses);
-        let value = tape.value(mean).item();
-        let grads = tape.backward(mean);
-        let gv = self.params.collect_grads(&vars, &grads);
-        opt.step(&mut self.params, &gv);
-        value
-    }
-
     /// Mean loss over a batch (diagnostic convenience).
     pub fn batch_loss(&self, batch: &[TrainPair]) -> f64 {
         let mut tape = Tape::new();

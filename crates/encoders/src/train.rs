@@ -2,14 +2,19 @@
 //!
 //! MetaBLINK's reweighted training lives in `mb-core`; these trainers
 //! implement standard mini-batch training used when BLINK is trained
-//! directly on seed, syn, or syn+seed data.
+//! directly on seed, syn, or syn+seed data. Both are one epoch driver
+//! (`run_epochs`: seed → shuffle → budget tick → epoch body →
+//! non-finite rollback → snapshot) around the encoder's own
+//! `train_step`; the bodies differ only in how an epoch's order is cut
+//! into steps (mini-batches of pairs; one candidate set at a time).
 
 use crate::biencoder::BiEncoder;
 use crate::crossencoder::{CandidateSet, CrossEncoder};
 use crate::input::TrainPair;
 use mb_common::storage::{NoBudget, StepBudget};
 use mb_common::{Result, Rng};
-use mb_tensor::optim::{Adam, Optimizer};
+use mb_tensor::optim::Adam;
+use mb_tensor::Params;
 
 /// Shared training hyperparameters.
 #[derive(Debug, Clone, Copy)]
@@ -56,6 +61,45 @@ impl TrainStats {
     }
 }
 
+/// The epoch loop both trainers share: a fresh Adam and a shuffling
+/// stream seeded from `cfg`; per epoch, tick `budget` (the
+/// crash-injection seam — an error aborts there, as if the process had
+/// died between epochs), reshuffle the `n` item indices, and let
+/// `epoch` take its optimizer steps over them in that order, returning
+/// their losses. An epoch that leaves non-finite parameters is rolled
+/// back to the snapshot taken after the previous one and ends the run.
+fn run_epochs<M>(
+    model: &mut M,
+    params: fn(&mut M) -> &mut Params,
+    n: usize,
+    cfg: &TrainConfig,
+    budget: &mut dyn StepBudget,
+    mut epoch: impl FnMut(&mut M, &mut Adam, &[usize]) -> Vec<f64>,
+) -> Result<TrainStats> {
+    let mut stats = TrainStats::default();
+    if n == 0 {
+        return Ok(stats);
+    }
+    let mut opt = Adam::new(cfg.lr);
+    let mut rng = Rng::seed_from_u64(cfg.seed);
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut snapshot = params(model).clone();
+    for _ in 0..cfg.epochs {
+        budget.tick()?;
+        rng.shuffle(&mut order);
+        let losses = epoch(model, &mut opt, &order);
+        // Failure injection guard: roll back and stop on divergence.
+        if params(model).has_non_finite() {
+            *params(model) = snapshot;
+            stats.diverged = true;
+            return Ok(stats);
+        }
+        snapshot = params(model).clone();
+        stats.epoch_losses.push(mb_common::util::mean(&losses));
+    }
+    Ok(stats)
+}
+
 /// Train a bi-encoder on labeled pairs with in-batch negatives.
 ///
 /// Batches are built from a fresh shuffle each epoch. Batches of size 1
@@ -80,35 +124,17 @@ pub fn try_train_biencoder(
     cfg: &TrainConfig,
     budget: &mut dyn StepBudget,
 ) -> Result<TrainStats> {
-    let mut stats = TrainStats::default();
-    if pairs.is_empty() {
-        return Ok(stats);
-    }
-    let mut opt = Adam::new(cfg.lr);
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let mut order: Vec<usize> = (0..pairs.len()).collect();
-    let mut checkpoint = model.params().clone();
-    for _ in 0..cfg.epochs {
-        budget.tick()?;
-        rng.shuffle(&mut order);
+    run_epochs(model, BiEncoder::params_mut, pairs.len(), cfg, budget, |model, opt, order| {
         let mut losses = Vec::new();
         for chunk in order.chunks(cfg.batch_size.max(2)) {
             if chunk.len() < 2 && model.config().exclude_gold_in_loss {
                 continue;
             }
             let batch: Vec<TrainPair> = chunk.iter().map(|&i| pairs[i].clone()).collect();
-            losses.push(model.train_step(&batch, &mut opt));
+            losses.push(model.train_step(&batch, opt));
         }
-        // Failure injection guard: roll back and stop on divergence.
-        if model.params().has_non_finite() {
-            model.set_params(checkpoint).expect("the model's own snapshot");
-            stats.diverged = true;
-            return Ok(stats);
-        }
-        checkpoint = model.params().clone();
-        stats.epoch_losses.push(mb_common::util::mean(&losses));
-    }
-    Ok(stats)
+        losses
+    })
 }
 
 /// Train a cross-encoder on candidate sets (batch size 1, as in the
@@ -132,135 +158,12 @@ pub fn try_train_crossencoder(
     cfg: &TrainConfig,
     budget: &mut dyn StepBudget,
 ) -> Result<TrainStats> {
-    let mut stats = TrainStats::default();
     let trainable: Vec<&CandidateSet> =
         sets.iter().filter(|s| s.gold_index.is_some() && !s.is_empty()).collect();
-    if trainable.is_empty() {
-        return Ok(stats);
-    }
-    let mut opt = Adam::new(cfg.lr);
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let mut order: Vec<usize> = (0..trainable.len()).collect();
-    let mut checkpoint = model.params().clone();
-    for _ in 0..cfg.epochs {
-        budget.tick()?;
-        rng.shuffle(&mut order);
-        let mut losses = Vec::new();
-        for &i in &order {
-            losses.push(model.train_step(trainable[i], &mut opt));
-        }
-        if model.params().has_non_finite() {
-            model.set_params(checkpoint).expect("the model's own snapshot");
-            stats.diverged = true;
-            return Ok(stats);
-        }
-        checkpoint = model.params().clone();
-        stats.epoch_losses.push(mb_common::util::mean(&losses));
-    }
-    Ok(stats)
-}
-
-/// Exponential learning-rate decay helper for longer runs.
-pub fn decay_lr(opt: &mut dyn Optimizer, factor: f64) {
-    let lr = opt.learning_rate();
-    opt.set_learning_rate(lr * factor);
-}
-
-/// Hard-negative mining round for the bi-encoder (the second training
-/// stage of the original BLINK recipe, which the paper inherits): after
-/// plain in-batch training, every batch is augmented with the
-/// top-scoring *wrong* entities for its mentions, retrieved with the
-/// current model, and the loss becomes softmax cross-entropy over the
-/// rectangular `[n, n + negatives]` score matrix.
-///
-/// `pool_bags`/`pool_ids` hold the candidate dictionary. Returns
-/// per-epoch losses; rolls back and flags on divergence.
-pub fn train_biencoder_hard_negatives(
-    model: &mut BiEncoder,
-    pairs: &[TrainPair],
-    pool_bags: &[Vec<u32>],
-    pool_ids: &[mb_kb::EntityId],
-    negatives_per_pair: usize,
-    cfg: &TrainConfig,
-) -> TrainStats {
-    try_train_biencoder_hard_negatives(
-        model,
-        pairs,
-        pool_bags,
-        pool_ids,
-        negatives_per_pair,
-        cfg,
-        &mut NoBudget,
-    )
-    .expect("NoBudget never aborts")
-}
-
-/// [`train_biencoder_hard_negatives`] with a crash-injection seam;
-/// `budget` is ticked once before every epoch.
-///
-/// # Errors
-/// Propagates the budget's error (conventionally [`mb_common::Error::Aborted`]).
-#[allow(clippy::too_many_arguments)]
-pub fn try_train_biencoder_hard_negatives(
-    model: &mut BiEncoder,
-    pairs: &[TrainPair],
-    pool_bags: &[Vec<u32>],
-    pool_ids: &[mb_kb::EntityId],
-    negatives_per_pair: usize,
-    cfg: &TrainConfig,
-    budget: &mut dyn StepBudget,
-) -> Result<TrainStats> {
-    assert_eq!(pool_bags.len(), pool_ids.len(), "pool bags/ids misaligned");
-    let mut stats = TrainStats::default();
-    if pairs.is_empty() || pool_bags.is_empty() || negatives_per_pair == 0 {
-        return Ok(stats);
-    }
-    let mut opt = Adam::new(cfg.lr);
-    let mut rng = Rng::seed_from_u64(cfg.seed);
-    let mut order: Vec<usize> = (0..pairs.len()).collect();
-    let mut checkpoint = model.params().clone();
-    for _ in 0..cfg.epochs {
-        budget.tick()?;
-        // Re-embed the pool with the current model each epoch.
-        let pool_vecs = model.embed_entities(pool_bags);
-        rng.shuffle(&mut order);
-        let mut losses = Vec::new();
-        for chunk in order.chunks(cfg.batch_size.max(2)) {
-            if chunk.len() < 2 {
-                continue;
-            }
-            let batch: Vec<TrainPair> = chunk.iter().map(|&i| pairs[i].clone()).collect();
-            let mention_bags: Vec<Vec<u32>> = batch.iter().map(|p| p.mention.clone()).collect();
-            let queries = model.embed_mentions(&mention_bags);
-            let mut extra: Vec<Vec<u32>> = Vec::new();
-            for (row, pair) in batch.iter().enumerate() {
-                let q = queries.row(row);
-                let scores: Vec<f64> = (0..pool_vecs.rows())
-                    .map(|i| pool_vecs.row(i).iter().zip(q).map(|(a, b)| a * b).sum())
-                    .collect();
-                let mut added = 0;
-                for idx in mb_common::util::top_k_desc(&scores, negatives_per_pair + 1) {
-                    if added >= negatives_per_pair {
-                        break;
-                    }
-                    if pool_ids[idx] == pair.gold {
-                        continue;
-                    }
-                    extra.push(pool_bags[idx].clone());
-                    added += 1;
-                }
-            }
-            losses.push(model.train_step_with_negatives(&batch, extra, &mut opt));
-        }
-        if model.params().has_non_finite() {
-            model.set_params(checkpoint).expect("the model's own snapshot");
-            stats.diverged = true;
-            return Ok(stats);
-        }
-        checkpoint = model.params().clone();
-        stats.epoch_losses.push(mb_common::util::mean(&losses));
-    }
-    Ok(stats)
+    let n = trainable.len();
+    run_epochs(model, CrossEncoder::params_mut, n, cfg, budget, |model, opt, order| {
+        order.iter().map(|&i| model.train_step(trainable[i], opt)).collect()
+    })
 }
 
 #[cfg(test)]
@@ -268,9 +171,7 @@ mod tests {
     use super::*;
     use crate::biencoder::BiEncoderConfig;
     use crate::crossencoder::CrossEncoderConfig;
-    use crate::input::{
-        build_vocab, entity_bag, entity_bag as mb_encoders_entity_bag, title_bag, InputConfig,
-    };
+    use crate::input::{build_vocab, entity_bag, title_bag, InputConfig};
     use mb_datagen::{World, WorldConfig};
     use mb_text::Vocab;
 
@@ -377,85 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn hard_negative_mining_improves_in_domain_ranking() {
-        let (world, vocab, pairs) = setup();
-        let domain = world.domain("TargetX").clone();
-        let ids = world.kb().domain_entities(domain.id).to_vec();
-        let icfg = InputConfig::default();
-        let pool_bags: Vec<Vec<u32>> = ids
-            .iter()
-            .map(|&id| mb_encoders_entity_bag(&vocab, &icfg, world.kb().entity(id)))
-            .collect();
-        let bi_cfg = BiEncoderConfig { emb_dim: 16, hidden: 16, out_dim: 16, ..Default::default() };
-        let mut model = BiEncoder::new(&vocab, bi_cfg, &mut Rng::seed_from_u64(4));
-        // Plain warm-up, then a hard-negative round.
-        train_biencoder(
-            &mut model,
-            &pairs,
-            &TrainConfig { epochs: 3, batch_size: 16, lr: 0.01, seed: 1 },
-        );
-        let recall_before = recall_at_k(&model, &vocab, &pairs, &pool_bags, &ids, 8);
-        let stats = train_biencoder_hard_negatives(
-            &mut model,
-            &pairs,
-            &pool_bags,
-            &ids,
-            2,
-            &TrainConfig { epochs: 3, batch_size: 8, lr: 5e-3, seed: 2 },
-        );
-        assert!(!stats.diverged);
-        assert_eq!(stats.epoch_losses.len(), 3);
-        let recall_after = recall_at_k(&model, &vocab, &pairs, &pool_bags, &ids, 8);
-        assert!(
-            recall_after + 0.05 >= recall_before,
-            "hard negatives hurt recall: {recall_before:.3} -> {recall_after:.3}"
-        );
-    }
-
-    /// Train-set recall@k of the bi-encoder alone.
-    fn recall_at_k(
-        model: &BiEncoder,
-        _vocab: &Vocab,
-        pairs: &[TrainPair],
-        pool_bags: &[Vec<u32>],
-        ids: &[mb_kb::EntityId],
-        k: usize,
-    ) -> f64 {
-        let pool = model.embed_entities(pool_bags);
-        let mut hits = 0;
-        for p in pairs {
-            let q = model.embed_mentions(std::slice::from_ref(&p.mention));
-            let scores: Vec<f64> = (0..pool.rows())
-                .map(|i| pool.row(i).iter().zip(q.row(0)).map(|(a, b)| a * b).sum())
-                .collect();
-            let top = mb_common::util::top_k_desc(&scores, k);
-            if top.iter().any(|&i| ids[i] == p.gold) {
-                hits += 1;
-            }
-        }
-        hits as f64 / pairs.len() as f64
-    }
-
-    #[test]
-    fn hard_negatives_degenerate_inputs() {
-        let (_, vocab, pairs) = setup();
-        let bi_cfg = BiEncoderConfig { emb_dim: 8, hidden: 8, out_dim: 8, ..Default::default() };
-        let mut model = BiEncoder::new(&vocab, bi_cfg, &mut Rng::seed_from_u64(4));
-        let s1 =
-            train_biencoder_hard_negatives(&mut model, &[], &[], &[], 2, &TrainConfig::default());
-        assert!(s1.epoch_losses.is_empty());
-        let s2 = train_biencoder_hard_negatives(
-            &mut model,
-            &pairs[..4],
-            &[vec![1, 2]],
-            &[mb_kb::EntityId(0)],
-            0,
-            &TrainConfig::default(),
-        );
-        assert!(s2.epoch_losses.is_empty());
-    }
-
-    #[test]
     fn injected_kill_aborts_between_epochs() {
         let (_, vocab, pairs) = setup();
         let bi_cfg = BiEncoderConfig { emb_dim: 8, hidden: 8, out_dim: 8, ..Default::default() };
@@ -475,12 +297,5 @@ mod tests {
         let stats = try_train_biencoder(&mut model2, &pairs, &cfg, &mut roomy).unwrap();
         assert_eq!(stats.epoch_losses, full_stats.epoch_losses);
         assert_eq!(model2.params(), full.params());
-    }
-
-    #[test]
-    fn decay_helper_scales_lr() {
-        let mut opt = Adam::new(0.1);
-        decay_lr(&mut opt, 0.5);
-        assert!((opt.learning_rate() - 0.05).abs() < 1e-12);
     }
 }

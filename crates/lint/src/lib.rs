@@ -5,7 +5,8 @@
 //!
 //! - **panic-freedom** on the serving and checkpoint request/load
 //!   paths (`crates/serve`, the `mb-params` checkpoint load/save in
-//!   `crates/tensor`, `crates/kb/src/store.rs`): no `.unwrap()`,
+//!   `crates/tensor`, its interpretation on resume in
+//!   `crates/core/src/checkpoint.rs`, `crates/kb/src/store.rs`): no `.unwrap()`,
 //!   `.expect()`, `panic!`-family macros, or direct slice indexing;
 //! - **determinism** in the crates covered by the bit-identical
 //!   resume guarantee: no `HashMap`/`HashSet` (their iteration order

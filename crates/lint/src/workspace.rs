@@ -8,7 +8,9 @@
 //!   checkpoint request/load paths (`crates/common/src/storage.rs` —
 //!   the one container walker behind checkpoints, shards, manifests and
 //!   IVF files — `crates/tensor/src/checkpoint.rs`,
-//!   `crates/tensor/src/serialize.rs`, `crates/kb/src/store.rs`);
+//!   `crates/tensor/src/serialize.rs`, `crates/kb/src/store.rs`, and
+//!   `crates/core/src/checkpoint.rs`, which decides whether a loaded
+//!   training checkpoint describes the run resuming from it);
 //! - **determinism** in every crate covered by the bit-identical
 //!   resume guarantee (`tensor`, `core`, `datagen`, `nlg`, `kb`,
 //!   `eval`, `par`, `store`);
@@ -66,6 +68,7 @@ const PANIC_FREE_FILES: &[&str] = &[
     "crates/tensor/src/checkpoint.rs",
     "crates/tensor/src/serialize.rs",
     "crates/kb/src/store.rs",
+    "crates/core/src/checkpoint.rs",
 ];
 
 /// Files (beyond `crates/serve/src`) on the tape-free forward path:
@@ -381,6 +384,12 @@ mod tests {
         // become typed errors; its neighbours in mb-common are not.
         let walker = rules_for("crates/common/src/storage.rs");
         assert!(walker.panic_freedom && walker.panic_reach);
+        // Likewise the one file that interprets a loaded training
+        // checkpoint (cursors, stats, mid-stage state) — not the
+        // trainers that consume what it validated.
+        let resume = rules_for("crates/core/src/checkpoint.rs");
+        assert!(resume.panic_freedom && resume.panic_reach && resume.determinism);
+        assert!(!rules_for("crates/core/src/reweight.rs").panic_freedom);
         assert!(!rules_for("crates/common/src/lru.rs").panic_freedom);
         assert!(!rules_for("crates/tensor/src/tensor.rs").panic_freedom);
     }
