@@ -1,6 +1,6 @@
 //! Replay-by-seed regression tests pinning the determinism sweep.
 //!
-//! The mb-lint `det-hash` rule bans `HashMap`/`HashSet` from the
+//! The mb-lint `det-taint` rule bans `HashMap`/`HashSet` from the
 //! modelling crates because their iteration order is randomized per
 //! instance. The concrete bug class it guards against lived in
 //! `TwoStageLinker::link_batch_cached`: the distinct-miss slot map was

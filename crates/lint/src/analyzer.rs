@@ -1,53 +1,38 @@
-//! Token-level rule analysis for one file.
+//! Site-local rule analysis for one file.
 //!
 //! The analyzer walks the significant (non-whitespace, non-comment)
-//! token stream and applies the rule families enabled for the file's
-//! path (see [`crate::workspace`] for the per-crate map):
+//! token stream once and applies the rules whose verdict needs nothing
+//! beyond the tokens around the site, as enabled for the file's path
+//! (see [`crate::workspace`] for the per-crate map): `indexing`,
+//! `unsafe-gate`, `float-total-order`, `tape-free`, `bounded-queue`,
+//! `as-truncation` and `unbounded-read` (each documented on its
+//! function below and in [`crate::explain`]). The same pass hands the
+//! stream to the function-body walker ([`crate::items`]), whose sites
+//! and call edges carry the panic, determinism, lock and allocation
+//! families ([`crate::taint`]).
 //!
-//! - **panic-freedom**: `.unwrap()` / `.expect(` / `panic!` /
-//!   `unreachable!` / `todo!` / `unimplemented!` / direct slice
-//!   indexing;
-//! - **determinism**: `HashMap` / `HashSet` (iteration order is
-//!   per-process random), `SystemTime` / `Instant`, and `std::env`
-//!   access;
-//! - **unsafe gate**: any `unsafe` token;
-//! - **float total order**: `sort_by`/`sort_unstable_by`/`max_by`/
-//!   `min_by` whose comparator calls `partial_cmp` — on NaN the
-//!   comparator returns an arbitrary ordering (or a fallback chosen at
-//!   the call site), so sorted output depends on the input permutation;
-//!   `f64::total_cmp` gives one answer for every input;
-//! - **tape-free**: the serving path and the frozen forward must never
-//!   allocate a gradient tape or copy parameter tensors — flags `Tape`,
-//!   `.inject(` (the per-forward parameter copy), `.clone()` on a
-//!   `…params` receiver, and `Params::clone(`;
-//! - **bounded queue**: serving-path collections that buffer work
-//!   (`queue`, `pending`, `backlog`, …) must be bounded — flags
-//!   `.push_back(`/`.push_front(` and `.push(` on queue-like receivers
-//!   unless the enclosing function visibly enforces a bound (mentions
-//!   `capacity`, `truncate`, or `max_batch`);
-//! - **as-truncation**: `id as u32`-style narrowing of identifier ids
-//!   silently wraps once the id space outgrows the target type — use
-//!   `TryFrom` or widen the target;
-//! - **lock discipline**: see [`crate::locks`].
-//!
-//! Code under `#[cfg(test)]` is exempt from the panic-freedom and
-//! determinism families (tests may unwrap and may hash), but not from
-//! the unsafe gate.
+//! Code under `#[cfg(test)]` is exempt from every rule (tests may
+//! unwrap and may hash) but the unsafe gate.
 
 use crate::findings::Finding;
+use crate::items::FileSummary;
 use crate::lexer::{lex, LineMap, Token, TokenKind};
-use crate::locks::LockGraph;
 use crate::suppress;
 
 /// Which rule families apply to a file.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RuleSet {
-    /// Deny panicking constructs and direct slice indexing.
-    pub panic_freedom: bool,
-    /// Deny order-nondeterministic and environment-dependent constructs.
+    /// `panic-reach`: deny panicking constructs here and in every
+    /// transitive callee of a call made here ([`crate::taint`]).
+    pub panic_free: bool,
+    /// `indexing`: deny direct slice indexing.
+    pub indexing: bool,
+    /// `det-taint`: deny nondeterministic sources (hash order, time,
+    /// env, thread id) here and in every transitive callee.
     pub determinism: bool,
-    /// Feed the cross-file lock-acquisition graph and flag locks held
-    /// across I/O.
+    /// `lock-order` + `lock-across-call`: feed the cross-file
+    /// lock-acquisition graph, and deny blocking I/O (or a re-acquire)
+    /// under a held lock, here and in every transitive callee.
     pub lock_discipline: bool,
     /// Deny `unsafe` anywhere in the file, tests included.
     pub unsafe_gate: bool,
@@ -73,19 +58,8 @@ pub struct RuleSet {
     /// bounded-RAM section streaming, and one convenience read of a
     /// multi-gigabyte shard silently breaks the promise.
     pub unbounded_read: bool,
-    /// Interprocedural: calls in this file must not transitively reach
-    /// a panicking site anywhere in the workspace ([`crate::taint`]).
-    pub panic_reach: bool,
-    /// Interprocedural: calls in this file must not transitively reach
-    /// a nondeterministic source (time, env, `HashMap` iteration,
-    /// thread id) anywhere in the workspace ([`crate::taint`]).
-    pub det_taint: bool,
-    /// Interprocedural: a lock held at a call site must not reach
-    /// blocking I/O or a conflicting acquire in any callee
-    /// ([`crate::taint`]).
-    pub lock_across_call: bool,
-    /// Interprocedural: allocation-shaped calls (direct or transitive)
-    /// inside loops of this hot-path file ([`crate::taint`]).
+    /// `alloc-in-hot-loop`: deny allocation-shaped constructs, direct
+    /// or via any transitive callee, inside loops of this hot-path file.
     pub alloc_hot_loop: bool,
 }
 
@@ -98,7 +72,8 @@ impl RuleSet {
     /// Every family enabled — what the seeded golden fixtures use.
     pub fn all() -> Self {
         RuleSet {
-            panic_freedom: true,
+            panic_free: true,
+            indexing: true,
             determinism: true,
             lock_discipline: true,
             unsafe_gate: true,
@@ -107,9 +82,6 @@ impl RuleSet {
             bounded_queue: true,
             as_truncation: true,
             unbounded_read: true,
-            panic_reach: true,
-            det_taint: true,
-            lock_across_call: true,
             alloc_hot_loop: true,
         }
     }
@@ -204,37 +176,22 @@ pub(crate) fn in_ranges(ranges: &[(usize, usize)], offset: usize) -> bool {
     ranges.iter().any(|&(s, e)| offset >= s && offset < e)
 }
 
-/// Analyze one file. `locks` receives this file's lock acquisitions
-/// when the `lock_discipline` family is enabled (cycle findings are
-/// emitted later by [`LockGraph::finish`]).
-pub fn analyze_file(
-    file: &str,
-    src: &str,
-    rules: RuleSet,
-    locks: Option<&mut LockGraph>,
-) -> Vec<Finding> {
-    let summary = summarize_file(file, src, rules);
-    if let Some(graph) = locks {
-        for edge in &summary.lock_edges {
-            graph.insert(file, edge);
-        }
-    }
-    summary.findings
-}
-
-/// Analyze one file into the full summary form the interprocedural
-/// passes and the incremental cache consume: token-level findings
-/// (suppression-filtered, sorted), lock-order edges, function items
-/// with call edges and taint sites, and the per-line allow map.
-pub fn summarize_file(file: &str, src: &str, rules: RuleSet) -> crate::items::FileSummary {
+/// Analyze one file: its site-local findings (suppression hygiene
+/// included; allow-filtered, sorted), and the summary the cross-file
+/// passes consume — function items with call edges, sites and
+/// lock-order edges, file-level sites, and the allow lines.
+pub fn summarize_file(file: &str, src: &str, rules: RuleSet) -> (FileSummary, Vec<Finding>) {
     let tokens = lex(src);
     let map = LineMap::new(src);
-    let (sup, mut findings) = suppress::collect(file, src, &tokens, &map);
+    let (suppressions, mut findings) = suppress::collect(file, src, &tokens, &map);
     let sig = significant(&tokens, src);
     let test_ranges = cfg_test_ranges(&sig);
 
     let mut emit = |rule: &'static str, tok: Token, message: String| {
         let (line, col) = map.line_col(src, tok.start);
+        if suppressions.allows(rule, line) {
+            return;
+        }
         findings.push(Finding {
             rule,
             file: file.to_string(),
@@ -246,9 +203,6 @@ pub fn summarize_file(file: &str, src: &str, rules: RuleSet) -> crate::items::Fi
     };
 
     for (i, s) in sig.iter().enumerate() {
-        let prev = i.checked_sub(1).map(|j| sig[j]);
-        let next = sig.get(i + 1);
-        let exempt = in_ranges(&test_ranges, s.tok.start);
         if rules.unsafe_gate && s.tok.kind == TokenKind::Ident && s.text == "unsafe" {
             emit(
                 "unsafe-gate",
@@ -256,14 +210,11 @@ pub fn summarize_file(file: &str, src: &str, rules: RuleSet) -> crate::items::Fi
                 "`unsafe` is denied workspace-wide; find a safe formulation".to_string(),
             );
         }
-        if exempt {
+        if in_ranges(&test_ranges, s.tok.start) {
             continue;
         }
-        if rules.panic_freedom {
-            panic_rules(s, prev, next, &mut emit);
-        }
-        if rules.determinism {
-            determinism_rules(&sig, i, &mut emit);
+        if rules.indexing {
+            indexing_rule(&sig, i, &mut emit);
         }
         if rules.float_total_order {
             float_order_rules(&sig, i, &mut emit);
@@ -281,126 +232,31 @@ pub fn summarize_file(file: &str, src: &str, rules: RuleSet) -> crate::items::Fi
             unbounded_read_rules(&sig, i, &mut emit);
         }
     }
-
-    let mut lock_edges = Vec::new();
-    if rules.lock_discipline {
-        let (lock_findings, edges) =
-            crate::locks::analyze_collect(file, src, &sig, &map, &test_ranges);
-        findings.extend(lock_findings);
-        lock_edges = edges;
-    }
-
-    findings.retain(|f| f.rule == "suppression" || !sup.covers(f));
     findings.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-    let fns = crate::items::collect(src, &sig, &map, &test_ranges);
-    crate::items::FileSummary { findings, lock_edges, fns, allows: sup.allowed_lines() }
+    let (fns, file_sites) = crate::items::collect(src, &sig, &map, &test_ranges);
+    (FileSummary { fns, file_sites, suppressions }, findings)
 }
 
-fn panic_rules(
-    s: &Sig<'_>,
-    prev: Option<Sig<'_>>,
-    next: Option<&Sig<'_>>,
-    emit: &mut impl FnMut(&'static str, Token, String),
-) {
-    let prev_text = prev.map(|p| p.text);
-    let next_text = next.map(|n| n.text);
-    if s.tok.kind == TokenKind::Ident && prev_text == Some(".") && next_text == Some("(") {
-        match s.text {
-            "unwrap" => emit(
-                "panic-unwrap",
-                s.tok,
-                "`.unwrap()` can panic on this path; return a typed error or recover".to_string(),
-            ),
-            "expect" => emit(
-                "panic-expect",
-                s.tok,
-                "`.expect()` can panic on this path; return a typed error or recover".to_string(),
-            ),
-            _ => {}
-        }
-    }
-    if s.tok.kind == TokenKind::Ident
-        && next_text == Some("!")
-        && matches!(s.text, "panic" | "unreachable" | "todo" | "unimplemented")
-    {
-        emit(
-            "panic-macro",
-            s.tok,
-            format!("`{}!` aborts this panic-free path; return a typed error instead", s.text),
-        );
-    }
-    // Direct indexing: `expr[…]` where expr ends in an identifier (not
-    // a keyword), `)`, or `]`. Type positions (`: [u8; 4]`), attributes
-    // (`#[…]`), macros (`vec![…]`), and patterns (`let [a, b]`) all
-    // have a different preceding token and are not matched.
-    if s.text == "[" && s.tok.kind == TokenKind::Punct {
-        let indexable = match prev {
-            Some(p) => {
-                (p.tok.kind == TokenKind::Ident && !KEYWORDS.contains(&p.text))
-                    || p.text == ")"
-                    || p.text == "]"
-            }
-            None => false,
-        };
-        if indexable {
-            emit(
-                "indexing",
-                s.tok,
-                "direct indexing can panic out-of-bounds; use `.get(…)` or prove the bound"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-fn determinism_rules(
-    sig: &[Sig<'_>],
-    i: usize,
-    emit: &mut impl FnMut(&'static str, Token, String),
-) {
+/// Direct indexing: `expr[…]` where expr ends in an identifier (not a
+/// keyword), `)`, or `]`. Type positions (`: [u8; 4]`), attributes
+/// (`#[…]`), macros (`vec![…]`), and patterns (`let [a, b]`) all have a
+/// different preceding token and are not matched.
+fn indexing_rule(sig: &[Sig<'_>], i: usize, emit: &mut impl FnMut(&'static str, Token, String)) {
     let s = &sig[i];
-    if s.tok.kind != TokenKind::Ident {
+    if s.text != "[" || s.tok.kind != TokenKind::Punct {
         return;
     }
-    match s.text {
-        "HashMap" | "HashSet" => emit(
-            "det-hash",
+    let indexable = i.checked_sub(1).map(|j| sig[j]).is_some_and(|p| {
+        (p.tok.kind == TokenKind::Ident && !KEYWORDS.contains(&p.text))
+            || p.text == ")"
+            || p.text == "]"
+    });
+    if indexable {
+        emit(
+            "indexing",
             s.tok,
-            format!(
-                "`{}` iteration order is per-process random and breaks replay-by-seed; \
-                 use `BTree{}` or sort before iterating",
-                s.text,
-                if s.text == "HashMap" { "Map" } else { "Set" }
-            ),
-        ),
-        "SystemTime" | "Instant" => emit(
-            "det-time",
-            s.tok,
-            format!(
-                "`{}` makes results depend on wall-clock time; thread a seeded value through \
-                 instead",
-                s.text
-            ),
-        ),
-        "env" => {
-            // `::` lexes as two `:` puncts; require both on one side so
-            // a plain field or parameter named `env` does not match.
-            let double_colon = |a: usize, b: usize| {
-                sig.get(a).map(|t| t.text) == Some(":") && sig.get(b).map(|t| t.text) == Some(":")
-            };
-            let adjacent_path =
-                (i >= 2 && double_colon(i - 2, i - 1)) || double_colon(i + 1, i + 2);
-            if adjacent_path {
-                emit(
-                    "det-env",
-                    s.tok,
-                    "`std::env` makes results depend on the environment; take the value as an \
-                     explicit parameter"
-                        .to_string(),
-                );
-            }
-        }
-        _ => {}
+            "direct indexing can panic out-of-bounds; use `.get(…)` or prove the bound".to_string(),
+        );
     }
 }
 
@@ -653,8 +509,11 @@ fn unbounded_read_rules(
 mod tests {
     use super::*;
 
+    /// The whole single-file pipeline with every family on, so the
+    /// site-local rules are seen beside the taint families' depth-0
+    /// findings.
     fn run(src: &str) -> Vec<Finding> {
-        analyze_file("t.rs", src, RuleSet::all(), None)
+        crate::lint_sources(&[("t.rs".to_string(), src.to_string())], |_| RuleSet::all())
     }
 
     fn rules_of(src: &str) -> Vec<&'static str> {
@@ -663,10 +522,12 @@ mod tests {
 
     #[test]
     fn unwrap_expect_and_macros_fire() {
-        assert_eq!(rules_of("fn f() { x.unwrap(); }"), vec!["panic-unwrap"]);
-        assert_eq!(rules_of("fn f() { x.expect(\"m\"); }"), vec!["panic-expect"]);
-        assert_eq!(rules_of("fn f() { panic!(\"m\"); }"), vec!["panic-macro"]);
-        assert_eq!(rules_of("fn f() { unreachable!(); }"), vec!["panic-macro"]);
+        assert_eq!(rules_of("fn f() { x.unwrap(); }"), vec!["panic-reach"]);
+        assert_eq!(rules_of("fn f() { x.expect(\"m\"); }"), vec!["panic-reach"]);
+        assert_eq!(rules_of("fn f() { panic!(\"m\"); }"), vec!["panic-reach"]);
+        assert_eq!(rules_of("fn f() { unreachable!(); }"), vec!["panic-reach"]);
+        // Outside any fn body too: a `static` initialiser runs on first use.
+        assert_eq!(rules_of("static X: u32 = parse(\"1\").unwrap();"), vec!["panic-reach"]);
     }
 
     #[test]
@@ -689,9 +550,11 @@ mod tests {
 
     #[test]
     fn determinism_idents_fire_outside_strings() {
-        assert_eq!(rules_of("use std::collections::HashMap;"), vec!["det-hash"]);
-        assert_eq!(rules_of("let t = Instant::now();"), vec!["det-time"]);
-        assert_eq!(rules_of("let p = std::env::temp_dir();"), vec!["det-env"]);
+        assert_eq!(rules_of("use std::collections::HashMap;"), vec!["det-taint"]);
+        assert_eq!(rules_of("struct S { seen: HashSet<u32> }"), vec!["det-taint"]);
+        assert_eq!(rules_of("fn f(m: &HashMap<u32, u32>) {}"), vec!["det-taint"]);
+        assert_eq!(rules_of("let t = Instant::now();"), vec!["det-taint"]);
+        assert_eq!(rules_of("let p = std::env::temp_dir();"), vec!["det-taint"]);
         assert!(rules_of("let s = \"HashMap Instant std::env\";").is_empty());
         assert!(rules_of("// HashMap in a comment\n").is_empty());
         assert!(rules_of("fn f(env: u32) -> u32 { env }").is_empty());
@@ -701,15 +564,15 @@ mod tests {
     fn float_total_order_fires_on_partial_cmp_comparators() {
         assert_eq!(
             rules_of("fn f() { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }"),
-            vec!["float-total-order", "panic-unwrap"]
+            vec!["float-total-order", "panic-reach"]
         );
         assert_eq!(
             rules_of("fn f() { v.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).expect(\"m\")); }"),
-            vec!["float-total-order", "panic-expect"]
+            vec!["float-total-order", "panic-reach"]
         );
         assert_eq!(
             rules_of("fn f() { let m = v.iter().max_by(|a, b| a.partial_cmp(b).unwrap()); }"),
-            vec!["float-total-order", "panic-unwrap"]
+            vec!["float-total-order", "panic-reach"]
         );
         // total_cmp comparators and partial_cmp outside a sort are clean.
         assert!(rules_of("fn f() { v.sort_by(|a, b| a.total_cmp(b)); }").is_empty());
@@ -820,10 +683,10 @@ mod tests {
 
     #[test]
     fn suppression_silences_exactly_its_rule() {
-        let src = "fn f() { x.unwrap(); } // mb-lint: allow(panic-unwrap) -- bootstrapping only\n";
+        let src = "fn f() { x.unwrap(); } // mb-lint: allow(panic-reach) -- bootstrapping only\n";
         assert!(rules_of(src).is_empty());
-        let src = "fn f() { x.unwrap(); } // mb-lint: allow(panic-expect) -- wrong rule\n";
-        assert_eq!(rules_of(src), vec!["panic-unwrap"]);
+        let src = "fn f() { x.unwrap(); } // mb-lint: allow(indexing) -- wrong rule\n";
+        assert_eq!(rules_of(src), vec!["panic-reach"]);
     }
 
     #[test]

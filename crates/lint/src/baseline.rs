@@ -83,9 +83,9 @@ mod tests {
 
     #[test]
     fn diff_partitions_and_counts_stale() {
-        let findings = vec![finding("det-hash", 1), finding("det-hash", 2)];
+        let findings = vec![finding("det-taint", 1), finding("det-taint", 2)];
         let baseline: BTreeSet<String> =
-            ["det-hash|a.rs|2".to_string(), "det-hash|gone.rs|9".to_string()].into();
+            ["det-taint|a.rs|2".to_string(), "det-taint|gone.rs|9".to_string()].into();
         let (new, old, stale) = diff(&findings, &baseline);
         assert_eq!(new.len(), 1);
         assert_eq!(new[0].line, 1);
@@ -95,7 +95,7 @@ mod tests {
 
     #[test]
     fn render_round_trips_through_load() {
-        let findings = vec![finding("det-hash", 3), finding("indexing", 3)];
+        let findings = vec![finding("det-taint", 3), finding("indexing", 3)];
         let text = render(&findings);
         let dir = std::env::temp_dir().join("mb_lint_baseline_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -103,7 +103,7 @@ mod tests {
         std::fs::write(&path, text).unwrap();
         let keys = load(&path).unwrap();
         assert_eq!(keys.len(), 2);
-        assert!(keys.contains("det-hash|a.rs|3"));
+        assert!(keys.contains("det-taint|a.rs|3"));
         let (new, _, stale) = diff(&findings, &keys);
         assert!(new.is_empty());
         assert_eq!(stale, 0);

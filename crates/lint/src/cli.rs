@@ -2,7 +2,6 @@
 //! `metablink lint` subcommand.
 
 use crate::findings::{to_json, Finding};
-use crate::workspace::{RunOptions, RunStats};
 use crate::{baseline, explain, workspace};
 use std::path::PathBuf;
 
@@ -14,39 +13,27 @@ struct Options {
     json: bool,
     update_baseline: bool,
     explain: Option<String>,
-    threads: usize,
-    cache: Option<PathBuf>,
-    no_cache: bool,
-    timing: bool,
 }
-
-/// Default cache location, workspace-root-relative (under `target/` so
-/// `cargo clean` clears it and it never lands in a commit).
-const DEFAULT_CACHE: &str = "target/mb-lint/lint-cache.txt";
 
 const USAGE: &str = "\
 mb-lint — static analysis for this workspace's panic-freedom, determinism,
-and lock-discipline invariants, token-level and interprocedural
-(DESIGN.md §10, §15).
+and lock-discipline invariants, at the site and through every call
+(DESIGN.md §10).
 
 USAGE:
   mb-lint [--root <dir>] [--baseline <file>] [--json] [--update-baseline]
-          [--threads <n>] [--cache <file> | --no-cache] [--timing]
   mb-lint --explain <rule>
 
   --root <dir>        workspace root (default: walk up to the [workspace] Cargo.toml)
   --baseline <file>   baseline file (default: <root>/lint-baseline.txt)
-  --json              machine-readable report on stdout (byte-identical
-                      cold or warm cache, and at any --threads value)
+  --json              machine-readable report on stdout (a pure function
+                      of the workspace's content)
   --update-baseline   rewrite the baseline from the current findings and exit 0
   --explain <rule>    print a rule's contract, example, and suppression form
-  --threads <n>       per-file analysis threads (default 1)
-  --cache <file>      incremental cache file (default: <root>/target/mb-lint/lint-cache.txt)
-  --no-cache          disable the incremental cache for this run
-  --timing            print `files= cached= analysis_ms=` stats on stderr
 
 Exit status: 0 when every finding is baselined, 1 on any new finding,
-2 on usage errors, unreadable workspace files, or I/O errors.";
+2 on usage errors, an unreadable or empty root, unreadable workspace files,
+or I/O errors.";
 
 fn parse(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
@@ -64,21 +51,9 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--explain" => {
                 opts.explain = Some(it.next().ok_or("--explain needs a rule id")?.clone());
             }
-            "--threads" => {
-                let n = it.next().ok_or("--threads needs a value")?;
-                opts.threads = n.parse().map_err(|_| format!("--threads: not a number: {n:?}"))?;
-            }
-            "--cache" => {
-                opts.cache = Some(it.next().ok_or("--cache needs a value")?.into());
-            }
-            "--no-cache" => opts.no_cache = true,
-            "--timing" => opts.timing = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
         }
-    }
-    if opts.no_cache && opts.cache.is_some() {
-        return Err("--cache and --no-cache are mutually exclusive".to_string());
     }
     Ok(opts)
 }
@@ -114,22 +89,13 @@ pub fn run(args: &[String]) -> u8 {
             return 2;
         }
     };
-    let cache_path = if opts.no_cache {
-        None
-    } else {
-        Some(opts.cache.unwrap_or_else(|| root.join(DEFAULT_CACHE)))
-    };
-    let run_opts = RunOptions { threads: opts.threads, cache_path };
-    let (findings, stats) = match workspace::run_with(&root, &run_opts) {
-        Ok(out) => out,
+    let findings = match workspace::run(&root) {
+        Ok(findings) => findings,
         Err(e) => {
             eprintln!("mb-lint: {e}");
             return 2;
         }
     };
-    if opts.timing {
-        report_timing(&stats);
-    }
     let baseline_path = opts.baseline.unwrap_or_else(|| root.join(baseline::DEFAULT_FILE));
 
     if opts.update_baseline {
@@ -162,15 +128,6 @@ pub fn run(args: &[String]) -> u8 {
         report_human(&findings, &new, stale);
     }
     u8::from(!new.is_empty())
-}
-
-/// One parseable stderr line for the CI cache check (stderr, so it
-/// never perturbs the byte-identical `--json` stdout contract).
-fn report_timing(stats: &RunStats) {
-    eprintln!(
-        "mb-lint: timing files={} cached={} analysis_ms={}",
-        stats.files, stats.cached, stats.analysis_ms
-    );
 }
 
 fn report_human(findings: &[Finding], new: &[&Finding], stale: usize) {
@@ -213,20 +170,6 @@ mod tests {
             parse(&["--root".to_string(), "/tmp/ws".to_string(), "--json".to_string()]).unwrap();
         assert!(o.json);
         assert_eq!(o.root.as_deref(), Some(std::path::Path::new("/tmp/ws")));
-    }
-
-    #[test]
-    fn cache_and_thread_flags_parse() {
-        let args: Vec<String> = ["--threads", "4", "--cache", "/tmp/c.txt", "--timing"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let o = parse(&args).unwrap();
-        assert_eq!(o.threads, 4);
-        assert_eq!(o.cache.as_deref(), Some(std::path::Path::new("/tmp/c.txt")));
-        assert!(o.timing);
-        assert!(parse(&["--threads".to_string(), "x".to_string()]).is_err());
-        assert!(parse(&["--cache".to_string(), "c".to_string(), "--no-cache".to_string()]).is_err());
     }
 
     #[test]

@@ -14,23 +14,15 @@ struct Entry {
 
 const ENTRIES: &[Entry] = &[
     Entry {
-        rule: "panic-unwrap",
-        contract: "Panic-free paths (serve, checkpoint load/save, kb store) must not call \
-                   `.unwrap()`: a panic there kills a serving worker or corrupts a checkpoint \
-                   half-written. Return a typed error or recover.",
-        example: "let v = map.get(&k).unwrap();        // violation\nlet v = map.get(&k).ok_or(Error::Missing)?;  // fixed",
-    },
-    Entry {
-        rule: "panic-expect",
-        contract: "Same contract as panic-unwrap: `.expect(\"…\")` panics with a nicer message, \
-                   but still panics. Return a typed error or recover.",
-        example: "let f = File::open(p).expect(\"open\");  // violation\nlet f = File::open(p).map_err(Error::Io)?;   // fixed",
-    },
-    Entry {
-        rule: "panic-macro",
-        contract: "`panic!` / `unreachable!` / `todo!` / `unimplemented!` abort panic-free \
-                   paths. Encode the impossible case in the type or return an error.",
-        example: "None => unreachable!(),              // violation\nNone => return Err(Error::Corrupt),  // fixed",
+        rule: "panic-reach",
+        contract: "Panic-free paths (serve, checkpoint load/save, kb store, store load paths, \
+                   loadgen) must neither contain nor transitively call `.unwrap()`, \
+                   `.expect(…)`, `panic!`, `unreachable!`, `todo!` or `unimplemented!`: a panic \
+                   there kills a serving worker or leaves a checkpoint half-written. Reported at \
+                   the site itself, and at every call whose callee chain reaches one anywhere in \
+                   the workspace (the witness path shows one route). Return a typed error or \
+                   recover.",
+        example: "let v = map.get(&k).unwrap();        // violation at the site\nwork(job);           // violation: work -> parse -> unwrap\nlet v = map.get(&k).ok_or(Error::Missing)?;  // fixed\nwork(job)?;          // fixed: parse returns Result now",
     },
     Entry {
         rule: "indexing",
@@ -39,23 +31,15 @@ const ENTRIES: &[Entry] = &[
         example: "let first = xs[0];                   // violation\nlet first = xs.first().ok_or(Error::Empty)?;  // fixed",
     },
     Entry {
-        rule: "det-hash",
-        contract: "`HashMap`/`HashSet` iteration order is per-process random; on replay-contract \
-                   crates it silently breaks replay-by-seed. Use `BTreeMap`/`BTreeSet` or sort \
-                   before iterating.",
-        example: "for (k, v) in hash_map { … }         // violation\nfor (k, v) in btree_map { … }        // fixed",
-    },
-    Entry {
-        rule: "det-time",
-        contract: "`SystemTime`/`Instant` make results depend on wall-clock time. Thread a \
-                   seeded or recorded value through instead.",
-        example: "let seed = Instant::now().elapsed().as_nanos();  // violation\nlet seed = cfg.seed;                             // fixed",
-    },
-    Entry {
-        rule: "det-env",
-        contract: "`std::env` makes results depend on the launching environment. Take the value \
-                   as an explicit parameter.",
-        example: "let dir = std::env::var(\"MB_DIR\")?;  // violation\nfn run(dir: &Path) { … }             // fixed",
+        rule: "det-taint",
+        contract: "Replay-contract crates (tensor, core, encoders, datagen, store, …) must \
+                   neither name nor transitively call a nondeterministic source: \
+                   `HashMap`/`HashSet` (iteration order is per-process random), \
+                   `SystemTime`/`Instant`, `std::env`, `thread::current`. Any of them silently \
+                   breaks replay-by-seed. Reported at the token itself, and at every call whose \
+                   callee chain reaches one. Use `BTreeMap`/`BTreeSet` or sort before iterating; \
+                   thread seeds, times and paths through as explicit parameters.",
+        example: "use std::collections::HashMap;       // violation at the site\nlet w = stats();     // violation: stats -> HashMap::new\nuse std::collections::BTreeMap;      // fixed\nlet w = stats_ordered();  // fixed: BTreeMap inside",
     },
     Entry {
         rule: "lock-order",
@@ -64,10 +48,13 @@ const ENTRIES: &[Entry] = &[
         example: "thread A: state.lock() then cache.lock()\nthread B: cache.lock() then state.lock()   // violation: cycle",
     },
     Entry {
-        rule: "lock-io",
-        contract: "Blocking I/O while holding a lock stalls every thread contending for it (and \
-                   hands slow peers a denial-of-service lever). Release the lock first.",
-        example: "let g = self.state.lock()…; out.write_all(…)  // violation\ndrop(g); out.write_all(…)                     // fixed",
+        rule: "lock-across-call",
+        contract: "While a lock is held there must be no blocking I/O — it stalls every thread \
+                   contending for the lock and hands slow peers a denial-of-service lever — and \
+                   no call whose callee chain reaches blocking I/O or re-acquires the same lock \
+                   (self-deadlock with std::sync::Mutex). Release the lock first, or pass the \
+                   guard down.",
+        example: "let g = self.state.lock()…; out.write_all(…)  // violation at the site\nlet g = self.state.lock()…; self.flush_all();  // violation: flush_all -> write_all\ndrop(g); out.write_all(…); self.flush_all();  // fixed",
     },
     Entry {
         rule: "unsafe-gate",
@@ -109,31 +96,8 @@ const ENTRIES: &[Entry] = &[
         example: "file.read_to_end(&mut buf)?;         // violation\nfile.read_exact(&mut chunk)?;        // fixed",
     },
     Entry {
-        rule: "panic-reach",
-        contract: "Interprocedural: a call in a panic-protected file (serve, checkpoint, store, \
-                   loadgen) must not transitively reach a panicking site anywhere in the \
-                   workspace. The finding's witness path shows one route. Fix the root, or \
-                   audit the boundary — an allow at a call site stops propagation for every \
-                   transitive caller.",
-        example: "// serve/src/worker.rs\nwork(job);           // violation: work -> parse -> unwrap\n// after the sweep\nwork(job)?;          // parse returns Result now",
-    },
-    Entry {
-        rule: "det-taint",
-        contract: "Interprocedural: replay-contract paths (tensor, core, datagen, store, …) \
-                   must not transitively call nondeterministic sources — time, env, `HashMap` \
-                   iteration, thread id. An allow at the boundary stops propagation.",
-        example: "// core/src/reweight.rs\nlet w = stats();     // violation: stats -> HashMap::new\nlet w = stats_ordered();  // fixed: BTreeMap inside",
-    },
-    Entry {
-        rule: "lock-across-call",
-        contract: "Interprocedural: a lock held at a call site must not reach blocking I/O or a \
-                   re-acquire of the same lock in any transitive callee (self-deadlock with \
-                   std::sync::Mutex). Release the lock before the call or pass the guard down.",
-        example: "let g = self.state.lock()…;\nself.flush_all();    // violation: flush_all -> write_all\ndrop(g);\nself.flush_all();    // fixed",
-    },
-    Entry {
         rule: "alloc-in-hot-loop",
-        contract: "Interprocedural: allocation-shaped constructs (vec!/format!, to_vec, \
+        contract: "Allocation-shaped constructs (vec!/format!, to_vec, \
                    collect, Box::new, …), direct or via any transitive callee, inside loops of \
                    hot-path files (kernels, frozen forwards, batch drain). Hoist the allocation \
                    out of the loop or reuse a buffer.",
@@ -145,7 +109,7 @@ const ENTRIES: &[Entry] = &[
                    (or the next line when the comment stands alone). The justification is \
                    mandatory and non-empty; unknown rule ids are rejected. This rule flags \
                    malformed suppressions.",
-        example: "// mb-lint: allow(panic-unwrap)                  // violation: no justification\n// mb-lint: allow(panic-unwrap) -- init-only path  // well-formed",
+        example: "// mb-lint: allow(panic-reach)                  // violation: no justification\n// mb-lint: allow(panic-reach) -- init-only path  // well-formed",
     },
 ];
 
@@ -155,7 +119,7 @@ pub fn explain(rule: &str) -> Result<String, String> {
         format!("unknown rule {rule:?}; known rules:\n  {}", RULE_IDS.join("\n  "))
     })?;
     Ok(format!(
-        "rule: {}\n\ncontract:\n  {}\n\nexample:\n{}\n\nsuppression:\n  // mb-lint: allow({}) -- <justification>\n  (audited; the justification is mandatory. For the interprocedural rules an\n  allow is also a propagation boundary: one audit at the right call site\n  clears every transitive caller.)",
+        "rule: {}\n\ncontract:\n  {}\n\nexample:\n{}\n\nsuppression:\n  // mb-lint: allow({}) -- <justification>\n  (audited; the justification is mandatory. For panic-reach, det-taint,\n  lock-across-call and alloc-in-hot-loop an allow is also a propagation\n  boundary: one audit at the site or call clears every transitive caller.)",
         entry.rule,
         entry.contract,
         entry

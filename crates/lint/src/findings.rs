@@ -4,24 +4,17 @@ use std::fmt;
 
 /// Every rule id mb-lint can emit, in catalogue order (DESIGN.md §10).
 pub const RULE_IDS: &[&str] = &[
-    "panic-unwrap",
-    "panic-expect",
-    "panic-macro",
+    "panic-reach",
     "indexing",
-    "det-hash",
-    "det-time",
-    "det-env",
+    "det-taint",
     "lock-order",
-    "lock-io",
+    "lock-across-call",
     "unsafe-gate",
     "float-total-order",
     "tape-free",
     "bounded-queue",
     "as-truncation",
     "unbounded-read",
-    "panic-reach",
-    "det-taint",
-    "lock-across-call",
     "alloc-in-hot-loop",
     "suppression",
 ];
@@ -125,7 +118,7 @@ mod tests {
     #[test]
     fn json_escapes_and_counts() {
         let f = Finding {
-            rule: "panic-unwrap",
+            rule: "panic-reach",
             file: "crates/serve/src/queue.rs".into(),
             line: 3,
             col: 7,
@@ -142,7 +135,7 @@ mod tests {
     #[test]
     fn key_ignores_column_and_message() {
         let mut f = Finding {
-            rule: "det-hash",
+            rule: "det-taint",
             file: "x.rs".into(),
             line: 9,
             col: 1,

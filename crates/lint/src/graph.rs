@@ -243,7 +243,7 @@ mod tests {
     fn build(files: &[(&str, &str)]) -> (Vec<(String, FileSummary)>, Graph) {
         let summaries: Vec<(String, FileSummary)> = files
             .iter()
-            .map(|(path, src)| (path.to_string(), summarize_file(path, src, RuleSet::none())))
+            .map(|(path, src)| (path.to_string(), summarize_file(path, src, RuleSet::none()).0))
             .collect();
         let graph = Graph::build(&summaries);
         (summaries, graph)

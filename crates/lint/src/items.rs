@@ -1,15 +1,11 @@
-//! Item-level parsing: `fn` items, impl/trait context, call edges, and
-//! taint-relevant sites, extracted from the total lexer's token stream.
+//! Item-level parsing — the one function-body walker: `fn` items,
+//! impl/trait context, call edges, taint-relevant sites and lock-order
+//! edges, extracted from the total lexer's token stream.
 //!
-//! This is the per-file half of the interprocedural analysis
-//! ([`crate::graph`] resolves the call edges, [`crate::taint`]
-//! propagates over them). A [`FileSummary`] captures everything later
-//! passes need, so a file whose content hash is unchanged never has to
-//! be re-lexed — the incremental cache ([`crate::cache`]) persists
-//! summaries verbatim and the workspace runner rebuilds the call graph
-//! from them.
-//!
-//! Extraction is token-level and deliberately conservative:
+//! This is the per-file half of the analysis ([`crate::graph`] resolves
+//! the call edges, [`crate::taint`] reports the sites where they are
+//! denied and propagates them to callers). Extraction is token-level
+//! and deliberately conservative:
 //!
 //! - a **function item** is a non-`#[cfg(test)]` `fn` with a body; its
 //!   impl/trait type (the first type name of the enclosing `impl`/
@@ -19,44 +15,42 @@
 //!   free call, a `.method(…)` call (with `self.` receivers kept
 //!   distinct), or a `path::segment(…)` qualified call. Macros
 //!   (`name!(…)`) are not call edges;
-//! - **sites** are the local facts taint propagation starts from:
+//! - **sites** are the local facts every taint family starts from —
 //!   panicking constructs, nondeterministic sources, allocation-shaped
-//!   calls, and blocking I/O — each with its loop depth;
-//! - **held locks** at each call site reuse the lock model of
-//!   [`crate::locks`] (`let`-bound guards to scope end or `drop`,
-//!   temporaries to statement end), with `self.…` receiver paths
-//!   qualified by the impl type so acquisitions compare meaningfully
-//!   across functions.
+//!   calls, and blocking I/O ([`site_kind`] is the only place their
+//!   token patterns are written) — each with its loop depth and the
+//!   locks held there. A site outside every function body (a `use`
+//!   line, a struct field, a signature, a `static` initialiser) is a
+//!   **file-level site**: reportable where it stands, seeding nothing;
+//! - **held locks** follow the model of [`crate::locks`] (`let`-bound
+//!   guards to scope end or `drop`, temporaries to statement end), with
+//!   `self.…` receiver paths qualified by the impl type so acquisitions
+//!   compare meaningfully across functions; each acquisition under a
+//!   held lock is a **lock-order edge**.
 
 use crate::analyzer::{in_ranges, Sig, KEYWORDS};
-use crate::findings::Finding;
-use crate::lexer::LineMap;
+use crate::lexer::{LineMap, TokenKind};
 use crate::locks::{self, LockEdge};
+use crate::suppress::Suppressions;
 use std::collections::BTreeSet;
 
-/// Everything the interprocedural passes and the cache need from one
-/// file: the token-level findings, the lock-order edges, the function
-/// items with their call edges and sites, and the per-line allow map.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Everything the cross-file passes need from one file: the function
+/// items with their call edges and sites, the file-level sites, and the
+/// audited `allow` lines.
+#[derive(Debug, Default)]
 pub struct FileSummary {
-    /// Token-level findings (including `lock-io` and suppression
-    /// hygiene), exactly as a cold [`crate::analyze_file`] run emits
-    /// them.
-    pub findings: Vec<Finding>,
-    /// Lock-order edges observed in this file, first site per edge.
-    pub lock_edges: Vec<LockEdge>,
     /// Non-test function items defined in this file.
     pub fns: Vec<FnItem>,
-    /// Per-line `mb-lint: allow(…)` rules, sorted by line.
-    pub allows: Vec<(usize, Vec<String>)>,
+    /// Non-test sites outside every function body, in token order.
+    pub file_sites: Vec<Site>,
+    /// The file's `mb-lint: allow(…)` lines.
+    pub suppressions: Suppressions,
 }
 
 impl FileSummary {
     /// True if an `allow(rule)` covers `line`.
     pub fn allows(&self, rule: &str, line: usize) -> bool {
-        self.allows
-            .binary_search_by_key(&line, |&(l, _)| l)
-            .is_ok_and(|i| self.allows[i].1.iter().any(|r| r == rule))
+        self.suppressions.allows(rule, line)
     }
 }
 
@@ -69,17 +63,18 @@ pub struct FnItem {
     pub qual: Option<String>,
     /// 1-based line of the name token.
     pub line: usize,
-    /// 1-based column of the name token.
-    pub col: usize,
     /// Taint-relevant local sites, in token order.
     pub sites: Vec<Site>,
     /// Outgoing call edges, in token order.
     pub calls: Vec<CallSite>,
     /// Lock receiver paths this function acquires (self-qualified).
     pub acquires: Vec<String>,
+    /// Acquisitions made while another lock was held, in token order.
+    pub lock_edges: Vec<LockEdge>,
 }
 
-/// What kind of local fact a [`Site`] is.
+/// What kind of local fact a [`Site`] is. The discriminant indexes the
+/// per-function fact table of [`crate::taint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SiteKind {
     /// `.unwrap()`, `.expect(…)`, `panic!`-family macro.
@@ -91,8 +86,14 @@ pub enum SiteKind {
     /// `with_capacity`/`to_vec`/`to_string`/`to_owned`/`collect`,
     /// `Box::new`/`String::from`.
     Alloc,
-    /// A blocking I/O method call ([`crate::locks`] recognises it).
+    /// A blocking I/O method call ([`locks::IO_METHODS`]).
     Io,
+}
+
+impl SiteKind {
+    /// Every kind, in discriminant order.
+    pub const ALL: [SiteKind; 4] =
+        [SiteKind::Panic, SiteKind::Nondet, SiteKind::Alloc, SiteKind::Io];
 }
 
 /// One taint-relevant local fact.
@@ -108,6 +109,8 @@ pub struct Site {
     pub col: usize,
     /// True when the site sits inside a `for`/`while`/`loop` body.
     pub in_loop: bool,
+    /// Lock receiver paths held at this site (self-qualified).
+    pub held: Vec<String>,
 }
 
 /// How a call site names its callee.
@@ -147,64 +150,80 @@ const ALLOC_METHODS: &[&str] = &["with_capacity", "to_vec", "to_string", "to_own
 /// Types whose `from`/`new` associated constructors allocate.
 const ALLOC_TYPES: &[&str] = &["Box", "String", "Vec"];
 
-/// Extract the function items of one file. `sig` must be the
-/// significant-token stream of `src`; `#[cfg(test)]` items are skipped
-/// entirely (tests may panic, hash, and allocate freely, and nothing
-/// reachable from a serving entrypoint lives under `#[cfg(test)]`).
+/// One file's token stream, as the walker sees it.
+struct Walk<'a> {
+    src: &'a str,
+    sig: &'a [Sig<'a>],
+    map: &'a LineMap,
+    test_ranges: &'a [(usize, usize)],
+}
+
+/// A lock held at some point of a function body.
+struct HeldLock {
+    lock: String,
+    /// Brace depth at acquisition; released when the depth drops below.
+    depth: usize,
+    /// `let` binding name; an unbound temporary is released at the end
+    /// of its statement.
+    guard: Option<String>,
+}
+
+fn lock_names(held: &[HeldLock]) -> Vec<String> {
+    held.iter().map(|h| h.lock.clone()).collect()
+}
+
+/// Extract the function items and file-level sites of one file. `sig`
+/// must be the significant-token stream of `src`; `#[cfg(test)]` code
+/// is skipped entirely (tests may panic, hash, and allocate freely, and
+/// nothing reachable from a serving entrypoint lives under
+/// `#[cfg(test)]`).
 pub(crate) fn collect(
     src: &str,
     sig: &[Sig<'_>],
     map: &LineMap,
     test_ranges: &[(usize, usize)],
-) -> Vec<FnItem> {
+) -> (Vec<FnItem>, Vec<Site>) {
+    let walk = Walk { src, sig, map, test_ranges };
     let mut fns = Vec::new();
+    let mut file_sites = Vec::new();
     let mut ctx: Vec<(usize, String)> = Vec::new(); // (body depth, qual)
     let mut depth = 0usize;
     let mut i = 0;
     while i < sig.len() {
         let s = sig[i];
+        // Where the walk resumes; every token stepped over on the way
+        // is outside any function body.
+        let mut next = i + 1;
         match s.text {
-            "{" => {
-                depth += 1;
-                i += 1;
-            }
+            "{" => depth += 1,
             "}" => {
                 depth = depth.saturating_sub(1);
                 ctx.retain(|&(d, _)| d <= depth);
-                i += 1;
             }
-            "impl" | "trait" if s.tok.kind == crate::lexer::TokenKind::Ident => {
-                match impl_header(sig, i) {
-                    Some((qual, open)) => {
-                        depth += 1;
-                        if let Some(q) = qual {
-                            ctx.push((depth, q));
-                        }
-                        i = open + 1;
+            "impl" | "trait" if s.tok.kind == TokenKind::Ident => {
+                if let Some((qual, open)) = impl_header(sig, i) {
+                    depth += 1;
+                    if let Some(q) = qual {
+                        ctx.push((depth, q));
                     }
-                    None => i += 1,
+                    next = open + 1;
                 }
             }
-            "fn" if s.tok.kind == crate::lexer::TokenKind::Ident
-                && !in_ranges(test_ranges, s.tok.start) =>
-            {
-                let name = sig.get(i + 1).map_or("?", |n| n.text).to_string();
-                let Some(open) = locks::body_open(sig, i) else {
-                    i += 1;
+            "fn" if s.tok.kind == TokenKind::Ident && !in_ranges(test_ranges, s.tok.start) => {
+                if let Some(open) = locks::body_open(sig, i) {
+                    file_sites.extend((i..open).filter_map(|j| walk.site(j, false, &[])));
+                    let (item, end) = walk.scan_fn(i, open, ctx.last().map(|(_, q)| q.clone()));
+                    fns.push(item);
+                    i = end;
                     continue;
-                };
-                let qual = ctx.last().map(|(_, q)| q.clone());
-                let (line, col) =
-                    sig.get(i + 1).map(|n| map.line_col(src, n.tok.start)).unwrap_or((1, 1));
-                let params = param_names(sig, i + 1, open);
-                let (item, end) = scan_fn(src, sig, map, open, name, qual, line, col, &params);
-                fns.push(item);
-                i = end;
+                }
             }
-            _ => i += 1,
+            _ => {}
         }
+        file_sites.extend((i..next).filter_map(|j| walk.site(j, false, &[])));
+        i = next;
     }
-    fns
+    (fns, file_sites)
 }
 
 /// Parse an `impl`/`trait` header starting at `sig[at]`: the qualifier
@@ -226,7 +245,7 @@ fn impl_header(sig: &[Sig<'_>], at: usize) -> Option<(Option<String>, usize)> {
             "for" if angle <= 0 => qual = None, // the `for` type wins
             _ if angle <= 0
                 && qual.is_none()
-                && t.tok.kind == crate::lexer::TokenKind::Ident
+                && t.tok.kind == TokenKind::Ident
                 && !KEYWORDS.contains(&t.text) =>
             {
                 qual = Some(t.text.to_string());
@@ -263,7 +282,7 @@ fn param_names(sig: &[Sig<'_>], after_name: usize, open: usize) -> BTreeSet<Stri
             }
             _ if paren == 1
                 && angle <= 0
-                && t.tok.kind == crate::lexer::TokenKind::Ident
+                && t.tok.kind == TokenKind::Ident
                 && t.text != "self"
                 && !KEYWORDS.contains(&t.text)
                 && sig.get(j + 1).map(|n| n.text) == Some(":") =>
@@ -277,14 +296,6 @@ fn param_names(sig: &[Sig<'_>], after_name: usize, open: usize) -> BTreeSet<Stri
     names
 }
 
-/// A lock currently held (mirror of the model in [`crate::locks`]).
-struct HeldLock {
-    lock: String,
-    depth: usize,
-    guard: Option<String>,
-    temp: bool,
-}
-
 /// Rewrite a `self.…` receiver path with the impl qualifier so lock
 /// names compare meaningfully across functions of the same type.
 fn qualify_lock(path: &str, qual: Option<&str>) -> String {
@@ -294,119 +305,140 @@ fn qualify_lock(path: &str, qual: Option<&str>) -> String {
     }
 }
 
-/// Scan one function body from its `{` at `sig[open]`; returns the item
-/// and the index one past the closing brace.
-#[allow(clippy::too_many_arguments)]
-fn scan_fn(
-    src: &str,
-    sig: &[Sig<'_>],
-    map: &LineMap,
-    open: usize,
-    name: String,
-    qual: Option<String>,
-    line: usize,
-    col: usize,
-    params: &BTreeSet<String>,
-) -> (FnItem, usize) {
-    let mut sites = Vec::new();
-    let mut calls = Vec::new();
-    let mut acquires: BTreeSet<String> = BTreeSet::new();
-    let mut held: Vec<HeldLock> = Vec::new();
-    let mut loop_bodies: Vec<usize> = Vec::new();
-    let mut pending_loop: Option<i32> = None;
-    let mut depth = 0usize;
-    let mut paren = 0i32;
-    let mut end = sig.len();
-    let mut i = open;
-    while i < sig.len() {
-        let s = sig[i];
-        match s.text {
-            "{" => {
-                depth += 1;
-                if pending_loop == Some(paren) {
-                    loop_bodies.push(depth);
-                    pending_loop = None;
-                }
-            }
-            "}" => {
-                depth = depth.saturating_sub(1);
-                held.retain(|h| h.depth <= depth);
-                while loop_bodies.last().is_some_and(|&d| d > depth) {
-                    loop_bodies.pop();
-                }
-                if depth == 0 {
-                    end = i + 1;
-                    break;
-                }
-            }
-            "(" => paren += 1,
-            ")" => paren -= 1,
-            ";" => held.retain(|h| !(h.temp && h.depth == depth)),
-            "for" | "while" | "loop" if s.tok.kind == crate::lexer::TokenKind::Ident => {
-                pending_loop = Some(paren);
-            }
-            _ => {}
+impl Walk<'_> {
+    /// The site at `sig[i]`, if it is one outside `#[cfg(test)]`.
+    fn site(&self, i: usize, in_loop: bool, held: &[HeldLock]) -> Option<Site> {
+        let s = self.sig[i];
+        if s.tok.kind != TokenKind::Ident || in_ranges(self.test_ranges, s.tok.start) {
+            return None;
         }
-        // `drop(g)` releases a bound guard early.
-        if s.text == "drop"
-            && sig.get(i + 1).map(|n| n.text) == Some("(")
-            && sig.get(i + 3).map(|n| n.text) == Some(")")
-        {
-            if let Some(g) = sig.get(i + 2) {
-                held.retain(|h| h.guard.as_deref() != Some(g.text));
+        let kind = site_kind(self.sig, i)?;
+        let (line, col) = self.map.line_col(self.src, s.tok.start);
+        Some(Site { kind, what: s.text.to_string(), line, col, in_loop, held: lock_names(held) })
+    }
+
+    /// Walk the body of the `fn` at `sig[at]` from its `{` at
+    /// `sig[open]`; returns the item and the index one past the closing
+    /// brace.
+    fn scan_fn(&self, at: usize, open: usize, qual: Option<String>) -> (FnItem, usize) {
+        let sig = self.sig;
+        let name = sig[at + 1];
+        let line = self.map.line(name.tok.start);
+        let params = param_names(sig, at + 1, open);
+        let mut sites = Vec::new();
+        let mut calls = Vec::new();
+        let mut lock_edges = Vec::new();
+        let mut acquires: BTreeSet<String> = BTreeSet::new();
+        let mut held: Vec<HeldLock> = Vec::new();
+        let mut loop_bodies: Vec<usize> = Vec::new();
+        let mut pending_loop: Option<i32> = None;
+        let mut depth = 0usize;
+        let mut paren = 0i32;
+        let mut end = sig.len();
+        let mut i = open;
+        while i < sig.len() {
+            let s = sig[i];
+            match s.text {
+                "{" => {
+                    depth += 1;
+                    if pending_loop == Some(paren) {
+                        loop_bodies.push(depth);
+                        pending_loop = None;
+                    }
+                }
+                "}" => {
+                    depth = depth.saturating_sub(1);
+                    held.retain(|h| h.depth <= depth);
+                    while loop_bodies.last().is_some_and(|&d| d > depth) {
+                        loop_bodies.pop();
+                    }
+                    if depth == 0 {
+                        end = i + 1;
+                        break;
+                    }
+                }
+                "(" => paren += 1,
+                ")" => paren -= 1,
+                ";" => held.retain(|h| h.guard.is_some() || h.depth != depth),
+                "for" | "while" | "loop" if s.tok.kind == TokenKind::Ident => {
+                    pending_loop = Some(paren);
+                }
+                _ => {}
             }
-        }
-        // `<recv>.lock()` acquisition, same model as crate::locks.
-        if s.text == "lock"
-            && i >= 1
-            && sig[i - 1].text == "."
-            && sig.get(i + 1).map(|n| n.text) == Some("(")
-            && sig.get(i + 2).map(|n| n.text) == Some(")")
-        {
-            if let Some((path, recv_start)) = locks::receiver_path(sig, i - 1) {
-                let lock = qualify_lock(&path, qual.as_deref());
-                acquires.insert(lock.clone());
-                let guard = locks::guard_binding(sig, recv_start);
-                let temp = guard.is_none();
-                if !held.iter().any(|h| h.lock == lock) {
-                    held.push(HeldLock { lock, depth, guard, temp });
+            // `drop(g)` releases a bound guard early.
+            if s.text == "drop"
+                && sig.get(i + 1).map(|n| n.text) == Some("(")
+                && sig.get(i + 3).map(|n| n.text) == Some(")")
+            {
+                if let Some(g) = sig.get(i + 2) {
+                    held.retain(|h| h.guard.as_deref() != Some(g.text));
                 }
             }
-        }
-        if s.tok.kind == crate::lexer::TokenKind::Ident {
+            // `<recv>.lock()` acquisition.
+            if s.text == "lock"
+                && i >= 1
+                && sig[i - 1].text == "."
+                && sig.get(i + 1).map(|n| n.text) == Some("(")
+                && sig.get(i + 2).map(|n| n.text) == Some(")")
+            {
+                if let Some((path, recv_start)) = locks::receiver_path(sig, i - 1) {
+                    let lock = qualify_lock(&path, qual.as_deref());
+                    let (line, col) = self.map.line_col(self.src, s.tok.start);
+                    for h in held.iter().filter(|h| h.lock != lock) {
+                        let (held, acquired) = (h.lock.clone(), lock.clone());
+                        lock_edges.push(LockEdge { held, acquired, line, col });
+                    }
+                    acquires.insert(lock.clone());
+                    if !held.iter().any(|h| h.lock == lock) {
+                        // `let [mut] g = <recv>.lock()…` binds the guard.
+                        let guard = locks::guard_binding(sig, recv_start);
+                        held.push(HeldLock { lock, depth, guard });
+                    }
+                }
+            }
             let in_loop = !loop_bodies.is_empty();
-            let (l, c) = map.line_col(src, s.tok.start);
-            let held_now = || held.iter().map(|h| h.lock.clone()).collect::<Vec<_>>();
-            if let Some(kind) = site_kind(sig, i) {
-                sites.push(Site { kind, what: s.text.to_string(), line: l, col: c, in_loop });
+            if let Some(site) = self.site(i, in_loop, &held) {
                 // I/O-named methods may also resolve to a workspace
                 // function (`Storage::read`), so they stay call edges;
                 // panic/alloc-shaped names are std-only.
-                if kind != SiteKind::Io {
+                let std_only = site.kind != SiteKind::Io;
+                sites.push(site);
+                if std_only {
                     i += 1;
                     continue;
                 }
             }
-            if let Some(kind) = call_kind(sig, i) {
+            if s.tok.kind == TokenKind::Ident {
                 // `f(x)` where `f` is a parameter invokes a
                 // caller-supplied closure: never a workspace edge.
-                if !(matches!(kind, CallKind::Free) && params.contains(s.text)) {
+                let kind = call_kind(sig, i)
+                    .filter(|k| !(matches!(k, CallKind::Free) && params.contains(s.text)));
+                if let Some(kind) = kind {
+                    let (line, col) = self.map.line_col(self.src, s.tok.start);
+                    let name = s.text.to_string();
                     calls.push(CallSite {
                         kind,
-                        name: s.text.to_string(),
-                        line: l,
-                        col: c,
+                        name,
+                        line,
+                        col,
                         in_loop,
-                        held: held_now(),
+                        held: lock_names(&held),
                     });
                 }
             }
+            i += 1;
         }
-        i += 1;
+        let item = FnItem {
+            name: name.text.to_string(),
+            qual,
+            line,
+            sites,
+            calls,
+            acquires: acquires.into_iter().collect(),
+            lock_edges,
+        };
+        (item, end)
     }
-    let item =
-        FnItem { name, qual, line, col, sites, calls, acquires: acquires.into_iter().collect() };
-    (item, end)
 }
 
 /// Classify `sig[i]` as a taint site, if it is one.
@@ -468,10 +500,8 @@ fn call_kind(sig: &[Sig<'_>], i: usize) -> Option<CallKind> {
             Some(if self_recv { CallKind::SelfMethod } else { CallKind::Method })
         }
         Some(":") if i >= 2 && sig[i - 2].text == ":" => {
-            let seg = i
-                .checked_sub(3)
-                .map(|j| sig[j])
-                .filter(|t| t.tok.kind == crate::lexer::TokenKind::Ident)?;
+            let seg =
+                i.checked_sub(3).map(|j| sig[j]).filter(|t| t.tok.kind == TokenKind::Ident)?;
             Some(CallKind::Qualified(seg.text.to_string()))
         }
         _ => Some(CallKind::Free),
@@ -484,11 +514,15 @@ mod tests {
     use crate::analyzer::{cfg_test_ranges, significant};
     use crate::lexer::{lex, LineMap};
 
-    fn items(src: &str) -> Vec<FnItem> {
+    fn walk(src: &str) -> (Vec<FnItem>, Vec<Site>) {
         let tokens = lex(src);
         let sig = significant(&tokens, src);
         let ranges = cfg_test_ranges(&sig);
         collect(src, &sig, &LineMap::new(src), &ranges)
+    }
+
+    fn items(src: &str) -> Vec<FnItem> {
+        walk(src).0
     }
 
     #[test]
@@ -556,6 +590,33 @@ mod tests {
                 (SiteKind::Alloc, "to_string"),
             ]
         );
+    }
+
+    #[test]
+    fn sites_outside_every_fn_body_are_file_level() {
+        let (fns, file_sites) = walk(
+            "use std::collections::HashMap;\nstruct S { m: HashSet<u32> }\nimpl From<Instant> for S {\n    fn from(t: SystemTime) -> S { let v = x.unwrap(); }\n}\n#[cfg(test)]\nmod tests { use std::collections::HashMap; }",
+        );
+        let whats: Vec<(&str, usize)> =
+            file_sites.iter().map(|s| (s.what.as_str(), s.line)).collect();
+        assert_eq!(
+            whats,
+            vec![("HashMap", 1), ("HashSet", 2), ("Instant", 3), ("SystemTime", 4)],
+            "use lines, fields, impl headers and signatures; never #[cfg(test)]"
+        );
+        assert!(file_sites.iter().all(|s| !s.in_loop && s.held.is_empty()));
+        assert_eq!(fns[0].sites.len(), 1, "the body's own site stays on the fn");
+    }
+
+    #[test]
+    fn acquisitions_under_a_held_lock_are_lock_order_edges() {
+        let src = "impl S {\n    fn f(&self, o: &O) {\n        let a = self.first.lock();\n        let b = o.second.lock();\n        out.write_all(b);\n    }\n}";
+        let f = &items(src)[0];
+        let edges: Vec<(&str, &str, usize)> =
+            f.lock_edges.iter().map(|e| (e.held.as_str(), e.acquired.as_str(), e.line)).collect();
+        assert_eq!(edges, vec![("S.first", "o.second", 4)]);
+        let io = f.sites.iter().find(|s| s.kind == SiteKind::Io).unwrap();
+        assert_eq!(io.held, vec!["S.first".to_string(), "o.second".to_string()]);
     }
 
     #[test]

@@ -18,28 +18,26 @@
 //!   while holding a lock;
 //! - an **unsafe gate**: `unsafe` is denied workspace-wide.
 //!
-//! On top of the token-level families sit four **interprocedural**
-//! rules that see across function boundaries: a lightweight item
-//! parser ([`items`]) extracts `fn` items, impl/trait context, and
-//! call edges; a deterministic resolver ([`graph`]) builds the
-//! workspace call graph; and a fixed-point taint engine ([`taint`])
-//! propagates panic / nondeterminism / I/O / allocation facts along it
-//! (`panic-reach`, `det-taint`, `lock-across-call`,
-//! `alloc-in-hot-loop`). Because every run now reads the whole
-//! workspace, per-file summaries are memoized in an incremental cache
-//! ([`cache`]) keyed by content hash — `--json` output is
-//! byte-identical cached or cold.
+//! One pass per file does all of it. A hand-rolled lexer ([`lexer`]) —
+//! strings, char literals, nested block comments and raw strings
+//! handled precisely — feeds the site-local rules ([`analyzer`]) and
+//! the one function-body walker ([`items`]), which extracts `fn` items,
+//! impl/trait context, call edges, lock-order edges, and the panic /
+//! nondeterminism / blocking-I/O / allocation **sites**. A
+//! deterministic resolver ([`graph`]) builds the workspace call graph,
+//! and [`taint`] reports each site family under one rule id at every
+//! depth: at the site where the file denies it, and at every call
+//! whose callee chain reaches one (`panic-reach`, `det-taint`,
+//! `lock-across-call`, `alloc-in-hot-loop`); [`locks`] finds cycles in
+//! the lock-order edges.
 //!
-//! The pass is a hand-rolled lexer ([`lexer`]) — strings, char
-//! literals, nested block comments and raw strings handled precisely —
-//! feeding a token-level analyzer ([`analyzer`], [`locks`]).
 //! Violations can be suppressed in place with
 //! `// mb-lint: allow(<rule>) -- <justification>` ([`suppress`]);
 //! suppressions are themselves linted for a non-empty justification,
-//! and for the interprocedural rules an allow is also a propagation
-//! boundary. Pre-existing findings live in a committed baseline
-//! ([`baseline`]) that CI only lets shrink. `--explain <rule>`
-//! ([`explain`]) prints each rule's contract and suppression form.
+//! and for the taint families an allow is also a propagation boundary.
+//! Pre-existing findings live in a committed baseline ([`baseline`])
+//! that CI only lets shrink. `--explain <rule>` ([`explain`]) prints
+//! each rule's contract and suppression form.
 //!
 //! Run it as `cargo run -p mb-lint`, `metablink lint`, or in CI via
 //! `scripts/ci.sh`. The crate is deliberately zero-dependency: the
@@ -49,7 +47,6 @@
 
 pub mod analyzer;
 pub mod baseline;
-pub mod cache;
 pub mod cli;
 pub mod explain;
 pub mod findings;
@@ -61,7 +58,6 @@ pub mod suppress;
 pub mod taint;
 pub mod workspace;
 
-pub use analyzer::{analyze_file, summarize_file, RuleSet};
+pub use analyzer::RuleSet;
 pub use findings::{Finding, RULE_IDS};
-pub use items::FileSummary;
-pub use locks::LockGraph;
+pub use workspace::lint_sources;

@@ -1,7 +1,8 @@
-//! Lock-discipline analysis: a per-function lock-acquisition model
-//! feeding a crate-wide lock-order graph.
+//! Lock discipline: the shared pieces of the lock model and the
+//! crate-wide lock-order graph.
 //!
-//! The model is token-level and deliberately conservative:
+//! The model itself is applied by the one function-body walker
+//! ([`crate::items`]); it is token-level and deliberately conservative:
 //!
 //! - an acquisition is any `<receiver>.lock()` call; the receiver path
 //!   (`self.state`, `shared.cache`, …) names the lock;
@@ -11,15 +12,14 @@
 //! - `Condvar::wait(guard)` keeps the guard held (it is reacquired
 //!   before returning).
 //!
-//! Two findings come out of this model: **lock-io** (a known blocking
-//! I/O call while any lock is held — latency and, for reads on
-//! untrusted peers, a availability hazard) and **lock-order** (the
-//! directed held→acquired edges, aggregated across the crate by
-//! [`LockGraph`], contain a cycle — a potential deadlock).
+//! The walker yields, per function, the locks held at every call and
+//! I/O site (**lock-across-call**, reported by [`crate::taint`]) and the
+//! directed held→acquired edges; [`LockGraph`] aggregates the edges
+//! across the crate and reports every edge on a cycle — a potential
+//! deadlock — as **lock-order**.
 
 use crate::analyzer::Sig;
 use crate::findings::Finding;
-use crate::lexer::LineMap;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Blocking I/O methods we recognise on the serving path.
@@ -49,27 +49,8 @@ pub(crate) const IO_METHODS: &[&str] = &[
     "set_write_timeout",
 ];
 
-/// One `held → acquired` observation.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct Edge {
-    held: String,
-    acquired: String,
-}
-
-/// Where an edge was first observed.
-#[derive(Debug, Clone)]
-struct Site {
-    file: String,
-    line: usize,
-    col: usize,
-    function: String,
-}
-
-/// One `held → acquired` lock-order observation at its first site in a
-/// file, in the file-summary form the incremental cache persists
-/// ([`crate::items::FileSummary`]). Feeding these into [`LockGraph`]
-/// in sorted-file order reproduces exactly the graph a cold full scan
-/// builds.
+/// One `held → acquired` observation at the acquisition site, as the
+/// walker records it on the acquiring function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LockEdge {
     /// Receiver path of the lock already held.
@@ -80,32 +61,32 @@ pub struct LockEdge {
     pub line: usize,
     /// 1-based column of the acquisition.
     pub col: usize,
-    /// Enclosing function name.
-    pub function: String,
 }
 
 /// Crate-wide lock-order graph, fed file by file, analysed by
 /// [`LockGraph::finish`].
 #[derive(Debug, Default)]
 pub struct LockGraph {
-    edges: BTreeMap<Edge, Site>,
+    /// `(held, acquired)` → the finding to report at the edge's first
+    /// site, should the edge turn out to lie on a cycle.
+    edges: BTreeMap<(String, String), Finding>,
 }
 
 impl LockGraph {
-    /// An empty graph.
-    pub fn new() -> Self {
-        LockGraph::default()
-    }
-
-    /// Feed one summarized edge into the graph; the first site wins,
-    /// so insertion order must be deterministic (sorted-file order).
-    pub fn insert(&mut self, file: &str, edge: &LockEdge) {
-        let key = Edge { held: edge.held.clone(), acquired: edge.acquired.clone() };
-        self.edges.entry(key).or_insert_with(|| Site {
+    /// Feed one edge observed in `function` of `file`; the first site
+    /// wins, so insertion order must be deterministic (sorted-file order).
+    pub fn insert(&mut self, file: &str, function: &str, edge: &LockEdge) {
+        let LockEdge { held, acquired, line, col } = edge;
+        self.edges.entry((held.clone(), acquired.clone())).or_insert_with(|| Finding {
+            rule: "lock-order",
             file: file.to_string(),
-            line: edge.line,
-            col: edge.col,
-            function: edge.function.clone(),
+            line: *line,
+            col: *col,
+            message: format!(
+                "acquiring `{acquired}` while holding `{held}` (in `{function}`) forms a \
+                 lock-order cycle — potential deadlock; fix a global acquisition order"
+            ),
+            excerpt: format!("{held} -> {acquired}"),
         });
     }
 
@@ -114,8 +95,8 @@ impl LockGraph {
     pub fn finish(&self) -> Vec<Finding> {
         // Successor sets over lock names.
         let mut succ: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        for e in self.edges.keys() {
-            succ.entry(&e.held).or_default().insert(&e.acquired);
+        for (held, acquired) in self.edges.keys() {
+            succ.entry(held).or_default().insert(acquired);
         }
         // `a → b` is cyclic iff b reaches a.
         let reaches = |from: &str, to: &str| -> bool {
@@ -134,67 +115,12 @@ impl LockGraph {
             }
             false
         };
-        let mut findings = Vec::new();
-        for (e, site) in &self.edges {
-            if reaches(&e.acquired, &e.held) {
-                findings.push(Finding {
-                    rule: "lock-order",
-                    file: site.file.clone(),
-                    line: site.line,
-                    col: site.col,
-                    message: format!(
-                        "acquiring `{}` while holding `{}` (in `{}`) forms a lock-order cycle — \
-                         potential deadlock; fix a global acquisition order",
-                        e.acquired, e.held, site.function
-                    ),
-                    excerpt: format!("{} -> {}", e.held, e.acquired),
-                });
-            }
-        }
-        findings
+        self.edges
+            .iter()
+            .filter(|((held, acquired), _)| reaches(acquired, held))
+            .map(|(_, finding)| finding.clone())
+            .collect()
     }
-}
-
-/// A lock currently held at some point of a function body.
-#[derive(Debug)]
-struct Held {
-    lock: String,
-    /// Brace depth at acquisition; popped when the depth drops below.
-    depth: usize,
-    /// `let` binding name, when the guard was bound.
-    guard: Option<String>,
-    /// Unbound temporary: released at the end of the statement.
-    temp: bool,
-}
-
-/// Walk one file's significant tokens; returns `lock-io` findings plus
-/// the file's held→acquired edges (first site per edge) for the file
-/// summary.
-pub(crate) fn analyze_collect(
-    file: &str,
-    src: &str,
-    sig: &[Sig<'_>],
-    map: &LineMap,
-    test_ranges: &[(usize, usize)],
-) -> (Vec<Finding>, Vec<LockEdge>) {
-    let mut findings = Vec::new();
-    let mut edges: Vec<LockEdge> = Vec::new();
-    let mut i = 0;
-    while i < sig.len() {
-        if sig[i].text == "fn" && !in_ranges(test_ranges, sig[i].tok.start) {
-            let name = sig.get(i + 1).map_or_else(|| "?".to_string(), |s| s.text.to_string());
-            // The body opens at the first `{` outside the parameter list.
-            let Some(open) = body_open(sig, i) else {
-                i += 1;
-                continue;
-            };
-            let end = scan_function(file, src, sig, map, open, &name, &mut edges, &mut findings);
-            i = end;
-            continue;
-        }
-        i += 1;
-    }
-    (findings, edges)
 }
 
 /// Index of the `{` opening the body of the `fn` at `sig[at]`, skipping
@@ -213,10 +139,6 @@ pub(crate) fn body_open(sig: &[Sig<'_>], at: usize) -> Option<usize> {
         }
         j += 1;
     }
-}
-
-fn in_ranges(ranges: &[(usize, usize)], offset: usize) -> bool {
-    ranges.iter().any(|&(s, e)| offset >= s && offset < e)
 }
 
 /// The dotted receiver path ending just before `sig[dot]` (the `.` in
@@ -240,104 +162,6 @@ pub(crate) fn receiver_path(sig: &[Sig<'_>], dot: usize) -> Option<(String, usiz
     }
 }
 
-/// Analyse one function body starting at the `{` at `sig[open]`.
-/// Returns the index one past the closing brace.
-#[allow(clippy::too_many_arguments)]
-fn scan_function(
-    file: &str,
-    src: &str,
-    sig: &[Sig<'_>],
-    map: &LineMap,
-    open: usize,
-    function: &str,
-    edges: &mut Vec<LockEdge>,
-    findings: &mut Vec<Finding>,
-) -> usize {
-    let mut held: Vec<Held> = Vec::new();
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < sig.len() {
-        let s = sig[i];
-        match s.text {
-            "{" => depth += 1,
-            "}" => {
-                depth = depth.saturating_sub(1);
-                held.retain(|h| h.depth <= depth);
-                if depth == 0 {
-                    return i + 1;
-                }
-            }
-            ";" => held.retain(|h| !(h.temp && h.depth == depth)),
-            _ => {}
-        }
-        // `drop(g)` releases a bound guard early.
-        if s.text == "drop"
-            && sig.get(i + 1).map(|n| n.text) == Some("(")
-            && sig.get(i + 3).map(|n| n.text) == Some(")")
-        {
-            if let Some(g) = sig.get(i + 2) {
-                held.retain(|h| h.guard.as_deref() != Some(g.text));
-            }
-        }
-        // `<recv>.lock()` acquisition.
-        if s.text == "lock"
-            && i >= 1
-            && sig[i - 1].text == "."
-            && sig.get(i + 1).map(|n| n.text) == Some("(")
-            && sig.get(i + 2).map(|n| n.text) == Some(")")
-        {
-            if let Some((lock, recv_start)) = receiver_path(sig, i - 1) {
-                let (line, col) = map.line_col(src, s.tok.start);
-                for h in &held {
-                    let seen = edges.iter().any(|e| e.held == h.lock && e.acquired == lock);
-                    if h.lock != lock && !seen {
-                        edges.push(LockEdge {
-                            held: h.lock.clone(),
-                            acquired: lock.clone(),
-                            line,
-                            col,
-                            function: function.to_string(),
-                        });
-                    }
-                }
-                // `let [mut] g = <recv>.lock()…` binds the guard.
-                let guard = guard_binding(sig, recv_start);
-                let temp = guard.is_none();
-                if !held.iter().any(|h| h.lock == lock) {
-                    held.push(Held { lock, depth, guard, temp });
-                }
-            }
-        }
-        // Blocking I/O while any lock is held.
-        if !held.is_empty()
-            && s.tok.kind == crate::lexer::TokenKind::Ident
-            && IO_METHODS.contains(&s.text)
-            && i >= 1
-            && matches!(sig[i - 1].text, "." | "::")
-            && sig.get(i + 1).map(|n| n.text) == Some("(")
-        {
-            let (line, col) = map.line_col(src, s.tok.start);
-            let locks: Vec<&str> = held.iter().map(|h| h.lock.as_str()).collect();
-            findings.push(Finding {
-                rule: "lock-io",
-                file: file.to_string(),
-                line,
-                col,
-                message: format!(
-                    "blocking I/O call `{}` while holding lock(s) {} (in `{}`); \
-                     release the lock before doing I/O",
-                    s.text,
-                    locks.join(", "),
-                    function
-                ),
-                excerpt: s.text.to_string(),
-            });
-        }
-        i += 1;
-    }
-    sig.len()
-}
-
 /// For an acquisition whose receiver starts at `sig[recv_start]`, find
 /// a `let [mut] <g> =` immediately before it and return `<g>`.
 pub(crate) fn guard_binding(sig: &[Sig<'_>], recv_start: usize) -> Option<String> {
@@ -354,105 +178,88 @@ pub(crate) fn guard_binding(sig: &[Sig<'_>], recv_start: usize) -> Option<String
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::analyzer::{analyze_file, RuleSet};
+    use crate::analyzer::RuleSet;
+    use crate::findings::Finding;
 
-    fn lock_rules() -> RuleSet {
-        RuleSet { lock_discipline: true, ..RuleSet::default() }
+    /// One file through the whole pipeline with only the lock family on.
+    fn lint(src: &str) -> Vec<Finding> {
+        let rules = RuleSet { lock_discipline: true, ..RuleSet::default() };
+        crate::lint_sources(&[("t.rs".to_string(), src.to_string())], |_| rules)
     }
 
     #[test]
     fn io_under_lock_is_flagged() {
-        let src = r#"
-fn f(&self, out: &mut W) {
+        let f = lint(
+            "fn f(&self, out: &mut W) {
     let g = self.state.lock().unwrap_or_else(|e| e.into_inner());
-    out.write_all(b"x");
-}
-"#;
-        let mut graph = LockGraph::new();
-        let f = analyze_file("t.rs", src, lock_rules(), Some(&mut graph));
+    out.write_all(b\"x\");
+}",
+        );
         assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "lock-io");
+        assert_eq!(f[0].rule, "lock-across-call");
         assert!(f[0].message.contains("self.state"));
     }
 
     #[test]
-    fn io_after_scope_release_is_clean() {
-        let src = r#"
-fn f(&self, out: &mut W) {
+    fn io_after_the_guard_is_released_is_clean() {
+        // …by its scope closing,
+        let scoped = lint(
+            "fn f(&self, out: &mut W) {
     {
         let g = self.state.lock().unwrap_or_else(|e| e.into_inner());
         g.touch();
     }
-    out.write_all(b"x");
-}
-"#;
-        let mut graph = LockGraph::new();
-        let f = analyze_file("t.rs", src, lock_rules(), Some(&mut graph));
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn explicit_drop_releases() {
-        let src = r#"
-fn f(&self, out: &mut W) {
+    out.write_all(b\"x\");
+}",
+        );
+        assert!(scoped.is_empty(), "{scoped:?}");
+        // …by an explicit drop,
+        let dropped = lint(
+            "fn f(&self, out: &mut W) {
     let g = self.state.lock().unwrap_or_else(|e| e.into_inner());
     drop(g);
-    out.write_all(b"x");
-}
-"#;
-        let mut graph = LockGraph::new();
-        let f = analyze_file("t.rs", src, lock_rules(), Some(&mut graph));
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn temporary_guard_releases_at_statement_end() {
-        let src = r#"
-fn f(&self, out: &mut W) {
+    out.write_all(b\"x\");
+}",
+        );
+        assert!(dropped.is_empty(), "{dropped:?}");
+        // …or, for an unbound temporary, by its statement ending.
+        let temporary = lint(
+            "fn f(&self, out: &mut W) {
     self.state.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
-    out.write_all(b"x");
-}
-"#;
-        let mut graph = LockGraph::new();
-        let f = analyze_file("t.rs", src, lock_rules(), Some(&mut graph));
-        assert!(f.is_empty(), "{f:?}");
+    out.write_all(b\"x\");
+}",
+        );
+        assert!(temporary.is_empty(), "{temporary:?}");
     }
 
     #[test]
     fn opposite_acquisition_orders_form_a_cycle() {
-        let src = r#"
-fn a(&self) {
+        let cycle = lint(
+            "fn a(&self) {
     let g = self.first.lock().unwrap_or_else(|e| e.into_inner());
     let h = self.second.lock().unwrap_or_else(|e| e.into_inner());
 }
 fn b(&self) {
     let h = self.second.lock().unwrap_or_else(|e| e.into_inner());
     let g = self.first.lock().unwrap_or_else(|e| e.into_inner());
-}
-"#;
-        let mut graph = LockGraph::new();
-        let f = analyze_file("t.rs", src, lock_rules(), Some(&mut graph));
-        assert!(f.is_empty(), "no per-file findings expected: {f:?}");
-        let cycle = graph.finish();
+}",
+        );
         assert_eq!(cycle.len(), 2, "{cycle:?}");
         assert!(cycle.iter().all(|f| f.rule == "lock-order"));
     }
 
     #[test]
     fn consistent_order_is_clean() {
-        let src = r#"
-fn a(&self) {
+        let f = lint(
+            "fn a(&self) {
     let g = self.first.lock().unwrap_or_else(|e| e.into_inner());
     let h = self.second.lock().unwrap_or_else(|e| e.into_inner());
 }
 fn b(&self) {
     let g = self.first.lock().unwrap_or_else(|e| e.into_inner());
     let h = self.second.lock().unwrap_or_else(|e| e.into_inner());
-}
-"#;
-        let mut graph = LockGraph::new();
-        analyze_file("t.rs", src, lock_rules(), Some(&mut graph));
-        assert!(graph.finish().is_empty());
+}",
+        );
+        assert!(f.is_empty(), "{f:?}");
     }
 }

@@ -59,16 +59,10 @@ pub struct Suppressions {
 }
 
 impl Suppressions {
-    /// True if `finding` is silenced by a suppression.
-    pub fn covers(&self, finding: &Finding) -> bool {
-        self.allowed.get(&finding.line).is_some_and(|rules| rules.contains(finding.rule))
-    }
-
-    /// The per-line allow map as a plain sorted list, for file
-    /// summaries (the taint pass uses it as its propagation-boundary
-    /// and emission filter, and the lint cache persists it).
-    pub fn allowed_lines(&self) -> Vec<(usize, Vec<String>)> {
-        self.allowed.iter().map(|(&line, rules)| (line, rules.iter().cloned().collect())).collect()
+    /// True if an `allow(rule)` covers `line`: a finding of `rule`
+    /// there is silenced, and a taint fact stops there.
+    pub fn allows(&self, rule: &str, line: usize) -> bool {
+        self.allowed.get(&line).is_some_and(|rules| rules.contains(rule))
     }
 }
 
@@ -170,10 +164,10 @@ mod tests {
 
     #[test]
     fn parses_rules_and_justification() {
-        let a = parse_allow("// mb-lint: allow(panic-unwrap, det-hash) -- init-only path")
+        let a = parse_allow("// mb-lint: allow(panic-reach, det-taint) -- init-only path")
             .unwrap()
             .unwrap();
-        assert_eq!(a.rules, vec!["panic-unwrap", "det-hash"]);
+        assert_eq!(a.rules, vec!["panic-reach", "det-taint"]);
         assert_eq!(a.justification.as_deref(), Some("init-only path"));
     }
 
@@ -186,7 +180,7 @@ mod tests {
 
     #[test]
     fn missing_justification_is_a_finding() {
-        let (_, f) = run("let x = 1; // mb-lint: allow(panic-unwrap)\n");
+        let (_, f) = run("let x = 1; // mb-lint: allow(panic-reach)\n");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "suppression");
         assert!(f[0].message.contains("justification"));
@@ -201,36 +195,21 @@ mod tests {
 
     #[test]
     fn standalone_comment_covers_next_line() {
-        let src = "// mb-lint: allow(det-hash) -- lookup only, never iterated\nlet m = 1;\n";
+        let src = "// mb-lint: allow(det-taint) -- lookup only, never iterated\nlet m = 1;\n";
         let (sup, f) = run(src);
         assert!(f.is_empty());
-        let probe = |line| Finding {
-            rule: "det-hash",
-            file: "f.rs".into(),
-            line,
-            col: 1,
-            message: String::new(),
-            excerpt: String::new(),
-        };
-        assert!(sup.covers(&probe(1)));
-        assert!(sup.covers(&probe(2)));
-        assert!(!sup.covers(&probe(3)));
+        assert!(sup.allows("det-taint", 1));
+        assert!(sup.allows("det-taint", 2));
+        assert!(!sup.allows("det-taint", 3));
+        assert!(!sup.allows("panic-reach", 2));
     }
 
     #[test]
     fn trailing_comment_covers_only_its_line() {
         let src =
-            "let a = 1;\nlet m = x; // mb-lint: allow(det-hash) -- not iterated\nlet b = 2;\n";
+            "let a = 1;\nlet m = x; // mb-lint: allow(det-taint) -- not iterated\nlet b = 2;\n";
         let (sup, _) = run(src);
-        let probe = |line| Finding {
-            rule: "det-hash",
-            file: "f.rs".into(),
-            line,
-            col: 1,
-            message: String::new(),
-            excerpt: String::new(),
-        };
-        assert!(sup.covers(&probe(2)));
-        assert!(!sup.covers(&probe(3)));
+        assert!(sup.allows("det-taint", 2));
+        assert!(!sup.allows("det-taint", 3));
     }
 }

@@ -1,44 +1,46 @@
-//! Fixed-point taint propagation over the call graph, and the four
-//! interprocedural rules it powers (DESIGN.md §15):
+//! The four site families, reported at every depth (DESIGN.md §10):
+//! at the site itself where the file's rules deny it (depth 0), and —
+//! by fixed-point propagation over the call graph — at every call in
+//! such a file whose callee chain reaches a site anywhere in the
+//! workspace (depth ≥ 1). One rule id per family:
 //!
-//! - **panic-reach** — a call in a panic-protected file must not reach
-//!   a panicking site (unwrap/expect/`panic!`-family) in any transitive
-//!   callee;
-//! - **det-taint** — a call in a replay-contract file must not reach a
-//!   nondeterministic source (`HashMap`/`HashSet`, `SystemTime`/
-//!   `Instant`, `std::env`, `thread::current`);
-//! - **lock-across-call** — a call made while holding a lock must not
-//!   reach blocking I/O, nor a (re-)acquire of a lock already held, in
-//!   any transitive callee;
-//! - **alloc-in-hot-loop** — an allocation-shaped construct, direct or
-//!   via any transitive callee, inside a loop of a hot-path file.
+//! - **panic-reach** — unwrap/expect/`panic!`-family on a panic-free
+//!   path;
+//! - **det-taint** — a nondeterministic source (`HashMap`/`HashSet`,
+//!   `SystemTime`/`Instant`, `std::env`, `thread::current`) on a
+//!   replay-contract path;
+//! - **lock-across-call** — blocking I/O while a lock is held, or a
+//!   call made under a lock that reaches blocking I/O or re-acquires a
+//!   lock already held;
+//! - **alloc-in-hot-loop** — an allocation-shaped construct inside a
+//!   loop of a hot-path file.
 //!
-//! The lattice per function is four booleans (panics / nondet / does
-//! I/O / allocates) plus the set of lock names transitively acquired;
-//! all five facts only ever grow, so the worklist converges. An
-//! audited `// mb-lint: allow(<rule>) -- why` is a **propagation
-//! boundary**: at a taint site it stops the fact from entering the
-//! function, at a call site it stops the callee's fact from flowing
-//! into the caller — so one audit at the right boundary clears every
-//! transitive caller, instead of each caller re-suppressing.
+//! The lattice per function is four booleans (one per [`SiteKind`])
+//! plus the set of lock names transitively acquired; all five facts
+//! only ever grow, so the sweep converges. An audited
+//! `// mb-lint: allow(<rule>) -- why` both silences the finding on its
+//! line and is a **propagation boundary**: at a site it stops the fact
+//! from entering the function, at a call it stops the callee's fact
+//! from flowing into the caller — so one audit at the right boundary
+//! clears every transitive caller, instead of each caller
+//! re-suppressing.
 //!
-//! Findings are emitted at the *call site* in the protected file, with
-//! a witness path (capped) showing one concrete route to the offending
-//! site, and the callee name as the excerpt so spans slice exactly.
+//! A depth-≥1 finding sits at the *call site* in the protected file,
+//! with a witness path (capped) showing one concrete route to the
+//! offending site, and the callee name as the excerpt so spans slice
+//! exactly.
 
 use crate::analyzer::RuleSet;
 use crate::findings::Finding;
 use crate::graph::{DefId, Graph};
-use crate::items::{FileSummary, SiteKind};
+use crate::items::{CallSite, FileSummary, Site, SiteKind};
 use std::collections::BTreeSet;
 
 /// Transitive facts for one function.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Facts {
-    panics: bool,
-    nondet: bool,
-    does_io: bool,
-    allocates: bool,
+    /// Indexed by `SiteKind as usize`: a site of that kind is reachable.
+    reaches: [bool; SiteKind::ALL.len()],
     /// Qualified lock names this function (transitively) acquires.
     acquires: BTreeSet<String>,
 }
@@ -46,8 +48,8 @@ struct Facts {
 /// Witness-path length cap (hops shown in a finding message).
 const WITNESS_CAP: usize = 6;
 
-/// Map a local site to the facts it seeds and the allow rule that can
-/// stop it from seeding.
+/// The rule id a site kind is reported under — and so the id whose
+/// `allow` silences it and stops it from seeding or propagating.
 fn site_rule(kind: SiteKind) -> &'static str {
     match kind {
         SiteKind::Panic => "panic-reach",
@@ -57,10 +59,76 @@ fn site_rule(kind: SiteKind) -> &'static str {
     }
 }
 
-/// Run the four interprocedural rules over the summarized workspace.
-/// `files` must be in sorted-file order; `rules[i]` is the rule set of
-/// `files[i]`. Returned findings are unsorted (the caller merges and
-/// sorts them with the token-level ones).
+/// Whether rule set `r` denies `kind` at a site or call standing in
+/// this loop and lock context.
+fn denied(kind: SiteKind, r: RuleSet, in_loop: bool, held: &[String]) -> bool {
+    match kind {
+        SiteKind::Panic => r.panic_free,
+        SiteKind::Nondet => r.determinism,
+        SiteKind::Io => r.lock_discipline && !held.is_empty(),
+        SiteKind::Alloc => r.alloc_hot_loop && in_loop,
+    }
+}
+
+/// What is wrong at a denied site in function `scope` (`None`: a
+/// file-level site).
+fn site_message(site: &Site, scope: Option<&str>) -> String {
+    let what = &site.what;
+    let place = scope.map_or("at file scope".to_string(), |name| format!("in `{name}`"));
+    match site.kind {
+        SiteKind::Panic => format!(
+            "`{what}` can panic on this panic-free path ({place}); return a typed error or \
+             recover"
+        ),
+        SiteKind::Nondet => format!(
+            "`{what}` makes results depend on per-process state — hash iteration order, the \
+             clock, the environment, the thread — and breaks replay-by-seed ({place}); use an \
+             ordered structure (`BTreeMap`, sort before iterating) or thread the value through \
+             as an explicit parameter"
+        ),
+        SiteKind::Io => format!(
+            "blocking I/O call `{what}` while holding lock(s) {} ({place}); release the lock \
+             before doing I/O",
+            site.held.join(", ")
+        ),
+        SiteKind::Alloc => format!(
+            "`{what}` allocates on every iteration of a hot-path loop ({place}); hoist the \
+             allocation out of the loop or reuse a buffer"
+        ),
+    }
+}
+
+/// What is wrong at a denied call in `caller` whose callee chain
+/// reaches a site of `kind` along `route`.
+fn call_message(kind: SiteKind, call: &CallSite, caller: &str, route: &str) -> String {
+    let name = &call.name;
+    match kind {
+        SiteKind::Panic => format!(
+            "call to `{name}` (in `{caller}`) can reach a panic: {route}; make the callee chain \
+             return a typed error, or audit the boundary with an allow"
+        ),
+        SiteKind::Nondet => format!(
+            "call to `{name}` (in `{caller}`) reaches a nondeterministic source: {route}; \
+             replay-contract paths must stay bit-identical — thread the value through or use \
+             an ordered structure"
+        ),
+        SiteKind::Io => format!(
+            "call to `{name}` while holding lock(s) {} (in `{caller}`) reaches blocking I/O: \
+             {route}; release the lock before the call",
+            call.held.join(", ")
+        ),
+        SiteKind::Alloc => format!(
+            "call to `{name}` inside a loop of this hot path allocates: {route}; hoist the \
+             allocation out of the loop or reuse a buffer"
+        ),
+    }
+}
+
+/// Run the four families over the summarized workspace. `files` must be
+/// in sorted-file order; `rules[i]` is the rule set of `files[i]`.
+/// Returned findings are unsorted (the caller merges and sorts them
+/// with the site-local ones); within a file the depth-0 findings come
+/// first.
 pub fn run(files: &[(String, FileSummary)], rules: &[RuleSet], graph: &Graph) -> Vec<Finding> {
     let mut facts: Vec<Vec<Facts>> =
         files.iter().map(|(_, s)| vec![Facts::default(); s.fns.len()]).collect();
@@ -70,14 +138,8 @@ pub fn run(files: &[(String, FileSummary)], rules: &[RuleSet], graph: &Graph) ->
         for (di, item) in summary.fns.iter().enumerate() {
             let f = &mut facts[fi][di];
             for site in &item.sites {
-                if summary.allows(site_rule(site.kind), site.line) {
-                    continue;
-                }
-                match site.kind {
-                    SiteKind::Panic => f.panics = true,
-                    SiteKind::Nondet => f.nondet = true,
-                    SiteKind::Io => f.does_io = true,
-                    SiteKind::Alloc => f.allocates = true,
+                if !summary.allows(site_rule(site.kind), site.line) {
+                    f.reaches[site.kind as usize] = true;
                 }
             }
             f.acquires.extend(item.acquires.iter().cloned());
@@ -95,29 +157,19 @@ pub fn run(files: &[(String, FileSummary)], rules: &[RuleSet], graph: &Graph) ->
                     let Some(callee) = graph.resolved[fi][di][ci] else { continue };
                     let from = facts[callee.0][callee.1].clone();
                     let f = &mut facts[fi][di];
-                    let blocked = |rule: &str| summary.allows(rule, call.line);
-                    if from.panics && !f.panics && !blocked("panic-reach") {
-                        f.panics = true;
-                        changed = true;
-                    }
-                    if from.nondet && !f.nondet && !blocked("det-taint") {
-                        f.nondet = true;
-                        changed = true;
-                    }
-                    if !blocked("lock-across-call") {
-                        if from.does_io && !f.does_io {
-                            f.does_io = true;
+                    for kind in SiteKind::ALL {
+                        if summary.allows(site_rule(kind), call.line) {
+                            continue;
+                        }
+                        if from.reaches[kind as usize] && !f.reaches[kind as usize] {
+                            f.reaches[kind as usize] = true;
                             changed = true;
                         }
-                        for lock in &from.acquires {
-                            if f.acquires.insert(lock.clone()) {
-                                changed = true;
+                        if kind == SiteKind::Io {
+                            for lock in &from.acquires {
+                                changed |= f.acquires.insert(lock.clone());
                             }
                         }
-                    }
-                    if from.allocates && !f.allocates && !blocked("alloc-in-hot-loop") {
-                        f.allocates = true;
-                        changed = true;
                     }
                 }
             }
@@ -127,19 +179,10 @@ pub fn run(files: &[(String, FileSummary)], rules: &[RuleSet], graph: &Graph) ->
         }
     }
 
-    // A deterministic witness route for `rule` starting at `def`:
+    // A deterministic witness route for `kind` starting at `start`:
     // prefer the first local site of the right kind, else descend into
     // the first tainted resolved call edge.
     let witness = |start: DefId, kind: SiteKind| -> String {
-        let has_fact = |id: DefId| {
-            let f = &facts[id.0][id.1];
-            match kind {
-                SiteKind::Panic => f.panics,
-                SiteKind::Nondet => f.nondet,
-                SiteKind::Io => f.does_io,
-                SiteKind::Alloc => f.allocates,
-            }
-        };
         let mut path = Vec::new();
         let mut seen = BTreeSet::new();
         let mut at = start;
@@ -157,7 +200,8 @@ pub fn run(files: &[(String, FileSummary)], rules: &[RuleSet], graph: &Graph) ->
             }
             let next = item.calls.iter().enumerate().find_map(|(ci, call)| {
                 let callee = graph.resolved[at.0][at.1][ci]?;
-                let ok = has_fact(callee) && !summary.allows(site_rule(kind), call.line);
+                let ok = facts[callee.0][callee.1].reaches[kind as usize]
+                    && !summary.allows(site_rule(kind), call.line);
                 ok.then_some(callee)
             });
             path.push(format!("`{}` ({}:{})", item.name, file, item.line));
@@ -173,115 +217,50 @@ pub fn run(files: &[(String, FileSummary)], rules: &[RuleSet], graph: &Graph) ->
     let mut findings = Vec::new();
     for (fi, (file, summary)) in files.iter().enumerate() {
         let r = rules[fi];
+        let mut emit = |kind: SiteKind, line: usize, col: usize, excerpt: &str, message: String| {
+            if !summary.allows(site_rule(kind), line) {
+                let (rule, file, excerpt) = (site_rule(kind), file.clone(), excerpt.to_string());
+                findings.push(Finding { rule, file, line, col, message, excerpt });
+            }
+        };
+
+        // Depth 0: the site itself is the violation.
+        let file_scope = summary.file_sites.iter().map(|s| (s, None));
+        let in_fns = summary
+            .fns
+            .iter()
+            .flat_map(|item| item.sites.iter().map(|s| (s, Some(item.name.as_str()))));
+        for (site, scope) in file_scope.chain(in_fns) {
+            if denied(site.kind, r, site.in_loop, &site.held) {
+                emit(site.kind, site.line, site.col, &site.what, site_message(site, scope));
+            }
+        }
+
+        // Depth ≥ 1: a call whose callee chain reaches a site.
         for (di, item) in summary.fns.iter().enumerate() {
             for (ci, call) in item.calls.iter().enumerate() {
                 let Some(callee) = graph.resolved[fi][di][ci] else { continue };
                 let cf = &facts[callee.0][callee.1];
-                let emit = |rule: &'static str, message: String, out: &mut Vec<Finding>| {
-                    out.push(Finding {
-                        rule,
-                        file: file.clone(),
-                        line: call.line,
-                        col: call.col,
-                        message,
-                        excerpt: call.name.clone(),
-                    });
-                };
-                if r.panic_reach && cf.panics && !summary.allows("panic-reach", call.line) {
-                    emit(
-                        "panic-reach",
-                        format!(
-                            "call to `{}` (in `{}`) can reach a panic: {}; make the callee \
-                             chain return a typed error, or audit the boundary with an allow",
-                            call.name,
-                            item.name,
-                            witness(callee, SiteKind::Panic)
-                        ),
-                        &mut findings,
-                    );
-                }
-                if r.det_taint && cf.nondet && !summary.allows("det-taint", call.line) {
-                    emit(
-                        "det-taint",
-                        format!(
-                            "call to `{}` (in `{}`) reaches a nondeterministic source: {}; \
-                             replay-contract paths must stay bit-identical — thread the value \
-                             through or use an ordered structure",
-                            call.name,
-                            item.name,
-                            witness(callee, SiteKind::Nondet)
-                        ),
-                        &mut findings,
-                    );
-                }
-                if r.lock_across_call
-                    && !call.held.is_empty()
-                    && !summary.allows("lock-across-call", call.line)
-                {
-                    if cf.does_io {
-                        emit(
-                            "lock-across-call",
-                            format!(
-                                "call to `{}` while holding lock(s) {} (in `{}`) reaches \
-                                 blocking I/O: {}; release the lock before the call",
-                                call.name,
-                                call.held.join(", "),
-                                item.name,
-                                witness(callee, SiteKind::Io)
-                            ),
-                            &mut findings,
-                        );
-                    } else if let Some(lock) = cf.acquires.iter().find(|l| call.held.contains(l)) {
-                        emit(
-                            "lock-across-call",
-                            format!(
-                                "call to `{}` while holding `{lock}` (in `{}`) re-acquires \
-                                 `{lock}` in a callee — self-deadlock; release the lock before \
-                                 the call or pass the guard down",
-                                call.name, item.name
-                            ),
-                            &mut findings,
-                        );
+                for kind in SiteKind::ALL {
+                    if !denied(kind, r, call.in_loop, &call.held) {
+                        continue;
                     }
-                }
-                if r.alloc_hot_loop
-                    && call.in_loop
-                    && cf.allocates
-                    && !summary.allows("alloc-in-hot-loop", call.line)
-                {
-                    emit(
-                        "alloc-in-hot-loop",
+                    let message = if cf.reaches[kind as usize] {
+                        call_message(kind, call, &item.name, &witness(callee, kind))
+                    } else if kind == SiteKind::Io {
+                        let Some(lock) = cf.acquires.iter().find(|l| call.held.contains(l)) else {
+                            continue;
+                        };
                         format!(
-                            "call to `{}` inside a loop of this hot path allocates: {}; hoist \
-                             the allocation out of the loop or reuse a buffer",
-                            call.name,
-                            witness(callee, SiteKind::Alloc)
-                        ),
-                        &mut findings,
-                    );
-                }
-            }
-            // Local allocation sites in hot-path loops (no call edge
-            // needed; the site itself is the violation).
-            if r.alloc_hot_loop {
-                for site in &item.sites {
-                    if site.kind == SiteKind::Alloc
-                        && site.in_loop
-                        && !summary.allows("alloc-in-hot-loop", site.line)
-                    {
-                        findings.push(Finding {
-                            rule: "alloc-in-hot-loop",
-                            file: file.clone(),
-                            line: site.line,
-                            col: site.col,
-                            message: format!(
-                                "`{}` allocates on every iteration of a hot-path loop (in \
-                                 `{}`); hoist the allocation out of the loop or reuse a buffer",
-                                site.what, item.name
-                            ),
-                            excerpt: site.what.clone(),
-                        });
-                    }
+                            "call to `{}` while holding `{lock}` (in `{}`) re-acquires `{lock}` \
+                             in a callee — self-deadlock; release the lock before the call or \
+                             pass the guard down",
+                            call.name, item.name
+                        )
+                    } else {
+                        continue;
+                    };
+                    emit(kind, call.line, call.col, &call.name, message);
                 }
             }
         }
@@ -292,23 +271,18 @@ pub fn run(files: &[(String, FileSummary)], rules: &[RuleSet], graph: &Graph) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyzer::summarize_file;
 
-    /// Summarize `files`, run taint with `protected` rule flags on the
-    /// first file and defaults on the rest.
+    /// Lint `files` with `protected` rule flags on the first file and
+    /// nothing on the rest.
     fn lint(files: &[(&str, &str)], protected: RuleSet) -> Vec<Finding> {
-        let summaries: Vec<(String, FileSummary)> = files
-            .iter()
-            .map(|(p, s)| (p.to_string(), summarize_file(p, s, RuleSet::none())))
-            .collect();
-        let mut rules = vec![RuleSet::none(); files.len()];
-        rules[0] = protected;
-        let graph = Graph::build(&summaries);
-        run(&summaries, &rules, &graph)
+        let sources: Vec<(String, String)> =
+            files.iter().map(|(p, s)| (p.to_string(), s.to_string())).collect();
+        let first = files[0].0;
+        crate::lint_sources(&sources, |p| if p == first { protected } else { RuleSet::none() })
     }
 
     fn panic_reach() -> RuleSet {
-        RuleSet { panic_reach: true, ..RuleSet::default() }
+        RuleSet { panic_free: true, ..RuleSet::default() }
     }
 
     #[test]
@@ -368,7 +342,7 @@ mod tests {
                 ("crates/core/src/reweight.rs", "fn step() { tally(); }"),
                 ("crates/common/src/util.rs", "pub fn tally() { let m = HashMap::new(); }"),
             ],
-            RuleSet { det_taint: true, ..RuleSet::default() },
+            RuleSet { determinism: true, ..RuleSet::default() },
         );
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "det-taint");
@@ -388,7 +362,7 @@ mod tests {
                     "pub fn flush_all(w: &mut W) { w.flush(); }",
                 ),
             ],
-            RuleSet { lock_across_call: true, ..RuleSet::default() },
+            RuleSet { lock_discipline: true, ..RuleSet::default() },
         );
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "lock-across-call");
@@ -401,7 +375,7 @@ mod tests {
         let src = "impl S {\n    fn f(&self) {\n        let g = self.state.lock().unwrap_or_else(|e| e.into_inner());\n        self.g();\n    }\n    fn g(&self) {\n        let h = self.state.lock().unwrap_or_else(|e| e.into_inner());\n    }\n}";
         let f = lint(
             &[("crates/serve/src/server.rs", src)],
-            RuleSet { lock_across_call: true, ..RuleSet::default() },
+            RuleSet { lock_discipline: true, ..RuleSet::default() },
         );
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("re-acquires"), "{}", f[0].message);
@@ -414,7 +388,7 @@ mod tests {
                 ("crates/serve/src/server.rs", "fn f(w: &mut W) { flush_all(w); }"),
                 ("crates/serve/src/io.rs", "pub fn flush_all(w: &mut W) { w.flush(); }"),
             ],
-            RuleSet { lock_across_call: true, ..RuleSet::default() },
+            RuleSet { lock_discipline: true, ..RuleSet::default() },
         );
         assert!(f.is_empty(), "{f:?}");
     }
@@ -458,7 +432,30 @@ mod tests {
             )],
             panic_reach(),
         );
+        // Both calls on the cycle, and the site they reach.
+        let spans: Vec<(usize, &str)> = f.iter().map(|x| (x.line, x.excerpt.as_str())).collect();
+        assert_eq!(spans, vec![(1, "b"), (2, "a"), (2, "unwrap")], "{f:?}");
         assert!(f.iter().all(|x| x.rule == "panic-reach"));
-        assert_eq!(f.len(), 2, "{f:?}");
+    }
+
+    #[test]
+    fn one_allow_silences_the_site_and_stops_its_taint() {
+        let helper = "pub fn outer(x: Option<u32>) -> u32 {\n    // mb-lint: allow(panic-reach) -- validated by the caller\n    x.unwrap()\n}";
+        let f = lint(
+            &[
+                ("crates/serve/src/helper.rs", helper),
+                ("crates/serve/src/worker.rs", "fn work() { outer(None); }"),
+            ],
+            panic_reach(),
+        );
+        assert!(f.is_empty(), "depth 0 silenced: {f:?}");
+        let f = lint(
+            &[
+                ("crates/serve/src/worker.rs", "fn work() { outer(None); }"),
+                ("crates/serve/src/helper.rs", helper),
+            ],
+            panic_reach(),
+        );
+        assert!(f.is_empty(), "depth 1 never seeded: {f:?}");
     }
 }

@@ -10,7 +10,7 @@ fn positives() {
     let _ = m;
 }
 
-// mb-lint: allow(det-hash) -- lookup only, iteration order never observed
+// mb-lint: allow(det-taint) -- lookup only, iteration order never observed
 fn suppressed(m: &std::collections::HashSet<u32>) -> bool {
     m.contains(&1)
 }

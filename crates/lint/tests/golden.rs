@@ -1,74 +1,117 @@
-//! Golden-file tests: one seeded fixture per rule family, asserting
-//! the exact findings (rule, line, column) the analyzer produces —
-//! positives fire, justified suppressions silence, clean code and
-//! `#[cfg(test)]` bodies stay quiet — plus the JSON report shape and
-//! an end-to-end run of the `mb-lint` binary against seeded-violation
-//! and clean miniature workspaces.
+//! Golden-file tests: seeded fixtures per rule family, asserting the
+//! exact findings (rule, line, column) the full pipeline produces —
+//! positives fire at the site and through calls, justified suppressions
+//! silence, clean code and `#[cfg(test)]` bodies stay quiet — plus the
+//! JSON report shape and end-to-end runs of the `mb-lint` binary
+//! against seeded-violation and clean miniature workspaces.
 
-use mb_lint::analyzer::{analyze_file, RuleSet};
 use mb_lint::findings::to_json;
-use mb_lint::graph::Graph;
-use mb_lint::locks::LockGraph;
-use mb_lint::{summarize_file, taint, FileSummary};
+use mb_lint::{lint_sources, Finding, RuleSet};
 
-fn fixture(name: &str) -> String {
+/// Lint one fixture as if it were a protected `src/` file with `rules`
+/// enabled.
+fn golden(name: &str, rules: RuleSet) -> Vec<Finding> {
     let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+    let src = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    lint_sources(&[(format!("crates/x/src/{name}"), src)], |_| rules)
 }
 
-fn spans(findings: &[mb_lint::Finding]) -> Vec<(&'static str, usize, usize)> {
+fn spans(findings: &[Finding]) -> Vec<(&'static str, usize, usize)> {
     findings.iter().map(|f| (f.rule, f.line, f.col)).collect()
 }
 
 #[test]
 fn panic_freedom_golden() {
-    let src = fixture("panic.rs");
-    let rules = RuleSet { panic_freedom: true, ..RuleSet::none() };
-    let found = analyze_file("panic.rs", &src, rules, None);
+    let rules = RuleSet { panic_free: true, indexing: true, ..RuleSet::none() };
     assert_eq!(
-        spans(&found),
+        spans(&golden("panic.rs", rules)),
         vec![
-            ("panic-unwrap", 3, 23),
-            ("panic-expect", 4, 23),
-            ("panic-macro", 5, 17),
-            ("indexing", 6, 14),
+            ("panic-reach", 3, 23),
+            ("panic-reach", 4, 23),
+            ("panic-reach", 5, 17),
+            ("indexing", 6, 14)
         ],
         "suppressed (line 12), clean (line 16), and #[cfg(test)] uses must stay silent"
     );
+    let rules = RuleSet { panic_free: true, ..RuleSet::none() };
+    let found = golden("interproc_panic.rs", rules);
+    assert_eq!(
+        spans(&found),
+        vec![("panic-reach", 5, 5), ("panic-reach", 9, 5), ("panic-reach", 13, 7)],
+        "two calls and the site they reach; audited (line 18) and fixed (line 22) stay silent"
+    );
+    assert!(found[0].message.contains("unwrap"), "witness path: {}", found[0].message);
+    assert!(found[0].message.contains("deep"), "witness path: {}", found[0].message);
 }
 
 #[test]
 fn determinism_golden() {
-    let src = fixture("determinism.rs");
     let rules = RuleSet { determinism: true, ..RuleSet::none() };
-    let found = analyze_file("determinism.rs", &src, rules, None);
     assert_eq!(
-        spans(&found),
+        spans(&golden("determinism.rs", rules)),
         vec![
-            ("det-hash", 3, 23),
-            ("det-hash", 6, 12),
-            ("det-hash", 6, 32),
-            ("det-time", 7, 25),
-            ("det-time", 8, 25),
-            ("det-env", 9, 19),
+            ("det-taint", 3, 23),
+            ("det-taint", 6, 12),
+            ("det-taint", 6, 32),
+            ("det-taint", 7, 25),
+            ("det-taint", 8, 25),
+            ("det-taint", 9, 19),
         ],
         "the suppressed HashSet (line 14) and BTreeMap (line 19) must stay silent"
     );
+    let found = golden("interproc_det.rs", rules);
+    assert_eq!(
+        spans(&found),
+        vec![("det-taint", 5, 5), ("det-taint", 9, 31)],
+        "the call and the HashMap it reaches; audited (line 15) and BTreeMap-backed (line 19) \
+         stay silent"
+    );
+    assert!(found[0].message.contains("HashMap"), "witness path: {}", found[0].message);
+}
+
+#[test]
+fn lock_discipline_golden() {
+    let rules = RuleSet { lock_discipline: true, ..RuleSet::none() };
+    let found = golden("locks.rs", rules);
+    assert_eq!(
+        spans(&found),
+        vec![("lock-across-call", 12, 7), ("lock-order", 18, 17), ("lock-order", 25, 17)],
+        "clean_scoped must not contribute an edge (its locks never overlap)"
+    );
+    let cycle: Vec<&str> = found[1..].iter().map(|f| f.excerpt.as_str()).collect();
+    assert_eq!(cycle, vec!["s.a -> s.b", "s.b -> s.a"]);
+    let found = golden("interproc_lock.rs", rules);
+    assert_eq!(
+        spans(&found),
+        vec![("lock-across-call", 15, 14), ("lock-across-call", 25, 14)],
+        "audited (line 35) and release-first (line 42) variants must stay silent"
+    );
+    assert!(found[0].message.contains("I/O"), "{}", found[0].message);
+    assert!(found[1].message.contains("re-acquires"), "{}", found[1].message);
+}
+
+#[test]
+fn alloc_in_hot_loop_golden() {
+    let rules = RuleSet { alloc_hot_loop: true, ..RuleSet::none() };
+    let found = golden("interproc_alloc.rs", rules);
+    assert_eq!(
+        spans(&found),
+        vec![("alloc-in-hot-loop", 8, 20), ("alloc-in-hot-loop", 20, 17)],
+        "audited (line 30) and hoisted (line 36) variants must stay silent"
+    );
+    assert!(found[0].message.contains("vec"), "witness path: {}", found[0].message);
 }
 
 #[test]
 fn unsafe_gate_golden() {
-    let src = fixture("unsafe.rs");
-    let rules = RuleSet { unsafe_gate: true, ..RuleSet::none() };
-    let found = analyze_file("unsafe.rs", &src, rules, None);
+    let found = golden("unsafe.rs", RuleSet { unsafe_gate: true, ..RuleSet::none() });
     assert_eq!(spans(&found), vec![("unsafe-gate", 3, 5)], "the justified unsafe must be silent");
 }
 
 #[test]
 fn suppression_hygiene_golden() {
-    let src = fixture("suppression.rs");
     // Suppression hygiene is checked regardless of enabled families.
-    let found = analyze_file("suppression.rs", &src, RuleSet::none(), None);
+    let found = golden("suppression.rs", RuleSet::none());
     assert_eq!(
         spans(&found),
         vec![
@@ -86,9 +129,7 @@ fn suppression_hygiene_golden() {
 
 #[test]
 fn float_total_order_golden() {
-    let src = fixture("float_order.rs");
-    let rules = RuleSet { float_total_order: true, ..RuleSet::none() };
-    let found = analyze_file("float_order.rs", &src, rules, None);
+    let found = golden("float_order.rs", RuleSet { float_total_order: true, ..RuleSet::none() });
     assert_eq!(
         spans(&found),
         vec![
@@ -105,9 +146,7 @@ fn float_total_order_golden() {
 
 #[test]
 fn tape_free_golden() {
-    let src = fixture("tape_free.rs");
-    let rules = RuleSet { tape_free: true, ..RuleSet::none() };
-    let found = analyze_file("tape_free.rs", &src, rules, None);
+    let found = golden("tape_free.rs", RuleSet { tape_free: true, ..RuleSet::none() });
     assert_eq!(
         spans(&found),
         vec![
@@ -126,9 +165,7 @@ fn tape_free_golden() {
 
 #[test]
 fn bounded_queue_golden() {
-    let src = fixture("bounded_queue.rs");
-    let rules = RuleSet { bounded_queue: true, ..RuleSet::none() };
-    let found = analyze_file("bounded_queue.rs", &src, rules, None);
+    let found = golden("bounded_queue.rs", RuleSet { bounded_queue: true, ..RuleSet::none() });
     assert_eq!(
         spans(&found),
         vec![
@@ -146,9 +183,7 @@ fn bounded_queue_golden() {
 
 #[test]
 fn as_truncation_golden() {
-    let src = fixture("as_truncation.rs");
-    let rules = RuleSet { as_truncation: true, ..RuleSet::none() };
-    let found = analyze_file("as_truncation.rs", &src, rules, None);
+    let found = golden("as_truncation.rs", RuleSet { as_truncation: true, ..RuleSet::none() });
     assert_eq!(
         spans(&found),
         vec![("as-truncation", 4, 16), ("as-truncation", 5, 23), ("as-truncation", 6, 21)],
@@ -159,96 +194,15 @@ fn as_truncation_golden() {
 }
 
 #[test]
-fn lock_discipline_golden() {
-    let src = fixture("locks.rs");
-    let rules = RuleSet { lock_discipline: true, ..RuleSet::none() };
-    let mut graph = LockGraph::default();
-    let mut found = analyze_file("locks.rs", &src, rules, Some(&mut graph));
-    found.extend(graph.finish());
-    assert_eq!(
-        spans(&found),
-        vec![("lock-io", 12, 7), ("lock-order", 18, 17), ("lock-order", 25, 17)],
-        "clean_scoped must not contribute an edge (its locks never overlap)"
-    );
-    let cycle: Vec<&str> = found[1..].iter().map(|f| f.excerpt.as_str()).collect();
-    assert_eq!(cycle, vec!["s.a -> s.b", "s.b -> s.a"]);
-}
-
-// --- Interprocedural golden fixtures ----------------------------------
-
-/// Run one fixture through the full interprocedural pipeline as if it
-/// were a protected `src/` file with `rules` enabled.
-fn interproc(name: &str, rules: RuleSet) -> Vec<mb_lint::Finding> {
-    let src = fixture(name);
-    let file = format!("crates/x/src/{name}");
-    let summaries: Vec<(String, FileSummary)> =
-        vec![(file.clone(), summarize_file(&file, &src, rules))];
-    let graph = Graph::build(&summaries);
-    taint::run(&summaries, &[rules], &graph)
-}
-
-#[test]
-fn panic_reach_golden() {
-    let rules = RuleSet { panic_reach: true, ..RuleSet::none() };
-    let found = interproc("interproc_panic.rs", rules);
-    assert_eq!(
-        spans(&found),
-        vec![("panic-reach", 5, 5), ("panic-reach", 9, 5)],
-        "audited (line 18) and fixed (line 22) variants must stay silent"
-    );
-    assert!(found[0].message.contains("unwrap"), "witness path: {}", found[0].message);
-    assert!(found[0].message.contains("deep"), "witness path: {}", found[0].message);
-}
-
-#[test]
-fn det_taint_golden() {
-    let rules = RuleSet { det_taint: true, ..RuleSet::none() };
-    let found = interproc("interproc_det.rs", rules);
-    assert_eq!(
-        spans(&found),
-        vec![("det-taint", 5, 5)],
-        "audited (line 15) and BTreeMap-backed (line 19) variants must stay silent"
-    );
-    assert!(found[0].message.contains("HashMap"), "witness path: {}", found[0].message);
-}
-
-#[test]
-fn lock_across_call_golden() {
-    let rules = RuleSet { lock_across_call: true, ..RuleSet::none() };
-    let found = interproc("interproc_lock.rs", rules);
-    assert_eq!(
-        spans(&found),
-        vec![("lock-across-call", 15, 14), ("lock-across-call", 25, 14)],
-        "audited (line 35) and release-first (line 42) variants must stay silent"
-    );
-    assert!(found[0].message.contains("I/O"), "{}", found[0].message);
-    assert!(found[1].message.contains("re-acquires"), "{}", found[1].message);
-}
-
-#[test]
-fn alloc_in_hot_loop_golden() {
-    let rules = RuleSet { alloc_hot_loop: true, ..RuleSet::none() };
-    let found = interproc("interproc_alloc.rs", rules);
-    assert_eq!(
-        spans(&found),
-        vec![("alloc-in-hot-loop", 8, 20), ("alloc-in-hot-loop", 20, 17)],
-        "audited (line 30) and hoisted (line 36) variants must stay silent"
-    );
-    assert!(found[0].message.contains("vec"), "witness path: {}", found[0].message);
-}
-
-#[test]
 fn json_report_shape() {
-    let src = fixture("panic.rs");
-    let rules = RuleSet { panic_freedom: true, ..RuleSet::none() };
-    let found = analyze_file("panic.rs", &src, rules, None);
-    let new: Vec<bool> = found.iter().map(|f| f.rule != "panic-unwrap").collect();
+    let found = golden("panic.rs", RuleSet { panic_free: true, indexing: true, ..RuleSet::none() });
+    let new: Vec<bool> = found.iter().map(|f| f.rule != "indexing").collect();
     let json = to_json(&found, &new, 2);
     assert!(json.starts_with("{\"version\":1,\"total\":4,\"new\":3,\"stale_baseline\":2,"));
-    assert!(
-        json.contains("{\"rule\":\"panic-unwrap\",\"file\":\"panic.rs\",\"line\":3,\"col\":23,")
-    );
-    assert!(json.contains("\"excerpt\":\"unwrap\",\"new\":false}"));
+    assert!(json.contains(
+        "{\"rule\":\"panic-reach\",\"file\":\"crates/x/src/panic.rs\",\"line\":3,\"col\":23,"
+    ));
+    assert!(json.contains("\"excerpt\":\"[\",\"new\":false}"));
     assert!(json.ends_with("]}"));
     // Balanced and quote-escaped: a JSON-hostile excerpt must not
     // break the document.
@@ -278,12 +232,17 @@ impl TempWs {
     }
 
     fn lint_json(&self) -> (i32, String) {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_mb-lint"))
-            .args(["--root", self.root.to_str().unwrap(), "--json"])
-            .output()
-            .expect("spawn mb-lint");
+        let out = mb_lint_json(&self.root);
         (out.status.code().unwrap_or(-1), String::from_utf8_lossy(&out.stdout).into_owned())
     }
+}
+
+/// Run the built binary as `mb-lint --root <root> --json`.
+fn mb_lint_json(root: &std::path::Path) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_mb-lint"))
+        .args(["--root", root.to_str().unwrap(), "--json"])
+        .output()
+        .expect("spawn mb-lint")
 }
 
 impl Drop for TempWs {
@@ -292,36 +251,93 @@ impl Drop for TempWs {
     }
 }
 
+/// A helper crate under no rule family: what the depth ≥ 1 cases reach.
+const UNPROTECTED_HELPERS: &str = "\
+pub fn helper_panics(x: Option<u32>) -> u32 { x.unwrap() }
+pub fn helper_clock() -> u128 { std::time::Instant::now().elapsed().as_nanos() }
+pub fn helper_flushes(w: &mut impl std::io::Write) { w.flush().ok(); }
+";
+
 #[test]
-fn binary_fails_on_seeded_violations_of_every_category() {
+fn binary_fails_on_seeded_violations_of_every_rule() {
     let ws = TempWs::new(
         "seeded",
         &[
-            // panic-freedom + lock-discipline territory.
+            ("crates/common/src/helpers.rs", UNPROTECTED_HELPERS),
+            // panic-freedom, lock-discipline, tape-free and
+            // bounded-queue territory.
             (
                 "crates/serve/src/bad.rs",
                 "use std::io::Write;\nuse std::sync::Mutex;\n\
                  fn f(v: &[u32], m: &Mutex<u32>, w: &mut impl Write) -> u32 {\n\
                  let g = m.lock().unwrap();\n\
                  w.write_all(b\"x\").ok();\n\
+                 helper_flushes(w);\n\
                  drop(g);\n\
-                 v[0]\n}\n",
+                 v[0] + helper_panics(None)\n}\n\
+                 fn ab(s: &S) { let a = s.a.lock(); let b = s.b.lock(); }\n\
+                 fn ba(s: &S) { let b = s.b.lock(); let a = s.a.lock(); }\n\
+                 fn t(q: &mut Q, job: Job) { let t = Tape::new(); q.pending.push(job); }\n\
+                 // mb-lint: allow(panic-unwrap) -- an id retired with the v1 rules\n",
             ),
-            // determinism territory.
+            // determinism territory: the core crate and the encoders'
+            // epoch driver.
             (
                 "crates/core/src/bad.rs",
                 "use std::collections::HashMap;\n\
-                 fn f() -> usize { HashMap::<u32, u32>::new().len() }\n",
+                 fn f() -> usize { HashMap::<u32, u32>::new().len() }\n\
+                 fn g() -> u128 { helper_clock() }\n",
             ),
-            // unsafe gate applies everywhere.
-            ("crates/other/src/bad.rs", "fn f(p: *const u32) -> u32 { unsafe { *p } }\n"),
+            ("crates/encoders/src/train.rs", "fn epoch() { let t = std::time::Instant::now(); }\n"),
+            // The workspace-wide site-local rules.
+            (
+                "crates/other/src/bad.rs",
+                "fn f(p: *const u32) -> u32 { unsafe { *p } }\n\
+                 fn s(v: &mut [f64]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n\
+                 fn n(entity_id: usize) -> u32 { entity_id as u32 }\n",
+            ),
+            ("crates/store/src/bad.rs", "fn f(p: &Path) { let b = std::fs::read(p); }\n"),
+            (
+                "crates/tensor/src/kernels.rs",
+                "fn k(n: usize) { for i in 0..n { let v = vec![0; i]; } }\n",
+            ),
         ],
     );
     let (code, json) = ws.lint_json();
     assert_eq!(code, 1, "seeded violations must fail the lint\n{json}");
-    for rule in ["panic-unwrap", "indexing", "lock-io", "det-hash", "unsafe-gate"] {
-        assert!(json.contains(&format!("\"rule\":\"{rule}\"")), "missing {rule} in\n{json}");
+    let serve = "crates/serve/src/bad.rs";
+    for (rule, file, line) in [
+        ("panic-reach", serve, 4), // depth 0: `.unwrap()`
+        ("panic-reach", serve, 8), // depth 1: helper_panics -> unwrap
+        ("indexing", serve, 8),
+        ("lock-across-call", serve, 5), // depth 0: write_all under `m`
+        ("lock-across-call", serve, 6), // depth 1: helper_flushes -> flush
+        ("lock-order", serve, 10),
+        ("lock-order", serve, 11),
+        ("tape-free", serve, 12),
+        ("bounded-queue", serve, 12),
+        ("suppression", serve, 13),                 // allow(<retired id>)
+        ("det-taint", "crates/core/src/bad.rs", 1), // depth 0, file level
+        ("det-taint", "crates/core/src/bad.rs", 2), // depth 0, in a body
+        ("det-taint", "crates/core/src/bad.rs", 3), // depth 1: helper_clock -> Instant
+        ("det-taint", "crates/encoders/src/train.rs", 1),
+        ("unsafe-gate", "crates/other/src/bad.rs", 1),
+        ("float-total-order", "crates/other/src/bad.rs", 2),
+        ("as-truncation", "crates/other/src/bad.rs", 3),
+        ("unbounded-read", "crates/store/src/bad.rs", 1),
+        ("alloc-in-hot-loop", "crates/tensor/src/kernels.rs", 1),
+    ] {
+        let row = format!("{{\"rule\":\"{rule}\",\"file\":\"{file}\",\"line\":{line},");
+        assert!(json.contains(&row), "missing {rule} at {file}:{line} in\n{json}");
     }
+    let caught: std::collections::BTreeSet<&str> = mb_lint::RULE_IDS
+        .iter()
+        .copied()
+        .filter(|r| json.contains(&format!("\"rule\":\"{r}\"")))
+        .collect();
+    assert_eq!(caught.len(), mb_lint::RULE_IDS.len(), "every surviving id is seeded: {caught:?}");
+    assert!(json.contains("panic-unwrap"), "the retired id is named in the finding\n{json}");
+    assert!(!json.contains("crates/common/src/helpers.rs\",\"line"), "helpers are unprotected");
 }
 
 #[test]
@@ -330,14 +346,30 @@ fn binary_exits_2_when_a_workspace_file_cannot_be_parsed() {
     // A workspace .rs file that is not UTF-8 cannot be analyzed; the
     // run must fail loudly (exit 2) rather than silently skip it.
     std::fs::write(ws.root.join("crates/serve/src/bad.rs"), [0x66, 0x6e, 0xff, 0xfe]).unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mb-lint"))
-        .args(["--root", ws.root.to_str().unwrap(), "--json"])
-        .output()
-        .expect("spawn mb-lint");
+    let out = mb_lint_json(&ws.root);
     assert_eq!(out.status.code(), Some(2), "unreadable file must exit 2");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("bad.rs"), "stderr must name the file:\n{stderr}");
     assert!(out.stdout.is_empty(), "no report on a failed parse");
+}
+
+#[test]
+fn binary_exits_2_when_the_root_or_a_directory_cannot_be_read() {
+    let ws = TempWs::new("badroot", &[("notes.txt", "no rust here\n")]);
+    // Every directory — the root first — goes through the same
+    // `read_dir`, so a root that fails it stands for any that does:
+    // one that does not exist, and one that is not a directory.
+    let missing = ws.root.join("mistyped");
+    let not_a_dir = ws.root.join("notes.txt");
+    // A readable root with no `.rs` file under it lints nothing, which
+    // must not read as "clean".
+    for root in [&missing, &not_a_dir, &ws.root] {
+        let out = mb_lint_json(root);
+        assert_eq!(out.status.code(), Some(2), "{} must exit 2", root.display());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(root.to_str().unwrap()), "stderr must name the path:\n{stderr}");
+        assert!(out.stdout.is_empty(), "no report (least of all `clean`) on a failed walk");
+    }
 }
 
 #[test]

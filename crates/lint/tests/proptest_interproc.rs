@@ -1,24 +1,11 @@
-//! Property tests of the interprocedural layer and the incremental
-//! cache.
-//!
-//! Three contracts, each load-bearing for CI:
-//!
-//! - every interprocedural finding's `(line, col, excerpt)` slices its
-//!   source file exactly — witness anchors must point at the real call
-//!   or allocation token, or editors and reviewers land in the wrong
-//!   place;
-//! - the per-file summary survives a cache save/load round-trip
-//!   byte-exactly, so a warm run analyzes nothing and still reports the
-//!   identical findings;
-//! - `--json` output is byte-identical across two runs of the binary
-//!   (cold then warm cache) and across `--threads 1..4` — the report is
-//!   a pure function of workspace content.
+//! Property test of the taint families' spans: every finding's
+//! `(line, col, excerpt)` slices its source file exactly — witness
+//! anchors must point at the real site, call or allocation token, or
+//! editors and reviewers land in the wrong place.
 
 use mb_check::gen;
-use mb_check::{prop_assert, prop_assert_eq};
-use mb_lint::cache::{fnv64, Cache};
-use mb_lint::graph::Graph;
-use mb_lint::{summarize_file, taint, FileSummary, RuleSet};
+use mb_check::prop_assert_eq;
+use mb_lint::{lint_sources, RuleSet};
 
 /// Pool of mini-workspace files: violating, audited, and clean
 /// variants across all four interprocedural rules, plus cross-file
@@ -62,31 +49,27 @@ const POOL: &[(&str, &str)] = &[
     ),
 ];
 
-/// Interprocedural rules on, token families off, so every finding the
-/// pipeline emits comes from the taint engine.
-fn interproc_rules() -> RuleSet {
+/// The four taint families on, the site-local rules off.
+fn taint_rules() -> RuleSet {
     RuleSet {
-        panic_reach: true,
-        det_taint: true,
-        lock_across_call: true,
+        panic_free: true,
+        determinism: true,
+        lock_discipline: true,
         alloc_hot_loop: true,
         ..RuleSet::none()
     }
 }
 
-/// Summaries for the pool subset named by `idxs` (deduplicated,
-/// sorted-path order like a real run).
-fn build_subset(idxs: &[usize]) -> Vec<(String, FileSummary)> {
+/// The pool subset named by `idxs` (deduplicated, sorted-path order
+/// like a real run).
+fn build_subset(idxs: &[usize]) -> Vec<(String, String)> {
     let mut picked: Vec<usize> = idxs.iter().map(|&i| i % POOL.len()).collect();
     picked.sort_unstable();
     picked.dedup();
-    picked
-        .into_iter()
-        .map(|i| {
-            let (path, src) = POOL[i];
-            (path.to_string(), summarize_file(path, src, interproc_rules()))
-        })
-        .collect()
+    let mut files: Vec<(String, String)> =
+        picked.into_iter().map(|i| (POOL[i].0.to_string(), POOL[i].1.to_string())).collect();
+    files.sort();
+    files
 }
 
 mb_check::check! {
@@ -95,10 +78,7 @@ mb_check::check! {
     fn interproc_spans_slice_source_exactly(
         idxs in gen::vec_of(gen::usize_in(0..9), 1..9),
     ) {
-        let summaries = build_subset(&idxs);
-        let rules: Vec<RuleSet> = summaries.iter().map(|_| interproc_rules()).collect();
-        let graph = Graph::build(&summaries);
-        let findings = taint::run(&summaries, &rules, &graph);
+        let findings = lint_sources(&build_subset(&idxs), |_| taint_rules());
         for f in &findings {
             let (_, src) = POOL
                 .iter()
@@ -119,83 +99,5 @@ mb_check::check! {
                 f.col
             );
         }
-    }
-
-    fn summaries_round_trip_through_the_cache(
-        idxs in gen::vec_of(gen::usize_in(0..9), 1..9),
-        tag in gen::usize_in(0..1_000_000),
-    ) {
-        let summaries = build_subset(&idxs);
-        let mut cache = Cache::empty();
-        for (path, summary) in &summaries {
-            let (_, src) = POOL.iter().find(|(p, _)| *p == path.as_str()).unwrap();
-            cache.put(path.clone(), fnv64(src.as_bytes()), summary.clone());
-        }
-        let dir = std::env::temp_dir()
-            .join(format!("mb-lint-prop-{}-{tag}", std::process::id()));
-        let path = dir.join("cache.txt");
-        cache.save(&path).expect("save cache");
-        let loaded = Cache::load(&path);
-        let _ = std::fs::remove_dir_all(&dir);
-        prop_assert_eq!(loaded.len(), cache.len(), "entry count changed across save/load");
-        for (file, summary) in &summaries {
-            let (_, src) = POOL.iter().find(|(p, _)| *p == file.as_str()).unwrap();
-            let back = loaded.get(file, fnv64(src.as_bytes()));
-            prop_assert!(back.is_some(), "{file} missing after round-trip");
-            prop_assert_eq!(back.unwrap(), summary, "{} summary changed", file);
-        }
-    }
-}
-
-// --- Byte-identity of the binary's --json output ----------------------
-
-struct TempWs {
-    root: std::path::PathBuf,
-}
-
-impl TempWs {
-    fn new(tag: &str, files: &[(&str, &str)]) -> TempWs {
-        let root = std::env::temp_dir().join(format!("mb-lint-prop-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        std::fs::create_dir_all(&root).unwrap();
-        std::fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = []\n").unwrap();
-        for (rel, contents) in files {
-            let path = root.join(rel);
-            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-            std::fs::write(path, contents).unwrap();
-        }
-        TempWs { root }
-    }
-
-    fn lint(&self, extra: &[&str]) -> (i32, String) {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_mb-lint"))
-            .args(["--root", self.root.to_str().unwrap(), "--json"])
-            .args(extra)
-            .output()
-            .expect("spawn mb-lint");
-        (out.status.code().unwrap_or(-1), String::from_utf8_lossy(&out.stdout).into_owned())
-    }
-}
-
-impl Drop for TempWs {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
-    }
-}
-
-#[test]
-fn json_is_byte_identical_cold_warm_and_across_threads() {
-    let ws = TempWs::new("json-ident", POOL);
-    let cache = ws.root.join("cache.txt");
-    let cache_args = ["--cache", cache.to_str().unwrap()];
-    let (code_cold, cold) = ws.lint(&cache_args);
-    assert!(cache.exists(), "first run must write the cache");
-    let (code_warm, warm) = ws.lint(&cache_args);
-    assert_eq!(code_cold, code_warm);
-    assert_eq!(cold, warm, "cold and warm cache runs must be byte-identical");
-    for threads in ["1", "2", "3", "4"] {
-        let (code_t, with_threads) = ws.lint(&["--threads", threads, "--no-cache"]);
-        assert_eq!(code_cold, code_t, "exit code changed at --threads {threads}");
-        assert_eq!(cold, with_threads, "--threads {threads} changed the report bytes");
     }
 }

@@ -37,9 +37,6 @@ enum Op {
     MulElem(Var, Var),
     /// Multiply by a compile-time constant.
     Scale(Var, f64),
-    /// Add a constant to every element (the constant is not needed by
-    /// the backward pass; it is kept for graph introspection).
-    AddScalar(Var, #[allow(dead_code)] f64),
     /// `a @ b` for rank-2 operands.
     Matmul(Var, Var),
     /// `a @ bᵀ` — the bi-encoder score matrix kernel.
@@ -51,8 +48,6 @@ enum Op {
         b: Var,
     },
     Tanh(Var),
-    Relu(Var),
-    Sigmoid(Var),
     /// Mean over all elements, producing a scalar.
     MeanAll(Var),
     /// Sum over all elements, producing a scalar.
@@ -229,12 +224,6 @@ impl Tape {
         self.push(value, Op::Scale(a, k))
     }
 
-    /// `a + k` elementwise for a constant `k`.
-    pub fn add_scalar(&mut self, a: Var, k: f64) -> Var {
-        let value = self.val(a).map(|x| x + k);
-        self.push(value, Op::AddScalar(a, k))
-    }
-
     /// Matrix product `a @ b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
         let value = self.val(a).matmul_with(self.val(b), self.threads);
@@ -260,18 +249,6 @@ impl Tape {
     pub fn tanh(&mut self, a: Var) -> Var {
         let value = frozen::tanh(self.val(a));
         self.push(value, Op::Tanh(a))
-    }
-
-    /// Elementwise rectified linear unit.
-    pub fn relu(&mut self, a: Var) -> Var {
-        let value = self.val(a).map(|x| x.max(0.0));
-        self.push(value, Op::Relu(a))
-    }
-
-    /// Elementwise logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        let value = self.val(a).map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.push(value, Op::Sigmoid(a))
     }
 
     /// Mean over all elements (scalar output).
@@ -488,9 +465,6 @@ impl Tape {
             Op::Scale(a, k) => {
                 self.accum(grads, *a, g.scale(*k));
             }
-            Op::AddScalar(a, _) => {
-                self.accum(grads, *a, g.clone());
-            }
             Op::Matmul(a, b) => {
                 // y = a @ b  =>  ga = g @ bᵀ, gb = aᵀ @ g
                 let ga = g.matmul_t_with(self.val(*b), self.threads);
@@ -524,16 +498,6 @@ impl Tape {
                 // dy/dx = 1 - tanh(x)^2 = 1 - y^2
                 let y = &self.nodes[idx].value;
                 let ga = g.zip(y, |gi, yi| gi * (1.0 - yi * yi));
-                self.accum(grads, *a, ga);
-            }
-            Op::Relu(a) => {
-                let x = self.val(*a);
-                let ga = g.zip(x, |gi, xi| if xi > 0.0 { gi } else { 0.0 });
-                self.accum(grads, *a, ga);
-            }
-            Op::Sigmoid(a) => {
-                let y = &self.nodes[idx].value;
-                let ga = g.zip(y, |gi, yi| gi * yi * (1.0 - yi));
                 self.accum(grads, *a, ga);
             }
             Op::MeanAll(a) => {
@@ -811,24 +775,18 @@ mod tests {
     }
 
     #[test]
-    fn activation_grads() {
+    fn tanh_grads() {
         let mut rng = Rng::seed_from_u64(5);
         let x0 = Tensor::randn(vec![6], 0.0, 1.5, &mut rng);
-        for act in ["tanh", "relu", "sigmoid"] {
-            let run = |x: &Tensor| {
-                let mut t = Tape::new();
-                let xv = t.leaf(x.clone());
-                let y = match act {
-                    "tanh" => t.tanh(xv),
-                    "relu" => t.relu(xv),
-                    _ => t.sigmoid(xv),
-                };
-                let l = t.sum_all(y);
-                (t.value(l).item(), t.backward(l), xv)
-            };
-            let (_, g, xv) = run(&x0);
-            assert_close(g.get(xv).unwrap(), &numeric_grad(&|x| run(x).0, &x0), 1e-5);
-        }
+        let run = |x: &Tensor| {
+            let mut t = Tape::new();
+            let xv = t.leaf(x.clone());
+            let y = t.tanh(xv);
+            let l = t.sum_all(y);
+            (t.value(l).item(), t.backward(l), xv)
+        };
+        let (_, g, xv) = run(&x0);
+        assert_close(g.get(xv).unwrap(), &numeric_grad(&|x| run(x).0, &x0), 1e-5);
     }
 
     #[test]

@@ -84,7 +84,6 @@ USAGE:
                       [--retry-after-s <n>] [--admission-limit <n>]
                       [--watch-interval-ms <n>]
   metablink lint      [--root <dir>] [--baseline <file>] [--json] [--update-baseline]
-                      [--cache <file>] [--no-cache] [--timing] [--threads <n>]
   metablink lint      --explain <rule>
 
 serve runs an HTTP server over the trained model: POST /link answers
@@ -101,15 +100,14 @@ cannot be met, --admission-limit bounds requests inside the server
 (0 sizes it from the queue), and --watch-interval-ms polls model.mbc
 and reloads on change (0 disables).
 
-lint runs the in-repo static-analysis pass (panic-freedom,
-determinism, lock discipline, unsafe gate, plus interprocedural
-panic-reach / det-taint / lock-across-call / alloc-in-hot-loop over
-the workspace call graph) on the workspace's own sources. --explain
-<rule> prints what a rule means, why it exists, and how to fix or
-audit a finding. Per-file summaries are cached (--cache, default
-target/mb-lint/lint-cache.txt) so warm runs skip unchanged files;
-reports are byte-identical with or without the cache and at any
---threads count. `metablink lint --help` lists all flags.
+lint runs the in-repo static-analysis pass on the workspace's own
+sources: panic-freedom, determinism, lock discipline and hot-loop
+allocation — each reported at the site and at every call that reaches
+one over the workspace call graph (panic-reach / det-taint /
+lock-across-call / alloc-in-hot-loop) — plus the unsafe gate and the
+other site-local rules. --explain <rule> prints what a rule means, why
+it exists, and how to fix or audit a finding. `metablink lint --help`
+lists all flags.
 
 train, evaluate and serve accept --threads <n> (default: the
 MB_THREADS environment variable, else 1) to fan work out over worker

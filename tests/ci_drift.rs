@@ -114,20 +114,39 @@ fn bench_baseline_pins_the_fused_batch_retrieval_benches() {
 }
 
 #[test]
-fn ci_script_runs_the_lint_cache_check_right_after_lint() {
+fn every_script_a_ci_step_names_exists_and_no_script_is_orphaned() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let script = script_steps();
-    let lint = script.iter().position(|s| s == "cargo run -q -p mb-lint");
-    let cache = script.iter().position(|s| s == "scripts/lint_cache_check.sh");
-    assert!(lint.is_some(), "the lint stage must stay in CI");
-    assert!(
-        cache.is_some(),
-        "the lint-cache stage must verify byte-identical --json across a cold and a warm run"
-    );
     assert_eq!(
-        cache,
-        lint.map(|i| i + 1),
-        "lint-cache must run immediately after lint so a cache bug is attributed correctly"
+        script.get(2).map(String::as_str),
+        Some("cargo run -q -p mb-lint"),
+        "the lint stage must stay third, right after fmt and clippy"
     );
+    // A step that runs a shell script names a file that exists.
+    for step in &script {
+        let program = step.split_whitespace().next().unwrap_or("");
+        if program.ends_with(".sh") {
+            assert!(root.join(program).is_file(), "CI step `{step}` names a missing script");
+        }
+    }
+    // Every script under scripts/ is run by the gate or by another
+    // script; ci.sh is the gate itself.
+    let mut scripts: Vec<(String, String)> = std::fs::read_dir(root.join("scripts"))
+        .expect("cannot list scripts/")
+        .map(|e| e.expect("cannot read a scripts/ entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sh"))
+        .map(|p| {
+            let name = format!("scripts/{}", p.file_name().unwrap().to_string_lossy());
+            (name, std::fs::read_to_string(&p).expect("cannot read a script"))
+        })
+        .collect();
+    scripts.sort();
+    assert!(scripts.iter().any(|(name, _)| name == "scripts/ci.sh"), "{scripts:?}");
+    for (name, _) in scripts.iter().filter(|(name, _)| name != "scripts/ci.sh") {
+        let stepped = script.iter().any(|step| step.split_whitespace().any(|w| w == name));
+        let called = scripts.iter().any(|(other, text)| other != name && text.contains(name));
+        assert!(stepped || called, "{name} is run by no CI step and no other script");
+    }
 }
 
 #[test]
