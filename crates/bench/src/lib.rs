@@ -1,16 +1,15 @@
 //! # mb-bench
 //!
-//! Experiment harnesses: one bench target per table/figure of the
-//! paper (printing paper-shaped tables and writing
-//! `target/experiments/*.txt` + `*.json`), plus micro-benchmarks on
-//! the in-repo timing harness in [`harness`] — no criterion, so the
-//! whole workspace builds with no network access.
-//!
-//! This library crate holds the shared configuration so every harness
-//! measures the same models at the same scale.
+//! The paper's evaluation as one table-driven runner ([`paper`]: every
+//! figure and table, the claims over them, `paper [--check]`), plus
+//! micro-benchmarks on the in-repo timing harness in [`harness`] — no
+//! criterion, so the whole workspace builds with no network access.
+//! Reports land in the workspace's `target/experiments/` as `.txt` +
+//! `.json`.
 
 pub mod gate;
 pub mod harness;
+pub mod paper;
 
 use mb_core::pipeline::MetaBlinkConfig;
 use mb_core::reweight::MetaConfig;
@@ -19,15 +18,8 @@ use mb_encoders::biencoder::BiEncoderConfig;
 use mb_encoders::crossencoder::CrossEncoderConfig;
 
 use mb_encoders::train::TrainConfig;
-use mb_eval::ContextConfig;
 
-/// The context scale every table harness uses (see DESIGN.md §5):
-/// train/dev entities ÷40, test entities ÷10, test mentions ÷4.
-pub fn bench_context_config(seed: u64) -> ContextConfig {
-    ContextConfig::bench_default(seed)
-}
-
-/// The model/training configuration every table harness uses.
+/// The model/training configuration of the full-scale paper tables.
 pub fn bench_model_config(seed: u64) -> MetaBlinkConfig {
     MetaBlinkConfig {
         linker: LinkerConfig { k: 64, ..LinkerConfig::default() },
@@ -57,62 +49,3 @@ pub fn bench_model_config(seed: u64) -> MetaBlinkConfig {
         ..Default::default()
     }
 }
-
-use mb_core::linker::LinkMetrics;
-use mb_core::pipeline::{train, DataSource, Method};
-use mb_eval::{Aggregate, ExperimentContext};
-
-/// Aggregated two-stage metrics of one table row (over model seeds).
-pub struct RowResult {
-    /// Training method.
-    pub method: Method,
-    /// Data source.
-    pub source: DataSource,
-    /// Recall@k aggregate.
-    pub recall: Aggregate,
-    /// Normalised accuracy aggregate.
-    pub normalized: Aggregate,
-    /// Unnormalised accuracy aggregate.
-    pub unnormalized: Aggregate,
-}
-
-/// Train and evaluate one (method, source) row on a domain's few-shot
-/// test split, aggregating over model seeds.
-pub fn run_row(
-    ctx: &ExperimentContext,
-    domain: &str,
-    method: Method,
-    source: DataSource,
-    seeds: &[u64],
-) -> RowResult {
-    let task = ctx.task(domain);
-    let test = &ctx.dataset.split(domain).test;
-    let metrics: Vec<LinkMetrics> = seeds
-        .iter()
-        .map(|&s| {
-            let cfg = bench_model_config(s);
-            train(&task, method, source, &cfg).evaluate(&task, test)
-        })
-        .collect();
-    aggregate_rows(method, source, &metrics)
-}
-
-/// Aggregate prepared metrics into a row.
-pub fn aggregate_rows(method: Method, source: DataSource, metrics: &[LinkMetrics]) -> RowResult {
-    let pick = |f: fn(&LinkMetrics) -> f64| -> Aggregate {
-        Aggregate::of(&metrics.iter().map(f).collect::<Vec<_>>())
-    };
-    RowResult {
-        method,
-        source,
-        recall: pick(|m| m.recall_at_k),
-        normalized: pick(|m| m.normalized_acc),
-        unnormalized: pick(|m| m.unnormalized_acc),
-    }
-}
-
-/// Model seeds used by the aggregated table harnesses.
-pub const BENCH_SEEDS: &[u64] = &[42, 43, 44];
-
-/// Model seeds for the heavier transfer experiments.
-pub const BENCH_SEEDS_LIGHT: &[u64] = &[42, 43];

@@ -5,7 +5,7 @@
 //! also persisted under `target/experiments/` for EXPERIMENTS.md.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A simple fixed-width text table.
 #[derive(Debug, Clone)]
@@ -146,13 +146,13 @@ impl Table {
     }
 }
 
-/// Directory where experiment outputs are persisted.
-///
-/// Bench binaries run with the package directory as CWD, so for the
-/// harnesses in `mb-bench` this resolves to
-/// `crates/bench/target/experiments/`.
+/// Directory where experiment outputs are persisted: the workspace's
+/// `target/experiments/`, whatever the working directory — `cargo
+/// bench` starts a target in its package directory, `cargo run` where
+/// it was typed — because it is resolved from where this crate was
+/// compiled, two levels below the workspace root.
 pub fn output_dir() -> PathBuf {
-    PathBuf::from("target/experiments")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments")
 }
 
 #[cfg(test)]

@@ -26,10 +26,12 @@ STEPS=(
     "lint|cargo run -q -p mb-lint"
     "build|cargo build --release --workspace"
     "test|cargo test -q --workspace"
-    # Bench smoke: the probe harness exercises the full pipeline
-    # (worldgen -> synthetic supervision -> two-stage training -> eval)
-    # at bench scale on one domain.
-    "bench-smoke|cargo run --release -p mb-bench --bin probe -- Lego"
+    # Bench smoke: every table and figure of the paper on the benchmark
+    # world with a shortened training budget, each claim of the claim
+    # table judged (a claim that flips in either direction fails), then
+    # the tests that each claim can fail and that sharing a trained row
+    # changes nothing (#[ignore]d in debug, run here in release).
+    "bench-smoke|cargo run --release -q -p mb-bench --bin paper -- --check && cargo test --release -q -p mb-bench --test paper -- --include-ignored"
     # Fault-injection smoke: kill training at every step, resume from
     # the surviving checkpoints, and require bit-identical results. The
     # exhaustive sweep is #[ignore]d in the default (debug) suite and

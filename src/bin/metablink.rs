@@ -43,21 +43,30 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let opts = parse_flags(rest);
-    let result = match cmd.as_str() {
-        "generate" => cmd_generate(&opts),
-        "train" => cmd_train(&opts),
-        "evaluate" => cmd_evaluate(&opts),
-        "link" => cmd_link(&opts),
-        "serve" => cmd_serve(&opts),
+    let (run, flags): Command = match cmd.as_str() {
+        "generate" => (cmd_generate, &["seed", "scale"]),
+        "train" => (cmd_train, &["seed", "scale", "domain", "method", "source", "out", "threads"]),
+        "evaluate" => (cmd_evaluate, &["model", "limit", "threads"]),
+        "link" => (cmd_link, &["model", "surface", "left", "right", "k"]),
+        "serve" => (cmd_serve, SERVE_FLAGS),
         // "lint" is dispatched above, before flag parsing.
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
-            Ok(())
+            return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+        other => {
+            eprintln!("error: unknown command {other:?}\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
     };
-    match result {
+    let opts = match parse_flags(cmd, flags, rest) {
+        Ok(opts) => opts,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(&opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -65,6 +74,28 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// A subcommand: what runs it, and the flags it takes.
+type Command = (fn(&HashMap<String, String>) -> Result<(), String>, &'static [&'static str]);
+
+/// Every flag `serve` takes (see [`USAGE`]).
+const SERVE_FLAGS: &[&str] = &[
+    "model",
+    "addr",
+    "addr-file",
+    "max-batch",
+    "queue-capacity",
+    "cache-capacity",
+    "workers",
+    "threads",
+    "read-timeout-ms",
+    "reply-timeout-ms",
+    "default-deadline-ms",
+    "max-deadline-ms",
+    "retry-after-s",
+    "admission-limit",
+    "watch-interval-ms",
+];
 
 const USAGE: &str = "\
 metablink — few-shot entity linking by meta-learning (ICDE 2022 reproduction)
@@ -114,19 +145,33 @@ MB_THREADS environment variable, else 1) to fan work out over worker
 threads. Results are bit-identical for every thread count: all
 parallel paths partition by data, never by worker count.";
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// The `--flag value` pairs of one subcommand. A flag `cmd` does not
+/// take, a flag with no value (or one that is itself a `--flag`) and a
+/// stray positional are each an error naming the offender — a typo'd
+/// `--seed` must not train the default model silently.
+fn parse_flags(
+    cmd: &str,
+    allowed: &[&str],
+    args: &[String],
+) -> Result<HashMap<String, String>, String> {
     let mut map = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            let value = args.get(i + 1).cloned().unwrap_or_default();
-            map.insert(key.to_string(), value);
-            i += 2;
-        } else {
-            i += 1;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(key) = arg.strip_prefix("--") else {
+            return Err(format!(
+                "unexpected argument {arg:?} ({cmd} takes only --flag value pairs)"
+            ));
+        };
+        if !allowed.contains(&key) {
+            let takes: Vec<String> = allowed.iter().map(|f| format!("--{f}")).collect();
+            return Err(format!("unknown flag --{key} for {cmd} (it takes {})", takes.join(", ")));
         }
+        match args.next() {
+            Some(value) if !value.starts_with("--") => map.insert(key.to_string(), value.clone()),
+            _ => return Err(format!("flag --{key} needs a value")),
+        };
     }
-    map
+    Ok(map)
 }
 
 fn flag<'a>(opts: &'a HashMap<String, String>, key: &str, default: &'a str) -> &'a str {
@@ -370,11 +415,6 @@ fn cmd_evaluate(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
-    if opts.contains_key("max-delay-us") {
-        return Err(
-            "--max-delay-us was removed: batches now form while the worker is busy".to_string()
-        );
-    }
     let dir = PathBuf::from(flag(opts, "model", "metablink_model"));
     let defaults = ServerConfig::default();
     let num = |key: &str, default: usize| -> Result<usize, String> {
