@@ -185,8 +185,10 @@ impl Harness {
         self.record(name, units, iters_per_sample, sample_ns)
     }
 
-    /// Summarize one bench's raw samples and append the measurement.
-    fn record(
+    /// Summarize one bench's raw samples and append the measurement;
+    /// public for a bench that times its own spans (the parts of one
+    /// step, in place) instead of a closure.
+    pub fn record(
         &mut self,
         name: &str,
         units: Option<(f64, &'static str)>,

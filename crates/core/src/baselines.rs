@@ -104,7 +104,7 @@ pub fn train_biencoder_dl4el(
             let weighted = tape.weighted_sum(fwd.losses, weights);
             let loss_value = tape.value(weighted).item();
             let grads = tape.backward(weighted);
-            let gv: GradVec = model.params().collect_grads(&fwd.vars, &grads);
+            let gv: GradVec = model.params().collect_grads(&fwd.vars, grads);
             opt.step(model.params_mut(), &gv);
             losses.push(loss_value);
         }

@@ -373,20 +373,18 @@ impl MetaModel for BiEncoder {
     }
 
     fn example_grads(&self, batch: &[&TrainPair], threads: Threads) -> Vec<(f64, GradVec)> {
-        let batch: Vec<TrainPair> = batch.iter().map(|&p| p.clone()).collect();
         let mut tape = Tape::new();
-        let fwd = self.forward_losses(&mut tape, &batch);
+        let fwd = self.forward_losses(&mut tape, batch);
         let gathers: Vec<Var> = (0..batch.len()).map(|j| tape.gather(fwd.losses, j)).collect();
         mb_par::par_map(threads, &gathers, |_, &lj| {
             let value = tape.value(lj).item();
             let grads = tape.backward(lj);
-            (value, BiEncoder::params(self).collect_grads(&fwd.vars, &grads))
+            (value, BiEncoder::params(self).collect_grads(&fwd.vars, grads))
         })
     }
 
     fn seed_grad(&self, batch: &[&TrainPair], _threads: Threads) -> GradVec {
-        let batch: Vec<TrainPair> = batch.iter().map(|&p| p.clone()).collect();
-        self.batch_grad(&batch).1
+        self.batch_grad(batch).1
     }
 }
 

@@ -19,6 +19,7 @@ use mb_tensor::optim::Optimizer;
 use mb_tensor::params::{GradVec, ParamId};
 use mb_tensor::{init, Params, QuantMode, Tape, Tensor, Var};
 use mb_text::Vocab;
+use std::borrow::Borrow;
 
 /// Rows per worker task in the chunked-parallel embed path. Fixed by
 /// the data (never by the worker count) so chunk boundaries — and with
@@ -179,11 +180,15 @@ impl BiEncoder {
     /// # Panics
     /// Panics on an empty batch, or a batch of one pair when the config
     /// excludes gold from the denominator (Eq. 6 needs a negative).
-    pub fn forward_losses(&self, tape: &mut Tape, batch: &[TrainPair]) -> BiForward {
+    pub fn forward_losses<'p, P: Borrow<TrainPair>>(
+        &'p self,
+        tape: &mut Tape<'p>,
+        batch: &[P],
+    ) -> BiForward {
         assert!(!batch.is_empty(), "forward_losses: empty batch");
         let vars = self.params.inject(tape);
-        let m_bags: Vec<Vec<u32>> = batch.iter().map(|p| p.mention.clone()).collect();
-        let e_bags: Vec<Vec<u32>> = batch.iter().map(|p| p.entity.clone()).collect();
+        let m_bags: Vec<Vec<u32>> = batch.iter().map(|p| p.borrow().mention.clone()).collect();
+        let e_bags: Vec<Vec<u32>> = batch.iter().map(|p| p.borrow().entity.clone()).collect();
         let m_enc = self.encode_side(tape, &vars, self.ids.mention, m_bags);
         let e_enc = self.encode_side(tape, &vars, self.ids.entity, e_bags);
         let raw_scores = tape.matmul_t(m_enc, e_enc);
@@ -194,20 +199,20 @@ impl BiEncoder {
     }
 
     /// Mean loss over a batch (diagnostic convenience).
-    pub fn batch_loss(&self, batch: &[TrainPair]) -> f64 {
+    pub fn batch_loss<P: Borrow<TrainPair>>(&self, batch: &[P]) -> f64 {
         let mut tape = Tape::new();
         let fwd = self.forward_losses(&mut tape, batch);
         tape.value(fwd.losses).mean()
     }
 
     /// Gradient of the mean batch loss, for plain training steps.
-    pub fn batch_grad(&self, batch: &[TrainPair]) -> (f64, GradVec) {
+    pub fn batch_grad<P: Borrow<TrainPair>>(&self, batch: &[P]) -> (f64, GradVec) {
         let mut tape = Tape::new();
         let fwd = self.forward_losses(&mut tape, batch);
         let mean = tape.mean_all(fwd.losses);
         let loss = tape.value(mean).item();
         let grads = tape.backward(mean);
-        (loss, self.params.collect_grads(&fwd.vars, &grads))
+        (loss, self.params.collect_grads(&fwd.vars, grads))
     }
 
     /// Apply one optimizer step on a batch; returns the mean loss.
@@ -427,6 +432,6 @@ mod tests {
     fn empty_batch_panics() {
         let (_, vocab, _) = setup();
         let model = BiEncoder::new(&vocab, tiny_cfg(), &mut Rng::seed_from_u64(8));
-        model.batch_loss(&[]);
+        model.batch_loss::<TrainPair>(&[]);
     }
 }

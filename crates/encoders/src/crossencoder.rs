@@ -166,7 +166,11 @@ impl CrossEncoder {
     ///
     /// # Panics
     /// Panics on an empty candidate set.
-    pub fn forward_logits(&self, tape: &mut Tape, set: &CandidateSet) -> (Vec<Var>, Var) {
+    pub fn forward_logits<'p>(
+        &'p self,
+        tape: &mut Tape<'p>,
+        set: &CandidateSet,
+    ) -> (Vec<Var>, Var) {
         assert!(!set.is_empty(), "forward_logits: empty candidate set");
         let k = set.len();
         let (vars, ids) = (self.params.inject(tape), self.ids);
@@ -217,7 +221,7 @@ impl CrossEncoder {
     ///
     /// # Panics
     /// Panics if the set has no gold candidate.
-    pub fn forward_loss(&self, tape: &mut Tape, set: &CandidateSet) -> (Vec<Var>, Var) {
+    pub fn forward_loss<'p>(&'p self, tape: &mut Tape<'p>, set: &CandidateSet) -> (Vec<Var>, Var) {
         let gold = set.gold_index.expect("forward_loss: candidate set without gold");
         let (vars, logits) = self.forward_logits(tape, set);
         let losses = tape.softmax_ce_rows(logits, vec![gold]);
@@ -231,7 +235,7 @@ impl CrossEncoder {
         let (vars, loss) = self.forward_loss(&mut tape, set);
         let value = tape.value(loss).item();
         let grads = tape.backward(loss);
-        (value, self.params.collect_grads(&vars, &grads))
+        (value, self.params.collect_grads(&vars, grads))
     }
 
     /// Freeze the scorer for tape-free serving: snapshot the

@@ -40,10 +40,10 @@ pub struct RuleSet {
     /// calls; they order NaN arbitrarily, so output depends on input
     /// permutation. Use `total_cmp`.
     pub float_total_order: bool,
-    /// Deny gradient-tape allocation and parameter copies on the
-    /// serving path: `Tape`, `.inject(`, and `…params` clones must not
-    /// appear where every forward is meant to ride one shared
-    /// `FrozenParams` snapshot.
+    /// Deny gradient tapes and parameter copies on the serving path:
+    /// `Tape`, `.inject(`, and `…params` clones must not appear where
+    /// every forward is meant to ride one shared `FrozenParams`
+    /// snapshot.
     pub tape_free: bool,
     /// Deny unbounded growth of work-buffering collections on the
     /// serving path: every `.push_back(`/`.push_front(` (and `.push(`
@@ -308,12 +308,13 @@ fn float_order_rules(
 }
 
 /// Tape-free serving: the serving path shares one immutable
-/// `FrozenParams` snapshot, so any gradient-tape allocation or
-/// parameter copy there is a regression to the per-forward-clone cost
-/// the frozen forward exists to remove. Flags the `Tape` type,
-/// `.inject(` (which clones every parameter tensor into a tape),
-/// `.clone()` whose receiver is an identifier ending in `params`, and
-/// explicit `Params::clone(`.
+/// `FrozenParams` snapshot, so a gradient tape there records a node
+/// per op for a backward that never runs, and a parameter copy is the
+/// per-forward cost the frozen forward exists to remove. Flags the
+/// `Tape` type, `.inject(` (which registers every parameter as a leaf
+/// of a tape — it borrows them, but what it starts is a training
+/// graph), `.clone()` whose receiver is an identifier ending in
+/// `params`, and explicit `Params::clone(`.
 fn tape_free_rules(sig: &[Sig<'_>], i: usize, emit: &mut impl FnMut(&'static str, Token, String)) {
     let s = &sig[i];
     if s.tok.kind != TokenKind::Ident {
@@ -333,8 +334,9 @@ fn tape_free_rules(sig: &[Sig<'_>], i: usize, emit: &mut impl FnMut(&'static str
         "inject" if prev == Some(".") && next == Some("(") => emit(
             "tape-free",
             s.tok,
-            "`.inject()` clones every parameter tensor per forward; freeze the parameters once \
-             and share the `FrozenParams` snapshot"
+            "`.inject()` starts a training graph (every parameter a tape leaf, every op a \
+             recorded node); freeze the parameters once and run the frozen forward over the \
+             `FrozenParams` snapshot"
                 .to_string(),
         ),
         "clone" if prev == Some(".") && next == Some("(") => {

@@ -70,9 +70,9 @@ const ENTRIES: &[Entry] = &[
     },
     Entry {
         rule: "tape-free",
-        contract: "The serving path rides one shared `FrozenParams` snapshot: no gradient-tape \
-                   allocation (`Tape`), no per-forward parameter copies (`.inject(`, \
-                   `params.clone()`).",
+        contract: "The serving path rides one shared `FrozenParams` snapshot: no gradient tape \
+                   (`Tape`, or `.inject(`, which makes every parameter a leaf of one), no \
+                   per-forward parameter copies (`params.clone()`).",
         example: "let h = tape.inject(&params);        // violation\nlet h = frozen.forward(&input);      // fixed",
     },
     Entry {

@@ -100,13 +100,13 @@ impl Rewriter {
             for _ in 0..cfg.epochs {
                 let mut tape = Tape::new();
                 let vars = params.inject(&mut tape);
-                let xv = tape.leaf(x.clone());
+                let xv = tape.leaf(&x);
                 let logits = tape.linear(xv, vars[w.index()], vars[b.index()]);
                 let flat_logits = tape.reshape(logits, vec![n]);
                 let losses = tape.bce_with_logits(flat_logits, labels.clone());
                 let loss = tape.mean_all(losses);
                 let grads = tape.backward(loss);
-                let gv = params.collect_grads(&vars, &grads);
+                let gv = params.collect_grads(&vars, grads);
                 opt.step(&mut params, &gv);
             }
         }

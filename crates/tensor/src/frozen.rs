@@ -10,10 +10,10 @@
 //!
 //! [`FrozenParams`] is the serving-side parameter container: an
 //! immutable snapshot shared via [`Arc`], so a forward over it clones
-//! no parameter tensor (`Params::inject` clones every one into a tape
-//! leaf, which only a training step needs). The `tape-free` mb-lint
-//! rule keeps tape construction and parameter cloning out of the
-//! inference path statically.
+//! no parameter tensor and records no tape node (`Params::inject`
+//! borrows every parameter as a tape leaf, which only a training step
+//! needs). The `tape-free` mb-lint rule keeps tape construction and
+//! parameter cloning out of the inference path statically.
 
 use crate::params::{ParamId, Params};
 use crate::tensor::Tensor;

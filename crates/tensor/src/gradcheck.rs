@@ -49,7 +49,7 @@ pub fn numeric_grad_params(
 pub fn max_rel_error(analytic: &GradVec, numeric: &GradVec) -> f64 {
     let mut worst: f64 = 0.0;
     for (a, b) in analytic.iter().zip(numeric.iter()) {
-        for (&x, &y) in a.data().iter().zip(b.data()) {
+        for (&x, &y) in a.to_dense().data().iter().zip(b.to_dense().data()) {
             let scale = 1.0_f64.max(x.abs()).max(y.abs());
             worst = worst.max((x - y).abs() / scale);
         }
@@ -96,7 +96,7 @@ mod tests {
             let h = tape.tanh(y);
             let l = tape.mean_all(h);
             let grads = tape.backward(l);
-            params.collect_grads(&vars, &grads)
+            params.collect_grads(&vars, grads)
         };
         assert!(max_rel_error(&analytic, &numeric) < 1e-6);
     }

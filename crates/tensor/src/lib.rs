@@ -17,6 +17,8 @@
 //!   mean pooling, and row L2-normalisation.
 //! * [`optim`] — SGD (with momentum/weight decay) and Adam.
 //! * [`params`] — named parameter collections with (de)serialization.
+//! * [`grad`] — one tensor's gradient: dense, or row-sparse for an
+//!   embedding table.
 //! * [`checkpoint`] — sectioned, CRC-protected `mb-params v2` training
 //!   snapshots (params + optimizer moments + RNG streams + cursor).
 //! * [`gradcheck`] — central-finite-difference gradient verification,
@@ -37,6 +39,7 @@
 
 pub mod checkpoint;
 pub mod frozen;
+pub mod grad;
 pub mod gradcheck;
 pub mod init;
 pub mod kernels;

@@ -113,7 +113,12 @@ impl Optimizer for Sgd {
                         *v *= decay;
                     }
                 }
-                p.axpy(-self.lr, grads.get(id));
+                let p = p.data_mut();
+                grads.get(id).for_each_span(|at, g| {
+                    for (pj, &gj) in p[at..at + g.len()].iter_mut().zip(g) {
+                        *pj += -self.lr * gj;
+                    }
+                });
             }
             return;
         }
@@ -129,7 +134,12 @@ impl Optimizer for Sgd {
             for x in v.data_mut() {
                 *x *= self.momentum;
             }
-            v.axpy(1.0, grads.get(id));
+            let vd = v.data_mut();
+            grads.get(id).for_each_span(|at, g| {
+                for (vj, &gj) in vd[at..at + g.len()].iter_mut().zip(g) {
+                    *vj += gj;
+                }
+            });
             let p = params.get_mut(id);
             if self.weight_decay > 0.0 {
                 let decay = 1.0 - self.lr * self.weight_decay;
@@ -226,15 +236,16 @@ impl Optimizer for Adam {
         let v = self.v.as_mut().expect("initialized above");
         for i in 0..n {
             let id = crate::params::ParamId(i);
-            let g = grads.get(id);
             let mi = &mut m[i];
             let vi = &mut v[i];
-            for ((mj, vj), &gj) in
-                mi.data_mut().iter_mut().zip(vi.data_mut().iter_mut()).zip(g.data())
-            {
-                *mj = self.beta1 * *mj + (1.0 - self.beta1) * gj;
-                *vj = self.beta2 * *vj + (1.0 - self.beta2) * gj * gj;
-            }
+            let (md, vd) = (mi.data_mut(), vi.data_mut());
+            grads.get(id).for_each_span(|at, g| {
+                let span = at..at + g.len();
+                for ((mj, vj), &gj) in md[span.clone()].iter_mut().zip(&mut vd[span]).zip(g) {
+                    *mj = self.beta1 * *mj + (1.0 - self.beta1) * gj;
+                    *vj = self.beta2 * *vj + (1.0 - self.beta2) * gj * gj;
+                }
+            });
             let p = params.get_mut(id);
             for ((pj, &mj), &vj) in p.data_mut().iter_mut().zip(mi.data()).zip(vi.data()) {
                 let mhat = mj / bc1;
@@ -311,7 +322,7 @@ mod tests {
             let sq = tape.mul_elem(d, d);
             let loss = tape.sum_all(sq);
             let grads = tape.backward(loss);
-            let gv = params.collect_grads(&vars, &grads);
+            let gv = params.collect_grads(&vars, grads);
             opt.step(&mut params, &gv);
         }
         params.get(x).sub(&target).norm()

@@ -5,6 +5,7 @@
 //! meta-learning machinery can all address parameters positionally
 //! while humans address them by name.
 
+use crate::grad::Grad;
 use crate::tape::{Grads, Tape, Var};
 use crate::tensor::Tensor;
 use mb_common::{Error, Result};
@@ -88,22 +89,24 @@ impl Params {
     }
 
     /// Register every parameter as a leaf on `tape`, returning the vars
-    /// in parameter order.
-    pub fn inject(&self, tape: &mut Tape) -> Vec<Var> {
-        self.tensors.iter().map(|t| tape.leaf(t.clone())).collect()
+    /// in parameter order. The tape borrows the tensors; nothing is
+    /// copied.
+    pub fn inject<'p>(&'p self, tape: &mut Tape<'p>) -> Vec<Var> {
+        self.tensors.iter().map(|t| tape.leaf(t)).collect()
     }
 
-    /// Collect per-parameter gradients from a backward pass, in
-    /// parameter order, with zeros for unconnected parameters.
+    /// Move the per-parameter gradients out of a backward pass, in
+    /// parameter order; an unconnected matrix parameter gets the empty
+    /// row set, any other a zero tensor.
     ///
     /// `vars` must be the vector returned by [`Params::inject`] on the
     /// tape that produced `grads`.
-    pub fn collect_grads(&self, vars: &[Var], grads: &Grads) -> GradVec {
+    pub fn collect_grads(&self, vars: &[Var], mut grads: Grads) -> GradVec {
         assert_eq!(vars.len(), self.tensors.len(), "collect_grads: var/param count mismatch");
         let gs = vars
             .iter()
             .zip(&self.tensors)
-            .map(|(v, t)| grads.get_or_zeros(*v, t.shape()))
+            .map(|(v, t)| grads.take(*v).unwrap_or_else(|| Grad::zero(t.shape())))
             .collect();
         GradVec { grads: gs }
     }
@@ -121,38 +124,55 @@ impl Params {
     pub fn axpy(&mut self, k: f64, delta: &GradVec) {
         assert_eq!(self.tensors.len(), delta.grads.len(), "Params::axpy length mismatch");
         for (t, d) in self.tensors.iter_mut().zip(&delta.grads) {
-            t.axpy(k, d);
+            d.add_to(k, t);
         }
     }
 }
 
-/// Per-parameter gradients aligned with a [`Params`] order.
+/// Per-parameter gradients aligned with a [`Params`] order. An
+/// embedding table's entry is row-sparse when it comes off a tape
+/// ([`Grad::Rows`]); every operation below gives the bits of the
+/// all-dense computation (see [`crate::grad`] for the one caveat, the
+/// sign of an exactly-zero dot or norm).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradVec {
-    grads: Vec<Tensor>,
+    grads: Vec<Grad>,
 }
 
 impl GradVec {
     /// Construct from raw tensors (must align with the target `Params`).
     pub fn from_tensors(grads: Vec<Tensor>) -> Self {
+        GradVec::from_grads(grads.into_iter().map(Grad::Dense).collect())
+    }
+
+    /// Construct from per-parameter gradients in either form (must
+    /// align with the target `Params`).
+    pub fn from_grads(grads: Vec<Grad>) -> Self {
         GradVec { grads }
     }
 
-    /// A zero gradient matching `params` shapes.
+    /// A dense zero gradient matching `params` shapes — the accumulator
+    /// an optimizer step's update is summed into.
     pub fn zeros_like(params: &Params) -> Self {
-        GradVec {
-            grads: params.tensors.iter().map(|t| Tensor::zeros(t.shape().to_vec())).collect(),
-        }
+        GradVec::from_tensors(
+            params.tensors.iter().map(|t| Tensor::zeros(t.shape().to_vec())).collect(),
+        )
     }
 
     /// Borrow the gradient for one parameter.
-    pub fn get(&self, id: ParamId) -> &Tensor {
+    pub fn get(&self, id: ParamId) -> &Grad {
         &self.grads[id.0]
     }
 
     /// Iterate over gradients in parameter order.
-    pub fn iter(&self) -> impl Iterator<Item = &Tensor> {
+    pub fn iter(&self) -> impl Iterator<Item = &Grad> {
         self.grads.iter()
+    }
+
+    /// Number of `f64` elements held across all gradients: less than
+    /// the parameter count when a table's gradient is row-sparse.
+    pub fn stored_len(&self) -> usize {
+        self.grads.iter().map(Grad::stored_len).sum()
     }
 
     /// Number of gradient tensors.
@@ -171,8 +191,7 @@ impl GradVec {
     /// # Panics
     /// Panics on misaligned shapes.
     pub fn dot(&self, other: &GradVec) -> f64 {
-        assert_eq!(self.grads.len(), other.grads.len(), "GradVec::dot length mismatch");
-        self.grads.iter().zip(&other.grads).map(|(a, b)| a.dot(b)).sum()
+        self.masked_dot(other, &|_| true)
     }
 
     /// Dot product restricted to parameters selected by `keep`
@@ -196,14 +215,14 @@ impl GradVec {
             .iter()
             .enumerate()
             .filter(|(i, _)| keep(*i))
-            .map(|(_, g)| g.data().iter().map(|x| x * x).sum::<f64>())
+            .map(|(_, g)| g.sq_sum())
             .sum::<f64>()
             .sqrt()
     }
 
     /// Global L2 norm across all gradients.
     pub fn norm(&self) -> f64 {
-        self.grads.iter().map(|g| g.data().iter().map(|x| x * x).sum::<f64>()).sum::<f64>().sqrt()
+        self.masked_norm(&|_| true)
     }
 
     /// In-place `self += k * other`.
@@ -217,9 +236,7 @@ impl GradVec {
     /// Scale all gradients in place (used for gradient clipping).
     pub fn scale_in_place(&mut self, k: f64) {
         for g in &mut self.grads {
-            for v in g.data_mut() {
-                *v *= k;
-            }
+            g.scale(k);
         }
     }
 
@@ -237,7 +254,7 @@ impl GradVec {
 
     /// True if any gradient contains NaN or infinity.
     pub fn has_non_finite(&self) -> bool {
-        self.grads.iter().any(Tensor::has_non_finite)
+        self.grads.iter().any(Grad::has_non_finite)
     }
 }
 
@@ -279,9 +296,9 @@ mod tests {
         // loss = sum(w_tensor) — b unconnected.
         let l = tape.sum_all(vars[w.0]);
         let grads = tape.backward(l);
-        let gv = p.collect_grads(&vars, &grads);
-        assert_eq!(gv.get(w).data(), &[1.0, 1.0, 1.0, 1.0]);
-        assert_eq!(gv.get(b).data(), &[0.0, 0.0]);
+        let gv = p.collect_grads(&vars, grads);
+        assert_eq!(gv.get(w).to_dense().data(), &[1.0, 1.0, 1.0, 1.0]);
+        assert_eq!(gv.get(b).to_dense().data(), &[0.0, 0.0]);
     }
 
     #[test]

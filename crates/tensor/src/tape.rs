@@ -17,10 +17,18 @@
 //! Gradients are accumulated in node-creation order reversed, which is a
 //! valid topological order because an op can only reference previously
 //! created vars.
+//!
+//! A leaf either owns its value or borrows it ([`Tape::leaf`] takes
+//! both): a model's parameters are read in place, never copied into the
+//! tape, which is what the `'p` on [`Tape`] is for. The gradient of a
+//! `bag_embed` table is row-sparse ([`crate::grad`]); nothing on a tape
+//! allocates, fills or folds a table-sized buffer.
 
 use crate::frozen;
+use crate::grad::{Grad, RowGrad};
 use crate::tensor::Tensor;
 use mb_common::util::log_sum_exp;
+use std::borrow::Cow;
 
 /// Handle to a node on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,9 +66,13 @@ enum Op {
         eps: f64,
     },
     /// Mean-pooled embedding-bag lookup: row i of the output is the mean
-    /// of `table` rows listed in `bags[i]` (zero vector for empty bags).
+    /// of the `table` rows of bag i (zero vector for empty bags).
+    /// `rows` are the distinct token ids of all bags, ascending — the
+    /// rows of the table's gradient — and `bags[i]` lists bag i's tokens
+    /// in their original order as positions in `rows`.
     BagEmbed {
         table: Var,
+        rows: Vec<u32>,
         bags: Vec<Vec<u32>>,
     },
     /// Row-wise dot product of two `[n, d]` tensors, producing `[n]`.
@@ -103,8 +115,8 @@ enum Op {
     },
 }
 
-struct Node {
-    value: Tensor,
+struct Node<'p> {
+    value: Cow<'p, Tensor>,
     op: Op,
 }
 
@@ -113,22 +125,19 @@ struct Node {
 /// Indexable by the [`Var`]s of the tape that produced it. Vars that do
 /// not influence the loss have `None` gradients.
 pub struct Grads {
-    grads: Vec<Option<Tensor>>,
+    grads: Vec<Option<Grad>>,
 }
 
 impl Grads {
     /// Gradient of the loss with respect to `v`, if `v` influences it.
-    pub fn get(&self, v: Var) -> Option<&Tensor> {
+    pub fn get(&self, v: Var) -> Option<&Grad> {
         self.grads.get(v.0).and_then(|g| g.as_ref())
     }
 
-    /// Gradient of the loss w.r.t. `v`, or a zero tensor of the given
-    /// shape when `v` does not influence the loss.
-    pub fn get_or_zeros(&self, v: Var, shape: &[usize]) -> Tensor {
-        match self.get(v) {
-            Some(g) => g.clone(),
-            None => Tensor::zeros(shape.to_vec()),
-        }
+    /// Move the gradient with respect to `v` out, if `v` influences the
+    /// loss (and it was not taken before).
+    pub fn take(&mut self, v: Var) -> Option<Grad> {
+        self.grads.get_mut(v.0).and_then(Option::take)
     }
 }
 
@@ -146,15 +155,15 @@ impl Grads {
 /// let sq = tape.mul_elem(two_x, two_x);
 /// let loss = tape.sum_all(sq);
 /// let grads = tape.backward(loss);
-/// assert_eq!(grads.get(x).unwrap().data(), &[8.0, -16.0]);
+/// assert_eq!(grads.get(x).unwrap().to_dense().data(), &[8.0, -16.0]);
 /// ```
 #[derive(Default)]
-pub struct Tape {
-    nodes: Vec<Node>,
+pub struct Tape<'p> {
+    nodes: Vec<Node<'p>>,
     threads: mb_par::Threads,
 }
 
-impl Tape {
+impl<'p> Tape<'p> {
     /// An empty tape.
     pub fn new() -> Self {
         Tape::default()
@@ -177,8 +186,9 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    /// Record an input (parameter or constant) node.
-    pub fn leaf(&mut self, value: Tensor) -> Var {
+    /// Record an input (parameter or constant) node: a `Tensor` the
+    /// tape then owns, or a `&'p Tensor` it reads in place.
+    pub fn leaf(&mut self, value: impl Into<Cow<'p, Tensor>>) -> Var {
         self.push(value, Op::Leaf)
     }
 
@@ -187,8 +197,8 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    fn push(&mut self, value: Tensor, op: Op) -> Var {
-        self.nodes.push(Node { value, op });
+    fn push(&mut self, value: impl Into<Cow<'p, Tensor>>, op: Op) -> Var {
+        self.nodes.push(Node { value: value.into(), op });
         Var(self.nodes.len() - 1)
     }
 
@@ -278,9 +288,15 @@ impl Tape {
     ///
     /// # Panics
     /// Panics if any id is out of range.
-    pub fn bag_embed(&mut self, table: Var, bags: Vec<Vec<u32>>) -> Var {
+    pub fn bag_embed(&mut self, table: Var, mut bags: Vec<Vec<u32>>) -> Var {
         let value = frozen::bag_embed(self.val(table), &bags);
-        self.push(value, Op::BagEmbed { table, bags })
+        let mut rows: Vec<u32> = bags.iter().flatten().copied().collect();
+        rows.sort_unstable();
+        rows.dedup();
+        for token in bags.iter_mut().flatten() {
+            *token = rows.binary_search(token).expect("every token was collected into rows") as u32;
+        }
+        self.push(value, Op::BagEmbed { table, rows, bags })
     }
 
     /// Row-wise dot product of two `[n, d]` tensors → `[n]`.
@@ -417,32 +433,34 @@ impl Tape {
             "backward: loss must be scalar, got shape {:?}",
             self.val(loss).shape()
         );
-        let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        grads[loss.0] = Some(Tensor::from_vec(self.val(loss).shape().to_vec(), vec![1.0]));
+        let mut grads: Vec<Option<Grad>> = vec![None; self.nodes.len()];
+        grads[loss.0] = Some(Tensor::from_vec(self.val(loss).shape().to_vec(), vec![1.0]).into());
 
         for idx in (0..=loss.0).rev() {
+            if matches!(self.nodes[idx].op, Op::Leaf) {
+                continue;
+            }
             let g = match grads[idx].take() {
-                Some(g) => g,
+                Some(g) => g.into_dense(),
                 None => continue,
             };
             self.accumulate_parents(idx, &g, &mut grads);
-            grads[idx] = Some(g);
+            grads[idx] = Some(g.into());
         }
         Grads { grads }
     }
 
     /// Add `delta` into the gradient slot of `v`.
-    fn accum(&self, grads: &mut [Option<Tensor>], v: Var, delta: Tensor) {
+    fn accum(&self, grads: &mut [Option<Grad>], v: Var, delta: impl Into<Grad>) {
+        let delta = delta.into();
         match &mut grads[v.0] {
-            Some(g) => {
-                g.axpy(1.0, &delta);
-            }
+            Some(g) => g.axpy(1.0, &delta),
             slot @ None => *slot = Some(delta),
         }
     }
 
     #[allow(clippy::too_many_lines)]
-    fn accumulate_parents(&self, idx: usize, g: &Tensor, grads: &mut [Option<Tensor>]) {
+    fn accumulate_parents(&self, idx: usize, g: &Tensor, grads: &mut [Option<Grad>]) {
         // Clone the op descriptor cheaply (only BagEmbed/targets carry
         // data; those are moderate-sized and only cloned on the backward
         // path of their own node).
@@ -532,24 +550,24 @@ impl Tape {
                 }
                 self.accum(grads, *x, gx);
             }
-            Op::BagEmbed { table, bags } => {
+            Op::BagEmbed { table, rows, bags } => {
                 let tv = self.val(*table);
-                let dim = tv.shape()[1];
-                let mut gt = Tensor::zeros(tv.shape().to_vec());
+                let dim = tv.cols();
+                let mut values = vec![0.0; rows.len() * dim];
                 for (i, bag) in bags.iter().enumerate() {
                     if bag.is_empty() {
                         continue;
                     }
                     let inv = 1.0 / bag.len() as f64;
                     let grow = g.row(i);
-                    for &id in bag {
-                        let dst = &mut gt.data_mut()[id as usize * dim..(id as usize + 1) * dim];
+                    for &at in bag {
+                        let dst = &mut values[at as usize * dim..(at as usize + 1) * dim];
                         for (d, &gv) in dst.iter_mut().zip(grow) {
                             *d += inv * gv;
                         }
                     }
                 }
-                self.accum(grads, *table, gt);
+                self.accum(grads, *table, RowGrad::new(tv.rows(), dim, rows.clone(), values));
             }
             Op::RowsDot(a, b) => {
                 let av = self.val(*a);
@@ -674,7 +692,8 @@ mod tests {
         g
     }
 
-    fn assert_close(a: &Tensor, b: &Tensor, tol: f64) {
+    fn assert_close(a: &Grad, b: &Tensor, tol: f64) {
+        let a = a.to_dense();
         assert_eq!(a.shape(), b.shape());
         for (x, y) in a.data().iter().zip(b.data()) {
             assert!(approx_eq(*x, *y, tol), "grad mismatch: {x} vs {y}");
@@ -928,14 +947,14 @@ mod tests {
         let ws = t.weighted_sum(x, vec![0.5, 0.0, 2.0]);
         assert_eq!(t.value(ws).item(), 0.5 + 6.0);
         let g = t.backward(ws);
-        assert_eq!(g.get(x).unwrap().data(), &[0.5, 0.0, 2.0]);
+        assert_eq!(g.get(x).unwrap().to_dense().data(), &[0.5, 0.0, 2.0]);
 
         let mut t2 = Tape::new();
         let x2 = t2.leaf(x0);
         let picked = t2.gather(x2, 1);
         assert_eq!(t2.value(picked).item(), 2.0);
         let g2 = t2.backward(picked);
-        assert_eq!(g2.get(x2).unwrap().data(), &[0.0, 1.0, 0.0]);
+        assert_eq!(g2.get(x2).unwrap().to_dense().data(), &[0.0, 1.0, 0.0]);
     }
 
     #[test]
@@ -946,7 +965,6 @@ mod tests {
         let l = t.sum_all(a);
         let g = t.backward(l);
         assert!(g.get(b).is_none());
-        assert_eq!(g.get_or_zeros(b, &[1]).data(), &[0.0]);
     }
 
     #[test]
@@ -958,7 +976,7 @@ mod tests {
         let m = t.mul_elem(x, x);
         let l = t.sum_all(m);
         let g = t.backward(l);
-        assert_eq!(g.get(x).unwrap().data(), &[3.0, -4.0]);
+        assert_eq!(g.get(x).unwrap().to_dense().data(), &[3.0, -4.0]);
     }
 
     #[test]
@@ -970,7 +988,7 @@ mod tests {
         let l = t.weighted_sum(flat, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(t.value(l).item(), 30.0);
         let g = t.backward(l);
-        let gx = g.get(x).unwrap();
+        let gx = g.get(x).unwrap().to_dense();
         assert_eq!(gx.shape(), &[2, 2]);
         assert_eq!(gx.data(), &[1.0, 2.0, 3.0, 4.0]);
     }

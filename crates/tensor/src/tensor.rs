@@ -7,6 +7,7 @@
 //! in this workspace, not recoverable conditions.
 
 use mb_common::Rng;
+use std::borrow::Cow;
 use std::fmt;
 
 /// A dense, row-major tensor of `f64` values.
@@ -14,6 +15,21 @@ use std::fmt;
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f64>,
+}
+
+/// An owned tensor as a [`crate::Tape`] leaf value.
+impl From<Tensor> for Cow<'_, Tensor> {
+    fn from(t: Tensor) -> Self {
+        Cow::Owned(t)
+    }
+}
+
+/// A borrowed tensor as a [`crate::Tape`] leaf value: the tape reads
+/// it in place for as long as it lives.
+impl<'a> From<&'a Tensor> for Cow<'a, Tensor> {
+    fn from(t: &'a Tensor) -> Self {
+        Cow::Borrowed(t)
+    }
 }
 
 impl fmt::Debug for Tensor {
