@@ -222,15 +222,6 @@ where
     }
 }
 
-/// Run an anonymous property (see [`for_all_named`]).
-pub fn for_all<G, F>(cfg: &Config, generator: G, prop: F)
-where
-    G: Gen,
-    F: Fn(&G::Value) -> Result<(), String>,
-{
-    for_all_named(cfg, "property", &generator, prop);
-}
-
 /// Assert a condition inside a property, recording the expression (and
 /// an optional formatted message) on failure.
 #[macro_export]

@@ -15,7 +15,6 @@
 
 pub mod error;
 pub mod lru;
-pub mod progress;
 pub mod rng;
 pub mod storage;
 pub mod util;

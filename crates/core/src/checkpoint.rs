@@ -34,7 +34,7 @@
 //! quietly untrained model (the file is on `mb-lint`'s panic-free
 //! list).
 
-use mb_common::storage::{DiskStorage, NoBudget, StepBudget, Storage};
+use mb_common::storage::{StepBudget, Storage};
 use mb_common::{Error, Result, Rng};
 use mb_tensor::checkpoint::Checkpoint;
 use mb_tensor::optim::Optimizer;
@@ -93,12 +93,6 @@ pub struct CheckpointManager {
 }
 
 impl CheckpointManager {
-    /// A manager writing real files via [`DiskStorage`], never aborted
-    /// by a budget.
-    pub fn on_disk(cfg: CheckpointConfig) -> Self {
-        CheckpointManager::with_parts(cfg, Box::new(DiskStorage::new()), Box::new(NoBudget))
-    }
-
     /// A manager over explicit storage and budget implementations —
     /// the constructor fault-injection tests use.
     pub fn with_parts(
@@ -424,7 +418,7 @@ impl MetaResume<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mb_common::storage::MemStorage;
+    use mb_common::storage::{MemStorage, NoBudget};
     use std::path::Path;
 
     fn ck_with(tag: &str) -> Checkpoint {

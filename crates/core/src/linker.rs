@@ -796,14 +796,16 @@ mod tests {
         // Wrong dimensionality is rejected.
         let out_dim = f.bi.config().out_dim;
         let bad_dim =
-            DenseIndex::from_vectors(mb_tensor::Tensor::zeros([1, out_dim + 1]), vec![dict[0]]);
+            DenseIndex::try_from_vectors(mb_tensor::Tensor::zeros([1, out_dim + 1]), vec![dict[0]])
+                .expect("one id per row");
         let err = assemble(bad_dim, None).err();
         assert!(matches!(err, Some(mb_common::Error::ShapeMismatch { .. })), "got {err:?}");
         // Out-of-range entity ids are rejected.
-        let bad_id = DenseIndex::from_vectors(
+        let bad_id = DenseIndex::try_from_vectors(
             mb_tensor::Tensor::zeros([1, out_dim]),
             vec![EntityId(f.world.kb().len() as u32)],
-        );
+        )
+        .expect("one id per row");
         let err = assemble(bad_id, None).err();
         assert!(matches!(err, Some(mb_common::Error::NotFound(_))), "got {err:?}");
         // So is a supplied quantized table of the wrong width: it would

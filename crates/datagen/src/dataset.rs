@@ -81,11 +81,6 @@ impl Dataset {
             .unwrap_or_else(|| panic!("no mentions for domain {domain:?}"))
     }
 
-    /// All mention sets in domain order.
-    pub fn all_mentions(&self) -> &[MentionSet] {
-        &self.mentions
-    }
-
     /// Few-shot split of a test domain by name.
     ///
     /// # Panics
@@ -101,18 +96,6 @@ impl Dataset {
     pub fn splits(&self) -> &[FewShotSplit] {
         &self.splits
     }
-
-    /// Pooled labeled mentions of all `Train`-role domains — the
-    /// "general domain" training source of Tables VII/IX.
-    pub fn general_domain_mentions(&self) -> Vec<(&str, &MentionSet)> {
-        self.world
-            .domains()
-            .iter()
-            .zip(&self.mentions)
-            .filter(|(d, _)| d.role == DomainRole::Train)
-            .map(|(d, m)| (d.name.as_str(), m))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -126,21 +109,13 @@ mod tests {
     #[test]
     fn builds_all_parts() {
         let ds = tiny();
-        assert_eq!(ds.all_mentions().len(), 3);
+        assert_eq!(ds.mentions.len(), 3);
         assert_eq!(ds.splits().len(), 1);
         let split = ds.split("TargetX");
         assert_eq!(split.seed.len(), 25);
         assert_eq!(split.dev.len(), 25);
         assert_eq!(split.test.len(), 140 - 50);
         assert_eq!(ds.mentions("SrcA").len(), 120);
-    }
-
-    #[test]
-    fn general_domain_pool_excludes_test() {
-        let ds = tiny();
-        let general = ds.general_domain_mentions();
-        assert_eq!(general.len(), 2);
-        assert!(general.iter().all(|(name, _)| *name != "TargetX"));
     }
 
     #[test]

@@ -142,24 +142,9 @@ impl Lexicon {
         Lexicon { general, specific, common, gap }
     }
 
-    /// The domain-gap parameter.
-    pub fn gap(&self) -> f64 {
-        self.gap
-    }
-
     /// The domain-specific pool.
     pub fn specific_words(&self) -> &[String] {
         &self.specific
-    }
-
-    /// The shared general pool.
-    pub fn general_words(&self) -> &[String] {
-        &self.general
-    }
-
-    /// The common (high-frequency, non-salient) domain pool.
-    pub fn common_words(&self) -> &[String] {
-        &self.common
     }
 
     /// Sample a content word: domain pool with probability `gap`
@@ -181,11 +166,6 @@ impl Lexicon {
     /// keywords, which should be recognisably in-domain).
     pub fn specific_word(&self, rng: &mut Rng) -> &str {
         rng.choose(&self.specific).as_str()
-    }
-
-    /// Sample a general word unconditionally.
-    pub fn general_word(&self, rng: &mut Rng) -> &str {
-        rng.choose(&self.general).as_str()
     }
 
     /// Capitalise a word for use in a name/title.
@@ -260,7 +240,7 @@ mod tests {
         for _ in 0..200 {
             let w = lex_hi.content_word(&mut rng).to_string();
             let in_specific = lex_hi.specific_words().contains(&w);
-            let in_common = lex_hi.common_words().contains(&w);
+            let in_common = lex_hi.common.contains(&w);
             assert!(in_specific || in_common);
             common_hits += usize::from(in_common);
         }
@@ -270,7 +250,7 @@ mod tests {
         let mut rng = Rng::seed_from_u64(6);
         for _ in 0..200 {
             let w = lex_lo.content_word(&mut rng).to_string();
-            assert!(lex_lo.general_words().contains(&w));
+            assert!(lex_lo.general.contains(&w));
         }
     }
 

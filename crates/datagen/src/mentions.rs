@@ -34,11 +34,6 @@ impl LinkedMention {
         format!("{}{}{}", self.left, self.surface, self.right)
     }
 
-    /// Re-derive the category from the stored surface and a title.
-    pub fn classify_against(&self, title: &str) -> OverlapCategory {
-        overlap::classify(&self.surface, title)
-    }
-
     /// Replace the surface form (mention rewriting, Figure 3): the new
     /// surface is spliced into the same context and the category is
     /// re-derived against the gold title.
@@ -240,7 +235,7 @@ mod tests {
         let (world, ms) = setup();
         for m in &ms.mentions {
             let title = &world.kb().entity(m.entity).title;
-            assert_eq!(m.category, m.classify_against(title));
+            assert_eq!(m.category, overlap::classify(&m.surface, title));
         }
     }
 

@@ -45,11 +45,6 @@ impl FewShotSplit {
         }
     }
 
-    /// The paper's default 50/50/rest split.
-    pub fn paper_default(set: &MentionSet, rng: &mut Rng) -> Self {
-        Self::split(set, 50, 50, rng)
-    }
-
     /// Total number of mentions across all three parts.
     pub fn total(&self) -> usize {
         self.seed.len() + self.dev.len() + self.test.len()

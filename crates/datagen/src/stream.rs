@@ -137,11 +137,6 @@ impl EntityStream {
         &self.cfg
     }
 
-    /// Entities emitted so far.
-    pub fn emitted(&self) -> usize {
-        self.next
-    }
-
     /// Generate the entity at `index` (pure in `(config, index)`).
     fn entity(&self, index: usize) -> StreamedEntity {
         let mut rng = self.base.split(index as u64);

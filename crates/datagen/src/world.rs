@@ -324,11 +324,6 @@ impl World {
             .ok_or_else(|| Error::NotFound(format!("domain {name:?} not in world")))
     }
 
-    /// The configuration used to generate this world.
-    pub fn config(&self) -> &WorldConfig {
-        &self.config
-    }
-
     /// All domains with a given role.
     pub fn domains_with_role(&self, role: DomainRole) -> Vec<&DomainInfo> {
         self.domains.iter().filter(|d| d.role == role).collect()
@@ -560,7 +555,7 @@ mod tests {
     #[test]
     fn generates_requested_counts() {
         let w = tiny_world();
-        assert_eq!(w.kb().num_domains(), 3);
+        assert_eq!(w.domains().len(), 3);
         let target = w.domain("TargetX");
         assert_eq!(w.kb().domain_entities(target.id).len(), 90);
         let src = w.domain("SrcA");

@@ -110,7 +110,6 @@ pub(crate) struct CrossIds {
 /// The cross-encoder model.
 #[derive(Debug, Clone)]
 pub struct CrossEncoder {
-    cfg: CrossEncoderConfig,
     params: Params,
     ids: CrossIds,
 }
@@ -130,12 +129,7 @@ impl CrossEncoder {
             gamma: params
                 .add("gamma", mb_tensor::Tensor::from_vec(vec![1, 1], vec![cfg.dot_gamma_init])),
         };
-        CrossEncoder { cfg, params, ids }
-    }
-
-    /// The model's configuration.
-    pub fn config(&self) -> &CrossEncoderConfig {
-        &self.cfg
+        CrossEncoder { params, ids }
     }
 
     /// Borrow the parameters.
@@ -244,7 +238,7 @@ impl CrossEncoder {
     /// table per `mode`). Under [`QuantMode::Exact`] it runs the same
     /// code as [`CrossEncoder::score_batch`] over the snapshot.
     pub fn freeze(&self, mode: QuantMode) -> crate::frozen::FrozenCrossEncoder {
-        crate::frozen::FrozenCrossEncoder::new(self.cfg, &self.params, self.ids, mode)
+        crate::frozen::FrozenCrossEncoder::new(&self.params, self.ids, mode)
     }
 
     /// Index (in parameter order) of the token-embedding table (see

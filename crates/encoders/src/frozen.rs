@@ -21,7 +21,7 @@
 //! [`mb_tensor::quant`] instead.
 
 use crate::biencoder::{BiEncoderConfig, BiIds, SideIds, EMBED_CHUNK, NORM_EPS};
-use crate::crossencoder::{CandidateSet, CrossEncoderConfig, CrossIds, SCORE_CHUNK};
+use crate::crossencoder::{CandidateSet, CrossIds, SCORE_CHUNK};
 use crate::input::EntityFeatures;
 use mb_par::Threads;
 use mb_tensor::frozen::{self, FrozenParams};
@@ -175,11 +175,6 @@ impl FrozenBiEncoder {
         FrozenBiEncoder { inner: Arc::new(BiInner { cfg, params, ids, table, mode }) }
     }
 
-    /// The model's configuration.
-    pub fn config(&self) -> &BiEncoderConfig {
-        &self.inner.cfg
-    }
-
     /// How the embedding table is stored and scored.
     pub fn mode(&self) -> QuantMode {
         self.inner.mode
@@ -246,11 +241,9 @@ impl FrozenBiEncoder {
 
 #[derive(Debug)]
 struct CrossInner {
-    cfg: CrossEncoderConfig,
     params: FrozenParams,
     ids: CrossIds,
     table: EmbTable,
-    mode: QuantMode,
 }
 
 /// The frozen cross-encoder:
@@ -269,16 +262,11 @@ pub struct FrozenCrossEncoder {
 }
 
 impl FrozenCrossEncoder {
-    pub(crate) fn new(
-        cfg: CrossEncoderConfig,
-        params: &Params,
-        ids: CrossIds,
-        mode: QuantMode,
-    ) -> Self {
+    pub(crate) fn new(params: &Params, ids: CrossIds, mode: QuantMode) -> Self {
         let params = FrozenParams::freeze(params);
         let table = EmbTable::build(mode, params.get(ids.emb));
         FrozenCrossEncoder {
-            inner: Arc::new(CrossInner { cfg, params, ids, table, mode }),
+            inner: Arc::new(CrossInner { params, ids, table }),
             features: Arc::default(),
         }
     }
@@ -293,16 +281,6 @@ impl FrozenCrossEncoder {
     /// The attached entity feature table; empty when none was.
     pub fn features(&self) -> &Arc<EntityFeatures> {
         &self.features
-    }
-
-    /// The model's configuration.
-    pub fn config(&self) -> &CrossEncoderConfig {
-        &self.inner.cfg
-    }
-
-    /// How the embedding table is stored and scored.
-    pub fn mode(&self) -> QuantMode {
-        self.inner.mode
     }
 
     /// Resident bytes of the embedding table as served.
@@ -339,7 +317,7 @@ impl FrozenCrossEncoder {
 mod tests {
     use super::*;
     use crate::biencoder::BiEncoder;
-    use crate::crossencoder::CrossEncoder;
+    use crate::crossencoder::{CrossEncoder, CrossEncoderConfig};
     use crate::input::{build_vocab, entity_bag, title_bag, InputConfig, TrainPair};
     use mb_common::Rng;
     use mb_datagen::{World, WorldConfig};

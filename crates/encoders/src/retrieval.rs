@@ -361,19 +361,6 @@ impl DenseIndex {
         Ok(DenseIndex { vectors, ids })
     }
 
-    /// Build from precomputed vectors (rows aligned with `ids`).
-    ///
-    /// Panicking convenience for tests and benches; production callers
-    /// (the serving path) use [`DenseIndex::try_from_vectors`].
-    ///
-    /// # Panics
-    /// Panics if row count and id count differ.
-    pub fn from_vectors(vectors: Tensor, ids: Vec<EntityId>) -> Self {
-        let (rows, n_ids) = (vectors.rows(), ids.len());
-        DenseIndex::try_from_vectors(vectors, ids)
-            .unwrap_or_else(|_| panic!("DenseIndex: {rows} rows vs {n_ids} ids"))
-    }
-
     /// Embed and index a set of entities with a bi-encoder.
     ///
     /// # Panics
@@ -507,11 +494,6 @@ impl QuantizedIndex {
         Ok(QuantizedIndex { table: QuantTable::Int8(table), ids })
     }
 
-    /// The indexed ids in row order.
-    pub fn ids(&self) -> &[EntityId] {
-        &self.ids
-    }
-
     /// Resident bytes of the stored vectors.
     pub fn bytes(&self) -> usize {
         match &self.table {
@@ -613,7 +595,7 @@ mod tests {
     #[test]
     fn top_k_matches_naive_sort() {
         let (vectors, ids) = random_index(200, 8, 1);
-        let index = DenseIndex::from_vectors(vectors.clone(), ids);
+        let index = DenseIndex::try_from_vectors(vectors.clone(), ids).expect("one id per row");
         let mut rng = Rng::seed_from_u64(2);
         let query: Vec<f64> = (0..8).map(|_| rng.gaussian()).collect();
         let got = index.top_k(&query, 10);
@@ -630,7 +612,7 @@ mod tests {
     #[test]
     fn top_k_caps_at_len() {
         let (vectors, ids) = random_index(5, 4, 3);
-        let index = DenseIndex::from_vectors(vectors, ids);
+        let index = DenseIndex::try_from_vectors(vectors, ids).expect("one id per row");
         let got = index.top_k(&[1.0, 0.0, 0.0, 0.0], 64);
         assert_eq!(got.len(), 5);
     }
@@ -638,7 +620,8 @@ mod tests {
     #[test]
     fn quantized_index_agrees_with_exact_on_clear_margins() {
         let (vectors, ids) = random_index(300, 16, 11);
-        let exact = DenseIndex::from_vectors(vectors.clone(), ids.clone());
+        let exact =
+            DenseIndex::try_from_vectors(vectors.clone(), ids.clone()).expect("one id per row");
         assert!(QuantizedIndex::from_dense(&exact, QuantMode::Exact).is_none());
         let exact_bytes = vectors.numel() * std::mem::size_of::<f64>();
         for (mode, shrink) in [(QuantMode::F16, 4), (QuantMode::Int8, 2)] {
@@ -667,13 +650,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "rows vs")]
-    fn mismatched_ids_panic() {
-        let (vectors, _) = random_index(10, 4, 8);
-        DenseIndex::from_vectors(vectors, vec![EntityId(0)]);
     }
 
     #[test]

@@ -47,11 +47,6 @@ pub struct TrainStats {
 }
 
 impl TrainStats {
-    /// Loss of the final epoch (NaN if no epochs ran).
-    pub fn final_loss(&self) -> f64 {
-        self.epoch_losses.last().copied().unwrap_or(f64::NAN)
-    }
-
     /// True if the last epoch improved on the first.
     pub fn improved(&self) -> bool {
         match (self.epoch_losses.first(), self.epoch_losses.last()) {
@@ -208,7 +203,6 @@ mod tests {
         let mut model = BiEncoder::new(&vocab, bi_cfg, &mut Rng::seed_from_u64(1));
         let stats = train_biencoder(&mut model, &[], &TrainConfig::default());
         assert!(stats.epoch_losses.is_empty());
-        assert!(stats.final_loss().is_nan());
     }
 
     #[test]

@@ -64,7 +64,7 @@ mb_check::check! {
         let mut rng = Rng::seed_from_u64(seed);
         let vectors = Tensor::randn(vec![n, d], 0.0, 1.0, &mut rng);
         let ids: Vec<EntityId> = (0..n as u32).map(EntityId).collect();
-        let index = DenseIndex::from_vectors(vectors.clone(), ids);
+        let index = DenseIndex::try_from_vectors(vectors.clone(), ids).expect("one id per row");
         let query: Vec<f64> = (0..d).map(|_| rng.gaussian()).collect();
         let top = index.top_k(&query, k);
         prop_assert_eq!(top.len(), k.min(n));

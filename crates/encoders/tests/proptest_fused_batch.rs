@@ -43,7 +43,8 @@ fn row_ids(n: usize) -> Vec<EntityId> {
 }
 
 fn near_tie_index(n: usize, dim: usize, spread: f64, seed: u64) -> DenseIndex {
-    DenseIndex::from_vectors(near_tie_vectors(n, dim, spread, seed), row_ids(n))
+    DenseIndex::try_from_vectors(near_tie_vectors(n, dim, spread, seed), row_ids(n))
+        .expect("one id per row")
 }
 
 /// A `[batch, dim]` query matrix drawn near the index distribution so
@@ -99,7 +100,7 @@ mb_check::check! {
         let k = 1 + rng.below(n + 4); // sometimes k > n
         let spread = [1e-12, 1e-6, 1e-2][rng.below(3)];
         let vectors = near_tie_vectors(n, dim, spread, seed ^ 1);
-        let index = DenseIndex::from_vectors(vectors.clone(), row_ids(n));
+        let index = DenseIndex::try_from_vectors(vectors.clone(), row_ids(n)).expect("one id per row");
         let queries = query_matrix(batch, dim, seed ^ 2);
         check_against_serial_and_oracle("dense", &index, Table::F64(&vectors), &queries, k)?;
     }

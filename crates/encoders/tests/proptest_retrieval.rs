@@ -112,7 +112,7 @@ mb_check::check! {
         // each other) to comfortably separated.
         let spread = [1e-4, 1e-3, 1e-2, 1e-1][rng.below(4)];
         let vectors = near_tie_vectors(n, dim, spread, seed ^ 2);
-        let index = DenseIndex::from_vectors(vectors.clone(), row_ids(n));
+        let index = DenseIndex::try_from_vectors(vectors.clone(), row_ids(n)).expect("one id per row");
         let lossy = Lossy::of(&vectors);
         let query: Vec<f64> = (0..dim).map(|_| rng.f64() * 2.0 - 1.0).collect();
         let exact_top = index.top_k(&query, k);

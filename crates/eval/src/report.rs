@@ -43,11 +43,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Append a row of string slices.
-    pub fn row_strs(&mut self, cells: &[&str]) {
-        self.row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
-    }
-
     /// Add a free-text footnote.
     pub fn note(&mut self, note: &str) {
         self.notes.push(note.to_string());
@@ -162,8 +157,8 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::new("Demo", &["Method", "Acc"]);
-        t.row_strs(&["BLINK", "20.82"]);
-        t.row_strs(&["MetaBLINK", "39.14"]);
+        t.row(&["BLINK", "20.82"].map(String::from));
+        t.row(&["MetaBLINK", "39.14"].map(String::from));
         t.note("higher is better");
         let r = t.render();
         assert!(r.contains("== Demo =="));
@@ -180,13 +175,13 @@ mod tests {
     #[should_panic(expected = "row with")]
     fn rejects_ragged_rows() {
         let mut t = Table::new("X", &["A", "B"]);
-        t.row_strs(&["only one"]);
+        t.row(&["only one"].map(String::from));
     }
 
     #[test]
     fn emit_writes_file() {
         let mut t = Table::new("EmitTest", &["A"]);
-        t.row_strs(&["1"]);
+        t.row(&["1"].map(String::from));
         t.emit("unit_test_emit");
         let path = output_dir().join("unit_test_emit.txt");
         let content = std::fs::read_to_string(&path).unwrap();

@@ -152,23 +152,11 @@ pub struct FaultyStorage<S> {
 }
 
 impl<S: Storage> FaultyStorage<S> {
-    /// Wrap `inner` with an empty fault plan; `seed` drives all random
-    /// choices (tear length, flipped bit).
-    pub fn new(inner: S, seed: u64) -> Self {
-        FaultyStorage {
-            inner,
-            rng: Rng::seed_from_u64(seed),
-            faults: Vec::new(),
-            writes: 0,
-            ops: 0,
-        }
-    }
-
-    /// Add a fault to the plan (builder style).
-    #[must_use]
-    pub fn with_fault(mut self, fault: Fault) -> Self {
-        self.faults.push(fault);
-        self
+    /// Wrap `inner` with the fault plan `faults` (empty: plain
+    /// pass-through); `seed` drives all random choices (tear length,
+    /// flipped bit).
+    pub fn new(inner: S, seed: u64, faults: Vec<Fault>) -> Self {
+        FaultyStorage { inner, rng: Rng::seed_from_u64(seed), faults, writes: 0, ops: 0 }
     }
 
     /// Number of writes attempted so far.
@@ -285,8 +273,7 @@ mod tests {
     #[test]
     fn torn_write_stores_prefix_but_reports_success() {
         let mem = MemStorage::new();
-        let mut s =
-            FaultyStorage::new(mem.clone(), 11).with_fault(Fault::TornWrite { at_write: 1 });
+        let mut s = FaultyStorage::new(mem.clone(), 11, vec![Fault::TornWrite { at_write: 1 }]);
         let p = Path::new("ckpt/a");
         let data = vec![7u8; 100];
         s.write_atomic(p, &data).unwrap(); // write 0: clean
@@ -300,7 +287,7 @@ mod tests {
     #[test]
     fn bit_flip_inverts_exactly_one_bit() {
         let mem = MemStorage::new();
-        let mut s = FaultyStorage::new(mem.clone(), 5).with_fault(Fault::BitFlip { at_write: 0 });
+        let mut s = FaultyStorage::new(mem.clone(), 5, vec![Fault::BitFlip { at_write: 0 }]);
         let p = Path::new("x");
         let data = vec![0u8; 64];
         s.write_atomic(p, &data).unwrap();
@@ -314,9 +301,11 @@ mod tests {
     fn corruption_is_deterministic_in_the_seed() {
         let run = |seed: u64| {
             let mem = MemStorage::new();
-            let mut s = FaultyStorage::new(mem.clone(), seed)
-                .with_fault(Fault::BitFlip { at_write: 0 })
-                .with_fault(Fault::TornWrite { at_write: 1 });
+            let mut s = FaultyStorage::new(
+                mem.clone(),
+                seed,
+                vec![Fault::BitFlip { at_write: 0 }, Fault::TornWrite { at_write: 1 }],
+            );
             s.write_atomic(Path::new("a"), &[0xAB; 200]).unwrap();
             s.write_atomic(Path::new("b"), &[0xCD; 200]).unwrap();
             (mem.peek(Path::new("a")).unwrap(), mem.peek(Path::new("b")).unwrap())
@@ -327,8 +316,11 @@ mod tests {
 
     #[test]
     fn transient_io_fails_bounded_then_recovers() {
-        let mut s = FaultyStorage::new(MemStorage::new(), 1)
-            .with_fault(Fault::TransientIo { at_op: 1, failures: 2 });
+        let mut s = FaultyStorage::new(
+            MemStorage::new(),
+            1,
+            vec![Fault::TransientIo { at_op: 1, failures: 2 }],
+        );
         let p = Path::new("x");
         s.write_atomic(p, b"v1").unwrap(); // op 0: ok
         assert!(matches!(s.write_atomic(p, b"v2"), Err(Error::Io(_)))); // op 1
@@ -339,7 +331,7 @@ mod tests {
 
     #[test]
     fn unfaulted_ops_pass_through() {
-        let mut s = FaultyStorage::new(MemStorage::new(), 9);
+        let mut s = FaultyStorage::new(MemStorage::new(), 9, Vec::new());
         let d = Path::new("dir");
         s.write_atomic(&d.join("k"), b"v").unwrap();
         assert!(s.exists(&d.join("k")));

@@ -38,16 +38,6 @@ impl TitleIndex {
     pub fn lookup(&self, name: &str) -> &[EntityId] {
         self.map.get(&canonical(name)).map_or(&[], Vec::as_slice)
     }
-
-    /// Number of distinct canonical titles.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if no titles are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 /// Alias table: alternative surface forms → entities. In the paper's
@@ -90,80 +80,6 @@ impl AliasTable {
     }
 }
 
-/// Inverted token index over entity titles: token → posting list of
-/// entities whose title contains the token. Posting lists are kept
-/// sorted and deduplicated.
-#[derive(Debug, Clone, Default)]
-pub struct TokenIndex {
-    map: BTreeMap<String, Vec<EntityId>>,
-}
-
-impl TokenIndex {
-    /// Empty index.
-    pub fn new() -> Self {
-        TokenIndex::default()
-    }
-
-    /// Index an entity's title tokens.
-    pub fn insert_title(&mut self, title: &str, id: EntityId) {
-        for tok in tokenize(title) {
-            let posting = self.map.entry(tok).or_default();
-            if posting.last() != Some(&id) {
-                posting.push(id);
-            }
-        }
-    }
-
-    /// Posting list for a token (empty for unknown tokens).
-    pub fn posting(&self, token: &str) -> &[EntityId] {
-        self.map.get(token).map_or(&[], Vec::as_slice)
-    }
-
-    /// Entities ranked by how many of `query`'s distinct tokens appear
-    /// in their title, descending, ties broken by id. At most `k`
-    /// results. This is the traditional-IR candidate generator used by
-    /// the `Logeswaran et al.`-style comparison path.
-    pub fn candidates(&self, query: &str, k: usize) -> Vec<EntityId> {
-        let mut counts: BTreeMap<EntityId, usize> = BTreeMap::new();
-        let mut seen_tokens = std::collections::BTreeSet::new();
-        for tok in tokenize(query) {
-            if !seen_tokens.insert(tok.clone()) {
-                continue;
-            }
-            for &id in self.posting(&tok) {
-                *counts.entry(id).or_insert(0) += 1;
-            }
-        }
-        let mut scored: Vec<(EntityId, usize)> = counts.into_iter().collect();
-        scored.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored.truncate(k);
-        scored.into_iter().map(|(id, _)| id).collect()
-    }
-
-    /// [`TokenIndex::candidates`] for a batch of queries, split across
-    /// workers. Each query is resolved wholly within one worker and
-    /// ranking ties break by entity id, so results are identical for
-    /// any [`mb_par::Threads`] value.
-    pub fn candidates_batch(
-        &self,
-        queries: &[String],
-        k: usize,
-        threads: mb_par::Threads,
-    ) -> Vec<Vec<EntityId>> {
-        mb_par::par_map(threads, queries, |_, q| self.candidates(q, k))
-    }
-
-    /// Number of distinct tokens indexed.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,7 +104,7 @@ mod tests {
         ix.insert("Mercury", EntityId(1));
         ix.insert("mercury", EntityId(2));
         assert_eq!(ix.lookup("Mercury"), &[EntityId(1), EntityId(2)]);
-        assert_eq!(ix.len(), 1);
+        assert_eq!(ix.map.len(), 1);
     }
 
     #[test]
@@ -199,40 +115,5 @@ mod tests {
         t.insert("big blue", EntityId(8));
         assert_eq!(t.lookup("BIG blue"), &[EntityId(7), EntityId(8)]);
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn token_index_candidates_ranked_by_overlap() {
-        let mut ix = TokenIndex::new();
-        ix.insert_title("red dragon", EntityId(0));
-        ix.insert_title("blue dragon", EntityId(1));
-        ix.insert_title("red castle", EntityId(2));
-        let c = ix.candidates("red dragon lair", 10);
-        assert_eq!(c[0], EntityId(0)); // matches both tokens
-        assert_eq!(c.len(), 3);
-        let c1 = ix.candidates("red dragon", 1);
-        assert_eq!(c1, vec![EntityId(0)]);
-    }
-
-    #[test]
-    fn token_index_repeated_query_tokens_count_once() {
-        let mut ix = TokenIndex::new();
-        ix.insert_title("red dragon", EntityId(0));
-        ix.insert_title("blue dragon lair", EntityId(1));
-        // "dragon dragon dragon" must not triple-count.
-        let c = ix.candidates("dragon dragon dragon blue", 10);
-        assert_eq!(c[0], EntityId(1));
-    }
-
-    #[test]
-    fn empty_queries_yield_nothing() {
-        let ix = TokenIndex::new();
-        assert!(ix.candidates("anything", 5).is_empty());
-        let ix2 = {
-            let mut ix2 = TokenIndex::new();
-            ix2.insert_title("a b", EntityId(0));
-            ix2
-        };
-        assert!(ix2.candidates("", 5).is_empty());
     }
 }

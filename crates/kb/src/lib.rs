@@ -5,14 +5,14 @@
 //! A [`KnowledgeBase`] stores entities (title + description), domain
 //! partitions, relations and fact triples, and maintains the lookup
 //! structures entity linking needs: an exact-title index (for the Name
-//! Matching baseline and exact-match supervision), an alias table
+//! Matching baseline and exact-match supervision) and an alias table
 //! (available for *source* domains only, mirroring the paper's premise
-//! that target-domain dictionaries lack such resources), and an inverted
-//! token index over titles (for IR-style candidate generation).
+//! that target-domain dictionaries lack such resources). Candidate
+//! generation is dense retrieval over entity descriptions (`mb-encoders`),
+//! not a lexical index here.
 
 #![warn(missing_docs)]
 
-pub mod bm25;
 pub mod entity;
 pub mod index;
 pub mod store;

@@ -1,14 +1,13 @@
 //! The frozen knowledge base and its builder.
 
 use crate::entity::{DomainId, Entity, EntityId, RelationId, Triple};
-use crate::index::{AliasTable, TitleIndex, TokenIndex};
+use crate::index::{AliasTable, TitleIndex};
 use mb_common::{Error, Result};
 use std::collections::BTreeMap;
 
 /// Mutable builder for a [`KnowledgeBase`].
 #[derive(Debug, Default)]
 pub struct KbBuilder {
-    domains: Vec<String>,
     domain_ids: BTreeMap<String, DomainId>,
     relations: Vec<String>,
     relation_ids: BTreeMap<String, RelationId>,
@@ -33,10 +32,9 @@ impl KbBuilder {
         if let Some(&id) = self.domain_ids.get(name) {
             return Ok(id);
         }
-        let id = DomainId(u16::try_from(self.domains.len()).map_err(|_| {
+        let id = DomainId(u16::try_from(self.domain_ids.len()).map_err(|_| {
             Error::InvalidConfig(format!("too many domains: id space is u16, adding {name:?}"))
         })?);
-        self.domains.push(name.to_string());
         self.domain_ids.insert(name.to_string(), id);
         Ok(id)
     }
@@ -108,10 +106,8 @@ impl KbBuilder {
             }
         };
         let mut title_index = TitleIndex::new();
-        let mut token_index = TokenIndex::new();
         for e in &self.entities {
             title_index.insert(&e.title, e.id);
-            token_index.insert_title(&e.title, e.id);
         }
         let mut alias_table = AliasTable::new();
         for (alias, id) in &self.aliases {
@@ -125,19 +121,17 @@ impl KbBuilder {
             // mb-lint: allow(indexing) -- check(t.head) above proves head < n
             outgoing[t.head.0 as usize].push((t.relation, t.tail));
         }
-        let mut by_domain: Vec<Vec<EntityId>> = vec![Vec::new(); self.domains.len()];
+        let mut by_domain: Vec<Vec<EntityId>> = vec![Vec::new(); self.domain_ids.len()];
         for e in &self.entities {
-            // mb-lint: allow(indexing) -- domain ids are issued by this builder, < domains.len()
+            // mb-lint: allow(indexing) -- domain ids are issued by this builder, < domain_ids.len()
             by_domain[e.domain.0 as usize].push(e.id);
         }
         Ok(KnowledgeBase {
-            domains: self.domains,
             relations: self.relations,
             entities: self.entities,
             triples: self.triples,
             title_index,
             alias_table,
-            token_index,
             outgoing,
             by_domain,
         })
@@ -147,13 +141,11 @@ impl KbBuilder {
 /// A frozen, indexed knowledge base `G = {E; R; T}`.
 #[derive(Debug, Clone)]
 pub struct KnowledgeBase {
-    domains: Vec<String>,
     relations: Vec<String>,
     entities: Vec<Entity>,
     triples: Vec<Triple>,
     title_index: TitleIndex,
     alias_table: AliasTable,
-    token_index: TokenIndex,
     outgoing: Vec<Vec<(RelationId, EntityId)>>,
     by_domain: Vec<Vec<EntityId>>,
 }
@@ -189,29 +181,6 @@ impl KnowledgeBase {
         &self.triples
     }
 
-    /// Number of domains.
-    pub fn num_domains(&self) -> usize {
-        self.domains.len()
-    }
-
-    /// A domain's name.
-    pub fn domain_name(&self, id: DomainId) -> &str {
-        // mb-lint: allow(indexing) -- ids are issued densely by KbBuilder; foreign ids are a caller bug
-        &self.domains[id.0 as usize]
-    }
-
-    /// Find a domain id by name.
-    ///
-    /// # Errors
-    /// Returns [`Error::NotFound`] for unknown names.
-    pub fn domain_by_name(&self, name: &str) -> Result<DomainId> {
-        self.domains
-            .iter()
-            .position(|d| d == name)
-            .map(|i| DomainId(i as u16))
-            .ok_or_else(|| Error::NotFound(format!("domain {name:?}")))
-    }
-
     /// A relation's name.
     pub fn relation_name(&self, id: RelationId) -> &str {
         // mb-lint: allow(indexing) -- ids are issued densely by KbBuilder; foreign ids are a caller bug
@@ -232,12 +201,6 @@ impl KnowledgeBase {
     /// Entities known under `alias` in the alias table.
     pub fn by_alias(&self, alias: &str) -> &[EntityId] {
         self.alias_table.lookup(alias)
-    }
-
-    /// IR-style candidates: entities ranked by title-token overlap with
-    /// `query`, at most `k`.
-    pub fn token_candidates(&self, query: &str, k: usize) -> Vec<EntityId> {
-        self.token_index.candidates(query, k)
     }
 
     /// Outgoing `(relation, tail)` edges of an entity.
@@ -269,11 +232,9 @@ mod tests {
     fn entities_and_domains() {
         let kb = sample_kb();
         assert_eq!(kb.len(), 3);
-        assert_eq!(kb.num_domains(), 2);
-        let lego = kb.domain_by_name("Lego").unwrap();
+        assert_eq!(kb.by_domain.len(), 2);
+        let lego = kb.entity(kb.by_title("red brick")[0]).domain;
         assert_eq!(kb.domain_entities(lego).len(), 2);
-        assert_eq!(kb.domain_name(lego), "Lego");
-        assert!(kb.domain_by_name("Fallout").is_err());
     }
 
     #[test]
@@ -295,13 +256,6 @@ mod tests {
         assert_eq!(kb.entity(hits[0]).title, "Red Brick");
         assert_eq!(kb.by_alias("BIG RED").len(), 1);
         assert!(kb.by_title("unknown").is_empty());
-    }
-
-    #[test]
-    fn token_candidates_cross_domain() {
-        let kb = sample_kb();
-        let c = kb.token_candidates("castle set", 5);
-        assert_eq!(kb.entity(c[0]).title, "Castle Set (2015)");
     }
 
     #[test]
@@ -335,6 +289,6 @@ mod tests {
     fn empty_kb_is_valid() {
         let kb = KbBuilder::new().build().unwrap();
         assert!(kb.is_empty());
-        assert_eq!(kb.num_domains(), 0);
+        assert!(kb.by_domain.is_empty());
     }
 }

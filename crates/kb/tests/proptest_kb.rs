@@ -2,7 +2,6 @@
 
 use mb_check::gen::{self, StringGen, VecGen};
 use mb_check::{prop_assert, prop_assert_eq};
-use mb_kb::bm25::{Bm25Index, Bm25Params};
 use mb_kb::{EntityId, KbBuilder};
 
 /// 1–3 lowercase words; joined with spaces in the property bodies
@@ -29,50 +28,5 @@ mb_check::check! {
             prop_assert!(kb.by_title(&t.to_uppercase()).contains(id));
         }
         prop_assert_eq!(kb.len(), titles.len());
-    }
-
-    fn token_candidates_only_return_entities_sharing_a_token(
-        title_ws in gen::vec_of(title_words(), 2..20),
-        query_ws in title_words(),
-    ) {
-        let query = query_ws.join(" ");
-        let mut b = KbBuilder::new();
-        let d = b.domain("D").unwrap();
-        for ws in &title_ws {
-            b.add_entity(&ws.join(" "), "", d).unwrap();
-        }
-        let kb = b.build().unwrap();
-        let qtokens: std::collections::HashSet<String> =
-            mb_text::tokenize(&query).into_iter().collect();
-        for id in kb.token_candidates(&query, 50) {
-            let title_tokens: std::collections::HashSet<String> =
-                mb_text::tokenize(&kb.entity(id).title).into_iter().collect();
-            prop_assert!(
-                !qtokens.is_disjoint(&title_tokens),
-                "candidate shares no token with the query"
-            );
-        }
-    }
-
-    fn bm25_scores_are_positive_and_only_for_matching_docs(
-        doc_ws in gen::vec_of(title_words(), 1..20),
-        query_ws in title_words(),
-    ) {
-        let docs: Vec<String> = doc_ws.iter().map(|ws| ws.join(" ")).collect();
-        let query = query_ws.join(" ");
-        let ix = Bm25Index::build(
-            docs.iter()
-                .enumerate()
-                .map(|(i, t)| (EntityId(i as u32), t.as_str())),
-            Bm25Params::default(),
-        );
-        let qtokens: std::collections::HashSet<String> =
-            mb_text::tokenize(&query).into_iter().collect();
-        for (id, score) in ix.top_k(&query, docs.len()) {
-            prop_assert!(score > 0.0);
-            let doc_tokens: std::collections::HashSet<String> =
-                mb_text::tokenize(&docs[id.0 as usize]).into_iter().collect();
-            prop_assert!(!qtokens.is_disjoint(&doc_tokens));
-        }
     }
 }

@@ -2,16 +2,14 @@
 //! `metablink lint` subcommand.
 
 use crate::findings::{to_json, Finding};
-use crate::{baseline, explain, workspace};
+use crate::{explain, workspace};
 use std::path::PathBuf;
 
 /// Parsed command-line options.
 #[derive(Debug, Default)]
 struct Options {
     root: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     json: bool,
-    update_baseline: bool,
     explain: Option<String>,
 }
 
@@ -21,17 +19,15 @@ and lock-discipline invariants, at the site and through every call
 (DESIGN.md §10).
 
 USAGE:
-  mb-lint [--root <dir>] [--baseline <file>] [--json] [--update-baseline]
+  mb-lint [--root <dir>] [--json]
   mb-lint --explain <rule>
 
   --root <dir>        workspace root (default: walk up to the [workspace] Cargo.toml)
-  --baseline <file>   baseline file (default: <root>/lint-baseline.txt)
   --json              machine-readable report on stdout (a pure function
                       of the workspace's content)
-  --update-baseline   rewrite the baseline from the current findings and exit 0
   --explain <rule>    print a rule's contract, example, and suppression form
 
-Exit status: 0 when every finding is baselined, 1 on any new finding,
+Exit status: 0 with no findings, 1 on any finding,
 2 on usage errors, an unreadable or empty root, unreadable workspace files,
 or I/O errors.";
 
@@ -43,11 +39,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--root" => {
                 opts.root = Some(it.next().ok_or("--root needs a value")?.into());
             }
-            "--baseline" => {
-                opts.baseline = Some(it.next().ok_or("--baseline needs a value")?.into());
-            }
             "--json" => opts.json = true,
-            "--update-baseline" => opts.update_baseline = true,
             "--explain" => {
                 opts.explain = Some(it.next().ok_or("--explain needs a rule id")?.clone());
             }
@@ -96,41 +88,15 @@ pub fn run(args: &[String]) -> u8 {
             return 2;
         }
     };
-    let baseline_path = opts.baseline.unwrap_or_else(|| root.join(baseline::DEFAULT_FILE));
-
-    if opts.update_baseline {
-        if let Err(e) = std::fs::write(&baseline_path, baseline::render(&findings)) {
-            eprintln!("mb-lint: cannot write {}: {e}", baseline_path.display());
-            return 2;
-        }
-        println!(
-            "mb-lint: baseline updated with {} finding(s) at {}",
-            findings.len(),
-            baseline_path.display()
-        );
-        return 0;
-    }
-
-    let baseline_keys = match baseline::load(&baseline_path) {
-        Ok(k) => k,
-        Err(e) => {
-            eprintln!("mb-lint: cannot read {}: {e}", baseline_path.display());
-            return 2;
-        }
-    };
-    let (new, _old, stale) = baseline::diff(&findings, &baseline_keys);
-
     if opts.json {
-        let new_keys: std::collections::BTreeSet<String> = new.iter().map(|f| f.key()).collect();
-        let flags: Vec<bool> = findings.iter().map(|f| new_keys.contains(&f.key())).collect();
-        println!("{}", to_json(&findings, &flags, stale));
+        println!("{}", to_json(&findings));
     } else {
-        report_human(&findings, &new, stale);
+        report_human(&findings);
     }
-    u8::from(!new.is_empty())
+    u8::from(!findings.is_empty())
 }
 
-fn report_human(findings: &[Finding], new: &[&Finding], stale: usize) {
+fn report_human(findings: &[Finding]) {
     for f in findings {
         println!("{f}");
     }
@@ -138,20 +104,9 @@ fn report_human(findings: &[Finding], new: &[&Finding], stale: usize) {
         println!("mb-lint: clean — no findings.");
     } else {
         println!(
-            "mb-lint: {} finding(s), {} new, {} baselined.",
-            findings.len(),
-            new.len(),
-            findings.len() - new.len()
+            "mb-lint: FAIL — {} finding(s) (fix or justify with a suppression).",
+            findings.len()
         );
-    }
-    if stale > 0 {
-        println!(
-            "mb-lint: {stale} stale baseline entr{} no longer match — run --update-baseline",
-            if stale == 1 { "y" } else { "ies" }
-        );
-    }
-    if !new.is_empty() {
-        println!("mb-lint: FAIL — new findings are denied (fix or justify with a suppression).");
     }
 }
 
@@ -161,7 +116,10 @@ mod tests {
 
     #[test]
     fn unknown_flags_are_rejected() {
-        assert!(parse(&["--frobnicate".to_string()]).is_err());
+        for args in [&["--frobnicate"][..], &["--baseline", "f"], &["--update-baseline"]] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            assert!(parse(&args).is_err(), "{args:?} must be rejected");
+        }
     }
 
     #[test]

@@ -41,15 +41,6 @@ pub struct Finding {
     pub excerpt: String,
 }
 
-impl Finding {
-    /// Stable identity used for baseline matching. Deliberately
-    /// excludes the column and message so small same-line edits and
-    /// message rewording do not churn the baseline.
-    pub fn key(&self) -> String {
-        format!("{}|{}|{}", self.rule, self.file, self.line)
-    }
-}
-
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -81,30 +72,26 @@ fn escape(s: &str) -> String {
 
 /// Render a full machine-readable report.
 ///
-/// Shape: `{"version":1,"total":N,"new":M,"stale_baseline":K,
-/// "findings":[{"rule":…,"file":…,"line":…,"col":…,"message":…,
-/// "excerpt":…,"new":bool}…]}` — findings sorted by (file, line, col,
-/// rule), so output is byte-stable for a given workspace state.
-pub fn to_json(findings: &[Finding], new: &[bool], stale_baseline: usize) -> String {
-    debug_assert_eq!(findings.len(), new.len());
-    let mut out = String::from("{\"version\":1");
+/// Shape: `{"version":2,"total":N,"findings":[{"rule":…,"file":…,
+/// "line":…,"col":…,"message":…,"excerpt":…}…]}` — findings sorted by
+/// (file, line, col, rule), so output is byte-stable for a given
+/// workspace state.
+pub fn to_json(findings: &[Finding]) -> String {
+    let mut out = String::from("{\"version\":2");
     out.push_str(&format!(",\"total\":{}", findings.len()));
-    out.push_str(&format!(",\"new\":{}", new.iter().filter(|&&n| n).count()));
-    out.push_str(&format!(",\"stale_baseline\":{stale_baseline}"));
     out.push_str(",\"findings\":[");
-    for (i, (f, is_new)) in findings.iter().zip(new).enumerate() {
+    for (i, f) in findings.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"rule\":{},\"file\":{},\"line\":{},\"col\":{},\"message\":{},\"excerpt\":{},\"new\":{}}}",
+            "{{\"rule\":{},\"file\":{},\"line\":{},\"col\":{},\"message\":{},\"excerpt\":{}}}",
             escape(f.rule),
             escape(&f.file),
             f.line,
             f.col,
             escape(&f.message),
-            escape(&f.excerpt),
-            is_new
+            escape(&f.excerpt)
         ));
     }
     out.push_str("]}");
@@ -125,26 +112,10 @@ mod tests {
             message: "say \"no\"".into(),
             excerpt: "a\tb".into(),
         };
-        let j = to_json(&[f], &[true], 2);
-        assert!(j.starts_with("{\"version\":1,\"total\":1,\"new\":1,\"stale_baseline\":2"));
+        let j = to_json(&[f]);
+        assert!(j.starts_with("{\"version\":2,\"total\":1,\"findings\":["));
         assert!(j.contains("\"say \\\"no\\\"\""));
         assert!(j.contains("\"a\\tb\""));
         assert!(j.ends_with("]}"));
-    }
-
-    #[test]
-    fn key_ignores_column_and_message() {
-        let mut f = Finding {
-            rule: "det-taint",
-            file: "x.rs".into(),
-            line: 9,
-            col: 1,
-            message: "m".into(),
-            excerpt: "e".into(),
-        };
-        let k = f.key();
-        f.col = 40;
-        f.message = "other".into();
-        assert_eq!(f.key(), k);
     }
 }

@@ -35,9 +35,10 @@
 //! `// mb-lint: allow(<rule>) -- <justification>` ([`suppress`]);
 //! suppressions are themselves linted for a non-empty justification,
 //! and for the taint families an allow is also a propagation boundary.
-//! Pre-existing findings live in a committed baseline ([`baseline`])
-//! that CI only lets shrink. `--explain <rule>` ([`explain`]) prints
-//! each rule's contract and suppression form.
+//! Any finding fails the run (exit 1), so a finding is either fixed or
+//! suppressed with its justification.
+//! `--explain <rule>` ([`explain`]) prints each rule's contract and
+//! suppression form.
 //!
 //! Run it as `cargo run -p mb-lint`, `metablink lint`, or in CI via
 //! `scripts/ci.sh`. The crate is deliberately zero-dependency: the
@@ -46,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod analyzer;
-pub mod baseline;
 pub mod cli;
 pub mod explain;
 pub mod findings;

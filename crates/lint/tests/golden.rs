@@ -196,13 +196,13 @@ fn as_truncation_golden() {
 #[test]
 fn json_report_shape() {
     let found = golden("panic.rs", RuleSet { panic_free: true, indexing: true, ..RuleSet::none() });
-    let new: Vec<bool> = found.iter().map(|f| f.rule != "indexing").collect();
-    let json = to_json(&found, &new, 2);
-    assert!(json.starts_with("{\"version\":1,\"total\":4,\"new\":3,\"stale_baseline\":2,"));
+    let json = to_json(&found);
+    assert!(json.starts_with("{\"version\":2,\"total\":4,\"findings\":["));
     assert!(json.contains(
         "{\"rule\":\"panic-reach\",\"file\":\"crates/x/src/panic.rs\",\"line\":3,\"col\":23,"
     ));
-    assert!(json.contains("\"excerpt\":\"[\",\"new\":false}"));
+    assert!(json.contains("\"excerpt\":\"[\"}"));
+    assert!(!json.contains("\"new\""), "version 2 has no per-finding `new` flag: {json}");
     assert!(json.ends_with("]}"));
     // Balanced and quote-escaped: a JSON-hostile excerpt must not
     // break the document.
@@ -370,6 +370,26 @@ fn binary_exits_2_when_the_root_or_a_directory_cannot_be_read() {
         assert!(stderr.contains(root.to_str().unwrap()), "stderr must name the path:\n{stderr}");
         assert!(out.stdout.is_empty(), "no report (least of all `clean`) on a failed walk");
     }
+}
+
+#[test]
+fn binary_fails_on_any_finding_even_one_a_baseline_file_lists() {
+    // A file listing the finding's `rule|file|line` key excuses
+    // nothing: no file can turn a finding into a pass.
+    let ws = TempWs::new(
+        "listed",
+        &[
+            ("crates/serve/src/bad.rs", "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n"),
+            ("lint-baseline.txt", "panic-reach|crates/serve/src/bad.rs|1\n"),
+        ],
+    );
+    let (code, json) = ws.lint_json();
+    assert_eq!(code, 1, "any finding must fail the lint\n{json}");
+    assert!(json.contains("\"total\":1,"), "{json}");
+    assert!(
+        json.contains("{\"rule\":\"panic-reach\",\"file\":\"crates/serve/src/bad.rs\",\"line\":1,"),
+        "{json}"
+    );
 }
 
 #[test]

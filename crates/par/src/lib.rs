@@ -17,10 +17,9 @@
 //! - **Ordered results.** Per-item and per-chunk results are written
 //!   into their input slot, so the output order is the input order no
 //!   matter which worker computed what.
-//! - **Ordered reduction.** [`par_reduce`] merges chunk partials along
-//!   a fixed pairwise tree over chunk indices. The tree shape depends
-//!   only on the chunk count, so floating-point merges associate
-//!   identically at every thread count.
+//! - **Ordered reduction.** Nothing here reduces: a caller folds the
+//!   index-ordered results serially, in index order, so floating-point
+//!   sums associate identically at every thread count.
 //! - **No ambient state.** The worker count is an explicit [`Threads`]
 //!   value plumbed from configuration (CLI `--threads` / `MB_THREADS`,
 //!   read only at the binary edge). Nothing here consults
@@ -30,7 +29,7 @@
 //!
 //! A panicking worker never deadlocks or poisons a pool: the infallible
 //! entry points re-raise the first panic (by worker index) on the
-//! calling thread after all workers have stopped; [`try_par_map`]
+//! calling thread after all workers have stopped; [`try_par_chunks`]
 //! instead converts it into [`enum@mb_common::Error::Worker`] so shard
 //! failures surface as recoverable errors.
 
@@ -179,23 +178,6 @@ where
     par_map_range(threads, items.len(), |i| f(i, &items[i]))
 }
 
-/// Fallible [`par_map`]: a panicking worker surfaces as
-/// [`enum@mb_common::Error::Worker`] (carrying the panic message)
-/// instead of re-panicking on the calling thread. All workers run to
-/// completion or panic before this returns.
-pub fn try_par_map<T, R, F>(threads: Threads, items: &[T], f: F) -> Result<Vec<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    // mb-lint: allow(panic-reach) -- worker panics become a typed Error::Worker right here
-    match run_indexed(threads, items.len(), &|i| f(i, &items[i])) {
-        Ok(v) => Ok(v),
-        Err(p) => Err(Error::Worker(panic_message(p.as_ref()))),
-    }
-}
-
 /// The number of `chunk`-sized pieces a `len`-item input splits into —
 /// a pure function of the data size, never of the worker count.
 pub fn chunk_count(len: usize, chunk: usize) -> usize {
@@ -320,47 +302,6 @@ where
     }
 }
 
-/// Ordered tree reduction: map fixed-size chunks to partial values in
-/// parallel, then merge the partials along a pairwise tree over chunk
-/// indices — level by level, `(0,1) (2,3) …` — until one value remains.
-/// Returns `None` for an empty input.
-///
-/// The tree shape is a pure function of the chunk count, so
-/// floating-point merges associate identically at every thread count.
-/// `merge` must not depend on evaluation order beyond its arguments
-/// (it is called as `merge(left, right)` with `left` always the
-/// lower-index partial).
-pub fn par_reduce<T, A, F, M>(
-    threads: Threads,
-    items: &[T],
-    chunk: usize,
-    map: F,
-    merge: M,
-) -> Option<A>
-where
-    T: Sync,
-    A: Send,
-    F: Fn(usize, &[T]) -> A + Sync,
-    M: Fn(A, A) -> A,
-{
-    if items.is_empty() {
-        return None;
-    }
-    let mut partials = par_chunks(threads, items, chunk, map);
-    while partials.len() > 1 {
-        let mut next = Vec::with_capacity(partials.len().div_ceil(2));
-        let mut it = partials.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge(a, b)),
-                None => next.push(a),
-            }
-        }
-        partials = next;
-    }
-    partials.pop()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,40 +370,11 @@ mod tests {
     }
 
     #[test]
-    fn float_reduction_is_bit_identical_across_thread_counts() {
-        // Adversarial magnitudes: re-associating this sum changes bits.
-        let data: Vec<f64> = (0..1000)
-            .map(|i| {
-                let sign = if i % 2 == 0 { 1.0 } else { -1.0 };
-                sign * (1.0 + i as f64 * 1e-3) * 10f64.powi(i % 31 - 15)
-            })
-            .collect();
-        let reference =
-            par_reduce(Threads::single(), &data, 16, |_, c| c.iter().sum::<f64>(), |a, b| a + b)
-                .unwrap();
-        for t in THREAD_COUNTS {
-            let got =
-                par_reduce(Threads::new(t), &data, 16, |_, c| c.iter().sum::<f64>(), |a, b| a + b)
-                    .unwrap();
-            assert_eq!(got.to_bits(), reference.to_bits(), "threads={t}");
-        }
-    }
-
-    #[test]
-    fn reduce_empty_is_none_and_single_chunk_is_map() {
-        let empty: [f64; 0] = [];
-        assert!(par_reduce(Threads::new(4), &empty, 4, |_, c| c.len(), |a, b| a + b).is_none());
-        let one = [1.5f64, 2.5];
-        let got = par_reduce(Threads::new(4), &one, 10, |_, c| c.iter().sum::<f64>(), |a, b| a + b);
-        assert_eq!(got, Some(4.0));
-    }
-
-    #[test]
-    fn try_map_converts_worker_panic_into_error() {
+    fn try_chunks_converts_worker_panic_into_error() {
         let items: Vec<usize> = (0..50).collect();
-        let err = try_par_map(Threads::new(4), &items, |_, &x| {
-            assert!(x != 33, "shard poisoned at {x}");
-            x * 2
+        let err = try_par_chunks(Threads::new(4), &items, 1, |_, c| {
+            assert!(c[0] != 33, "shard poisoned at {}", c[0]);
+            c[0] * 2
         })
         .unwrap_err();
         match err {
@@ -472,9 +384,9 @@ mod tests {
     }
 
     #[test]
-    fn try_map_ok_path_matches_serial() {
+    fn try_chunks_ok_path_matches_serial() {
         let items: Vec<usize> = (0..50).collect();
-        let got = try_par_map(Threads::new(3), &items, |_, &x| x * 2).unwrap();
+        let got = try_par_chunks(Threads::new(3), &items, 1, |_, c| c[0] * 2).unwrap();
         let expect: Vec<usize> = items.iter().map(|&x| x * 2).collect();
         assert_eq!(got, expect);
     }

@@ -123,11 +123,6 @@ impl AdmissionGate {
     pub fn inflight(&self) -> u64 {
         self.inflight.load(Ordering::Acquire)
     }
-
-    /// The configured permit cap.
-    pub fn limit(&self) -> u64 {
-        self.limit
-    }
 }
 
 /// An admission token; dropping it releases the slot.

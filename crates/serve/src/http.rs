@@ -194,21 +194,11 @@ const fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write a complete response. `close` adds `Connection: close`.
+/// Write a complete response. `close` adds `Connection: close`;
+/// `extra_headers` (name must be a valid lowercase HTTP header name;
+/// the value must be line-break free) is how 503 responses carry
+/// `Retry-After`.
 pub fn write_response(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    close: bool,
-) -> std::io::Result<()> {
-    write_response_ext(w, status, content_type, body, close, &[])
-}
-
-/// [`write_response`] with additional headers (name must be a valid
-/// lowercase HTTP header name; the value must be line-break free) —
-/// how 503 responses carry `Retry-After`.
-pub fn write_response_ext(
     w: &mut impl Write,
     status: u16,
     content_type: &str,
@@ -278,7 +268,7 @@ mod tests {
     #[test]
     fn extra_headers_are_written_before_the_body() {
         let mut out = Vec::new();
-        write_response_ext(
+        write_response(
             &mut out,
             503,
             "application/json",
@@ -297,7 +287,7 @@ mod tests {
     #[test]
     fn response_has_content_length_and_connection() {
         let mut out = Vec::new();
-        write_response(&mut out, 200, "application/json", b"{}", false).unwrap();
+        write_response(&mut out, 200, "application/json", b"{}", false, &[]).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("content-length: 2\r\n"));

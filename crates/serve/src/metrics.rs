@@ -158,11 +158,6 @@ impl Metrics {
         self.cache_misses.fetch_add(misses, Ordering::Relaxed);
     }
 
-    /// Total requests seen so far.
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
     /// Estimate the `q` quantile (0 < q ≤ 1) of recorded latencies:
     /// the upper bound of the histogram bucket containing it, in
     /// microseconds. Returns 0 when nothing was recorded.

@@ -3,7 +3,7 @@
 //! Acceptor threads [`BatchQueue::try_push`] jobs; a full queue rejects
 //! immediately (the server turns that into `503 Service Unavailable`)
 //! instead of buffering without bound. Worker threads call
-//! [`BatchQueue::pop_batch`], which blocks only while the queue is
+//! [`BatchQueue::pop_batch_shed`], which blocks only while the queue is
 //! empty and then takes what is already queued, up to `max_batch`. A
 //! worker never waits while a job is queued: batches form from the
 //! backlog that builds while the worker is busy, so batch size follows
@@ -90,19 +90,15 @@ impl<T> BatchQueue<T> {
 
     /// Drain the next batch: block until one item is queued (or the
     /// queue closes), then take the items already queued, oldest
-    /// first, up to `max_batch`.
-    ///
-    /// Returns an empty vector only when the queue is closed and fully
-    /// drained — the worker-thread exit signal.
-    pub fn pop_batch(&self, max_batch: usize) -> Vec<T> {
-        self.pop_batch_shed(max_batch, |_| false).batch
-    }
-
-    /// Like [`BatchQueue::pop_batch`], but every item is first offered
-    /// to `shed` — items it claims (deadline already unmeetable) land
-    /// in [`Drained::shed`] instead of the batch and do **not** count
+    /// first, up to `max_batch`. Every item is first offered to `shed`
+    /// — items it claims (deadline already unmeetable) land in
+    /// [`Drained::shed`] instead of the batch and do **not** count
     /// toward `max_batch`. Each popped item is classified exactly once,
     /// so no item can be both shed and served.
+    ///
+    /// The drain holds nothing ([`Drained::is_exit`]) only when the
+    /// queue is closed and fully drained — the worker-thread exit
+    /// signal.
     pub fn pop_batch_shed(&self, max_batch: usize, mut shed: impl FnMut(&T) -> bool) -> Drained<T> {
         let max_batch = max_batch.max(1);
         let mut s = lock_recover(&self.state);
@@ -168,8 +164,8 @@ mod tests {
         for i in 0..10 {
             q.try_push(i).unwrap();
         }
-        assert_eq!(q.pop_batch(4), vec![0, 1, 2, 3]);
-        assert_eq!(q.pop_batch(100), vec![4, 5, 6, 7, 8, 9]);
+        assert_eq!(q.pop_batch_shed(4, |_| false).batch, vec![0, 1, 2, 3]);
+        assert_eq!(q.pop_batch_shed(100, |_| false).batch, vec![4, 5, 6, 7, 8, 9]);
     }
 
     #[test]
@@ -178,18 +174,18 @@ mod tests {
         q.try_push(1).unwrap();
         q.close();
         assert_eq!(q.try_push(2), Err(PushError::Closed(2)));
-        assert_eq!(q.pop_batch(8), vec![1]);
-        assert!(q.pop_batch(8).is_empty());
+        assert_eq!(q.pop_batch_shed(8, |_| false).batch, vec![1]);
+        assert!(q.pop_batch_shed(8, |_| false).is_exit());
     }
 
     #[test]
     fn closing_wakes_a_blocked_worker() {
         let q = Arc::new(BatchQueue::<u32>::new(4));
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop_batch(4));
+        let h = std::thread::spawn(move || q2.pop_batch_shed(4, |_| false));
         std::thread::sleep(Duration::from_millis(20));
         q.close();
-        assert!(h.join().unwrap().is_empty());
+        assert!(h.join().unwrap().is_exit());
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! batches and exit, wakes the acceptor, and [`Server::join`] returns.
 
 use crate::config::{AdmissionGate, ServeConfig};
-use crate::http::{read_request, write_response_ext, HttpError, HttpLimits, Request};
+use crate::http::{read_request, write_response, HttpError, HttpLimits, Request};
 use crate::json::{self, Json};
 use crate::metrics::{Gauges, Metrics};
 use crate::model::ServeModel;
@@ -405,7 +405,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 shared.metrics.record_request();
                 shared.metrics.record_response(e.status());
                 let body = format!("{{\"error\":{}}}", json::escape(&e.to_string()));
-                let _ = write_response_ext(
+                let _ = write_response(
                     &mut writer,
                     e.status(),
                     "application/json",
@@ -423,7 +423,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         shared.metrics.record_response(reply.status);
         let retry_after: Vec<(&str, String)> =
             reply.retry_after_s.map(|s| vec![("retry-after", s.to_string())]).unwrap_or_default();
-        let written = write_response_ext(
+        let written = write_response(
             &mut writer,
             reply.status,
             reply.content_type,

@@ -331,11 +331,6 @@ impl IvfIndex {
         self.nprobe
     }
 
-    /// The store this index retrieves from.
-    pub fn store(&self) -> &Arc<EntityStore> {
-        &self.store
-    }
-
     /// Write [`IvfIndex::to_bytes`] to `path` atomically.
     ///
     /// # Errors

@@ -84,7 +84,6 @@ pub struct Shard {
     dir: Vec<DirEntry>,
     table: ShardTable,
     text_pos: u64,
-    text_len: usize,
     file: Mutex<File>,
 }
 
@@ -393,7 +392,6 @@ impl Shard {
             dir,
             table,
             text_pos,
-            text_len,
             file: Mutex::new(file),
         })
     }
@@ -432,19 +430,9 @@ impl Shard {
         }
     }
 
-    /// Bytes of the varlen text region left on disk (never resident).
-    pub fn text_bytes(&self) -> usize {
-        self.text_len
-    }
-
     /// The resident quantized vector table.
     pub fn table(&self) -> &ShardTable {
         &self.table
-    }
-
-    /// Path this shard was opened from.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     fn read_text_range(&self, off: u64, len: usize, what: &str) -> Result<String> {

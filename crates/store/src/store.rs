@@ -104,16 +104,6 @@ impl StoreBuilder {
         })
     }
 
-    /// Entities accepted so far.
-    pub fn len(&self) -> usize {
-        self.total
-    }
-
-    /// True before the first record arrives.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
     /// Append the next entity (global id = arrival order). Flushes a
     /// full shard to disk as a side effect, keeping at most
     /// `shard_capacity` records in memory.
@@ -190,7 +180,6 @@ impl StoreBuilder {
 /// An open, fully verified sharded entity store.
 #[derive(Debug)]
 pub struct EntityStore {
-    dir: PathBuf,
     dim: usize,
     quant: QuantMode,
     capacity: usize,
@@ -304,7 +293,7 @@ impl EntityStore {
                 "{what}: shards hold {counted} entities, manifest says {total}"
             )));
         }
-        Ok(EntityStore { dir: dir.to_path_buf(), dim, quant, capacity, shards, total })
+        Ok(EntityStore { dim, quant, capacity, shards, total })
     }
 
     /// Total entities across all shards.
@@ -336,11 +325,6 @@ impl EntityStore {
     /// The verified shards, in id order.
     pub fn shards(&self) -> &[Shard] {
         &self.shards
-    }
-
-    /// The directory this store was opened from.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Locate a global row: `(shard index, row within shard)`.

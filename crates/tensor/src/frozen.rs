@@ -33,15 +33,14 @@ pub struct FrozenParams {
 
 #[derive(Debug)]
 struct Inner {
-    names: Vec<String>,
     tensors: Vec<Tensor>,
 }
 
 impl FrozenParams {
     /// Snapshot `params`: the single clone of the model's lifetime.
     pub fn freeze(params: &Params) -> Self {
-        let (names, tensors) = params.iter().map(|(n, t)| (n.to_string(), t.clone())).unzip();
-        FrozenParams { inner: Arc::new(Inner { names, tensors }) }
+        let tensors = params.iter().map(|(_, t)| t.clone()).collect();
+        FrozenParams { inner: Arc::new(Inner { tensors }) }
     }
 
     /// Number of parameter tensors.
@@ -63,11 +62,6 @@ impl FrozenParams {
     /// source [`Params`]).
     pub fn get(&self, id: ParamId) -> &Tensor {
         &self.inner.tensors[id.index()]
-    }
-
-    /// Name/tensor pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Tensor)> {
-        self.inner.names.iter().map(String::as_str).zip(self.inner.tensors.iter())
     }
 
     /// True when both handles point at one shared snapshot (no copy
@@ -196,7 +190,6 @@ mod tests {
         assert_eq!(frozen.numel(), params.numel());
         assert_bits_eq(frozen.get(a), params.get(a));
         assert_bits_eq(frozen.get(b), params.get(b));
-        assert_eq!(frozen.iter().map(|(n, _)| n).collect::<Vec<_>>(), vec!["emb", "w"]);
         let handle = frozen.clone();
         assert!(handle.shares_storage(&frozen));
         assert!(!FrozenParams::freeze(&params).shares_storage(&frozen));

@@ -11,12 +11,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut Rng) -> Tensor {
     Tensor::from_vec(vec![fan_in, fan_out], data)
 }
 
-/// He/Kaiming normal initialisation, for ReLU layers.
-pub fn he_normal(fan_in: usize, fan_out: usize, rng: &mut Rng) -> Tensor {
-    let std = (2.0 / fan_in as f64).sqrt();
-    Tensor::randn(vec![fan_in, fan_out], 0.0, std, rng)
-}
-
 /// Embedding-table initialisation: `N(0, 1/√dim)` per element, giving
 /// token vectors of roughly unit expected norm.
 pub fn embedding(vocab: usize, dim: usize, rng: &mut Rng) -> Tensor {
@@ -61,14 +55,6 @@ mod tests {
         assert!(w.data().iter().all(|x| x.abs() <= limit));
         // Non-degenerate.
         assert!(w.norm() > 0.0);
-    }
-
-    #[test]
-    fn he_normal_scale() {
-        let mut rng = Rng::seed_from_u64(2);
-        let w = he_normal(1000, 50, &mut rng);
-        let var = w.data().iter().map(|x| x * x).sum::<f64>() / w.numel() as f64;
-        assert!((var - 2.0 / 1000.0).abs() < 5e-4, "var {var}");
     }
 
     #[test]

@@ -42,17 +42,6 @@ pub enum QuantMode {
     Int8,
 }
 
-impl QuantMode {
-    /// Short lowercase label (`exact` / `f16` / `int8`) for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            QuantMode::Exact => "exact",
-            QuantMode::F16 => "f16",
-            QuantMode::Int8 => "int8",
-        }
-    }
-}
-
 /// Round `sig` right by `shift` bits, to nearest, ties to even.
 /// `shift` must be in `1..=63`.
 fn round_even(sig: u64, shift: u32) -> u64 {

@@ -176,16 +176,6 @@ impl<'p> Tape<'p> {
         Tape { nodes: Vec::new(), threads }
     }
 
-    /// Number of recorded nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True if no nodes have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Record an input (parameter or constant) node: a `Tensor` the
     /// tape then owns, or a `&'p Tensor` it reads in place.
     pub fn leaf(&mut self, value: impl Into<Cow<'p, Tensor>>) -> Var {

@@ -158,11 +158,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume the tensor, returning its buffer.
-    pub fn into_data(self) -> Vec<f64> {
-        self.data
-    }
-
     /// The single value of a scalar or one-element tensor.
     ///
     /// # Panics

@@ -2,12 +2,11 @@
 //!
 //! Text-processing substrate for metablink-rs: tokenization, vocabulary
 //! interning, n-grams, TF-IDF statistics, ROUGE metrics (used to
-//! reproduce Table XI), Levenshtein edit distance, and the paper's four
-//! mention–title overlap categories (Section VI-A).
+//! reproduce Table XI), and the paper's four mention–title overlap
+//! categories (Section VI-A).
 
 #![warn(missing_docs)]
 
-pub mod edit;
 pub mod ngram;
 pub mod overlap;
 pub mod rouge;

@@ -31,17 +31,6 @@ pub fn overlap_count(a: &[String], b: &[String]) -> usize {
     hits
 }
 
-/// Character n-grams of a single token (used by the datagen lexicon to
-/// keep generated words pronounceable is *not* done here — this is for
-/// similarity features).
-pub fn char_ngrams(token: &str, n: usize) -> Vec<String> {
-    let chars: Vec<char> = token.chars().collect();
-    if n == 0 || chars.len() < n {
-        return Vec::new();
-    }
-    chars.windows(n).map(|w| w.iter().collect()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,11 +61,5 @@ mod tests {
     fn overlap_disjoint_is_zero() {
         assert_eq!(overlap_count(&toks("a b"), &toks("c d")), 0);
         assert_eq!(overlap_count(&[], &toks("a")), 0);
-    }
-
-    #[test]
-    fn char_ngrams_basic() {
-        assert_eq!(char_ngrams("abc", 2), vec!["ab", "bc"]);
-        assert!(char_ngrams("a", 2).is_empty());
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The paper uses ROUGE-1 F1 (Table XI) to show that T5-rewritten
 //! mentions are closer to the gold mention distribution than
-//! exact-match mentions. We implement ROUGE-1/ROUGE-2 (n-gram
-//! precision/recall/F1) and ROUGE-L (longest common subsequence), with
-//! the same definitions as the `rouge` metric the paper references.
+//! exact-match mentions. We implement ROUGE-N (n-gram
+//! precision/recall/F1), with the same definitions as the `rouge`
+//! metric the paper references.
 
 use crate::ngram::{ngrams, overlap_count};
 use crate::tokenizer::tokenize;
@@ -57,51 +57,6 @@ pub fn rouge_1(candidate: &str, reference: &str) -> PrecisionRecallF1 {
     rouge_n(candidate, reference, 1)
 }
 
-/// ROUGE-2 (bigram overlap).
-pub fn rouge_2(candidate: &str, reference: &str) -> PrecisionRecallF1 {
-    rouge_n(candidate, reference, 2)
-}
-
-/// Length of the longest common subsequence of two token sequences.
-fn lcs_len(a: &[String], b: &[String]) -> usize {
-    if a.is_empty() || b.is_empty() {
-        return 0;
-    }
-    // One-row DP.
-    let mut prev = vec![0usize; b.len() + 1];
-    let mut cur = vec![0usize; b.len() + 1];
-    for ai in a {
-        for (j, bj) in b.iter().enumerate() {
-            cur[j + 1] = if ai == bj { prev[j] + 1 } else { prev[j + 1].max(cur[j]) };
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
-/// ROUGE-L (LCS-based precision/recall/F1).
-pub fn rouge_l(candidate: &str, reference: &str) -> PrecisionRecallF1 {
-    let c = tokenize(candidate);
-    let r = tokenize(reference);
-    let l = lcs_len(&c, &r);
-    PrecisionRecallF1::from_counts(l, c.len(), r.len())
-}
-
-/// Mean ROUGE-1 F1 of each candidate against its *closest* reference —
-/// the distribution-similarity measure used for Table XI, where
-/// generated mentions are compared against a sample of golden mentions
-/// from the target domain.
-pub fn best_match_rouge1_f1(candidates: &[String], references: &[String]) -> f64 {
-    if candidates.is_empty() || references.is_empty() {
-        return 0.0;
-    }
-    let total: f64 = candidates
-        .iter()
-        .map(|c| references.iter().map(|r| rouge_1(c, r).f1).fold(0.0_f64, f64::max))
-        .sum();
-    total / candidates.len() as f64
-}
-
 /// Mean ROUGE-1 F1 over candidate/reference pairs — used for Table XI,
 /// where each generated mention is compared against the gold mentions
 /// of the *same entity* (how the domain actually refers to it). Returns
@@ -125,15 +80,12 @@ mod tests {
         assert_eq!(r.precision, 1.0);
         assert_eq!(r.recall, 1.0);
         assert_eq!(r.f1, 1.0);
-        assert_eq!(rouge_2(s, s).f1, 1.0);
-        assert_eq!(rouge_l(s, s).f1, 1.0);
     }
 
     #[test]
     fn disjoint_texts_score_zero() {
         let r = rouge_1("alpha beta", "gamma delta");
         assert_eq!(r.f1, 0.0);
-        assert_eq!(rouge_l("alpha beta", "gamma delta").f1, 0.0);
     }
 
     #[test]
@@ -162,23 +114,13 @@ mod tests {
     }
 
     #[test]
-    fn lcs_handles_reordering() {
-        // "a b c" vs "c b a": LCS length 1 token ("a" or "b" or "c").
-        let r = rouge_l("a b c", "c b a");
-        assert!(approx_eq(r.precision, 1.0 / 3.0, 1e-12));
-        // But unigram ROUGE ignores order entirely.
-        assert_eq!(rouge_1("a b c", "c b a").f1, 1.0);
-    }
-
-    #[test]
     fn bounds_hold() {
         for (c, r) in [("a b c d", "b d e"), ("x", "x y z w"), ("m n o p q", "p q")] {
-            for s in [rouge_1(c, r), rouge_2(c, r), rouge_l(c, r)] {
-                assert!((0.0..=1.0).contains(&s.precision));
-                assert!((0.0..=1.0).contains(&s.recall));
-                assert!((0.0..=1.0).contains(&s.f1));
-                assert!(s.f1 <= s.precision.max(s.recall) + 1e-12);
-            }
+            let s = rouge_1(c, r);
+            assert!((0.0..=1.0).contains(&s.precision));
+            assert!((0.0..=1.0).contains(&s.recall));
+            assert!((0.0..=1.0).contains(&s.f1));
+            assert!(s.f1 <= s.precision.max(s.recall) + 1e-12);
         }
     }
 
@@ -187,16 +129,5 @@ mod tests {
         let pairs = vec![("a b", "a b"), ("x", "y")];
         assert!(approx_eq(paired_rouge1_f1(&pairs), 0.5, 1e-12));
         assert_eq!(paired_rouge1_f1(&[]), 0.0);
-    }
-
-    #[test]
-    fn best_match_picks_closest_reference() {
-        let cands = vec!["the red dragon".to_string()];
-        let refs = vec!["blue wizard".to_string(), "red dragon lair".to_string()];
-        let got = best_match_rouge1_f1(&cands, &refs);
-        let direct = rouge_1("the red dragon", "red dragon lair").f1;
-        assert!(approx_eq(got, direct, 1e-12));
-        assert_eq!(best_match_rouge1_f1(&[], &refs), 0.0);
-        assert_eq!(best_match_rouge1_f1(&cands, &[]), 0.0);
     }
 }

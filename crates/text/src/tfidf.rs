@@ -6,7 +6,6 @@
 //! denoising adaptation* that upgrades `syn` data to `syn*` is exactly a
 //! re-estimation of these statistics on unlabeled target-domain text.
 
-use crate::stopwords::is_stopword;
 use crate::tokenizer::tokenize;
 use std::collections::HashMap;
 
@@ -68,26 +67,6 @@ impl TfIdf {
     pub fn df(&self, token: &str) -> u64 {
         self.doc_freq.get(token).copied().unwrap_or(0)
     }
-
-    /// TF-IDF weights of each distinct non-stopword token of `doc`,
-    /// sorted descending. TF is raw count within the document.
-    pub fn weights(&self, doc: &str) -> Vec<(String, f64)> {
-        let mut tf: HashMap<String, u64> = HashMap::new();
-        for t in tokenize(doc) {
-            if !is_stopword(&t) {
-                *tf.entry(t).or_insert(0) += 1;
-            }
-        }
-        let mut out: Vec<(String, f64)> = tf
-            .into_iter()
-            .map(|(t, c)| {
-                let w = c as f64 * self.idf(&t);
-                (t, w)
-            })
-            .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
-    }
 }
 
 #[cfg(test)]
@@ -110,19 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn weights_exclude_stopwords_and_sort() {
-        let s = TfIdf::fit(["the dragon sleeps", "a dragon", "castle walls"]);
-        let w = s.weights("the dragon guards the castle castle");
-        assert!(w.iter().all(|(t, _)| t != "the"));
-        // "castle" appears twice in-doc, "dragon" once and is more common
-        // in corpus, so castle ranks first.
-        assert_eq!(w[0].0, "castle");
-        for pair in w.windows(2) {
-            assert!(pair[0].1 >= pair[1].1);
-        }
-    }
-
-    #[test]
     fn merge_combines_counts() {
         let mut a = TfIdf::fit(["dragon"]);
         let b = TfIdf::fit(["dragon", "wizard"]);
@@ -136,6 +102,5 @@ mod tests {
     fn empty_stats_are_finite() {
         let s = TfIdf::new();
         assert!(s.idf("anything").is_finite());
-        assert!(s.weights("some doc").iter().all(|(_, w)| w.is_finite()));
     }
 }

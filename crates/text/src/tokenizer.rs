@@ -77,11 +77,6 @@ pub fn detokenize(tokens: &[String]) -> String {
     tokens.join(" ")
 }
 
-/// Tokenize and keep only tokens of at least `min_len` characters.
-pub fn tokenize_min_len(text: &str, min_len: usize) -> Vec<String> {
-    tokenize(text).into_iter().filter(|t| t.chars().count() >= min_len).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,10 +126,5 @@ mod tests {
     fn detokenize_round_trip_on_canonical_text() {
         let text = "the fourth episode";
         assert_eq!(detokenize(&tokenize(text)), text);
-    }
-
-    #[test]
-    fn min_len_filter() {
-        assert_eq!(tokenize_min_len("a an the cat", 3), vec!["the", "cat"]);
     }
 }

@@ -35,13 +35,6 @@ impl VocabBuilder {
         *self.counts.entry(token.to_string()).or_insert(0) += 1;
     }
 
-    /// Count every token in a pre-tokenized sequence.
-    pub fn add_tokens(&mut self, tokens: &[String]) {
-        for t in tokens {
-            self.add(t);
-        }
-    }
-
     /// Count every token of a raw text.
     pub fn add_text(&mut self, text: &str) {
         for_each_token(text, usize::MAX, |t| match self.counts.get_mut(t) {

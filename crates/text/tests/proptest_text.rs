@@ -2,9 +2,8 @@
 
 use mb_check::gen::{self, StringGen, VecGen};
 use mb_check::{prop_assert, prop_assert_eq};
-use mb_text::edit::levenshtein;
 use mb_text::overlap::{classify, OverlapCategory};
-use mb_text::rouge::{rouge_1, rouge_l};
+use mb_text::rouge::rouge_1;
 use mb_text::tokenizer::{detokenize, for_each_token, tokenize};
 use mb_text::vocab::VocabBuilder;
 
@@ -104,26 +103,13 @@ mb_check::check! {
         }
     }
 
-    fn levenshtein_is_a_metric(
-        a in gen::lowercase_string(0..=10),
-        b in gen::lowercase_string(0..=10),
-        c in gen::lowercase_string(0..=10),
-    ) {
-        prop_assert_eq!(levenshtein(&a, &b), levenshtein(&b, &a));
-        prop_assert_eq!(levenshtein(&a, &a), 0);
-        prop_assert!(levenshtein(&a, &c) <= levenshtein(&a, &b) + levenshtein(&b, &c));
-        // Bounded by the longer string.
-        prop_assert!(levenshtein(&a, &b) <= a.chars().count().max(b.chars().count()));
-    }
-
     fn rouge_scores_are_bounded_and_reflexive(a in words(6), b in words(6)) {
         let ta = a.join(" ");
         let tb = b.join(" ");
-        for s in [rouge_1(&ta, &tb), rouge_l(&ta, &tb)] {
-            prop_assert!((0.0..=1.0).contains(&s.precision));
-            prop_assert!((0.0..=1.0).contains(&s.recall));
-            prop_assert!((0.0..=1.0).contains(&s.f1));
-        }
+        let s = rouge_1(&ta, &tb);
+        prop_assert!((0.0..=1.0).contains(&s.precision));
+        prop_assert!((0.0..=1.0).contains(&s.recall));
+        prop_assert!((0.0..=1.0).contains(&s.f1));
         prop_assert!((rouge_1(&ta, &ta).f1 - 1.0).abs() < 1e-12);
         // Unigram ROUGE F1 is symmetric.
         let ab = rouge_1(&ta, &tb).f1;

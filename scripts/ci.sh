@@ -21,8 +21,7 @@ STEPS=(
     "clippy|cargo clippy --workspace --all-targets -- -D warnings"
     # In-repo static analysis: panic-freedom, determinism, lock
     # discipline and hot-loop allocation (each at the site and through
-    # every call), unsafe gate, tape-free serving. Fails on any finding
-    # not in lint-baseline.txt — the baseline only ever shrinks.
+    # every call), unsafe gate, tape-free serving. Fails on any finding.
     "lint|cargo run -q -p mb-lint"
     "build|cargo build --release --workspace"
     "test|cargo test -q --workspace"

@@ -114,7 +114,7 @@ USAGE:
                       [--default-deadline-ms <n>] [--max-deadline-ms <n>]
                       [--retry-after-s <n>] [--admission-limit <n>]
                       [--watch-interval-ms <n>]
-  metablink lint      [--root <dir>] [--baseline <file>] [--json] [--update-baseline]
+  metablink lint      [--root <dir>] [--json]
   metablink lint      --explain <rule>
 
 serve runs an HTTP server over the trained model: POST /link answers
@@ -136,9 +136,9 @@ sources: panic-freedom, determinism, lock discipline and hot-loop
 allocation — each reported at the site and at every call that reaches
 one over the workspace call graph (panic-reach / det-taint /
 lock-across-call / alloc-in-hot-loop) — plus the unsafe gate and the
-other site-local rules. --explain <rule> prints what a rule means, why
-it exists, and how to fix or audit a finding. `metablink lint --help`
-lists all flags.
+other site-local rules. Any finding fails the run (exit 1). --explain
+<rule> prints what a rule means, why it exists, and how to fix or audit
+a finding. `metablink lint --help` lists all flags.
 
 train, evaluate and serve accept --threads <n> (default: the
 MB_THREADS environment variable, else 1) to fan work out over worker

@@ -57,7 +57,7 @@ fn every_element_type_matches_the_oracle() {
     let vectors = near_tie_vectors(5);
     let qs = queries(6);
     let ids: Vec<EntityId> = (0..N as u32).map(EntityId).collect();
-    let dense = DenseIndex::from_vectors(vectors.clone(), ids.clone());
+    let dense = DenseIndex::try_from_vectors(vectors.clone(), ids.clone()).expect("one id per row");
     assert_matches_oracle("f64", &dense, Table::F64(&vectors), &qs);
     let f16 = QuantF16::from_tensor(&vectors);
     let index = QuantizedIndex::from_f16(f16.clone(), ids.clone()).expect("aligned");
