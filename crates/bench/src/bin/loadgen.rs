@@ -21,8 +21,9 @@
 //! - **External** (`--addr HOST:PORT` or `--addr-file PATH`): drives an
 //!   already-running server (the CI `serve-smoke` stage). `--strict`
 //!   exits non-zero unless every response was 2xx, `--check-metrics`
-//!   requires a non-empty `/metrics`, and `--shutdown` ends the run
-//!   with a graceful `POST /admin/shutdown`.
+//!   requires every `/metrics` line `benchmark/` scrapes and a cache
+//!   hit, and `--shutdown` ends the run with a graceful
+//!   `POST /admin/shutdown`.
 //!
 //! ```sh
 //! cargo run --release -p mb-bench --bin loadgen -- --self-contained
@@ -148,11 +149,9 @@ fn run(args: &[String]) -> Result<(), String> {
     let stats = drive(&addr, requests, concurrency, &demo_payloads())?;
     stats.print(&format!("external {addr}"));
     if flags.contains_key("check-metrics") {
-        let metrics = fetch(&addr, "GET", "/metrics", b"")?;
-        if metrics.1.trim().is_empty() || !metrics.1.contains("serve_requests_total") {
-            return Err("metrics endpoint is empty".to_string());
-        }
-        eprintln!("metrics: ok ({} bytes)", metrics.1.len());
+        let (_, metrics) = fetch(&addr, "GET", "/metrics", b"")?;
+        check_metrics(&metrics)?;
+        eprintln!("metrics: ok ({} bytes)", metrics.len());
     }
     if flags.contains_key("shutdown") {
         let (status, _) = fetch(&addr, "POST", "/admin/shutdown", b"")?;
@@ -163,6 +162,36 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     if flags.contains_key("strict") && stats.non_2xx > 0 {
         return Err(format!("{} of {} responses were not 2xx", stats.non_2xx, stats.total()));
+    }
+    Ok(())
+}
+
+/// The `/metrics` lines `benchmark/src/layers.rs` scrapes from a
+/// running server: a rename must fail here, not only in its traced pass.
+const SCRAPED_METRICS: [&str; 7] = [
+    "serve_batched_requests_total",
+    "serve_batches_total",
+    "serve_cache_hit_rate",
+    "serve_latency_us_sum",
+    "serve_latency_us_count",
+    "serve_deadline_shed_total",
+    "serve_rejected_total",
+];
+
+/// Require every [`SCRAPED_METRICS`] line and a cache hit: the demo
+/// payloads repeat, so a result cache that never hits is broken.
+fn check_metrics(metrics: &str) -> Result<(), String> {
+    let value = |name: &str| {
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse::<f64>().ok())
+            .ok_or(format!("/metrics has no {name} line"))
+    };
+    for name in SCRAPED_METRICS {
+        value(name)?;
+    }
+    if value("serve_cache_hits_total")? <= 0.0 {
+        return Err("no cache hits although the demo payloads repeat".to_string());
     }
     Ok(())
 }

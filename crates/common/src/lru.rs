@@ -1,7 +1,7 @@
 //! A fixed-capacity least-recently-used cache.
 //!
-//! Used by the serving path to memoize mention embeddings: repeated
-//! `(mention, context)` inputs skip the bi-encoder forward entirely.
+//! Used by the serving path to memoize link results: a repeated
+//! `(mention, context)` input skips retrieval and the rerank entirely.
 //! Every operation is O(1): the recency order is a doubly-linked list
 //! threaded through a slab of nodes, and the key → node mapping is a
 //! `HashMap`. The cache also counts hits and misses so callers (the
@@ -33,8 +33,6 @@ pub struct LruCache<K, V> {
     head: usize,
     /// Least recently used node, or `NIL` when empty.
     tail: usize,
-    /// Recycled slab slots from evictions (len == capacity reuse).
-    free: Vec<usize>,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -48,16 +46,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             nodes: Vec::new(),
             head: NIL,
             tail: NIL,
-            free: Vec::new(),
             capacity,
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Maximum number of entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Current number of entries.
@@ -124,64 +116,32 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Look up `key` without refreshing recency or counting (tests,
-    /// introspection).
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|&i| &self.nodes[i].value)
-    }
-
     /// Insert or update `key`, making it the most recently used entry.
-    /// Returns the evicted `(key, value)` pair, if the insert pushed
-    /// one out.
-    pub fn put(&mut self, key: K, value: V) -> Option<(K, V)> {
+    /// A full cache evicts its least recently used entry and reuses that
+    /// entry's slot.
+    pub fn put(&mut self, key: K, value: V) {
         if self.capacity == 0 {
-            return Some((key, value));
+            return;
         }
         if let Some(&i) = self.map.get(&key) {
             self.nodes[i].value = value;
             self.unlink(i);
             self.link_front(i);
-            return None;
+            return;
         }
-        let evicted = if self.map.len() >= self.capacity {
+        let node = Node { key: key.clone(), value, prev: NIL, next: NIL };
+        let slot = if self.map.len() >= self.capacity {
             let lru = self.tail;
             self.unlink(lru);
-            let node = &mut self.nodes[lru];
-            let old_key = node.key.clone();
-            self.map.remove(&old_key);
-            self.free.push(lru);
-            // The value is swapped out below when the slot is reused.
-            Some((lru, old_key))
+            self.map.remove(&self.nodes[lru].key);
+            self.nodes[lru] = node;
+            lru
         } else {
-            None
-        };
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                let node = &mut self.nodes[slot];
-                node.key = key.clone();
-                let old_value = std::mem::replace(&mut node.value, value);
-                self.map.insert(key, slot);
-                self.link_front(slot);
-                return evicted.map(|(_, k)| (k, old_value));
-            }
-            None => {
-                self.nodes.push(Node { key: key.clone(), value, prev: NIL, next: NIL });
-                self.nodes.len() - 1
-            }
+            self.nodes.push(node);
+            self.nodes.len() - 1
         };
         self.map.insert(key, slot);
         self.link_front(slot);
-        debug_assert!(evicted.is_none(), "eviction always recycles a slot");
-        None
-    }
-
-    /// Remove every entry (counters are preserved).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.nodes.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
     }
 
     /// Keys from most to least recently used (tests, diagnostics).
@@ -203,10 +163,10 @@ mod tests {
     #[test]
     fn put_get_and_eviction_order() {
         let mut c = LruCache::new(2);
-        assert!(c.put(1, "a").is_none());
-        assert!(c.put(2, "b").is_none());
+        c.put(1, "a");
+        c.put(2, "b");
         assert_eq!(c.get(&1), Some(&"a")); // refresh 1; 2 is now LRU
-        assert_eq!(c.put(3, "c"), Some((2, "b")));
+        c.put(3, "c"); // evicts 2
         assert_eq!(c.get(&2), None);
         assert_eq!(c.get(&1), Some(&"a"));
         assert_eq!(c.get(&3), Some(&"c"));
@@ -218,9 +178,11 @@ mod tests {
         let mut c = LruCache::new(2);
         c.put(1, 10);
         c.put(2, 20);
-        assert!(c.put(1, 11).is_none()); // update, no eviction
-        assert_eq!(c.put(3, 30), Some((2, 20))); // 2 was LRU
-        assert_eq!(c.peek(&1), Some(&11));
+        c.put(1, 11); // update, no eviction
+        assert_eq!(c.keys_by_recency(), vec![&1, &2]);
+        c.put(3, 30); // 2 was LRU
+        assert_eq!(c.keys_by_recency(), vec![&3, &1]);
+        assert_eq!(c.get(&1), Some(&11));
     }
 
     #[test]
@@ -237,7 +199,7 @@ mod tests {
     #[test]
     fn zero_capacity_caches_nothing() {
         let mut c = LruCache::new(0);
-        assert_eq!(c.put(1, "a"), Some((1, "a")));
+        c.put(1, "a");
         assert_eq!(c.get(&1), None);
         assert!(c.is_empty());
         assert_eq!(c.misses(), 1);
@@ -252,8 +214,5 @@ mod tests {
         assert_eq!(c.keys_by_recency(), vec![&9, &8, &7]);
         c.get(&8);
         assert_eq!(c.keys_by_recency(), vec![&8, &9, &7]);
-        c.clear();
-        assert!(c.is_empty());
-        assert!(c.keys_by_recency().is_empty());
     }
 }

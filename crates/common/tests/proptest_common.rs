@@ -130,7 +130,7 @@ mb_check::check! {
         let mut lru = LruCache::new(cap);
         let mut expected_hits = 0;
         for (i, k) in keys.iter().enumerate() {
-            if lru.peek(k).is_some() {
+            if lru.keys_by_recency().contains(&k) {
                 expected_hits += 1;
             }
             if lru.get(k).is_none() {

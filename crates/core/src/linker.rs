@@ -5,10 +5,10 @@
 //!
 //! [`TwoStageLinker::link_batch`] is the single inference code path:
 //! evaluation iterates it chunk-wise and the `mb-serve` micro-batching
-//! engine calls it per drained batch, so serving results are
-//! definitionally bit-identical to offline evaluation.
+//! engine calls it per drained batch (on the mentions its result cache
+//! does not hold), so serving results are definitionally bit-identical
+//! to offline evaluation.
 
-use mb_common::LruCache;
 use mb_datagen::LinkedMention;
 use mb_encoders::biencoder::BiEncoder;
 use mb_encoders::crossencoder::{CandidateSet, CrossEncoder};
@@ -18,7 +18,6 @@ use mb_encoders::retrieval::{CandidateSource, DenseIndex, QuantizedIndex};
 use mb_kb::{EntityId, KnowledgeBase};
 use mb_tensor::QuantMode;
 use mb_text::Vocab;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Linker-level configuration.
@@ -64,11 +63,6 @@ pub struct LinkMetrics {
     /// Number of evaluated mentions.
     pub count: usize,
 }
-
-/// Memoized mention embeddings, keyed by the featurized token bag.
-/// Values are exact bi-encoder output rows, so cached lookups stay
-/// bit-identical to recomputation.
-pub type EmbedCache = LruCache<Vec<u32>, Vec<f64>>;
 
 /// Full two-stage output for one mention.
 #[derive(Debug, Clone, PartialEq)]
@@ -352,79 +346,28 @@ impl<'a> TwoStageLinker<'a> {
     /// Batched two-stage inference — the shared serving/evaluation
     /// code path.
     ///
-    /// The whole batch runs through **one** fused bi-encoder forward
-    /// (duplicate mention bags are embedded once), **one** fused
-    /// multi-query retrieval call, and **one** fused cross-encoder
-    /// forward over all candidate sets. Every op involved is
-    /// row-independent, so element `i` is bit-identical to
-    /// `link(&mentions[i])`.
+    /// The whole batch runs through **one** fused bi-encoder forward,
+    /// **one** fused multi-query retrieval call, and **one** fused
+    /// cross-encoder forward over all candidate sets. Every op involved
+    /// is row-independent, so element `i` is bit-identical to
+    /// `link(&mentions[i])` — a mention repeated in the batch gets the
+    /// same bits at each position.
     ///
     /// # Errors
     /// [`mb_common::Error::ShapeMismatch`] when the retrieval backend
     /// rejects the query matrix — unreachable for a linker whose
     /// index/ann passed construction validation.
     pub fn link_batch(&self, mentions: &[LinkedMention]) -> mb_common::Result<Vec<LinkResult>> {
-        self.link_batch_cached(mentions, None)
-    }
-
-    /// [`TwoStageLinker::link_batch`] with an optional mention-embedding
-    /// cache. Cache values are exact bi-encoder rows, so cached and
-    /// uncached results are identical; the serving layer uses this to
-    /// skip stage-one forwards for repeated (mention, context) inputs.
-    ///
-    /// # Errors
-    /// Same as [`TwoStageLinker::link_batch`].
-    pub fn link_batch_cached(
-        &self,
-        mentions: &[LinkedMention],
-        mut cache: Option<&mut EmbedCache>,
-    ) -> mb_common::Result<Vec<LinkResult>> {
+        // An empty forward panics: nothing to link is nothing to run.
         if mentions.is_empty() {
             return Ok(Vec::new());
         }
         let bags: Vec<Vec<u32>> =
             mentions.iter().map(|m| mention_bag(self.vocab, &self.cfg.input, m)).collect();
-        // Resolve embeddings straight into the `[n, out_dim]` query
-        // matrix: cache hits first, then one fused forward over the
-        // distinct misses.
-        let dim = self.bi.config().out_dim;
-        let mut qdata = vec![0.0f64; mentions.len() * dim];
-        let mut need: Vec<Vec<u32>> = Vec::new();
-        // BTreeMap so the cache-fill loop below iterates in sorted key
-        // order — HashMap iteration is per-process random and would make
-        // LRU insertion/eviction order (cache state) non-replayable.
-        let mut slot: BTreeMap<&[u32], usize> = BTreeMap::new();
-        // `(query row, row of the fresh forward)` per cache miss.
-        let mut misses: Vec<(usize, usize)> = Vec::new();
-        for (i, bag) in bags.iter().enumerate() {
-            // An entry of another width cannot be this model's: a miss.
-            let hit = cache.as_deref_mut().and_then(|c| c.get(bag)).filter(|h| h.len() == dim);
-            match hit {
-                Some(hit) => qdata[i * dim..(i + 1) * dim].copy_from_slice(hit),
-                None => {
-                    let j = *slot.entry(bag.as_slice()).or_insert_with(|| {
-                        need.push(bag.clone());
-                        need.len() - 1
-                    });
-                    misses.push((i, j));
-                }
-            }
-        }
-        if !need.is_empty() {
-            let fresh = self.frozen_bi.embed_mentions_batch_with(&need, self.cfg.threads);
-            if let Some(cache) = cache {
-                for (bag, &j) in &slot {
-                    cache.put(bag.to_vec(), fresh.row(j).to_vec());
-                }
-            }
-            for (i, j) in misses {
-                qdata[i * dim..(i + 1) * dim].copy_from_slice(fresh.row(j));
-            }
-        }
+        let queries = self.frozen_bi.embed_mentions_batch_with(&bags, self.cfg.threads);
         // Stage one: a single multi-query retrieval call — the backend
         // streams its centroid table / entity rows once per query block
         // instead of once per query (DESIGN.md §16).
-        let queries = mb_tensor::Tensor::from_vec(vec![mentions.len(), dim], qdata);
         let retrieved = self.backend().top_k_batch(&queries, self.cfg.k, self.cfg.threads)?;
         // Candidate-set assembly fans out over mention index (each
         // mention's work reads only shared immutable state); stage two
@@ -715,56 +658,6 @@ mod tests {
             let p = linker.predict(m).expect("non-empty dictionary");
             assert!(dict.contains(&p));
         }
-    }
-
-    #[test]
-    fn link_batch_is_bit_identical_to_sequential_link() {
-        let f = fixture();
-        let domain = f.world.domain("TargetX");
-        let linker = TwoStageLinker::new(
-            &f.bi,
-            &f.cross,
-            &f.vocab,
-            f.world.kb(),
-            f.world.kb().domain_entities(domain.id),
-            LinkerConfig { k: 8, ..LinkerConfig::default() },
-        );
-        let mentions = &f.test[..24];
-        let singles: Vec<LinkResult> =
-            mentions.iter().map(|m| linker.link(m).expect("link")).collect();
-        for size in [1usize, 2, 7, 24] {
-            let mut batched = Vec::new();
-            for chunk in mentions.chunks(size) {
-                batched.extend(linker.link_batch(chunk).expect("link"));
-            }
-            // PartialEq on LinkResult compares f64 scores exactly:
-            // this is the bit-identity guarantee serving relies on.
-            assert_eq!(batched, singles, "batch size {size}");
-        }
-    }
-
-    #[test]
-    fn cached_link_batch_matches_uncached() {
-        let f = fixture();
-        let domain = f.world.domain("TargetX");
-        let linker = TwoStageLinker::new(
-            &f.bi,
-            &f.cross,
-            &f.vocab,
-            f.world.kb(),
-            f.world.kb().domain_entities(domain.id),
-            LinkerConfig { k: 8, ..LinkerConfig::default() },
-        );
-        // Repeat mentions so the second pass is all cache hits.
-        let mut mentions: Vec<LinkedMention> = f.test[..10].to_vec();
-        mentions.extend_from_slice(&f.test[..10]);
-        let uncached = linker.link_batch(&mentions).expect("link");
-        let mut cache = EmbedCache::new(64);
-        let first = linker.link_batch_cached(&mentions, Some(&mut cache)).expect("link");
-        let second = linker.link_batch_cached(&mentions, Some(&mut cache)).expect("link");
-        assert_eq!(first, uncached);
-        assert_eq!(second, uncached);
-        assert!(cache.hits() >= 10, "duplicate mentions should hit: {} hits", cache.hits());
     }
 
     #[test]

@@ -1,25 +1,31 @@
-//! Property tests of the batched inference path: for ANY subset of
-//! mentions, ANY chunking, and ANY cache state, `link_batch` must be
-//! element-wise bit-identical to sequential `link` calls. This is the
+//! Property tests of the batched inference path: for ANY multiset of
+//! mentions (repeats included), ANY chunking, ANY thread count and
+//! every `QuantMode`, `link_batch` must equal a naive reference linker
+//! that links each mention on its own, bit for bit. This is the
 //! contract `mb-serve` relies on — micro-batching must never change
 //! model outputs.
+
+#[path = "../../encoders/tests/support/mod.rs"]
+mod support;
 
 use mb_check::{gen, prop_assert, prop_assert_eq};
 use mb_common::Rng;
 use mb_core::coherence::{link_document, CoherenceConfig};
-use mb_core::linker::{EmbedCache, LinkResult, LinkerConfig, TwoStageLinker};
+use mb_core::linker::{LinkResult, LinkerConfig, TwoStageLinker};
 use mb_core::nil::{NilAwareLinker, NilDecision};
 use mb_core::pipeline::{train, DataSource, MetaBlinkConfig, Method};
 use mb_datagen::LinkedMention;
 use mb_datagen::{World, WorldConfig};
 use mb_encoders::biencoder::BiEncoder;
 use mb_encoders::crossencoder::CrossEncoder;
-use mb_encoders::input::build_vocab;
+use mb_encoders::input::{build_vocab, mention_bag};
 use mb_encoders::retrieval::CandidateSource;
 use mb_kb::EntityId;
-use mb_tensor::QuantMode;
+use mb_tensor::quant::{QuantF16, QuantI8};
+use mb_tensor::{QuantMode, Tensor};
 use mb_text::Vocab;
 use std::sync::{Arc, OnceLock};
+use support::{reference_top_k, Table};
 
 struct Fixture {
     world: World,
@@ -62,16 +68,62 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-fn linker(f: &Fixture) -> TwoStageLinker<'_> {
-    let domain = f.world.domain("TargetX");
-    TwoStageLinker::new(
-        &f.bi,
-        &f.cross,
-        &f.vocab,
-        f.world.kb(),
-        f.world.kb().domain_entities(domain.id),
-        LinkerConfig { k: 6, ..LinkerConfig::default() },
-    )
+/// The entity table of a linker's stage one, rebuilt the plain way:
+/// every dictionary entity's feature-table bag through the training
+/// graph's encoder, stored as `quant` stores it.
+enum Stored {
+    F64(Tensor),
+    F16(QuantF16),
+    Int8(QuantI8),
+}
+
+/// The naive reference linker: each mention on its own, every stage in
+/// its plainest form — a one-row embedding, every entity scored and
+/// fully sorted, a one-set rerank, argmax. It shares only the models
+/// and the candidate-set assembly with `link_batch`: no batching, no
+/// query blocks, no selectors, no threads.
+struct Reference<'l, 'a> {
+    linker: &'l TwoStageLinker<'a>,
+    table: Stored,
+}
+
+impl<'l, 'a> Reference<'l, 'a> {
+    fn new(linker: &'l TwoStageLinker<'a>) -> Self {
+        let features = linker.features();
+        let bags: Vec<Vec<u32>> = linker
+            .index()
+            .ids()
+            .iter()
+            .map(|&id| features.entity(id).expect("the table covers the dictionary").to_vec())
+            .collect();
+        let vectors = linker.bi.embed_entities(&bags);
+        let table = match linker.cfg.quant {
+            QuantMode::Exact => Stored::F64(vectors),
+            QuantMode::F16 => Stored::F16(QuantF16::from_tensor(&vectors)),
+            QuantMode::Int8 => Stored::Int8(QuantI8::from_tensor(&vectors)),
+        };
+        Reference { linker, table }
+    }
+
+    fn link(&self, mention: &LinkedMention) -> LinkResult {
+        let l = self.linker;
+        let bag = mention_bag(l.vocab, &l.cfg.input, mention);
+        let query = l.frozen_bi().embed_mentions_batch(&[bag]);
+        let table = match &self.table {
+            Stored::F64(t) => Table::F64(t),
+            Stored::F16(t) => Table::F16(t),
+            Stored::Int8(t) => Table::Int8(t),
+        };
+        let ids = l.index().ids();
+        let retrieved: Vec<(EntityId, f64)> = reference_top_k(table, query.row(0), l.cfg.k)
+            .into_iter()
+            .map(|(row, score)| (ids[row as usize], f64::from_bits(score)))
+            .collect();
+        let set = l.candidate_set(mention, &retrieved);
+        let rerank_scores = l.frozen_cross().score_batch(&[set]).pop().expect("one set");
+        let predicted = mb_common::util::argmax(&rerank_scores).map(|i| retrieved[i].0);
+        LinkResult { retrieved, rerank_scores, predicted }
+    }
 }
 
 /// Everything each `LinkResult` says, flattened, with scores as bit
@@ -135,39 +187,32 @@ mb_check::check! {
         }
     }
 
-    fn link_batch_matches_sequential_for_any_batch(
-        picks in gen::vec_of(gen::usize_in(0..48), 1..14),
+    fn link_batch_matches_the_reference_linker(
+        picks in gen::vec_of(gen::usize_in(0..16), 1..24),
         chunk in gen::usize_in(1..15),
     ) {
         let f = fixture();
-        let l = linker(f);
+        // 16 mentions to draw from, and the first drawn again last:
+        // every batch repeats a mention.
         let batch: Vec<LinkedMention> =
-            picks.iter().map(|&i| f.mentions[i].clone()).collect();
-        let sequential: Vec<LinkResult> =
-            batch.iter().map(|m| l.link(m).expect("link")).collect();
-        let mut chunked = Vec::new();
-        for c in batch.chunks(chunk) {
-            chunked.extend(l.link_batch(c).expect("link"));
-        }
-        // PartialEq on LinkResult compares every f64 exactly: batching
-        // and chunking must be bit-transparent.
-        prop_assert_eq!(chunked, sequential);
-    }
-
-    fn cache_state_never_changes_results(
-        picks in gen::vec_of(gen::usize_in(0..48), 1..12),
-        capacity in gen::usize_in(1..10),
-    ) {
-        let f = fixture();
-        let l = linker(f);
-        let batch: Vec<LinkedMention> =
-            picks.iter().map(|&i| f.mentions[i].clone()).collect();
-        let uncached = l.link_batch(&batch).expect("link");
-        // A tiny capacity forces evictions mid-batch across repeats.
-        let mut cache = EmbedCache::new(capacity);
-        for _ in 0..3 {
-            let cached = l.link_batch_cached(&batch, Some(&mut cache)).expect("link");
-            prop_assert_eq!(&cached, &uncached);
+            picks.iter().chain(&picks[..1]).map(|&i| f.mentions[i].clone()).collect();
+        let dict = f.world.kb().domain_entities(f.world.domain("TargetX").id);
+        for quant in [QuantMode::Exact, QuantMode::F16, QuantMode::Int8] {
+            let mut want = None;
+            for threads in 1..=4 {
+                let threads = mb_par::Threads::new(threads);
+                let cfg = LinkerConfig { k: 6, quant, threads, ..LinkerConfig::default() };
+                let l = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, f.world.kb(), dict, cfg);
+                let want = want.get_or_insert_with(|| {
+                    let reference = Reference::new(&l);
+                    bits(&batch.iter().map(|m| reference.link(m)).collect::<Vec<_>>())
+                });
+                let mut chunked = Vec::new();
+                for c in batch.chunks(chunk) {
+                    chunked.extend(l.link_batch(c).expect("link"));
+                }
+                prop_assert_eq!(&bits(&chunked), want, "{quant:?} at {threads:?}");
+            }
         }
     }
 }

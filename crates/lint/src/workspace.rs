@@ -304,7 +304,7 @@ mod tests {
         assert!(!rules_for("crates/common/src/lru.rs").determinism);
         // Tests and benches are outside every family but the
         // workspace-wide site-local rules.
-        let r = rules_for("crates/core/tests/determinism.rs");
+        let r = rules_for("crates/core/tests/thread_determinism.rs");
         assert!(!r.determinism && !r.panic_free && r.unsafe_gate);
     }
 

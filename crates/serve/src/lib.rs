@@ -6,8 +6,8 @@
 //!
 //! A worker waits only on an empty queue. When it wakes it takes what
 //! is already queued in the [`queue::BatchQueue`] — up to `max_batch`
-//! requests — and answers them with **one**
-//! [`mb_core::linker::TwoStageLinker::link_batch_cached`] call, so
+//! requests — and answers the ones its result cache does not hold with
+//! **one** [`mb_core::linker::TwoStageLinker::link_batch`] call, so
 //! batch size is the backlog that built up while the worker was busy:
 //! a lone caller is served at once as a batch of one, and a saturated
 //! server fuses up to `max_batch` requests through one multi-query
@@ -21,8 +21,8 @@
 //! against malformed network input by property tests. Production
 //! affordances: `GET /healthz`, `GET /metrics` (latency and batch-size
 //! histograms, cache hit rate, queue depth), bounded-queue
-//! backpressure (503), a mention-embedding LRU, and graceful drain on
-//! `POST /admin/shutdown`.
+//! backpressure (503), a per-worker LRU of link results, and graceful
+//! drain on `POST /admin/shutdown`.
 //!
 //! ```no_run
 //! use mb_serve::{ServeModel, Server, ServerConfig};

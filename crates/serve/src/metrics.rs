@@ -66,9 +66,9 @@ pub struct Metrics {
     batch: [AtomicU64; NBATCH],
     batches: AtomicU64,
     batched_requests: AtomicU64,
-    /// Mention-embedding cache lookups, summed over every worker's LRU
-    /// and every generation (monotone: a hot swap resets the LRUs, not
-    /// these).
+    /// Link-result cache lookups, one per `/link` job, summed over every
+    /// worker's LRU and every generation (monotone: a hot swap resets
+    /// the LRUs, not these).
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
 }
@@ -152,7 +152,7 @@ impl Metrics {
         self.batched_requests.fetch_add(size as u64, Ordering::Relaxed);
     }
 
-    /// Add one batch's embedding-cache hits and misses.
+    /// Add one batch's result-cache hits and misses.
     pub fn add_cache_counters(&self, hits: u64, misses: u64) {
         self.cache_hits.fetch_add(hits, Ordering::Relaxed);
         self.cache_misses.fetch_add(misses, Ordering::Relaxed);

@@ -10,9 +10,9 @@
 //!   `/admin/reload`, and `/admin/shutdown` answer inline;
 //! - a pool of **batch workers** drains the queue work-conservingly (a
 //!   worker waits only on an empty queue, then takes what is queued, up
-//!   to `max_batch`) and runs one fused
-//!   [`mb_core::linker::TwoStageLinker::link_batch_cached`] per drained batch, each
-//!   worker through its own mention-embedding LRU.
+//!   to `max_batch`), answers repeated mentions from its own LRU of
+//!   link results, and runs one fused
+//!   [`mb_core::linker::TwoStageLinker::link_batch`] over the rest.
 //!
 //! Every batch is served by exactly one model [`Generation`] resolved
 //! from the [`ModelRegistry`]: workers re-check the generation id after
@@ -36,8 +36,10 @@ use crate::metrics::{Gauges, Metrics};
 use crate::model::ServeModel;
 use crate::queue::{BatchQueue, PushError};
 use crate::registry::{Generation, ModelRegistry};
-use mb_core::linker::{EmbedCache, LinkResult};
+use mb_common::LruCache;
+use mb_core::linker::{LinkResult, TwoStageLinker};
 use mb_datagen::LinkedMention;
+use mb_encoders::input::{mention_bag, surface_bag};
 use mb_kb::EntityId;
 use mb_text::OverlapCategory;
 use std::io::{BufReader, BufWriter};
@@ -57,7 +59,7 @@ pub struct ServerConfig {
     pub max_batch: usize,
     /// Bounded queue capacity; beyond it, `/link` answers 503.
     pub queue_capacity: usize,
-    /// Mention-embedding LRU capacity per worker (0 disables caching).
+    /// Link-result LRU capacity per worker (0 disables caching).
     pub cache_capacity: usize,
     /// Batch-worker threads.
     pub workers: usize,
@@ -325,9 +327,9 @@ fn worker_loop(shared: &Arc<Shared>) {
                 return;
             }
         };
-        // This worker's mention-embedding LRU. It lives exactly as long
-        // as `linker`, so it only ever holds this generation's vectors.
-        let mut cache = EmbedCache::new(shared.cfg.cache_capacity);
+        // This worker's link-result LRU. It lives exactly as long as
+        // `linker`, so it only ever holds this generation's answers.
+        let mut cache = ResultCache::new(shared.cfg.cache_capacity);
         loop {
             let drained = if pending.is_empty() {
                 let margin = Duration::from_micros(shared.metrics.service_ewma_us());
@@ -363,7 +365,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 drained.batch.into_iter().map(|job| (job.mention, job.reply)).unzip();
             let (hits, misses) = (cache.hits(), cache.misses());
             let started = Instant::now();
-            let outcome = linker.link_batch_cached(&mentions, Some(&mut cache));
+            let outcome = link_cached(&linker, &mut cache, mentions);
             shared
                 .metrics
                 .record_service_us(started.elapsed().as_micros().min(u64::MAX as u128) as u64);
@@ -386,6 +388,60 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         }
     }
+}
+
+/// A worker's link results by [`result_key`]: a hit is the exact result
+/// a fresh link would compute on the same generation.
+type ResultCache = LruCache<(Vec<u32>, usize), LinkResult>;
+
+/// All that [`TwoStageLinker::link_batch`] reads of a mention: its
+/// `mention_bag` and the token count of its `surface_bag`, which is that
+/// bag's prefix. The bag alone is not enough: surface `"a b"` with no
+/// context and surface `"a"` after left context `"b"` share it but
+/// rerank differently.
+fn result_key(linker: &TwoStageLinker<'_>, mention: &LinkedMention) -> (Vec<u32>, usize) {
+    let bag = mention_bag(linker.vocab, &linker.cfg.input, mention);
+    (bag, surface_bag(linker.vocab, mention).len())
+}
+
+/// Answer one drained batch through `cache`: look every mention up (one
+/// hit or miss per job, as `/metrics` counts them), send the misses
+/// through one `link_batch`, and cache their results in batch order.
+///
+/// # Errors
+/// Propagates `link_batch` errors; [`mb_common::Error::Internal`] if it
+/// returns fewer results than it was given mentions.
+fn link_cached(
+    linker: &TwoStageLinker<'_>,
+    cache: &mut ResultCache,
+    mentions: Vec<LinkedMention>,
+) -> mb_common::Result<Vec<LinkResult>> {
+    let mut looked_up = Vec::with_capacity(mentions.len());
+    let mut misses = Vec::new();
+    for mention in mentions {
+        let key = result_key(linker, &mention);
+        let hit = cache.get(&key).cloned();
+        if hit.is_none() {
+            misses.push(mention);
+        }
+        looked_up.push((key, hit));
+    }
+    let mut fresh = linker.link_batch(&misses)?.into_iter();
+    looked_up
+        .into_iter()
+        .map(|(key, hit)| match hit {
+            Some(hit) => Ok(hit),
+            None => {
+                let result = fresh.next().ok_or_else(|| {
+                    mb_common::Error::Internal(
+                        "link_batch returned fewer results than mentions".to_string(),
+                    )
+                })?;
+                cache.put(key, result.clone());
+                Ok(result)
+            }
+        })
+        .collect()
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
@@ -660,4 +716,173 @@ fn render_result(result: &LinkResult, k: usize, generation: &Generation) -> Stri
         predicted,
         candidates.join(",")
     )
+}
+
+#[cfg(test)]
+mod tests {
+    //! The worker cache against uncached `link_batch`, and replayed: the
+    //! cache's recency order must be a function of the request stream
+    //! alone. Filling it in `HashMap` order, say, would keep every result
+    //! while evictions and hit counts drift between identical runs, so
+    //! serving one stream twice from a fresh cache must reproduce all an
+    //! observer can see.
+
+    use super::*;
+    use mb_check::{gen, prop_assert_eq};
+    use mb_common::Rng;
+    use mb_core::linker::LinkerConfig;
+    use mb_datagen::{World, WorldConfig};
+    use mb_encoders::biencoder::{BiEncoder, BiEncoderConfig};
+    use mb_encoders::crossencoder::{CrossEncoder, CrossEncoderConfig};
+    use mb_encoders::input::build_vocab;
+    use std::collections::BTreeSet;
+    use std::sync::OnceLock;
+
+    struct Fixture {
+        world: World,
+        vocab: mb_text::Vocab,
+        bi: BiEncoder,
+        cross: CrossEncoder,
+        mentions: Vec<LinkedMention>,
+    }
+
+    impl Fixture {
+        fn linker(&self) -> TwoStageLinker<'_> {
+            let dict = self.world.kb().domain_entities(self.world.domain("TargetX").id);
+            let cfg = LinkerConfig { k: 8, ..LinkerConfig::default() };
+            TwoStageLinker::new(&self.bi, &self.cross, &self.vocab, self.world.kb(), dict, cfg)
+        }
+    }
+
+    /// An untrained model, built once: neither replayability nor
+    /// exactness depends on training.
+    fn fixture() -> &'static Fixture {
+        static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let world = World::generate(WorldConfig::tiny(91));
+            let vocab = build_vocab(world.kb(), [], 1);
+            let domain = world.domain("TargetX").clone();
+            let mut rng = Rng::seed_from_u64(4);
+            let mentions =
+                mb_datagen::mentions::generate_mentions(&world, &domain, 48, &mut rng).mentions;
+            let bi = BiEncoder::new(
+                &vocab,
+                BiEncoderConfig { emb_dim: 16, hidden: 16, out_dim: 16, ..Default::default() },
+                &mut Rng::seed_from_u64(1),
+            );
+            let cross = CrossEncoder::new(
+                &vocab,
+                CrossEncoderConfig { emb_dim: 16, hidden: 16, ..Default::default() },
+                &mut Rng::seed_from_u64(2),
+            );
+            Fixture { world, vocab, bi, cross, mentions }
+        })
+    }
+
+    /// Per result: the prediction, the candidate ids, then both stages'
+    /// score bits.
+    fn bits(results: &[LinkResult]) -> Vec<Vec<u64>> {
+        results
+            .iter()
+            .map(|r| {
+                let predicted = r.predicted.map_or(u64::MAX, |id| u64::from(id.0));
+                let ids = r.retrieved.iter().map(|(id, _)| u64::from(id.0));
+                let scores = r.retrieved.iter().map(|(_, s)| s).chain(&r.rerank_scores);
+                std::iter::once(predicted).chain(ids).chain(scores.map(|s| s.to_bits())).collect()
+            })
+            .collect()
+    }
+
+    /// What one worker shows after serving `stream` as `chunk`-sized
+    /// drained batches from a fresh cache: the results, the cache keys
+    /// in recency order, and the hit and miss counters.
+    type Observed = (Vec<Vec<u64>>, Vec<(Vec<u32>, usize)>, u64, u64);
+
+    fn replay(
+        linker: &TwoStageLinker<'_>,
+        stream: &[LinkedMention],
+        chunk: usize,
+        capacity: usize,
+    ) -> Observed {
+        let mut cache = ResultCache::new(capacity);
+        let mut results = Vec::new();
+        for batch in stream.chunks(chunk) {
+            results.extend(link_cached(linker, &mut cache, batch.to_vec()).expect("link"));
+        }
+        let keys = cache.keys_by_recency().into_iter().cloned().collect();
+        (bits(&results), keys, cache.hits(), cache.misses())
+    }
+
+    mb_check::check! {
+        #![config(cases = 16)]
+
+        fn a_replayed_stream_replays_results_recency_and_counters(
+            picks in gen::vec_of(gen::usize_in(0..48), 1..60),
+            chunk in gen::usize_in(1..13),
+            capacity in gen::usize_in(1..17),
+        ) {
+            let f = fixture();
+            let linker = f.linker();
+            // Repeats across and within drained batches; a small
+            // capacity evicts between them.
+            let stream: Vec<LinkedMention> =
+                picks.iter().map(|&i| f.mentions[i].clone()).collect();
+            let seen = replay(&linker, &stream, chunk, capacity);
+            prop_assert_eq!(&seen, &replay(&linker, &stream, chunk, capacity));
+            let uncached = bits(&linker.link_batch(&stream).expect("link"));
+            prop_assert_eq!(&seen.0, &uncached, "the cache never changes a result");
+            let distinct: BTreeSet<_> = stream.iter().map(|m| result_key(&linker, m)).collect();
+            prop_assert_eq!(seen.1.len(), capacity.min(distinct.len()));
+            prop_assert_eq!(seen.2 + seen.3, stream.len() as u64, "one lookup per job");
+        }
+    }
+
+    #[test]
+    fn capacity_zero_links_like_the_cache() {
+        let f = fixture();
+        let linker = f.linker();
+        let stream: Vec<LinkedMention> = f.mentions.iter().chain(&f.mentions).cloned().collect();
+        let cached = replay(&linker, &stream, 12, 16);
+        let off = replay(&linker, &stream, 12, 0);
+        assert_eq!(cached.0, off.0, "the cache never changes a result");
+        assert_eq!(cached.1.len(), 16, "below the distinct count, the cache filled and evicted");
+        assert!(off.1.is_empty() && off.2 == 0, "capacity 0 caches nothing");
+    }
+
+    /// Surface `"a b"` with no context and surface `"a"` after left
+    /// context `"b"` have one `mention_bag`; keyed by the bag alone, the
+    /// second would be answered with the first's rerank.
+    #[test]
+    fn the_key_tells_a_surface_from_its_context() {
+        let f = fixture();
+        let linker = f.linker();
+        let tokens = f
+            .mentions
+            .iter()
+            .map(|m| mb_text::tokenize(&m.surface))
+            .find(|t| t.len() >= 2)
+            .expect("a multi-token surface");
+        let whole = LinkedMention {
+            left: String::new(),
+            surface: tokens.join(" "),
+            right: String::new(),
+            ..f.mentions[0].clone()
+        };
+        let split = LinkedMention {
+            left: tokens[1..].join(" "),
+            surface: tokens[0].clone(),
+            ..whole.clone()
+        };
+        let bag = |m: &LinkedMention| mention_bag(linker.vocab, &linker.cfg.input, m);
+        assert_eq!(bag(&whole), bag(&split));
+        let want = bits(&linker.link_batch(&[whole.clone(), split.clone()]).expect("link"));
+        assert_ne!(want[0], want[1], "the surface channel must tell the two apart");
+        let mut cache = ResultCache::new(8);
+        let mut got = Vec::new();
+        for m in [whole, split] {
+            got.extend(link_cached(&linker, &mut cache, vec![m]).expect("link"));
+        }
+        assert_eq!(bits(&got), want);
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+    }
 }

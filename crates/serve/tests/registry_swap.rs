@@ -211,10 +211,10 @@ fn hot_swap_under_load_drops_nothing_and_flips_the_generation() {
     server.shutdown();
 }
 
-/// The embedding LRU is scoped to the generation that filled it, the
+/// The result LRU is scoped to the generation that filled it, the
 /// `/metrics` cache counters are not: across a reload they only grow,
 /// and a mention repeated after the swap is a *miss* in the new
-/// generation's LRU — never a hit on the old generation's vector.
+/// generation's LRU — never answered from the old generation.
 #[test]
 fn cache_counters_never_decrease_across_a_reload() {
     let dir = scratch("cachecount");

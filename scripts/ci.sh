@@ -44,9 +44,10 @@ STEPS=(
     # trained parameters must be bit-identical at 1/2/4 worker threads.
     # Run in release so the blocked (not fallback) kernels are pinned.
     "thread-determinism|cargo test --release -q -p mb-core --test thread_determinism"
-    # Serve smoke: train a small model, serve it, and drive it with the
-    # load generator — 100% 2xx under load, non-empty /metrics, and a
-    # graceful shutdown that exits 0.
+    # Serve smoke: train a small model, evaluate it (same numbers as
+    # train), serve it, and drive it with the load generator — 100% 2xx
+    # under load, every /metrics line benchmark/ scrapes plus cache
+    # hits, and a graceful shutdown that exits 0.
     "serve-smoke|scripts/serve_smoke.sh"
     # Chaos serve: drive the server through a seed-replayable
     # fault-injecting proxy (slow loris, torn replies, aborts, stalled

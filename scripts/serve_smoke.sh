@@ -5,8 +5,11 @@
 #
 #   - a model directory of exactly model.mbc + manifest.txt, which
 #     `evaluate` and `serve` both load,
+#   - `evaluate` on that directory printing the R@k / N.Acc / U.Acc that
+#     `train` printed for the same test split (one config per scale),
 #   - 100% 2xx responses under concurrent load (loadgen --strict),
-#   - a non-empty /metrics endpoint (loadgen --check-metrics),
+#   - every /metrics line benchmark/ scrapes, and cache hits from the
+#     repeated payloads (loadgen --check-metrics),
 #   - a graceful drain: after POST /admin/shutdown the server process
 #     must exit 0 on its own.
 #
@@ -18,15 +21,22 @@ cd "$(dirname "$0")/.."
 workdir="$(mktemp -d)"
 trap 'rm -rf "$workdir"' EXIT
 
-cargo run --release -q --bin metablink -- train --seed 7 --scale small \
-    --domain Lego --method blink --source seed --out "$workdir/model"
+train_out="$(cargo run --release -q --bin metablink -- train --seed 7 --scale small \
+    --domain Lego --method blink --source seed --out "$workdir/model")"
+echo "$train_out"
 
 if [[ "$(ls "$workdir/model" | sort | xargs)" != "manifest.txt model.mbc" ]]; then
     echo "train left more than model.mbc + manifest.txt: $(ls "$workdir/model" | xargs)" >&2
     exit 1
 fi
 
-cargo run --release -q --bin metablink -- evaluate --model "$workdir/model" --limit 50
+eval_out="$(cargo run --release -q --bin metablink -- evaluate --model "$workdir/model")"
+echo "$eval_out"
+trained="$(grep '^test: ' <<<"$train_out")"
+if [[ "${trained#test: }" != "R@${eval_out#*R@}" ]]; then
+    echo "evaluate disagrees with train on the same model: '$eval_out' vs '$trained'" >&2
+    exit 1
+fi
 
 cargo run --release -q --bin metablink -- serve --model "$workdir/model" \
     --addr 127.0.0.1:0 --addr-file "$workdir/addr.txt" &

@@ -301,8 +301,7 @@ fn cmd_train(opts: &HashMap<String, String>) -> Result<(), String> {
         return Err(format!("{domain:?} is not a test domain ({:?})", ctx.test_domains()));
     }
     let task = ctx.task(&domain);
-    let mut cfg =
-        if scale == "bench" { MetaBlinkConfig::default() } else { MetaBlinkConfig::fast_test() };
+    let mut cfg = scale_config(&scale);
     cfg.set_threads(threads_flag(opts)?);
     eprintln!("training {} on {} ({domain}) …", method.label(), source.label());
     let model = train(&task, method, source, &cfg);
@@ -375,25 +374,35 @@ fn encoders(
     Ok((bi, cross))
 }
 
-/// Rebuild the context and models from a checkpoint directory.
-fn load_model(dir: &Path) -> Result<(ExperimentContext, String, BiEncoder, CrossEncoder), String> {
-    let manifest = Manifest::load(dir)?;
-    let ck = load_checkpoint(dir)?;
-    let ctx = context(manifest.seed, &manifest.scale)?;
-    let cfg = if manifest.scale == "bench" {
+/// The configuration a model of manifest scale `scale` is trained
+/// with — and so the one `evaluate`, `link` and `serve` load it and
+/// link with, or one model directory would answer each differently.
+fn scale_config(scale: &str) -> MetaBlinkConfig {
+    if scale == "bench" {
         MetaBlinkConfig::default()
     } else {
         MetaBlinkConfig::fast_test()
-    };
+    }
+}
+
+/// Rebuild the context and models from a checkpoint directory, with the
+/// linker configuration its scale trained with.
+fn load_model(
+    dir: &Path,
+) -> Result<(ExperimentContext, String, BiEncoder, CrossEncoder, LinkerConfig), String> {
+    let manifest = Manifest::load(dir)?;
+    let ck = load_checkpoint(dir)?;
+    let ctx = context(manifest.seed, &manifest.scale)?;
+    let cfg = scale_config(&manifest.scale);
     let (bi, cross) = encoders(&ck, &ctx.vocab, &cfg)?;
-    Ok((ctx, manifest.domain, bi, cross))
+    Ok((ctx, manifest.domain, bi, cross, cfg.linker))
 }
 
 fn cmd_evaluate(opts: &HashMap<String, String>) -> Result<(), String> {
     let dir = PathBuf::from(flag(opts, "model", "metablink_model"));
     let limit: usize = flag(opts, "limit", "0").parse().map_err(|e| format!("--limit: {e}"))?;
     let threads = threads_flag(opts)?;
-    let (ctx, domain, bi, cross) = load_model(&dir)?;
+    let (ctx, domain, bi, cross, cfg) = load_model(&dir)?;
     let world = ctx.dataset.world();
     let dom = world.domain_checked(&domain).map_err(|e| e.to_string())?;
     let linker = TwoStageLinker::new(
@@ -402,14 +411,14 @@ fn cmd_evaluate(opts: &HashMap<String, String>) -> Result<(), String> {
         &ctx.vocab,
         world.kb(),
         world.kb().domain_entities(dom.id),
-        LinkerConfig { threads, ..LinkerConfig::default() },
+        LinkerConfig { threads, ..cfg },
     );
     let test = &ctx.dataset.split(&domain).test;
     let test = if limit > 0 && limit < test.len() { &test[..limit] } else { test };
     let m = linker.evaluate_parallel(test, threads).map_err(|e| e.to_string())?;
     println!(
-        "{domain}: {} mentions  R@64 {:.2}%  N.Acc {:.2}%  U.Acc {:.2}%",
-        m.count, m.recall_at_k, m.normalized_acc, m.unnormalized_acc
+        "{domain}: {} mentions  R@{} {:.2}%  N.Acc {:.2}%  U.Acc {:.2}%",
+        m.count, cfg.k, m.recall_at_k, m.normalized_acc, m.unnormalized_acc
     );
     Ok(())
 }
@@ -444,11 +453,7 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
 
     let manifest = Manifest::load(&dir)?;
     let ctx = context(manifest.seed, &manifest.scale)?;
-    let mut train_cfg = if manifest.scale == "bench" {
-        MetaBlinkConfig::default()
-    } else {
-        MetaBlinkConfig::fast_test()
-    };
+    let mut train_cfg = scale_config(&manifest.scale);
     // Intra-batch parallelism for the linker the server wraps; the
     // server's own `--workers` knob controls batch-level concurrency.
     train_cfg.linker.threads = threads_flag(opts)?;
@@ -508,7 +513,7 @@ fn cmd_link(opts: &HashMap<String, String>) -> Result<(), String> {
     let right = flag(opts, "right", "").to_string();
     let k: usize = flag(opts, "k", "5").parse().map_err(|e| format!("--k: {e}"))?;
 
-    let (ctx, domain, bi, cross) = load_model(&dir)?;
+    let (ctx, domain, bi, cross, cfg) = load_model(&dir)?;
     let world = ctx.dataset.world();
     let dom = world.domain_checked(&domain).map_err(|e| e.to_string())?;
     let linker = TwoStageLinker::new(
@@ -517,7 +522,7 @@ fn cmd_link(opts: &HashMap<String, String>) -> Result<(), String> {
         &ctx.vocab,
         world.kb(),
         world.kb().domain_entities(dom.id),
-        LinkerConfig::default(),
+        cfg,
     );
     let mention = LinkedMention {
         left,
