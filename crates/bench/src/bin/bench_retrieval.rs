@@ -2,26 +2,32 @@
 //! into an on-disk `mb-store`, build the deterministic IVF index over
 //! it, and measure build time, recall@64 against brute-force scoring of
 //! the *same* quantized tables, and per-query throughput. Writes
-//! `target/experiments/BENCH_retrieval.{txt,json}`; the two `retrieval/`
+//! `target/experiments/BENCH_retrieval.{txt,json}`; the `retrieval/`
 //! medians feed the bench-regression CI gate (`scripts/bench_gate.sh`).
 //!
 //! ```text
-//! bench_retrieval                  # full run (20k entities, timed)
+//! bench_retrieval                  # full run (100k entities, timed)
 //! bench_retrieval --entities 1000000
 //! bench_retrieval --smoke          # CI retrieval-smoke stage: small
-//!                                  # world, recall + bit-identical
-//!                                  # rebuild assertions, no timing
+//!                                  # world, oracle + recall +
+//!                                  # bit-identical rebuild assertions,
+//!                                  # no timing
 //! ```
 //!
 //! The recall sweep (`nprobe` vs recall@64 and probe cost) is printed
 //! for EXPERIMENTS.md; the gated timing runs at the smallest swept
-//! `nprobe` whose recall@64 clears 0.95.
+//! `nprobe` whose recall@64 clears 0.95. The full run also states the
+//! flat scan's ceiling: this machine's `memcpy` bandwidth over a buffer
+//! the size of the int8 table, paired with the bytes per second the
+//! fused flat scan reads.
 
 use mb_bench::harness::Harness;
 use mb_common::Rng;
 use mb_datagen::{EntityStream, StreamConfig};
 use mb_encoders::retrieval::CandidateSource;
-use mb_store::{EntityStore, IvfConfig, IvfIndex, StoreBuilder, StoreConfig, StoreRecord, Threads};
+use mb_store::{
+    EntityStore, IvfConfig, IvfIndex, ShardTable, StoreBuilder, StoreConfig, StoreRecord, Threads,
+};
 use mb_tensor::quant::QuantMode;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -192,6 +198,23 @@ fn assert_fused_matches_serial<S: CandidateSource>(
     }
 }
 
+/// The smoke's exact top-K, sharing no code with the scan: every
+/// shard's int8 table scored by the reference fold
+/// (`QuantI8::score_all`), then a full sort — score descending, ties by
+/// row — as `(row, score bits)`.
+fn oracle_top_k(store: &EntityStore, q: &[f64]) -> Vec<(u32, u64)> {
+    let mut scores = Vec::with_capacity(store.len());
+    for shard in store.shards() {
+        match shard.table() {
+            ShardTable::Int8(t) => scores.extend(t.score_all(q, Threads::single())),
+            ShardTable::F16(_) => panic!("the smoke store is int8"),
+        }
+    }
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+    order.into_iter().take(K).map(|i| (i as u32, scores[i].to_bits())).collect()
+}
+
 /// Mean recall@K of `ann` against the exact top-K over the same tables.
 fn recall_at_k(ann: &IvfIndex, exact_ids: &[Vec<u32>], qs: &[Vec<f64>]) -> f64 {
     let mut hit = 0usize;
@@ -338,6 +361,33 @@ fn main() {
         "query",
     );
 
+    // The ceiling (ROADMAP item 3): `memcpy` over a buffer the size of
+    // the flat int8 table, paired with the fused batch-8 flat scan,
+    // which reads that table once per query block and is credited, as
+    // `encoders.flat_scan_gbps` credits it, with the table's bytes once
+    // per query.
+    let table_bytes = exact.bytes();
+    let src = vec![1u8; table_bytes];
+    let mut dst = vec![0u8; table_bytes];
+    let mut bi = 0usize;
+    h.bench_pair_units(
+        "retrieval/memcpy/table",
+        table_bytes as f64,
+        || {
+            dst.copy_from_slice(black_box(&src));
+            black_box(&mut dst);
+        },
+        &format!("retrieval/quant_i8/scan_batch{BATCH}"),
+        (table_bytes * BATCH) as f64,
+        || {
+            let b = &batches[bi % batches.len()];
+            bi += 1;
+            black_box(exact.top_k_batch(black_box(b), K, Threads::single()).expect("fused"));
+        },
+        "B",
+    );
+    drop((src, dst));
+
     // IVF batch-size sweep (1/8/32) for the EXPERIMENTS.md fused-QPS
     // table; batch 8 reuses the acceptance pair above.
     for bs in [1usize, 32] {
@@ -386,6 +436,9 @@ fn main() {
     let exact_loop_ns = median(&format!("retrieval/quant_i8/top64_loop{BATCH}")) / BATCH as f64;
     let ivf_fused_speedup = ivf_loop_ns / ivf_batch_ns;
     let exact_fused_speedup = exact_loop_ns / exact_batch_ns;
+    let memcpy_gbps = table_bytes as f64 / median("retrieval/memcpy/table");
+    let scan_gbps =
+        (table_bytes * BATCH) as f64 / median(&format!("retrieval/quant_i8/scan_batch{BATCH}"));
 
     let sweep_json: Vec<String> =
         sweep.iter().map(|(np, r)| format!("{{\"nprobe\":{np},\"recall\":{r:.4}}}")).collect();
@@ -413,6 +466,8 @@ fn main() {
          \"ivf_fused_qps\":{:.1},\"exact_fused_qps\":{:.1},\
          \"ivf_fused_speedup\":{ivf_fused_speedup:.2},\
          \"exact_fused_speedup\":{exact_fused_speedup:.2},\
+         \"table_bytes\":{table_bytes},\
+         \"memcpy_gbps\":{memcpy_gbps:.2},\"flat_scan_gbps\":{scan_gbps:.2},\
          \"fused_sweep\":[{}],\
          \"sweep\":[{}]}}",
         store.shards().len(),
@@ -438,11 +493,18 @@ fn main() {
         1e9 / ivf_batch_ns,
         1e9 / exact_batch_ns,
     );
+    println!(
+        "  ceiling: memcpy {memcpy_gbps:.1} GB/s over the {table_bytes}-byte int8 table; \
+         flat scan {scan_gbps:.1} GB/s ({:.0} % of it)",
+        100.0 * scan_gbps / memcpy_gbps
+    );
 }
 
-/// CI retrieval-smoke: small streamed world, assert the recall floor
-/// and that a rebuild (including at a different worker count) is
-/// byte-identical. No timing — this must stay fast and stable.
+/// CI retrieval-smoke: small streamed world; assert the flat int8 scan
+/// equals the reference fold + full sort (never the scan checked
+/// against itself), the IVF recall floor against that oracle, and that
+/// a rebuild (including at a different worker count) is byte-identical.
+/// No timing — this must stay fast and stable.
 fn smoke() {
     let dir = scratch("smoke");
     let stream = StreamConfig { entities: 3_000, ..StreamConfig::tiny(3_000, 5) };
@@ -454,8 +516,19 @@ fn smoke() {
 
     let exact = store.quantized_index().expect("store tables");
     let qs = queries(&store, QUERIES);
+    let oracle: Vec<Vec<(u32, u64)>> = qs.iter().map(|q| oracle_top_k(&store, q)).collect();
+    let batches = query_batches(&qs, store.dim());
+    for workers in [1usize, 3] {
+        let ranked = batches
+            .iter()
+            .flat_map(|b| exact.top_k_batch(b, K, Threads::new(workers)).expect("flat scan"));
+        for (got, want) in ranked.zip(&oracle) {
+            let got: Vec<(u32, u64)> = got.iter().map(|&(id, s)| (id.0, s.to_bits())).collect();
+            assert_eq!(&got, want, "flat int8 scan != reference fold at {workers} workers");
+        }
+    }
     let exact_ids: Vec<Vec<u32>> =
-        qs.iter().map(|q| exact.top_k(q, K).into_iter().map(|(id, _)| id.0).collect()).collect();
+        oracle.iter().map(|r| r.iter().map(|&(row, _)| row).collect()).collect();
     let recall = recall_at_k(&ivf, &exact_ids, &qs);
     assert!(recall >= RECALL_FLOOR, "smoke recall@{K} {recall:.4} < {RECALL_FLOOR}");
 
@@ -469,7 +542,6 @@ fn smoke() {
     // Fused batched retrieval is byte-identical to serial per-query
     // top_k at 1 and 3 workers (DESIGN.md §16), on disjoint evaluation
     // queries and on overlap-heavy serving batches.
-    let batches = query_batches(&qs, store.dim());
     let drains = serve_batches(&store, 4, BATCH);
     for workers in [1usize, 3] {
         for set in [&batches, &drains] {
@@ -479,8 +551,8 @@ fn smoke() {
     }
 
     println!(
-        "retrieval-smoke PASS: {} entities, {} shards, recall@{K} {recall:.4}, \
-         rebuild byte-identical at 1 and 3 workers, \
+        "retrieval-smoke PASS: {} entities, {} shards, flat int8 scan = reference fold \
+         at 1 and 3 workers, recall@{K} {recall:.4}, rebuild byte-identical at 1 and 3 workers, \
          fused batch-{BATCH} byte-identical at 1 and 3 workers",
         store.len(),
         store.shards().len()

@@ -202,7 +202,10 @@ impl<'a> TwoStageLinker<'a> {
         if let Some(qi) = &qindex {
             Self::check_backend("TwoStageLinker::with_frozen", qi.as_ref(), bi, kb, features)?;
         }
-        let qindex = qindex.or_else(|| QuantizedIndex::from_dense(&index, cfg.quant).map(Arc::new));
+        let qindex = match qindex {
+            Some(qi) => Some(qi),
+            None => QuantizedIndex::from_dense(&index, cfg.quant)?.map(Arc::new),
+        };
         Ok(TwoStageLinker {
             bi,
             cross,
@@ -705,7 +708,7 @@ mod tests {
         // answer every request, so it must fail here, not there.
         let wide = mb_tensor::Tensor::zeros([dict.len(), out_dim + 1]);
         let table = mb_tensor::quant::QuantI8::from_tensor(&wide);
-        let mis_sized = QuantizedIndex::from_i8(table, dict.to_vec()).expect("aligned ids");
+        let mis_sized = QuantizedIndex::from_i8([&table], dict.to_vec()).expect("aligned ids");
         let err = assemble(index, Some(mis_sized)).err();
         assert!(matches!(err, Some(mb_common::Error::ShapeMismatch { .. })), "got {err:?}");
     }

@@ -7,7 +7,10 @@
 //! (exact `f64`, used for evaluation: R@64 must be exact) and
 //! [`QuantizedIndex`] (f16 / int8) are that scan over one list holding
 //! every row; the sharded-store IVF index in `mb-store` is the same
-//! scan over its centroid table and then over each probed list.
+//! scan over its centroid table and then over each probed list. Int8
+//! rows are stored and scanned in [`TILE_ROWS`]-row dimension-major
+//! tiles, so a query scores a tile's rows in SIMD lanes; float rows
+//! stay row-major and put the block's queries in lanes instead.
 //!
 //! [`CandidateSource`] is the retrieval abstraction the two-stage
 //! linker scores candidates through, so the linker (and the serving
@@ -23,7 +26,9 @@ use crate::biencoder::BiEncoder;
 use crate::input::{EntityFeatures, InputConfig};
 use mb_common::util::TopK;
 use mb_kb::{EntityId, KnowledgeBase};
-use mb_tensor::kernels::{dot_block_f64, dot_i8_i32, dot_i8_i64, DOT_BLOCK, I8_EXACT_I32_COLS};
+use mb_tensor::kernels::{
+    dot_block_f64, dot_tile_i8, tile_rows, DOT_BLOCK, I8_EXACT_I32_COLS, TILE_ROWS,
+};
 use mb_tensor::quant::{f16_to_f64, quantize_i8, QuantF16, QuantI8};
 use mb_tensor::{QuantMode, Tensor};
 use mb_text::Vocab;
@@ -36,26 +41,30 @@ use mb_text::Vocab;
 /// kernel specializes for.
 const QUERY_BLOCK: usize = DOT_BLOCK;
 
-/// Rows per cache-resident run of the int8 scan: one run of codes is
+/// Rows per cache-resident run of the int8 scan: one run of tiles is
 /// re-read once per member query, so it must fit comfortably in L2
 /// (512 rows × 256 cols = 128 KiB worst case) while leaving the score
 /// scratch long enough for the [`TopK::push_block`] pre-filter to skip
-/// whole runs.
+/// whole runs. A whole number of tiles, so a run never splits one.
 const SCORE_CHUNK: usize = 512;
+const _: () = assert!(SCORE_CHUNK.is_multiple_of(TILE_ROWS));
 
-/// Contiguous row-major rows the scan can score, `dim` elements each.
+/// Contiguous rows the scan can score, `dim` elements each.
 #[derive(Debug, Clone, Copy)]
 pub enum Rows<'a> {
-    /// Exact rows.
+    /// Exact rows, row-major.
     F64(&'a [f64]),
-    /// binary16 bit patterns.
+    /// binary16 bit patterns, row-major.
     F16(&'a [u16]),
     /// Per-row symmetric int8 codes with one dequantization scale per
-    /// row.
+    /// row, at most [`I8_EXACT_I32_COLS`] wide.
     Int8 {
-        /// `rows * dim` codes.
-        codes: &'a [i8],
-        /// One scale per row.
+        /// The codes in [`TILE_ROWS`]-row dimension-major tiles
+        /// ([`tile_rows`]), the last one zero-padded:
+        /// `scales.len().div_ceil(TILE_ROWS) * TILE_ROWS * dim` codes.
+        tiles: &'a [i8],
+        /// One scale per real row; padded rows have none and are never
+        /// offered to a selector.
         scales: &'a [f64],
     },
 }
@@ -124,30 +133,33 @@ impl<'a> QueryBlock<'a> {
     /// member and offer row `pos` to `sels[slot]` as candidate
     /// `base + pos`.
     ///
-    /// The two element families want opposite loop orders. Float rows
-    /// are decoded once (f16; exact) and folded into one accumulator
-    /// chain per member by [`dot_block_f64`] — f64 dots are latency
-    /// chains a lone fold is stuck behind. Int8 rows go in runs of at
-    /// most [`SCORE_CHUNK`]: per run, each member makes one contiguous
-    /// [`dot_i8_i32`] pass (`i64` for absurdly wide rows) into a score
-    /// scratch and offers the run through [`TopK::push_block`], whose
-    /// chunk-max pre-filter skips runs that cannot enter the top-k —
-    /// integer folds vectorize on their own, so a plain dot per member
-    /// beats an interleaved tile.
+    /// The two element families put different things in SIMD lanes.
+    /// Float rows are decoded once (f16; exact) and folded into one
+    /// accumulator chain per member by [`dot_block_f64`] — the block's
+    /// queries sit in lanes, because f64 dots are latency chains a lone
+    /// fold is stuck behind. Int8 rows sit in lanes themselves: they
+    /// are stored in [`TILE_ROWS`]-row dimension-major tiles, and
+    /// [`dot_tile_i8`] scores a whole tile for one query with vertical
+    /// multiply-adds and no horizontal reduction. They go in runs of at
+    /// most [`SCORE_CHUNK`] rows: per run, each member fills a score
+    /// scratch tile by tile and offers the run's real rows (never the
+    /// padding) through [`TopK::push_block`], whose chunk-max
+    /// pre-filter skips runs that cannot enter the top-k.
     ///
     /// Every score is one ascending-column fold (f64: separate multiply
     /// and add; int8: the exact integer sum, then
     /// `sum as f64 * (row_scale * query_scale)`), so it depends on the
     /// row and the query alone — never on which other queries share the
-    /// block or the member list. [`TopK`] is push-order independent, so
-    /// rankings are too.
+    /// block, the member list or the row's tile. [`TopK`] is push-order
+    /// independent, so rankings are too.
     pub fn scan(&mut self, rows: Rows<'_>, members: &[(usize, usize)], sels: &mut [TopK]) {
         let (dim, nq, m) = (self.queries.cols(), self.len(), members.len());
         if dim == 0 || m == 0 {
             return;
         }
         let QueryBlock { queries, range, qt, codes, scales, member_qt, row, scores } = self;
-        if let Rows::Int8 { codes: rcodes, scales: rscales } = rows {
+        if let Rows::Int8 { tiles, scales: rscales } = rows {
+            debug_assert_eq!(tiles.len(), rscales.len().div_ceil(TILE_ROWS) * TILE_ROWS * dim);
             if codes.is_empty() {
                 for qi in range.clone() {
                     let (c, s) = quantize_i8(queries.row(qi));
@@ -158,20 +170,17 @@ impl<'a> QueryBlock<'a> {
             if scores.len() < SCORE_CHUNK {
                 scores.resize(SCORE_CHUNK, 0.0);
             }
-            let narrow = dim <= I8_EXACT_I32_COLS;
-            for (run, (rc, rs)) in
-                rcodes.chunks(SCORE_CHUNK * dim).zip(rscales.chunks(SCORE_CHUNK)).enumerate()
+            for (run, (rt, rs)) in
+                tiles.chunks(SCORE_CHUNK * dim).zip(rscales.chunks(SCORE_CHUNK)).enumerate()
             {
                 let sc = &mut scores[..rs.len()];
                 for &(slot, base) in members {
                     let (qc, qs) = (&codes[slot * dim..(slot + 1) * dim], scales[slot]);
-                    if narrow {
-                        for ((s, r), &rscale) in sc.iter_mut().zip(rc.chunks_exact(dim)).zip(rs) {
-                            *s = f64::from(dot_i8_i32(r, qc)) * (rscale * qs);
-                        }
-                    } else {
-                        for ((s, r), &rscale) in sc.iter_mut().zip(rc.chunks_exact(dim)).zip(rs) {
-                            *s = dot_i8_i64(r, qc) as f64 * (rscale * qs);
+                    let per_tile = sc.chunks_mut(TILE_ROWS).zip(rs.chunks(TILE_ROWS));
+                    for ((s, ts), tile) in per_tile.zip(rt.chunks_exact(TILE_ROWS * dim)) {
+                        let acc = dot_tile_i8(tile, qc);
+                        for ((s, &a), &rscale) in s.iter_mut().zip(&acc).zip(ts) {
+                            *s = f64::from(a) * (rscale * qs);
                         }
                     }
                     sels[slot].push_block(base + run * SCORE_CHUNK, sc);
@@ -430,7 +439,14 @@ impl DenseIndex {
 #[derive(Debug, Clone)]
 enum QuantTable {
     F16(QuantF16),
-    Int8(QuantI8),
+    /// The int8 scan table: codes in [`TILE_ROWS`]-row tiles (the
+    /// layout [`Rows::Int8`] scans) plus one scale per row. It replaces
+    /// the row-major [`QuantI8`] codes it is built from.
+    Int8 {
+        dim: usize,
+        tiles: Vec<i8>,
+        scales: Vec<f64>,
+    },
 }
 
 /// A quantized copy of a [`DenseIndex`]: same ids and ranking
@@ -447,16 +463,35 @@ pub struct QuantizedIndex {
 }
 
 impl QuantizedIndex {
-    /// Quantize an exact index. Returns `None` for
-    /// [`QuantMode::Exact`] — callers keep using the [`DenseIndex`]
-    /// itself in that mode.
-    pub fn from_dense(index: &DenseIndex, mode: QuantMode) -> Option<Self> {
+    /// Quantize an exact index, row by row as
+    /// [`QuantI8::from_tensor`] / [`QuantF16::from_tensor`] do. Returns
+    /// `None` for [`QuantMode::Exact`] — callers keep using the
+    /// [`DenseIndex`] itself in that mode.
+    ///
+    /// # Errors
+    /// [`mb_common::Error::ShapeMismatch`] in int8 mode when the vectors
+    /// are wider than [`I8_EXACT_I32_COLS`].
+    pub fn from_dense(index: &DenseIndex, mode: QuantMode) -> mb_common::Result<Option<Self>> {
         let table = match mode {
-            QuantMode::Exact => return None,
+            QuantMode::Exact => return Ok(None),
             QuantMode::F16 => QuantTable::F16(QuantF16::from_tensor(&index.vectors)),
-            QuantMode::Int8 => QuantTable::Int8(QuantI8::from_tensor(&index.vectors)),
+            QuantMode::Int8 => {
+                // Quantized row by row straight into tiles: no row-major
+                // table is built beside them.
+                let vectors = &index.vectors;
+                let (n, dim) = (vectors.rows(), vectors.cols());
+                check_i8_width("QuantizedIndex::from_dense", dim)?;
+                let mut scales = Vec::with_capacity(n);
+                let codes = (0..n).map(|i| {
+                    let (codes, scale) = quantize_i8(vectors.row(i));
+                    scales.push(scale);
+                    codes
+                });
+                let tiles = tile_rows(TILE_ROWS, n, dim, codes);
+                QuantTable::Int8 { dim, tiles, scales }
+            }
         };
-        Some(QuantizedIndex { table, ids: index.ids.clone() })
+        Ok(Some(QuantizedIndex { table, ids: index.ids.clone() }))
     }
 
     /// Assemble from a prebuilt f16 table (rows aligned with `ids`) —
@@ -477,30 +512,70 @@ impl QuantizedIndex {
         Ok(QuantizedIndex { table: QuantTable::F16(table), ids })
     }
 
-    /// Assemble from a prebuilt int8 table (rows aligned with `ids`) —
-    /// the shard-load path, like [`QuantizedIndex::from_f16`].
+    /// Assemble from prebuilt int8 tables, their rows concatenated in
+    /// order and aligned with `ids` — the shard-load path: `mb-store`
+    /// passes every shard's table, and the codes are gathered straight
+    /// into scan tiles, so serve start-up neither re-quantizes nor
+    /// holds a row-major copy.
     ///
     /// # Errors
-    /// [`mb_common::Error::ShapeMismatch`] when row count and id count
-    /// differ.
-    pub fn from_i8(table: QuantI8, ids: Vec<EntityId>) -> mb_common::Result<Self> {
-        if table.rows() != ids.len() {
+    /// [`mb_common::Error::ShapeMismatch`] when the tables differ in
+    /// width, are wider than [`I8_EXACT_I32_COLS`], or hold a row count
+    /// other than the id count.
+    pub fn from_i8<'t>(
+        tables: impl IntoIterator<Item = &'t QuantI8>,
+        ids: Vec<EntityId>,
+    ) -> mb_common::Result<Self> {
+        const OP: &str = "QuantizedIndex::from_i8";
+        let tables: Vec<&QuantI8> = tables.into_iter().collect();
+        let dim = tables.first().map_or(0, |t| t.cols());
+        if let Some(t) = tables.iter().find(|t| t.cols() != dim) {
             return Err(mb_common::Error::shape(
-                "QuantizedIndex::from_i8",
-                format!("{} ids (one per row)", table.rows()),
+                OP,
+                format!("{dim} columns in every table"),
+                format!("a {}-column table", t.cols()),
+            ));
+        }
+        check_i8_width(OP, dim)?;
+        let rows: usize = tables.iter().map(|t| t.rows()).sum();
+        if rows != ids.len() {
+            return Err(mb_common::Error::shape(
+                OP,
+                format!("{rows} ids (one per row)"),
                 format!("{} ids", ids.len()),
             ));
         }
-        Ok(QuantizedIndex { table: QuantTable::Int8(table), ids })
+        let codes = tables.iter().flat_map(|t| t.codes().chunks(dim.max(1)));
+        let tiles = tile_rows(TILE_ROWS, rows, dim, codes);
+        let mut scales = Vec::with_capacity(rows);
+        for t in &tables {
+            scales.extend_from_slice(t.scales());
+        }
+        Ok(QuantizedIndex { table: QuantTable::Int8 { dim, tiles, scales }, ids })
     }
 
     /// Resident bytes of the stored vectors.
     pub fn bytes(&self) -> usize {
         match &self.table {
             QuantTable::F16(t) => t.bytes(),
-            QuantTable::Int8(t) => t.bytes(),
+            QuantTable::Int8 { tiles, scales, .. } => {
+                tiles.len() + std::mem::size_of_val(scales.as_slice())
+            }
         }
     }
+}
+
+/// The int8 scan sums in `i32`, exact only up to [`I8_EXACT_I32_COLS`]
+/// columns: a wider table is rejected rather than left to wrap a score.
+fn check_i8_width(op: &'static str, dim: usize) -> mb_common::Result<()> {
+    if dim > I8_EXACT_I32_COLS {
+        return Err(mb_common::Error::shape(
+            op,
+            format!("at most {I8_EXACT_I32_COLS} int8 columns"),
+            format!("{dim} columns"),
+        ));
+    }
+    Ok(())
 }
 
 impl CandidateSource for DenseIndex {
@@ -543,7 +618,7 @@ impl CandidateSource for QuantizedIndex {
     fn dim(&self) -> usize {
         match &self.table {
             QuantTable::F16(t) => t.cols(),
-            QuantTable::Int8(t) => t.cols(),
+            QuantTable::Int8 { dim, .. } => *dim,
         }
     }
 
@@ -559,7 +634,7 @@ impl CandidateSource for QuantizedIndex {
     ) -> mb_common::Result<Vec<Vec<(EntityId, f64)>>> {
         let rows = match &self.table {
             QuantTable::F16(t) => Rows::F16(t.bits()),
-            QuantTable::Int8(t) => Rows::Int8 { codes: t.codes(), scales: t.scales() },
+            QuantTable::Int8 { tiles, scales, .. } => Rows::Int8 { tiles, scales },
         };
         flat_top_k_batch(
             "QuantizedIndex::top_k_batch",
@@ -622,10 +697,10 @@ mod tests {
         let (vectors, ids) = random_index(300, 16, 11);
         let exact =
             DenseIndex::try_from_vectors(vectors.clone(), ids.clone()).expect("one id per row");
-        assert!(QuantizedIndex::from_dense(&exact, QuantMode::Exact).is_none());
+        assert!(QuantizedIndex::from_dense(&exact, QuantMode::Exact).expect("exact").is_none());
         let exact_bytes = vectors.numel() * std::mem::size_of::<f64>();
         for (mode, shrink) in [(QuantMode::F16, 4), (QuantMode::Int8, 2)] {
-            let q = QuantizedIndex::from_dense(&exact, mode).expect("quantized");
+            let q = QuantizedIndex::from_dense(&exact, mode).expect("narrow").expect("quantized");
             assert_eq!(q.len(), 300);
             assert!(!q.is_empty());
             assert!(
@@ -650,6 +725,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn int8_tables_wider_than_the_exact_scan_are_rejected() {
+        let widest = I8_EXACT_I32_COLS;
+        for (cols, fits) in [(widest, true), (widest + 1, false)] {
+            let table = QuantI8::from_raw(1, cols, vec![-128; cols], vec![1.0]).expect("parts");
+            let got = QuantizedIndex::from_i8([&table], vec![EntityId(0)]);
+            assert_eq!(got.is_ok(), fits, "{cols} columns");
+            let dense =
+                DenseIndex::try_from_vectors(Tensor::zeros(vec![1, cols]), vec![EntityId(0)])
+                    .expect("one id per row");
+            let int8 = QuantizedIndex::from_dense(&dense, QuantMode::Int8);
+            assert_eq!(int8.is_ok(), fits, "{cols} columns");
+            if let Err(e) = int8 {
+                assert!(matches!(e, mb_common::Error::ShapeMismatch { .. }), "got {e:?}");
+            }
+            // f16 rows are scored in f64: any width is fine.
+            assert!(QuantizedIndex::from_dense(&dense, QuantMode::F16).is_ok());
+        }
+        // The widest table of −128 codes against a −128-heavy query
+        // scores the exact product, not a wrapped one.
+        let table = QuantI8::from_raw(1, widest, vec![-128; widest], vec![1.0]).expect("parts");
+        let index = QuantizedIndex::from_i8([&table], vec![EntityId(0)]).expect("fits");
+        let query = vec![-1.0; widest];
+        let (_, qscale) = quantize_i8(&query);
+        let want = (widest as f64 * 128.0 * 127.0) * (1.0 * qscale);
+        assert_eq!(index.top_k(&query, 1)[0].1.to_bits(), want.to_bits());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! element types. The fixtures are the adversarial near-tie
 //! distributions from the quantized-retrieval suite, so the
 //! lowest-position tie-break is actually exercised, not just the
-//! clear-margin happy path.
+//! clear-margin happy path; int8 tables also come raw, at the scan's
+//! tile edges, with extreme codes and zero / infinite / NaN scales.
 
 mod support;
 
@@ -19,6 +20,7 @@ use mb_encoders::retrieval::CandidateSource;
 use mb_encoders::{DenseIndex, QuantizedIndex};
 use mb_kb::EntityId;
 use mb_par::Threads;
+use mb_tensor::kernels::TILE_ROWS;
 use mb_tensor::quant::{QuantF16, QuantI8};
 use mb_tensor::{QuantMode, Tensor};
 use support::{reference_top_k, Table};
@@ -60,7 +62,7 @@ fn bits(rankings: &[Vec<(EntityId, f64)>]) -> Vec<Vec<(u32, u64)>> {
     rankings.iter().map(|r| r.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()).collect()
 }
 
-/// `top_k_batch` at 1..4 threads ≡ per-row `top_k` ≡ the oracle.
+/// `top_k_batch` at 1–4 threads ≡ per-row `top_k` ≡ the oracle.
 fn check_against_serial_and_oracle(
     what: &str,
     index: &dyn CandidateSource,
@@ -74,7 +76,7 @@ fn check_against_serial_and_oracle(
     let oracle: Vec<Vec<(u32, u64)>> =
         (0..batch).map(|i| reference_top_k(table, queries.row(i), k)).collect();
     prop_assert_eq!(&bits(&serial), &oracle, "{}: serial vs oracle, batch={} k={}", what, batch, k);
-    for t in 1..4 {
+    for t in 1..=4 {
         let fused = index.top_k_batch(queries, k, Threads::new(t)).expect("fused");
         prop_assert_eq!(
             &bits(&fused),
@@ -107,9 +109,14 @@ mb_check::check! {
 
     fn quantized_batch_is_bit_identical_to_serial_and_oracle(seed in gen::u64_any()) {
         let mut rng = Rng::seed_from_u64(seed);
-        // Past 512 rows the int8 scan crosses a run boundary.
-        let n = if rng.below(4) == 0 { 500 + rng.below(600) } else { 4 + rng.below(60) };
-        let dim = 3 + rng.below(14);
+        // Past 512 rows the int8 scan crosses a run boundary; the edge
+        // counts put a tile's last row, or one past it, at the end.
+        let n = match rng.below(4) {
+            0 => 500 + rng.below(600),
+            1 => TILE_EDGES[rng.below(TILE_EDGES.len())],
+            _ => 4 + rng.below(60),
+        };
+        let dim = if rng.below(2) == 0 { [1, 2, 9, 33][rng.below(4)] } else { 3 + rng.below(14) };
         let batch = 1 + rng.below(64);
         let k = 1 + rng.below(n.min(64) + 4);
         let spread = [1e-6, 1e-3, 1e-1][rng.below(3)];
@@ -119,10 +126,42 @@ mb_check::check! {
         let index = QuantizedIndex::from_f16(f16.clone(), row_ids(n)).expect("aligned");
         check_against_serial_and_oracle("f16", &index, Table::F16(&f16), &queries, k)?;
         let i8s = QuantI8::from_tensor(&vectors);
-        let index = QuantizedIndex::from_i8(i8s.clone(), row_ids(n)).expect("aligned");
+        let index = QuantizedIndex::from_i8([&i8s], row_ids(n)).expect("aligned");
         check_against_serial_and_oracle("int8", &index, Table::Int8(&i8s), &queries, k)?;
     }
+
+    fn raw_int8_tables_with_extreme_codes_and_scales_match_the_oracle(seed in gen::u64_any()) {
+        // What a CRC-valid shard may hold: any i8 code (−128 included)
+        // and any scale — zero, infinite or NaN between ordinary ones.
+        let mut rng = Rng::seed_from_u64(seed);
+        let n = TILE_EDGES[rng.below(TILE_EDGES.len())];
+        let dim = [1, 2, 9, 33][rng.below(4)];
+        let codes: Vec<i8> = (0..n * dim)
+            .map(|_| match rng.below(8) {
+                0 => -128,
+                1 => 127,
+                _ => rng.below(256) as u8 as i8,
+            })
+            .collect();
+        let scales: Vec<f64> = (0..n)
+            .map(|_| match rng.below(8) {
+                0 => 0.0,
+                1 => f64::INFINITY,
+                2 => f64::NAN,
+                _ => rng.f64() * 0.02,
+            })
+            .collect();
+        let table = QuantI8::from_raw(n, dim, codes, scales).expect("consistent parts");
+        let index = QuantizedIndex::from_i8([&table], row_ids(n)).expect("aligned");
+        let queries = query_matrix(1 + rng.below(20), dim, seed ^ 5);
+        let k = 1 + rng.below(n.min(64) + 4);
+        check_against_serial_and_oracle("raw int8", &index, Table::Int8(&table), &queries, k)?;
+    }
 }
+
+/// Row counts at the int8 scan's tile edges: one row, a tile short by
+/// one, exactly one tile, one past it, and one past a run plus a tile.
+const TILE_EDGES: [usize; 5] = [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 512 + TILE_ROWS + 1];
 
 #[test]
 fn empty_batches_and_bad_shapes_are_handled_without_panicking() {
@@ -135,7 +174,7 @@ fn empty_batches_and_bad_shapes_are_handled_without_panicking() {
     assert!(index.top_k_batch(&rank1, 4, Threads::single()).is_err());
     let wide = Tensor::zeros(vec![2, 7]);
     assert!(index.top_k_batch(&wide, 4, Threads::single()).is_err());
-    let q = QuantizedIndex::from_dense(&index, QuantMode::F16).expect("f16");
+    let q = QuantizedIndex::from_dense(&index, QuantMode::F16).expect("f16").expect("quantized");
     assert!(q.top_k_batch(&rank1, 4, Threads::single()).is_err());
     assert!(q.top_k_batch(&wide, 4, Threads::single()).is_err());
     assert!(q.top_k_batch(&empty, 4, Threads::new(3)).expect("empty").is_empty());

@@ -66,7 +66,7 @@ impl Lossy {
         if mode == QuantMode::F16 {
             QuantizedIndex::from_f16(self.f16.clone(), ids).expect("aligned")
         } else {
-            QuantizedIndex::from_i8(self.int8.clone(), ids).expect("aligned")
+            QuantizedIndex::from_i8([&self.int8], ids).expect("aligned")
         }
     }
 }

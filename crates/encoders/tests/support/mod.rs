@@ -29,11 +29,18 @@ pub fn reference_scores(table: Table<'_>, query: &[f64]) -> Vec<f64> {
     }
 }
 
-/// The `k` best `(row, score bits)`: a full stable sort by `total_cmp`
-/// descending, so exact ties keep ascending row order.
+/// The `k` best `(row, score bits)` under the retrieval contract: NaN
+/// scores are never returned; the kept rows are the first `k` of a full
+/// stable sort by score descending, where exact ties (`-0.0 == +0.0`)
+/// keep ascending row order; and they are listed by `total_cmp`
+/// descending, ties again by row.
 pub fn reference_top_k(table: Table<'_>, query: &[f64], k: usize) -> Vec<(u32, u64)> {
     let scores = reference_scores(table, query);
-    let mut order: Vec<usize> = (0..scores.len()).collect();
+    // `+ 0.0` turns `-0.0` into `+0.0`, so the two tie under `total_cmp`.
+    let tied = |i: usize| scores[i] + 0.0;
+    let mut order: Vec<usize> = (0..scores.len()).filter(|&i| !scores[i].is_nan()).collect();
+    order.sort_by(|&a, &b| tied(b).total_cmp(&tied(a)));
+    order.truncate(k);
     order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-    order.into_iter().take(k).map(|i| (i as u32, scores[i].to_bits())).collect()
+    order.into_iter().map(|i| (i as u32, scores[i].to_bits())).collect()
 }

@@ -95,7 +95,7 @@ impl Generation {
         )?);
         let index = Arc::new(DenseIndex::from_features(&model.bi, &features, &model.dictionary)?);
         model.attach_features(features);
-        let qindex = QuantizedIndex::from_dense(&index, model.linker.quant).map(Arc::new);
+        let qindex = QuantizedIndex::from_dense(&index, model.linker.quant)?.map(Arc::new);
         let generation = Generation { id, source, model, index, qindex, store: None, ann: None };
         generation.linker()?;
         Ok(generation)

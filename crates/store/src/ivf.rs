@@ -50,6 +50,7 @@ use mb_common::{Error, Result, Rng};
 use mb_encoders::retrieval::{top_k_blocks, CandidateSource, QueryBlock, Rows};
 use mb_kb::EntityId;
 use mb_par::{par_map_range, Threads};
+use mb_tensor::kernels::{tile_rows, TILE_ROWS};
 use mb_tensor::quant::QuantMode;
 use mb_tensor::Tensor;
 use std::fs::File;
@@ -95,11 +96,12 @@ pub struct IvfIndex {
     /// Per-list packed copies of the quantized rows (FAISS-style:
     /// lists own their codes), so search streams each probed list as
     /// one contiguous block with no per-row shard resolution. Derived
-    /// from the store at build/load — never serialized — and
-    /// byte-identical to the shard tables, so scoring from it is
-    /// bit-identical to the flat scan of
+    /// from the store at build/load — never serialized — and holding
+    /// the shard tables' codes and scales verbatim (int8 in scan
+    /// tiles), so scoring from it is bit-identical to the flat scan of
     /// [`EntityStore::quantized_index`]. Costs one extra copy of the
-    /// code tables (`n * dim` codes plus `n` scales for int8).
+    /// code tables (`n * dim` codes plus `n` scales for int8, and at
+    /// most `TILE_ROWS - 1` zero rows of padding per list).
     packed: PackedLists,
 }
 
@@ -109,8 +111,9 @@ enum PackedLists {
     F16(Vec<Vec<u16>>),
     /// Per-row symmetric int8 rows plus their scales.
     Int8 {
-        /// `list.len() * dim` codes per list, row-major in list order.
-        codes: Vec<Vec<i8>>,
+        /// Per list, its rows in list order laid out as scan tiles
+        /// ([`tile_rows`], [`TILE_ROWS`] rows each, the last padded).
+        tiles: Vec<Vec<i8>>,
         /// One dequantization scale per list row.
         scales: Vec<Vec<f64>>,
     },
@@ -121,38 +124,38 @@ impl PackedLists {
     fn rows(&self, c: usize) -> Rows<'_> {
         match self {
             PackedLists::F16(bits) => Rows::F16(&bits[c]),
-            PackedLists::Int8 { codes, scales } => {
-                Rows::Int8 { codes: &codes[c], scales: &scales[c] }
+            PackedLists::Int8 { tiles, scales } => {
+                Rows::Int8 { tiles: &tiles[c], scales: &scales[c] }
             }
         }
     }
 }
 
 /// Gather every list's rows out of the shard tables into contiguous
-/// per-list blocks. The store's quant mode is uniform across shards
-/// (enforced by [`EntityStore::open`] and the builder), so the table
-/// match per shard never misses.
+/// per-list blocks — int8 codes straight into scan tiles. The store's
+/// quant mode is uniform across shards (enforced by
+/// [`EntityStore::open`] and the builder), so the table match per shard
+/// never misses.
 fn pack_lists(store: &EntityStore, lists: &[Vec<u32>], dim: usize) -> PackedLists {
     let shards = store.shards();
     let cap = store.shard_capacity();
     match store.quant_mode() {
         QuantMode::Int8 => {
-            let mut codes = Vec::with_capacity(lists.len());
+            let int8_row = |row: u32| match shards[row as usize / cap].table() {
+                ShardTable::Int8(t) => Some((t, row as usize % cap)),
+                ShardTable::F16(_) => None,
+            };
+            let mut tiles = Vec::with_capacity(lists.len());
             let mut scales = Vec::with_capacity(lists.len());
             for list in lists {
-                let mut lc = Vec::with_capacity(list.len() * dim);
+                let rows = || list.iter().filter_map(|&row| int8_row(row));
+                let codes = rows().map(|(t, i)| &t.codes()[i * dim..(i + 1) * dim]);
+                tiles.push(tile_rows(TILE_ROWS, list.len(), dim, codes));
                 let mut ls = Vec::with_capacity(list.len());
-                for &row in list {
-                    let (si, local) = (row as usize / cap, row as usize % cap);
-                    if let ShardTable::Int8(t) = shards[si].table() {
-                        lc.extend_from_slice(&t.codes()[local * dim..(local + 1) * dim]);
-                        ls.push(t.scales()[local]);
-                    }
-                }
-                codes.push(lc);
+                ls.extend(rows().map(|(t, i)| t.scales()[i]));
                 scales.push(ls);
             }
-            PackedLists::Int8 { codes, scales }
+            PackedLists::Int8 { tiles, scales }
         }
         _ => {
             let mut bits = Vec::with_capacity(lists.len());
@@ -171,30 +174,53 @@ fn pack_lists(store: &EntityStore, lists: &[Vec<u32>], dim: usize) -> PackedList
     }
 }
 
+/// Centroids per k-means scoring tile: [`tile_centroids`] lays the
+/// centroid table out in tiles of this many centroids, dimension-major,
+/// so [`best_centroid`] folds a tile's centroids side by side in SIMD
+/// lanes.
+const CENTROID_TILE: usize = 8;
+
+/// The `nlist * dim` row-major centroid table in [`CENTROID_TILE`]
+/// tiles, as [`best_centroid`] reads it.
+fn tile_centroids(centroids: &[f64], nlist: usize, dim: usize) -> Vec<f64> {
+    tile_rows(CENTROID_TILE, nlist, dim, centroids.chunks_exact(dim))
+}
+
 /// Best centroid for `v`: max inner product, lowest index on ties.
-fn best_centroid(v: &[f64], centroids: &[f64], nlist: usize, dim: usize) -> u32 {
+/// `tiles` holds the `nlist` centroids as [`tile_centroids`] lays them
+/// out; each centroid's score is still its own
+/// ascending-`j` fold from `0.0` with separate multiply and add, the
+/// bits a row-major dot computes, and padding centroids are never
+/// compared.
+fn best_centroid(v: &[f64], tiles: &[f64], nlist: usize, dim: usize) -> u32 {
     let mut best = 0usize;
     let mut best_score = f64::NEG_INFINITY;
-    for (c, centroid) in centroids.chunks_exact(dim).take(nlist).enumerate() {
-        let mut s = 0.0;
-        for (&w, &x) in centroid.iter().zip(v) {
-            s += w * x;
+    for (t, tile) in tiles.chunks_exact(CENTROID_TILE * dim).enumerate() {
+        let mut acc = [0.0f64; CENTROID_TILE];
+        for (col, &x) in tile.chunks_exact(CENTROID_TILE).zip(v) {
+            for (a, &w) in acc.iter_mut().zip(col) {
+                *a += w * x;
+            }
         }
-        if s > best_score {
-            best_score = s;
-            best = c;
+        let first = t * CENTROID_TILE;
+        for (c, &s) in acc.iter().enumerate().take(nlist.saturating_sub(first)) {
+            if s > best_score {
+                best_score = s;
+                best = first + c;
+            }
         }
     }
     u32::try_from(best).unwrap_or(u32::MAX)
 }
 
 /// Assign every row of `vectors` (a flat `n * dim` slice) to its best
-/// centroid, fanning out over fixed chunks. Chunk results concatenate
-/// in chunk order, so the output is independent of `threads`.
+/// centroid among the `nlist` tiled by [`tile_centroids`], fanning out
+/// over fixed chunks. Chunk results concatenate in chunk order, so the
+/// output is independent of `threads`.
 fn assign_flat(
     vectors: &[f64],
     dim: usize,
-    centroids: &[f64],
+    tiles: &[f64],
     nlist: usize,
     threads: Threads,
 ) -> Vec<u32> {
@@ -205,7 +231,7 @@ fn assign_flat(
         let hi = (lo + ASSIGN_CHUNK).min(n);
         let mut out = Vec::with_capacity(hi.saturating_sub(lo));
         for row in lo..hi {
-            out.push(best_centroid(&vectors[row * dim..(row + 1) * dim], centroids, nlist, dim));
+            out.push(best_centroid(&vectors[row * dim..(row + 1) * dim], tiles, nlist, dim));
         }
         out
     });
@@ -262,7 +288,8 @@ impl IvfIndex {
         }
         // Lloyd: parallel assignment (chunk order), serial update.
         for _round in 0..cfg.rounds {
-            let assign = assign_flat(&sample, dim, &centroids, cfg.nlist, threads);
+            let tiles = tile_centroids(&centroids, cfg.nlist, dim);
+            let assign = assign_flat(&sample, dim, &tiles, cfg.nlist, threads);
             let mut sums = vec![0.0f64; cfg.nlist * dim];
             let mut counts = vec![0usize; cfg.nlist];
             for (si, &c) in assign.iter().enumerate() {
@@ -284,6 +311,7 @@ impl IvfIndex {
             }
         }
         // Final assignment of every row, shard by shard in bounded RAM.
+        let tiles = tile_centroids(&centroids, cfg.nlist, dim);
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); cfg.nlist];
         let mut flat = Vec::new();
         let mut base_row = 0usize;
@@ -294,7 +322,7 @@ impl IvfIndex {
             for r in 0..rows {
                 sh.dequant_row_into(r, &mut flat[r * dim..(r + 1) * dim]);
             }
-            let assign = assign_flat(&flat, dim, &centroids, cfg.nlist, threads);
+            let assign = assign_flat(&flat, dim, &tiles, cfg.nlist, threads);
             for (r, &c) in assign.iter().enumerate() {
                 let row = u32::try_from(base_row + r)
                     .map_err(|_| Error::InvalidConfig("store exceeds u32 rows".to_string()))?;
@@ -556,5 +584,59 @@ impl CandidateSource for IvfIndex {
         top_k_blocks("IvfIndex::top_k_batch", queries, dim, len, threads, |block| {
             self.rank_block(block, k)
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The row-major fold the tiled scorer must reproduce: one
+    /// ascending-`j` dot per centroid, first strict maximum wins.
+    fn row_major_best(v: &[f64], centroids: &[f64], dim: usize) -> u32 {
+        let mut best = 0usize;
+        let mut best_score = f64::NEG_INFINITY;
+        for (c, centroid) in centroids.chunks_exact(dim).enumerate() {
+            let mut s = 0.0;
+            for (&w, &x) in centroid.iter().zip(v) {
+                s += w * x;
+            }
+            if s > best_score {
+                best_score = s;
+                best = c;
+            }
+        }
+        best as u32
+    }
+
+    #[test]
+    fn tiled_best_centroid_is_the_row_major_fold_and_ties_go_low() {
+        // 19 centroids: two full tiles of 8 and a tile of 3 + 5 padding.
+        let (nlist, dim) = (19, 5);
+        let mut rng = Rng::seed_from_u64(3);
+        let mut centroids: Vec<f64> = (0..nlist * dim).map(|_| rng.gaussian()).collect();
+        let best = |centroids: &[f64], v: &[f64]| {
+            best_centroid(v, &tile_centroids(centroids, nlist, dim), nlist, dim)
+        };
+        for _ in 0..500 {
+            let v: Vec<f64> = (0..dim).map(|_| rng.gaussian()).collect();
+            assert_eq!(best(&centroids, &v), row_major_best(&v, &centroids, dim));
+        }
+        // Exactly tied winners, within a tile and across tiles (one in
+        // the padded last tile): the lowest index wins.
+        let ones = vec![1.0; dim];
+        for (lo, hi) in [(9, 12), (2, 18), (4, 17)] {
+            let mut tied = centroids.clone();
+            for c in [lo, hi] {
+                tied[c * dim..(c + 1) * dim].fill(10.0);
+            }
+            assert_eq!(best(&tied, &ones), lo as u32, "tie {lo} / {hi}");
+        }
+        // Every real score negative: the zero padding centroids, which
+        // would score 0, must never be compared.
+        for (c, centroid) in centroids.chunks_exact_mut(dim).enumerate() {
+            centroid.fill(-1.0 - c as f64);
+        }
+        assert_eq!(best(&centroids, &ones), 0);
     }
 }

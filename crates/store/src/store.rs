@@ -28,6 +28,7 @@ use mb_common::storage::{atomic_write, read_frame, write_frames};
 use mb_common::{Error, Result};
 use mb_encoders::retrieval::QuantizedIndex;
 use mb_kb::EntityId;
+use mb_tensor::kernels::I8_EXACT_I32_COLS;
 use mb_tensor::quant::{QuantF16, QuantI8};
 use mb_tensor::QuantMode;
 use std::fs::File;
@@ -67,6 +68,13 @@ pub struct StoreBuilder {
     total: usize,
 }
 
+/// Whether the retrieval scan can score a `dim`-wide table stored in
+/// `quant` exactly: int8 rows accumulate in `i32`, so they are capped
+/// at [`I8_EXACT_I32_COLS`].
+fn scannable(quant: QuantMode, dim: usize) -> bool {
+    quant != QuantMode::Int8 || dim <= I8_EXACT_I32_COLS
+}
+
 /// File name of shard `ordinal`.
 fn shard_file_name(ordinal: usize) -> String {
     format!("shard-{ordinal:05}.mbs")
@@ -78,13 +86,20 @@ impl StoreBuilder {
     ///
     /// # Errors
     /// [`Error::InvalidConfig`] for a zero capacity/dim, an exact quant
-    /// mode, or a directory that already holds a store;
+    /// mode, an int8 dim wider than [`I8_EXACT_I32_COLS`], or a
+    /// directory that already holds a store;
     /// [`Error::Io`] when the directory cannot be created.
     pub fn create(dir: &Path, cfg: StoreConfig) -> Result<StoreBuilder> {
         if cfg.shard_capacity == 0 || cfg.dim == 0 {
             return Err(Error::InvalidConfig(
                 "store shard_capacity and dim must be positive".to_string(),
             ));
+        }
+        if !scannable(cfg.quant, cfg.dim) {
+            return Err(Error::InvalidConfig(format!(
+                "int8 store dim {} exceeds the exact scan width {I8_EXACT_I32_COLS}",
+                cfg.dim
+            )));
         }
         quant_token(cfg.quant)?;
         std::fs::create_dir_all(dir)
@@ -192,7 +207,8 @@ impl EntityStore {
     /// (framing, CRCs, schema, id contiguity). All-or-nothing.
     ///
     /// # Errors
-    /// [`Error::Checkpoint`] on any corruption or inconsistency;
+    /// [`Error::Checkpoint`] on any corruption or inconsistency,
+    /// including an int8 dim wider than [`I8_EXACT_I32_COLS`];
     /// [`Error::Io`] when files cannot be read.
     pub fn open(dir: &Path) -> Result<EntityStore> {
         let manifest_path = dir.join(MANIFEST);
@@ -212,6 +228,11 @@ impl EntityStore {
         let nshards = shard::meta_number(&meta, "shards", &what)? as usize;
         if capacity == 0 || dim == 0 {
             return Err(Error::Checkpoint(format!("{what}: zero capacity or dim")));
+        }
+        if !scannable(quant, dim) {
+            return Err(Error::Checkpoint(format!(
+                "{what}: int8 dim {dim} exceeds the exact scan width {I8_EXACT_I32_COLS}"
+            )));
         }
         let shard_lines: Vec<&(String, String)> =
             meta.iter().filter(|(k, _)| k == "shard").collect();
@@ -364,11 +385,11 @@ impl EntityStore {
         self.shards[s].dequant_row_into(row, out);
     }
 
-    /// Assemble one flat [`QuantizedIndex`] over the whole store by
-    /// concatenating the per-shard tables **byte-for-byte** — the PR 6
-    /// residual: quantization happened once at store-build time, so
-    /// serve start-up (and every reload) moves raw table rows instead
-    /// of re-quantizing embeddings.
+    /// Assemble one flat [`QuantizedIndex`] over the whole store from
+    /// the per-shard tables **byte-for-byte** (int8 codes gathered
+    /// straight into scan tiles): quantization happened once at
+    /// store-build time, so serve start-up (and every reload) moves raw
+    /// table rows instead of re-quantizing embeddings.
     ///
     /// # Errors
     /// Shape errors from the raw-parts constructors (only reachable if
@@ -392,23 +413,17 @@ impl EntityStore {
                 QuantizedIndex::from_f16(QuantF16::from_raw(self.total, self.dim, bits)?, ids)
             }
             QuantMode::Int8 => {
-                let mut codes: Vec<i8> = Vec::with_capacity(self.total * self.dim);
-                let mut scales: Vec<f64> = Vec::with_capacity(self.total);
-                for sh in &self.shards {
-                    match sh.table() {
-                        ShardTable::Int8(t) => {
-                            codes.extend_from_slice(t.codes());
-                            scales.extend_from_slice(t.scales());
-                        }
+                let tables = self
+                    .shards
+                    .iter()
+                    .map(|sh| match sh.table() {
+                        ShardTable::Int8(t) => Ok(t),
                         ShardTable::F16(_) => {
-                            return Err(Error::Checkpoint("mixed shard quant modes".to_string()))
+                            Err(Error::Checkpoint("mixed shard quant modes".to_string()))
                         }
-                    }
-                }
-                QuantizedIndex::from_i8(
-                    QuantI8::from_raw(self.total, self.dim, codes, scales)?,
-                    ids,
-                )
+                    })
+                    .collect::<Result<Vec<&QuantI8>>>()?;
+                QuantizedIndex::from_i8(tables, ids)
             }
             QuantMode::Exact => {
                 Err(Error::InvalidConfig("store never holds exact tables".to_string()))

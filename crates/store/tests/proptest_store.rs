@@ -314,8 +314,9 @@ fn store_quantized_index_is_bit_identical_to_in_memory_quantizer() {
         let dense =
             mb_encoders::retrieval::DenseIndex::try_from_vectors(tensor, ids).expect("dense");
         let mode = quant;
-        let in_memory =
-            mb_encoders::retrieval::QuantizedIndex::from_dense(&dense, mode).expect("quantized");
+        let in_memory = mb_encoders::retrieval::QuantizedIndex::from_dense(&dense, mode)
+            .expect("narrow")
+            .expect("quantized");
         let mut rng = mb_common::Rng::seed_from_u64(99);
         for _ in 0..10 {
             let q: Vec<f64> = (0..dim).map(|_| rng.gaussian()).collect();
@@ -329,6 +330,32 @@ fn store_quantized_index_is_bit_identical_to_in_memory_quantizer() {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn int8_stores_wider_than_the_exact_scan_are_rejected() {
+    // The int8 scan sums in `i32`; one column more than it can hold
+    // exactly is a typed error at create and at open, never a wrapped
+    // score at query time.
+    let wide = mb_tensor::kernels::I8_EXACT_I32_COLS + 1;
+    let dir = scratch("wide");
+    let cfg = StoreConfig { shard_capacity: 4, dim: wide, quant: QuantMode::Int8 };
+    let err = StoreBuilder::create(&dir, cfg).err();
+    assert!(matches!(err, Some(mb_common::Error::InvalidConfig(_))), "got {err:?}");
+    // f16 rows are scored in f64: the same width is accepted.
+    assert!(StoreBuilder::create(&dir, StoreConfig { quant: QuantMode::F16, ..cfg }).is_ok());
+    // A CRC-valid manifest declaring the width fails before any shard.
+    let payload = format!("entities 1\ndim {wide}\nquant int8\ncapacity 4\nshards 0\n");
+    let bytes = mb_common::storage::write_frames(mb_store::shard::MAGIC, &[("manifest", payload)])
+        .expect("manifest frames");
+    std::fs::write(dir.join(MANIFEST), bytes).expect("write manifest");
+    match EntityStore::open(&dir) {
+        Err(mb_common::Error::Checkpoint(msg)) => {
+            assert!(msg.contains("exact scan width"), "{msg}")
+        }
+        other => panic!("expected a checkpoint error, got {other:?}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -285,11 +285,19 @@ pub fn score_all_i8(
 /// number.
 pub const DOT_BLOCK: usize = 8;
 
-/// Widest int8 row whose per-element products (each at most
-/// `127 * 127`) are guaranteed to accumulate in `i32` without
-/// overflow — up to this width an `i32` fold sums to exactly the same
-/// integer as the reference `i64` fold in [`score_all_i8`].
-pub const I8_EXACT_I32_COLS: usize = (i32::MAX as usize) / (127 * 127);
+/// Widest int8 row whose per-element products are guaranteed to
+/// accumulate in `i32` without overflow. Any `i8` code is accepted —
+/// a shard may hold −128 — so each product is bounded by `128 * 128`;
+/// up to this width an `i32` fold sums to exactly the same integer as
+/// the reference `i64` fold in [`score_all_i8`]. Every int8 scan table
+/// constructor rejects wider rows.
+pub const I8_EXACT_I32_COLS: usize = (i32::MAX as usize) / (128 * 128);
+
+/// Rows per int8 scan tile: a tile stores [`TILE_ROWS`] rows
+/// dimension-major (`tile[j * TILE_ROWS + r]`), so one query scores all
+/// of them with vertical SIMD ops and no horizontal reduction
+/// ([`dot_tile_i8`]).
+pub const TILE_ROWS: usize = 32;
 
 /// Fixed-width tile of [`dot_block_f64`]: with `N` known at compile
 /// time the accumulators live in registers and the slot loop fully
@@ -339,22 +347,48 @@ pub fn dot_block_f64(v: &[f64], qt: &[f64], nq: usize, acc: &mut [f64]) {
     }
 }
 
-/// Contiguous int8 dot with an `i32` fold — the exact integer the
-/// reference `i64` fold of [`score_all_i8`] produces whenever the row
-/// is at most [`I8_EXACT_I32_COLS`] wide (callers guard). Integer
-/// addition is associative, so this vectorizes freely; it is the
-/// per-member kernel of the retrieval scan (an interleaved int8 tile
-/// scalarized and lost to plain SIMD dots).
-#[inline]
-pub fn dot_i8_i32(a: &[i8], b: &[i8]) -> i32 {
-    a.iter().zip(b).map(|(&x, &y)| i32::from(x) * i32::from(y)).sum()
+/// Re-lay `n` rows of `dim` elements (`rows` yields them in order) into
+/// tiles of `width` rows stored dimension-major: row `i`'s element `j`
+/// lands at `tiles[(i / width) * width * dim + j * width + i % width]`.
+/// The last tile is padded with `E::default()` rows, so the result
+/// holds `n.div_ceil(width) * width * dim` elements. Rows may be
+/// borrowed or produced on the fly, so no row-major copy of the table
+/// need exist beside the tiles.
+pub fn tile_rows<E: Copy + Default, R: AsRef<[E]>>(
+    width: usize,
+    n: usize,
+    dim: usize,
+    rows: impl IntoIterator<Item = R>,
+) -> Vec<E> {
+    let mut tiles = vec![E::default(); n.div_ceil(width) * width * dim];
+    for (i, row) in rows.into_iter().take(n).enumerate() {
+        let (tile, r) = (i / width * width * dim, i % width);
+        for (j, &x) in row.as_ref().iter().take(dim).enumerate() {
+            tiles[tile + j * width + r] = x;
+        }
+    }
+    tiles
 }
 
-/// `i64` companion of [`dot_i8_i32`] for rows wider than
-/// [`I8_EXACT_I32_COLS`] — the reference fold itself.
+/// Score one [`TILE_ROWS`]-row int8 tile (laid out by [`tile_rows`])
+/// against `query`: `acc[r] = Σ_j tile[j * TILE_ROWS + r] * query[j]`.
+/// Each product is formed in `i16` — exact, since `|−128 · −128|` is
+/// 16,384 — and widened into an `i32` accumulator per row, so for rows
+/// at most [`I8_EXACT_I32_COLS`] wide every lane is the exact integer
+/// the reference `i64` fold of [`score_all_i8`] produces. Rows sit in
+/// SIMD lanes: per column, one broadcast query code multiplies the
+/// whole column, with no horizontal reduction.
 #[inline]
-pub fn dot_i8_i64(a: &[i8], b: &[i8]) -> i64 {
-    a.iter().zip(b).map(|(&x, &y)| i64::from(x) * i64::from(y)).sum()
+pub fn dot_tile_i8(tile: &[i8], query: &[i8]) -> [i32; TILE_ROWS] {
+    debug_assert_eq!(tile.len(), query.len() * TILE_ROWS, "dot_tile_i8: tile shape");
+    let mut acc = [0i32; TILE_ROWS];
+    for (col, &q) in tile.chunks_exact(TILE_ROWS).zip(query) {
+        let q = i16::from(q);
+        for (a, &x) in acc.iter_mut().zip(col) {
+            *a += i32::from(i16::from(x) * q);
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -454,22 +488,48 @@ mod tests {
                 let want: f64 = v.data().iter().zip(queries.row(s)).map(|(a, b)| a * b).sum();
                 assert_eq!(acc[s].to_bits(), want.to_bits(), "f64 slot {s} of {nq}");
             }
+        }
+    }
 
-            let row: Vec<i8> = v
-                .data()
-                .iter()
-                .enumerate()
-                .map(|(i, &x)| ((x * 100.0) as i8).wrapping_add(i as i8))
-                .collect();
-            for s in 0..nq {
-                let q8: Vec<i8> = queries.row(s).iter().map(|&x| (x * 127.0) as i8).collect();
-                let want: i64 =
-                    row.iter().zip(&q8).map(|(&a, &b)| i64::from(a) * i64::from(b)).sum();
-                assert_eq!(i64::from(dot_i8_i32(&row, &q8)), want, "i8/i32 slot {s} of {nq}");
-                assert_eq!(dot_i8_i64(&row, &q8), want, "i8/i64 slot {s} of {nq}");
+    #[test]
+    fn tiles_are_dimension_major_and_zero_padded() {
+        // 3 rows of 2 in tiles of 2: [r0 r1 | r0 r1] then r2 + padding.
+        let rows: [&[i32]; 3] = [&[1, 2], &[3, 4], &[5, 6]];
+        assert_eq!(tile_rows(2, 3, 2, rows), [1, 3, 2, 4, 5, 0, 6, 0]);
+        assert!(tile_rows::<i8, &[i8]>(TILE_ROWS, 0, 5, []).is_empty());
+    }
+
+    #[test]
+    fn tile_dots_are_the_exact_integer_fold() {
+        // Row counts around a tile edge, codes at both i8 extremes.
+        let mut state = 0x5eedu64;
+        let mut code = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 56) as u8 as i8
+        };
+        for (n, dim) in [(1, 1), (TILE_ROWS - 1, 2), (TILE_ROWS, 9), (TILE_ROWS + 1, 33)] {
+            let mut codes: Vec<i8> = (0..n * dim).map(|_| code()).collect();
+            codes[0] = -128;
+            let mut query: Vec<i8> = (0..dim).map(|_| code()).collect();
+            query[0] = -128;
+            let tiles = tile_rows(TILE_ROWS, n, dim, codes.chunks(dim));
+            assert_eq!(tiles.len(), n.div_ceil(TILE_ROWS) * TILE_ROWS * dim);
+            for (t, tile) in tiles.chunks_exact(TILE_ROWS * dim).enumerate() {
+                let acc = dot_tile_i8(tile, &query);
+                for (r, &got) in acc.iter().enumerate() {
+                    let i = t * TILE_ROWS + r;
+                    let want: i64 = codes.get(i * dim..(i + 1) * dim).map_or(0, |row| {
+                        row.iter().zip(&query).map(|(&a, &b)| i64::from(a) * i64::from(b)).sum()
+                    });
+                    assert_eq!(i64::from(got), want, "n {n} dim {dim} row {i}");
+                }
             }
         }
-        const { assert!(32 <= I8_EXACT_I32_COLS) };
+        // The widest accepted row of −128 codes against a −128 query:
+        // the largest sum an `i32` lane must hold, exactly.
+        let dim = I8_EXACT_I32_COLS;
+        let acc = dot_tile_i8(&vec![-128; dim * TILE_ROWS], &vec![-128; dim]);
+        assert!(acc.iter().all(|&a| i64::from(a) == dim as i64 * 128 * 128));
     }
 
     #[test]

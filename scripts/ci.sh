@@ -56,8 +56,10 @@ STEPS=(
     # torn 200, shed fast 503s with Retry-After, and recover healthy.
     "chaos-serve|cargo test --release -q -p mb-serve --test chaos -- --include-ignored"
     # Retrieval smoke: stream a small sharded entity store to disk,
-    # build the deterministic IVF index over it, and assert recall@64
-    # >= 0.95 plus a byte-identical rebuild at 1 and 3 workers.
+    # build the deterministic IVF index over it, and assert the flat
+    # int8 scan equals the reference fold + full sort, recall@64 >= 0.95
+    # against that oracle, and a byte-identical rebuild at 1 and 3
+    # workers.
     "retrieval-smoke|cargo run --release -q -p mb-bench --bin bench_retrieval -- --smoke"
     # Benchmark smoke: build benchmark/ (a package of its own, outside
     # this workspace) against the current crates and run both passes of

@@ -3,8 +3,11 @@
 //! `crates/store/tests/proptest_store.rs`): for each element type the
 //! one scan behind `top_k_batch` equals the independent oracle —
 //! reference fold over every row, full sort — bit for bit, across a
-//! query-block boundary, an int8 run boundary and thread counts; and
-//! an IVF probing every list scores every row like the flat scan.
+//! query-block boundary, an int8 run boundary and thread counts; the
+//! int8 scan's tiles hold at every tile edge, at odd widths and on raw
+//! tables with extreme codes and degenerate scales; and an IVF probing
+//! every list scores every row like the flat scan, empty lists and
+//! lists shorter than a tile included.
 
 #[path = "../crates/encoders/tests/support/mod.rs"]
 mod support;
@@ -13,9 +16,11 @@ use mb_common::Rng;
 use mb_encoders::retrieval::{CandidateSource, DenseIndex, QuantizedIndex};
 use mb_kb::EntityId;
 use mb_par::Threads;
-use mb_store::{IvfConfig, IvfIndex, StoreBuilder, StoreConfig, StoreRecord};
+use mb_store::{EntityStore, IvfConfig, IvfIndex, StoreBuilder, StoreConfig, StoreRecord};
+use mb_tensor::kernels::TILE_ROWS;
 use mb_tensor::quant::{QuantF16, QuantI8};
 use mb_tensor::{QuantMode, Tensor};
+use std::path::PathBuf;
 use std::sync::Arc;
 use support::{reference_top_k, Table};
 
@@ -63,8 +68,88 @@ fn every_element_type_matches_the_oracle() {
     let index = QuantizedIndex::from_f16(f16.clone(), ids.clone()).expect("aligned");
     assert_matches_oracle("f16", &index, Table::F16(&f16), &qs);
     let int8 = QuantI8::from_tensor(&vectors);
-    let index = QuantizedIndex::from_i8(int8.clone(), ids).expect("aligned");
+    let index = QuantizedIndex::from_i8([&int8], ids).expect("aligned");
     assert_matches_oracle("int8", &index, Table::Int8(&int8), &qs);
+}
+
+/// Int8 tables at every tile edge — 1, T−1, T, T+1 and 512+T+1 rows
+/// (past a run) at widths 1, 2, 9 and 33 — built raw, as a shard load
+/// would: codes over the whole `i8` range (−128 and 127 included) and
+/// zero, infinite and NaN scales between ordinary ones. NaN scores are
+/// never returned and ±0 scores tie; every ranking equals the oracle's
+/// at 1–4 threads.
+#[test]
+fn int8_tile_edges_and_raw_extremes_match_the_oracle() {
+    let mut rng = Rng::seed_from_u64(9);
+    for n in [1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 512 + TILE_ROWS + 1] {
+        for dim in [1, 2, 9, 33] {
+            let mut codes: Vec<i8> = (0..n * dim).map(|_| rng.below(256) as u8 as i8).collect();
+            codes[0] = -128;
+            codes[n * dim - 1] = 127;
+            let scales: Vec<f64> = (0..n)
+                .map(|i| match i % 7 {
+                    3 => 0.0,
+                    4 => f64::INFINITY,
+                    5 => f64::NAN,
+                    _ => rng.f64() * 0.02,
+                })
+                .collect();
+            let table = QuantI8::from_raw(n, dim, codes, scales).expect("consistent parts");
+            let ids = (0..n as u32).map(EntityId).collect();
+            let index = QuantizedIndex::from_i8([&table], ids).expect("aligned");
+            let data = (0..BATCH * dim).map(|_| rng.f64() * 2.0 - 1.0).collect();
+            let qs = Tensor::from_vec(vec![BATCH, dim], data);
+            let oracle: Vec<_> =
+                (0..BATCH).map(|i| reference_top_k(Table::Int8(&table), qs.row(i), K)).collect();
+            for threads in 1..=4 {
+                let got = index.top_k_batch(&qs, K, Threads::new(threads)).expect("batch");
+                let got: Vec<_> = got.iter().map(|r| bits(r)).collect();
+                assert_eq!(got, oracle, "{n} rows x {dim} at {threads} threads");
+            }
+        }
+    }
+}
+
+/// A store of `vectors` rows in `quant`, under a scratch directory
+/// named by `tag`.
+fn scratch_store(tag: &str, vectors: &Tensor, quant: QuantMode) -> (Arc<EntityStore>, PathBuf) {
+    let dir = std::env::temp_dir()
+        .join(format!("mb-retrieval-oracle-{tag}-{quant:?}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = StoreConfig { shard_capacity: 256, dim: vectors.cols(), quant };
+    let mut builder = StoreBuilder::create(&dir, cfg).expect("scratch store");
+    for i in 0..vectors.rows() {
+        builder
+            .push(StoreRecord {
+                title: format!("entity {i}"),
+                description: String::new(),
+                vector: vectors.row(i).to_vec(),
+            })
+            .expect("push");
+    }
+    (Arc::new(builder.finish().expect("finish")), dir)
+}
+
+/// With `nprobe == nlist` and `k == n` the IVF returns every row,
+/// scored out of its packed lists; it must return the flat scan's
+/// `(id, score bits)` set. Ordering on exact ties (probe-ordered
+/// position vs row) is the only thing that may differ.
+fn assert_ivf_scores_like_flat(store: &Arc<EntityStore>, cfg: IvfConfig, qs: &Tensor) {
+    let n = store.len();
+    let ivf = IvfIndex::build(Arc::clone(store), cfg, Threads::single()).expect("build");
+    let flat = store.quantized_index().expect("flat index");
+    let by_id = |mut r: Vec<(u32, u64)>| {
+        r.sort_unstable();
+        r
+    };
+    let want = flat.top_k_batch(qs, n, Threads::single()).expect("flat");
+    for threads in [1, 2] {
+        let got = ivf.top_k_batch(qs, n, Threads::new(threads)).expect("ivf");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(w.len(), n);
+            assert_eq!(by_id(bits(g)), by_id(bits(w)), "{:?}", store.quant_mode());
+        }
+    }
 }
 
 #[test]
@@ -72,37 +157,38 @@ fn ivf_probing_every_list_scores_like_the_flat_scan() {
     let vectors = near_tie_vectors(7);
     let qs = queries(8);
     for quant in [QuantMode::F16, QuantMode::Int8] {
-        let dir = std::env::temp_dir()
-            .join(format!("mb-retrieval-oracle-{quant:?}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = StoreConfig { shard_capacity: 256, dim: DIM, quant };
-        let mut builder = StoreBuilder::create(&dir, cfg).expect("scratch store");
-        for i in 0..N {
-            builder
-                .push(StoreRecord {
-                    title: format!("entity {i}"),
-                    description: String::new(),
-                    vector: vectors.row(i).to_vec(),
-                })
-                .expect("push");
-        }
-        let store = Arc::new(builder.finish().expect("finish"));
+        let (store, dir) = scratch_store("near-tie", &vectors, quant);
         let cfg = IvfConfig { nlist: 9, nprobe: 9, train_cap: 512, rounds: 3, seed: 1 };
-        let ivf = IvfIndex::build(Arc::clone(&store), cfg, Threads::single()).expect("build");
-        let flat = store.quantized_index().expect("flat index");
-        // k = n: both return every row, so ordering on exact ties
-        // (probe-ordered position vs row) is the only thing that may
-        // differ — compare as sets.
-        let by_id = |mut r: Vec<(u32, u64)>| {
-            r.sort_unstable();
-            r
-        };
-        let got = ivf.top_k_batch(&qs, N, Threads::new(2)).expect("ivf");
-        let want = flat.top_k_batch(&qs, N, Threads::single()).expect("flat");
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(w.len(), N);
-            assert_eq!(by_id(bits(g)), by_id(bits(w)), "{quant:?}");
+        assert_ivf_scores_like_flat(&store, cfg, &qs);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Rows along six coordinate axes, `(1 + r / 100) · e_a`, with T+9, 1,
+/// T−1, T, T+1 and 2 rows per axis, and one list per row (`nlist = n`,
+/// so every row seeds a centroid). A row scores 0 against any centroid
+/// on another axis, so each axis's rows always share one list: six
+/// lists hold 1, 2, T−1, T, T+1 and T+9 rows and every other list is
+/// empty. The int8 lists are scanned out of tiles padded past their
+/// rows, or out of no tile at all.
+#[test]
+fn ivf_lists_empty_or_shorter_than_a_tile_score_like_the_flat_scan() {
+    let per_axis = [TILE_ROWS + 9, 1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 2];
+    let n: usize = per_axis.iter().sum();
+    let mut data = Vec::with_capacity(n * DIM);
+    for (axis, &rows) in per_axis.iter().enumerate() {
+        for r in 0..rows {
+            let mut v = [0.0; DIM];
+            v[axis] = 1.0 + r as f64 / 100.0;
+            data.extend_from_slice(&v);
         }
+    }
+    let vectors = Tensor::from_vec(vec![n, DIM], data);
+    let qs = queries(10);
+    let cfg = IvfConfig { nlist: n, nprobe: n, train_cap: n, rounds: 3, seed: 2 };
+    for quant in [QuantMode::F16, QuantMode::Int8] {
+        let (store, dir) = scratch_store("short-lists", &vectors, quant);
+        assert_ivf_scores_like_flat(&store, cfg, &qs);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
