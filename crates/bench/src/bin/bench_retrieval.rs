@@ -164,10 +164,11 @@ fn serve_batches(store: &EntityStore, n_batches: usize, rows: usize) -> Vec<mb_t
         .collect()
 }
 
-/// Pack the evaluation queries into `[BATCH, dim]` tensors for the
-/// fused `top_k_batch` benches.
-fn query_batches(qs: &[Vec<f64>], dim: usize) -> Vec<mb_tensor::Tensor> {
-    qs.chunks(BATCH)
+/// Pack the evaluation queries into `[batch, dim]` tensors (the last
+/// one shorter when `batch` does not divide them) for the fused
+/// `top_k_batch` calls.
+fn query_batches(qs: &[Vec<f64>], dim: usize, batch: usize) -> Vec<mb_tensor::Tensor> {
+    qs.chunks(batch)
         .map(|chunk| {
             let data: Vec<f64> = chunk.iter().flatten().copied().collect();
             mb_tensor::Tensor::from_vec(vec![chunk.len(), dim], data)
@@ -313,7 +314,7 @@ fn main() {
     // Bit-identity against serial top_k is asserted before timing, on
     // both the serving drain and the disjoint evaluation queries.
     let batches = serve_batches(&store, 8, BATCH);
-    let eval_batches = query_batches(&qs, store.dim());
+    let eval_batches = query_batches(&qs, store.dim(), BATCH);
     for set in [&batches, &eval_batches] {
         assert_fused_matches_serial("store_ivf", &ivf, set, Threads::single());
         assert_fused_matches_serial("quant_i8", exact.as_ref(), set, Threads::single());
@@ -502,9 +503,11 @@ fn main() {
 
 /// CI retrieval-smoke: small streamed world; assert the flat int8 scan
 /// equals the reference fold + full sort (never the scan checked
-/// against itself), the IVF recall floor against that oracle, and that
-/// a rebuild (including at a different worker count) is byte-identical.
-/// No timing — this must stay fast and stable.
+/// against itself) at query batches of 1, 3, 4, 5 and 8 — every member
+/// group length of the int8 scan, and a short group after a full one —
+/// the IVF recall floor against that oracle, and that a rebuild
+/// (including at a different worker count) is byte-identical. No
+/// timing — this must stay fast and stable.
 fn smoke() {
     let dir = scratch("smoke");
     let stream = StreamConfig { entities: 3_000, ..StreamConfig::tiny(3_000, 5) };
@@ -517,16 +520,22 @@ fn smoke() {
     let exact = store.quantized_index().expect("store tables");
     let qs = queries(&store, QUERIES);
     let oracle: Vec<Vec<(u32, u64)>> = qs.iter().map(|q| oracle_top_k(&store, q)).collect();
-    let batches = query_batches(&qs, store.dim());
-    for workers in [1usize, 3] {
-        let ranked = batches
-            .iter()
-            .flat_map(|b| exact.top_k_batch(b, K, Threads::new(workers)).expect("flat scan"));
-        for (got, want) in ranked.zip(&oracle) {
-            let got: Vec<(u32, u64)> = got.iter().map(|&(id, s)| (id.0, s.to_bits())).collect();
-            assert_eq!(&got, want, "flat int8 scan != reference fold at {workers} workers");
+    for batch in [1, 3, 4, 5, BATCH] {
+        let batches = query_batches(&qs, store.dim(), batch);
+        for workers in [1usize, 3] {
+            let ranked = batches
+                .iter()
+                .flat_map(|b| exact.top_k_batch(b, K, Threads::new(workers)).expect("flat scan"));
+            for (got, want) in ranked.zip(&oracle) {
+                let got: Vec<(u32, u64)> = got.iter().map(|&(id, s)| (id.0, s.to_bits())).collect();
+                assert_eq!(
+                    &got, want,
+                    "flat int8 scan != reference fold at batch {batch}, {workers} workers"
+                );
+            }
         }
     }
+    let batches = query_batches(&qs, store.dim(), BATCH);
     let exact_ids: Vec<Vec<u32>> =
         oracle.iter().map(|r| r.iter().map(|&(row, _)| row).collect()).collect();
     let recall = recall_at_k(&ivf, &exact_ids, &qs);
@@ -552,7 +561,8 @@ fn smoke() {
 
     println!(
         "retrieval-smoke PASS: {} entities, {} shards, flat int8 scan = reference fold \
-         at 1 and 3 workers, recall@{K} {recall:.4}, rebuild byte-identical at 1 and 3 workers, \
+         at batches 1/3/4/5/8 and 1 and 3 workers, recall@{K} {recall:.4}, \
+         rebuild byte-identical at 1 and 3 workers, \
          fused batch-{BATCH} byte-identical at 1 and 3 workers",
         store.len(),
         store.shards().len()

@@ -133,42 +133,18 @@ impl TopK {
         }
     }
 
-    /// Offer a contiguous run of candidates `(base + i, scores[i])`.
-    /// Equivalent to pushing each in order; once the selector is full,
-    /// 8-wide chunks whose maximum is strictly below the worst kept
-    /// score are skipped wholesale. The maximum test is exact, and a
-    /// chunk whose maximum is NaN (all-NaN) drops to the per-element
-    /// path where NaNs are skipped one by one — so the kept set is
-    /// identical to serial pushes.
-    pub fn push_block(&mut self, base: usize, scores: &[f64]) {
-        let mut i = 0usize;
-        while i < scores.len() {
-            if self.heap.len() == self.k {
-                if let Some(worst) = self.heap.peek() {
-                    let thr = worst.0;
-                    while i + 8 <= scores.len() {
-                        let c = &scores[i..i + 8];
-                        let mx = c[0]
-                            .max(c[1])
-                            .max(c[2].max(c[3]))
-                            .max(c[4].max(c[5]).max(c[6].max(c[7])));
-                        // A score equal to the worst can still win on a
-                        // lower index (and a NaN maximum means the chunk
-                        // needs the per-element path), so only a
-                        // strictly-lower maximum skips the whole chunk.
-                        if mx < thr {
-                            i += 8;
-                        } else {
-                            break;
-                        }
-                    }
-                    if i >= scores.len() {
-                        break;
-                    }
-                }
-            }
-            self.push(base + i, scores[i]);
-            i += 1;
+    /// The least score [`TopK::push`] can still admit: `-inf` until `k`
+    /// candidates are held, then the worst kept score (`+inf` when
+    /// `k == 0`, which admits nothing). A score below it, or NaN, is
+    /// never admitted; one equal to it is admitted only at a lower
+    /// index than the worst kept candidate. So a caller may skip a run
+    /// of scores none of which is `>= floor()` — the test is exact.
+    #[inline]
+    pub fn floor(&self) -> f64 {
+        if self.heap.len() < self.k {
+            f64::NEG_INFINITY
+        } else {
+            self.heap.peek().map_or(f64::INFINITY, |worst| worst.0)
         }
     }
 
@@ -183,13 +159,15 @@ impl TopK {
 }
 
 /// Top-`k` indices by value, descending. Uses a partial selection so the
-/// cost is `O(n log k)` — this is the hot path of dense retrieval.
+/// cost is `O(n log k)`.
 pub fn top_k_desc(xs: &[f64], k: usize) -> Vec<usize> {
     if k == 0 || xs.is_empty() {
         return Vec::new();
     }
     let mut sel = TopK::new(k.min(xs.len()));
-    sel.push_block(0, xs);
+    for (i, &x) in xs.iter().enumerate() {
+        sel.push(i, x);
+    }
     sel.into_sorted().into_iter().map(|(i, _)| i).collect()
 }
 
@@ -304,6 +282,56 @@ mod tests {
         assert_eq!(forward.iter().map(|&(i, _)| i).collect::<Vec<_>>(), serial);
         for &(i, x) in &forward {
             assert_eq!(x.to_bits(), xs[i].to_bits());
+        }
+    }
+
+    #[test]
+    fn floor_admits_exactly_what_push_admits() {
+        let reaches = |x: f64, sel: &TopK| x >= sel.floor();
+        let mut sel = TopK::new(2);
+        assert_eq!(sel.floor(), f64::NEG_INFINITY);
+        sel.push(5, 1.0);
+        assert_eq!(sel.floor(), f64::NEG_INFINITY, "one of two held");
+        sel.push(7, 0.5);
+        assert_eq!(sel.floor(), 0.5, "full: the worst kept score");
+        // Equal to the floor at a lower index than the worst: admitted.
+        sel.push(6, 0.5);
+        // Equal at a higher index, or below: not.
+        sel.push(9, 0.5);
+        sel.push(1, 0.25);
+        // NaN is never `>=` the floor, and never admitted.
+        assert!(!reaches(f64::NAN, &sel));
+        sel.push(0, f64::NAN);
+        assert_eq!(sel.into_sorted(), vec![(5, 1.0), (6, 0.5)]);
+
+        // `-0.0` ties `+0.0`: it reaches the floor and wins on index.
+        let mut zero = TopK::new(1);
+        zero.push(4, 0.0);
+        assert!(reaches(-0.0, &zero));
+        zero.push(2, -0.0);
+        zero.push(8, 0.0);
+        assert_eq!(zero.into_sorted(), vec![(2, -0.0)]);
+
+        // k = 0 admits nothing, not even +inf.
+        let mut none = TopK::new(0);
+        assert_eq!(none.floor(), f64::INFINITY);
+        none.push(0, f64::INFINITY);
+        assert!(none.into_sorted().is_empty());
+
+        // Over ties, signed zeros, infinities and NaN: a score that is
+        // not `>=` the floor never changes the kept set.
+        let xs = [0.5, -0.0, 1.0, f64::NAN, 0.0, 0.5, f64::NEG_INFINITY, 1.0, f64::INFINITY, 0.5];
+        for k in 0..4 {
+            let mut sel = TopK::new(k);
+            for (i, &x) in xs.iter().enumerate().rev() {
+                let before = sel.heap.iter().map(|e| (e.1, e.0.to_bits())).collect::<Vec<_>>();
+                let below = !reaches(x, &sel);
+                sel.push(i, x);
+                if below {
+                    let after = sel.heap.iter().map(|e| (e.1, e.0.to_bits())).collect::<Vec<_>>();
+                    assert_eq!(before, after, "k {k}: {x} at {i} is below the floor");
+                }
+            }
         }
     }
 

@@ -9,8 +9,10 @@
 //! every row; the sharded-store IVF index in `mb-store` is the same
 //! scan over its centroid table and then over each probed list. Int8
 //! rows are stored and scanned in [`TILE_ROWS`]-row dimension-major
-//! tiles, so a query scores a tile's rows in SIMD lanes; float rows
-//! stay row-major and put the block's queries in lanes instead.
+//! tiles, so up to [`TILE_QUERIES`] queries score a tile's rows in SIMD
+//! lanes per pass, and a tile's scores reach a selector only when one
+//! of them can enter it ([`TopK::floor`]); float rows stay row-major
+//! and put the block's queries in lanes instead.
 //!
 //! [`CandidateSource`] is the retrieval abstraction the two-stage
 //! linker scores candidates through, so the linker (and the serving
@@ -27,7 +29,7 @@ use crate::input::{EntityFeatures, InputConfig};
 use mb_common::util::TopK;
 use mb_kb::{EntityId, KnowledgeBase};
 use mb_tensor::kernels::{
-    dot_block_f64, dot_tile_i8, tile_rows, DOT_BLOCK, I8_EXACT_I32_COLS, TILE_ROWS,
+    dot_block_f64, dot_tile_i8_n, tile_rows, DOT_BLOCK, I8_EXACT_I32_COLS, TILE_QUERIES, TILE_ROWS,
 };
 use mb_tensor::quant::{f16_to_f64, quantize_i8, QuantF16, QuantI8};
 use mb_tensor::{QuantMode, Tensor};
@@ -42,10 +44,9 @@ use mb_text::Vocab;
 const QUERY_BLOCK: usize = DOT_BLOCK;
 
 /// Rows per cache-resident run of the int8 scan: one run of tiles is
-/// re-read once per member query, so it must fit comfortably in L2
-/// (512 rows × 256 cols = 128 KiB worst case) while leaving the score
-/// scratch long enough for the [`TopK::push_block`] pre-filter to skip
-/// whole runs. A whole number of tiles, so a run never splits one.
+/// re-read once per group of up to [`TILE_QUERIES`] members, so it must
+/// fit comfortably in L2 (512 rows × 256 cols = 128 KiB worst case). A
+/// whole number of tiles, so a run never splits one.
 const SCORE_CHUNK: usize = 512;
 const _: () = assert!(SCORE_CHUNK.is_multiple_of(TILE_ROWS));
 
@@ -88,7 +89,7 @@ pub struct QueryBlock<'a> {
     member_qt: Vec<f64>,
     /// One decoded f16 row.
     row: Vec<f64>,
-    /// One score per member (float rows) or per run row (int8 rows).
+    /// One score per member (float rows).
     scores: Vec<f64>,
 }
 
@@ -139,12 +140,16 @@ impl<'a> QueryBlock<'a> {
     /// queries sit in lanes, because f64 dots are latency chains a lone
     /// fold is stuck behind. Int8 rows sit in lanes themselves: they
     /// are stored in [`TILE_ROWS`]-row dimension-major tiles, and
-    /// [`dot_tile_i8`] scores a whole tile for one query with vertical
-    /// multiply-adds and no horizontal reduction. They go in runs of at
-    /// most [`SCORE_CHUNK`] rows: per run, each member fills a score
-    /// scratch tile by tile and offers the run's real rows (never the
-    /// padding) through [`TopK::push_block`], whose chunk-max
-    /// pre-filter skips runs that cannot enter the top-k.
+    /// [`dot_tile_i8_n`] scores a whole tile for up to [`TILE_QUERIES`]
+    /// members at once with vertical multiply-adds, each member's sums
+    /// in registers of its own, and no horizontal reduction. They go in
+    /// runs of at most [`SCORE_CHUNK`] rows, and per run the members go
+    /// in groups of up to [`TILE_QUERIES`], the kernel instantiated for
+    /// the group's length, so a lone member pays for one query. Per
+    /// tile, each member's real rows (never the padding) are scaled in
+    /// a stack array and offered to its selector only when one of them
+    /// is `>=` [`TopK::floor`] — an exact test, so most tiles never
+    /// touch the heap.
     ///
     /// Every score is one ascending-column fold (f64: separate multiply
     /// and add; int8: the exact integer sum, then
@@ -167,23 +172,19 @@ impl<'a> QueryBlock<'a> {
                     scales.push(s);
                 }
             }
-            if scores.len() < SCORE_CHUNK {
-                scores.resize(SCORE_CHUNK, 0.0);
-            }
             for (run, (rt, rs)) in
                 tiles.chunks(SCORE_CHUNK * dim).zip(rscales.chunks(SCORE_CHUNK)).enumerate()
             {
-                let sc = &mut scores[..rs.len()];
-                for &(slot, base) in members {
-                    let (qc, qs) = (&codes[slot * dim..(slot + 1) * dim], scales[slot]);
-                    let per_tile = sc.chunks_mut(TILE_ROWS).zip(rs.chunks(TILE_ROWS));
-                    for ((s, ts), tile) in per_tile.zip(rt.chunks_exact(TILE_ROWS * dim)) {
-                        let acc = dot_tile_i8(tile, qc);
-                        for ((s, &a), &rscale) in s.iter_mut().zip(&acc).zip(ts) {
-                            *s = f64::from(a) * (rscale * qs);
-                        }
-                    }
-                    sels[slot].push_block(base + run * SCORE_CHUNK, sc);
+                for group in members.chunks(TILE_QUERIES) {
+                    // One instantiation per group length 1..=TILE_QUERIES.
+                    const _: () = assert!(TILE_QUERIES == 4);
+                    let scan_group = match group.len() {
+                        1 => scan_i8_group::<1>,
+                        2 => scan_i8_group::<2>,
+                        3 => scan_i8_group::<3>,
+                        _ => scan_i8_group::<4>,
+                    };
+                    scan_group(rt, rs, run * SCORE_CHUNK, group, codes, scales, sels);
                 }
             }
             return;
@@ -217,6 +218,50 @@ impl<'a> QueryBlock<'a> {
                 }
             }
             Rows::Int8 { .. } => {} // scanned above
+        }
+    }
+}
+
+/// One int8 run of `tiles` (its rows' scales in `rscales`, its first
+/// row at position `first`) scored for a group of `N` members against
+/// the block's `[nq, dim]` query `codes` and per-query `qscales`.
+fn scan_i8_group<const N: usize>(
+    tiles: &[i8],
+    rscales: &[f64],
+    first: usize,
+    group: &[(usize, usize)],
+    codes: &[i8],
+    qscales: &[f64],
+    sels: &mut [TopK],
+) {
+    debug_assert_eq!(group.len(), N, "scan_i8_group: group length");
+    let dim = codes.len() / qscales.len();
+    let queries: [&[i8]; N] = std::array::from_fn(|s| &codes[group[s].0 * dim..][..dim]);
+    let per_tile = tiles.chunks_exact(TILE_ROWS * dim).zip(rscales.chunks(TILE_ROWS));
+    for (t, (tile, ts)) in per_tile.enumerate() {
+        let acc = dot_tile_i8_n(tile, queries);
+        // Padding rows get a NaN scale, so a NaN score: never `>=` a
+        // floor, never offered.
+        let mut rsc = [f64::NAN; TILE_ROWS];
+        rsc[..ts.len()].copy_from_slice(ts);
+        for (&(slot, base), acc) in group.iter().zip(&acc) {
+            let (qs, sel) = (qscales[slot], &mut sels[slot]);
+            let mut floor = sel.floor();
+            let mut sc = [0.0; TILE_ROWS];
+            let mut hit = false;
+            for r in 0..TILE_ROWS {
+                sc[r] = f64::from(acc[r]) * (rsc[r] * qs);
+                hit |= sc[r] >= floor;
+            }
+            if hit {
+                let at = base + first + t * TILE_ROWS;
+                for (r, &s) in sc.iter().enumerate() {
+                    if s >= floor {
+                        sel.push(at + r, s);
+                        floor = sel.floor();
+                    }
+                }
+            }
         }
     }
 }

@@ -1,15 +1,18 @@
 //! Property suite for the retrieval scan (DESIGN.md §16): for ANY
 //! batch size, ANY k, and ANY worker count, `top_k_batch` must be
 //! **byte-for-byte** identical to (a) per-query `top_k` — the one-row
-//! batch, which crosses different block compositions and `push_block`
-//! pre-filter states — and (b) the independent oracle in `support`
+//! batch, which crosses different block compositions, member groups
+//! and selector floors — and (b) the independent oracle in `support`
 //! (score every row with the reference fold, sort everything): same
 //! entity ids, same `f64::to_bits` score patterns, for all three
 //! element types. The fixtures are the adversarial near-tie
 //! distributions from the quantized-retrieval suite, so the
 //! lowest-position tie-break is actually exercised, not just the
 //! clear-margin happy path; int8 tables also come raw, at the scan's
-//! tile edges, with extreme codes and zero / infinite / NaN scales.
+//! tile edges, with extreme codes and tiles of zero / infinite / NaN
+//! scales. Quantized batches hold 1–9 queries, so the int8 scan's
+//! member groups of 1, 2, 3 and 4, and a full group plus 1–4 more, are
+//! all drawn.
 
 mod support;
 
@@ -117,7 +120,7 @@ mb_check::check! {
             _ => 4 + rng.below(60),
         };
         let dim = if rng.below(2) == 0 { [1, 2, 9, 33][rng.below(4)] } else { 3 + rng.below(14) };
-        let batch = 1 + rng.below(64);
+        let batch = 1 + rng.below(9);
         let k = 1 + rng.below(n.min(64) + 4);
         let spread = [1e-6, 1e-3, 1e-1][rng.below(3)];
         let vectors = near_tie_vectors(n, dim, spread, seed ^ 3);
@@ -132,7 +135,8 @@ mb_check::check! {
 
     fn raw_int8_tables_with_extreme_codes_and_scales_match_the_oracle(seed in gen::u64_any()) {
         // What a CRC-valid shard may hold: any i8 code (−128 included)
-        // and any scale — zero, infinite or NaN between ordinary ones.
+        // and any scale — zero, infinite or NaN between ordinary ones,
+        // or a whole tile of NaN or of infinite scales.
         let mut rng = Rng::seed_from_u64(seed);
         let n = TILE_EDGES[rng.below(TILE_EDGES.len())];
         let dim = [1, 2, 9, 33][rng.below(4)];
@@ -143,17 +147,19 @@ mb_check::check! {
                 _ => rng.below(256) as u8 as i8,
             })
             .collect();
+        let tiles: Vec<usize> = (0..n.div_ceil(TILE_ROWS)).map(|_| rng.below(4)).collect();
         let scales: Vec<f64> = (0..n)
-            .map(|_| match rng.below(8) {
-                0 => 0.0,
-                1 => f64::INFINITY,
-                2 => f64::NAN,
+            .map(|i| match (tiles[i / TILE_ROWS], rng.below(8)) {
+                (0, _) => f64::NAN,
+                (1, _) | (_, 1) => f64::INFINITY,
+                (_, 0) => 0.0,
+                (_, 2) => f64::NAN,
                 _ => rng.f64() * 0.02,
             })
             .collect();
         let table = QuantI8::from_raw(n, dim, codes, scales).expect("consistent parts");
         let index = QuantizedIndex::from_i8([&table], row_ids(n)).expect("aligned");
-        let queries = query_matrix(1 + rng.below(20), dim, seed ^ 5);
+        let queries = query_matrix(1 + rng.below(9), dim, seed ^ 5);
         let k = 1 + rng.below(n.min(64) + 4);
         check_against_serial_and_oracle("raw int8", &index, Table::Int8(&table), &queries, k)?;
     }

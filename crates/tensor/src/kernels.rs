@@ -294,10 +294,15 @@ pub const DOT_BLOCK: usize = 8;
 pub const I8_EXACT_I32_COLS: usize = (i32::MAX as usize) / (128 * 128);
 
 /// Rows per int8 scan tile: a tile stores [`TILE_ROWS`] rows
-/// dimension-major (`tile[j * TILE_ROWS + r]`), so one query scores all
+/// dimension-major (`tile[j * TILE_ROWS + r]`), so a query scores all
 /// of them with vertical SIMD ops and no horizontal reduction
-/// ([`dot_tile_i8`]).
+/// ([`dot_tile_i8_n`]).
 pub const TILE_ROWS: usize = 32;
+
+/// Most queries [`dot_tile_i8_n`] scores per pass over a tile: each
+/// query holds `TILE_ROWS` `i32` accumulators in registers, and four
+/// is what fits beside the widened column.
+pub const TILE_QUERIES: usize = 4;
 
 /// Fixed-width tile of [`dot_block_f64`]: with `N` known at compile
 /// time the accumulators live in registers and the slot loop fully
@@ -371,21 +376,37 @@ pub fn tile_rows<E: Copy + Default, R: AsRef<[E]>>(
 }
 
 /// Score one [`TILE_ROWS`]-row int8 tile (laid out by [`tile_rows`])
-/// against `query`: `acc[r] = Σ_j tile[j * TILE_ROWS + r] * query[j]`.
-/// Each product is formed in `i16` — exact, since `|−128 · −128|` is
-/// 16,384 — and widened into an `i32` accumulator per row, so for rows
-/// at most [`I8_EXACT_I32_COLS`] wide every lane is the exact integer
-/// the reference `i64` fold of [`score_all_i8`] produces. Rows sit in
-/// SIMD lanes: per column, one broadcast query code multiplies the
-/// whole column, with no horizontal reduction.
+/// against `N` queries (`1..=`[`TILE_QUERIES`]):
+/// `acc[s][r] = Σ_j tile[j * TILE_ROWS + r] * queries[s][j]`.
+///
+/// Per column the tile's codes are widened to `i32` once and
+/// multiply-added against each query's code: rows sit in SIMD lanes,
+/// the queries are independent accumulator registers, and there is no
+/// horizontal reduction. A term is at most `|−128 · −128|` = 16,384, so
+/// for rows at most [`I8_EXACT_I32_COLS`] wide every lane is the exact
+/// integer the reference `i64` fold of [`score_all_i8`] produces.
+///
+/// The inner loops run over rows, then queries, by index on purpose:
+/// iterator forms that walk the query slices innermost have compiled
+/// to scalar multiplies or to gathers and scatters, several times
+/// slower.
 #[inline]
-pub fn dot_tile_i8(tile: &[i8], query: &[i8]) -> [i32; TILE_ROWS] {
-    debug_assert_eq!(tile.len(), query.len() * TILE_ROWS, "dot_tile_i8: tile shape");
-    let mut acc = [0i32; TILE_ROWS];
-    for (col, &q) in tile.chunks_exact(TILE_ROWS).zip(query) {
-        let q = i16::from(q);
-        for (a, &x) in acc.iter_mut().zip(col) {
-            *a += i32::from(i16::from(x) * q);
+pub fn dot_tile_i8_n<const N: usize>(tile: &[i8], queries: [&[i8]; N]) -> [[i32; TILE_ROWS]; N] {
+    debug_assert!(
+        queries.iter().all(|q| q.len() * TILE_ROWS == tile.len()),
+        "dot_tile_i8_n: tile shape"
+    );
+    let mut acc = [[0i32; TILE_ROWS]; N];
+    for (j, col) in tile.chunks_exact(TILE_ROWS).enumerate() {
+        let q: [i32; N] = std::array::from_fn(|s| i32::from(queries[s][j]));
+        let mut x = [0i32; TILE_ROWS];
+        for r in 0..TILE_ROWS {
+            x[r] = i32::from(col[r]);
+        }
+        for r in 0..TILE_ROWS {
+            for s in 0..N {
+                acc[s][r] += x[r] * q[s];
+            }
         }
     }
     acc
@@ -499,37 +520,57 @@ mod tests {
         assert!(tile_rows::<i8, &[i8]>(TILE_ROWS, 0, 5, []).is_empty());
     }
 
-    #[test]
-    fn tile_dots_are_the_exact_integer_fold() {
+    /// `dot_tile_i8_n::<N>` against the `i64` fold, each of the `N`
+    /// query slots holding a different query, so a lane or slot mix-up
+    /// changes some sum.
+    fn check_tile_dots<const N: usize>(code: &mut impl FnMut() -> i8) {
         // Row counts around a tile edge, codes at both i8 extremes.
+        for (n, dim) in [(1, 1), (TILE_ROWS - 1, 2), (TILE_ROWS, 9), (TILE_ROWS + 1, 33)] {
+            let mut codes: Vec<i8> = (0..n * dim).map(|_| code()).collect();
+            codes[0] = -128;
+            let queries: Vec<Vec<i8>> = (0..N)
+                .map(|s| {
+                    let mut query: Vec<i8> = (0..dim).map(|_| code()).collect();
+                    // Distinct leading codes, one of them −128.
+                    query[0] = [-128, 127, -1, 3][s];
+                    query
+                })
+                .collect();
+            let slots: [&[i8]; N] = std::array::from_fn(|s| queries[s].as_slice());
+            let tiles = tile_rows(TILE_ROWS, n, dim, codes.chunks(dim));
+            assert_eq!(tiles.len(), n.div_ceil(TILE_ROWS) * TILE_ROWS * dim);
+            for (t, tile) in tiles.chunks_exact(TILE_ROWS * dim).enumerate() {
+                let acc = dot_tile_i8_n(tile, slots);
+                for (s, (lanes, query)) in acc.iter().zip(&queries).enumerate() {
+                    for (r, &got) in lanes.iter().enumerate() {
+                        let i = t * TILE_ROWS + r;
+                        let want: i64 = codes.get(i * dim..(i + 1) * dim).map_or(0, |row| {
+                            row.iter().zip(query).map(|(&a, &b)| i64::from(a) * i64::from(b)).sum()
+                        });
+                        assert_eq!(i64::from(got), want, "N {N} slot {s} n {n} dim {dim} row {i}");
+                    }
+                }
+            }
+        }
+        // The widest accepted row of −128 codes against a −128 query in
+        // every slot: the largest sum an `i32` lane must hold, exactly.
+        let dim = I8_EXACT_I32_COLS;
+        let query = vec![-128; dim];
+        let acc = dot_tile_i8_n(&vec![-128; dim * TILE_ROWS], [query.as_slice(); N]);
+        assert!(acc.iter().flatten().all(|&a| i64::from(a) == dim as i64 * 128 * 128));
+    }
+
+    #[test]
+    fn tile_dots_are_the_exact_integer_fold_for_every_query_count() {
         let mut state = 0x5eedu64;
         let mut code = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (state >> 56) as u8 as i8
         };
-        for (n, dim) in [(1, 1), (TILE_ROWS - 1, 2), (TILE_ROWS, 9), (TILE_ROWS + 1, 33)] {
-            let mut codes: Vec<i8> = (0..n * dim).map(|_| code()).collect();
-            codes[0] = -128;
-            let mut query: Vec<i8> = (0..dim).map(|_| code()).collect();
-            query[0] = -128;
-            let tiles = tile_rows(TILE_ROWS, n, dim, codes.chunks(dim));
-            assert_eq!(tiles.len(), n.div_ceil(TILE_ROWS) * TILE_ROWS * dim);
-            for (t, tile) in tiles.chunks_exact(TILE_ROWS * dim).enumerate() {
-                let acc = dot_tile_i8(tile, &query);
-                for (r, &got) in acc.iter().enumerate() {
-                    let i = t * TILE_ROWS + r;
-                    let want: i64 = codes.get(i * dim..(i + 1) * dim).map_or(0, |row| {
-                        row.iter().zip(&query).map(|(&a, &b)| i64::from(a) * i64::from(b)).sum()
-                    });
-                    assert_eq!(i64::from(got), want, "n {n} dim {dim} row {i}");
-                }
-            }
-        }
-        // The widest accepted row of −128 codes against a −128 query:
-        // the largest sum an `i32` lane must hold, exactly.
-        let dim = I8_EXACT_I32_COLS;
-        let acc = dot_tile_i8(&vec![-128; dim * TILE_ROWS], &vec![-128; dim]);
-        assert!(acc.iter().all(|&a| i64::from(a) == dim as i64 * 128 * 128));
+        check_tile_dots::<1>(&mut code);
+        check_tile_dots::<2>(&mut code);
+        check_tile_dots::<3>(&mut code);
+        check_tile_dots::<TILE_QUERIES>(&mut code);
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //! `crates/encoders/tests/proptest_fused_batch.rs` and
 //! `crates/store/tests/proptest_store.rs`): for each element type the
 //! one scan behind `top_k_batch` equals the independent oracle —
-//! reference fold over every row, full sort — bit for bit, across a
-//! query-block boundary, an int8 run boundary and thread counts; the
-//! int8 scan's tiles hold at every tile edge, at odd widths and on raw
-//! tables with extreme codes and degenerate scales; and an IVF probing
-//! every list scores every row like the flat scan, empty lists and
-//! lists shorter than a tile included.
+//! reference fold over every row, full sort — bit for bit, at every
+//! batch of 1–9 queries (so the int8 scan runs member groups of 1, 2, 3
+//! and 4, alone and after a full group, and a second query block of
+//! one), across a query-block boundary, an int8 run boundary and
+//! thread counts; the int8 scan's tiles hold at every tile edge, at odd
+//! widths and on raw tables with extreme codes and whole tiles of NaN
+//! or infinite scales; an IVF probing every list scores every row like
+//! the flat scan, empty lists and lists shorter than a tile included;
+//! and IVF queries that share their probed lists, so list scans run
+//! groups of several members, score every row by the reference fold.
 
 #[path = "../crates/encoders/tests/support/mod.rs"]
 mod support;
@@ -18,11 +22,11 @@ use mb_kb::EntityId;
 use mb_par::Threads;
 use mb_store::{EntityStore, IvfConfig, IvfIndex, StoreBuilder, StoreConfig, StoreRecord};
 use mb_tensor::kernels::TILE_ROWS;
-use mb_tensor::quant::{QuantF16, QuantI8};
+use mb_tensor::quant::{quantize_i8, QuantF16, QuantI8};
 use mb_tensor::{QuantMode, Tensor};
 use std::path::PathBuf;
 use std::sync::Arc;
-use support::{reference_top_k, Table};
+use support::{reference_scores, reference_top_k, Table};
 
 /// 700 near-tie rows (past one 512-row int8 run), 19 queries (three
 /// query blocks: 8 + 8 + 3).
@@ -43,18 +47,28 @@ fn queries(seed: u64) -> Tensor {
     Tensor::from_vec(vec![BATCH, DIM], (0..BATCH * DIM).map(|_| rng.f64() * 2.0 - 1.0).collect())
 }
 
+/// The first `batch` rows of `qs`.
+fn prefix(qs: &Tensor, batch: usize) -> Tensor {
+    Tensor::from_vec(vec![batch, qs.cols()], qs.data()[..batch * qs.cols()].to_vec())
+}
+
 fn bits(ranked: &[(EntityId, f64)]) -> Vec<(u32, u64)> {
     ranked.iter().map(|&(id, s)| (id.0, s.to_bits())).collect()
 }
 
+/// `index` ranks the first 1–9 rows of `qs`, and all of them, like the
+/// oracle at 1 and 3 threads.
 fn assert_matches_oracle(what: &str, index: &dyn CandidateSource, table: Table<'_>, qs: &Tensor) {
-    let oracle: Vec<_> = (0..BATCH).map(|i| reference_top_k(table, qs.row(i), K)).collect();
-    for threads in [1, 3] {
-        let got = index.top_k_batch(qs, K, Threads::new(threads)).expect("well-shaped queries");
-        let got: Vec<_> = got.iter().map(|r| bits(r)).collect();
-        assert_eq!(got, oracle, "{what} at {threads} threads");
+    let oracle: Vec<_> = (0..qs.rows()).map(|i| reference_top_k(table, qs.row(i), K)).collect();
+    for batch in (1..=9).chain([qs.rows()]) {
+        for threads in [1, 3] {
+            let got = index
+                .top_k_batch(&prefix(qs, batch), K, Threads::new(threads))
+                .expect("well-shaped queries");
+            let got: Vec<_> = got.iter().map(|r| bits(r)).collect();
+            assert_eq!(got, oracle[..batch], "{what}: batch {batch} at {threads} threads");
+        }
     }
-    assert_eq!(bits(&index.top_k(qs.row(0), K)), oracle[0], "{what}: one-row batch");
 }
 
 #[test]
@@ -74,10 +88,12 @@ fn every_element_type_matches_the_oracle() {
 
 /// Int8 tables at every tile edge — 1, T−1, T, T+1 and 512+T+1 rows
 /// (past a run) at widths 1, 2, 9 and 33 — built raw, as a shard load
-/// would: codes over the whole `i8` range (−128 and 127 included) and
-/// zero, infinite and NaN scales between ordinary ones. NaN scores are
-/// never returned and ±0 scores tie; every ranking equals the oracle's
-/// at 1–4 threads.
+/// would: codes over the whole `i8` range (−128 and 127 included);
+/// tiles whose scales are all NaN, all infinite, or zero, infinite and
+/// NaN between ordinary ones. NaN scores are never returned, ±0 scores
+/// tie, and `-inf` scores are returned while the selector has room;
+/// every ranking of 1–9 queries, at `k` = 10 and `k` = every row,
+/// equals the oracle's at 1–4 threads.
 #[test]
 fn int8_tile_edges_and_raw_extremes_match_the_oracle() {
     let mut rng = Rng::seed_from_u64(9);
@@ -87,24 +103,35 @@ fn int8_tile_edges_and_raw_extremes_match_the_oracle() {
             codes[0] = -128;
             codes[n * dim - 1] = 127;
             let scales: Vec<f64> = (0..n)
-                .map(|i| match i % 7 {
-                    3 => 0.0,
-                    4 => f64::INFINITY,
-                    5 => f64::NAN,
+                .map(|i| match ((i / TILE_ROWS + dim) % 3, i % 7) {
+                    (0, _) => f64::NAN,
+                    (1, _) | (_, 4) => f64::INFINITY,
+                    (_, 3) => 0.0,
+                    (_, 5) => f64::NAN,
                     _ => rng.f64() * 0.02,
                 })
                 .collect();
             let table = QuantI8::from_raw(n, dim, codes, scales).expect("consistent parts");
             let ids = (0..n as u32).map(EntityId).collect();
             let index = QuantizedIndex::from_i8([&table], ids).expect("aligned");
-            let data = (0..BATCH * dim).map(|_| rng.f64() * 2.0 - 1.0).collect();
-            let qs = Tensor::from_vec(vec![BATCH, dim], data);
-            let oracle: Vec<_> =
-                (0..BATCH).map(|i| reference_top_k(Table::Int8(&table), qs.row(i), K)).collect();
-            for threads in 1..=4 {
-                let got = index.top_k_batch(&qs, K, Threads::new(threads)).expect("batch");
-                let got: Vec<_> = got.iter().map(|r| bits(r)).collect();
-                assert_eq!(got, oracle, "{n} rows x {dim} at {threads} threads");
+            let data = (0..9 * dim).map(|_| rng.f64() * 2.0 - 1.0).collect();
+            let qs = Tensor::from_vec(vec![9, dim], data);
+            for k in [K, n] {
+                let oracle: Vec<_> =
+                    (0..9).map(|i| reference_top_k(Table::Int8(&table), qs.row(i), k)).collect();
+                for batch in 1..=9 {
+                    for threads in 1..=4 {
+                        let got = index
+                            .top_k_batch(&prefix(&qs, batch), k, Threads::new(threads))
+                            .expect("batch");
+                        let got: Vec<_> = got.iter().map(|r| bits(r)).collect();
+                        assert_eq!(
+                            got,
+                            oracle[..batch],
+                            "{n} rows x {dim}, k {k}, batch {batch} at {threads} threads"
+                        );
+                    }
+                }
             }
         }
     }
@@ -191,4 +218,57 @@ fn ivf_lists_empty_or_shorter_than_a_tile_score_like_the_flat_scan() {
         assert_ivf_scores_like_flat(&store, cfg, &qs);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Nine queries a hair from one entity all probe the same lists, so
+/// every probed list is scanned for up to eight members of a block at
+/// once — int8 groups of 2, 3 and 4 (and 4 + 1 … 4 + 4), where serving
+/// mostly scans groups of one. With `nprobe < nlist` there is no flat
+/// ranking to match, so the oracle is the probed rows themselves: at
+/// `k` = every row each query returns the same probed set (the lists
+/// really are shared), each row with the reference fold's score bits;
+/// and at any `k` every batch of 1–9 ranks like one-row batches, whose
+/// lists are scanned for that query alone.
+#[test]
+fn ivf_queries_sharing_their_lists_match_the_oracle() {
+    let mut rng = Rng::seed_from_u64(11);
+    let vectors = Tensor::from_vec(vec![N, DIM], (0..N * DIM).map(|_| rng.gaussian()).collect());
+    let (store, dir) = scratch_store("shared-lists", &vectors, QuantMode::Int8);
+    let cfg = IvfConfig { nlist: 9, nprobe: 3, train_cap: 512, rounds: 3, seed: 1 };
+    let ivf = IvfIndex::build(Arc::clone(&store), cfg, Threads::single()).expect("build");
+    let table = QuantI8::from_tensor(&vectors);
+    let data = (0..9 * DIM).map(|i| vectors.row(0)[i % DIM] + 0.05 * rng.gaussian()).collect();
+    let qs = Tensor::from_vec(vec![9, DIM], data);
+    // Close enough to share lists, apart enough to differ as int8
+    // queries, so a member scored with another's codes shows.
+    let codes: Vec<_> = (0..9).map(|i| quantize_i8(qs.row(i))).collect();
+    assert!((1..9).all(|i| !codes[..i].contains(&codes[i])), "two queries quantize alike");
+    let n = store.len();
+    let mut probed: Option<Vec<u32>> = None;
+    for i in 0..9 {
+        let want = reference_scores(Table::Int8(&table), qs.row(i));
+        let mut got = bits(&ivf.top_k(qs.row(i), n));
+        for &(id, score) in &got {
+            assert_eq!(score, want[id as usize].to_bits(), "query {i}, row {id}");
+        }
+        got.sort_unstable();
+        let rows: Vec<u32> = got.iter().map(|&(id, _)| id).collect();
+        assert!(rows.len() < n, "nprobe < nlist probes a subset of the rows");
+        assert_eq!(
+            probed.get_or_insert_with(|| rows.clone()),
+            &rows,
+            "query {i} probed other lists"
+        );
+    }
+    for k in [K, n] {
+        let one_row: Vec<_> = (0..9).map(|i| bits(&ivf.top_k(qs.row(i), k))).collect();
+        for batch in 1..=9 {
+            for threads in 1..=4 {
+                let got = ivf.top_k_batch(&prefix(&qs, batch), k, Threads::new(threads));
+                let got: Vec<_> = got.expect("batch").iter().map(|r| bits(r)).collect();
+                assert_eq!(got, one_row[..batch], "k {k}, batch {batch} at {threads} threads");
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
