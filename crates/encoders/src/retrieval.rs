@@ -29,7 +29,7 @@ use crate::input::{EntityFeatures, InputConfig};
 use mb_common::util::TopK;
 use mb_kb::{EntityId, KnowledgeBase};
 use mb_tensor::kernels::{
-    dot_block_f64, dot_tile_i8_n, tile_rows, DOT_BLOCK, I8_EXACT_I32_COLS, TILE_QUERIES, TILE_ROWS,
+    dot_block_f64, dot_tile_i8_n, tile_rows, DOT_BLOCK, I8_EXACT_COLS, TILE_QUERIES, TILE_ROWS,
 };
 use mb_tensor::quant::{f16_to_f64, quantize_i8, QuantF16, QuantI8};
 use mb_tensor::{QuantMode, Tensor};
@@ -58,7 +58,8 @@ pub enum Rows<'a> {
     /// binary16 bit patterns, row-major.
     F16(&'a [u16]),
     /// Per-row symmetric int8 codes with one dequantization scale per
-    /// row, at most [`I8_EXACT_I32_COLS`] wide.
+    /// row, at most [`I8_EXACT_COLS`] wide, so the scan's `f32` sums
+    /// are exact integers.
     Int8 {
         /// The codes in [`TILE_ROWS`]-row dimension-major tiles
         /// ([`tile_rows`]), the last one zero-padded:
@@ -74,8 +75,8 @@ pub enum Rows<'a> {
 /// number of scans: the rows transposed to the `[dim, nq]` layout
 /// [`dot_block_f64`] streams and — quantized on the first int8 scan —
 /// each query's symmetric int8 codes and scale, so int8 rows accumulate
-/// exactly in integers instead of paying a per-element float
-/// conversion. Also owns the scan's scratch buffers.
+/// exact integer sums, scaled once per row, instead of dequantizing
+/// every element. Also owns the scan's scratch buffers.
 pub struct QueryBlock<'a> {
     queries: &'a Tensor,
     range: std::ops::Range<usize>,
@@ -152,7 +153,7 @@ impl<'a> QueryBlock<'a> {
     /// touch the heap.
     ///
     /// Every score is one ascending-column fold (f64: separate multiply
-    /// and add; int8: the exact integer sum, then
+    /// and add; int8: the exact integer sum, held in `f32`, then
     /// `sum as f64 * (row_scale * query_scale)`), so it depends on the
     /// row and the query alone — never on which other queries share the
     /// block, the member list or the row's tile. [`TopK`] is push-order
@@ -515,7 +516,7 @@ impl QuantizedIndex {
     ///
     /// # Errors
     /// [`mb_common::Error::ShapeMismatch`] in int8 mode when the vectors
-    /// are wider than [`I8_EXACT_I32_COLS`].
+    /// are wider than [`I8_EXACT_COLS`].
     pub fn from_dense(index: &DenseIndex, mode: QuantMode) -> mb_common::Result<Option<Self>> {
         let table = match mode {
             QuantMode::Exact => return Ok(None),
@@ -565,7 +566,7 @@ impl QuantizedIndex {
     ///
     /// # Errors
     /// [`mb_common::Error::ShapeMismatch`] when the tables differ in
-    /// width, are wider than [`I8_EXACT_I32_COLS`], or hold a row count
+    /// width, are wider than [`I8_EXACT_COLS`], or hold a row count
     /// other than the id count.
     pub fn from_i8<'t>(
         tables: impl IntoIterator<Item = &'t QuantI8>,
@@ -610,13 +611,14 @@ impl QuantizedIndex {
     }
 }
 
-/// The int8 scan sums in `i32`, exact only up to [`I8_EXACT_I32_COLS`]
-/// columns: a wider table is rejected rather than left to wrap a score.
+/// The int8 scan sums in `f32`, exact only up to [`I8_EXACT_COLS`]
+/// columns: a wider table is rejected rather than left to round a
+/// score.
 fn check_i8_width(op: &'static str, dim: usize) -> mb_common::Result<()> {
-    if dim > I8_EXACT_I32_COLS {
+    if dim > I8_EXACT_COLS {
         return Err(mb_common::Error::shape(
             op,
-            format!("at most {I8_EXACT_I32_COLS} int8 columns"),
+            format!("at most {I8_EXACT_COLS} int8 columns"),
             format!("{dim} columns"),
         ));
     }
@@ -774,11 +776,17 @@ mod tests {
 
     #[test]
     fn int8_tables_wider_than_the_exact_scan_are_rejected() {
-        let widest = I8_EXACT_I32_COLS;
+        // The literal bound, so a silent change to the constant fails:
+        // 2^24 / 2^14 columns keep every f32 partial sum exact.
+        let widest = 1024;
+        assert_eq!(I8_EXACT_COLS, widest);
         for (cols, fits) in [(widest, true), (widest + 1, false)] {
             let table = QuantI8::from_raw(1, cols, vec![-128; cols], vec![1.0]).expect("parts");
             let got = QuantizedIndex::from_i8([&table], vec![EntityId(0)]);
             assert_eq!(got.is_ok(), fits, "{cols} columns");
+            if let Err(e) = got {
+                assert!(matches!(e, mb_common::Error::ShapeMismatch { .. }), "got {e:?}");
+            }
             let dense =
                 DenseIndex::try_from_vectors(Tensor::zeros(vec![1, cols]), vec![EntityId(0)])
                     .expect("one id per row");
@@ -790,8 +798,8 @@ mod tests {
             // f16 rows are scored in f64: any width is fine.
             assert!(QuantizedIndex::from_dense(&dense, QuantMode::F16).is_ok());
         }
-        // The widest table of −128 codes against a −128-heavy query
-        // scores the exact product, not a wrapped one.
+        // The widest table of −128 codes against a −127 query scores
+        // the exact product, not a rounded one.
         let table = QuantI8::from_raw(1, widest, vec![-128; widest], vec![1.0]).expect("parts");
         let index = QuantizedIndex::from_i8([&table], vec![EntityId(0)]).expect("fits");
         let query = vec![-1.0; widest];

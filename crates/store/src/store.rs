@@ -28,7 +28,7 @@ use mb_common::storage::{atomic_write, read_frame, write_frames};
 use mb_common::{Error, Result};
 use mb_encoders::retrieval::QuantizedIndex;
 use mb_kb::EntityId;
-use mb_tensor::kernels::I8_EXACT_I32_COLS;
+use mb_tensor::kernels::I8_EXACT_COLS;
 use mb_tensor::quant::{QuantF16, QuantI8};
 use mb_tensor::QuantMode;
 use std::fs::File;
@@ -69,10 +69,10 @@ pub struct StoreBuilder {
 }
 
 /// Whether the retrieval scan can score a `dim`-wide table stored in
-/// `quant` exactly: int8 rows accumulate in `i32`, so they are capped
-/// at [`I8_EXACT_I32_COLS`].
+/// `quant` exactly: int8 rows accumulate integers in `f32`, exact only
+/// below 2²⁴, so they are capped at [`I8_EXACT_COLS`].
 fn scannable(quant: QuantMode, dim: usize) -> bool {
-    quant != QuantMode::Int8 || dim <= I8_EXACT_I32_COLS
+    quant != QuantMode::Int8 || dim <= I8_EXACT_COLS
 }
 
 /// File name of shard `ordinal`.
@@ -86,7 +86,7 @@ impl StoreBuilder {
     ///
     /// # Errors
     /// [`Error::InvalidConfig`] for a zero capacity/dim, an exact quant
-    /// mode, an int8 dim wider than [`I8_EXACT_I32_COLS`], or a
+    /// mode, an int8 dim wider than [`I8_EXACT_COLS`], or a
     /// directory that already holds a store;
     /// [`Error::Io`] when the directory cannot be created.
     pub fn create(dir: &Path, cfg: StoreConfig) -> Result<StoreBuilder> {
@@ -97,7 +97,7 @@ impl StoreBuilder {
         }
         if !scannable(cfg.quant, cfg.dim) {
             return Err(Error::InvalidConfig(format!(
-                "int8 store dim {} exceeds the exact scan width {I8_EXACT_I32_COLS}",
+                "int8 store dim {} exceeds the exact scan width {I8_EXACT_COLS}",
                 cfg.dim
             )));
         }
@@ -208,7 +208,7 @@ impl EntityStore {
     ///
     /// # Errors
     /// [`Error::Checkpoint`] on any corruption or inconsistency,
-    /// including an int8 dim wider than [`I8_EXACT_I32_COLS`];
+    /// including an int8 dim wider than [`I8_EXACT_COLS`];
     /// [`Error::Io`] when files cannot be read.
     pub fn open(dir: &Path) -> Result<EntityStore> {
         let manifest_path = dir.join(MANIFEST);
@@ -231,7 +231,7 @@ impl EntityStore {
         }
         if !scannable(quant, dim) {
             return Err(Error::Checkpoint(format!(
-                "{what}: int8 dim {dim} exceeds the exact scan width {I8_EXACT_I32_COLS}"
+                "{what}: int8 dim {dim} exceeds the exact scan width {I8_EXACT_COLS}"
             )));
         }
         let shard_lines: Vec<&(String, String)> =

@@ -334,10 +334,23 @@ fn store_quantized_index_is_bit_identical_to_in_memory_quantizer() {
 
 #[test]
 fn int8_stores_wider_than_the_exact_scan_are_rejected() {
-    // The int8 scan sums in `i32`; one column more than it can hold
-    // exactly is a typed error at create and at open, never a wrapped
-    // score at query time.
-    let wide = mb_tensor::kernels::I8_EXACT_I32_COLS + 1;
+    // The int8 scan sums integers in `f32`, exactly up to 2^24 / 2^14 =
+    // 1,024 columns — the literal, so a silent change to the constant
+    // fails. The widest store is created, finished and reopened; one
+    // column more is a typed error at create and at open, never a
+    // rounded score at query time.
+    let widest = 1024;
+    assert_eq!(mb_tensor::kernels::I8_EXACT_COLS, widest);
+    let dir = scratch("widest");
+    let cfg = StoreConfig { shard_capacity: 4, dim: widest, quant: QuantMode::Int8 };
+    let mut builder = StoreBuilder::create(&dir, cfg).expect("the widest int8 store");
+    let vector = (0..widest).map(|j| if j % 2 == 0 { -1.0 } else { 0.5 }).collect();
+    let record = StoreRecord { title: "widest".into(), description: String::new(), vector };
+    builder.push(record).expect("push");
+    drop(builder.finish().expect("finish opens the widest store"));
+    assert_eq!(EntityStore::open(&dir).expect("reopen the widest store").dim(), widest);
+    let _ = std::fs::remove_dir_all(&dir);
+    let wide = widest + 1;
     let dir = scratch("wide");
     let cfg = StoreConfig { shard_capacity: 4, dim: wide, quant: QuantMode::Int8 };
     let err = StoreBuilder::create(&dir, cfg).err();

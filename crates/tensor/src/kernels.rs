@@ -285,13 +285,15 @@ pub fn score_all_i8(
 /// number.
 pub const DOT_BLOCK: usize = 8;
 
-/// Widest int8 row whose per-element products are guaranteed to
-/// accumulate in `i32` without overflow. Any `i8` code is accepted —
-/// a shard may hold −128 — so each product is bounded by `128 * 128`;
-/// up to this width an `i32` fold sums to exactly the same integer as
-/// the reference `i64` fold in [`score_all_i8`]. Every int8 scan table
-/// constructor rejects wider rows.
-pub const I8_EXACT_I32_COLS: usize = (i32::MAX as usize) / (128 * 128);
+/// Widest int8 row [`dot_tile_i8_n`] sums exactly in `f32`. Any `i8`
+/// code is accepted — a shard may hold −128 — so each product is an
+/// integer of magnitude at most `128 * 128` = 2¹⁴, and every partial
+/// sum of up to this many products is an integer of magnitude at most
+/// 2²⁴, which `f32` represents exactly. Up to this width the `f32` fold
+/// is the same integer as the reference `i64` fold in
+/// [`score_all_i8`]. Every int8 scan table constructor rejects wider
+/// rows.
+pub const I8_EXACT_COLS: usize = (1 << f32::MANTISSA_DIGITS) / (128 * 128);
 
 /// Rows per int8 scan tile: a tile stores [`TILE_ROWS`] rows
 /// dimension-major (`tile[j * TILE_ROWS + r]`), so a query scores all
@@ -300,7 +302,7 @@ pub const I8_EXACT_I32_COLS: usize = (i32::MAX as usize) / (128 * 128);
 pub const TILE_ROWS: usize = 32;
 
 /// Most queries [`dot_tile_i8_n`] scores per pass over a tile: each
-/// query holds `TILE_ROWS` `i32` accumulators in registers, and four
+/// query holds `TILE_ROWS` `f32` accumulators in registers, and four
 /// is what fits beside the widened column.
 pub const TILE_QUERIES: usize = 4;
 
@@ -379,33 +381,45 @@ pub fn tile_rows<E: Copy + Default, R: AsRef<[E]>>(
 /// against `N` queries (`1..=`[`TILE_QUERIES`]):
 /// `acc[s][r] = Σ_j tile[j * TILE_ROWS + r] * queries[s][j]`.
 ///
-/// Per column the tile's codes are widened to `i32` once and
+/// Per column the tile's codes are widened to `f32` once and
 /// multiply-added against each query's code: rows sit in SIMD lanes,
 /// the queries are independent accumulator registers, and there is no
-/// horizontal reduction. A term is at most `|−128 · −128|` = 16,384, so
-/// for rows at most [`I8_EXACT_I32_COLS`] wide every lane is the exact
-/// integer the reference `i64` fold of [`score_all_i8`] produces.
+/// horizontal reduction. The sums are integers computed in `f32`
+/// because one fused multiply-add is cheaper than an `i32` multiply and
+/// add, and for rows at most [`I8_EXACT_COLS`] wide every product and
+/// partial sum is exactly representable: no step rounds, so every lane
+/// is the exact integer the reference `i64` fold of [`score_all_i8`]
+/// produces, whatever the order or fusion of the steps. The
+/// accumulators start at `+0.0`, and under round-to-nearest a sum is
+/// `-0.0` only when both addends are, so no lane is ever `-0.0`: a zero
+/// lane converts like the integer 0.
 ///
 /// The inner loops run over rows, then queries, by index on purpose:
 /// iterator forms that walk the query slices innermost have compiled
 /// to scalar multiplies or to gathers and scatters, several times
 /// slower.
 #[inline]
-pub fn dot_tile_i8_n<const N: usize>(tile: &[i8], queries: [&[i8]; N]) -> [[i32; TILE_ROWS]; N] {
+pub fn dot_tile_i8_n<const N: usize>(tile: &[i8], queries: [&[i8]; N]) -> [[f32; TILE_ROWS]; N] {
     debug_assert!(
         queries.iter().all(|q| q.len() * TILE_ROWS == tile.len()),
         "dot_tile_i8_n: tile shape"
     );
-    let mut acc = [[0i32; TILE_ROWS]; N];
+    let mut acc = [[0.0f32; TILE_ROWS]; N];
     for (j, col) in tile.chunks_exact(TILE_ROWS).enumerate() {
-        let q: [i32; N] = std::array::from_fn(|s| i32::from(queries[s][j]));
-        let mut x = [0i32; TILE_ROWS];
+        let q: [f32; N] = std::array::from_fn(|s| f32::from(queries[s][j]));
+        let mut x = [0.0f32; TILE_ROWS];
         for r in 0..TILE_ROWS {
-            x[r] = i32::from(col[r]);
+            x[r] = f32::from(col[r]);
         }
         for r in 0..TILE_ROWS {
             for s in 0..N {
-                acc[s][r] += x[r] * q[s];
+                // Exact either way; without the `fma` target feature
+                // `mul_add` would be a slow library call.
+                acc[s][r] = if cfg!(target_feature = "fma") {
+                    x[r].mul_add(q[s], acc[s][r])
+                } else {
+                    x[r] * q[s] + acc[s][r]
+                };
             }
         }
     }
@@ -547,17 +561,24 @@ mod tests {
                         let want: i64 = codes.get(i * dim..(i + 1) * dim).map_or(0, |row| {
                             row.iter().zip(query).map(|(&a, &b)| i64::from(a) * i64::from(b)).sum()
                         });
-                        assert_eq!(i64::from(got), want, "N {N} slot {s} n {n} dim {dim} row {i}");
+                        // By bits: a zero lane must be `+0.0`, as the
+                        // integer 0 converts.
+                        assert_eq!(
+                            f64::from(got).to_bits(),
+                            (want as f64).to_bits(),
+                            "N {N} slot {s} n {n} dim {dim} row {i}"
+                        );
                     }
                 }
             }
         }
         // The widest accepted row of −128 codes against a −128 query in
-        // every slot: the largest sum an `i32` lane must hold, exactly.
-        let dim = I8_EXACT_I32_COLS;
+        // every slot: the largest sum an `f32` lane must hold, exactly.
+        let dim = I8_EXACT_COLS;
+        assert_eq!(dim, 1024);
         let query = vec![-128; dim];
         let acc = dot_tile_i8_n(&vec![-128; dim * TILE_ROWS], [query.as_slice(); N]);
-        assert!(acc.iter().flatten().all(|&a| i64::from(a) == dim as i64 * 128 * 128));
+        assert!(acc.iter().flatten().all(|&a| a == (1 << 24) as f32));
     }
 
     #[test]

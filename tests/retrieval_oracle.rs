@@ -8,10 +8,12 @@
 //! one), across a query-block boundary, an int8 run boundary and
 //! thread counts; the int8 scan's tiles hold at every tile edge, at odd
 //! widths and on raw tables with extreme codes and whole tiles of NaN
-//! or infinite scales; an IVF probing every list scores every row like
-//! the flat scan, empty lists and lists shorter than a tile included;
-//! and IVF queries that share their probed lists, so list scans run
-//! groups of several members, score every row by the reference fold.
+//! or infinite scales; int8 sums that are exact zeros — every product
+//! `-0.0`, or products cancelling — score with the oracle's sign; an
+//! IVF probing every list scores every row like the flat scan, empty
+//! lists and lists shorter than a tile included; and IVF queries that
+//! share their probed lists, so list scans run groups of several
+//! members, score every row by the reference fold.
 
 #[path = "../crates/encoders/tests/support/mod.rs"]
 mod support;
@@ -132,6 +134,61 @@ fn int8_tile_edges_and_raw_extremes_match_the_oracle() {
                         );
                     }
                 }
+            }
+        }
+    }
+}
+
+/// Int8 rows whose exact sums are zero, where a float accumulator could
+/// leave a `-0.0` the integer fold never does, in three kinds: negative
+/// codes (against an all-zero query every product is `-0.0`), code
+/// pairs `+a`, `−a` (against a query with equal codes in each pair the
+/// products cancel exactly) and random codes of zero scale. A third of
+/// the queries are zero vectors, a third repeat each value twice and a
+/// third are random. Every ranking of 1–9 queries, at `k` = 10 and
+/// `k` = every row, equals the oracle's by score bits, so a zero of the
+/// wrong sign shows.
+#[test]
+fn int8_zero_sums_and_cancellations_match_the_oracle() {
+    let mut rng = Rng::seed_from_u64(13);
+    let (n, dim) = (3 * TILE_ROWS + 5, 10);
+    let mut codes: Vec<i8> = Vec::with_capacity(n * dim);
+    let mut scales = Vec::with_capacity(n);
+    for i in 0..n {
+        for j in 0..dim {
+            let a = 1 + rng.below(127) as i8;
+            codes.push(match i % 3 {
+                0 => -a - (j % 2) as i8,
+                1 if j % 2 == 0 => a,
+                1 => -codes[codes.len() - 1],
+                _ => rng.below(256) as u8 as i8,
+            });
+        }
+        scales.push(if i % 3 == 2 { 0.0 } else { 0.001 + rng.f64() * 0.01 });
+    }
+    let table = QuantI8::from_raw(n, dim, codes, scales).expect("consistent parts");
+    let index =
+        QuantizedIndex::from_i8([&table], (0..n as u32).map(EntityId).collect()).expect("aligned");
+    let mut data = Vec::with_capacity(9 * dim);
+    for i in 0..9 {
+        let pair: Vec<f64> = (0..dim / 2).map(|_| rng.f64() * 2.0 - 1.0).collect();
+        data.extend((0..dim).map(|j| match i % 3 {
+            0 => 0.0,
+            1 => pair[j / 2],
+            _ => rng.f64() * 2.0 - 1.0,
+        }));
+    }
+    let qs = Tensor::from_vec(vec![9, dim], data);
+    for k in [K, n] {
+        let oracle: Vec<_> =
+            (0..9).map(|i| reference_top_k(Table::Int8(&table), qs.row(i), k)).collect();
+        for batch in 1..=9 {
+            for threads in [1, 3] {
+                let got = index
+                    .top_k_batch(&prefix(&qs, batch), k, Threads::new(threads))
+                    .expect("batch");
+                let got: Vec<_> = got.iter().map(|r| bits(r)).collect();
+                assert_eq!(got, oracle[..batch], "k {k}, batch {batch} at {threads} threads");
             }
         }
     }
