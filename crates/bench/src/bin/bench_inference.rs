@@ -1,5 +1,5 @@
 //! Serving-path inference benchmark: the frozen tape-free forward and
-//! its f16/int8 quantized variants at the serving batch size. Measures
+//! its int8 quantized variant at the serving batch size. Measures
 //! the embedding-table memory shrink and computes quantized top-1
 //! agreement on a trained tiny-world eval set. (There is no tape-built
 //! inference path left to compare against; bit-identity of the frozen
@@ -79,15 +79,11 @@ fn main() {
 
     let frozen_bi = bi.freeze(QuantMode::Exact);
     let frozen_cross = cross.freeze(QuantMode::Exact);
-    let f16_bi = bi.freeze(QuantMode::F16);
     let i8_bi = bi.freeze(QuantMode::Int8);
 
     let mut h = Harness::new();
     h.bench_units(&format!("inference/embed/frozen/batch{BATCH}"), BATCH as f64, "mention", || {
         black_box(frozen_bi.embed_mentions_batch(black_box(&bags)));
-    });
-    h.bench_units(&format!("inference/embed/f16/batch{BATCH}"), BATCH as f64, "mention", || {
-        black_box(f16_bi.embed_mentions_batch(black_box(&bags)));
     });
     h.bench_units(&format!("inference/embed/int8/batch{BATCH}"), BATCH as f64, "mention", || {
         black_box(i8_bi.embed_mentions_batch(black_box(&bags)));
@@ -99,24 +95,19 @@ fn main() {
     // Embedding-table residency across modes (bi + cross tables; the
     // tables dominate model size at production vocab scale).
     let bytes_f64 = frozen_bi.table_bytes() + frozen_cross.table_bytes();
-    let bytes_f16 = f16_bi.table_bytes() + cross.freeze(QuantMode::F16).table_bytes();
     let bytes_i8 = i8_bi.table_bytes() + cross.freeze(QuantMode::Int8).table_bytes();
 
     // --- Quantized top-1 agreement on a *trained* model: near-tie
     // decisions only mean something once the scores carry signal.
-    let (agree_f16, agree_i8, n_eval) = quantized_agreement();
+    let (agree_i8, n_eval) = quantized_agreement();
 
     let summary = format!(
         "{{\"batch\":{BATCH},\"k\":{K},\
          \"table_bytes_f64\":{bytes_f64},\
-         \"table_bytes_f16\":{bytes_f16},\
          \"table_bytes_int8\":{bytes_i8},\
-         \"memory_shrink_f16\":{:.2},\
          \"memory_shrink_int8\":{:.2},\
-         \"top1_agreement_f16\":{agree_f16:.2},\
          \"top1_agreement_int8\":{agree_i8:.2},\
          \"agreement_eval_mentions\":{n_eval}}}",
-        bytes_f64 as f64 / bytes_f16 as f64,
         bytes_f64 as f64 / bytes_i8 as f64,
     );
     h.report_with_summary(
@@ -127,17 +118,16 @@ fn main() {
 
     println!("\nacceptance metrics (batch {BATCH}):");
     println!(
-        "  table memory: f64 {bytes_f64} B, f16 {bytes_f16} B ({:.2}x), int8 {bytes_i8} B ({:.2}x)",
-        bytes_f64 as f64 / bytes_f16 as f64,
+        "  table memory: f64 {bytes_f64} B, int8 {bytes_i8} B ({:.2}x)",
         bytes_f64 as f64 / bytes_i8 as f64,
     );
-    println!("  top-1 agreement over {n_eval} mentions: f16 {agree_f16:.2}%, int8 {agree_i8:.2}%");
+    println!("  top-1 agreement over {n_eval} mentions: int8 {agree_i8:.2}%");
 }
 
 /// Train the tiny-world fixture (the same recipe as mb-core's linker
-/// tests) and measure how often the quantized linkers reproduce the
+/// tests) and measure how often the int8 linker reproduces the
 /// exact linker's top-1 prediction on held-out mentions.
-fn quantized_agreement() -> (f64, f64, usize) {
+fn quantized_agreement() -> (f64, usize) {
     let world = World::generate(WorldConfig::tiny(43));
     let vocab = build_vocab(world.kb(), [], 1);
     let domain = world.domain("TargetX").clone();
@@ -185,13 +175,10 @@ fn quantized_agreement() -> (f64, f64, usize) {
     let exact = TwoStageLinker::new(&bi, &cross, &vocab, world.kb(), dict, base);
     let want: Vec<_> =
         exact.link_batch(test).expect("link").into_iter().map(|r| r.predicted).collect();
-    let agreement = |quant: QuantMode| -> f64 {
-        let cfg = LinkerConfig { quant, ..base };
-        let linker = TwoStageLinker::new(&bi, &cross, &vocab, world.kb(), dict, cfg);
-        let got: Vec<_> =
-            linker.link_batch(test).expect("link").into_iter().map(|r| r.predicted).collect();
-        let agree = want.iter().zip(&got).filter(|(a, b)| a == b).count();
-        100.0 * agree as f64 / want.len().max(1) as f64
-    };
-    (agreement(QuantMode::F16), agreement(QuantMode::Int8), test.len())
+    let cfg = LinkerConfig { quant: QuantMode::Int8, ..base };
+    let linker = TwoStageLinker::new(&bi, &cross, &vocab, world.kb(), dict, cfg);
+    let got: Vec<_> =
+        linker.link_batch(test).expect("link").into_iter().map(|r| r.predicted).collect();
+    let agree = want.iter().zip(&got).filter(|(a, b)| a == b).count();
+    (100.0 * agree as f64 / want.len().max(1) as f64, test.len())
 }

@@ -27,9 +27,7 @@ use mb_bench::harness::Harness;
 use mb_common::Rng;
 use mb_datagen::{EntityStream, StreamConfig};
 use mb_encoders::retrieval::CandidateSource;
-use mb_store::{
-    EntityStore, IvfConfig, IvfIndex, ShardTable, StoreBuilder, StoreConfig, StoreRecord, Threads,
-};
+use mb_store::{EntityStore, IvfConfig, IvfIndex, StoreBuilder, StoreConfig, StoreRecord, Threads};
 use mb_tensor::quant::QuantMode;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
@@ -208,10 +206,7 @@ fn assert_fused_matches_serial<S: CandidateSource>(
 fn oracle_top_k(store: &EntityStore, q: &[f64]) -> Vec<(u32, u64)> {
     let mut scores = Vec::with_capacity(store.len());
     for shard in store.shards() {
-        match shard.table() {
-            ShardTable::Int8(t) => scores.extend(t.score_all(q, Threads::single())),
-            ShardTable::F16(_) => panic!("the smoke store is int8"),
-        }
+        scores.extend(shard.table().score_all(q, Threads::single()));
     }
     let mut order: Vec<usize> = (0..scores.len()).collect();
     order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));

@@ -21,7 +21,7 @@ use mb_encoders::crossencoder::CrossEncoder;
 use mb_encoders::input::{build_vocab, mention_bag};
 use mb_encoders::retrieval::CandidateSource;
 use mb_kb::EntityId;
-use mb_tensor::quant::{QuantF16, QuantI8};
+use mb_tensor::quant::QuantI8;
 use mb_tensor::{QuantMode, Tensor};
 use mb_text::Vocab;
 use std::sync::{Arc, OnceLock};
@@ -73,7 +73,6 @@ fn fixture() -> &'static Fixture {
 /// graph's encoder, stored as `quant` stores it.
 enum Stored {
     F64(Tensor),
-    F16(QuantF16),
     Int8(QuantI8),
 }
 
@@ -99,7 +98,6 @@ impl<'l, 'a> Reference<'l, 'a> {
         let vectors = linker.bi.embed_entities(&bags);
         let table = match linker.cfg.quant {
             QuantMode::Exact => Stored::F64(vectors),
-            QuantMode::F16 => Stored::F16(QuantF16::from_tensor(&vectors)),
             QuantMode::Int8 => Stored::Int8(QuantI8::from_tensor(&vectors)),
         };
         Reference { linker, table }
@@ -111,7 +109,6 @@ impl<'l, 'a> Reference<'l, 'a> {
         let query = l.frozen_bi().embed_mentions_batch(&[bag]);
         let table = match &self.table {
             Stored::F64(t) => Table::F64(t),
-            Stored::F16(t) => Table::F16(t),
             Stored::Int8(t) => Table::Int8(t),
         };
         let ids = l.index().ids();
@@ -197,7 +194,7 @@ mb_check::check! {
         let batch: Vec<LinkedMention> =
             picks.iter().chain(&picks[..1]).map(|&i| f.mentions[i].clone()).collect();
         let dict = f.world.kb().domain_entities(f.world.domain("TargetX").id);
-        for quant in [QuantMode::Exact, QuantMode::F16, QuantMode::Int8] {
+        for quant in [QuantMode::Exact, QuantMode::Int8] {
             let mut want = None;
             for threads in 1..=4 {
                 let threads = mb_par::Threads::new(threads);

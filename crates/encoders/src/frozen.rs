@@ -15,10 +15,9 @@
 //! second statement of the same chains, because they need `Var`s. Both
 //! are built from the `mb_tensor::frozen` kernels, and one test per
 //! encoder below pins graph value ≡ this forward ≡ the frozen handle,
-//! bit for bit, at any thread count. With [`QuantMode::F16`] /
-//! [`QuantMode::Int8`] the embedding table is quantized once at freeze
-//! time and carries the bounded-error contract of
-//! [`mb_tensor::quant`] instead.
+//! bit for bit, at any thread count. With [`QuantMode::Int8`] the
+//! embedding table is quantized once at freeze time and carries the
+//! bounded-error contract of [`mb_tensor::quant`] instead.
 
 use crate::biencoder::{BiEncoderConfig, BiIds, SideIds, EMBED_CHUNK, NORM_EPS};
 use crate::crossencoder::{CandidateSet, CrossIds, SCORE_CHUNK};
@@ -26,7 +25,7 @@ use crate::input::EntityFeatures;
 use mb_par::Threads;
 use mb_tensor::frozen::{self, FrozenParams};
 use mb_tensor::params::ParamId;
-use mb_tensor::quant::{QuantF16, QuantI8};
+use mb_tensor::quant::QuantI8;
 use mb_tensor::{Params, QuantMode, Tensor};
 use std::sync::Arc;
 
@@ -35,8 +34,6 @@ use std::sync::Arc;
 pub(crate) enum EmbTable {
     /// The `f64` parameter tensor itself (bit-exact).
     Exact,
-    /// IEEE-754 binary16 copy, 4× smaller.
-    F16(QuantF16),
     /// Per-row symmetric int8 copy, ~8× smaller.
     Int8(QuantI8),
 }
@@ -45,7 +42,6 @@ impl EmbTable {
     fn build(mode: QuantMode, table: &Tensor) -> EmbTable {
         match mode {
             QuantMode::Exact => EmbTable::Exact,
-            QuantMode::F16 => EmbTable::F16(QuantF16::from_tensor(table)),
             QuantMode::Int8 => EmbTable::Int8(QuantI8::from_tensor(table)),
         }
     }
@@ -53,7 +49,6 @@ impl EmbTable {
     fn bag_embed(&self, exact: &Tensor, bags: &[impl AsRef<[u32]>]) -> Tensor {
         match self {
             EmbTable::Exact => frozen::bag_embed(exact, bags),
-            EmbTable::F16(t) => t.bag_embed(bags),
             EmbTable::Int8(t) => t.bag_embed(bags),
         }
     }
@@ -61,7 +56,6 @@ impl EmbTable {
     fn bytes(&self, exact: &Tensor) -> usize {
         match self {
             EmbTable::Exact => exact.numel() * std::mem::size_of::<f64>(),
-            EmbTable::F16(t) => t.bytes(),
             EmbTable::Int8(t) => t.bytes(),
         }
     }
@@ -456,16 +450,12 @@ mod tests {
         let cfg = BiEncoderConfig { emb_dim: 16, hidden: 16, out_dim: 16, ..Default::default() };
         let model = BiEncoder::new(&vocab, cfg, &mut Rng::seed_from_u64(9));
         let exact = model.freeze(QuantMode::Exact);
-        let f16 = model.freeze(QuantMode::F16);
         let i8 = model.freeze(QuantMode::Int8);
-        assert_eq!(exact.table_bytes(), f16.table_bytes() * 4);
         assert!(exact.table_bytes() / i8.table_bytes() >= 2, "int8 must at least halve the table");
-        assert_eq!(f16.mode(), QuantMode::F16);
+        assert_eq!(i8.mode(), QuantMode::Int8);
         let bags: Vec<Vec<u32>> = pairs.iter().take(12).map(|p| p.mention.clone()).collect();
         let want = exact.embed_mentions_batch(&bags);
-        for (label, frozen, bound) in
-            [("f16", &f16, 5e-3), ("int8", &i8, 5e-2), ("exact", &exact, 0.0)]
-        {
+        for (label, frozen, bound) in [("int8", &i8, 5e-2), ("exact", &exact, 0.0)] {
             let got = frozen.embed_mentions_batch(&bags);
             let max_err = want
                 .data()

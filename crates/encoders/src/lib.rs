@@ -10,10 +10,10 @@
 //!   loss; powers candidate re-ranking.
 //! * [`frozen`] — each encoder's tape-free inference forward, written
 //!   once, and the `Arc`-shared frozen handles that serve it
-//!   (optionally with f16/int8 quantized embedding tables under a
+//!   (optionally with int8 quantized embedding tables under a
 //!   bounded-error contract).
 //! * [`retrieval`] — the top-k retrieval scan and the flat
-//!   (f64 / f16 / int8) indices over entity embeddings built on it.
+//!   (f64 / int8) indices over entity embeddings built on it.
 //! * [`input`] — featurization of mentions/entities into token bags and
 //!   vocabulary construction.
 //! * [`train`] — plain (unweighted) trainers used by the BLINK baseline;

@@ -5,13 +5,13 @@
 //! implementation — score contiguous [`Rows`] against a block of
 //! prepared queries, feed per-query [`TopK`] selectors. [`DenseIndex`]
 //! (exact `f64`, used for evaluation: R@64 must be exact) and
-//! [`QuantizedIndex`] (f16 / int8) are that scan over one list holding
+//! [`QuantizedIndex`] (int8) are that scan over one list holding
 //! every row; the sharded-store IVF index in `mb-store` is the same
 //! scan over its centroid table and then over each probed list. Int8
 //! rows are stored and scanned in [`TILE_ROWS`]-row dimension-major
 //! tiles, so up to [`TILE_QUERIES`] queries score a tile's rows in SIMD
 //! lanes per pass, and a tile's scores reach a selector only when one
-//! of them can enter it ([`TopK::floor`]); float rows stay row-major
+//! of them can enter it ([`TopK::floor`]); `f64` rows stay row-major
 //! and put the block's queries in lanes instead.
 //!
 //! [`CandidateSource`] is the retrieval abstraction the two-stage
@@ -31,7 +31,7 @@ use mb_kb::{EntityId, KnowledgeBase};
 use mb_tensor::kernels::{
     dot_block_f64, dot_tile_i8_n, tile_rows, DOT_BLOCK, I8_EXACT_COLS, TILE_QUERIES, TILE_ROWS,
 };
-use mb_tensor::quant::{f16_to_f64, quantize_i8, QuantF16, QuantI8};
+use mb_tensor::quant::{quantize_i8, QuantI8};
 use mb_tensor::{QuantMode, Tensor};
 use mb_text::Vocab;
 
@@ -55,8 +55,6 @@ const _: () = assert!(SCORE_CHUNK.is_multiple_of(TILE_ROWS));
 pub enum Rows<'a> {
     /// Exact rows, row-major.
     F64(&'a [f64]),
-    /// binary16 bit patterns, row-major.
-    F16(&'a [u16]),
     /// Per-row symmetric int8 codes with one dequantization scale per
     /// row, at most [`I8_EXACT_COLS`] wide, so the scan's `f32` sums
     /// are exact integers.
@@ -88,9 +86,7 @@ pub struct QueryBlock<'a> {
     scales: Vec<f64>,
     /// `[dim, members]` gather of `qt` for the scan in flight.
     member_qt: Vec<f64>,
-    /// One decoded f16 row.
-    row: Vec<f64>,
-    /// One score per member (float rows).
+    /// One score per member (`f64` rows).
     scores: Vec<f64>,
 }
 
@@ -110,7 +106,6 @@ impl<'a> QueryBlock<'a> {
             codes: Vec::new(),
             scales: Vec::new(),
             member_qt: Vec::new(),
-            row: vec![0.0; dim],
             scores: Vec::new(),
         }
     }
@@ -135,22 +130,22 @@ impl<'a> QueryBlock<'a> {
     /// member and offer row `pos` to `sels[slot]` as candidate
     /// `base + pos`.
     ///
-    /// The two element families put different things in SIMD lanes.
-    /// Float rows are decoded once (f16; exact) and folded into one
-    /// accumulator chain per member by [`dot_block_f64`] — the block's
-    /// queries sit in lanes, because f64 dots are latency chains a lone
-    /// fold is stuck behind. Int8 rows sit in lanes themselves: they
-    /// are stored in [`TILE_ROWS`]-row dimension-major tiles, and
-    /// [`dot_tile_i8_n`] scores a whole tile for up to [`TILE_QUERIES`]
-    /// members at once with vertical multiply-adds, each member's sums
-    /// in registers of its own, and no horizontal reduction. They go in
-    /// runs of at most [`SCORE_CHUNK`] rows, and per run the members go
-    /// in groups of up to [`TILE_QUERIES`], the kernel instantiated for
-    /// the group's length, so a lone member pays for one query. Per
-    /// tile, each member's real rows (never the padding) are scaled in
-    /// a stack array and offered to its selector only when one of them
-    /// is `>=` [`TopK::floor`] — an exact test, so most tiles never
-    /// touch the heap.
+    /// The two element types put different things in SIMD lanes. `f64`
+    /// rows are folded into one accumulator chain per member by
+    /// [`dot_block_f64`] — the block's queries sit in lanes, because
+    /// f64 dots are latency chains a lone fold is stuck behind. Int8
+    /// rows sit in lanes themselves: they are stored in
+    /// [`TILE_ROWS`]-row dimension-major tiles, and [`dot_tile_i8_n`]
+    /// scores a whole tile for up to [`TILE_QUERIES`] members at once
+    /// with vertical multiply-adds, each member's sums in registers of
+    /// its own, and no horizontal reduction. They go in runs of at most
+    /// [`SCORE_CHUNK`] rows, and per run the members go in groups of up
+    /// to [`TILE_QUERIES`], the kernel instantiated for the group's
+    /// length, so a lone member pays for one query. Per tile, each
+    /// member's real rows (never the padding) are scaled in a stack
+    /// array and offered to its selector only when one of them is `>=`
+    /// [`TopK::floor`] — an exact test, so most tiles never touch the
+    /// heap.
     ///
     /// Every score is one ascending-column fold (f64: separate multiply
     /// and add; int8: the exact integer sum, held in `f32`, then
@@ -163,33 +158,36 @@ impl<'a> QueryBlock<'a> {
         if dim == 0 || m == 0 {
             return;
         }
-        let QueryBlock { queries, range, qt, codes, scales, member_qt, row, scores } = self;
-        if let Rows::Int8 { tiles, scales: rscales } = rows {
-            debug_assert_eq!(tiles.len(), rscales.len().div_ceil(TILE_ROWS) * TILE_ROWS * dim);
-            if codes.is_empty() {
-                for qi in range.clone() {
-                    let (c, s) = quantize_i8(queries.row(qi));
-                    codes.extend_from_slice(&c);
-                    scales.push(s);
+        let QueryBlock { queries, range, qt, codes, scales, member_qt, scores } = self;
+        let data = match rows {
+            Rows::F64(data) => data,
+            Rows::Int8 { tiles, scales: rscales } => {
+                debug_assert_eq!(tiles.len(), rscales.len().div_ceil(TILE_ROWS) * TILE_ROWS * dim);
+                if codes.is_empty() {
+                    for qi in range.clone() {
+                        let (c, s) = quantize_i8(queries.row(qi));
+                        codes.extend_from_slice(&c);
+                        scales.push(s);
+                    }
                 }
-            }
-            for (run, (rt, rs)) in
-                tiles.chunks(SCORE_CHUNK * dim).zip(rscales.chunks(SCORE_CHUNK)).enumerate()
-            {
-                for group in members.chunks(TILE_QUERIES) {
-                    // One instantiation per group length 1..=TILE_QUERIES.
-                    const _: () = assert!(TILE_QUERIES == 4);
-                    let scan_group = match group.len() {
-                        1 => scan_i8_group::<1>,
-                        2 => scan_i8_group::<2>,
-                        3 => scan_i8_group::<3>,
-                        _ => scan_i8_group::<4>,
-                    };
-                    scan_group(rt, rs, run * SCORE_CHUNK, group, codes, scales, sels);
+                for (run, (rt, rs)) in
+                    tiles.chunks(SCORE_CHUNK * dim).zip(rscales.chunks(SCORE_CHUNK)).enumerate()
+                {
+                    for group in members.chunks(TILE_QUERIES) {
+                        // One instantiation per group length 1..=TILE_QUERIES.
+                        const _: () = assert!(TILE_QUERIES == 4);
+                        let scan_group = match group.len() {
+                            1 => scan_i8_group::<1>,
+                            2 => scan_i8_group::<2>,
+                            3 => scan_i8_group::<3>,
+                            _ => scan_i8_group::<4>,
+                        };
+                        scan_group(rt, rs, run * SCORE_CHUNK, group, codes, scales, sels);
+                    }
                 }
+                return;
             }
-            return;
-        }
+        };
         member_qt.clear();
         for qrow in qt.chunks_exact(nq) {
             member_qt.extend(members.iter().map(|&(slot, _)| qrow[slot]));
@@ -198,27 +196,11 @@ impl<'a> QueryBlock<'a> {
             scores.resize(m, 0.0);
         }
         let acc = &mut scores[..m];
-        let mut offer = |pos: usize, v: &[f64]| {
+        for (pos, v) in data.chunks_exact(dim).enumerate() {
             dot_block_f64(v, member_qt, m, acc);
             for (&(slot, base), &s) in members.iter().zip(acc.iter()) {
                 sels[slot].push(base + pos, s);
             }
-        };
-        match rows {
-            Rows::F64(data) => {
-                for (pos, v) in data.chunks_exact(dim).enumerate() {
-                    offer(pos, v);
-                }
-            }
-            Rows::F16(bits) => {
-                for (pos, halves) in bits.chunks_exact(dim).enumerate() {
-                    for (d, &h) in row.iter_mut().zip(halves) {
-                        *d = f16_to_f64(h);
-                    }
-                    offer(pos, row);
-                }
-            }
-            Rows::Int8 { .. } => {} // scanned above
         }
     }
 }
@@ -481,81 +463,49 @@ impl DenseIndex {
     }
 }
 
-/// Storage of a [`QuantizedIndex`].
-#[derive(Debug, Clone)]
-enum QuantTable {
-    F16(QuantF16),
-    /// The int8 scan table: codes in [`TILE_ROWS`]-row tiles (the
-    /// layout [`Rows::Int8`] scans) plus one scale per row. It replaces
-    /// the row-major [`QuantI8`] codes it is built from.
-    Int8 {
-        dim: usize,
-        tiles: Vec<i8>,
-        scales: Vec<f64>,
-    },
-}
-
 /// A quantized copy of a [`DenseIndex`]: same ids and ranking
-/// semantics, but the entity vectors are stored as f16 or per-row
-/// symmetric int8 and scored without dequantizing to a full table.
+/// semantics, but the entity vectors are stored as per-row symmetric
+/// int8 and scored without dequantizing to a full table.
 ///
 /// Rankings carry the bounded-error contract of [`mb_tensor::quant`]
 /// rather than bit equality with the exact index; near-tie candidates
 /// may swap. Scoring stays bit-identical across thread counts.
 #[derive(Debug, Clone)]
 pub struct QuantizedIndex {
-    table: QuantTable,
+    dim: usize,
+    /// The codes in [`TILE_ROWS`]-row tiles, the layout [`Rows::Int8`]
+    /// scans; they replace the row-major [`QuantI8`] codes they are
+    /// built from.
+    tiles: Vec<i8>,
+    /// One scale per row.
+    scales: Vec<f64>,
     ids: Vec<EntityId>,
 }
 
 impl QuantizedIndex {
-    /// Quantize an exact index, row by row as
-    /// [`QuantI8::from_tensor`] / [`QuantF16::from_tensor`] do. Returns
-    /// `None` for [`QuantMode::Exact`] — callers keep using the
-    /// [`DenseIndex`] itself in that mode.
+    /// Quantize an exact index row by row, as [`QuantI8::from_tensor`]
+    /// does, straight into scan tiles: no row-major table is built
+    /// beside them. Returns `None` for [`QuantMode::Exact`] — callers
+    /// keep using the [`DenseIndex`] itself in that mode.
     ///
     /// # Errors
     /// [`mb_common::Error::ShapeMismatch`] in int8 mode when the vectors
     /// are wider than [`I8_EXACT_COLS`].
     pub fn from_dense(index: &DenseIndex, mode: QuantMode) -> mb_common::Result<Option<Self>> {
-        let table = match mode {
-            QuantMode::Exact => return Ok(None),
-            QuantMode::F16 => QuantTable::F16(QuantF16::from_tensor(&index.vectors)),
-            QuantMode::Int8 => {
-                // Quantized row by row straight into tiles: no row-major
-                // table is built beside them.
-                let vectors = &index.vectors;
-                let (n, dim) = (vectors.rows(), vectors.cols());
-                check_i8_width("QuantizedIndex::from_dense", dim)?;
-                let mut scales = Vec::with_capacity(n);
-                let codes = (0..n).map(|i| {
-                    let (codes, scale) = quantize_i8(vectors.row(i));
-                    scales.push(scale);
-                    codes
-                });
-                let tiles = tile_rows(TILE_ROWS, n, dim, codes);
-                QuantTable::Int8 { dim, tiles, scales }
-            }
-        };
-        Ok(Some(QuantizedIndex { table, ids: index.ids.clone() }))
-    }
-
-    /// Assemble from a prebuilt f16 table (rows aligned with `ids`) —
-    /// the shard-load path: `mb-store` persists the raw table bits, so
-    /// serve start-up reloads them here without re-quantizing.
-    ///
-    /// # Errors
-    /// [`mb_common::Error::ShapeMismatch`] when row count and id count
-    /// differ.
-    pub fn from_f16(table: QuantF16, ids: Vec<EntityId>) -> mb_common::Result<Self> {
-        if table.rows() != ids.len() {
-            return Err(mb_common::Error::shape(
-                "QuantizedIndex::from_f16",
-                format!("{} ids (one per row)", table.rows()),
-                format!("{} ids", ids.len()),
-            ));
+        if mode == QuantMode::Exact {
+            return Ok(None);
         }
-        Ok(QuantizedIndex { table: QuantTable::F16(table), ids })
+        let vectors = &index.vectors;
+        let (n, dim) = (vectors.rows(), vectors.cols());
+        check_i8_width("QuantizedIndex::from_dense", dim)?;
+        let mut scales = Vec::with_capacity(n);
+        let codes = (0..n).map(|i| {
+            let (codes, scale) = quantize_i8(vectors.row(i));
+            scales.push(scale);
+            codes
+        });
+        let tiles = tile_rows(TILE_ROWS, n, dim, codes);
+        Ok(Some(QuantizedIndex { dim, tiles, scales, ids: index.ids.clone() }))
     }
 
     /// Assemble from prebuilt int8 tables, their rows concatenated in
@@ -597,17 +547,12 @@ impl QuantizedIndex {
         for t in &tables {
             scales.extend_from_slice(t.scales());
         }
-        Ok(QuantizedIndex { table: QuantTable::Int8 { dim, tiles, scales }, ids })
+        Ok(QuantizedIndex { dim, tiles, scales, ids })
     }
 
     /// Resident bytes of the stored vectors.
     pub fn bytes(&self) -> usize {
-        match &self.table {
-            QuantTable::F16(t) => t.bytes(),
-            QuantTable::Int8 { tiles, scales, .. } => {
-                tiles.len() + std::mem::size_of_val(scales.as_slice())
-            }
-        }
+        self.tiles.len() + std::mem::size_of_val(self.scales.as_slice())
     }
 }
 
@@ -663,10 +608,7 @@ impl CandidateSource for QuantizedIndex {
     }
 
     fn dim(&self) -> usize {
-        match &self.table {
-            QuantTable::F16(t) => t.cols(),
-            QuantTable::Int8 { dim, .. } => *dim,
-        }
+        self.dim
     }
 
     fn find_id(&self, reject: &mut dyn FnMut(EntityId) -> bool) -> Option<EntityId> {
@@ -679,13 +621,9 @@ impl CandidateSource for QuantizedIndex {
         k: usize,
         threads: mb_par::Threads,
     ) -> mb_common::Result<Vec<Vec<(EntityId, f64)>>> {
-        let rows = match &self.table {
-            QuantTable::F16(t) => Rows::F16(t.bits()),
-            QuantTable::Int8 { tiles, scales, .. } => Rows::Int8 { tiles, scales },
-        };
         flat_top_k_batch(
             "QuantizedIndex::top_k_batch",
-            rows,
+            Rows::Int8 { tiles: &self.tiles, scales: &self.scales },
             self.dim(),
             &self.ids,
             queries,
@@ -746,31 +684,24 @@ mod tests {
             DenseIndex::try_from_vectors(vectors.clone(), ids.clone()).expect("one id per row");
         assert!(QuantizedIndex::from_dense(&exact, QuantMode::Exact).expect("exact").is_none());
         let exact_bytes = vectors.numel() * std::mem::size_of::<f64>();
-        for (mode, shrink) in [(QuantMode::F16, 4), (QuantMode::Int8, 2)] {
-            let q = QuantizedIndex::from_dense(&exact, mode).expect("narrow").expect("quantized");
-            assert_eq!(q.len(), 300);
-            assert!(!q.is_empty());
-            assert!(
-                exact_bytes / q.bytes() >= shrink,
-                "{mode:?}: {exact_bytes} vs {} bytes",
-                q.bytes()
-            );
-            let mut rng = Rng::seed_from_u64(12);
-            let query: Vec<f64> = (0..16).map(|_| rng.gaussian()).collect();
-            // The top-1 has a clear margin on random normalized data, so
-            // quantization noise must not flip it.
-            let e = exact.top_k(&query, 1)[0].0;
-            let g = q.top_k(&query, 1)[0].0;
-            assert_eq!(e, g, "{mode:?} flipped a clear-margin top-1");
-            // Batched retrieval is bit-identical across thread counts.
-            let queries = Tensor::randn(vec![20, 16], 0.0, 1.0, &mut rng);
-            let serial = q.top_k_batch(&queries, 5, mb_par::Threads::single()).expect("batch");
-            for t in [2usize, 4] {
-                assert_eq!(
-                    q.top_k_batch(&queries, 5, mb_par::Threads::new(t)).expect("batch"),
-                    serial
-                );
-            }
+        let q = QuantizedIndex::from_dense(&exact, QuantMode::Int8)
+            .expect("narrow")
+            .expect("quantized");
+        assert_eq!(q.len(), 300);
+        assert!(!q.is_empty());
+        assert!(exact_bytes / q.bytes() >= 2, "{exact_bytes} vs {} bytes", q.bytes());
+        let mut rng = Rng::seed_from_u64(12);
+        let query: Vec<f64> = (0..16).map(|_| rng.gaussian()).collect();
+        // The top-1 has a clear margin on random normalized data, so
+        // quantization noise must not flip it.
+        let e = exact.top_k(&query, 1)[0].0;
+        let g = q.top_k(&query, 1)[0].0;
+        assert_eq!(e, g, "int8 flipped a clear-margin top-1");
+        // Batched retrieval is bit-identical across thread counts.
+        let queries = Tensor::randn(vec![20, 16], 0.0, 1.0, &mut rng);
+        let serial = q.top_k_batch(&queries, 5, mb_par::Threads::single()).expect("batch");
+        for t in [2usize, 4] {
+            assert_eq!(q.top_k_batch(&queries, 5, mb_par::Threads::new(t)).expect("batch"), serial);
         }
     }
 
@@ -795,8 +726,6 @@ mod tests {
             if let Err(e) = int8 {
                 assert!(matches!(e, mb_common::Error::ShapeMismatch { .. }), "got {e:?}");
             }
-            // f16 rows are scored in f64: any width is fine.
-            assert!(QuantizedIndex::from_dense(&dense, QuantMode::F16).is_ok());
         }
         // The widest table of −128 codes against a −127 query scores
         // the exact product, not a rounded one.

@@ -4,8 +4,8 @@
 //! batch, which crosses different block compositions, member groups
 //! and selector floors — and (b) the independent oracle in `support`
 //! (score every row with the reference fold, sort everything): same
-//! entity ids, same `f64::to_bits` score patterns, for all three
-//! element types. The fixtures are the adversarial near-tie
+//! entity ids, same `f64::to_bits` score patterns, for both element
+//! types. The fixtures are the adversarial near-tie
 //! distributions from the quantized-retrieval suite, so the
 //! lowest-position tie-break is actually exercised, not just the
 //! clear-margin happy path; int8 tables also come raw, at the scan's
@@ -24,7 +24,7 @@ use mb_encoders::{DenseIndex, QuantizedIndex};
 use mb_kb::EntityId;
 use mb_par::Threads;
 use mb_tensor::kernels::TILE_ROWS;
-use mb_tensor::quant::{QuantF16, QuantI8};
+use mb_tensor::quant::QuantI8;
 use mb_tensor::{QuantMode, Tensor};
 use support::{reference_top_k, Table};
 
@@ -125,9 +125,6 @@ mb_check::check! {
         let spread = [1e-6, 1e-3, 1e-1][rng.below(3)];
         let vectors = near_tie_vectors(n, dim, spread, seed ^ 3);
         let queries = query_matrix(batch, dim, seed ^ 4);
-        let f16 = QuantF16::from_tensor(&vectors);
-        let index = QuantizedIndex::from_f16(f16.clone(), row_ids(n)).expect("aligned");
-        check_against_serial_and_oracle("f16", &index, Table::F16(&f16), &queries, k)?;
         let i8s = QuantI8::from_tensor(&vectors);
         let index = QuantizedIndex::from_i8([&i8s], row_ids(n)).expect("aligned");
         check_against_serial_and_oracle("int8", &index, Table::Int8(&i8s), &queries, k)?;
@@ -180,7 +177,7 @@ fn empty_batches_and_bad_shapes_are_handled_without_panicking() {
     assert!(index.top_k_batch(&rank1, 4, Threads::single()).is_err());
     let wide = Tensor::zeros(vec![2, 7]);
     assert!(index.top_k_batch(&wide, 4, Threads::single()).is_err());
-    let q = QuantizedIndex::from_dense(&index, QuantMode::F16).expect("f16").expect("quantized");
+    let q = QuantizedIndex::from_dense(&index, QuantMode::Int8).expect("int8").expect("quantized");
     assert!(q.top_k_batch(&rank1, 4, Threads::single()).is_err());
     assert!(q.top_k_batch(&wide, 4, Threads::single()).is_err());
     assert!(q.top_k_batch(&empty, 4, Threads::new(3)).expect("empty").is_empty());

@@ -6,25 +6,23 @@
 #![allow(dead_code)] // each suite uses its own subset
 
 use mb_par::Threads;
-use mb_tensor::quant::{QuantF16, QuantI8};
+use mb_tensor::quant::QuantI8;
 use mb_tensor::Tensor;
 
 /// A table the oracle can score, one variant per scan element type.
 #[derive(Clone, Copy)]
 pub enum Table<'a> {
     F64(&'a Tensor),
-    F16(&'a QuantF16),
     Int8(&'a QuantI8),
 }
 
 /// `query` against every row: the naive in-order f64 dot, or the
-/// `mb_tensor` reference fold for the quantized tables.
+/// `mb_tensor` reference fold for the int8 table.
 pub fn reference_scores(table: Table<'_>, query: &[f64]) -> Vec<f64> {
     match table {
         Table::F64(t) => {
             (0..t.rows()).map(|i| t.row(i).iter().zip(query).map(|(a, b)| a * b).sum()).collect()
         }
-        Table::F16(t) => t.score_all(query, Threads::single()),
         Table::Int8(t) => t.score_all(query, Threads::single()),
     }
 }

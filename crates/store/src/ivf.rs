@@ -43,7 +43,7 @@
 //! `save`/`load` round-trip the exact `f64` bit patterns, so a loaded
 //! index answers queries identically to the one that was built.
 
-use crate::shard::{self, open_frames, ShardTable, MAGIC};
+use crate::shard::{self, open_frames, MAGIC};
 use crate::store::EntityStore;
 use mb_common::storage::{atomic_write, read_frame, write_frames};
 use mb_common::{Error, Result, Rng};
@@ -51,7 +51,6 @@ use mb_encoders::retrieval::{top_k_blocks, CandidateSource, QueryBlock, Rows};
 use mb_kb::EntityId;
 use mb_par::{par_map_range, Threads};
 use mb_tensor::kernels::{tile_rows, TILE_ROWS};
-use mb_tensor::quant::QuantMode;
 use mb_tensor::Tensor;
 use std::fs::File;
 use std::path::Path;
@@ -97,81 +96,47 @@ pub struct IvfIndex {
     /// lists own their codes), so search streams each probed list as
     /// one contiguous block with no per-row shard resolution. Derived
     /// from the store at build/load — never serialized — and holding
-    /// the shard tables' codes and scales verbatim (int8 in scan
-    /// tiles), so scoring from it is bit-identical to the flat scan of
+    /// the shard tables' codes (in scan tiles) and scales verbatim, so
+    /// scoring from it is bit-identical to the flat scan of
     /// [`EntityStore::quantized_index`]. Costs one extra copy of the
-    /// code tables (`n * dim` codes plus `n` scales for int8, and at
-    /// most `TILE_ROWS - 1` zero rows of padding per list).
+    /// code tables (`n * dim` codes plus `n` scales, and at most
+    /// `TILE_ROWS - 1` zero rows of padding per list).
     packed: PackedLists,
 }
 
-/// Inverted-list-ordered copies of the store's quantized rows.
-enum PackedLists {
-    /// binary16 rows: `list.len() * dim` bit patterns per list.
-    F16(Vec<Vec<u16>>),
-    /// Per-row symmetric int8 rows plus their scales.
-    Int8 {
-        /// Per list, its rows in list order laid out as scan tiles
-        /// ([`tile_rows`], [`TILE_ROWS`] rows each, the last padded).
-        tiles: Vec<Vec<i8>>,
-        /// One dequantization scale per list row.
-        scales: Vec<Vec<f64>>,
-    },
+/// Inverted-list-ordered copies of the store's int8 rows.
+struct PackedLists {
+    /// Per list, its rows in list order laid out as scan tiles
+    /// ([`tile_rows`], [`TILE_ROWS`] rows each, the last padded).
+    tiles: Vec<Vec<i8>>,
+    /// One dequantization scale per list row.
+    scales: Vec<Vec<f64>>,
 }
 
 impl PackedLists {
     /// List `c` as scannable rows.
     fn rows(&self, c: usize) -> Rows<'_> {
-        match self {
-            PackedLists::F16(bits) => Rows::F16(&bits[c]),
-            PackedLists::Int8 { tiles, scales } => {
-                Rows::Int8 { tiles: &tiles[c], scales: &scales[c] }
-            }
-        }
+        Rows::Int8 { tiles: &self.tiles[c], scales: &self.scales[c] }
     }
 }
 
 /// Gather every list's rows out of the shard tables into contiguous
-/// per-list blocks — int8 codes straight into scan tiles. The store's
-/// quant mode is uniform across shards (enforced by
-/// [`EntityStore::open`] and the builder), so the table match per shard
-/// never misses.
+/// per-list blocks, the codes straight into scan tiles.
 fn pack_lists(store: &EntityStore, lists: &[Vec<u32>], dim: usize) -> PackedLists {
     let shards = store.shards();
     let cap = store.shard_capacity();
-    match store.quant_mode() {
-        QuantMode::Int8 => {
-            let int8_row = |row: u32| match shards[row as usize / cap].table() {
-                ShardTable::Int8(t) => Some((t, row as usize % cap)),
-                ShardTable::F16(_) => None,
-            };
-            let mut tiles = Vec::with_capacity(lists.len());
-            let mut scales = Vec::with_capacity(lists.len());
-            for list in lists {
-                let rows = || list.iter().filter_map(|&row| int8_row(row));
-                let codes = rows().map(|(t, i)| &t.codes()[i * dim..(i + 1) * dim]);
-                tiles.push(tile_rows(TILE_ROWS, list.len(), dim, codes));
-                let mut ls = Vec::with_capacity(list.len());
-                ls.extend(rows().map(|(t, i)| t.scales()[i]));
-                scales.push(ls);
-            }
-            PackedLists::Int8 { tiles, scales }
-        }
-        _ => {
-            let mut bits = Vec::with_capacity(lists.len());
-            for list in lists {
-                let mut lb = Vec::with_capacity(list.len() * dim);
-                for &row in list {
-                    let (si, local) = (row as usize / cap, row as usize % cap);
-                    if let ShardTable::F16(t) = shards[si].table() {
-                        lb.extend_from_slice(&t.bits()[local * dim..(local + 1) * dim]);
-                    }
-                }
-                bits.push(lb);
-            }
-            PackedLists::F16(bits)
-        }
+    let mut tiles = Vec::with_capacity(lists.len());
+    let mut scales = Vec::with_capacity(lists.len());
+    for list in lists {
+        let rows =
+            || list.iter().map(|&row| (shards[row as usize / cap].table(), row as usize % cap));
+        let codes = rows().map(|(t, i)| &t.codes()[i * dim..(i + 1) * dim]);
+        tiles.push(tile_rows(TILE_ROWS, list.len(), dim, codes));
+        let mut ls = Vec::with_capacity(list.len());
+        ls.extend(rows().map(|(t, i)| t.scales()[i]));
+        scales.push(ls);
     }
+    PackedLists { tiles, scales }
 }
 
 /// Centroids per k-means scoring tile: [`tile_centroids`] lays the

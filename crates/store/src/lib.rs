@@ -5,8 +5,8 @@
 //! crate is the tier above them:
 //!
 //! - [`shard`] — an on-disk, checksummed shard format
-//!   (`mb-store v1`): a fixed-width record directory and quantized
-//!   vector table are loaded eagerly; the variable-length text region
+//!   (`mb-store v1`): a fixed-width record directory and int8 vector
+//!   table are loaded eagerly; the variable-length text region
 //!   is CRC-verified **streamed** at open and then read per-record via
 //!   seek, so a shard's text is never materialized in memory.
 //! - [`store`] — [`EntityStore`]: a manifest-led directory of shards
@@ -29,7 +29,7 @@ pub mod shard;
 pub mod store;
 
 pub use ivf::{IvfConfig, IvfIndex, IVF_FILE};
-pub use shard::{Shard, ShardTable, StoreRecord};
+pub use shard::{Shard, StoreRecord};
 pub use store::{EntityStore, StoreBuilder, StoreConfig, MANIFEST};
 
 pub use mb_encoders::retrieval::CandidateSource;

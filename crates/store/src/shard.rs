@@ -7,19 +7,20 @@
 //! |---------|-----------------------------------------------------------|-------------------------------|
 //! | `meta`  | text: `shard`, `base`, `entities`, `dim`, `quant` lines   | ≤ 4 KiB                       |
 //! | `dir`   | one 16-byte LE record per entity: `text_off`, `title_len`, `desc_len`, reserved zero | `entities × 16`; offsets tile `text` contiguously |
-//! | `vecs`  | the raw `QuantF16` / `QuantI8` table fields               | f16 `n·dim·2`; int8 `n·8 + n·dim` |
+//! | `vecs`  | the raw `QuantI8` table fields: `n` LE `f64` scales, then `n·dim` codes | `n·8 + n·dim`  |
 //! | `text`  | concatenated UTF-8 titles and descriptions, in row order  | what `dir` covers             |
 //!
 //! Sections appear in exactly that order. `vecs` holds the table
 //! fields as quantized at build time, so loading a shard reassembles
-//! the tables byte-for-byte without re-quantizing.
+//! the table byte-for-byte without re-quantizing. `quant` is always
+//! `int8`; any other token fails the open.
 //!
 //! [`Shard::open`] is all-or-nothing: the container walker verifies
 //! every section CRC (streaming the large ones through its bounded
 //! buffer) before any schema check runs, and a failure yields no
 //! partially-usable shard.
 //!
-//! Memory model: only the directory and the quantized vector tables
+//! Memory model: only the directory and the quantized vector table
 //! become resident (both fixed-width, bounded by the shard capacity).
 //! The varlen `text` region is never materialized — titles and
 //! descriptions are served on demand via `seek` + `read_exact` byte
@@ -28,7 +29,7 @@
 
 use mb_common::storage::{atomic_write, read_frame, verify_frames, write_frames, Frame};
 use mb_common::{Error, Result};
-use mb_tensor::quant::{f16_to_f64, QuantF16, QuantI8};
+use mb_tensor::quant::QuantI8;
 use mb_tensor::{QuantMode, Tensor};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -56,15 +57,6 @@ pub struct StoreRecord {
     pub vector: Vec<f64>,
 }
 
-/// The quantized vector table of one shard.
-#[derive(Debug, Clone)]
-pub enum ShardTable {
-    /// binary16 storage.
-    F16(QuantF16),
-    /// Per-row symmetric int8 storage.
-    Int8(QuantI8),
-}
-
 /// One fixed-width directory record: byte-offset view into `text`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct DirEntry {
@@ -73,8 +65,8 @@ struct DirEntry {
     desc_len: u32,
 }
 
-/// An open, fully verified shard. Vector tables and the directory are
-/// resident; text is read on demand by byte offset.
+/// An open, fully verified shard. The int8 vector table and the
+/// directory are resident; text is read on demand by byte offset.
 #[derive(Debug)]
 pub struct Shard {
     path: PathBuf,
@@ -82,7 +74,7 @@ pub struct Shard {
     base: u32,
     dim: usize,
     dir: Vec<DirEntry>,
-    table: ShardTable,
+    table: QuantI8,
     text_pos: u64,
     file: Mutex<File>,
 }
@@ -103,14 +95,6 @@ fn le_u32(bytes: &[u8]) -> u32 {
     u32::from_le_bytes(b)
 }
 
-fn le_u16(bytes: &[u8]) -> u16 {
-    let mut b = [0u8; 2];
-    for (d, s) in b.iter_mut().zip(bytes) {
-        *d = *s;
-    }
-    u16::from_le_bytes(b)
-}
-
 fn le_f64(bytes: &[u8]) -> f64 {
     let mut b = [0u8; 8];
     for (d, s) in b.iter_mut().zip(bytes) {
@@ -119,22 +103,21 @@ fn le_f64(bytes: &[u8]) -> f64 {
     f64::from_le_bytes(b)
 }
 
-/// Quantization-mode token used in `meta` and the manifest.
-pub fn quant_token(mode: QuantMode) -> Result<&'static str> {
+/// Quantization-mode token used in `meta` and the manifest: the store
+/// persists int8 tables only.
+pub(crate) fn quant_token(mode: QuantMode) -> Result<&'static str> {
     match mode {
-        QuantMode::F16 => Ok("f16"),
         QuantMode::Int8 => Ok("int8"),
         QuantMode::Exact => Err(Error::InvalidConfig(
-            "the entity store persists quantized tables; use QuantMode::F16 or Int8".to_string(),
+            "the entity store persists quantized tables; use QuantMode::Int8".to_string(),
         )),
     }
 }
 
-/// Parse a quantization-mode token back.
-pub fn parse_quant_token(token: &str) -> Result<QuantMode> {
+/// Check a `quant` token read back from `meta` or the manifest.
+pub(crate) fn check_quant_token(token: &str) -> Result<()> {
     match token {
-        "f16" => Ok(QuantMode::F16),
-        "int8" => Ok(QuantMode::Int8),
+        "int8" => Ok(()),
         other => Err(Error::Checkpoint(format!("unknown quant mode {other:?}"))),
     }
 }
@@ -193,29 +176,12 @@ pub fn write_shard(
         vectors.row_mut(row).copy_from_slice(&rec.vector);
     }
 
-    let mut vecs: Vec<u8> = Vec::new();
-    match quant {
-        QuantMode::F16 => {
-            let table = QuantF16::from_tensor(&vectors);
-            for &bits in table.bits() {
-                vecs.extend_from_slice(&bits.to_le_bytes());
-            }
-        }
-        QuantMode::Int8 => {
-            let table = QuantI8::from_tensor(&vectors);
-            for &scale in table.scales() {
-                vecs.extend_from_slice(&scale.to_le_bytes());
-            }
-            for &code in table.codes() {
-                vecs.push(code as u8);
-            }
-        }
-        QuantMode::Exact => {
-            // Already rejected by quant_token above; kept as a typed
-            // error so this path can never abort a store build.
-            return Err(Error::InvalidConfig("exact quant mode is not persistable".to_string()));
-        }
+    let table = QuantI8::from_tensor(&vectors);
+    let mut vecs: Vec<u8> = Vec::with_capacity(n * 8 + n * dim);
+    for &scale in table.scales() {
+        vecs.extend_from_slice(&scale.to_le_bytes());
     }
+    vecs.extend(table.codes().iter().map(|&code| code as u8));
 
     let meta =
         format!("shard {ordinal}\nbase {base}\nentities {n}\ndim {dim}\nquant {quant_name}\n");
@@ -309,7 +275,7 @@ impl Shard {
         if n == 0 || dim == 0 {
             return Err(Error::Checkpoint(format!("{what}: empty shard or zero dim")));
         }
-        let quant = parse_quant_token(meta_value(&meta, "quant", &what)?)?;
+        check_quant_token(meta_value(&meta, "quant", &what)?)?;
 
         if dir.len != n * DIR_RECORD_BYTES {
             return Err(Error::Checkpoint(format!(
@@ -354,35 +320,16 @@ impl Shard {
         }
 
         let vecs_bytes = read_frame(&mut file, &vecs, &what)?;
-        let table = match quant {
-            QuantMode::F16 => {
-                if vecs_len != n * dim * 2 {
-                    return Err(Error::Checkpoint(format!(
-                        "{what}: vecs section is {vecs_len} bytes, want {} for f16 {n}x{dim}",
-                        n * dim * 2
-                    )));
-                }
-                let bits: Vec<u16> = vecs_bytes.chunks_exact(2).map(le_u16).collect();
-                ShardTable::F16(QuantF16::from_raw(n, dim, bits)?)
-            }
-            QuantMode::Int8 => {
-                if vecs_len != n * 8 + n * dim {
-                    return Err(Error::Checkpoint(format!(
-                        "{what}: vecs section is {vecs_len} bytes, want {} for int8 {n}x{dim}",
-                        n * 8 + n * dim
-                    )));
-                }
-                let (scale_bytes, code_bytes) = vecs_bytes.split_at(n * 8);
-                let scales: Vec<f64> = scale_bytes.chunks_exact(8).map(le_f64).collect();
-                let codes: Vec<i8> = code_bytes.iter().map(|&b| b as i8).collect();
-                ShardTable::Int8(QuantI8::from_raw(n, dim, codes, scales)?)
-            }
-            QuantMode::Exact => {
-                // parse_quant_token never yields Exact; a typed error
-                // keeps the serving reload path panic-free regardless.
-                return Err(Error::Checkpoint(format!("{what}: exact quant mode in shard header")));
-            }
-        };
+        if vecs_len != n * 8 + n * dim {
+            return Err(Error::Checkpoint(format!(
+                "{what}: vecs section is {vecs_len} bytes, want {} for int8 {n}x{dim}",
+                n * 8 + n * dim
+            )));
+        }
+        let (scale_bytes, code_bytes) = vecs_bytes.split_at(n * 8);
+        let scales: Vec<f64> = scale_bytes.chunks_exact(8).map(le_f64).collect();
+        let codes: Vec<i8> = code_bytes.iter().map(|&b| b as i8).collect();
+        let table = QuantI8::from_raw(n, dim, codes, scales)?;
 
         Ok(Shard {
             path: path.to_path_buf(),
@@ -422,16 +369,8 @@ impl Shard {
         self.base
     }
 
-    /// Quantization mode of the resident vector table.
-    pub fn quant_mode(&self) -> QuantMode {
-        match self.table {
-            ShardTable::F16(_) => QuantMode::F16,
-            ShardTable::Int8(_) => QuantMode::Int8,
-        }
-    }
-
-    /// The resident quantized vector table.
-    pub fn table(&self) -> &ShardTable {
+    /// The resident int8 vector table.
+    pub fn table(&self) -> &QuantI8 {
         &self.table
     }
 
@@ -483,18 +422,9 @@ impl Shard {
     pub fn dequant_row_into(&self, row: usize, out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.dim);
         let d = self.dim;
-        match &self.table {
-            ShardTable::F16(t) => {
-                for (dst, &bits) in out.iter_mut().zip(&t.bits()[row * d..(row + 1) * d]) {
-                    *dst = f16_to_f64(bits);
-                }
-            }
-            ShardTable::Int8(t) => {
-                let scale = t.scales()[row];
-                for (dst, &code) in out.iter_mut().zip(&t.codes()[row * d..(row + 1) * d]) {
-                    *dst = f64::from(code) * scale;
-                }
-            }
+        let scale = self.table.scales()[row];
+        for (dst, &code) in out.iter_mut().zip(&self.table.codes()[row * d..(row + 1) * d]) {
+            *dst = f64::from(code) * scale;
         }
     }
 }

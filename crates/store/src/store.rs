@@ -21,15 +21,12 @@
 //! (section CRCs, schema, contiguity) before returning — all or
 //! nothing.
 
-use crate::shard::{
-    self, open_frames, parse_quant_token, quant_token, Shard, ShardTable, StoreRecord, MAGIC,
-};
+use crate::shard::{self, check_quant_token, open_frames, quant_token, Shard, StoreRecord, MAGIC};
 use mb_common::storage::{atomic_write, read_frame, write_frames};
 use mb_common::{Error, Result};
 use mb_encoders::retrieval::QuantizedIndex;
 use mb_kb::EntityId;
 use mb_tensor::kernels::I8_EXACT_COLS;
-use mb_tensor::quant::{QuantF16, QuantI8};
 use mb_tensor::QuantMode;
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -48,7 +45,7 @@ pub struct StoreConfig {
     /// Vector dimensionality.
     pub dim: usize,
     /// On-disk vector quantization ([`QuantMode::Exact`] is rejected —
-    /// the store persists quantized tables).
+    /// the store persists int8 tables).
     pub quant: QuantMode,
 }
 
@@ -66,13 +63,6 @@ pub struct StoreBuilder {
     pending: Vec<StoreRecord>,
     shards: Vec<(String, u32, usize, u64)>, // file, base, entities, bytes
     total: usize,
-}
-
-/// Whether the retrieval scan can score a `dim`-wide table stored in
-/// `quant` exactly: int8 rows accumulate integers in `f32`, exact only
-/// below 2²⁴, so they are capped at [`I8_EXACT_COLS`].
-fn scannable(quant: QuantMode, dim: usize) -> bool {
-    quant != QuantMode::Int8 || dim <= I8_EXACT_COLS
 }
 
 /// File name of shard `ordinal`.
@@ -95,13 +85,14 @@ impl StoreBuilder {
                 "store shard_capacity and dim must be positive".to_string(),
             ));
         }
-        if !scannable(cfg.quant, cfg.dim) {
+        quant_token(cfg.quant)?;
+        // The int8 scan sums integers in `f32`, exact only below 2²⁴.
+        if cfg.dim > I8_EXACT_COLS {
             return Err(Error::InvalidConfig(format!(
                 "int8 store dim {} exceeds the exact scan width {I8_EXACT_COLS}",
                 cfg.dim
             )));
         }
-        quant_token(cfg.quant)?;
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::Io(format!("create {}: {e}", dir.display())))?;
         if dir.join(MANIFEST).exists() {
@@ -196,7 +187,6 @@ impl StoreBuilder {
 #[derive(Debug)]
 pub struct EntityStore {
     dim: usize,
-    quant: QuantMode,
     capacity: usize,
     shards: Vec<Shard>,
     total: usize,
@@ -223,13 +213,13 @@ impl EntityStore {
         let meta = shard::parse_meta(&payload, &what)?;
         let total = shard::meta_number(&meta, "entities", &what)? as usize;
         let dim = shard::meta_number(&meta, "dim", &what)? as usize;
-        let quant = parse_quant_token(shard::meta_value(&meta, "quant", &what)?)?;
+        check_quant_token(shard::meta_value(&meta, "quant", &what)?)?;
         let capacity = shard::meta_number(&meta, "capacity", &what)? as usize;
         let nshards = shard::meta_number(&meta, "shards", &what)? as usize;
         if capacity == 0 || dim == 0 {
             return Err(Error::Checkpoint(format!("{what}: zero capacity or dim")));
         }
-        if !scannable(quant, dim) {
+        if dim > I8_EXACT_COLS {
             return Err(Error::Checkpoint(format!(
                 "{what}: int8 dim {dim} exceeds the exact scan width {I8_EXACT_COLS}"
             )));
@@ -299,7 +289,6 @@ impl EntityStore {
                 || u64::from(sh.base()) != base
                 || sh.len() != count
                 || sh.dim() != dim
-                || sh.quant_mode() != quant
             {
                 return Err(Error::Checkpoint(format!(
                     "{what}: shard {ordinal} metadata disagrees with its manifest entry"
@@ -314,7 +303,7 @@ impl EntityStore {
                 "{what}: shards hold {counted} entities, manifest says {total}"
             )));
         }
-        Ok(EntityStore { dim, quant, capacity, shards, total })
+        Ok(EntityStore { dim, capacity, shards, total })
     }
 
     /// Total entities across all shards.
@@ -331,11 +320,6 @@ impl EntityStore {
     /// Vector dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// On-disk quantization mode.
-    pub fn quant_mode(&self) -> QuantMode {
-        self.quant
     }
 
     /// Entities per full shard.
@@ -399,35 +383,6 @@ impl EntityStore {
             .map_err(|_| Error::InvalidConfig("store exceeds u32 entity ids".to_string()))?)
             .map(EntityId)
             .collect();
-        match self.quant {
-            QuantMode::F16 => {
-                let mut bits: Vec<u16> = Vec::with_capacity(self.total * self.dim);
-                for sh in &self.shards {
-                    match sh.table() {
-                        ShardTable::F16(t) => bits.extend_from_slice(t.bits()),
-                        ShardTable::Int8(_) => {
-                            return Err(Error::Checkpoint("mixed shard quant modes".to_string()))
-                        }
-                    }
-                }
-                QuantizedIndex::from_f16(QuantF16::from_raw(self.total, self.dim, bits)?, ids)
-            }
-            QuantMode::Int8 => {
-                let tables = self
-                    .shards
-                    .iter()
-                    .map(|sh| match sh.table() {
-                        ShardTable::Int8(t) => Ok(t),
-                        ShardTable::F16(_) => {
-                            Err(Error::Checkpoint("mixed shard quant modes".to_string()))
-                        }
-                    })
-                    .collect::<Result<Vec<&QuantI8>>>()?;
-                QuantizedIndex::from_i8(tables, ids)
-            }
-            QuantMode::Exact => {
-                Err(Error::InvalidConfig("store never holds exact tables".to_string()))
-            }
-        }
+        QuantizedIndex::from_i8(self.shards.iter().map(Shard::table), ids)
     }
 }

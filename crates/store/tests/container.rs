@@ -68,9 +68,9 @@ fn records(n: usize, dim: usize, seed: u64) -> Vec<StoreRecord> {
         .collect()
 }
 
-/// A three-shard f16 store plus its IVF index, saved beside it.
+/// A three-shard int8 store plus its IVF index, saved beside it.
 fn store_with_ivf(dir: &Path, seed: u64) -> (Arc<EntityStore>, IvfIndex) {
-    let cfg = StoreConfig { shard_capacity: 16, dim: 4, quant: QuantMode::F16 };
+    let cfg = StoreConfig { shard_capacity: 16, dim: 4, quant: QuantMode::Int8 };
     let mut builder = StoreBuilder::create(dir, cfg).expect("builder");
     for rec in records(40, 4, seed) {
         builder.push(rec).expect("push");
@@ -85,12 +85,14 @@ fn store_with_ivf(dir: &Path, seed: u64) -> (Arc<EntityStore>, IvfIndex) {
 #[test]
 fn container_bytes_are_pinned() {
     // Digests captured at the commit before the four writers moved
-    // onto `mb_common::storage::write_frames`; a change here is a
-    // format change and breaks every file already on disk.
+    // onto `mb_common::storage::write_frames` (the manifest and IVF
+    // ones re-captured, with unchanged writers, when the store fixture
+    // moved to int8); a change here is a format change and breaks
+    // every file already on disk.
     const CHECKPOINT: u32 = 0xdcd0_df5a;
     const SHARD: u32 = 0x7dad_f68d;
-    const MANIFEST_FILE: u32 = 0x6cc3_975f;
-    const IVF: u32 = 0x1129_b3e3;
+    const MANIFEST_FILE: u32 = 0xf395_c0ff;
+    const IVF: u32 = 0xab6b_8795;
 
     let dir = scratch("pinned");
     let shard_path = dir.join("shard-00000.mbs");

@@ -41,12 +41,11 @@ fn records_from(vectors: &[Vec<f64>]) -> Vec<StoreRecord> {
         .collect()
 }
 
-/// Build a small store from streamed synthetic entities.
+/// Build a small int8 store from streamed synthetic entities.
 fn streamed_store(
     dir: &std::path::Path,
     entities: usize,
     seed: u64,
-    quant: QuantMode,
     shard_capacity: usize,
 ) -> (EntityStore, Vec<StoreRecord>) {
     let stream = mb_datagen::EntityStream::new(mb_datagen::StreamConfig {
@@ -55,8 +54,8 @@ fn streamed_store(
     })
     .expect("stream config");
     let dim = stream.config().dim;
-    let mut builder =
-        StoreBuilder::create(dir, StoreConfig { shard_capacity, dim, quant }).expect("builder");
+    let cfg = StoreConfig { shard_capacity, dim, quant: QuantMode::Int8 };
+    let mut builder = StoreBuilder::create(dir, cfg).expect("builder");
     let mut kept = Vec::with_capacity(entities);
     for chunk in stream {
         for e in chunk {
@@ -75,41 +74,29 @@ mb_check::check! {
         n in gen::usize_in(1..40),
         dim in gen::usize_in(1..9),
         seed in gen::u64_any(),
-        int8 in gen::usize_in(0..2),
     ) {
-        let quant = if int8 == 1 { QuantMode::Int8 } else { QuantMode::F16 };
         let mut rng = mb_common::Rng::seed_from_u64(seed);
         let vectors: Vec<Vec<f64>> =
             (0..n).map(|_| (0..dim).map(|_| rng.gaussian()).collect()).collect();
         let records = records_from(&vectors);
         let dir = scratch("roundtrip");
         let path = dir.join("shard-00000.mbs");
-        mb_store::shard::write_shard(&path, 0, 0, dim, quant, &records).expect("write");
+        mb_store::shard::write_shard(&path, 0, 0, dim, QuantMode::Int8, &records).expect("write");
         let shard = Shard::open(&path).expect("open");
         prop_assert_eq!(shard.len(), n);
         prop_assert_eq!(shard.dim(), dim);
-        prop_assert_eq!(shard.quant_mode(), quant);
         // Text round-trips byte-exact; vectors round-trip through the
         // quantizer, so compare against an in-memory quantization of
         // the same tensor.
         let flat: Vec<f64> = vectors.iter().flatten().copied().collect();
         let tensor = mb_tensor::Tensor::from_vec(vec![n, dim], flat);
+        let q = mb_tensor::quant::QuantI8::from_tensor(&tensor);
         let mut want = vec![0.0f64; dim];
         let mut got = vec![0.0f64; dim];
         for (i, rec) in records.iter().enumerate() {
             prop_assert_eq!(shard.title(i).expect("title"), rec.title.clone());
             prop_assert_eq!(shard.description(i).expect("desc"), rec.description.clone());
-            match quant {
-                QuantMode::F16 => {
-                    let q = mb_tensor::quant::QuantF16::from_tensor(&tensor);
-                    for (j, w) in want.iter_mut().enumerate() { *w = q.get(i, j); }
-                }
-                QuantMode::Int8 => {
-                    let q = mb_tensor::quant::QuantI8::from_tensor(&tensor);
-                    for (j, w) in want.iter_mut().enumerate() { *w = q.get(i, j); }
-                }
-                QuantMode::Exact => unreachable!(),
-            }
+            for (j, w) in want.iter_mut().enumerate() { *w = q.get(i, j); }
             shard.dequant_row_into(i, &mut got);
             for j in 0..dim {
                 prop_assert!(want[j].to_bits() == got[j].to_bits(), "row {i} col {j}");
@@ -142,7 +129,7 @@ mb_check::check! {
             (0..9).map(|i| (0..3).map(|j| ((i * 3 + j) as f64).cos()).collect()).collect();
         let dir = scratch("trunc");
         let path = dir.join("shard-00000.mbs");
-        mb_store::shard::write_shard(&path, 0, 0, 3, QuantMode::F16, &records_from(&vectors))
+        mb_store::shard::write_shard(&path, 0, 0, 3, QuantMode::Int8, &records_from(&vectors))
             .expect("write");
         let bytes = std::fs::read(&path).expect("read shard bytes");
         let keep = cut % bytes.len(); // strict prefix
@@ -153,18 +140,15 @@ mb_check::check! {
 
     fn ivf_fused_batch_is_bit_identical_to_serial(
         seed in gen::u64_any(),
-        int8 in gen::usize_in(0..2),
         nprobe_pick in gen::usize_in(0..3),
         batch in gen::usize_in(1..65),
     ) {
         // DESIGN.md §16: a list-grouped batch must be byte-for-byte
         // identical to per-query probing (the one-row batch: other
         // list groupings, other member lists) — same ids, same
-        // `to_bits` scores — at every nprobe and worker count, for
-        // both shard table encodings.
-        let quant = if int8 == 1 { QuantMode::Int8 } else { QuantMode::F16 };
+        // `to_bits` scores — at every nprobe and worker count.
         let dir = scratch("ivf-fused");
-        let (store, _) = streamed_store(&dir, 300, seed, quant, 64);
+        let (store, _) = streamed_store(&dir, 300, seed, 64);
         let dim = store.dim();
         let store = Arc::new(store);
         let cfg = IvfConfig { nlist: 12, nprobe: 4, train_cap: 256, rounds: 4, seed: 7 };
@@ -201,7 +185,7 @@ mb_check::check! {
                 .collect();
             prop_assert_eq!(
                 &got, &serial,
-                "quant={:?} nprobe={} batch={} threads={}", quant, ivf.nprobe(), batch, t
+                "nprobe={} batch={} threads={}", ivf.nprobe(), batch, t
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -209,7 +193,6 @@ mb_check::check! {
 
     fn ivf_probing_every_list_scores_like_the_flat_scan(
         seed in gen::u64_any(),
-        int8 in gen::usize_in(0..2),
         batch in gen::usize_in(1..20),
     ) {
         // With `nprobe == nlist` and `k == n` the IVF returns every
@@ -219,9 +202,8 @@ mb_check::check! {
         // (id, score bits) multiset, or one of the two gathers is
         // wrong. (Order may differ on exact ties: the IVF breaks them
         // by probe-ordered position, the flat scan by row.)
-        let quant = if int8 == 1 { QuantMode::Int8 } else { QuantMode::F16 };
         let dir = scratch("ivf-flat");
-        let (store, _) = streamed_store(&dir, 300, seed, quant, 64);
+        let (store, _) = streamed_store(&dir, 300, seed, 64);
         let (n, dim) = (store.len(), store.dim());
         let store = Arc::new(store);
         let cfg = IvfConfig { nlist: 12, nprobe: 12, train_cap: 256, rounds: 4, seed: 7 };
@@ -245,7 +227,7 @@ mb_check::check! {
         let got = by_id(ivf.top_k_batch(&queries, n, Threads::single()).expect("ivf"));
         let want = by_id(flat.top_k_batch(&queries, n, Threads::single()).expect("flat"));
         prop_assert!(want.iter().all(|r| r.len() == n));
-        prop_assert_eq!(&got, &want, "quant={:?} batch={}", quant, batch);
+        prop_assert_eq!(&got, &want, "batch={}", batch);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -254,7 +236,7 @@ mb_check::check! {
         workers in gen::usize_in(2..9),
     ) {
         let dir = scratch("ivf-det");
-        let (store, _) = streamed_store(&dir, 300, seed, QuantMode::F16, 64);
+        let (store, _) = streamed_store(&dir, 300, seed, 64);
         let store = Arc::new(store);
         let cfg = IvfConfig { nlist: 12, nprobe: 4, train_cap: 256, rounds: 4, seed: 7 };
         let a = IvfIndex::build(Arc::clone(&store), cfg, Threads::new(1)).expect("build@1");
@@ -278,7 +260,7 @@ mb_check::check! {
 #[test]
 fn store_round_trips_across_shards_and_streams_bounded() {
     let dir = scratch("multi");
-    let (store, kept) = streamed_store(&dir, 150, 11, QuantMode::Int8, 32);
+    let (store, kept) = streamed_store(&dir, 150, 11, 32);
     // 150 entities at capacity 32 → shards of 32,32,32,32,22.
     assert_eq!(store.len(), 150);
     assert_eq!(store.shards().len(), 5);
@@ -301,35 +283,31 @@ fn store_quantized_index_is_bit_identical_to_in_memory_quantizer() {
     // The PR 6 residual, pinned: loading tables from shard sections
     // must produce exactly what quantizing the full embedding matrix
     // in memory produces — same bits, same scores.
-    for quant in [QuantMode::F16, QuantMode::Int8] {
-        let dir = scratch("pin");
-        let (store, kept) = streamed_store(&dir, 120, 23, quant, 50);
-        let from_store = store.quantized_index().expect("store index");
-        let n = kept.len();
-        let dim = store.dim();
-        let flat: Vec<f64> = kept.iter().flat_map(|r| r.vector.iter().copied()).collect();
-        let tensor = mb_tensor::Tensor::from_vec(vec![n, dim], flat);
-        let ids: Vec<mb_kb::EntityId> =
-            (0..u32::try_from(n).expect("small")).map(mb_kb::EntityId).collect();
-        let dense =
-            mb_encoders::retrieval::DenseIndex::try_from_vectors(tensor, ids).expect("dense");
-        let mode = quant;
-        let in_memory = mb_encoders::retrieval::QuantizedIndex::from_dense(&dense, mode)
-            .expect("narrow")
-            .expect("quantized");
-        let mut rng = mb_common::Rng::seed_from_u64(99);
-        for _ in 0..10 {
-            let q: Vec<f64> = (0..dim).map(|_| rng.gaussian()).collect();
-            let a = from_store.top_k(&q, n);
-            let b = in_memory.top_k(&q, n);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.0, y.0, "{quant:?}");
-                assert_eq!(x.1.to_bits(), y.1.to_bits(), "{quant:?}");
-            }
+    let dir = scratch("pin");
+    let (store, kept) = streamed_store(&dir, 120, 23, 50);
+    let from_store = store.quantized_index().expect("store index");
+    let n = kept.len();
+    let dim = store.dim();
+    let flat: Vec<f64> = kept.iter().flat_map(|r| r.vector.iter().copied()).collect();
+    let tensor = mb_tensor::Tensor::from_vec(vec![n, dim], flat);
+    let ids: Vec<mb_kb::EntityId> =
+        (0..u32::try_from(n).expect("small")).map(mb_kb::EntityId).collect();
+    let dense = mb_encoders::retrieval::DenseIndex::try_from_vectors(tensor, ids).expect("dense");
+    let in_memory = mb_encoders::retrieval::QuantizedIndex::from_dense(&dense, QuantMode::Int8)
+        .expect("narrow")
+        .expect("quantized");
+    let mut rng = mb_common::Rng::seed_from_u64(99);
+    for _ in 0..10 {
+        let q: Vec<f64> = (0..dim).map(|_| rng.gaussian()).collect();
+        let a = from_store.top_k(&q, n);
+        let b = in_memory.top_k(&q, n);
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b.iter()) {
+            assert_eq!(x.0, y.0);
+            assert_eq!(x.1.to_bits(), y.1.to_bits());
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -355,8 +333,6 @@ fn int8_stores_wider_than_the_exact_scan_are_rejected() {
     let cfg = StoreConfig { shard_capacity: 4, dim: wide, quant: QuantMode::Int8 };
     let err = StoreBuilder::create(&dir, cfg).err();
     assert!(matches!(err, Some(mb_common::Error::InvalidConfig(_))), "got {err:?}");
-    // f16 rows are scored in f64: the same width is accepted.
-    assert!(StoreBuilder::create(&dir, StoreConfig { quant: QuantMode::F16, ..cfg }).is_ok());
     // A CRC-valid manifest declaring the width fails before any shard.
     let payload = format!("entities 1\ndim {wide}\nquant int8\ncapacity 4\nshards 0\n");
     let bytes = mb_common::storage::write_frames(mb_store::shard::MAGIC, &[("manifest", payload)])
@@ -374,7 +350,7 @@ fn int8_stores_wider_than_the_exact_scan_are_rejected() {
 #[test]
 fn manifest_corruption_and_size_drift_are_rejected() {
     let dir = scratch("manifest");
-    let (store, _) = streamed_store(&dir, 40, 5, QuantMode::F16, 16);
+    let (store, _) = streamed_store(&dir, 40, 5, 16);
     drop(store);
     // Flip one bit in the manifest body.
     let mpath = dir.join(MANIFEST);
@@ -398,7 +374,7 @@ fn manifest_corruption_and_size_drift_are_rejected() {
 #[test]
 fn ivf_save_load_round_trips_and_rebuild_is_byte_identical() {
     let dir = scratch("ivf-io");
-    let (store, _) = streamed_store(&dir, 260, 31, QuantMode::F16, 128);
+    let (store, _) = streamed_store(&dir, 260, 31, 128);
     let store = Arc::new(store);
     let cfg = IvfConfig { nlist: 10, nprobe: 3, train_cap: 260, rounds: 4, seed: 3 };
     let built = IvfIndex::build(Arc::clone(&store), cfg, Threads::new(2)).expect("build");
@@ -428,11 +404,11 @@ fn ivf_save_load_round_trips_and_rebuild_is_byte_identical() {
 
 #[test]
 fn ivf_recall_at_64_meets_the_contract_on_the_hermetic_fixture() {
-    // The acceptance fixture: clustered streamed world, f16 store,
+    // The acceptance fixture: clustered streamed world, int8 store,
     // recall@64 ≥ 0.95 against exact brute force over the same
     // quantized tables.
     let dir = scratch("recall");
-    let (store, _) = streamed_store(&dir, 3000, 42, QuantMode::F16, 1024);
+    let (store, _) = streamed_store(&dir, 3000, 42, 1024);
     let store = Arc::new(store);
     let exact = store.quantized_index().expect("exact index");
     let cfg = IvfConfig { nlist: 48, nprobe: 16, train_cap: 3000, rounds: 8, seed: 0 };

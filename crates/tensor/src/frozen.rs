@@ -5,8 +5,8 @@
 //! [`crate::Tape`] ops of the same names call them and record just the
 //! `Op` their backward needs, so a tape-built forward and a tape-free
 //! one are the same function calls and agree bit for bit at any thread
-//! count. The mean-pooling loop behind every `bag_embed` (f64 here, f16
-//! and int8 in [`crate::quant`]) is written once, in `pool_bags`.
+//! count. The mean-pooling loop behind every `bag_embed` (f64 here, int8
+//! in [`crate::quant`]) is written once, in `pool_bags`.
 //!
 //! [`FrozenParams`] is the serving-side parameter container: an
 //! immutable snapshot shared via [`Arc`], so a forward over it clones
@@ -112,7 +112,7 @@ pub fn row_l2_normalize(x: &Tensor, eps: f64) -> Tensor {
 /// `[bags.len(), dim]` output is the mean of the table rows listed in
 /// `bags[i]` (zero for an empty bag). `add_row(out_row, id, inv)` adds
 /// `inv ×` table row `id` into `out_row`; the element type of the table
-/// (f64 / f16 / int8) is the caller's business.
+/// (f64 / int8) is the caller's business.
 ///
 /// # Panics
 /// Panics if any id is `>= vocab`.

@@ -231,27 +231,6 @@ where
     mb_par::par_chunk_ranges(threads, rows, MC, |_, r| r.map(&f).collect::<Vec<f64>>()).concat()
 }
 
-/// Dot product of an `f64` query against every row of an f16-stored
-/// `rows × cols` table, dequantizing each element on the fly — no
-/// table-sized allocation. Bit-identical at any thread count.
-pub fn score_all_f16(
-    table: &[u16],
-    rows: usize,
-    cols: usize,
-    query: &[f64],
-    threads: Threads,
-) -> Vec<f64> {
-    assert_eq!(table.len(), rows * cols, "score_all_f16: table size mismatch");
-    assert_eq!(query.len(), cols, "score_all_f16: query dim mismatch");
-    score_rows_chunked(rows, threads, |i| {
-        table[i * cols..(i + 1) * cols]
-            .iter()
-            .zip(query)
-            .map(|(&h, &q)| crate::quant::f16_to_f64(h) * q)
-            .sum()
-    })
-}
-
 /// Dot product of an int8-quantized query against every row of a
 /// per-row-scaled int8 table. Products accumulate **exactly** in `i64`
 /// (no per-element dequantization); each row's sum is scaled back to
@@ -599,19 +578,13 @@ mod tests {
         // 300 rows crosses the 2*MC parallel-dispatch threshold.
         let table = fill([300, 32], 11);
         let query = fill([1, 32], 12);
-        let f16: Vec<u16> = table.data().iter().map(|&v| crate::quant::f16_from_f64(v)).collect();
-        let base = score_all_f16(&f16, 300, 32, query.data(), Threads::single());
-        assert_eq!(base.len(), 300);
         let (i8s, scales): (Vec<Vec<i8>>, Vec<f64>) =
             (0..300).map(|i| crate::quant::quantize_i8(table.row(i))).unzip();
         let i8_table: Vec<i8> = i8s.concat();
         let (q8, q_scale) = crate::quant::quantize_i8(query.data());
         let base_i8 = score_all_i8(&i8_table, &scales, 300, 32, &q8, q_scale, Threads::single());
+        assert_eq!(base_i8.len(), 300);
         for t in [2, 3, 4, 7] {
-            let par = score_all_f16(&f16, 300, 32, query.data(), Threads::new(t));
-            for (x, y) in base.iter().zip(&par) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
             let par8 = score_all_i8(&i8_table, &scales, 300, 32, &q8, q_scale, Threads::new(t));
             for (x, y) in base_i8.iter().zip(&par8) {
                 assert_eq!(x.to_bits(), y.to_bits());

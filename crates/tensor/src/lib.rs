@@ -27,7 +27,7 @@
 //! * [`frozen`] — the forward kernels of the encoder ops (the tape ops
 //!   of the same names call them) and the `Arc`-shared
 //!   [`frozen::FrozenParams`] snapshot inference runs them over.
-//! * [`quant`] — f16/int8 quantized embedding tables with a
+//! * [`quant`] — int8 quantized embedding tables with a
 //!   bounded-error scoring contract for the serving path.
 //!
 //! `f64` is used throughout: the meta-learning reweighting step compares

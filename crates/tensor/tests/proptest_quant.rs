@@ -1,19 +1,18 @@
 //! Property tests pinning the quantization error contract (DESIGN.md
-//! §12): f16 round-trips stay within half a unit in the last place of
-//! an 11-bit significand, int8 round-trips stay within half a
-//! quantization step, and the dequantize-free int8 dot product is
-//! exactly the integer-accumulated reference — not merely close to it.
+//! §12): int8 round-trips stay within half a quantization step, and
+//! the dequantize-free int8 dot product is exactly the
+//! integer-accumulated reference — not merely close to it.
 
 use mb_check::gen;
 use mb_check::{prop_assert, prop_assert_eq};
 use mb_common::Rng;
 use mb_par::Threads;
-use mb_tensor::quant::{f16_from_f64, f16_to_f64, quantize_i8, QuantF16, QuantI8};
+use mb_tensor::quant::{quantize_i8, QuantI8};
 use mb_tensor::{frozen, Tensor};
 
-/// Values spanning the f16 normal range (~6e-5 .. 65504) with random
-/// sign, plus exact zeros.
-fn f16_range_values(n: usize, seed: u64) -> Vec<f64> {
+/// Values spanning ~1e-10 .. 6e4 in magnitude with random sign, plus
+/// exact zeros.
+fn wide_range_values(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = Rng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
@@ -28,41 +27,18 @@ fn f16_range_values(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// A rank-2 table of values safely inside the f16 normal range.
+/// A rank-2 table of [`wide_range_values`].
 fn table(rows: usize, cols: usize, seed: u64) -> Tensor {
-    Tensor::from_vec(vec![rows, cols], f16_range_values(rows * cols, seed))
+    Tensor::from_vec(vec![rows, cols], wide_range_values(rows * cols, seed))
 }
 
 mb_check::check! {
     #![config(cases = 64)]
 
-    fn f16_round_trip_error_is_bounded(seed in gen::u64_any()) {
-        // Normal-range values round-trip within 2^-11 relative error
-        // (round-to-nearest over a 10-bit stored mantissa); the
-        // round-trip is idempotent; zero is exact.
-        for x in f16_range_values(64, seed) {
-            let rt = f16_to_f64(f16_from_f64(x));
-            if x == 0.0 {
-                prop_assert_eq!(rt, 0.0, "zero must round-trip exactly");
-                continue;
-            }
-            if x.abs() >= 6.2e-5 {
-                let rel = (rt - x).abs() / x.abs();
-                prop_assert!(rel <= 1.0 / 2048.0, "x={} rt={} rel={}", x, rt, rel);
-            } else {
-                // Subnormal f16: absolute error within half the
-                // smallest subnormal step (2^-24).
-                prop_assert!((rt - x).abs() <= 3.0e-8, "x={} rt={}", x, rt);
-            }
-            let again = f16_to_f64(f16_from_f64(rt));
-            prop_assert_eq!(again.to_bits(), rt.to_bits(), "round-trip must be idempotent");
-        }
-    }
-
     fn int8_round_trip_stays_within_half_a_step(seed in gen::u64_any()) {
         let mut rng = Rng::seed_from_u64(seed);
         let cols = 1 + rng.below(48);
-        let row = f16_range_values(cols, seed ^ 1);
+        let row = wide_range_values(cols, seed ^ 1);
         let (codes, scale) = quantize_i8(&row);
         let max_abs = row.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
         if max_abs == 0.0 {
@@ -84,7 +60,7 @@ mb_check::check! {
         let (rows, cols) = (1 + rng.below(40), 1 + rng.below(32));
         let t = table(rows, cols, seed ^ 2);
         let quant = QuantI8::from_tensor(&t);
-        let query = f16_range_values(cols, seed ^ 3);
+        let query = wide_range_values(cols, seed ^ 3);
         let (q_codes, q_scale) = quantize_i8(&query);
         let want: Vec<f64> = (0..rows)
             .map(|i| {
@@ -112,7 +88,7 @@ mb_check::check! {
     }
 
     fn bag_embed_matches_a_naive_per_element_reference(seed in gen::u64_any()) {
-        // The f64, f16 and int8 `bag_embed` share one pooling loop and
+        // The f64 and int8 `bag_embed` share one pooling loop and
         // supply only the row accumulate; each must equal a reference
         // that shares neither: element `(bag, j)` summed through
         // `get(id, j)`, bit for bit — quantization error enters through
@@ -136,10 +112,8 @@ mb_check::check! {
             out
         };
         let bits = |t: Tensor| -> Vec<u64> { t.data().iter().map(|v| v.to_bits()).collect() };
-        let f16 = QuantF16::from_tensor(&t);
         let i8t = QuantI8::from_tensor(&t);
         prop_assert_eq!(bits(frozen::bag_embed(&t, &bags)), naive(&|i, j| t.at(i, j)), "f64");
-        prop_assert_eq!(bits(f16.bag_embed(&bags)), naive(&|i, j| f16.get(i, j)), "f16");
         prop_assert_eq!(bits(i8t.bag_embed(&bags)), naive(&|i, j| i8t.get(i, j)), "int8");
     }
 }

@@ -24,7 +24,7 @@ use mb_kb::EntityId;
 use mb_par::Threads;
 use mb_store::{EntityStore, IvfConfig, IvfIndex, StoreBuilder, StoreConfig, StoreRecord};
 use mb_tensor::kernels::TILE_ROWS;
-use mb_tensor::quant::{quantize_i8, QuantF16, QuantI8};
+use mb_tensor::quant::{quantize_i8, QuantI8};
 use mb_tensor::{QuantMode, Tensor};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -80,9 +80,6 @@ fn every_element_type_matches_the_oracle() {
     let ids: Vec<EntityId> = (0..N as u32).map(EntityId).collect();
     let dense = DenseIndex::try_from_vectors(vectors.clone(), ids.clone()).expect("one id per row");
     assert_matches_oracle("f64", &dense, Table::F64(&vectors), &qs);
-    let f16 = QuantF16::from_tensor(&vectors);
-    let index = QuantizedIndex::from_f16(f16.clone(), ids.clone()).expect("aligned");
-    assert_matches_oracle("f16", &index, Table::F16(&f16), &qs);
     let int8 = QuantI8::from_tensor(&vectors);
     let index = QuantizedIndex::from_i8([&int8], ids).expect("aligned");
     assert_matches_oracle("int8", &index, Table::Int8(&int8), &qs);
@@ -194,13 +191,13 @@ fn int8_zero_sums_and_cancellations_match_the_oracle() {
     }
 }
 
-/// A store of `vectors` rows in `quant`, under a scratch directory
-/// named by `tag`.
-fn scratch_store(tag: &str, vectors: &Tensor, quant: QuantMode) -> (Arc<EntityStore>, PathBuf) {
-    let dir = std::env::temp_dir()
-        .join(format!("mb-retrieval-oracle-{tag}-{quant:?}-{}", std::process::id()));
+/// An int8 store of `vectors` rows, under a scratch directory named by
+/// `tag`.
+fn scratch_store(tag: &str, vectors: &Tensor) -> (Arc<EntityStore>, PathBuf) {
+    let dir =
+        std::env::temp_dir().join(format!("mb-retrieval-oracle-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg = StoreConfig { shard_capacity: 256, dim: vectors.cols(), quant };
+    let cfg = StoreConfig { shard_capacity: 256, dim: vectors.cols(), quant: QuantMode::Int8 };
     let mut builder = StoreBuilder::create(&dir, cfg).expect("scratch store");
     for i in 0..vectors.rows() {
         builder
@@ -231,7 +228,7 @@ fn assert_ivf_scores_like_flat(store: &Arc<EntityStore>, cfg: IvfConfig, qs: &Te
         let got = ivf.top_k_batch(qs, n, Threads::new(threads)).expect("ivf");
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(w.len(), n);
-            assert_eq!(by_id(bits(g)), by_id(bits(w)), "{:?}", store.quant_mode());
+            assert_eq!(by_id(bits(g)), by_id(bits(w)));
         }
     }
 }
@@ -240,12 +237,10 @@ fn assert_ivf_scores_like_flat(store: &Arc<EntityStore>, cfg: IvfConfig, qs: &Te
 fn ivf_probing_every_list_scores_like_the_flat_scan() {
     let vectors = near_tie_vectors(7);
     let qs = queries(8);
-    for quant in [QuantMode::F16, QuantMode::Int8] {
-        let (store, dir) = scratch_store("near-tie", &vectors, quant);
-        let cfg = IvfConfig { nlist: 9, nprobe: 9, train_cap: 512, rounds: 3, seed: 1 };
-        assert_ivf_scores_like_flat(&store, cfg, &qs);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let (store, dir) = scratch_store("near-tie", &vectors);
+    let cfg = IvfConfig { nlist: 9, nprobe: 9, train_cap: 512, rounds: 3, seed: 1 };
+    assert_ivf_scores_like_flat(&store, cfg, &qs);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Rows along six coordinate axes, `(1 + r / 100) · e_a`, with T+9, 1,
@@ -270,11 +265,9 @@ fn ivf_lists_empty_or_shorter_than_a_tile_score_like_the_flat_scan() {
     let vectors = Tensor::from_vec(vec![n, DIM], data);
     let qs = queries(10);
     let cfg = IvfConfig { nlist: n, nprobe: n, train_cap: n, rounds: 3, seed: 2 };
-    for quant in [QuantMode::F16, QuantMode::Int8] {
-        let (store, dir) = scratch_store("short-lists", &vectors, quant);
-        assert_ivf_scores_like_flat(&store, cfg, &qs);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let (store, dir) = scratch_store("short-lists", &vectors);
+    assert_ivf_scores_like_flat(&store, cfg, &qs);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Nine queries a hair from one entity all probe the same lists, so
@@ -290,7 +283,7 @@ fn ivf_lists_empty_or_shorter_than_a_tile_score_like_the_flat_scan() {
 fn ivf_queries_sharing_their_lists_match_the_oracle() {
     let mut rng = Rng::seed_from_u64(11);
     let vectors = Tensor::from_vec(vec![N, DIM], (0..N * DIM).map(|_| rng.gaussian()).collect());
-    let (store, dir) = scratch_store("shared-lists", &vectors, QuantMode::Int8);
+    let (store, dir) = scratch_store("shared-lists", &vectors);
     let cfg = IvfConfig { nlist: 9, nprobe: 3, train_cap: 512, rounds: 3, seed: 1 };
     let ivf = IvfIndex::build(Arc::clone(&store), cfg, Threads::single()).expect("build");
     let table = QuantI8::from_tensor(&vectors);
