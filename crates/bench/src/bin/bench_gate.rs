@@ -1,168 +1,96 @@
-//! Bench-regression gate CLI: compare fresh bench JSON reports against
-//! the committed `bench-baseline.json` and exit non-zero when any
-//! metric regressed beyond the baseline's threshold.
+//! Bench-regression gate CLI: judge paired bench reports of the change
+//! against its merge-base and exit non-zero when any metric regressed.
 //!
 //! ```text
-//! bench_gate --baseline bench-baseline.json \
-//!            --current target/experiments/BENCH_kernels.json \
-//!            --current target/experiments/BENCH_inference.json
-//! bench_gate --update ...   # refresh the baseline from the reports
+//! bench_gate DIR    # DIR/1/parent/*.json, DIR/1/change/*.json, DIR/2/…
 //! ```
 //!
-//! Metrics present on only one side print a warning but do not fail,
-//! so adding or retiring a benchmark never bricks CI; refresh the
-//! pinned medians with `--update` when that happens (or after an
-//! intentional perf change).
+//! `scripts/bench_gate.sh` runs the suite in alternating pairs and lays
+//! out DIR; the rule is in `mb_bench::gate`. Every metric is printed
+//! with its slower-pair count and its median change / parent ratio.
 
-use mb_bench::gate::{self, Verdict};
-use std::collections::BTreeMap;
+use mb_bench::gate::{self, Medians, Verdict, MAX_RATIO};
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut baseline_path = "bench-baseline.json".to_string();
-    let mut current_paths: Vec<String> = Vec::new();
-    let mut update = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = p,
-                None => return usage("--baseline needs a path"),
-            },
-            "--current" => match args.next() {
-                Some(p) => current_paths.push(p),
-                None => return usage("--current needs a path"),
-            },
-            "--update" => update = true,
-            "--help" | "-h" => return usage(""),
-            other => return usage(&format!("unknown argument {other:?}")),
-        }
-    }
-    if current_paths.is_empty() {
-        current_paths = vec![
-            "target/experiments/BENCH_kernels.json".to_string(),
-            "target/experiments/BENCH_inference.json".to_string(),
-            "target/experiments/BENCH_serve_openloop.json".to_string(),
-            "target/experiments/BENCH_retrieval.json".to_string(),
-        ];
-    }
-
-    let mut current: BTreeMap<String, f64> = BTreeMap::new();
-    for path in &current_paths {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                eprintln!("bench_gate: cannot read {path}: {e}");
-                eprintln!("bench_gate: run the bench bins first (see scripts/bench_gate.sh)");
-                return ExitCode::FAILURE;
-            }
-        };
-        match gate::parse_bench_medians(&bytes) {
-            Ok(medians) => current.extend(medians),
-            Err(e) => {
-                eprintln!("bench_gate: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if update {
-        let threshold = match std::fs::read(&baseline_path) {
-            Ok(bytes) => match gate::parse_baseline(&bytes) {
-                Ok(base) => base.threshold,
-                Err(_) => 1.25,
-            },
-            Err(_) => 1.25,
-        };
-        let rendered = gate::render_baseline(threshold, &current);
-        if let Err(e) = std::fs::write(&baseline_path, rendered) {
-            eprintln!("bench_gate: cannot write {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("bench_gate: wrote {} metrics to {baseline_path}", current.len());
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match std::fs::read(&baseline_path) {
-        Ok(bytes) => match gate::parse_baseline(&bytes) {
-            Ok(base) => base,
-            Err(e) => {
-                eprintln!("bench_gate: {baseline_path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(e) => {
-            eprintln!("bench_gate: cannot read {baseline_path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [dir] = args.as_slice() else {
+        eprintln!("usage: bench_gate DIR   (DIR/<pair>/{{parent,change}}/*.json, pairs 1, 2, …)");
+        return ExitCode::FAILURE;
     };
+    match run(Path::new(dir)) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("bench_gate: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
-    let checks = gate::evaluate(&baseline, &current);
+/// Judge every pair under `dir`; `Ok(false)` when a metric regressed.
+fn run(dir: &Path) -> Result<bool, String> {
+    let mut pairs = Vec::new();
+    for i in 1.. {
+        let pair = dir.join(i.to_string());
+        if !pair.is_dir() {
+            break;
+        }
+        pairs.push((read_side(&pair.join("parent"))?, read_side(&pair.join("change"))?));
+    }
+    let checks = gate::judge(&pairs)?;
+    println!(
+        "bench_gate: {} pairs under {}; change / parent per pair, in pair order",
+        pairs.len(),
+        dir.display()
+    );
     let mut regressed = 0usize;
     for c in &checks {
-        match c.verdict {
-            Verdict::Ok => {
-                if let (Some(ratio), Some(b)) = (c.ratio(), c.baseline_ns) {
-                    println!(
-                        "  ok        {:<44} {:>12.1} ns vs {:>12.1} ns  ({:+.1}%)",
-                        c.name,
-                        c.current_ns.unwrap_or(0.0),
-                        b,
-                        (ratio - 1.0) * 100.0
-                    );
-                }
-            }
-            Verdict::Regressed => {
-                regressed += 1;
-                println!(
-                    "  REGRESSED {:<44} {:>12.1} ns vs {:>12.1} ns  ({:+.1}% > +{:.0}%)",
-                    c.name,
-                    c.current_ns.unwrap_or(0.0),
-                    c.baseline_ns.unwrap_or(0.0),
-                    (c.ratio().unwrap_or(1.0) - 1.0) * 100.0,
-                    (baseline.threshold - 1.0) * 100.0
-                );
-            }
-            Verdict::MissingCurrent => {
-                println!("  warning   {:<44} in baseline but not measured this run", c.name);
-            }
-            Verdict::MissingBaseline => {
-                println!(
-                    "  warning   {:<44} measured but not in baseline (bench_gate --update)",
-                    c.name
-                );
-            }
-        }
+        let Some(median) = c.median_ratio() else {
+            println!("  unpaired  {:<44} not in every run on both sides; not judged", c.name);
+            continue;
+        };
+        let label = if c.verdict == Verdict::Regressed { "REGRESSED" } else { "ok" };
+        regressed += usize::from(c.verdict == Verdict::Regressed);
+        let ratios: Vec<String> = c.ratios.iter().map(|r| format!("{r:.3}")).collect();
+        println!(
+            "  {label:<9} {:<44} slower {}/{}  median {median:.3}  [{}]",
+            c.name,
+            c.slower(),
+            c.ratios.len(),
+            ratios.join(" ")
+        );
     }
     if regressed > 0 {
         eprintln!(
-            "bench_gate: {regressed} metric(s) regressed beyond +{:.0}% vs {baseline_path}",
-            (baseline.threshold - 1.0) * 100.0
+            "bench_gate: {regressed} metric(s) slower in too many pairs for chance and by a \
+             median ratio above {MAX_RATIO}"
         );
-        return ExitCode::FAILURE;
+        return Ok(false);
     }
-    println!(
-        "bench_gate: {} metric(s) within +{:.0}% of {baseline_path}",
-        checks.iter().filter(|c| c.verdict == Verdict::Ok).count(),
-        (baseline.threshold - 1.0) * 100.0
-    );
-    ExitCode::SUCCESS
+    println!("bench_gate: no metric regressed (median ratio limit {MAX_RATIO})");
+    Ok(true)
 }
 
-fn usage(err: &str) -> ExitCode {
-    if !err.is_empty() {
-        eprintln!("bench_gate: {err}");
+/// Merge the medians of every `*.json` bench report in one run's directory.
+fn read_side(dir: &Path) -> Result<Medians, String> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
+    let mut medians = Medians::new();
+    for entry in entries {
+        let path = entry.map_err(|e| format!("cannot list {}: {e}", dir.display()))?.path();
+        if path.extension().is_some_and(|x| x == "json") {
+            let bytes =
+                std::fs::read(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+            medians.extend(
+                gate::parse_bench_medians(&bytes)
+                    .map_err(|e| format!("{}: {e}", path.display()))?,
+            );
+        }
     }
-    eprintln!(
-        "usage: bench_gate [--baseline PATH] [--current PATH]... [--update]\n\
-         defaults: --baseline bench-baseline.json \
-         --current target/experiments/BENCH_kernels.json \
-         --current target/experiments/BENCH_inference.json \
-         --current target/experiments/BENCH_serve_openloop.json"
-    );
-    if err.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    if medians.is_empty() {
+        return Err(format!("{} holds no bench report", dir.display()));
     }
+    Ok(medians)
 }

@@ -6,8 +6,9 @@
 //! forward with the training graph is pinned by the `mb-encoders`
 //! tests and `tests/one_forward.rs`.) Writes
 //! `target/experiments/BENCH_inference.{txt,json}`; the JSON carries a
-//! `summary` object with the acceptance metrics, and the medians feed
-//! the bench-regression CI gate (`scripts/bench_gate.sh`).
+//! `summary` object with the acceptance metrics, and the bench-regression
+//! CI gate (`scripts/bench_gate.sh`) pairs its medians against the
+//! merge-base's.
 
 use mb_bench::harness::Harness;
 use mb_common::Rng;

@@ -2,8 +2,9 @@
 //! into an on-disk `mb-store`, build the deterministic IVF index over
 //! it, and measure build time, recall@64 against brute-force scoring of
 //! the *same* quantized tables, and per-query throughput. Writes
-//! `target/experiments/BENCH_retrieval.{txt,json}`; the `retrieval/`
-//! medians feed the bench-regression CI gate (`scripts/bench_gate.sh`).
+//! `target/experiments/BENCH_retrieval.{txt,json}`; the bench-regression
+//! CI gate (`scripts/bench_gate.sh`) pairs its medians against the
+//! merge-base's.
 //!
 //! ```text
 //! bench_retrieval                  # full run (100k entities, timed)

@@ -14,7 +14,8 @@
 //!   closed-loop mode cannot overload the server by construction, an
 //!   open loop can. Produces the p50/p99-vs-offered-QPS curve
 //!   (`"open_loop"` in `BENCH_serve.json`) plus the gate-format
-//!   `BENCH_serve_openloop.json` consumed by `scripts/bench_gate.sh`.
+//!   `BENCH_serve_openloop.json` that `scripts/bench_gate.sh` pairs
+//!   against the merge-base's.
 //!   Requests carry a `deadline_ms` budget so past-saturation rungs
 //!   degrade to fast 503 + `Retry-After` shedding, which the run
 //!   records separately from served latencies.
@@ -74,8 +75,8 @@ Open-loop mode paces arrivals by the wall clock (offered load), so it
 can push the server past saturation; each request carries a
 deadline_ms budget and past-saturation rungs are expected to shed
 with fast 503 + Retry-After instead of queueing without bound. It
-writes the latency-vs-offered-QPS curve into BENCH_serve.json and a
-gate-format BENCH_serve_openloop.json for bench_gate.";
+writes the latency-vs-offered-QPS curve into BENCH_serve.json and the
+per-rung p50s into BENCH_serve_openloop.json for scripts/bench_gate.sh.";
 
 fn run(args: &[String]) -> Result<(), String> {
     let mut flags: HashMap<String, String> = HashMap::new();

@@ -67,8 +67,11 @@ STEPS=(
     # stage that catches a crates/ API change that stops the benchmark
     # compiling, or that changes what a workload computes.
     "benchmark-smoke|benchmark/run.sh --smoke"
-    # Bench regression: rerun the kernel + inference benchmarks and fail
-    # if any median regressed >25% vs the committed bench-baseline.json.
+    # Bench regression: run the kernel, inference, retrieval and
+    # open-loop serving benches at this commit and at its merge-base
+    # with origin/main, in five alternating pairs on the same machine;
+    # fail when a median is slower in every pair and by a median ratio
+    # above 1.15.
     "bench-regression|scripts/bench_gate.sh"
 )
 

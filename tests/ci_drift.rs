@@ -101,16 +101,24 @@ fn ci_script_runs_the_benchmark_smoke_right_after_retrieval_smoke() {
 }
 
 #[test]
-fn bench_baseline_pins_the_fused_batch_retrieval_benches() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/bench-baseline.json");
-    let baseline = std::fs::read_to_string(path).expect("cannot read bench-baseline.json");
-    for name in ["retrieval/store_ivf/top64_batch8", "retrieval/quant_i8/top64_batch8"] {
+fn bench_gate_times_the_fused_batch_retrieval_benches() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let gate = std::fs::read_to_string(format!("{root}/scripts/bench_gate.sh"))
+        .expect("cannot read scripts/bench_gate.sh");
+    assert!(
+        gate.lines().any(|l| l.trim().starts_with("\"bench_retrieval|")),
+        "scripts/bench_gate.sh must run bench_retrieval in its suite"
+    );
+    let bin = std::fs::read_to_string(format!("{root}/crates/bench/src/bin/bench_retrieval.rs"))
+        .expect("cannot read bench_retrieval.rs");
+    for name in ["retrieval/store_ivf/top64_batch", "retrieval/quant_i8/top64_batch"] {
         assert!(
-            baseline.contains(&format!("\"{name}\"")),
-            "bench-baseline.json must pin {name}: the fused serving-drain retrieval \
+            bin.contains(&format!("\"{name}{{BATCH}}\"")),
+            "bench_retrieval must register {name}8: the fused serving-drain retrieval \
              path (DESIGN.md \u{a7}16) is gated by scripts/bench_gate.sh"
         );
     }
+    assert!(bin.contains("const BATCH: usize = 8;"), "the gated retrieval batch is 8");
 }
 
 #[test]
