@@ -191,7 +191,7 @@ pub struct Artifact {
 pub type RowKey = (bool, &'static str, Method, DataSource, u64);
 
 /// Few-shot rows whose first-seed model a later artifact reads (Table
-/// II, the category breakdown, the extensions); kept when trained.
+/// II and the category breakdown); kept when trained.
 const KEPT_MODELS: [(&str, Method, DataSource); 4] = [
     ("YuGiOh", Method::Blink, DataSource::ExactMatch),
     ("YuGiOh", Method::Blink, DataSource::Syn),

@@ -7,12 +7,10 @@ use super::{Artifact, Claim, Numbers, Out, Run, DOMAINS, SEEDS};
 use crate::bench_model_config;
 use mb_common::Rng;
 use mb_core::baselines::name_matching_accuracy;
-use mb_core::coherence::{compare_on_documents, CoherenceConfig};
 use mb_core::linker::LinkMetrics;
-use mb_core::nil::NilAwareLinker;
 use mb_core::pipeline::{DataSource, MetaBlinkConfig, Method};
 use mb_core::reweight::{train_meta, MetaConfig, MetaModel, MetaStats};
-use mb_datagen::mentions::{generate_mentions, generate_one};
+use mb_datagen::mentions::generate_mentions;
 use mb_datagen::noise::inject_bad_pairs;
 use mb_datagen::world::ZESHEL_DOMAINS;
 use mb_datagen::LinkedMention;
@@ -29,7 +27,7 @@ use DataSource::{
 use Method::{Blink, Dl4el, MetaBlink};
 
 /// The evaluation, in the paper's order.
-pub static ARTIFACTS: [Artifact; 15] = [
+pub static ARTIFACTS: [Artifact; 14] = [
     Artifact {
         id: "fig1",
         run: fig1,
@@ -163,7 +161,6 @@ pub static ARTIFACTS: [Artifact; 15] = [
                 .full_only(),
         ],
     },
-    Artifact { id: "future_work", run: future_work, claims: &[] },
 ];
 
 // Tables V and VI make the same claims, each on its own two domains.
@@ -612,56 +609,4 @@ fn breakdown(run: &mut Run<'_>) -> Out {
         out.tables.push(t);
     }
     out
-}
-
-/// Paper §VIII extensions on the MetaBLINK Lego linker: NIL prediction
-/// with a calibrated threshold, and document-level joint linking.
-fn future_work(run: &mut Run<'_>) -> Out {
-    let (ctx, world) = (run.ctx, run.ctx.dataset.world());
-    let split = ctx.dataset.split("Lego");
-    let [linker] = run.linkers([("Lego", MetaBlink, SynSeed)]);
-
-    // Out-of-KB mentions: YuGiOh text against the Lego dictionary.
-    let mut rng = Rng::seed_from_u64(0xF0);
-    let nil_pool = generate_mentions(world, world.domain("YuGiOh"), 300, &mut rng).mentions;
-    let (dev_nil, test_nil) = nil_pool.split_at(150);
-    let calibrated = NilAwareLinker::calibrate(&linker, &split.dev, dev_nil, 60);
-    let never = NilAwareLinker::with_threshold(&linker, f64::NEG_INFINITY);
-    let mut t = Table::new(
-        "Future work — NIL prediction on a mixed test set (Lego linkable + YuGiOh out-of-KB)",
-        &["Policy", "Precision", "Recall", "F1", "NIL detection"],
-    );
-    for (label, nil_linker) in
-        [("never-NIL (paper's assumption)", &never), ("calibrated threshold", &calibrated)]
-    {
-        let m = nil_linker.evaluate(&split.test, test_nil);
-        let scores = [m.precision(), m.recall(), m.f1(), m.nil_accuracy()];
-        t.row(&[vec![label.to_string()], scores.map(|v| format!("{v:.3}")).to_vec()].concat());
-    }
-    t.note(&format!("calibrated score threshold: {:.3}", calibrated.threshold()));
-
-    // Documents: an anchor entity plus its KB-related entities.
-    let dom = world.domain("Lego");
-    let dict = world.kb().domain_entities(dom.id);
-    let mut doc_rng = Rng::seed_from_u64(0xD0C);
-    let mut document = |k: usize| -> Vec<LinkedMention> {
-        let anchor = dict[(k * 7) % dict.len()];
-        let ids = std::iter::once(anchor).chain(world.meta(anchor).related.iter().copied());
-        ids.map(|id| generate_one(world, dom, id, &mut doc_rng)).collect()
-    };
-    let documents: Vec<_> = (0..60).map(&mut document).collect();
-    let (indep, coh, total) =
-        compare_on_documents(&linker, &documents, &CoherenceConfig::default());
-    let mut c = Table::new(
-        "Future work — document-level joint linking with coherence (Lego)",
-        &["Linking", "Correct", "Total", "Accuracy %"],
-    );
-    for (label, correct) in
-        [("independent (per mention)", indep), ("joint (coherence re-scoring)", coh)]
-    {
-        let acc = format!("{:.2}", 100.0 * correct as f64 / total as f64);
-        c.row(&[label.to_string(), correct.to_string(), total.to_string(), acc]);
-    }
-    c.note("documents mention an anchor entity plus its KB-related entities; the coherence pass re-scores candidates by relatedness to the other mentions' picks");
-    Out { tables: vec![t, c], nums: Numbers::default() }
 }

@@ -11,17 +11,6 @@ pub fn log_sum_exp(xs: &[f64]) -> f64 {
     m + xs.iter().map(|x| (x - m).exp()).sum::<f64>().ln()
 }
 
-/// Softmax of a slice (stable). Empty input yields an empty vector.
-pub fn softmax(xs: &[f64]) -> Vec<f64> {
-    if xs.is_empty() {
-        return Vec::new();
-    }
-    let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = xs.iter().map(|x| (x - m).exp()).collect();
-    let total: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / total).collect()
-}
-
 /// Mean of a slice; 0.0 for empty input.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -205,13 +194,6 @@ mod tests {
     #[test]
     fn log_sum_exp_empty_is_neg_inf() {
         assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn softmax_sums_to_one_and_is_monotone() {
-        let p = softmax(&[0.0, 1.0, 2.0]);
-        assert!(approx_eq(p.iter().sum::<f64>(), 1.0, 1e-12));
-        assert!(p[0] < p[1] && p[1] < p[2]);
     }
 
     #[test]

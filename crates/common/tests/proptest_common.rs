@@ -1,7 +1,7 @@
 //! Property-based tests of the RNG, numeric utilities, and LRU cache.
 
 use mb_check::{gen, prop_assert, prop_assert_eq};
-use mb_common::util::{argsort_desc, log_sum_exp, softmax, top_k_desc};
+use mb_common::util::{argsort_desc, log_sum_exp, top_k_desc};
 use mb_common::{LruCache, Rng};
 
 /// Reference LRU: a vector ordered most → least recently used.
@@ -75,13 +75,6 @@ mb_check::check! {
         let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         prop_assert!(lse >= max - 1e-12);
         prop_assert!(lse <= max + (xs.len() as f64).ln() + 1e-12);
-    }
-
-    fn softmax_is_a_distribution(xs in gen::vec_of(gen::f64_in(-30.0..30.0), 1..20)) {
-        let p = softmax(&xs);
-        prop_assert_eq!(p.len(), xs.len());
-        prop_assert!(p.iter().all(|&x| (0.0..=1.0).contains(&x)));
-        prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     fn top_k_is_argsort_prefix(xs in gen::vec_of(gen::f64_in(-100.0..100.0), 0..40), k in gen::usize_in(0..50)) {

@@ -10,9 +10,7 @@
 
 pub mod baselines;
 pub mod checkpoint;
-pub mod coherence;
 pub mod linker;
-pub mod nil;
 pub mod pipeline;
 pub mod reweight;
 pub mod seed;

@@ -84,7 +84,7 @@ pub struct TwoStageLinker<'a> {
     /// Shared vocabulary.
     pub vocab: &'a Vocab,
     /// Knowledge base.
-    pub kb: &'a KnowledgeBase,
+    kb: &'a KnowledgeBase,
     /// Configuration.
     pub cfg: LinkerConfig,
     index: Arc<DenseIndex>,

@@ -10,9 +10,7 @@ mod support;
 
 use mb_check::{gen, prop_assert, prop_assert_eq};
 use mb_common::Rng;
-use mb_core::coherence::{link_document, CoherenceConfig};
 use mb_core::linker::{LinkResult, LinkerConfig, TwoStageLinker};
-use mb_core::nil::{NilAwareLinker, NilDecision};
 use mb_core::pipeline::{train, DataSource, MetaBlinkConfig, Method};
 use mb_datagen::LinkedMention;
 use mb_datagen::{World, WorldConfig};
@@ -214,56 +212,16 @@ mb_check::check! {
     }
 }
 
-/// One model per linker: the NIL threshold and the coherence pass read
-/// the scores `link` returns, so under `quant: Int8` they judge the
-/// int8 scorer's output, not a second (exact) scoring of the same
-/// candidates.
+/// An empty retrieval is an empty ranking (the CLI's `link` prints
+/// `retrieved` zipped with `rerank_scores`).
 #[test]
-fn nil_and_coherence_answer_with_the_model_link_answers_with() {
+fn an_empty_dictionary_links_to_an_empty_ranking() {
     let f = fixture();
-    // An outlier column makes int8 blind to everything else in a row
-    // (scale 1000/127 rounds the rest to 0), so every candidate ties
-    // under int8 while the exact scorer still ranks by the fine
-    // elements: the two models disagree on top-1 by construction.
-    let mut cross = f.cross.clone();
-    let table = cross.params().id_of("emb").expect("embedding table");
-    let table = cross.params_mut().get_mut(table);
-    for i in 0..table.rows() {
-        table.row_mut(i)[0] = 1000.0;
-    }
-    let dict = f.world.kb().domain_entities(f.world.domain("TargetX").id);
-    let build = |dict: &[EntityId], quant| {
-        let cfg = LinkerConfig { k: 6, quant, ..LinkerConfig::default() };
-        TwoStageLinker::new(&f.bi, &cross, &f.vocab, f.world.kb(), dict, cfg)
-    };
-    let (exact, int8) = (build(dict, QuantMode::Exact), build(dict, QuantMode::Int8));
-    let never_nil = NilAwareLinker::with_threshold(&int8, f64::NEG_INFINITY);
-    let local_only = CoherenceConfig { rounds: 0, ..CoherenceConfig::default() };
-    let joint = link_document(&int8, &f.mentions, &local_only);
-    let mut models_disagree = 0;
-    for (m, joint) in f.mentions.iter().zip(joint) {
-        let linked = int8.link(m).expect("link");
-        let best = linked.rerank_scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let NilDecision::Linked(id, score) = never_nil.predict(m) else {
-            panic!("a -inf threshold never predicts NIL");
-        };
-        assert_eq!((Some(id), score.to_bits()), (linked.predicted, best.to_bits()));
-        assert_eq!(joint, linked.predicted);
-        models_disagree += usize::from(exact.link(m).expect("link").predicted != linked.predicted);
-    }
-    assert!(models_disagree > 0, "the fixture must tell the int8 scorer from the exact one");
-
-    // An empty retrieval is an empty ranking on every path (the CLI's
-    // `link` prints `retrieved` zipped with `rerank_scores`).
-    let empty = build(&[], QuantMode::Int8);
-    let m = &f.mentions[0];
-    let linked = empty.link(m).expect("link");
+    let cfg = LinkerConfig { k: 6, quant: QuantMode::Int8, ..LinkerConfig::default() };
+    let empty = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, f.world.kb(), &[], cfg);
+    let linked = empty.link(&f.mentions[0]).expect("link");
     assert!(linked.retrieved.is_empty() && linked.rerank_scores.is_empty());
-    assert_eq!(
-        NilAwareLinker::with_threshold(&empty, f64::NEG_INFINITY).predict(m),
-        NilDecision::Nil
-    );
-    assert_eq!(link_document(&empty, std::slice::from_ref(m), &local_only), [None]);
+    assert_eq!(linked.predicted, None);
 }
 
 /// The end-to-end anchor: a *trained* model evaluated through the

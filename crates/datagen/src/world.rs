@@ -1,4 +1,4 @@
-//! World generation: domains, entities, descriptions, aliases, triples.
+//! World generation: domains, entities, descriptions, aliases.
 //!
 //! A [`World`] is the static part of the benchmark — the knowledge base
 //! plus per-entity metadata (salient keywords, aliases, popularity)
@@ -227,7 +227,6 @@ impl World {
         let mut builder = KbBuilder::new();
         // Generated worlds are bounded by WorldConfig, far below the KB
         // id-space limits, so capacity errors here are unreachable.
-        let related_rel = builder.relation("related_to").expect("relation id space");
         let mut meta: Vec<EntityMeta> = Vec::new();
         let mut domains = Vec::new();
 
@@ -243,7 +242,7 @@ impl World {
             let domain_id = builder.domain(&spec.name).expect("domain id space");
             let staged = stage_domain(spec, &lexicon, config.ambiguity_rate, &domain_rng);
 
-            // Insert into the KB, then wire aliases/triples/meta.
+            // Insert into the KB, then wire aliases and meta.
             let ids: Vec<EntityId> = staged
                 .iter()
                 .map(|s| {
@@ -261,9 +260,6 @@ impl World {
                     }
                 }
                 let related: Vec<EntityId> = s.related.iter().map(|&r| ids[r]).collect();
-                for &tail in &related {
-                    builder.add_triple(id, related_rel, tail);
-                }
                 // Zipf-ish popularity by generation rank.
                 let popularity = 1.0 / (1.0 + k as f64).powf(0.8) * n;
                 meta.push(EntityMeta {

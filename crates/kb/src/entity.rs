@@ -9,10 +9,6 @@ pub struct EntityId(pub u32);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DomainId(pub u16);
 
-/// Dense identifier of a relation type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RelationId(pub u16);
-
 /// A real-world object in the knowledge base: a Wikipedia-style page
 /// with a title and a textual description, partitioned into a domain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,17 +24,6 @@ pub struct Entity {
     pub domain: DomainId,
 }
 
-/// A subject–relation–object fact triple `⟨h, r, t⟩ ∈ T`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Triple {
-    /// Head (subject) entity.
-    pub head: EntityId,
-    /// Relation between head and tail.
-    pub relation: RelationId,
-    /// Tail (object) entity.
-    pub tail: EntityId,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,12 +37,5 @@ mod tests {
         s.insert(EntityId(2));
         assert_eq!(s.len(), 2);
         assert!(EntityId(1) < EntityId(2));
-    }
-
-    #[test]
-    fn triple_equality() {
-        let t1 = Triple { head: EntityId(0), relation: RelationId(1), tail: EntityId(2) };
-        let t2 = t1;
-        assert_eq!(t1, t2);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Knowledge-base substrate for metablink-rs.
 //!
-//! A [`KnowledgeBase`] stores entities (title + description), domain
-//! partitions, relations and fact triples, and maintains the lookup
+//! A [`KnowledgeBase`] stores entities (title + description) and their
+//! domain partitions, and maintains the lookup
 //! structures entity linking needs: an exact-title index (for the Name
 //! Matching baseline and exact-match supervision) and an alias table
 //! (available for *source* domains only, mirroring the paper's premise
@@ -17,5 +17,5 @@ pub mod entity;
 pub mod index;
 pub mod store;
 
-pub use entity::{DomainId, Entity, EntityId, RelationId, Triple};
+pub use entity::{DomainId, Entity, EntityId};
 pub use store::{KbBuilder, KnowledgeBase};

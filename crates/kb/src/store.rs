@@ -1,6 +1,6 @@
 //! The frozen knowledge base and its builder.
 
-use crate::entity::{DomainId, Entity, EntityId, RelationId, Triple};
+use crate::entity::{DomainId, Entity, EntityId};
 use crate::index::{AliasTable, TitleIndex};
 use mb_common::{Error, Result};
 use std::collections::BTreeMap;
@@ -9,11 +9,8 @@ use std::collections::BTreeMap;
 #[derive(Debug, Default)]
 pub struct KbBuilder {
     domain_ids: BTreeMap<String, DomainId>,
-    relations: Vec<String>,
-    relation_ids: BTreeMap<String, RelationId>,
     entities: Vec<Entity>,
     aliases: Vec<(String, EntityId)>,
-    triples: Vec<Triple>,
 }
 
 impl KbBuilder {
@@ -36,23 +33,6 @@ impl KbBuilder {
             Error::InvalidConfig(format!("too many domains: id space is u16, adding {name:?}"))
         })?);
         self.domain_ids.insert(name.to_string(), id);
-        Ok(id)
-    }
-
-    /// Register (or look up) a relation type by name.
-    ///
-    /// # Errors
-    /// Returns [`Error::InvalidConfig`] when the input holds more
-    /// relation types than the `u16` id space.
-    pub fn relation(&mut self, name: &str) -> Result<RelationId> {
-        if let Some(&id) = self.relation_ids.get(name) {
-            return Ok(id);
-        }
-        let id = RelationId(u16::try_from(self.relations.len()).map_err(|_| {
-            Error::InvalidConfig(format!("too many relations: id space is u16, adding {name:?}"))
-        })?);
-        self.relations.push(name.to_string());
-        self.relation_ids.insert(name.to_string(), id);
         Ok(id)
     }
 
@@ -86,67 +66,39 @@ impl KbBuilder {
         self.aliases.push((alias.to_string(), id));
     }
 
-    /// Add a fact triple.
-    pub fn add_triple(&mut self, head: EntityId, relation: RelationId, tail: EntityId) {
-        self.triples.push(Triple { head, relation, tail });
-    }
-
     /// Freeze into an indexed [`KnowledgeBase`].
     ///
     /// # Errors
-    /// Returns [`Error::NotFound`] if an alias or triple references a
-    /// non-existent entity.
+    /// Returns [`Error::NotFound`] if an alias references a non-existent
+    /// entity.
     pub fn build(self) -> Result<KnowledgeBase> {
         let n = self.entities.len();
-        let check = |id: EntityId| -> Result<()> {
-            if (id.0 as usize) < n {
-                Ok(())
-            } else {
-                Err(Error::NotFound(format!("entity id {} (kb has {n})", id.0)))
-            }
-        };
         let mut title_index = TitleIndex::new();
         for e in &self.entities {
             title_index.insert(&e.title, e.id);
         }
         let mut alias_table = AliasTable::new();
         for (alias, id) in &self.aliases {
-            check(*id)?;
+            if id.0 as usize >= n {
+                return Err(Error::NotFound(format!("entity id {} (kb has {n})", id.0)));
+            }
             alias_table.insert(alias, *id);
-        }
-        let mut outgoing: Vec<Vec<(RelationId, EntityId)>> = vec![Vec::new(); n];
-        for t in &self.triples {
-            check(t.head)?;
-            check(t.tail)?;
-            // mb-lint: allow(indexing) -- check(t.head) above proves head < n
-            outgoing[t.head.0 as usize].push((t.relation, t.tail));
         }
         let mut by_domain: Vec<Vec<EntityId>> = vec![Vec::new(); self.domain_ids.len()];
         for e in &self.entities {
             // mb-lint: allow(indexing) -- domain ids are issued by this builder, < domain_ids.len()
             by_domain[e.domain.0 as usize].push(e.id);
         }
-        Ok(KnowledgeBase {
-            relations: self.relations,
-            entities: self.entities,
-            triples: self.triples,
-            title_index,
-            alias_table,
-            outgoing,
-            by_domain,
-        })
+        Ok(KnowledgeBase { entities: self.entities, title_index, alias_table, by_domain })
     }
 }
 
-/// A frozen, indexed knowledge base `G = {E; R; T}`.
+/// A frozen, indexed knowledge base: the entity dictionary `E`.
 #[derive(Debug, Clone)]
 pub struct KnowledgeBase {
-    relations: Vec<String>,
     entities: Vec<Entity>,
-    triples: Vec<Triple>,
     title_index: TitleIndex,
     alias_table: AliasTable,
-    outgoing: Vec<Vec<(RelationId, EntityId)>>,
     by_domain: Vec<Vec<EntityId>>,
 }
 
@@ -176,17 +128,6 @@ impl KnowledgeBase {
         &self.entities
     }
 
-    /// All fact triples.
-    pub fn triples(&self) -> &[Triple] {
-        &self.triples
-    }
-
-    /// A relation's name.
-    pub fn relation_name(&self, id: RelationId) -> &str {
-        // mb-lint: allow(indexing) -- ids are issued densely by KbBuilder; foreign ids are a caller bug
-        &self.relations[id.0 as usize]
-    }
-
     /// Entity ids belonging to a domain, in id order.
     pub fn domain_entities(&self, domain: DomainId) -> &[EntityId] {
         // mb-lint: allow(indexing) -- by_domain has one slot per issued DomainId
@@ -202,12 +143,6 @@ impl KnowledgeBase {
     pub fn by_alias(&self, alias: &str) -> &[EntityId] {
         self.alias_table.lookup(alias)
     }
-
-    /// Outgoing `(relation, tail)` edges of an entity.
-    pub fn neighbors(&self, id: EntityId) -> &[(RelationId, EntityId)] {
-        // mb-lint: allow(indexing) -- outgoing has one slot per entity; foreign ids are a caller bug
-        &self.outgoing[id.0 as usize]
-    }
 }
 
 #[cfg(test)]
@@ -218,13 +153,10 @@ mod tests {
         let mut b = KbBuilder::new();
         let lego = b.domain("Lego").unwrap();
         let tv = b.domain("Doctor Who").unwrap();
-        let part_of = b.relation("part_of").unwrap();
         let brick = b.add_entity("Red Brick", "a red building brick", lego).unwrap();
-        let set = b.add_entity("Castle Set (2015)", "a castle-themed set", lego).unwrap();
-        let doctor = b.add_entity("The Doctor", "a time traveller", tv).unwrap();
+        b.add_entity("Castle Set (2015)", "a castle-themed set", lego).unwrap();
+        b.add_entity("The Doctor", "a time traveller", tv).unwrap();
         b.add_alias("big red", brick);
-        b.add_triple(brick, part_of, set);
-        let _ = doctor;
         b.build().unwrap()
     }
 
@@ -238,14 +170,11 @@ mod tests {
     }
 
     #[test]
-    fn dedup_domain_and_relation_registration() {
+    fn dedup_domain_registration() {
         let mut b = KbBuilder::new();
         let a = b.domain("X").unwrap();
         let a2 = b.domain("X").unwrap();
         assert_eq!(a, a2);
-        let r = b.relation("rel").unwrap();
-        let r2 = b.relation("rel").unwrap();
-        assert_eq!(r, r2);
     }
 
     #[test]
@@ -259,30 +188,12 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_follow_triples() {
-        let kb = sample_kb();
-        let brick = kb.by_title("red brick")[0];
-        let n = kb.neighbors(brick);
-        assert_eq!(n.len(), 1);
-        assert_eq!(kb.entity(n[0].1).title, "Castle Set (2015)");
-        assert_eq!(kb.relation_name(n[0].0), "part_of");
-    }
-
-    #[test]
     fn build_rejects_dangling_references() {
         let mut b = KbBuilder::new();
         let d = b.domain("D").unwrap();
-        let e = b.add_entity("A", "a", d).unwrap();
+        b.add_entity("A", "a", d).unwrap();
         b.add_alias("ghost", EntityId(99));
-        let _ = e;
         assert!(b.build().is_err());
-
-        let mut b2 = KbBuilder::new();
-        let d2 = b2.domain("D").unwrap();
-        let e2 = b2.add_entity("A", "a", d2).unwrap();
-        let r = b2.relation("r").unwrap();
-        b2.add_triple(e2, r, EntityId(42));
-        assert!(b2.build().is_err());
     }
 
     #[test]

@@ -38,16 +38,14 @@ const PANIC_FREE_FILES: &[&str] = &[
 
 /// Files (beyond `crates/serve/src`) on the tape-free forward path:
 /// the forward kernels, the quantized tables they score with, each
-/// encoder's inference forward, retrieval, and everything that answers
-/// through the linker must never allocate a tape or copy parameters.
+/// encoder's inference forward, retrieval and the linker must never
+/// allocate a tape or copy parameters.
 const TAPE_FREE_FILES: &[&str] = &[
     "crates/tensor/src/frozen.rs",
     "crates/tensor/src/quant.rs",
     "crates/encoders/src/frozen.rs",
     "crates/encoders/src/retrieval.rs",
     "crates/core/src/linker.rs",
-    "crates/core/src/nil.rs",
-    "crates/core/src/coherence.rs",
 ];
 
 /// Paths protected by `panic-reach` but not by `indexing`: the store
@@ -235,6 +233,15 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
 mod tests {
     use super::*;
 
+    /// Every path (or path prefix) of a rule list names something in
+    /// this workspace: a stale entry would protect nothing, silently.
+    fn assert_listed_paths_exist(paths: &[&str]) {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for p in paths {
+            assert!(root.join(p).exists(), "listed path {p} is not in the workspace");
+        }
+    }
+
     #[test]
     fn serve_gets_panic_lock_tape_free_and_bounded_queue_rules() {
         let r = rules_for("crates/serve/src/queue.rs");
@@ -257,6 +264,7 @@ mod tests {
 
     #[test]
     fn frozen_forward_files_get_the_tape_free_rule() {
+        assert_listed_paths_exist(TAPE_FREE_FILES);
         for f in TAPE_FREE_FILES {
             assert!(rules_for(f).tape_free, "{f}");
         }
@@ -269,6 +277,8 @@ mod tests {
 
     #[test]
     fn panic_freedom_covers_serve_checkpoints_store_and_loadgen() {
+        assert_listed_paths_exist(PANIC_FREE_FILES);
+        assert_listed_paths_exist(PANIC_REACH_EXTRA);
         for f in PANIC_FREE_FILES {
             assert!(rules_for(f).panic_free && rules_for(f).indexing, "{f}");
         }
@@ -321,6 +331,7 @@ mod tests {
 
     #[test]
     fn hot_loop_files_get_the_alloc_rule() {
+        assert_listed_paths_exist(HOT_LOOP_FILES);
         for f in HOT_LOOP_FILES {
             assert!(rules_for(f).alloc_hot_loop, "{f}");
         }
