@@ -10,6 +10,11 @@
 //! that target-domain dictionaries lack such resources). Candidate
 //! generation is dense retrieval over entity descriptions (`mb-encoders`),
 //! not a lexical index here.
+//!
+//! The KB is immutable once [`KbBuilder::build`] returns, and a
+//! [`KnowledgeBase`] is a handle onto those shared tables: cloning it is
+//! a refcount bump, so the world, a served model and each of its reload
+//! generations hold one resident copy between them.
 
 #![warn(missing_docs)]
 

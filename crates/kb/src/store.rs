@@ -4,6 +4,7 @@ use crate::entity::{DomainId, Entity, EntityId};
 use crate::index::{AliasTable, TitleIndex};
 use mb_common::{Error, Result};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Mutable builder for a [`KnowledgeBase`].
 #[derive(Debug, Default)]
@@ -89,28 +90,44 @@ impl KbBuilder {
             // mb-lint: allow(indexing) -- domain ids are issued by this builder, < domain_ids.len()
             by_domain[e.domain.0 as usize].push(e.id);
         }
-        Ok(KnowledgeBase { entities: self.entities, title_index, alias_table, by_domain })
+        let tables = Tables { entities: self.entities, title_index, alias_table, by_domain };
+        Ok(KnowledgeBase { tables: Arc::new(tables) })
     }
 }
 
 /// A frozen, indexed knowledge base: the entity dictionary `E`.
+///
+/// A handle: the tables are immutable once [`KbBuilder::build`] returns
+/// and sit behind one shared allocation, so a clone is a refcount bump
+/// and every holder (the world, each served model generation, the
+/// reload loader) reads the same resident copy.
 #[derive(Debug, Clone)]
 pub struct KnowledgeBase {
+    tables: Arc<Tables>,
+}
+
+/// The immutable tables one [`KnowledgeBase`] and all its clones share.
+#[derive(Debug)]
+struct Tables {
     entities: Vec<Entity>,
     title_index: TitleIndex,
     alias_table: AliasTable,
     by_domain: Vec<Vec<EntityId>>,
 }
 
+// Servers move the KB into their worker threads: keep it `Send + Sync`.
+fn _assert<T: Send + Sync>() {}
+const _: fn() = _assert::<KnowledgeBase>;
+
 impl KnowledgeBase {
     /// Number of entities.
     pub fn len(&self) -> usize {
-        self.entities.len()
+        self.tables.entities.len()
     }
 
     /// True if the KB has no entities.
     pub fn is_empty(&self) -> bool {
-        self.entities.is_empty()
+        self.tables.entities.is_empty()
     }
 
     /// Borrow an entity.
@@ -120,28 +137,28 @@ impl KnowledgeBase {
     /// KB, which is a programming error).
     pub fn entity(&self, id: EntityId) -> &Entity {
         // mb-lint: allow(indexing) -- documented `# Panics` contract: foreign ids are a caller bug
-        &self.entities[id.0 as usize]
+        &self.tables.entities[id.0 as usize]
     }
 
     /// All entities in id order.
     pub fn entities(&self) -> &[Entity] {
-        &self.entities
+        &self.tables.entities
     }
 
     /// Entity ids belonging to a domain, in id order.
     pub fn domain_entities(&self, domain: DomainId) -> &[EntityId] {
         // mb-lint: allow(indexing) -- by_domain has one slot per issued DomainId
-        &self.by_domain[domain.0 as usize]
+        &self.tables.by_domain[domain.0 as usize]
     }
 
     /// Entities whose title exactly matches `name` (canonicalised).
     pub fn by_title(&self, name: &str) -> &[EntityId] {
-        self.title_index.lookup(name)
+        self.tables.title_index.lookup(name)
     }
 
     /// Entities known under `alias` in the alias table.
     pub fn by_alias(&self, alias: &str) -> &[EntityId] {
-        self.alias_table.lookup(alias)
+        self.tables.alias_table.lookup(alias)
     }
 }
 
@@ -164,7 +181,7 @@ mod tests {
     fn entities_and_domains() {
         let kb = sample_kb();
         assert_eq!(kb.len(), 3);
-        assert_eq!(kb.by_domain.len(), 2);
+        assert_eq!(kb.tables.by_domain.len(), 2);
         let lego = kb.entity(kb.by_title("red brick")[0]).domain;
         assert_eq!(kb.domain_entities(lego).len(), 2);
     }
@@ -200,6 +217,15 @@ mod tests {
     fn empty_kb_is_valid() {
         let kb = KbBuilder::new().build().unwrap();
         assert!(kb.is_empty());
-        assert!(kb.by_domain.is_empty());
+        assert!(kb.tables.by_domain.is_empty());
+    }
+
+    #[test]
+    fn a_clone_shares_the_tables() {
+        let kb = sample_kb();
+        let copy = kb.clone();
+        assert!(std::ptr::eq(kb.entities(), copy.entities()));
+        assert!(std::ptr::eq(kb.by_title("red brick"), copy.by_title("red brick")));
+        assert!(std::ptr::eq(kb.by_alias("big red"), copy.by_alias("big red")));
     }
 }

@@ -16,6 +16,11 @@ use std::sync::Arc;
 /// they were trained against. Self-contained (no borrows), so the
 /// server can move it into its worker threads.
 ///
+/// `kb` is a [`KnowledgeBase`] handle: the caller passes a clone of the
+/// world's KB, which is a refcount bump, so the start-up model, the
+/// reload loader and every generation share one resident copy of the
+/// entity dictionary.
+///
 /// Construction freezes (and, per `linker.quant`, quantizes) both
 /// encoders exactly once; every worker thread then serves from those
 /// `Arc`-shared handles — no serve path, index building and reload

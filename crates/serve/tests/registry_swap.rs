@@ -44,15 +44,19 @@ fn scratch(tag: &str) -> Scratch {
     Scratch(dir)
 }
 
+/// [`fixture_in`] a fresh tiny world (seed 91).
+fn fixture() -> (ServeModel, Vec<LinkedMention>, ModelLoader) {
+    fixture_in(&World::generate(WorldConfig::tiny(91)))
+}
+
 /// The startup model (encoder seed 1), test mentions, and a loader
 /// that rebuilds candidate models from checkpoints against the same
 /// world.
-fn fixture() -> (ServeModel, Vec<LinkedMention>, ModelLoader) {
-    let world = World::generate(WorldConfig::tiny(91));
+fn fixture_in(world: &World) -> (ServeModel, Vec<LinkedMention>, ModelLoader) {
     let vocab = build_vocab(world.kb(), [], 1);
     let domain = world.domain("TargetX").clone();
     let mut rng = Rng::seed_from_u64(4);
-    let mentions = mb_datagen::mentions::generate_mentions(&world, &domain, 24, &mut rng).mentions;
+    let mentions = mb_datagen::mentions::generate_mentions(world, &domain, 24, &mut rng).mentions;
     let dictionary = world.kb().domain_entities(domain.id).to_vec();
     let model = ServeModel::new(
         vocab.clone(),
@@ -423,6 +427,31 @@ fn a_rejected_or_unwound_reload_leaves_the_old_generation_and_the_next_reload_wo
     std::fs::write(&manifest, &good).expect("restore");
     assert_eq!(registry.reload(None).expect("the next good reload"), 3);
     assert_eq!(answers(&registry.current()), before, "same checkpoint, same store");
+}
+
+/// The KB is resident once: the start-up model, the loader's copy and
+/// every reloaded generation read the world's own entity table.
+#[test]
+fn every_generation_shares_the_worlds_kb() {
+    let dir = scratch("kbshare");
+    let candidate = dir.0.join("model.mbc");
+    write_candidate(&candidate, 7);
+    let world = World::generate(WorldConfig::tiny(91));
+    let (model, _, loader) = fixture_in(&world);
+    let registry =
+        ModelRegistry::with_loader(model, candidate, loader).expect("valid startup model");
+    let mut generations = vec![registry.current()];
+    for id in 2..=4 {
+        assert_eq!(registry.reload(None).expect("reload"), id);
+        generations.push(registry.current());
+    }
+    for generation in &generations {
+        assert!(
+            std::ptr::eq(generation.model.kb.entities(), world.kb().entities()),
+            "generation {} holds its own copy of the entity table",
+            generation.id
+        );
+    }
 }
 
 #[test]

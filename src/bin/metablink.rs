@@ -469,7 +469,8 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
     let dictionary = world.kb().domain_entities(dom.id).to_vec();
     let domain_name = manifest.domain.clone();
     // The model served at start-up and every hot-reloaded candidate are
-    // built the same way, against the same world context.
+    // built the same way, against the same world context, and share its
+    // one KB (a `KnowledgeBase` clone is a refcount bump).
     let build = move |ck: &Checkpoint| {
         ServeModel::from_checkpoint(
             ck,

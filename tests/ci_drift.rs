@@ -167,3 +167,35 @@ fn ci_script_includes_the_chaos_serve_stage() {
         "the chaos-serve stage must run the #[ignore]d mb-serve chaos suite in release"
     );
 }
+
+/// Every backticked repo path in DESIGN.md and README.md names a file
+/// or directory that exists, so a move or deletion cannot leave the
+/// docs pointing at nothing. A span counts as a path when it starts
+/// with one of the tracked top-level directories; its first word is
+/// checked, cut before a `::item` or `:line` suffix.
+#[test]
+fn every_repo_path_the_docs_name_exists() {
+    const ROOTS: [&str; 6] = ["crates/", "src/", "tests/", "scripts/", "examples/", "benchmark/"];
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for doc in ["DESIGN.md", "README.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect("cannot read a doc");
+        for (n, line) in text.lines().enumerate() {
+            // Odd-numbered pieces of a line split on '`' are code spans.
+            for span in line.split('`').skip(1).step_by(2) {
+                let word = span.split_whitespace().next().unwrap_or("");
+                if !ROOTS.iter().any(|r| word.starts_with(r)) {
+                    continue;
+                }
+                let path = word.split(':').next().unwrap_or(word);
+                checked += 1;
+                if !root.join(path).exists() {
+                    missing.push(format!("{doc}:{}: `{span}`", n + 1));
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "no repo path found in DESIGN.md or README.md");
+    assert!(missing.is_empty(), "docs name paths that do not exist:\n{}", missing.join("\n"));
+}
