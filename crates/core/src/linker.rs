@@ -28,8 +28,8 @@ pub struct LinkerConfig {
     /// Input truncation.
     pub input: InputConfig,
     /// Worker threads for the batch inference hot paths (embedding,
-    /// retrieval, re-ranking). Partitioning is by fixed chunk size, so
-    /// outputs are bit-identical for every value.
+    /// retrieval, re-ranking). Partitioning is by fixed chunk size or
+    /// by mention, so outputs are bit-identical for every value.
     pub threads: mb_par::Threads,
     /// Embedding-table storage for the frozen inference path.
     /// [`QuantMode::Exact`] (the default) is bit-identical to the
@@ -295,9 +295,9 @@ impl<'a> TwoStageLinker<'a> {
     }
 
     /// Build a cross-encoder candidate set for a mention from retrieved
-    /// candidates, marking the gold index when present. Entity and
-    /// title bags are slices of the [`EntityFeatures`] table: nothing
-    /// on the entity side is tokenised per request.
+    /// candidates, marking the gold index when present (a training
+    /// example; `link_batch` reads the same bags in place). Entity and
+    /// title bags are copied from the [`EntityFeatures`] table.
     ///
     /// `retrieved` must come from this linker's stage one
     /// ([`TwoStageLinker::candidates`] / `link_batch`), whose ids the
@@ -349,12 +349,12 @@ impl<'a> TwoStageLinker<'a> {
     /// Batched two-stage inference — the shared serving/evaluation
     /// code path.
     ///
-    /// The whole batch runs through **one** fused bi-encoder forward,
-    /// **one** fused multi-query retrieval call, and **one** fused
-    /// cross-encoder forward over all candidate sets. Every op involved
+    /// The whole batch runs through **one** fused bi-encoder forward
+    /// and **one** fused multi-query retrieval call; then each mention's
+    /// candidates are scored row by row straight from the entity
+    /// feature table ([`FrozenCrossEncoder::score_retrieved`]). Every op
     /// is row-independent, so element `i` is bit-identical to
-    /// `link(&mentions[i])` — a mention repeated in the batch gets the
-    /// same bits at each position.
+    /// `link(&mentions[i])` — a repeated mention gets the same bits.
     ///
     /// # Errors
     /// [`mb_common::Error::ShapeMismatch`] when the retrieval backend
@@ -372,15 +372,12 @@ impl<'a> TwoStageLinker<'a> {
         // streams its centroid table / entity rows once per query block
         // instead of once per query (DESIGN.md §16).
         let retrieved = self.backend().top_k_batch(&queries, self.cfg.k, self.cfg.threads)?;
-        // Candidate-set assembly fans out over mention index (each
-        // mention's work reads only shared immutable state); stage two
-        // is one cross-encoder pass over every candidate set. Results
-        // come back in mention order.
-        let sets: Vec<CandidateSet> =
-            mb_par::par_map_range(self.cfg.threads, mentions.len(), |i| {
-                self.candidate_set(&mentions[i], &retrieved[i])
-            });
-        let scores = self.frozen_cross.score_batch_with(&sets, self.cfg.threads);
+        // Stage two fans out over mention index, reading only shared
+        // immutable state; results come back in mention order.
+        let scores = mb_par::par_map_range(self.cfg.threads, mentions.len(), |i| {
+            let surface = surface_bag(self.vocab, &mentions[i]);
+            self.frozen_cross.score_retrieved(&bags[i], &surface, &retrieved[i])
+        });
         Ok(retrieved
             .into_iter()
             .zip(scores)
@@ -418,13 +415,13 @@ impl<'a> TwoStageLinker<'a> {
         (recalled, correct_given_recalled, correct)
     }
 
-    /// Assemble the paper's percentage metrics from summed tallies.
-    fn metrics_from_counts(
+    /// Assemble the paper's percentage metrics from per-chunk tallies.
+    fn metrics_from_tallies(
         n_mentions: usize,
-        recalled: usize,
-        correct_given_recalled: usize,
-        correct: usize,
+        tallies: impl IntoIterator<Item = (usize, usize, usize)>,
     ) -> LinkMetrics {
+        let (recalled, correct_given_recalled, correct) =
+            tallies.into_iter().fold((0, 0, 0), |(r, cg, c), t| (r + t.0, cg + t.1, c + t.2));
         let n = n_mentions.max(1) as f64;
         LinkMetrics {
             recall_at_k: 100.0 * recalled as f64 / n,
@@ -438,26 +435,15 @@ impl<'a> TwoStageLinker<'a> {
         }
     }
 
-    /// Evaluation chunk size. Chunked so one fused cross-encoder
-    /// forward stays bounded in memory however large the test set is;
-    /// chunking
-    /// cannot change results (every op is row-independent). Fixed by
-    /// data, never derived from a worker count, so serial and parallel
-    /// evaluation see identical chunk boundaries.
+    /// Evaluation chunk size, so one `link_batch` stays bounded in memory
+    /// (chunking cannot change results). Fixed by data, never by a worker
+    /// count, so serial and parallel evaluation see the same chunks.
     const EVAL_CHUNK: usize = 32;
 
     /// Evaluate on gold mentions with the paper's protocol.
     pub fn evaluate(&self, mentions: &[LinkedMention]) -> LinkMetrics {
-        let mut recalled = 0usize;
-        let mut correct_given_recalled = 0usize;
-        let mut correct = 0usize;
-        for chunk in mentions.chunks(Self::EVAL_CHUNK) {
-            let (r, cg, c) = self.tally(chunk);
-            recalled += r;
-            correct_given_recalled += cg;
-            correct += c;
-        }
-        Self::metrics_from_counts(mentions.len(), recalled, correct_given_recalled, correct)
+        let tallies = mentions.chunks(Self::EVAL_CHUNK).map(|chunk| self.tally(chunk));
+        Self::metrics_from_tallies(mentions.len(), tallies)
     }
 
     /// Parallel [`TwoStageLinker::evaluate`]: fans the fixed
@@ -479,15 +465,7 @@ impl<'a> TwoStageLinker<'a> {
         let tallies = mb_par::try_par_chunks(threads, mentions, Self::EVAL_CHUNK, |_, chunk| {
             self.tally(chunk)
         })?;
-        let mut recalled = 0usize;
-        let mut correct_given_recalled = 0usize;
-        let mut correct = 0usize;
-        for (r, cg, c) in tallies {
-            recalled += r;
-            correct_given_recalled += cg;
-            correct += c;
-        }
-        Ok(Self::metrics_from_counts(mentions.len(), recalled, correct_given_recalled, correct))
+        Ok(Self::metrics_from_tallies(mentions.len(), tallies))
     }
 
     /// The underlying dense index (for diagnostics/benches).

@@ -1,9 +1,11 @@
 //! Property tests of the batched inference path: for ANY multiset of
-//! mentions (repeats included), ANY chunking, ANY thread count and
-//! every `QuantMode`, `link_batch` must equal a naive reference linker
-//! that links each mention on its own, bit for bit. This is the
-//! contract `mb-serve` relies on — micro-batching must never change
-//! model outputs.
+//! mentions (repeats included), ANY chunking, ANY thread count, every
+//! `QuantMode` and every `k` up to past the dictionary size,
+//! `link_batch` must equal a naive reference linker that links each
+//! mention on its own, bit for bit — empty mention and surface bags and
+//! titles that tokenise to nothing included. This is the contract
+//! `mb-serve` relies on — micro-batching must never change model
+//! outputs.
 
 #[path = "../../encoders/tests/support/mod.rs"]
 mod support;
@@ -15,18 +17,22 @@ use mb_core::pipeline::{train, DataSource, MetaBlinkConfig, Method};
 use mb_datagen::LinkedMention;
 use mb_datagen::{World, WorldConfig};
 use mb_encoders::biencoder::BiEncoder;
-use mb_encoders::crossencoder::CrossEncoder;
-use mb_encoders::input::{build_vocab, mention_bag};
+use mb_encoders::crossencoder::{CandidateSet, CrossEncoder};
+use mb_encoders::input::{build_vocab, entity_bag, mention_bag, surface_bag, title_bag};
 use mb_encoders::retrieval::CandidateSource;
-use mb_kb::EntityId;
+use mb_kb::{EntityId, KbBuilder, KnowledgeBase};
 use mb_tensor::quant::QuantI8;
-use mb_tensor::{QuantMode, Tensor};
+use mb_tensor::{QuantMode, Tape, Tensor};
 use mb_text::Vocab;
 use std::sync::{Arc, OnceLock};
 use support::{reference_top_k, Table};
 
 struct Fixture {
     world: World,
+    /// The world's KB with an empty title at ids ≡ 0 (mod 7) and a
+    /// punctuation-only one at ids ≡ 1 (mod 7): both tokenise to
+    /// nothing.
+    kb: KnowledgeBase,
     vocab: Vocab,
     bi: BiEncoder,
     cross: CrossEncoder,
@@ -34,16 +40,39 @@ struct Fixture {
 }
 
 /// Built once for the whole suite; randomly initialized encoders are
-/// enough — the identity property holds for any parameters.
+/// enough — the identity property holds for any parameters. Every
+/// parameter gets noise on top, so that no bias is zero.
 fn fixture() -> &'static Fixture {
     static FIXTURE: OnceLock<Fixture> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let world = World::generate(WorldConfig::tiny(17));
-        let vocab = build_vocab(world.kb(), [], 1);
+        let mut builder = KbBuilder::new();
+        for d in world.domains() {
+            assert_eq!(builder.domain(&d.name).expect("few domains"), d.id);
+        }
+        for e in world.kb().entities() {
+            let title = match e.id.0 % 7 {
+                0 => "",
+                1 => "(-)",
+                _ => &e.title,
+            };
+            builder.add_entity(title, &e.description, e.domain).expect("few entities");
+        }
+        let kb = builder.build().expect("no aliases");
+        let vocab = build_vocab(&kb, [], 1);
         let domain = world.domain("TargetX").clone();
         let mut rng = Rng::seed_from_u64(5);
-        let ms = mb_datagen::mentions::generate_mentions(&world, &domain, 48, &mut rng);
-        let bi = BiEncoder::new(
+        let mut ms = mb_datagen::mentions::generate_mentions(&world, &domain, 48, &mut rng);
+        // An empty mention bag (and surface bag), then an empty
+        // surface bag alone.
+        for (i, m) in ms.mentions.iter_mut().take(2).enumerate() {
+            m.surface.clear();
+            if i == 0 {
+                m.left.clear();
+                m.right.clear();
+            }
+        }
+        let mut bi = BiEncoder::new(
             &vocab,
             mb_encoders::biencoder::BiEncoderConfig {
                 emb_dim: 12,
@@ -53,7 +82,7 @@ fn fixture() -> &'static Fixture {
             },
             &mut Rng::seed_from_u64(1),
         );
-        let cross = CrossEncoder::new(
+        let mut cross = CrossEncoder::new(
             &vocab,
             mb_encoders::crossencoder::CrossEncoderConfig {
                 emb_dim: 12,
@@ -62,7 +91,15 @@ fn fixture() -> &'static Fixture {
             },
             &mut Rng::seed_from_u64(2),
         );
-        Fixture { vocab, bi, cross, mentions: ms.mentions, world }
+        for (params, seed) in [(bi.params_mut(), 3), (cross.params_mut(), 4)] {
+            let mut rng = Rng::seed_from_u64(seed);
+            let names: Vec<String> = params.iter().map(|(name, _)| name.to_string()).collect();
+            for name in names {
+                let id = params.id_of(&name).expect("a name the model registered");
+                params.get_mut(id).data_mut().iter_mut().for_each(|v| *v += rng.normal(0.0, 0.1));
+            }
+        }
+        Fixture { world, kb, vocab, bi, cross, mentions: ms.mentions }
     })
 }
 
@@ -76,12 +113,18 @@ enum Stored {
 
 /// The naive reference linker: each mention on its own, every stage in
 /// its plainest form — a one-row embedding, every entity scored and
-/// fully sorted, a one-set rerank, argmax. It shares only the models
-/// and the candidate-set assembly with `link_batch`: no batching, no
-/// query blocks, no selectors, no threads.
+/// fully sorted, a rerank through the cross-encoder's training graph
+/// over bags tokenised from the KB text, argmax. It shares only the
+/// models (and stage one's entity bags) with `link_batch`: no
+/// batching, no query blocks, no selectors, no threads; its rerank
+/// reads no feature table and runs no tape-free forward.
 struct Reference<'l, 'a> {
     linker: &'l TwoStageLinker<'a>,
     table: Stored,
+    /// The linker's cross-encoder, its embedding table replaced by the
+    /// values the linker's `quant` mode pools: the int8 table's
+    /// dequantized rows give the graph the int8 arm's exact terms.
+    cross: CrossEncoder,
 }
 
 impl<'l, 'a> Reference<'l, 'a> {
@@ -98,7 +141,13 @@ impl<'l, 'a> Reference<'l, 'a> {
             QuantMode::Exact => Stored::F64(vectors),
             QuantMode::Int8 => Stored::Int8(QuantI8::from_tensor(&vectors)),
         };
-        Reference { linker, table }
+        let mut cross = linker.cross.clone();
+        if linker.cfg.quant == QuantMode::Int8 {
+            let emb = cross.params().id_of("emb").expect("the cross-encoder has an embedding");
+            let dequantized = QuantI8::from_tensor(cross.params().get(emb)).dequantize();
+            *cross.params_mut().get_mut(emb) = dequantized;
+        }
+        Reference { linker, table, cross }
     }
 
     fn link(&self, mention: &LinkedMention) -> LinkResult {
@@ -114,10 +163,31 @@ impl<'l, 'a> Reference<'l, 'a> {
             .into_iter()
             .map(|(row, score)| (ids[row as usize], f64::from_bits(score)))
             .collect();
-        let set = l.candidate_set(mention, &retrieved);
-        let rerank_scores = l.frozen_cross().score_batch(&[set]).pop().expect("one set");
+        let rerank_scores = self.rerank(mention, &retrieved);
         let predicted = mb_common::util::argmax(&rerank_scores).map(|i| retrieved[i].0);
         LinkResult { retrieved, rerank_scores, predicted }
+    }
+
+    /// `CrossEncoder::forward_logits` on a tape over the candidates'
+    /// bags as the KB text tokenises.
+    fn rerank(&self, mention: &LinkedMention, retrieved: &[(EntityId, f64)]) -> Vec<f64> {
+        if retrieved.is_empty() {
+            return Vec::new();
+        }
+        let (l, kb) = (self.linker, &fixture().kb);
+        let set = CandidateSet {
+            mention: mention_bag(l.vocab, &l.cfg.input, mention),
+            surface: surface_bag(l.vocab, mention),
+            entities: retrieved
+                .iter()
+                .map(|&(id, _)| entity_bag(l.vocab, &l.cfg.input, kb.entity(id)))
+                .collect(),
+            titles: retrieved.iter().map(|&(id, _)| title_bag(l.vocab, kb.entity(id))).collect(),
+            gold_index: None,
+        };
+        let mut tape = Tape::new();
+        let (_, logits) = self.cross.forward_logits(&mut tape, &set);
+        tape.value(logits).data().to_vec()
     }
 }
 
@@ -148,19 +218,19 @@ mb_check::check! {
         let batch: Vec<LinkedMention> =
             picks.iter().map(|&i| f.mentions[i].clone()).collect();
         // The last `n` ids: dictionaries need not start at id 0.
-        let len = f.world.kb().len() as u32;
+        let len = f.kb.len() as u32;
         let dict: Vec<EntityId> = (len - n as u32..len).map(EntityId).collect();
         let mut reference = None;
         for threads in 1..=4 {
             let cfg = LinkerConfig { k, threads: mb_par::Threads::new(threads), ..LinkerConfig::default() };
-            let owner = TwoStageLinker::try_new(&f.bi, &f.cross, &f.vocab, f.world.kb(), &dict, cfg)
+            let owner = TwoStageLinker::try_new(&f.bi, &f.cross, &f.vocab, &f.kb, &dict, cfg)
                 .expect("dictionary inside kb");
             let peer = || {
                 TwoStageLinker::with_frozen(
                     &f.bi,
                     &f.cross,
                     &f.vocab,
-                    f.world.kb(),
+                    &f.kb,
                     cfg,
                     owner.index_shared(),
                     owner.quantized_index(),
@@ -185,19 +255,22 @@ mb_check::check! {
     fn link_batch_matches_the_reference_linker(
         picks in gen::vec_of(gen::usize_in(0..16), 1..24),
         chunk in gen::usize_in(1..15),
+        k_pick in gen::usize_in(0..4),
     ) {
         let f = fixture();
-        // 16 mentions to draw from, and the first drawn again last:
-        // every batch repeats a mention.
+        // 16 mentions to draw from (the first two with empty bags), and
+        // the first drawn again last: every batch repeats a mention.
         let batch: Vec<LinkedMention> =
             picks.iter().chain(&picks[..1]).map(|&i| f.mentions[i].clone()).collect();
-        let dict = f.world.kb().domain_entities(f.world.domain("TargetX").id);
+        // 40 of the domain's entities, so that `k` can pass them.
+        let dict = &f.kb.domain_entities(f.world.domain("TargetX").id)[..40];
+        let k = [1, dict.len() - 1, dict.len(), 64][k_pick];
         for quant in [QuantMode::Exact, QuantMode::Int8] {
             let mut want = None;
             for threads in 1..=4 {
                 let threads = mb_par::Threads::new(threads);
-                let cfg = LinkerConfig { k: 6, quant, threads, ..LinkerConfig::default() };
-                let l = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, f.world.kb(), dict, cfg);
+                let cfg = LinkerConfig { k, quant, threads, ..LinkerConfig::default() };
+                let l = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, &f.kb, dict, cfg);
                 let want = want.get_or_insert_with(|| {
                     let reference = Reference::new(&l);
                     bits(&batch.iter().map(|m| reference.link(m)).collect::<Vec<_>>())
@@ -206,7 +279,7 @@ mb_check::check! {
                 for c in batch.chunks(chunk) {
                     chunked.extend(l.link_batch(c).expect("link"));
                 }
-                prop_assert_eq!(&bits(&chunked), want, "{quant:?} at {threads:?}");
+                prop_assert_eq!(&bits(&chunked), want, "{quant:?} at {threads:?}, k {k}");
             }
         }
     }
@@ -218,7 +291,7 @@ mb_check::check! {
 fn an_empty_dictionary_links_to_an_empty_ranking() {
     let f = fixture();
     let cfg = LinkerConfig { k: 6, quant: QuantMode::Int8, ..LinkerConfig::default() };
-    let empty = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, f.world.kb(), &[], cfg);
+    let empty = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, &f.kb, &[], cfg);
     let linked = empty.link(&f.mentions[0]).expect("link");
     assert!(linked.retrieved.is_empty() && linked.rerank_scores.is_empty());
     assert_eq!(linked.predicted, None);

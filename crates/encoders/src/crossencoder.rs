@@ -22,10 +22,6 @@ use mb_tensor::params::{GradVec, ParamId};
 use mb_tensor::{init, Params, QuantMode, Tape, Var};
 use mb_text::Vocab;
 
-/// Candidate sets per worker task in the chunked-parallel scoring
-/// path; fixed by the data, never by the worker count (DESIGN.md §11).
-pub const SCORE_CHUNK: usize = 8;
-
 /// Cross-encoder hyperparameters.
 #[derive(Debug, Clone, Copy)]
 pub struct CrossEncoderConfig {
@@ -197,7 +193,7 @@ impl CrossEncoder {
     ///
     /// Empty sets are allowed and yield empty score vectors.
     pub fn score_batch(&self, sets: &[CandidateSet]) -> Vec<Vec<f64>> {
-        frozen::score_sets(|id| self.params.get(id), &EmbTable::Exact, self.ids, sets)
+        frozen::score_each_set(|id| self.params.get(id), &EmbTable::Exact, self.ids, sets)
     }
 
     /// Ranking loss of one candidate set (softmax cross-entropy against

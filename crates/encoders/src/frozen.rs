@@ -2,9 +2,9 @@
 //!
 //! Each encoder's inference op sequence is written once here, over
 //! *borrowed* tensors: `encode_side` (bag-embed → linear → tanh →
-//! linear → row-normalise) and `score_sets` (four pooled bags → two
-//! linears → tanh → linear + γ·dot). The trainable models run them over
-//! their own `Params` (`BiEncoder::embed_*`,
+//! linear → row-normalise) and `score_set` (four pooled bags → two
+//! linears → tanh → linear + γ·dot, one candidate row at a time). The
+//! trainable models run them over their own `Params` (`BiEncoder::embed_*`,
 //! `CrossEncoder::score_batch`); [`FrozenBiEncoder`] and
 //! [`FrozenCrossEncoder`] run them over an `Arc`-shared
 //! [`mb_tensor::FrozenParams`] snapshot, so cloning a handle is an
@@ -20,8 +20,9 @@
 //! bounded-error contract of [`mb_tensor::quant`] instead.
 
 use crate::biencoder::{BiEncoderConfig, BiIds, SideIds, EMBED_CHUNK, NORM_EPS};
-use crate::crossencoder::{CandidateSet, CrossIds, SCORE_CHUNK};
+use crate::crossencoder::{CandidateSet, CrossIds};
 use crate::input::EntityFeatures;
+use mb_kb::EntityId;
 use mb_par::Threads;
 use mb_tensor::frozen::{self, FrozenParams};
 use mb_tensor::params::ParamId;
@@ -46,10 +47,10 @@ impl EmbTable {
         }
     }
 
-    fn bag_embed(&self, exact: &Tensor, bags: &[impl AsRef<[u32]>]) -> Tensor {
+    fn pool_row(&self, exact: &Tensor, bag: &[u32], out: &mut [f64]) {
         match self {
-            EmbTable::Exact => frozen::bag_embed(exact, bags),
-            EmbTable::Int8(t) => t.bag_embed(bags),
+            EmbTable::Exact => frozen::bag_embed_row(exact, bag, out),
+            EmbTable::Int8(t) => t.bag_embed_row(bag, out),
         }
     }
 
@@ -72,78 +73,101 @@ pub(crate) fn encode_side<'a>(
     side: SideIds,
     bags: &[Vec<u32>],
 ) -> Tensor {
-    let pooled = table.bag_embed(p(emb), bags);
+    let mut pooled = Tensor::zeros(vec![bags.len(), p(emb).cols()]);
+    for (i, bag) in bags.iter().enumerate() {
+        table.pool_row(p(emb), bag, pooled.row_mut(i));
+    }
     let h = frozen::linear(&pooled, p(side.w1), p(side.b1), Threads::single());
     let h = frozen::tanh(&h);
     let out = frozen::linear(&h, p(side.w2), p(side.b2), Threads::single());
     frozen::row_l2_normalize(&out, NORM_EPS)
 }
 
-/// Pooled embeddings of one bag per set, row `i` repeated
-/// `sets[i].len()` times: the mention and surface bags are shared by
-/// every candidate row of their set, and each row of `bag_embed`
-/// depends only on its own bag, so pooling once and broadcasting is
-/// bit-identical to pooling per row.
-fn pooled_per_set(
-    table: &EmbTable,
-    exact: &Tensor,
-    sets: &[CandidateSet],
-    total: usize,
-    bag: impl Fn(&CandidateSet) -> &[u32],
-) -> Tensor {
-    let bags: Vec<&[u32]> = sets.iter().map(bag).collect();
-    let small = table.bag_embed(exact, &bags);
-    let mut data = Vec::with_capacity(total * small.cols());
-    for (i, set) in sets.iter().enumerate() {
-        for _ in 0..set.len() {
-            data.extend_from_slice(small.row(i));
+/// Columns per register block of [`product_linear`] (8 AVX2 chains).
+const LINEAR_BLOCK: usize = 32;
+
+/// `out = (x ⊙ y) · w + b` for one row (`a`: scratch), each element one
+/// fold from `+0.0` in ascending inner index, then `+ b`: the bits of
+/// [`frozen::linear`] (the `mb_tensor::kernels` contract).
+fn product_linear(x: &[f64], y: &[f64], w: &[f64], b: &[f64], a: &mut [f64], out: &mut [f64]) {
+    for ((a, xc), yc) in a.iter_mut().zip(x).zip(y) {
+        *a = xc * yc;
+    }
+    let n = out.len();
+    let blocked = n - n % LINEAR_BLOCK;
+    for o0 in (0..blocked).step_by(LINEAR_BLOCK) {
+        let mut acc = [0.0; LINEAR_BLOCK];
+        for (ac, w_row) in a.iter().zip(w.chunks_exact(n)) {
+            let w_block = &w_row[o0..o0 + LINEAR_BLOCK];
+            for j in 0..LINEAR_BLOCK {
+                acc[j] += ac * w_block[j];
+            }
+        }
+        for j in 0..LINEAR_BLOCK {
+            out[o0 + j] = acc[j] + b[o0 + j];
         }
     }
-    Tensor::from_vec(vec![total, small.cols()], data)
+    for o in blocked..n {
+        let mut acc = 0.0;
+        for (ac, w_row) in a.iter().zip(w.chunks_exact(n)) {
+            acc += ac * w_row[o];
+        }
+        out[o] = acc + b[o];
+    }
 }
 
-/// Cross-encoder scores of every candidate of every set, in one fused
-/// forward over all `Σ len(setᵢ)` rows (`p` as in [`encode_side`]).
-/// Every op is row-independent, so per-set scores are bit-identical
-/// however sets are grouped into calls. Empty sets yield empty score
-/// vectors: a serving process must not panic on a mention with no
-/// retrieved candidates.
-pub(crate) fn score_sets<'a>(
+/// Cross-encoder scores of one set's `(entity bag, title bag)`
+/// candidates (`p` as in [`encode_side`]): the mention and surface bags
+/// are pooled once, then each candidate row runs alone, every element
+/// in `CrossEncoder::forward_logits`' order, so the bits are the graph's.
+pub(crate) fn score_set<'a, 'b>(
+    p: impl Fn(ParamId) -> &'a Tensor,
+    table: &EmbTable,
+    ids: CrossIds,
+    mention: &[u32],
+    surface: &[u32],
+    candidates: impl Iterator<Item = (&'b [u32], &'b [u32])>,
+) -> Vec<f64> {
+    let exact = p(ids.emb);
+    let (w_sem, b_sem) = (p(ids.w_sem).data(), p(ids.b_sem).data());
+    let (w_surf, b_surf) = (p(ids.w_surf).data(), p(ids.b_surf).data());
+    let (w_out, b_out, gamma) = (p(ids.w_out).data(), p(ids.b_out).item(), p(ids.gamma).item());
+    let (dim, hidden) = (exact.cols(), b_sem.len());
+    let [mut m, mut s, mut e, mut t, mut a] = [(); 5].map(|_| vec![0.0; dim]);
+    let [mut h_sem, mut h_surf] = [(); 2].map(|_| vec![0.0; hidden]);
+    table.pool_row(exact, mention, &mut m);
+    table.pool_row(exact, surface, &mut s);
+    let score = |(entity, title): (&[u32], &[u32])| {
+        table.pool_row(exact, entity, &mut e);
+        table.pool_row(exact, title, &mut t);
+        product_linear(&m, &e, w_sem, b_sem, &mut a, &mut h_sem);
+        product_linear(&s, &t, w_surf, b_surf, &mut a, &mut h_surf);
+        let mut mlp = 0.0;
+        for ((hs, hf), w) in h_sem.iter().zip(&h_surf).zip(w_out) {
+            mlp += (hs + hf).tanh() * w;
+        }
+        // The dot channel `γ · (m̄ · ē)` as the graph's `[k, 1] · [1, 1]`
+        // matmul computes it: a fold from `+0.0`, which also turns a
+        // `-0.0` product into `+0.0`.
+        let dot_score = 0.0 + frozen::dot(&m, &e) * gamma;
+        (mlp + b_out) + dot_score
+    };
+    candidates.map(score).collect()
+}
+
+/// [`score_set`] over each [`CandidateSet`]'s own bags.
+pub(crate) fn score_each_set<'a>(
     p: impl Fn(ParamId) -> &'a Tensor,
     table: &EmbTable,
     ids: CrossIds,
     sets: &[CandidateSet],
 ) -> Vec<Vec<f64>> {
-    let n: usize = sets.iter().map(|s| s.len()).sum();
-    let exact = p(ids.emb);
-    let m_pool = pooled_per_set(table, exact, sets, n, |s| &s.mention);
-    let s_pool = pooled_per_set(table, exact, sets, n, |s| &s.surface);
-    let e_bags: Vec<&[u32]> =
-        sets.iter().flat_map(|s| s.entities.iter().map(Vec::as_slice)).collect();
-    let t_bags: Vec<&[u32]> =
-        sets.iter().flat_map(|s| s.titles.iter().map(Vec::as_slice)).collect();
-    let e_pool = table.bag_embed(exact, &e_bags);
-    let t_pool = table.bag_embed(exact, &t_bags);
-    let sem = m_pool.mul(&e_pool);
-    let surf = s_pool.mul(&t_pool);
-    let h_sem = frozen::linear(&sem, p(ids.w_sem), p(ids.b_sem), Threads::single());
-    let h_surf = frozen::linear(&surf, p(ids.w_surf), p(ids.b_surf), Threads::single());
-    let h = frozen::tanh(&h_sem.add(&h_surf));
-    let mlp_scores = frozen::linear(&h, p(ids.w_out), p(ids.b_out), Threads::single());
-    // Dot-product channel: γ · (m̄ · ē) per candidate.
-    let dots = frozen::rows_dot(&m_pool, &e_pool);
-    let dots_col = dots.reshape(vec![n, 1]);
-    let dot_scores = dots_col.matmul(p(ids.gamma));
-    let scores = mlp_scores.add(&dot_scores);
-    let flat = scores.data();
-    let mut out = Vec::with_capacity(sets.len());
-    let mut offset = 0;
-    for set in sets {
-        // mb-lint: allow(alloc-in-hot-loop) -- the per-set Vec is the return value, not scratch
-        out.push(flat[offset..offset + set.len()].to_vec());
-        offset += set.len();
-    }
-    out
+    let score = |set: &CandidateSet| {
+        let titles = set.titles.iter().map(Vec::as_slice);
+        let bags = set.entities.iter().map(Vec::as_slice).zip(titles);
+        score_set(&p, table, ids, &set.mention, &set.surface, bags)
+    };
+    sets.iter().map(score).collect()
 }
 
 #[derive(Debug)]
@@ -225,12 +249,6 @@ impl FrozenBiEncoder {
     pub fn embed_mentions_batch_with(&self, bags: &[Vec<u32>], threads: Threads) -> Tensor {
         self.embed(self.inner.ids.mention, bags, threads)
     }
-
-    /// [`FrozenBiEncoder::embed_entities_batch`] with fixed-size chunks
-    /// on separate workers.
-    pub fn embed_entities_batch_with(&self, bags: &[Vec<u32>], threads: Threads) -> Tensor {
-        self.embed(self.inner.ids.entity, bags, threads)
-    }
 }
 
 #[derive(Debug)]
@@ -287,23 +305,29 @@ impl FrozenCrossEncoder {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Batched scoring: one fused forward over every candidate of
-    /// every set. Empty sets yield empty score vectors.
+    /// Scores of every candidate of every set. Empty sets yield empty
+    /// score vectors.
     pub fn score_batch(&self, sets: &[CandidateSet]) -> Vec<Vec<f64>> {
         let m = &*self.inner;
-        score_sets(|id| m.params.get(id), &m.table, m.ids, sets)
+        score_each_set(|id| m.params.get(id), &m.table, m.ids, sets)
     }
 
-    /// [`FrozenCrossEncoder::score_batch`] with fixed
-    /// [`SCORE_CHUNK`]-sized chunks of sets scored on separate workers.
-    /// The chunk size depends only on the data, so the result is
-    /// bit-identical at every [`Threads`] value.
-    pub fn score_batch_with(&self, sets: &[CandidateSet], threads: Threads) -> Vec<Vec<f64>> {
-        if threads.is_single() || sets.len() <= SCORE_CHUNK {
-            return self.score_batch(sets);
-        }
-        let chunks = mb_par::par_chunks(threads, sets, SCORE_CHUNK, |_, c| self.score_batch(c));
-        chunks.into_iter().flatten().collect()
+    /// [`FrozenCrossEncoder::score_batch`] of one mention's bags against
+    /// its `retrieved` candidates, read from the attached table. An
+    /// uncovered id asserts in debug and scores as text-less in release.
+    pub fn score_retrieved(
+        &self,
+        mention: &[u32],
+        surface: &[u32],
+        retrieved: &[(EntityId, f64)],
+    ) -> Vec<f64> {
+        let m = &*self.inner;
+        let candidates = retrieved.iter().map(|&(id, _)| {
+            let bags = self.features.bags(id);
+            debug_assert!(bags.is_some(), "candidate outside the entity feature table");
+            bags.unwrap_or_default()
+        });
+        score_set(|id| m.params.get(id), &m.table, m.ids, mention, surface, candidates)
     }
 }
 
@@ -330,6 +354,17 @@ mod tests {
             .map(|m| TrainPair::from_mention(&vocab, &cfg, world.kb(), m))
             .collect();
         (world, vocab, pairs)
+    }
+
+    /// Gaussian noise on every parameter: a fresh model's biases are
+    /// zero, which would hide where each `+ b` sits in its fold.
+    fn perturb(params: &mut Params, seed: u64) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let names: Vec<String> = params.iter().map(|(name, _)| name.to_string()).collect();
+        for name in names {
+            let id = params.id_of(&name).expect("a name the model registered");
+            params.get_mut(id).data_mut().iter_mut().for_each(|v| *v += rng.normal(0.0, 0.1));
+        }
     }
 
     fn assert_bits_eq(got: &Tensor, want: &Tensor) {
@@ -365,7 +400,6 @@ mod tests {
             assert_bits_eq(tape.value(fwd.mentions), &want_m);
             assert_bits_eq(tape.value(fwd.entities), &want_e);
             assert_bits_eq(&frozen.embed_mentions_batch_with(&m_bags, threads), &want_m);
-            assert_bits_eq(&frozen.embed_entities_batch_with(&e_bags, threads), &want_e);
         }
         assert_eq!(model.embed_mentions(&[]).shape(), &[0, 16]);
         assert_eq!(frozen.embed_mentions_batch(&[]).shape(), &[0, 16]);
@@ -389,12 +423,14 @@ mod tests {
         assert!(fc.clone().shares_storage(&fc));
     }
 
+    /// `k` random candidates of the domain per pair, as sets and as
+    /// the retrieved ids they were built from.
     fn candidate_sets(
         world: &World,
         vocab: &mb_text::Vocab,
         pairs: &[TrainPair],
         k: usize,
-    ) -> Vec<CandidateSet> {
+    ) -> (Vec<CandidateSet>, Vec<Vec<(EntityId, f64)>>) {
         let icfg = InputConfig::default();
         let ids = world.kb().domain_entities(world.domain("TargetX").id);
         pairs
@@ -402,30 +438,43 @@ mod tests {
             .enumerate()
             .map(|(i, pair)| {
                 let mut r = Rng::seed_from_u64(i as u64);
-                let candidates = (0..k)
-                    .map(|_| {
-                        let e = world.kb().entity(*r.choose(ids));
+                let retrieved: Vec<(EntityId, f64)> =
+                    (0..k).map(|_| (*r.choose(ids), 0.0)).collect();
+                let candidates = retrieved
+                    .iter()
+                    .map(|&(id, _)| {
+                        let e = world.kb().entity(id);
                         (entity_bag(vocab, &icfg, e), title_bag(vocab, e))
                     })
                     .collect();
-                CandidateSet::new(pair, candidates, Some(0))
+                (CandidateSet::new(pair, candidates, Some(0)), retrieved)
             })
-            .collect()
+            .unzip()
     }
 
-    /// The cross-encoder twin: `forward_logits` per set ≡ `score_sets`
-    /// over `Params` ≡ `score_sets` over the frozen snapshot.
+    /// The cross-encoder twin: `forward_logits` per set ≡ `score_set`
+    /// over `Params` ≡ `score_set` over the frozen snapshot, fed from
+    /// the sets or from the entity feature table.
     #[test]
     fn cross_training_graph_model_and_frozen_forwards_are_bit_identical() {
         let (world, vocab, pairs) = setup();
         let cfg = CrossEncoderConfig { emb_dim: 16, hidden: 16, ..Default::default() };
-        let model = CrossEncoder::new(&vocab, cfg, &mut Rng::seed_from_u64(7));
-        let frozen = model.freeze(QuantMode::Exact);
-        // 20 sets crosses the SCORE_CHUNK=8 chunked-dispatch threshold;
-        // one set is empty mid-batch, one has an empty mention bag.
-        let mut sets = candidate_sets(&world, &vocab, &pairs[..20], 6);
+        let mut model = CrossEncoder::new(&vocab, cfg, &mut Rng::seed_from_u64(7));
+        perturb(model.params_mut(), 70);
+        let kb = world.kb();
+        let features = EntityFeatures::try_build(
+            &vocab,
+            &InputConfig::default(),
+            kb,
+            kb.domain_entities(world.domain("TargetX").id),
+        )
+        .expect("domain ids are inside the kb");
+        let frozen = model.freeze(QuantMode::Exact).with_features(Arc::new(features));
+        // One set is empty mid-batch, one has an empty mention bag.
+        let (mut sets, mut retrieved) = candidate_sets(&world, &vocab, &pairs[..20], 6);
         sets[9].entities.clear();
         sets[9].titles.clear();
+        retrieved[9].clear();
         sets[4].mention.clear();
         let bits = |scores: &[Vec<f64>]| -> Vec<Vec<u64>> {
             scores.iter().map(|s| s.iter().map(|x| x.to_bits()).collect()).collect()
@@ -433,14 +482,30 @@ mod tests {
         let want = bits(&model.score_batch(&sets));
         assert!(want[9].is_empty() && want.iter().filter(|w| w.len() == 6).count() == 19);
         assert_eq!(bits(&frozen.score_batch(&sets)), want);
+        for ((set, retrieved), want) in sets.iter().zip(&retrieved).zip(&want) {
+            let got = frozen.score_retrieved(&set.mention, &set.surface, retrieved);
+            assert_eq!(&bits(&[got])[0], want);
+        }
         for t in [1usize, 2, 3, 4] {
             let threads = Threads::new(t);
-            assert_eq!(bits(&frozen.score_batch_with(&sets, threads)), want);
             for (set, want) in sets.iter().zip(&want).filter(|(s, _)| !s.is_empty()) {
                 let mut tape = Tape::with_threads(threads);
                 let (_, logits) = model.forward_logits(&mut tape, set);
                 assert_eq!(&bits(&[tape.value(logits).data().to_vec()])[0], want);
             }
+        }
+        // 40 candidates at width 32 × 40 send the graph's two linears
+        // down the blocked matmul path; the row pass (one register block
+        // of 32 columns, 8 columns one at a time) must still match it.
+        let cfg = CrossEncoderConfig { emb_dim: 32, hidden: 40, ..Default::default() };
+        let mut wide = CrossEncoder::new(&vocab, cfg, &mut Rng::seed_from_u64(8));
+        perturb(wide.params_mut(), 80);
+        let (wide_sets, _) = candidate_sets(&world, &vocab, &pairs[..2], 40);
+        let got = bits(&wide.freeze(QuantMode::Exact).score_batch(&wide_sets));
+        for (set, got) in wide_sets.iter().zip(&got) {
+            let mut tape = Tape::new();
+            let (_, logits) = wide.forward_logits(&mut tape, set);
+            assert_eq!(&bits(&[tape.value(logits).data().to_vec()])[0], got);
         }
     }
 
@@ -471,7 +536,7 @@ mod tests {
             CrossEncoderConfig { emb_dim: 16, hidden: 16, ..Default::default() },
             &mut Rng::seed_from_u64(10),
         );
-        let sets = candidate_sets(&world, &vocab, &pairs[..6], 5);
+        let (sets, _) = candidate_sets(&world, &vocab, &pairs[..6], 5);
         let want = cross.score_batch(&sets);
         let got = cross.freeze(QuantMode::Int8).score_batch(&sets);
         for (w, g) in want.iter().flatten().zip(got.iter().flatten()) {

@@ -178,24 +178,25 @@ impl EntityFeatures {
         })
     }
 
-    /// `(run, title length)` of a covered id.
-    fn run(&self, id: EntityId) -> Option<(&[u32], usize)> {
+    /// `(entity bag, title bag)` of `id` from one lookup, `None` when
+    /// the table does not cover it.
+    pub(crate) fn bags(&self, id: EntityId) -> Option<(&[u32], &[u32])> {
         let slot = id.0 as usize;
         let title = *self.titles.get(slot).filter(|&&t| t != UNCOVERED)? as usize;
         let (start, end) = (*self.starts.get(slot)? as usize, *self.starts.get(slot + 1)? as usize);
-        Some((self.tokens.get(start..end)?, title))
+        self.tokens.get(start..end).and_then(|run| Some((run, run.get(..title)?)))
     }
 
     /// The [`entity_bag`] of `id`, `None` when the table does not
     /// cover it.
     pub fn entity(&self, id: EntityId) -> Option<&[u32]> {
-        self.run(id).map(|(run, _)| run)
+        self.bags(id).map(|(run, _)| run)
     }
 
     /// The [`title_bag`] of `id`, `None` when the table does not cover
     /// it.
     pub fn title(&self, id: EntityId) -> Option<&[u32]> {
-        self.run(id).and_then(|(run, title)| run.get(..title))
+        self.bags(id).map(|(_, title)| title)
     }
 
     /// True when the table holds the features of `id`.

@@ -11,7 +11,7 @@
 //! batch size is the backlog that built up while the worker was busy:
 //! a lone caller is served at once as a batch of one, and a saturated
 //! server fuses up to `max_batch` requests through one multi-query
-//! retrieval scan and one cross-encoder pass. Because every tensor op
+//! retrieval scan before reranking each. Because every tensor op
 //! on the inference path is row-independent, batched responses are
 //! bit-identical to sequential [`mb_core::linker::TwoStageLinker::link`]
 //! calls — serving never changes model outputs.

@@ -1,12 +1,13 @@
 //! The forward kernels of the encoder ops, and frozen parameters.
 //!
-//! [`linear`], [`tanh`], [`row_l2_normalize`], [`bag_embed`] and
-//! [`rows_dot`] are the **only** forward arithmetic for those ops: the
+//! [`linear`], [`tanh`], [`row_l2_normalize`], `bag_embed` and
+//! `rows_dot` are the **only** forward arithmetic for those ops: the
 //! [`crate::Tape`] ops of the same names call them and record just the
 //! `Op` their backward needs, so a tape-built forward and a tape-free
 //! one are the same function calls and agree bit for bit at any thread
-//! count. The mean-pooling loop behind every `bag_embed` (f64 here, int8
-//! in [`crate::quant`]) is written once, in `pool_bags`.
+//! count; a row-at-a-time forward calls their row forms,
+//! [`bag_embed_row`] and [`dot`]. The mean-pooling loop (f64 and int8)
+//! is written once, in `pool_row`.
 //!
 //! [`FrozenParams`] is the serving-side parameter container: an
 //! immutable snapshot shared via [`Arc`], so a forward over it clones
@@ -108,62 +109,62 @@ pub fn row_l2_normalize(x: &Tensor, eps: f64) -> Tensor {
     y
 }
 
-/// The mean-pooling loop of every embedding-bag lookup: row `i` of the
-/// `[bags.len(), dim]` output is the mean of the table rows listed in
-/// `bags[i]` (zero for an empty bag). `add_row(out_row, id, inv)` adds
-/// `inv ×` table row `id` into `out_row`; the element type of the table
-/// (f64 / int8) is the caller's business.
+/// The mean-pooling loop of every embedding-bag lookup: `out` becomes
+/// the mean of the table rows listed in `bag` (zero for an empty bag).
+/// `add_row(out, id, inv)` adds `inv ×` table row `id` into `out`; the
+/// element type of the table (f64 / int8) is the caller's business.
 ///
 /// # Panics
-/// Panics if any id is `>= vocab`.
-pub(crate) fn pool_bags(
-    vocab: usize,
-    dim: usize,
-    bags: &[impl AsRef<[u32]>],
+/// Panics unless `out` is `dim` long, or if any id is `>= vocab`.
+pub(crate) fn pool_row(
+    (vocab, dim): (usize, usize),
+    bag: &[u32],
+    out: &mut [f64],
     add_row: impl Fn(&mut [f64], usize, f64),
-) -> Tensor {
-    let mut out = Tensor::zeros(vec![bags.len(), dim]);
-    for (i, bag) in bags.iter().map(AsRef::as_ref).enumerate() {
-        if bag.is_empty() {
-            continue;
-        }
-        let inv = 1.0 / bag.len() as f64;
-        let row = out.row_mut(i);
-        for &id in bag {
-            let id = id as usize;
-            assert!(id < vocab, "bag_embed: token id {id} out of vocab {vocab}");
-            add_row(row, id, inv);
-        }
+) {
+    assert_eq!(out.len(), dim, "bag_embed: output row of {} for dim {dim}", out.len());
+    out.fill(0.0);
+    let inv = 1.0 / bag.len() as f64;
+    for &id in bag {
+        let id = id as usize;
+        assert!(id < vocab, "bag_embed: token id {id} out of vocab {vocab}");
+        add_row(out, id, inv);
+    }
+}
+
+/// [`bag_embed_row`] of every bag → `[bags.len(), dim]`.
+pub(crate) fn bag_embed(table: &Tensor, bags: &[impl AsRef<[u32]>]) -> Tensor {
+    let mut out = Tensor::zeros(vec![bags.len(), table.cols()]);
+    for (i, bag) in bags.iter().enumerate() {
+        bag_embed_row(table, bag.as_ref(), out.row_mut(i));
     }
     out
 }
 
-/// Mean-pooled embedding-bag lookup over a `[vocab, dim]` table;
-/// `bags[i]` lists the token ids of example `i`. Empty bags yield zero
-/// rows.
+/// Mean-pooled embedding-bag lookup of one bag over a `[vocab, dim]`
+/// table into `out` (zeros for an empty bag).
 ///
 /// # Panics
-/// Panics if any id is out of range.
-pub fn bag_embed(table: &Tensor, bags: &[impl AsRef<[u32]>]) -> Tensor {
-    assert_eq!(table.rank(), 2, "bag_embed: table must be rank-2, got {:?}", table.shape());
-    let (vocab, dim) = (table.shape()[0], table.shape()[1]);
-    pool_bags(vocab, dim, bags, |row, id, inv| {
+/// Panics on a mis-shaped table or row, or an out-of-range id.
+pub fn bag_embed_row(table: &Tensor, bag: &[u32], out: &mut [f64]) {
+    let dim = table.cols();
+    pool_row((table.rows(), dim), bag, out, |row, id, inv| {
         for (r, e) in row.iter_mut().zip(&table.data()[id * dim..(id + 1) * dim]) {
             *r += inv * e;
         }
-    })
+    });
+}
+
+/// `Σ aᵢ·bᵢ` as one `Sum` of the products: a `rows_dot` row.
+pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Row-wise dot product of two `[n, d]` tensors → `[n]`.
-pub fn rows_dot(a: &Tensor, b: &Tensor) -> Tensor {
+pub(crate) fn rows_dot(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(a.shape(), b.shape(), "rows_dot: {:?} vs {:?}", a.shape(), b.shape());
     assert_eq!(a.rank(), 2, "rows_dot: rank-2 required");
-    let n = a.rows();
-    let mut out = vec![0.0; n];
-    for (i, o) in out.iter_mut().enumerate() {
-        *o = a.row(i).iter().zip(b.row(i)).map(|(x, y)| x * y).sum();
-    }
-    Tensor::from_vec(vec![n], out)
+    Tensor::from_vec(vec![a.rows()], (0..a.rows()).map(|i| dot(a.row(i), b.row(i))).collect())
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! (`ServeModel::from_checkpoint`); no serving-path code re-quantizes a
 //! table or allocates a dequantized copy.
 
-use crate::frozen::pool_bags;
+use crate::frozen::pool_row;
 use crate::kernels;
 use crate::tensor::Tensor;
 use mb_par::Threads;
@@ -150,16 +150,16 @@ impl QuantI8 {
         Tensor::from_vec(vec![self.rows, self.cols], data)
     }
 
-    /// Mean-pool dequantized table rows per bag, in bag order — the
-    /// int8 counterpart of [`crate::frozen::bag_embed`].
-    pub fn bag_embed(&self, bags: &[impl AsRef<[u32]>]) -> Tensor {
-        pool_bags(self.rows, self.cols, bags, |row, id, inv| {
+    /// Mean-pool the dequantized rows of `bag` into `out` — the int8
+    /// counterpart of [`crate::frozen::bag_embed_row`].
+    pub fn bag_embed_row(&self, bag: &[u32], out: &mut [f64]) {
+        pool_row((self.rows, self.cols), bag, out, |row, id, inv| {
             let scale = self.scales[id];
             let emb = &self.data[id * self.cols..(id + 1) * self.cols];
             for (r, &q) in row.iter_mut().zip(emb) {
                 *r += inv * (f64::from(q) * scale);
             }
-        })
+        });
     }
 
     /// Dot product of `query` against every row without dequantizing

@@ -88,7 +88,7 @@ mb_check::check! {
     }
 
     fn bag_embed_matches_a_naive_per_element_reference(seed in gen::u64_any()) {
-        // The f64 and int8 `bag_embed` share one pooling loop and
+        // The f64 and int8 `bag_embed_row` share one pooling loop and
         // supply only the row accumulate; each must equal a reference
         // that shares neither: element `(bag, j)` summed through
         // `get(id, j)`, bit for bit — quantization error enters through
@@ -111,9 +111,21 @@ mb_check::check! {
             }
             out
         };
-        let bits = |t: Tensor| -> Vec<u64> { t.data().iter().map(|v| v.to_bits()).collect() };
+        // Every bag is pooled into one reused row, left dirty by the
+        // bag before: the row forms overwrite it.
+        let pooled = |pool: &dyn Fn(&[u32], &mut [f64])| -> Vec<u64> {
+            let mut row = vec![f64::NAN; cols];
+            let mut out = Vec::new();
+            for bag in &bags {
+                pool(bag, &mut row);
+                out.extend(row.iter().map(|v| v.to_bits()));
+            }
+            out
+        };
         let i8t = QuantI8::from_tensor(&t);
-        prop_assert_eq!(bits(frozen::bag_embed(&t, &bags)), naive(&|i, j| t.at(i, j)), "f64");
-        prop_assert_eq!(bits(i8t.bag_embed(&bags)), naive(&|i, j| i8t.get(i, j)), "int8");
+        let f64_rows = pooled(&|bag, row| frozen::bag_embed_row(&t, bag, row));
+        prop_assert_eq!(f64_rows, naive(&|i, j| t.at(i, j)), "f64");
+        let i8_rows = pooled(&|bag, row| i8t.bag_embed_row(bag, row));
+        prop_assert_eq!(i8_rows, naive(&|i, j| i8t.get(i, j)), "int8");
     }
 }

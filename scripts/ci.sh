@@ -44,6 +44,11 @@ STEPS=(
     # trained parameters must be bit-identical at 1/2/4 worker threads.
     # Run in release so the blocked (not fallback) kernels are pinned.
     "thread-determinism|cargo test --release -q -p mb-core --test thread_determinism"
+    # Baseline-CPU bits: the one-forward pins (link digests included)
+    # and the training digest, rebuilt for plain x86-64 instead of the
+    # host CPU. The kernels vectorise differently at each width; the
+    # bits must not move (.cargo/config.toml).
+    "baseline-cpu|RUSTFLAGS=\"-C target-cpu=x86-64\" CARGO_TARGET_DIR=target/baseline-cpu cargo test --release -q --test one_forward && RUSTFLAGS=\"-C target-cpu=x86-64\" CARGO_TARGET_DIR=target/baseline-cpu cargo test --release -q -p mb-core --test resume training_outputs_are_pinned"
     # Serve smoke: train a small model, evaluate it (same numbers as
     # train), serve it, and drive it with the load generator — 100% 2xx
     # under load, every /metrics line benchmark/ scrapes plus cache

@@ -1,23 +1,49 @@
 //! Tier-1 slice of the one-forward contract (DESIGN.md §12; the full
 //! versions live in `crates/encoders/src/frozen.rs`): each encoder's op
 //! chain is stated twice — as a training graph and as a tape-free
-//! sequence — and the graph's value, the model's own inference methods
-//! and the frozen handle must agree bit for bit at every thread count,
-//! past the chunking thresholds, with empty bags and empty sets.
+//! sequence — and the graph's value, the model's own inference methods,
+//! the frozen handle and `link_batch`'s rerank must agree bit for bit
+//! at every thread count, past the chunking threshold, with empty bags
+//! and empty sets. `link_batch`'s whole output is also pinned by digest
+//! for both `QuantMode`s.
 
 use metablink::common::Rng;
+use metablink::core::linker::LinkResult;
 use metablink::core::{LinkerConfig, TwoStageLinker};
 use metablink::datagen::mentions::generate_mentions;
-use metablink::datagen::{World, WorldConfig};
+use metablink::datagen::{LinkedMention, World, WorldConfig};
 use metablink::encoders::biencoder::{BiEncoderConfig, EMBED_CHUNK};
-use metablink::encoders::crossencoder::{CandidateSet, CrossEncoderConfig, SCORE_CHUNK};
+use metablink::encoders::crossencoder::{CandidateSet, CrossEncoderConfig};
 use metablink::encoders::input::{build_vocab, InputConfig, TrainPair};
 use metablink::encoders::{BiEncoder, CrossEncoder};
 use metablink::par::Threads;
-use metablink::tensor::{QuantMode, Tape, Tensor};
+use metablink::tensor::{Params, QuantMode, Tape, Tensor};
+use metablink::text::Vocab;
 
 fn bits(t: &Tensor) -> Vec<u64> {
     t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Gaussian noise on every parameter: a fresh model's biases are zero,
+/// which would hide where each `+ b` sits in its fold.
+fn perturb(params: &mut Params, seed: u64) {
+    let mut rng = Rng::seed_from_u64(seed);
+    let names: Vec<String> = params.iter().map(|(name, _)| name.to_string()).collect();
+    for name in names {
+        let id = params.id_of(&name).expect("a name the model registered");
+        params.get_mut(id).data_mut().iter_mut().for_each(|v| *v += rng.normal(0.0, 0.1));
+    }
+}
+
+/// Both encoders of the tiny world, seeded and perturbed.
+fn encoders(vocab: &Vocab) -> (BiEncoder, CrossEncoder) {
+    let bi_cfg = BiEncoderConfig { emb_dim: 12, hidden: 12, out_dim: 12, ..Default::default() };
+    let cross_cfg = CrossEncoderConfig { emb_dim: 12, hidden: 12, ..Default::default() };
+    let mut bi = BiEncoder::new(vocab, bi_cfg, &mut Rng::seed_from_u64(1));
+    let mut cross = CrossEncoder::new(vocab, cross_cfg, &mut Rng::seed_from_u64(2));
+    perturb(bi.params_mut(), 3);
+    perturb(cross.params_mut(), 4);
+    (bi, cross)
 }
 
 #[test]
@@ -27,10 +53,7 @@ fn training_graph_model_and_frozen_forwards_agree_bit_for_bit() {
     let vocab = build_vocab(kb, [], 1);
     let domain = world.domain("TargetX").clone();
     let mentions = generate_mentions(&world, &domain, 40, &mut Rng::seed_from_u64(3)).mentions;
-    let bi_cfg = BiEncoderConfig { emb_dim: 12, hidden: 12, out_dim: 12, ..Default::default() };
-    let cross_cfg = CrossEncoderConfig { emb_dim: 12, hidden: 12, ..Default::default() };
-    let bi = BiEncoder::new(&vocab, bi_cfg, &mut Rng::seed_from_u64(1));
-    let cross = CrossEncoder::new(&vocab, cross_cfg, &mut Rng::seed_from_u64(2));
+    let (bi, cross) = encoders(&vocab);
 
     let icfg = InputConfig::default();
     let mut pairs: Vec<TrainPair> =
@@ -43,10 +66,11 @@ fn training_graph_model_and_frozen_forwards_agree_bit_for_bit() {
         TwoStageLinker::new(&bi, &cross, &vocab, kb, kb.domain_entities(domain.id), linker_cfg);
     let mut sets: Vec<CandidateSet> =
         mentions.iter().map(|m| linker.candidate_set(m, &linker.candidates(m))).collect();
+    // `link_batch` scores the same bags from the table, unedited.
+    let linked = cross.score_batch(&sets);
     sets[2].entities.clear();
     sets[2].titles.clear();
     sets[3].surface.clear();
-    assert!(sets.len() > SCORE_CHUNK);
 
     let m_bags: Vec<Vec<u32>> = pairs.iter().map(|p| p.mention.clone()).collect();
     let e_bags: Vec<Vec<u32>> = pairs.iter().map(|p| p.entity.clone()).collect();
@@ -59,7 +83,9 @@ fn training_graph_model_and_frozen_forwards_agree_bit_for_bit() {
 
     let (frozen_bi, frozen_cross) = (bi.freeze(QuantMode::Exact), cross.freeze(QuantMode::Exact));
     assert_eq!(bits(&frozen_bi.embed_mentions_batch(&m_bags)), want_m);
+    assert_eq!(bits(&frozen_bi.embed_entities_batch(&e_bags)), want_e);
     assert_eq!(score_bits(frozen_cross.score_batch(&sets)), want_scores);
+    let linked = score_bits(linked);
     for t in 1..=4 {
         let threads = Threads::new(t);
         let mut tape = Tape::with_threads(threads);
@@ -67,12 +93,65 @@ fn training_graph_model_and_frozen_forwards_agree_bit_for_bit() {
         assert_eq!(bits(tape.value(graph.mentions)), want_m, "threads={t}");
         assert_eq!(bits(tape.value(graph.entities)), want_e, "threads={t}");
         assert_eq!(bits(&frozen_bi.embed_mentions_batch_with(&m_bags, threads)), want_m);
-        assert_eq!(bits(&frozen_bi.embed_entities_batch_with(&e_bags, threads)), want_e);
-        assert_eq!(score_bits(frozen_cross.score_batch_with(&sets, threads)), want_scores);
+        let cfg = LinkerConfig { threads, ..linker_cfg };
+        let peer = TwoStageLinker::new(&bi, &cross, &vocab, kb, kb.domain_entities(domain.id), cfg);
+        let results = peer.link_batch(&mentions).expect("valid linker");
+        let reranked: Vec<Vec<f64>> = results.into_iter().map(|r| r.rerank_scores).collect();
+        assert_eq!(score_bits(reranked), linked, "threads={t}");
         for (set, want) in sets.iter().zip(&want_scores).filter(|(s, _)| !s.is_empty()) {
             let mut tape = Tape::with_threads(threads);
             let (_, logits) = cross.forward_logits(&mut tape, set);
             assert_eq!(&bits(tape.value(logits)), want, "threads={t}");
+        }
+    }
+}
+
+/// FNV-1a over every field of a batch's results: ids, stage-one bits,
+/// rerank bits and the prediction.
+fn link_digest(results: &[LinkResult]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u64| {
+        for b in word.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for r in results {
+        eat(r.retrieved.len() as u64);
+        for &(id, score) in &r.retrieved {
+            eat(u64::from(id.0));
+            eat(score.to_bits());
+        }
+        r.rerank_scores.iter().for_each(|s| eat(s.to_bits()));
+        eat(r.predicted.map_or(u64::MAX, |id| u64::from(id.0)));
+    }
+    h
+}
+
+#[test]
+fn link_batch_outputs_match_the_pinned_digests() {
+    let world = World::generate(WorldConfig::tiny(63));
+    let kb = world.kb();
+    let vocab = build_vocab(kb, [], 1);
+    let domain = world.domain("TargetX").clone();
+    let mut mentions = generate_mentions(&world, &domain, 40, &mut Rng::seed_from_u64(3)).mentions;
+    mentions[4].surface.clear();
+    mentions[7] = LinkedMention {
+        left: String::new(),
+        surface: String::new(),
+        right: String::new(),
+        ..mentions[7].clone()
+    };
+    let (bi, cross) = encoders(&vocab);
+    for (quant, want) in
+        [(QuantMode::Exact, 0x367a_0d2f_6a05_c774), (QuantMode::Int8, 0x5f83_c38a_92af_c217)]
+    {
+        for t in 1..=4 {
+            let cfg =
+                LinkerConfig { k: 16, quant, threads: Threads::new(t), ..LinkerConfig::default() };
+            let linker =
+                TwoStageLinker::new(&bi, &cross, &vocab, kb, kb.domain_entities(domain.id), cfg);
+            let got = link_digest(&linker.link_batch(&mentions).expect("valid linker"));
+            assert_eq!(got, want, "{quant:?} threads={t}: {got:#018x}");
         }
     }
 }
