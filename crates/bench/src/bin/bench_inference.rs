@@ -1,5 +1,7 @@
 //! Serving-path inference benchmark: the frozen tape-free forward and
-//! its int8 quantized variant at the serving batch size. Measures
+//! its int8 quantized variant at the serving batch size, and the
+//! rerank as `link_batch` runs it (each mention's retrieved candidates
+//! scored from the entity feature table, at the link shape). Measures
 //! the embedding-table memory shrink and computes quantized top-1
 //! agreement on a trained tiny-world eval set. (There is no tape-built
 //! inference path left to compare against; bit-identity of the frozen
@@ -18,16 +20,18 @@ use mb_datagen::{World, WorldConfig};
 use mb_encoders::biencoder::{BiEncoder, BiEncoderConfig};
 use mb_encoders::crossencoder::{CandidateSet, CrossEncoder, CrossEncoderConfig};
 use mb_encoders::input::{
-    build_vocab, entity_bag, mention_bag, surface_bag, title_bag, InputConfig, TrainPair,
+    build_vocab, mention_bag, surface_bag, EntityFeatures, InputConfig, TrainPair,
 };
 use mb_encoders::train::{train_biencoder, train_crossencoder, TrainConfig};
 use mb_tensor::QuantMode;
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// The serving batch size the acceptance criterion is pinned at.
 const BATCH: usize = 8;
-/// Candidates per mention in the re-ranking benches.
-const K: usize = 16;
+/// Retrieved candidates each mention reranks, as in a served link
+/// (`LinkerConfig::default().k`).
+const K: usize = 64;
 
 fn main() {
     // --- Throughput: production-scale vocabulary (32k tokens,
@@ -46,40 +50,25 @@ fn main() {
         BiEncoderConfig { emb_dim: 64, hidden: 64, out_dim: 64, ..Default::default() },
         &mut Rng::seed_from_u64(1),
     );
-    let cross = CrossEncoder::new(
-        &vocab,
-        CrossEncoderConfig { emb_dim: 64, hidden: 64, ..Default::default() },
-        &mut Rng::seed_from_u64(2),
-    );
+    // The link shape: the default (served) cross-encoder width.
+    let cross =
+        CrossEncoder::new(&vocab, CrossEncoderConfig::default(), &mut Rng::seed_from_u64(2));
     let icfg = InputConfig::default();
-    let bags: Vec<Vec<u32>> =
-        mentions.iter().take(BATCH).map(|m| mention_bag(&vocab, &icfg, m)).collect();
+    let batch = &mentions[..BATCH];
+    let bags: Vec<Vec<u32>> = batch.iter().map(|m| mention_bag(&vocab, &icfg, m)).collect();
+    let surfaces: Vec<Vec<u32>> = batch.iter().map(|m| surface_bag(&vocab, m)).collect();
     let dict = world.kb().domain_entities(domain.id);
-    let sets: Vec<CandidateSet> = mentions
-        .iter()
-        .take(BATCH)
-        .enumerate()
-        .map(|(i, m)| {
-            let pair = TrainPair {
-                mention: mention_bag(&vocab, &icfg, m),
-                surface: surface_bag(&vocab, m),
-                entity: Vec::new(),
-                title: Vec::new(),
-                gold: m.entity,
-            };
+    let retrieved: Vec<Vec<_>> = (0..BATCH)
+        .map(|i| {
             let mut r = Rng::seed_from_u64(100 + i as u64);
-            let cands: Vec<(Vec<u32>, Vec<u32>)> = (0..K)
-                .map(|_| {
-                    let e = world.kb().entity(*r.choose(dict));
-                    (entity_bag(&vocab, &icfg, e), title_bag(&vocab, e))
-                })
-                .collect();
-            CandidateSet::new(&pair, cands, Some(0))
+            (0..K).map(|_| (*r.choose(dict), 0.0)).collect()
         })
         .collect();
+    let features = EntityFeatures::try_build(&vocab, &icfg, world.kb(), dict)
+        .expect("the domain dictionary is inside its kb");
 
     let frozen_bi = bi.freeze(QuantMode::Exact);
-    let frozen_cross = cross.freeze(QuantMode::Exact);
+    let frozen_cross = cross.freeze(QuantMode::Exact).with_features(Arc::new(features));
     let i8_bi = bi.freeze(QuantMode::Int8);
 
     let mut h = Harness::new();
@@ -89,8 +78,10 @@ fn main() {
     h.bench_units(&format!("inference/embed/int8/batch{BATCH}"), BATCH as f64, "mention", || {
         black_box(i8_bi.embed_mentions_batch(black_box(&bags)));
     });
-    h.bench_units(&format!("inference/rerank/frozen/batch{BATCH}"), BATCH as f64, "set", || {
-        black_box(frozen_cross.score_batch(black_box(&sets)));
+    h.bench_units(&format!("inference/rerank/table/k{K}"), BATCH as f64, "set", || {
+        for ((bag, surface), retrieved) in bags.iter().zip(&surfaces).zip(&retrieved) {
+            black_box(frozen_cross.score_retrieved(bag, surface, black_box(retrieved)));
+        }
     });
 
     // Embedding-table residency across modes (bi + cross tables; the

@@ -7,7 +7,7 @@
 //! `target/experiments/*.json` reports. [`judge`] forms each metric's
 //! per-pair ratios change / parent. A metric regressed only when the
 //! change is slower in so many pairs that a fair coin would get there
-//! with probability at most [`SIGN_ALPHA`] (a one-sided sign test: every
+//! with probability at most `SIGN_ALPHA` (a one-sided sign test: every
 //! one of 5 pairs, or 9 of 10) **and** its median ratio is above
 //! [`MAX_RATIO`]. Both halves are needed: the sign test alone would fail
 //! a consistent 2 % drift, and the ratio alone would fail unchanged code
@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 pub const MAX_RATIO: f64 = 1.15;
 
 /// The sign test's one-sided significance level (1/32 = all of 5 pairs).
-pub const SIGN_ALPHA: f64 = 1.0 / 32.0;
+pub(crate) const SIGN_ALPHA: f64 = 1.0 / 32.0;
 
 /// One run's `name → median_ns`, merged over every report it wrote.
 pub type Medians = BTreeMap<String, f64>;

@@ -61,13 +61,13 @@ pub struct Measurement {
 
 impl Measurement {
     /// Units processed per second at the median, if units were declared.
-    pub fn throughput(&self) -> Option<f64> {
+    pub(crate) fn throughput(&self) -> Option<f64> {
         self.units.map(|(n, _)| n * 1e9 / self.median_ns)
     }
 }
 
 /// Render nanoseconds with an adaptive unit.
-pub fn fmt_ns(ns: f64) -> String {
+pub(crate) fn fmt_ns(ns: f64) -> String {
     if ns < 1e3 {
         format!("{ns:.0} ns")
     } else if ns < 1e6 {
@@ -95,11 +95,6 @@ impl Harness {
     /// A harness with an explicit configuration.
     pub fn with_config(cfg: BenchConfig) -> Self {
         Harness { cfg, results: Vec::new() }
-    }
-
-    /// Time `f`, recording the measurement under `name`.
-    pub fn bench<F: FnMut()>(&mut self, name: &str, f: F) -> &Measurement {
-        self.bench_impl(name, None, f)
     }
 
     /// Time `f`, which processes `units` of `unit_label` per iteration
@@ -312,7 +307,7 @@ impl Harness {
 
 /// Emit a paper table through [`Table::emit`] (stdout + `.txt`) and as
 /// machine-readable `<name>.json` alongside it.
-pub fn emit_table(t: &Table, name: &str) {
+pub(crate) fn emit_table(t: &Table, name: &str) {
     t.emit(name);
     let headers = json_string_array(t.headers());
     let rows: Vec<String> = t.rows().iter().map(|r| json_string_array(r)).collect();
@@ -404,7 +399,7 @@ mod tests {
         });
         let mut acc = 0u64;
         let m = h
-            .bench("noop/add", || {
+            .bench_impl("noop/add", None, || {
                 acc = acc.wrapping_add(std::hint::black_box(1));
             })
             .clone();

@@ -20,7 +20,7 @@ use mb_encoders::crossencoder::CrossEncoderConfig;
 use mb_encoders::train::TrainConfig;
 
 /// The model/training configuration of the full-scale paper tables.
-pub fn bench_model_config(seed: u64) -> MetaBlinkConfig {
+pub(crate) fn bench_model_config(seed: u64) -> MetaBlinkConfig {
     MetaBlinkConfig {
         linker: LinkerConfig { k: 64, ..LinkerConfig::default() },
         bi: BiEncoderConfig { emb_dim: 32, hidden: 32, out_dim: 32, ..Default::default() },

@@ -188,7 +188,7 @@ pub struct Artifact {
 
 /// A default-configuration training run: zero-shot (mined seed) or
 /// few-shot task, domain, method, source, model seed.
-pub type RowKey = (bool, &'static str, Method, DataSource, u64);
+pub(crate) type RowKey = (bool, &'static str, Method, DataSource, u64);
 
 /// Few-shot rows whose first-seed model a later artifact reads (Table
 /// II and the category breakdown); kept when trained.
@@ -245,7 +245,7 @@ impl<'c> Run<'c> {
 
     /// Train on `domain` with a custom seed set and configuration and
     /// evaluate on its test split. Not shared: the caller's variant.
-    pub fn eval_with(
+    pub(crate) fn eval_with(
         &self,
         domain: &str,
         seed_set: &[LinkedMention],

@@ -11,7 +11,7 @@ use mb_bench::paper::{context, evaluate, Numbers, Run, ARTIFACTS};
 use std::collections::BTreeMap;
 
 #[test]
-#[ignore = "the full-scale run, ≈ 15 min: cargo test --release -p mb-bench --test paper_full -- --ignored"]
+#[ignore = "the full-scale run, ≈ 7 min on 2 vCPUs: cargo test --release -p mb-bench --test paper_full -- --ignored"]
 fn every_number_the_separate_targets_computed_is_reproduced_bit_for_bit() {
     let ctx = context();
     let mut run = Run::new(&ctx, false);

@@ -262,7 +262,7 @@ pub fn char_in(lo: char, hi: char) -> CharIn {
 }
 
 /// Lowercase ASCII letters.
-pub fn lowercase_char() -> CharIn {
+pub(crate) fn lowercase_char() -> CharIn {
     char_in('a', 'z')
 }
 
@@ -304,11 +304,11 @@ impl Gen for CharIn {
 /// Arbitrary Unicode scalar values, weighted so that ASCII dominates
 /// but multi-byte, combining, and astral-plane characters (the classic
 /// tokenizer breakers) still appear. Shrinks toward `'a'`.
-pub fn any_char() -> AnyChar {
+pub(crate) fn any_char() -> AnyChar {
     AnyChar
 }
 
-/// See [`any_char`].
+/// See `any_char`.
 #[derive(Clone, Copy, Debug)]
 pub struct AnyChar;
 
@@ -348,13 +348,13 @@ impl Gen for AnyChar {
 
 /// A character drawn uniformly from an explicit alphabet, shrinking
 /// toward the alphabet's first character.
-pub fn charset_char(alphabet: &str) -> CharsetChar {
+pub(crate) fn charset_char(alphabet: &str) -> CharsetChar {
     let chars: Vec<char> = alphabet.chars().collect();
     assert!(!chars.is_empty(), "empty alphabet");
     CharsetChar { chars }
 }
 
-/// See [`charset_char`].
+/// See `charset_char`.
 #[derive(Clone, Debug)]
 pub struct CharsetChar {
     chars: Vec<char>,
@@ -377,7 +377,7 @@ impl Gen for CharsetChar {
 }
 
 /// A string of characters from `chars` with length in `len`.
-pub fn string_of<C>(chars: C, len: impl Into<Len>) -> StringGen<C>
+pub(crate) fn string_of<C>(chars: C, len: impl Into<Len>) -> StringGen<C>
 where
     C: Gen<Value = char>,
 {
@@ -389,17 +389,17 @@ pub fn lowercase_string(len: impl Into<Len>) -> StringGen<CharIn> {
     string_of(lowercase_char(), len)
 }
 
-/// `.{len}` — arbitrary Unicode strings (see [`any_char`]).
+/// `.{len}` — arbitrary Unicode strings (see `any_char`).
 pub fn any_string(len: impl Into<Len>) -> StringGen<AnyChar> {
     string_of(any_char(), len)
 }
 
-/// A string over an explicit alphabet (see [`charset_char`]).
+/// A string over an explicit alphabet (see `charset_char`).
 pub fn charset_string(alphabet: &str, len: impl Into<Len>) -> StringGen<CharsetChar> {
     string_of(charset_char(alphabet), len)
 }
 
-/// See [`string_of`].
+/// See `string_of`.
 #[derive(Clone, Debug)]
 pub struct StringGen<C> {
     chars: C,

@@ -128,7 +128,7 @@ where
 
 /// Run a property and return the [`Outcome`] instead of panicking.
 ///
-/// This is the engine behind [`for_all_named`]; tests of the framework
+/// This is the engine behind [`check!`]; tests of the framework
 /// itself use it to inspect shrinking behaviour.
 pub fn run<G, F>(cfg: &Config, name: &str, generator: &G, prop: F) -> Outcome<G::Value>
 where
@@ -199,7 +199,9 @@ fn truncate_debug<T: std::fmt::Debug>(v: &T) -> String {
 
 /// Run a named property, panicking with a reproducible report on failure.
 ///
-/// The [`check!`] macro expands to calls of this function.
+/// `pub` only because the exported [`check!`] macro expands to
+/// `$crate::for_all_named`; write properties with `check!` instead.
+#[doc(hidden)]
 pub fn for_all_named<G, F>(cfg: &Config, name: &str, generator: &G, prop: F)
 where
     G: Gen,

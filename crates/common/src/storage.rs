@@ -73,7 +73,7 @@ fn crc32_table() -> &'static [u32; 256] {
 /// chunk buffer). Feeding the same bytes in any chunking produces the
 /// same checksum as one [`crc32`] call.
 #[derive(Debug, Clone)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 

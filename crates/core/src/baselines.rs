@@ -15,7 +15,7 @@ use mb_tensor::Tape;
 /// Name Matching: link a mention to the entity whose title equals its
 /// surface (restricted to the target dictionary). Ambiguous matches
 /// take the first hit; failures link nothing.
-pub fn name_matching_predict(
+pub(crate) fn name_matching_predict(
     kb: &KnowledgeBase,
     domain: DomainId,
     mention: &LinkedMention,
@@ -70,7 +70,7 @@ impl Default for Dl4elConfig {
 /// batch size of 1 leaves nothing to select within a batch; we follow
 /// that.) As the paper observes, synthetic data has no shallow "bad
 /// data" signal, so this baseline tracks plain BLINK closely.
-pub fn train_biencoder_dl4el(
+pub(crate) fn train_biencoder_dl4el(
     model: &mut BiEncoder,
     pairs: &[TrainPair],
     cfg: &Dl4elConfig,

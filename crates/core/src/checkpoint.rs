@@ -17,7 +17,7 @@
 //!   giving up.
 //! * [`Error::Checkpoint`] / [`Error::Parse`] on load — the generation
 //!   is corrupt (torn write, bit flip); fall back to the previous
-//!   generation and count it in [`CheckpointManager::fallbacks`].
+//!   generation and count it in the manager's `fallbacks` counter.
 //!   If *every* present generation is corrupt, `begin` returns
 //!   [`Error::Checkpoint`] rather than silently retraining from
 //!   scratch — losing all checkpoints at once is not a state this
@@ -26,8 +26,8 @@
 //!
 //! This is also the one file that interprets a *loaded* checkpoint:
 //! passing its CRCs says the bytes are the bytes that were written,
-//! not that they describe this run. [`stage_cursor`],
-//! [`stats_from_checkpoint`] and [`MetaResume::restore`] turn a
+//! not that they describe this run. `stage_cursor`,
+//! `stats_from_checkpoint` and [`MetaResume::restore`] turn a
 //! cursor outside the pipeline's stages, statistics that cannot be
 //! those of the run being resumed, or missing mid-stage state into
 //! [`Error::Checkpoint`] — never into a panic, and never into a
@@ -88,6 +88,7 @@ pub struct CheckpointManager {
     /// this so every generation on disk is a *complete* snapshot.
     base: Checkpoint,
     next_gen: u64,
+    /// How many corrupt/unreadable generations [`Self::begin`] skipped.
     fallbacks: u64,
     saves: u64,
 }
@@ -116,18 +117,13 @@ impl CheckpointManager {
         self.cfg.every_n_steps
     }
 
-    /// How many corrupt/unreadable generations [`Self::begin`] skipped.
-    pub fn fallbacks(&self) -> u64 {
-        self.fallbacks
-    }
-
     /// How many checkpoints this manager has written.
     pub fn saves(&self) -> u64 {
         self.saves
     }
 
     /// The crash-injection seam, for threading into trainers.
-    pub fn budget_mut(&mut self) -> &mut dyn StepBudget {
+    pub(crate) fn budget_mut(&mut self) -> &mut dyn StepBudget {
         self.budget.as_mut()
     }
 
@@ -214,7 +210,7 @@ impl CheckpointManager {
     ///
     /// # Errors
     /// Serialization errors, or [`Error::Io`] after retries.
-    pub fn save_boundary(&mut self, ck: Checkpoint) -> Result<()> {
+    pub(crate) fn save_boundary(&mut self, ck: Checkpoint) -> Result<()> {
         self.base = ck.clone();
         self.save(ck)
     }
@@ -250,7 +246,7 @@ impl CheckpointManager {
 }
 
 /// Store a [`MetaStats`] into checkpoint vectors under `prefix`.
-pub fn stats_to_checkpoint(prefix: &str, stats: &MetaStats, ck: &mut Checkpoint) {
+pub(crate) fn stats_to_checkpoint(prefix: &str, stats: &MetaStats, ck: &mut Checkpoint) {
     ck.vectors
         .insert(format!("{prefix}_sampled"), stats.sampled.iter().map(|&x| x as f64).collect());
     ck.vectors
@@ -268,7 +264,7 @@ pub fn stats_to_checkpoint(prefix: &str, stats: &MetaStats, ck: &mut Checkpoint)
 /// [`Error::Checkpoint`] unless both count vectors hold `pool`
 /// non-negative integers with `selected[i] ≤ sampled[i]`, there is one
 /// loss per finished step, and the δ-guard counter is at most `steps`.
-pub fn stats_from_checkpoint(
+pub(crate) fn stats_from_checkpoint(
     prefix: &str,
     ck: &Checkpoint,
     pool: usize,
@@ -313,15 +309,15 @@ pub fn stats_from_checkpoint(
 /// The stage-cursor key in checkpoint metadata: the next pipeline
 /// stage to execute (see `pipeline::train_resumable` for the stage
 /// numbering).
-pub const STAGE_KEY: &str = "stage";
+pub(crate) const STAGE_KEY: &str = "stage";
 
 /// The in-stage meta-step key: how many meta steps of the stage named
 /// by [`STAGE_KEY`] had completed when the checkpoint was taken.
-pub const STEP_KEY: &str = "step";
+pub(crate) const STEP_KEY: &str = "step";
 
 /// The values a stage cursor can take: the pipeline's six stages, and
 /// one past them for a finished run.
-pub const STAGES: RangeInclusive<u64> = 1..=7;
+pub(crate) const STAGES: RangeInclusive<u64> = 1..=7;
 
 /// The stage cursor of a loaded checkpoint.
 ///
@@ -329,7 +325,7 @@ pub const STAGES: RangeInclusive<u64> = 1..=7;
 /// [`Error::Checkpoint`] when it is absent, not a number, or outside
 /// [`STAGES`] — a cursor no stage guard matches would otherwise skip
 /// every stage and return the freshly initialised models.
-pub fn stage_cursor(ck: &Checkpoint) -> Result<u64> {
+pub(crate) fn stage_cursor(ck: &Checkpoint) -> Result<u64> {
     let stage = ck
         .meta
         .get(STAGE_KEY)
@@ -368,7 +364,7 @@ impl MetaResume<'_> {
     /// [`Error::Checkpoint`] when the step cursor is not a number in
     /// `0..=steps`, when the optimizer state, RNG state or stats are
     /// missing, and when the stats are not those of `start` steps over
-    /// a pool of `pool` (see [`stats_from_checkpoint`]).
+    /// a pool of `pool` (see `stats_from_checkpoint`).
     pub fn restore(
         &self,
         pool: usize,
@@ -449,7 +445,7 @@ mod tests {
         let mut mgr2 = mem_manager(&mem, 3);
         let resumed = mgr2.begin().unwrap().expect("resume");
         assert_eq!(resumed.meta["tag"], "b");
-        assert_eq!(mgr2.fallbacks(), 0);
+        assert_eq!(mgr2.fallbacks, 0);
         // base primed from the resumed checkpoint.
         assert_eq!(mgr2.base.meta["tag"], "b");
     }
@@ -481,7 +477,7 @@ mod tests {
         let mut mgr2 = mem_manager(&mem, 3);
         let resumed = mgr2.begin().unwrap().expect("fallback resume");
         assert_eq!(resumed.meta["tag"], "good");
-        assert_eq!(mgr2.fallbacks(), 1);
+        assert_eq!(mgr2.fallbacks, 1);
         // New saves do not overwrite the corrupted generation's slot.
         mgr2.save(ck_with("after")).unwrap();
         assert!(mem.peek(&Path::new("ckpts").join("ckpt-000003.mbc")).is_some());
@@ -497,7 +493,7 @@ mod tests {
         let mut mgr2 = mem_manager(&mem, 3);
         let err = mgr2.begin().unwrap_err();
         assert!(matches!(err, Error::Checkpoint(_)), "got {err:?}");
-        assert_eq!(mgr2.fallbacks(), 1);
+        assert_eq!(mgr2.fallbacks, 1);
     }
 
     #[test]

@@ -184,7 +184,7 @@ impl MetaStats {
     }
 
     /// Selection ratio of one example (`NaN` if never sampled).
-    pub fn selection_ratio(&self, idx: usize) -> f64 {
+    pub(crate) fn selection_ratio(&self, idx: usize) -> f64 {
         if self.sampled[idx] == 0 {
             f64::NAN
         } else {

@@ -37,7 +37,7 @@ impl Default for SeedFilterConfig {
 }
 
 /// Strategy 1: filter synthetic pairs by quality rules.
-pub fn filter_seed_candidates(
+pub(crate) fn filter_seed_candidates(
     kb: &KnowledgeBase,
     vocab: &Vocab,
     syn: &[SynPair],

@@ -63,8 +63,11 @@ mod tests {
         let domain = world.domain("TargetX").clone();
         let docs = unlabeled_documents(&world, &domain, 60, &mut Rng::seed_from_u64(2));
         let text = docs.join(" ").to_lowercase();
-        let hits =
-            domain.lexicon.specific_words().iter().filter(|w| text.contains(w.as_str())).count();
+        // Draws from the domain pool stand in for the pool itself.
+        let mut rng = Rng::seed_from_u64(4);
+        let pool: std::collections::BTreeSet<&str> =
+            (0..500).map(|_| domain.lexicon.specific_word(&mut rng)).collect();
+        let hits = pool.iter().filter(|w| text.contains(*w)).count();
         assert!(hits > 5, "only {hits} domain words appear in the corpus");
     }
 

@@ -91,11 +91,6 @@ impl Dataset {
             .find(|s| s.domain == domain)
             .unwrap_or_else(|| panic!("no few-shot split for domain {domain:?}"))
     }
-
-    /// All few-shot splits.
-    pub fn splits(&self) -> &[FewShotSplit] {
-        &self.splits
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +105,7 @@ mod tests {
     fn builds_all_parts() {
         let ds = tiny();
         assert_eq!(ds.mentions.len(), 3);
-        assert_eq!(ds.splits().len(), 1);
+        assert_eq!(ds.splits.len(), 1);
         let split = ds.split("TargetX");
         assert_eq!(split.seed.len(), 25);
         assert_eq!(split.dev.len(), 25);

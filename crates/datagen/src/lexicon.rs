@@ -30,7 +30,7 @@ const CODAS: &[&str] = &["", "", "", "l", "n", "r", "s", "st", "th", "x", "k", "
 // clippy's explicit_auto_deref suggestion breaks type inference here
 // (T would be inferred as `str` before deref coercion applies).
 #[allow(clippy::explicit_auto_deref)]
-pub fn pseudo_word(rng: &mut Rng) -> String {
+pub(crate) fn pseudo_word(rng: &mut Rng) -> String {
     let syllables = rng.range(2, 4);
     let mut w = String::new();
     for _ in 0..syllables {
@@ -44,7 +44,7 @@ pub fn pseudo_word(rng: &mut Rng) -> String {
 }
 
 /// Themed stems for the named Zeshel domains (empty for unknown names).
-pub fn themed_stems(domain: &str) -> &'static [&'static str] {
+pub(crate) fn themed_stems(domain: &str) -> &'static [&'static str] {
     match domain {
         "American Football" => {
             &["quarterback", "touchdown", "stadium", "coach", "playoff", "league"]
@@ -70,7 +70,8 @@ pub fn themed_stems(domain: &str) -> &'static [&'static str] {
 
 /// Entity type words shared by all domains; used as disambiguation
 /// phrases and description slots.
-pub const TYPE_WORDS: &[&str] = &["character", "location", "item", "episode", "event", "faction"];
+pub(crate) const TYPE_WORDS: &[&str] =
+    &["character", "location", "item", "episode", "event", "faction"];
 
 /// A domain's content-word lexicon.
 #[derive(Debug, Clone)]
@@ -89,7 +90,7 @@ pub struct Lexicon {
 
 impl Lexicon {
     /// Build the shared general pool (same for every domain of a world).
-    pub fn general_pool(world_rng: &Rng, size: usize) -> Vec<String> {
+    pub(crate) fn general_pool(world_rng: &Rng, size: usize) -> Vec<String> {
         let mut rng = world_rng.split(0x009E_3A11);
         let mut pool = Vec::with_capacity(size);
         let mut seen = std::collections::BTreeSet::new();
@@ -105,7 +106,7 @@ impl Lexicon {
     /// Build a domain lexicon.
     ///
     /// `domain_rng` must be a per-domain stream; `general` is the shared
-    /// pool from [`Lexicon::general_pool`].
+    /// pool from `Lexicon::general_pool`.
     ///
     /// # Panics
     /// Panics if `general` is empty, `specific_size == 0`, or `gap` is
@@ -142,15 +143,10 @@ impl Lexicon {
         Lexicon { general, specific, common, gap }
     }
 
-    /// The domain-specific pool.
-    pub fn specific_words(&self) -> &[String] {
-        &self.specific
-    }
-
     /// Sample a content word: domain pool with probability `gap`
     /// (split evenly between the small common pool and the salient
     /// pool), general pool otherwise.
-    pub fn content_word(&self, rng: &mut Rng) -> &str {
+    pub(crate) fn content_word(&self, rng: &mut Rng) -> &str {
         if rng.chance(self.gap) {
             if rng.chance(0.5) {
                 rng.choose(&self.common).as_str()
@@ -164,12 +160,12 @@ impl Lexicon {
 
     /// Sample a domain-specific word unconditionally (for entity
     /// keywords, which should be recognisably in-domain).
-    pub fn specific_word(&self, rng: &mut Rng) -> &str {
+    pub(crate) fn specific_word(&self, rng: &mut Rng) -> &str {
         rng.choose(&self.specific).as_str()
     }
 
     /// Capitalise a word for use in a name/title.
-    pub fn capitalize(word: &str) -> String {
+    pub(crate) fn capitalize(word: &str) -> String {
         let mut cs = word.chars();
         match cs.next() {
             Some(first) => first.to_uppercase().chain(cs).collect(),
@@ -227,8 +223,8 @@ mod tests {
     #[test]
     fn themed_stems_included_for_named_domains() {
         let lex = sample_lexicon(0.5);
-        assert!(lex.specific_words().iter().any(|w| w == "brick"));
-        assert!(lex.specific_words().iter().any(|w| w == "minifigure"));
+        assert!(lex.specific.iter().any(|w| w == "brick"));
+        assert!(lex.specific.iter().any(|w| w == "minifigure"));
         assert!(themed_stems("No Such Domain").is_empty());
     }
 
@@ -239,7 +235,7 @@ mod tests {
         let mut common_hits = 0;
         for _ in 0..200 {
             let w = lex_hi.content_word(&mut rng).to_string();
-            let in_specific = lex_hi.specific_words().contains(&w);
+            let in_specific = lex_hi.specific.contains(&w);
             let in_common = lex_hi.common.contains(&w);
             assert!(in_specific || in_common);
             common_hits += usize::from(in_common);
@@ -280,8 +276,8 @@ mod tests {
         let general = Lexicon::general_pool(&world, 50);
         let a = Lexicon::build("A", &world.split(1), general.clone(), 60, 0.5);
         let b = Lexicon::build("B", &world.split(2), general, 60, 0.5);
-        let sa: std::collections::HashSet<_> = a.specific_words().iter().collect();
-        let overlap = b.specific_words().iter().filter(|w| sa.contains(w)).count();
+        let sa: std::collections::HashSet<_> = a.specific.iter().collect();
+        let overlap = b.specific.iter().filter(|w| sa.contains(w)).count();
         assert!(overlap < 10, "domain pools overlap too much: {overlap}");
     }
 }

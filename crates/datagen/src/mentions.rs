@@ -85,12 +85,12 @@ impl MentionSet {
 
 /// Default category sampling weights: [High, Multiple, Ambiguous, Low].
 /// Low Overlap is the majority, as in the Zeshel test domains.
-pub const CATEGORY_WEIGHTS: [f64; 4] = [0.18, 0.10, 0.15, 0.57];
+pub(crate) const CATEGORY_WEIGHTS: [f64; 4] = [0.18, 0.10, 0.15, 0.57];
 
 /// Generate `count` gold mentions for a domain.
 ///
 /// Entities are sampled by popularity; the surface category is sampled
-/// from [`CATEGORY_WEIGHTS`] restricted to what the entity's title
+/// from `CATEGORY_WEIGHTS` restricted to what the entity's title
 /// permits (e.g. Multiple Categories needs a disambiguation phrase).
 pub fn generate_mentions(
     world: &World,

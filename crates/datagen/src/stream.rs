@@ -159,7 +159,7 @@ impl EntityStream {
 
     /// Emit the next chunk (shorter at the tail), or `None` when the
     /// world is exhausted.
-    pub fn next_chunk(&mut self) -> Option<Vec<StreamedEntity>> {
+    pub(crate) fn next_chunk(&mut self) -> Option<Vec<StreamedEntity>> {
         if self.next >= self.cfg.entities {
             return None;
         }

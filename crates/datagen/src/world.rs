@@ -101,7 +101,7 @@ pub const ZESHEL_DOMAINS: &[(&str, DomainRole, usize)] = &[
 
 /// Paper mention counts for the four test domains (Table IV totals:
 /// 50 train + 50 dev + test).
-pub const ZESHEL_TEST_MENTIONS: &[(&str, usize)] =
+pub(crate) const ZESHEL_TEST_MENTIONS: &[(&str, usize)] =
     &[("Forgotten Realms", 1_200), ("Lego", 1_199), ("Star Trek", 4_227), ("YuGiOh", 3_374)];
 
 /// Domain-gap parameters chosen so the generated benchmark reproduces
@@ -330,7 +330,7 @@ impl World {
     /// # Panics
     /// Panics on unknown names; see [`World::spec_checked`] for the
     /// recoverable form.
-    pub fn spec(&self, name: &str) -> &DomainSpec {
+    pub(crate) fn spec(&self, name: &str) -> &DomainSpec {
         self.spec_checked(name).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -339,7 +339,7 @@ impl World {
     /// # Errors
     /// Returns [`Error::NotFound`] when the config has no spec with
     /// this name.
-    pub fn spec_checked(&self, name: &str) -> Result<&DomainSpec> {
+    pub(crate) fn spec_checked(&self, name: &str) -> Result<&DomainSpec> {
         self.config
             .domains
             .iter()
@@ -519,7 +519,7 @@ fn compose_description(
 }
 
 /// The title's base text (before any disambiguation phrase).
-pub fn title_base_text(title: &str) -> String {
+pub(crate) fn title_base_text(title: &str) -> String {
     match mb_text::overlap::title_base(title) {
         Some(base) => base.to_string(),
         None => title.to_string(),
@@ -528,7 +528,7 @@ pub fn title_base_text(title: &str) -> String {
 
 /// A contiguous proper token sub-span of a multi-token base title, for
 /// Ambiguous Substring mentions. Returns `None` for single-token bases.
-pub fn substring_span(title: &str, rng: &mut Rng) -> Option<String> {
+pub(crate) fn substring_span(title: &str, rng: &mut Rng) -> Option<String> {
     let base = title_base_text(title);
     let toks = tokenize(&base);
     if toks.len() < 2 {

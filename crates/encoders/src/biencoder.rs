@@ -216,7 +216,7 @@ impl BiEncoder {
     }
 
     /// Apply one optimizer step on a batch; returns the mean loss.
-    pub fn train_step(&mut self, batch: &[TrainPair], opt: &mut dyn Optimizer) -> f64 {
+    pub(crate) fn train_step(&mut self, batch: &[TrainPair], opt: &mut dyn Optimizer) -> f64 {
         let (loss, grads) = self.batch_grad(batch);
         opt.step(&mut self.params, &grads);
         loss

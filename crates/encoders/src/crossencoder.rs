@@ -211,7 +211,11 @@ impl CrossEncoder {
     ///
     /// # Panics
     /// Panics if the set has no gold candidate.
-    pub fn forward_loss<'p>(&'p self, tape: &mut Tape<'p>, set: &CandidateSet) -> (Vec<Var>, Var) {
+    pub(crate) fn forward_loss<'p>(
+        &'p self,
+        tape: &mut Tape<'p>,
+        set: &CandidateSet,
+    ) -> (Vec<Var>, Var) {
         let gold = set.gold_index.expect("forward_loss: candidate set without gold");
         let (vars, logits) = self.forward_logits(tape, set);
         let losses = tape.softmax_ce_rows(logits, vec![gold]);
@@ -245,7 +249,7 @@ impl CrossEncoder {
 
     /// One optimizer step on a single example (the paper trains the
     /// cross-encoder with batch size 1); returns the loss.
-    pub fn train_step(&mut self, set: &CandidateSet, opt: &mut dyn Optimizer) -> f64 {
+    pub(crate) fn train_step(&mut self, set: &CandidateSet, opt: &mut dyn Optimizer) -> f64 {
         let (loss, grads) = self.example_grad(set);
         opt.step(&mut self.params, &grads);
         loss

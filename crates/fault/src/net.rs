@@ -89,16 +89,6 @@ impl NetFaultPlan {
         NetFaultPlan { faults: vec![NetFault::None] }
     }
 
-    /// A plan with an explicit fault sequence; connection `i` gets
-    /// entry `i % len`.
-    ///
-    /// # Panics
-    /// Panics if `faults` is empty.
-    pub fn from_faults(faults: Vec<NetFault>) -> Self {
-        assert!(!faults.is_empty(), "NetFaultPlan: fault list must be non-empty");
-        NetFaultPlan { faults }
-    }
-
     /// The canonical chaos schedule: every fault kind with seed-chosen
     /// parameters, interleaved with clean connections so mixed traffic
     /// mostly succeeds. The same seed always produces the same plan.
@@ -122,16 +112,11 @@ impl NetFaultPlan {
 
     /// The fault assigned to the `index`-th accepted connection.
     pub fn fault_for(&self, index: u64) -> NetFault {
-        // from_faults/seeded/clean all guarantee a non-empty list.
+        // seeded and clean both build a non-empty list.
         self.faults
             .get((index % self.faults.len() as u64) as usize)
             .copied()
             .unwrap_or(NetFault::None)
-    }
-
-    /// The raw fault sequence (for logging a schedule under test).
-    pub fn faults(&self) -> &[NetFault] {
-        &self.faults
     }
 }
 
@@ -359,16 +344,15 @@ mod tests {
         assert_ne!(NetFaultPlan::seeded(7), NetFaultPlan::seeded(8));
         // Every kind appears in the canonical schedule.
         let plan = NetFaultPlan::seeded(7);
-        assert!(plan.faults().iter().any(|f| matches!(f, NetFault::SlowLoris { .. })));
-        assert!(plan.faults().iter().any(|f| matches!(f, NetFault::TornReply { .. })));
-        assert!(plan.faults().iter().any(|f| matches!(f, NetFault::Abort { .. })));
-        assert!(plan.faults().iter().any(|f| matches!(f, NetFault::StalledClient { .. })));
+        assert!(plan.faults.iter().any(|f| matches!(f, NetFault::SlowLoris { .. })));
+        assert!(plan.faults.iter().any(|f| matches!(f, NetFault::TornReply { .. })));
+        assert!(plan.faults.iter().any(|f| matches!(f, NetFault::Abort { .. })));
+        assert!(plan.faults.iter().any(|f| matches!(f, NetFault::StalledClient { .. })));
     }
 
     #[test]
     fn fault_assignment_wraps_by_index() {
-        let plan =
-            NetFaultPlan::from_faults(vec![NetFault::None, NetFault::TornReply { after: 3 }]);
+        let plan = NetFaultPlan { faults: vec![NetFault::None, NetFault::TornReply { after: 3 }] };
         assert_eq!(plan.fault_for(0), NetFault::None);
         assert_eq!(plan.fault_for(1), NetFault::TornReply { after: 3 });
         assert_eq!(plan.fault_for(2), NetFault::None);
@@ -393,7 +377,7 @@ mod tests {
     #[test]
     fn slow_loris_still_delivers_the_full_request() {
         let (addr, upstream) = upstream_once(b"ok".to_vec());
-        let plan = NetFaultPlan::from_faults(vec![NetFault::SlowLoris { chunk: 2, delay_ms: 1 }]);
+        let plan = NetFaultPlan { faults: vec![NetFault::SlowLoris { chunk: 2, delay_ms: 1 }] };
         let proxy = NetProxy::start(addr, plan).unwrap();
         let mut c = TcpStream::connect(proxy.addr()).unwrap();
         c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -409,7 +393,7 @@ mod tests {
     fn torn_reply_delivers_only_a_prefix() {
         let full = b"0123456789abcdef".to_vec();
         let (addr, upstream) = upstream_once(full.clone());
-        let plan = NetFaultPlan::from_faults(vec![NetFault::TornReply { after: 6 }]);
+        let plan = NetFaultPlan { faults: vec![NetFault::TornReply { after: 6 }] };
         let proxy = NetProxy::start(addr, plan).unwrap();
         let mut c = TcpStream::connect(proxy.addr()).unwrap();
         c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -433,7 +417,7 @@ mod tests {
             let _ = s.read_to_end(&mut seen); // until the abort severs us
             seen
         });
-        let plan = NetFaultPlan::from_faults(vec![NetFault::Abort { after: 4 }]);
+        let plan = NetFaultPlan { faults: vec![NetFault::Abort { after: 4 }] };
         let proxy = NetProxy::start(addr, plan).unwrap();
         let mut c = TcpStream::connect(proxy.addr()).unwrap();
         let _ = c.write_all(b"a long request body that will be cut");
@@ -445,7 +429,7 @@ mod tests {
     #[test]
     fn stalled_client_eventually_gets_the_reply() {
         let (addr, upstream) = upstream_once(b"late but complete".to_vec());
-        let plan = NetFaultPlan::from_faults(vec![NetFault::StalledClient { delay_ms: 30 }]);
+        let plan = NetFaultPlan { faults: vec![NetFault::StalledClient { delay_ms: 30 }] };
         let proxy = NetProxy::start(addr, plan).unwrap();
         let mut c = TcpStream::connect(proxy.addr()).unwrap();
         c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();

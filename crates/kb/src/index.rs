@@ -19,7 +19,7 @@ pub fn canonical(s: &str) -> String {
 /// within one: think disambiguation-free duplicates), so values are
 /// vectors in insertion order.
 #[derive(Debug, Clone, Default)]
-pub struct TitleIndex {
+pub(crate) struct TitleIndex {
     map: BTreeMap<String, Vec<EntityId>>,
 }
 
@@ -35,7 +35,7 @@ impl TitleIndex {
     }
 
     /// Entities whose title matches `name` exactly (canonicalised).
-    pub fn lookup(&self, name: &str) -> &[EntityId] {
+    pub(crate) fn lookup(&self, name: &str) -> &[EntityId] {
         self.map.get(&canonical(name)).map_or(&[], Vec::as_slice)
     }
 }
@@ -45,7 +45,7 @@ impl TitleIndex {
 /// *unavailable* in the few-shot target domains; `mb-datagen` only
 /// populates it for training domains.
 #[derive(Debug, Clone, Default)]
-pub struct AliasTable {
+pub(crate) struct AliasTable {
     map: BTreeMap<String, Vec<EntityId>>,
 }
 
@@ -65,18 +65,8 @@ impl AliasTable {
     }
 
     /// Entities known under `alias`.
-    pub fn lookup(&self, alias: &str) -> &[EntityId] {
+    pub(crate) fn lookup(&self, alias: &str) -> &[EntityId] {
         self.map.get(&canonical(alias)).map_or(&[], Vec::as_slice)
-    }
-
-    /// Number of distinct aliases.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if the table has no aliases.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -114,6 +104,6 @@ mod tests {
         t.insert("Big Blue", EntityId(7));
         t.insert("big blue", EntityId(8));
         assert_eq!(t.lookup("BIG blue"), &[EntityId(7), EntityId(8)]);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.map.len(), 1);
     }
 }

@@ -180,7 +180,7 @@ pub(crate) fn in_ranges(ranges: &[(usize, usize)], offset: usize) -> bool {
 /// included; allow-filtered, sorted), and the summary the cross-file
 /// passes consume — function items with call edges, sites and
 /// lock-order edges, file-level sites, and the allow lines.
-pub fn summarize_file(file: &str, src: &str, rules: RuleSet) -> (FileSummary, Vec<Finding>) {
+pub(crate) fn summarize_file(file: &str, src: &str, rules: RuleSet) -> (FileSummary, Vec<Finding>) {
     let tokens = lex(src);
     let map = LineMap::new(src);
     let (suppressions, mut findings) = suppress::collect(file, src, &tokens, &map);

@@ -114,7 +114,7 @@ const ENTRIES: &[Entry] = &[
 ];
 
 /// Render the explanation for `rule`, or an error listing known rules.
-pub fn explain(rule: &str) -> Result<String, String> {
+pub(crate) fn explain(rule: &str) -> Result<String, String> {
     let entry = ENTRIES.iter().find(|e| e.rule == rule).ok_or_else(|| {
         format!("unknown rule {rule:?}; known rules:\n  {}", RULE_IDS.join("\n  "))
     })?;

@@ -20,7 +20,7 @@ pub const RULE_IDS: &[&str] = &[
 ];
 
 /// True if `rule` is a known rule id (usable in `allow(…)`).
-pub fn is_known_rule(rule: &str) -> bool {
+pub(crate) fn is_known_rule(rule: &str) -> bool {
     RULE_IDS.contains(&rule)
 }
 

@@ -101,7 +101,7 @@ const STD_METHODS: &[&str] = &[
 
 /// Index of one function definition: `(file index, fn index)` into the
 /// summary list the graph was built from.
-pub type DefId = (usize, usize);
+pub(crate) type DefId = (usize, usize);
 
 /// One file's worth of context the resolver needs.
 struct FileCtx {
@@ -122,7 +122,7 @@ pub struct Graph {
 
 /// The crate a workspace-relative path belongs to: `crates/x/…` → `x`,
 /// anything else (the root `src/`, `tests/`) → its first segment.
-pub fn crate_of(rel_path: &str) -> &str {
+pub(crate) fn crate_of(rel_path: &str) -> &str {
     match rel_path.strip_prefix("crates/") {
         Some(rest) => rest.split('/').next().unwrap_or(rest),
         None => rel_path.split('/').next().unwrap_or(rel_path),

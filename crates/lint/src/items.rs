@@ -49,7 +49,7 @@ pub struct FileSummary {
 
 impl FileSummary {
     /// True if an `allow(rule)` covers `line`.
-    pub fn allows(&self, rule: &str, line: usize) -> bool {
+    pub(crate) fn allows(&self, rule: &str, line: usize) -> bool {
         self.suppressions.allows(rule, line)
     }
 }

@@ -333,7 +333,7 @@ impl LineMap {
 
     /// 1-based `(line, column)`; the column counts chars, so it matches
     /// what editors display.
-    pub fn line_col(&self, src: &str, offset: usize) -> (usize, usize) {
+    pub(crate) fn line_col(&self, src: &str, offset: usize) -> (usize, usize) {
         let line = self.line(offset);
         let start = self.line_starts.get(line - 1).copied().unwrap_or(0);
         let col = src.get(start..offset).map_or(1, |s| s.chars().count() + 1);

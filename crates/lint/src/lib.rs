@@ -20,7 +20,7 @@
 //!
 //! One pass per file does all of it. A hand-rolled lexer ([`lexer`]) —
 //! strings, char literals, nested block comments and raw strings
-//! handled precisely — feeds the site-local rules ([`analyzer`]) and
+//! handled precisely — feeds the site-local rules (`analyzer`) and
 //! the one function-body walker ([`items`]), which extracts `fn` items,
 //! impl/trait context, call edges, lock-order edges, and the panic /
 //! nondeterminism / blocking-I/O / allocation **sites**. A
@@ -46,7 +46,7 @@
 
 #![warn(missing_docs)]
 
-pub mod analyzer;
+pub(crate) mod analyzer;
 pub mod cli;
 pub mod explain;
 pub mod findings;

@@ -14,7 +14,7 @@
 //!
 //! The walker yields, per function, the locks held at every call and
 //! I/O site (**lock-across-call**, reported by [`crate::taint`]) and the
-//! directed held→acquired edges; [`LockGraph`] aggregates the edges
+//! directed held→acquired edges; `LockGraph` aggregates the edges
 //! across the crate and reports every edge on a cycle — a potential
 //! deadlock — as **lock-order**.
 
@@ -66,7 +66,7 @@ pub struct LockEdge {
 /// Crate-wide lock-order graph, fed file by file, analysed by
 /// [`LockGraph::finish`].
 #[derive(Debug, Default)]
-pub struct LockGraph {
+pub(crate) struct LockGraph {
     /// `(held, acquired)` → the finding to report at the edge's first
     /// site, should the edge turn out to lie on a cycle.
     edges: BTreeMap<(String, String), Finding>,

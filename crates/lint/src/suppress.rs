@@ -61,7 +61,7 @@ pub struct Suppressions {
 impl Suppressions {
     /// True if an `allow(rule)` covers `line`: a finding of `rule`
     /// there is silenced, and a taint fact stops there.
-    pub fn allows(&self, rule: &str, line: usize) -> bool {
+    pub(crate) fn allows(&self, rule: &str, line: usize) -> bool {
         self.allowed.get(&line).is_some_and(|rules| rules.contains(rule))
     }
 }

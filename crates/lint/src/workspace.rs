@@ -1,7 +1,7 @@
 //! Workspace walking, the per-crate rule map, and the full lint run
 //! (site-local pass, lock-order graph, call graph, taint families).
 //!
-//! The map ([`rules_for`]) encodes which guarantees each part of the
+//! The map (`rules_for`) encodes which guarantees each part of the
 //! workspace has signed up for (DESIGN.md §10): panic-freedom on the
 //! serving path and the checkpoint / store load paths, determinism in
 //! every crate covered by the bit-identical replay guarantee, lock
@@ -65,7 +65,7 @@ const HOT_LOOP_FILES: &[&str] = &[
 /// The rule families enforced for a workspace-relative path
 /// (`/`-separated). The unsafe gate, float total order and
 /// as-truncation apply everywhere.
-pub fn rules_for(rel_path: &str) -> RuleSet {
+pub(crate) fn rules_for(rel_path: &str) -> RuleSet {
     let serve = rel_path.starts_with("crates/serve/src/");
     let panic_free = serve || PANIC_FREE_FILES.contains(&rel_path);
     RuleSet {
@@ -215,7 +215,7 @@ pub fn lint_sources(
 
 /// Locate the workspace root: the nearest ancestor of `start` whose
 /// `Cargo.toml` declares `[workspace]`.
-pub fn find_root(start: &Path) -> Option<PathBuf> {
+pub(crate) fn find_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start.to_path_buf());
     while let Some(d) = dir {
         let manifest = d.join("Cargo.toml");

@@ -6,7 +6,7 @@ use mb_text::tokenizer::tokenize;
 use std::collections::BTreeSet;
 
 /// Number of features per candidate token.
-pub const NUM_FEATURES: usize = 6;
+pub(crate) const NUM_FEATURES: usize = 6;
 
 /// A description token considered for inclusion in a rewritten mention.
 #[derive(Debug, Clone)]
@@ -15,7 +15,7 @@ pub struct TokenCandidate {
     pub token: String,
     /// Index of first occurrence in the description.
     pub first_position: usize,
-    /// Feature vector (length [`NUM_FEATURES`]).
+    /// Feature vector (length `NUM_FEATURES`).
     pub features: [f64; NUM_FEATURES],
 }
 
@@ -66,7 +66,7 @@ pub fn candidates(description: &str, title: &str, stats: &TfIdf) -> Vec<TokenCan
 }
 
 /// Label a candidate: does it appear in the gold mention surface?
-pub fn label_for(candidate: &TokenCandidate, gold_mention: &str) -> f64 {
+pub(crate) fn label_for(candidate: &TokenCandidate, gold_mention: &str) -> f64 {
     let gold: BTreeSet<String> = tokenize(gold_mention).into_iter().collect();
     if gold.contains(&candidate.token) {
         1.0

@@ -180,7 +180,7 @@ where
 
 /// The number of `chunk`-sized pieces a `len`-item input splits into —
 /// a pure function of the data size, never of the worker count.
-pub fn chunk_count(len: usize, chunk: usize) -> usize {
+pub(crate) fn chunk_count(len: usize, chunk: usize) -> usize {
     assert!(chunk > 0, "mb-par: chunk size must be positive");
     len.div_ceil(chunk)
 }

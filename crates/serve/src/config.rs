@@ -59,19 +59,19 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// The handler read timeout as an `Option` (0 → no timeout).
-    pub fn read_timeout(&self) -> Option<Duration> {
+    pub(crate) fn read_timeout(&self) -> Option<Duration> {
         (self.read_timeout_ms > 0).then(|| Duration::from_millis(self.read_timeout_ms))
     }
 
     /// The reply-channel timeout, floored at 1 ms so a zero config
     /// cannot make every request fail instantly.
-    pub fn reply_timeout(&self) -> Duration {
+    pub(crate) fn reply_timeout(&self) -> Duration {
         Duration::from_millis(self.reply_timeout_ms.max(1))
     }
 
     /// Clamp a request's deadline budget: absent → default, present →
     /// floored at 1 ms and capped at `max_deadline_ms`.
-    pub fn clamp_deadline_ms(&self, requested: Option<u64>) -> u64 {
+    pub(crate) fn clamp_deadline_ms(&self, requested: Option<u64>) -> u64 {
         let max = self.max_deadline_ms.max(1);
         requested.unwrap_or(self.default_deadline_ms).clamp(1, max)
     }
@@ -79,7 +79,7 @@ impl ServeConfig {
     /// The effective admission limit given the queue capacity and
     /// worker fan-out: explicit when configured, otherwise everything
     /// that can be queued plus one full batch per worker in flight.
-    pub fn effective_admission_limit(
+    pub(crate) fn effective_admission_limit(
         &self,
         queue_capacity: usize,
         workers: usize,
@@ -97,7 +97,7 @@ impl ServeConfig {
 /// shed immediately. Permits release on drop, so every exit path of a
 /// handler — reply, timeout, shed — returns its token.
 #[derive(Debug)]
-pub struct AdmissionGate {
+pub(crate) struct AdmissionGate {
     limit: u64,
     inflight: AtomicU64,
 }
@@ -110,7 +110,7 @@ impl AdmissionGate {
     }
 
     /// Acquire a permit, or `None` when the gate is full.
-    pub fn try_acquire(&self) -> Option<AdmissionPermit<'_>> {
+    pub(crate) fn try_acquire(&self) -> Option<AdmissionPermit<'_>> {
         let prev = self.inflight.fetch_add(1, Ordering::AcqRel);
         if prev >= self.limit {
             self.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -120,14 +120,14 @@ impl AdmissionGate {
     }
 
     /// Permits currently held.
-    pub fn inflight(&self) -> u64 {
+    pub(crate) fn inflight(&self) -> u64 {
         self.inflight.load(Ordering::Acquire)
     }
 }
 
 /// An admission token; dropping it releases the slot.
 #[derive(Debug)]
-pub struct AdmissionPermit<'a> {
+pub(crate) struct AdmissionPermit<'a> {
     gate: &'a AdmissionGate,
 }
 

@@ -79,7 +79,7 @@ impl Request {
     }
 
     /// Whether the client asked to close the connection.
-    pub fn wants_close(&self) -> bool {
+    pub(crate) fn wants_close(&self) -> bool {
         self.header("connection").is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
 }
@@ -198,7 +198,7 @@ const fn reason(status: u16) -> &'static str {
 /// `extra_headers` (name must be a valid lowercase HTTP header name;
 /// the value must be line-break free) is how 503 responses carry
 /// `Retry-After`.
-pub fn write_response(
+pub(crate) fn write_response(
     w: &mut impl Write,
     status: u16,
     content_type: &str,

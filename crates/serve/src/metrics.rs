@@ -10,12 +10,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Upper bounds (microseconds) of the latency histogram buckets; one
 /// implicit overflow bucket follows the last bound.
-pub const LATENCY_BUCKETS_US: [u64; 12] =
+pub(crate) const LATENCY_BUCKETS_US: [u64; 12] =
     [100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000];
 
 /// Upper bounds of the batch-size histogram buckets (power-of-two
 /// ranges), plus one implicit overflow bucket.
-pub const BATCH_BUCKETS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
+pub(crate) const BATCH_BUCKETS: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 const NLAT: usize = LATENCY_BUCKETS_US.len() + 1;
 const NBATCH: usize = BATCH_BUCKETS.len() + 1;
@@ -24,7 +24,7 @@ const NBATCH: usize = BATCH_BUCKETS.len() + 1;
 /// (queue depth from the [`crate::queue::BatchQueue`], the rest from
 /// the admission gate and the model registry).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Gauges {
+pub(crate) struct Gauges {
     /// Items currently queued.
     pub queue_depth: usize,
     /// Admission permits currently held.
@@ -39,7 +39,7 @@ pub struct Gauges {
 
 /// Counters exposed on `GET /metrics`.
 #[derive(Debug, Default)]
-pub struct Metrics {
+pub(crate) struct Metrics {
     /// Total HTTP requests parsed (any endpoint).
     requests: AtomicU64,
     /// Responses by coarse status class.
@@ -84,12 +84,12 @@ impl Metrics {
     }
 
     /// Count one parsed request.
-    pub fn record_request(&self) {
+    pub(crate) fn record_request(&self) {
         self.requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one response by status code.
-    pub fn record_response(&self, status: u16) {
+    pub(crate) fn record_response(&self, status: u16) {
         let class = match status {
             200..=299 => &self.responses_2xx,
             400..=499 => &self.responses_4xx,
@@ -99,41 +99,41 @@ impl Metrics {
     }
 
     /// Count one load-shed (503) rejection.
-    pub fn record_rejected(&self) {
+    pub(crate) fn record_rejected(&self) {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one admission-gate refusal.
-    pub fn record_admission_rejected(&self) {
+    pub(crate) fn record_admission_rejected(&self) {
         self.admission_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one deadline-based shed.
-    pub fn record_deadline_shed(&self) {
+    pub(crate) fn record_deadline_shed(&self) {
         self.deadline_shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one reply-timeout (the dead-worker-pool guard firing).
-    pub fn record_reply_timeout(&self) {
+    pub(crate) fn record_reply_timeout(&self) {
         self.reply_timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Fold one batch's service time into the drain-rate EWMA
     /// (weight 1/8 — smooth enough to ignore one outlier batch, fresh
     /// enough to track a load shift within a few batches).
-    pub fn record_service_us(&self, us: u64) {
+    pub(crate) fn record_service_us(&self, us: u64) {
         let prev = self.service_ewma_us.load(Ordering::Relaxed);
         let next = if prev == 0 { us } else { (prev * 7 + us) / 8 };
         self.service_ewma_us.store(next, Ordering::Relaxed);
     }
 
     /// The current batch-service EWMA (µs); 0 until a batch completes.
-    pub fn service_ewma_us(&self) -> u64 {
+    pub(crate) fn service_ewma_us(&self) -> u64 {
         self.service_ewma_us.load(Ordering::Relaxed)
     }
 
     /// Record one end-to-end `/link` latency.
-    pub fn record_latency_us(&self, us: u64) {
+    pub(crate) fn record_latency_us(&self, us: u64) {
         // bucket_of returns at most bounds.len(), and the array has
         // bounds.len() + 1 slots, so `get` always finds a counter.
         if let Some(c) = self.latency.get(bucket_of(&LATENCY_BUCKETS_US, us)) {
@@ -144,7 +144,7 @@ impl Metrics {
     }
 
     /// Record one drained inference batch of `size` requests.
-    pub fn record_batch(&self, size: usize) {
+    pub(crate) fn record_batch(&self, size: usize) {
         if let Some(c) = self.batch.get(bucket_of(&BATCH_BUCKETS, size as u64)) {
             c.fetch_add(1, Ordering::Relaxed);
         }
@@ -153,7 +153,7 @@ impl Metrics {
     }
 
     /// Add one batch's result-cache hits and misses.
-    pub fn add_cache_counters(&self, hits: u64, misses: u64) {
+    pub(crate) fn add_cache_counters(&self, hits: u64, misses: u64) {
         self.cache_hits.fetch_add(hits, Ordering::Relaxed);
         self.cache_misses.fetch_add(misses, Ordering::Relaxed);
     }
@@ -161,7 +161,7 @@ impl Metrics {
     /// Estimate the `q` quantile (0 < q ≤ 1) of recorded latencies:
     /// the upper bound of the histogram bucket containing it, in
     /// microseconds. Returns 0 when nothing was recorded.
-    pub fn latency_quantile_us(&self, q: f64) -> u64 {
+    pub(crate) fn latency_quantile_us(&self, q: f64) -> u64 {
         let total: u64 = self.latency.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         if total == 0 {
             return 0;

@@ -121,7 +121,7 @@ impl Generation {
     /// Corrupt store or IVF files ([`Error::Checkpoint`]), geometry
     /// mismatches between the store and the model, or linker validation
     /// failures.
-    pub fn with_store(
+    pub(crate) fn with_store(
         id: u64,
         source: String,
         mut model: ServeModel,
@@ -307,7 +307,7 @@ impl ModelRegistry {
     }
 
     /// Successful swaps so far (excludes generation 1).
-    pub fn swaps(&self) -> u64 {
+    pub(crate) fn swaps(&self) -> u64 {
         self.swaps.load(Ordering::Relaxed)
     }
 
@@ -317,24 +317,13 @@ impl ModelRegistry {
     }
 
     /// Whether a reload source is configured.
-    pub fn has_source(&self) -> bool {
+    pub(crate) fn has_source(&self) -> bool {
         self.loader.is_some() && self.source.is_some()
     }
 
     /// The configured reload source path, when present.
     pub fn source(&self) -> Option<&Path> {
         self.source.as_deref()
-    }
-
-    /// Validate `model` and atomically publish it as the next
-    /// generation. On error the current generation is untouched.
-    ///
-    /// # Errors
-    /// [`Error::Io`] when another reload is already in flight (shed and
-    /// retry); validation errors from [`Generation::build`].
-    pub fn publish(&self, model: ServeModel, source: String) -> Result<u64> {
-        let _reloading = ReloadGuard::acquire(&self.reloading)?;
-        self.publish_locked(model, source, None)
     }
 
     /// The sharded-store directory a reload from `path` should bind,
@@ -444,7 +433,8 @@ mod tests {
         let registry = ModelRegistry::new(model(1)).expect("valid model");
         assert_eq!(registry.generation_id(), 1);
         assert_eq!(registry.current().id, 1);
-        let id = registry.publish(model(2), "test".to_string()).expect("valid candidate");
+        let id =
+            registry.publish_locked(model(2), "test".to_string(), None).expect("valid candidate");
         assert_eq!(id, 2);
         assert_eq!(registry.generation_id(), 2);
         assert_eq!(registry.current().id, 2);
@@ -456,7 +446,7 @@ mod tests {
     fn old_generation_survives_for_holders_across_a_swap() {
         let registry = ModelRegistry::new(model(1)).expect("valid model");
         let held = registry.current();
-        registry.publish(model(2), "test".to_string()).expect("swap");
+        registry.publish_locked(model(2), "test".to_string(), None).expect("swap");
         // The held Arc still serves the old generation's KB and index.
         assert_eq!(held.id, 1);
         assert!(!held.model.dictionary.is_empty());
@@ -476,7 +466,7 @@ mod tests {
         let registry = ModelRegistry::new(model_of_world(91, 1)).expect("valid model");
         let first = registry.current();
         // A different world: other entity text, other vocabulary ids.
-        registry.publish(model_of_world(92, 2), "test".to_string()).expect("swap");
+        registry.publish_locked(model_of_world(92, 2), "test".to_string(), None).expect("swap");
         let second = registry.current();
         let table = |g: &Generation| Arc::clone(g.model.frozen_cross().features());
         assert_eq!(*table(&first), expected_features(&first));

@@ -41,7 +41,7 @@ use std::sync::Mutex;
 pub const MAGIC: &str = "mb-store v1";
 
 /// Bytes per fixed-width directory record.
-pub const DIR_RECORD_BYTES: usize = 16;
+pub(crate) const DIR_RECORD_BYTES: usize = 16;
 
 /// Upper bound on the `meta` section (it is a handful of short lines).
 const META_MAX_BYTES: usize = 4096;
@@ -360,7 +360,7 @@ impl Shard {
     }
 
     /// Shard ordinal within its store.
-    pub fn ordinal(&self) -> usize {
+    pub(crate) fn ordinal(&self) -> usize {
         self.ordinal
     }
 

@@ -333,7 +333,7 @@ impl EntityStore {
     }
 
     /// Locate a global row: `(shard index, row within shard)`.
-    pub fn locate(&self, global_row: usize) -> Option<(usize, usize)> {
+    pub(crate) fn locate(&self, global_row: usize) -> Option<(usize, usize)> {
         if global_row >= self.total {
             return None;
         }

@@ -7,19 +7,6 @@
 use crate::params::{GradVec, ParamId, Params};
 use crate::tensor::Tensor;
 
-/// Central-difference gradient of `f` with respect to a single tensor.
-pub fn numeric_grad_tensor(f: &mut dyn FnMut(&Tensor) -> f64, x: &Tensor, eps: f64) -> Tensor {
-    let mut g = Tensor::zeros(x.shape().to_vec());
-    for i in 0..x.numel() {
-        let mut xp = x.clone();
-        xp.data_mut()[i] += eps;
-        let mut xm = x.clone();
-        xm.data_mut()[i] -= eps;
-        g.data_mut()[i] = (f(&xp) - f(&xm)) / (2.0 * eps);
-    }
-    g
-}
-
 /// Central-difference gradient of `f` with respect to every parameter
 /// in `params`, returned in parameter order.
 pub fn numeric_grad_params(
@@ -63,24 +50,16 @@ mod tests {
     use crate::tape::Tape;
 
     #[test]
-    fn numeric_grad_of_quadratic() {
-        let x = Tensor::vector(&[1.0, -2.0]);
-        let g = numeric_grad_tensor(&mut |x| x.data().iter().map(|v| v * v).sum(), &x, 1e-5);
-        assert!((g.data()[0] - 2.0).abs() < 1e-6);
-        assert!((g.data()[1] + 4.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn params_gradcheck_matches_autodiff() {
         let mut params = Params::new();
-        let w = params.add("w", Tensor::matrix(&[&[0.3, -0.4], &[0.1, 0.9]]));
+        let w = params.add("w", Tensor::from_vec([2, 2], vec![0.3, -0.4, 0.1, 0.9]));
         let b = params.add("b", Tensor::vector(&[0.2, -0.1]));
         let _ = (w, b);
 
         let mut loss = |p: &Params| -> f64 {
             let mut tape = Tape::new();
             let vars = p.inject(&mut tape);
-            let x = tape.leaf(Tensor::matrix(&[&[1.0, 2.0], &[-1.0, 0.5]]));
+            let x = tape.leaf(Tensor::from_vec([2, 2], vec![1.0, 2.0, -1.0, 0.5]));
             let y = tape.linear(x, vars[0], vars[1]);
             let h = tape.tanh(y);
             let l = tape.mean_all(h);
@@ -91,7 +70,7 @@ mod tests {
         let analytic = {
             let mut tape = Tape::new();
             let vars = params.inject(&mut tape);
-            let x = tape.leaf(Tensor::matrix(&[&[1.0, 2.0], &[-1.0, 0.5]]));
+            let x = tape.leaf(Tensor::from_vec([2, 2], vec![1.0, 2.0, -1.0, 0.5]));
             let y = tape.linear(x, vars[0], vars[1]);
             let h = tape.tanh(y);
             let l = tape.mean_all(h);

@@ -236,7 +236,7 @@ where
 /// (no per-element dequantization); each row's sum is scaled back to
 /// `f64` in one final multiplication, so the only float rounding is
 /// that last step. Bit-identical at any thread count.
-pub fn score_all_i8(
+pub(crate) fn score_all_i8(
     table: &[i8],
     scales: &[f64],
     rows: usize,
@@ -270,7 +270,7 @@ pub const DOT_BLOCK: usize = 8;
 /// sum of up to this many products is an integer of magnitude at most
 /// 2²⁴, which `f32` represents exactly. Up to this width the `f32` fold
 /// is the same integer as the reference `i64` fold in
-/// [`score_all_i8`]. Every int8 scan table constructor rejects wider
+/// `score_all_i8`. Every int8 scan table constructor rejects wider
 /// rows.
 pub const I8_EXACT_COLS: usize = (1 << f32::MANTISSA_DIGITS) / (128 * 128);
 
@@ -367,7 +367,7 @@ pub fn tile_rows<E: Copy + Default, R: AsRef<[E]>>(
 /// because one fused multiply-add is cheaper than an `i32` multiply and
 /// add, and for rows at most [`I8_EXACT_COLS`] wide every product and
 /// partial sum is exactly representable: no step rounds, so every lane
-/// is the exact integer the reference `i64` fold of [`score_all_i8`]
+/// is the exact integer the reference `i64` fold of `score_all_i8`
 /// produces, whatever the order or fusion of the steps. The
 /// accumulators start at `+0.0`, and under round-to-nearest a sum is
 /// `-0.0` only when both addends are, so no lane is ever `-0.0`: a zero

@@ -234,7 +234,7 @@ impl GradVec {
     }
 
     /// Scale all gradients in place (used for gradient clipping).
-    pub fn scale_in_place(&mut self, k: f64) {
+    pub(crate) fn scale_in_place(&mut self, k: f64) {
         for g in &mut self.grads {
             g.scale(k);
         }
@@ -265,7 +265,7 @@ mod tests {
 
     fn sample_params() -> (Params, ParamId, ParamId) {
         let mut p = Params::new();
-        let w = p.add("w", Tensor::matrix(&[&[1.0, 2.0], &[3.0, 4.0]]));
+        let w = p.add("w", Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]));
         let b = p.add("b", Tensor::vector(&[0.5, -0.5]));
         (p, w, b)
     }
@@ -323,7 +323,7 @@ mod tests {
     fn params_axpy_applies_update() {
         let (mut p, w, _) = sample_params();
         let g = GradVec::from_tensors(vec![
-            Tensor::matrix(&[&[1.0, 0.0], &[0.0, 1.0]]),
+            Tensor::from_vec([2, 2], vec![1.0, 0.0, 0.0, 1.0]),
             Tensor::vector(&[0.0, 0.0]),
         ]);
         p.axpy(-0.5, &g);

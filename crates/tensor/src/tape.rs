@@ -821,7 +821,7 @@ mod tests {
     #[test]
     fn row_l2_normalize_output_is_unit() {
         let mut t = Tape::new();
-        let x = t.leaf(Tensor::matrix(&[&[3.0, 4.0], &[0.0, 0.0]]));
+        let x = t.leaf(Tensor::from_vec([2, 2], vec![3.0, 4.0, 0.0, 0.0]));
         let y = t.row_l2_normalize(x, 1e-8);
         assert!(approx_eq(t.value(y).row(0).iter().map(|v| v * v).sum::<f64>(), 1.0, 1e-12));
         // Zero rows stay (near) zero rather than NaN.
@@ -830,7 +830,7 @@ mod tests {
 
     #[test]
     fn bag_embed_forward_and_grads() {
-        let table0 = Tensor::matrix(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
+        let table0 = Tensor::from_vec([3, 2], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
         let bags = vec![vec![0u32, 2], vec![1], vec![]];
         let run = |tab: &Tensor| {
             let mut t = Tape::new();
@@ -891,7 +891,7 @@ mod tests {
     #[should_panic(expected = "batch size >= 2")]
     fn in_batch_neg_loss_rejects_singleton_excluding_gold() {
         let mut t = Tape::new();
-        let s = t.leaf(Tensor::matrix(&[&[1.0]]));
+        let s = t.leaf(Tensor::from_vec([1, 1], vec![1.0]));
         t.in_batch_neg_loss(s, true);
     }
 
@@ -971,7 +971,7 @@ mod tests {
 
     #[test]
     fn reshape_grads_flow_through() {
-        let x0 = Tensor::matrix(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let x0 = Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         let mut t = Tape::new();
         let x = t.leaf(x0);
         let flat = t.reshape(x, vec![4]);

@@ -67,21 +67,6 @@ impl Tensor {
         Tensor::from_vec(vec![data.len()], data.to_vec())
     }
 
-    /// A rank-2 tensor from nested slices (each inner slice is a row).
-    ///
-    /// # Panics
-    /// Panics on ragged rows.
-    pub fn matrix(rows: &[&[f64]]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, |row| row.len());
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            assert_eq!(row.len(), c, "Tensor::matrix: ragged rows");
-            data.extend_from_slice(row);
-        }
-        Tensor::from_vec(vec![r, c], data)
-    }
-
     /// All-zeros tensor of the given shape.
     pub fn zeros(shape: impl Into<Vec<usize>>) -> Self {
         let shape = shape.into();
@@ -177,7 +162,7 @@ impl Tensor {
 
     /// Mutable element access for rank-2 tensors.
     #[inline]
-    pub fn at_mut(&mut self, i: usize, j: usize) -> &mut f64 {
+    pub(crate) fn at_mut(&mut self, i: usize, j: usize) -> &mut f64 {
         debug_assert_eq!(self.rank(), 2);
         let c = self.shape[1];
         &mut self.data[i * c + j]
@@ -239,7 +224,7 @@ impl Tensor {
     }
 
     /// Elementwise (Hadamard) product.
-    pub fn mul(&self, other: &Tensor) -> Tensor {
+    pub(crate) fn mul(&self, other: &Tensor) -> Tensor {
         self.zip(other, |a, b| a * b)
     }
 
@@ -387,7 +372,7 @@ mod tests {
 
     #[test]
     fn reductions() {
-        let t = Tensor::matrix(&[&[1.0, 2.0], &[3.0, 4.0]]);
+        let t = Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(t.sum(), 10.0);
         assert_eq!(t.mean(), 2.5);
         assert!(approx_eq(t.norm(), 30.0_f64.sqrt(), 1e-12));
@@ -395,8 +380,8 @@ mod tests {
 
     #[test]
     fn matmul_known_values() {
-        let a = Tensor::matrix(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Tensor::matrix(&[&[5.0, 6.0], &[7.0, 8.0]]);
+        let a = Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]);
+        let b = Tensor::from_vec([2, 2], vec![5.0, 6.0, 7.0, 8.0]);
         let c = a.matmul(&b);
         assert_eq!(c.data(), &[19.0, 22.0, 43.0, 50.0]);
     }

@@ -7,7 +7,7 @@
 
 #![warn(missing_docs)]
 
-pub mod ngram;
+pub(crate) mod ngram;
 pub mod overlap;
 pub mod rouge;
 pub mod stopwords;

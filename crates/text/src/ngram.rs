@@ -4,7 +4,7 @@
 ///
 /// Returns an empty vector when `n == 0` or the sequence is shorter
 /// than `n`.
-pub fn ngrams(tokens: &[String], n: usize) -> Vec<String> {
+pub(crate) fn ngrams(tokens: &[String], n: usize) -> Vec<String> {
     if n == 0 || tokens.len() < n {
         return Vec::new();
     }
@@ -13,7 +13,7 @@ pub fn ngrams(tokens: &[String], n: usize) -> Vec<String> {
 
 /// Multiset intersection size of two n-gram lists — the numerator of
 /// ROUGE-N.
-pub fn overlap_count(a: &[String], b: &[String]) -> usize {
+pub(crate) fn overlap_count(a: &[String], b: &[String]) -> usize {
     use std::collections::HashMap;
     let mut counts: HashMap<&str, usize> = HashMap::new();
     for g in a {

@@ -35,7 +35,7 @@ impl PrecisionRecallF1 {
 }
 
 /// ROUGE-N between a candidate and a reference text.
-pub fn rouge_n(candidate: &str, reference: &str, n: usize) -> PrecisionRecallF1 {
+pub(crate) fn rouge_n(candidate: &str, reference: &str, n: usize) -> PrecisionRecallF1 {
     let c = tokenize(candidate);
     let r = tokenize(reference);
     let cg = ngrams(&c, n);

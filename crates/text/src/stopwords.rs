@@ -4,7 +4,7 @@
 
 /// Function words and generic wiki-genre connective verbs excluded
 /// from salience scoring (kept sorted for binary search).
-pub const STOPWORDS: &[&str] = &[
+pub(crate) const STOPWORDS: &[&str] = &[
     "a",
     "an",
     "and",

@@ -199,3 +199,82 @@ fn every_repo_path_the_docs_name_exists() {
     assert!(checked > 0, "no repo path found in DESIGN.md or README.md");
     assert!(missing.is_empty(), "docs name paths that do not exist:\n{}", missing.join("\n"));
 }
+
+/// `pub fn`s that may be named nowhere outside their crate, each with
+/// the reason it stays `pub`.
+const PUB_REACH_EXEMPT: &[(&str, &str)] = &[(
+    "for_all_named",
+    "the exported `check!` macro expands to `$crate::for_all_named`, so callers never name it",
+)];
+
+/// Every `pub fn` in a crate's library `src/` is named, as an
+/// identifier token, in some file outside that library: another crate,
+/// the crate's own `tests/`, `src/bin/` or `src/main.rs` (each compiles
+/// as a separate crate), the root package's `src/`, `tests/` and
+/// `examples/`, or `benchmark/src`. rustc cannot call a `pub` item
+/// dead, so this is what keeps unused surface from growing back; a fn
+/// only its own crate calls is `pub(crate)` or private.
+#[test]
+fn every_pub_fn_is_named_outside_its_crate() {
+    use mb_lint::lexer::{lex, TokenKind};
+    use std::collections::{BTreeMap, BTreeSet};
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    // The crate whose library `src/` holds a file, if any.
+    let library = |rel: &str| -> Option<String> {
+        let (krate, path) = rel.strip_prefix("crates/")?.split_once('/')?;
+        let src = path.strip_prefix("src/")?;
+        (!src.starts_with("bin/") && src != "main.rs").then(|| krate.to_string())
+    };
+    // Each identifier, with the libraries (`None`: outside every one)
+    // of the files that name it.
+    let mut named_in: BTreeMap<String, BTreeSet<Option<String>>> = BTreeMap::new();
+    // Every `pub fn` as (crate, `path:line`, name).
+    let mut pub_fns = Vec::new();
+    for rel in mb_lint::workspace::rust_files(root).expect("cannot list the workspace's .rs files")
+    {
+        let text = std::fs::read_to_string(root.join(&rel)).expect("cannot read a .rs file");
+        let owner = library(&rel);
+        let tokens: Vec<_> = lex(&text)
+            .into_iter()
+            .filter(|t| {
+                !matches!(
+                    t.kind,
+                    TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
+                )
+            })
+            .collect();
+        for t in tokens.iter().filter(|t| t.kind == TokenKind::Ident) {
+            named_in.entry(t.text(&text).to_string()).or_default().insert(owner.clone());
+        }
+        let Some(krate) = &owner else { continue };
+        for w in tokens.windows(3) {
+            let [p, f, name] = w else { continue };
+            if w.iter().all(|t| t.kind == TokenKind::Ident)
+                && p.text(&text) == "pub"
+                && f.text(&text) == "fn"
+            {
+                let line = text[..p.start].matches('\n').count() + 1;
+                pub_fns.push((
+                    krate.clone(),
+                    format!("{rel}:{line}"),
+                    name.text(&text).to_string(),
+                ));
+            }
+        }
+    }
+    assert!(!pub_fns.is_empty(), "no `pub fn` found under crates/*/src");
+    let unreached: Vec<String> = pub_fns
+        .iter()
+        .filter(|(krate, _, name)| {
+            !named_in[name].iter().any(|owner| owner.as_ref() != Some(krate))
+                && !PUB_REACH_EXEMPT.iter().any(|(exempt, _)| exempt == name)
+        })
+        .map(|(_, at, name)| format!("{at}: pub fn {name}"))
+        .collect();
+    assert!(
+        unreached.is_empty(),
+        "these `pub fn`s are named nowhere outside their crate's library; make them \
+         `pub(crate)` or private (or exempt one in PUB_REACH_EXEMPT with its reason):\n{}",
+        unreached.join("\n")
+    );
+}
