@@ -3,10 +3,11 @@
 //! rerank as `link_batch` runs it (each mention's retrieved candidates
 //! scored from the entity feature table, at the link shape). Measures
 //! the embedding-table memory shrink and computes quantized top-1
-//! agreement on a trained tiny-world eval set. (There is no tape-built
-//! inference path left to compare against; bit-identity of the frozen
-//! forward with the training graph is pinned by the `mb-encoders`
-//! tests and `tests/one_forward.rs`.) Writes
+//! agreement on a trained tiny-world eval set: exact encoders with the
+//! int8 retrieval scan, as a store-backed generation serves them.
+//! (There is no tape-built inference path left to compare against;
+//! bit-identity of the frozen forward with the training graph is
+//! pinned by the `mb-encoders` tests and `tests/one_forward.rs`.) Writes
 //! `target/experiments/BENCH_inference.{txt,json}`; the JSON carries a
 //! `summary` object with the acceptance metrics, and the bench-regression
 //! CI gate (`scripts/bench_gate.sh`) pairs its medians against the
@@ -22,6 +23,7 @@ use mb_encoders::crossencoder::{CandidateSet, CrossEncoder, CrossEncoderConfig};
 use mb_encoders::input::{
     build_vocab, mention_bag, surface_bag, EntityFeatures, InputConfig, TrainPair,
 };
+use mb_encoders::retrieval::QuantizedIndex;
 use mb_encoders::train::{train_biencoder, train_crossencoder, TrainConfig};
 use mb_tensor::QuantMode;
 use std::hint::black_box;
@@ -117,8 +119,10 @@ fn main() {
 }
 
 /// Train the tiny-world fixture (the same recipe as mb-core's linker
-/// tests) and measure how often the int8 linker reproduces the
-/// exact linker's top-1 prediction on held-out mentions.
+/// tests) and measure how often a linker retrieving from the int8
+/// [`QuantizedIndex`] (exact encoders, as every store-backed generation
+/// serves) reproduces the exact linker's top-1 prediction on held-out
+/// mentions.
 fn quantized_agreement() -> (f64, usize) {
     let world = World::generate(WorldConfig::tiny(43));
     let vocab = build_vocab(world.kb(), [], 1);
@@ -167,8 +171,19 @@ fn quantized_agreement() -> (f64, usize) {
     let exact = TwoStageLinker::new(&bi, &cross, &vocab, world.kb(), dict, base);
     let want: Vec<_> =
         exact.link_batch(test).expect("link").into_iter().map(|r| r.predicted).collect();
-    let cfg = LinkerConfig { quant: QuantMode::Int8, ..base };
-    let linker = TwoStageLinker::new(&bi, &cross, &vocab, world.kb(), dict, cfg);
+    let qindex = QuantizedIndex::from_dense(exact.index()).expect("narrow index");
+    let linker = TwoStageLinker::with_frozen(
+        &bi,
+        &cross,
+        &vocab,
+        world.kb(),
+        base,
+        exact.index_shared(),
+        Some(Arc::new(qindex)),
+        exact.frozen_bi().clone(),
+        exact.frozen_cross().clone(),
+    )
+    .expect("the exact linker's own state");
     let got: Vec<_> =
         linker.link_batch(test).expect("link").into_iter().map(|r| r.predicted).collect();
     let agree = want.iter().zip(&got).filter(|(a, b)| a == b).count();

@@ -285,7 +285,7 @@ impl<'c> Run<'c> {
         SEEDS.iter().map(|&seed| self.metrics((zero, d, row.0, row.1, seed))).collect()
     }
 
-    /// The first-seed few-shot models of [`KEPT_MODELS`] rows, each as a
+    /// The first-seed few-shot models of `KEPT_MODELS` rows, each as a
     /// linker over its domain's dictionary.
     pub fn linkers<const N: usize>(
         &mut self,

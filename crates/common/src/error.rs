@@ -44,6 +44,10 @@ pub enum Error {
     /// a poisoned shard surfaces as a recoverable error at the fork
     /// point instead of a nested panic (see `mb-par`).
     Worker(String),
+    /// An exclusive operation is already running (a second model
+    /// reload while one is in flight). Not a failure: the caller should
+    /// retry once the running operation finishes.
+    Busy(String),
     /// An internal invariant was violated on a path that must stay
     /// panic-free (serve-reachable code). Indicates a bug, but one the
     /// serving layer can report as a failed request instead of dying.
@@ -72,6 +76,7 @@ impl fmt::Display for Error {
             Error::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
             Error::Aborted(msg) => write!(f, "aborted: {msg}"),
             Error::Worker(msg) => write!(f, "parallel worker panicked: {msg}"),
+            Error::Busy(msg) => write!(f, "busy: {msg}"),
             Error::Internal(msg) => write!(f, "internal invariant violated: {msg}"),
         }
     }
@@ -97,6 +102,7 @@ mod tests {
         assert!(Error::Io("disk on fire".into()).to_string().contains("disk on fire"));
         assert!(Error::Checkpoint("bad crc".into()).to_string().starts_with("checkpoint"));
         assert!(Error::Aborted("killed at step 3".into()).to_string().contains("step 3"));
+        assert!(Error::Busy("reload running".into()).to_string().starts_with("busy"));
         assert!(Error::Internal("empty batch result".into())
             .to_string()
             .starts_with("internal invariant"));

@@ -189,7 +189,7 @@ fn header_line(src: &mut impl BufRead, what: &str) -> Result<String> {
 /// Every header number is range-checked against `len` before it is
 /// used, so no input — a count or length of `u64::MAX` included — can
 /// make the walk panic, over-allocate or read past the end; payloads
-/// stream through one [`VERIFY_CHUNK`]-sized buffer.
+/// stream through one `VERIFY_CHUNK`-sized buffer.
 ///
 /// # Errors
 /// [`Error::Checkpoint`] on any framing or CRC problem (`what` prefixes

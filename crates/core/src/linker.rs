@@ -31,21 +31,11 @@ pub struct LinkerConfig {
     /// retrieval, re-ranking). Partitioning is by fixed chunk size or
     /// by mention, so outputs are bit-identical for every value.
     pub threads: mb_par::Threads,
-    /// Embedding-table storage for the frozen inference path.
-    /// [`QuantMode::Exact`] (the default) is bit-identical to the
-    /// training graph; `Int8` trades bounded score error for a
-    /// smaller resident model (see `mb_tensor::quant`).
-    pub quant: QuantMode,
 }
 
 impl Default for LinkerConfig {
     fn default() -> Self {
-        LinkerConfig {
-            k: 64,
-            input: InputConfig::default(),
-            threads: mb_par::Threads::single(),
-            quant: QuantMode::Exact,
-        }
+        LinkerConfig { k: 64, input: InputConfig::default(), threads: mb_par::Threads::single() }
     }
 }
 
@@ -102,9 +92,9 @@ pub struct TwoStageLinker<'a> {
 
 impl<'a> TwoStageLinker<'a> {
     /// Build the linker, embedding the candidate dictionary
-    /// (`entities`) with the bi-encoder. Freezes both encoders for the
-    /// tape-free inference path (under `cfg.quant` this also quantizes
-    /// the embedding tables and the index, once).
+    /// (`entities`) with the bi-encoder. Freezes both encoders (exact
+    /// tables) for the tape-free inference path; stage one scans the
+    /// exact index.
     ///
     /// # Panics
     /// Panics when `entities` references an id outside `kb` — callers
@@ -139,7 +129,7 @@ impl<'a> TwoStageLinker<'a> {
         // embeddings and the link-time candidate table.
         let features = Arc::new(EntityFeatures::try_build(vocab, &cfg.input, kb, entities)?);
         let index = Arc::new(DenseIndex::from_features(bi, &features, entities)?);
-        let frozen_cross = cross.freeze(cfg.quant).with_features(features);
+        let frozen_cross = cross.freeze(QuantMode::Exact).with_features(features);
         Self::with_frozen(
             bi,
             cross,
@@ -148,7 +138,7 @@ impl<'a> TwoStageLinker<'a> {
             cfg,
             index,
             None,
-            bi.freeze(cfg.quant),
+            bi.freeze(QuantMode::Exact),
             frozen_cross,
         )
     }
@@ -158,15 +148,14 @@ impl<'a> TwoStageLinker<'a> {
     /// model weight (`index`, `qindex`, `frozen_bi`, `frozen_cross`)
     /// is an `Arc`-backed handle, so calling this per worker (or per
     /// batch) shares one frozen model process-wide instead of cloning
-    /// parameters. When `cfg.quant` is not [`QuantMode::Exact`] and no
-    /// `qindex` is supplied, the index is quantized here (once per
-    /// call — pass a shared one to avoid that).
+    /// parameters. A supplied `qindex` (the int8 scan a store-backed
+    /// generation serves) answers stage one instead of `index`.
     ///
     /// Candidate entities are read from the [`EntityFeatures`] table
     /// `frozen_cross` carries; a handle without one gets a table built
-    /// here for the index's ids (once per call, like `qindex`). Either
-    /// way the linker only assembles if the table was built with this
-    /// `vocab` and `cfg.input`, and if `index` and a supplied `qindex`
+    /// here for the index's ids (once per call). Either way the linker
+    /// only assembles if the table was built with this `vocab` and
+    /// `cfg.input`, and if `index` and a supplied `qindex`
     /// each pass [`TwoStageLinker::with_ann`]'s backend check, so no
     /// request can fail on a mis-sized table or reach an unfeaturised
     /// or stale entity.
@@ -202,10 +191,6 @@ impl<'a> TwoStageLinker<'a> {
         if let Some(qi) = &qindex {
             Self::check_backend("TwoStageLinker::with_frozen", qi.as_ref(), bi, kb, features)?;
         }
-        let qindex = match qindex {
-            Some(qi) => Some(qi),
-            None => QuantizedIndex::from_dense(&index, cfg.quant)?.map(Arc::new),
-        };
         Ok(TwoStageLinker {
             bi,
             cross,
@@ -447,7 +432,7 @@ impl<'a> TwoStageLinker<'a> {
     }
 
     /// Parallel [`TwoStageLinker::evaluate`]: fans the fixed
-    /// [`Self::EVAL_CHUNK`]-sized evaluation chunks out over `threads`
+    /// `EVAL_CHUNK`-sized evaluation chunks out over `threads`
     /// workers via [`mb_par::try_par_chunks`]. Because chunk boundaries
     /// are thread-count-independent and the merge sums integer tallies,
     /// the result is **bit-identical** to the serial path for every
@@ -479,8 +464,8 @@ impl<'a> TwoStageLinker<'a> {
         Arc::clone(&self.index)
     }
 
-    /// Shared handle to the quantized index, when `cfg.quant` is not
-    /// [`QuantMode::Exact`].
+    /// Shared handle to the quantized index, when one was supplied to
+    /// [`TwoStageLinker::with_frozen`].
     pub fn quantized_index(&self) -> Option<Arc<QuantizedIndex>> {
         self.qindex.clone()
     }
@@ -656,8 +641,8 @@ mod tests {
                 cfg,
                 Arc::new(index),
                 qindex.map(Arc::new),
-                f.bi.freeze(cfg.quant),
-                f.cross.freeze(cfg.quant),
+                f.bi.freeze(QuantMode::Exact),
+                f.cross.freeze(QuantMode::Exact),
             )
         };
         let index = DenseIndex::build(&f.bi, &f.vocab, &cfg.input, f.world.kb(), dict);
@@ -820,7 +805,7 @@ mod tests {
     }
 
     #[test]
-    fn quantized_linker_agrees_with_exact_predictions() {
+    fn an_int8_index_agrees_with_exact_predictions() {
         let f = fixture();
         let domain = f.world.domain("TargetX");
         let dict = f.world.kb().domain_entities(domain.id);
@@ -828,8 +813,19 @@ mod tests {
         let exact = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, f.world.kb(), dict, base);
         let want: Vec<_> =
             exact.link_batch(&f.test).expect("link").into_iter().map(|r| r.predicted).collect();
-        let cfg = LinkerConfig { quant: QuantMode::Int8, ..base };
-        let q = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, f.world.kb(), dict, cfg);
+        let qindex = QuantizedIndex::from_dense(exact.index()).expect("narrow index");
+        let q = TwoStageLinker::with_frozen(
+            &f.bi,
+            &f.cross,
+            &f.vocab,
+            f.world.kb(),
+            base,
+            exact.index_shared(),
+            Some(Arc::new(qindex)),
+            exact.frozen_bi().clone(),
+            exact.frozen_cross().clone(),
+        )
+        .expect("the exact linker's own state");
         let got: Vec<_> =
             q.link_batch(&f.test).expect("link").into_iter().map(|r| r.predicted).collect();
         let agree = want.iter().zip(&got).filter(|(a, b)| a == b).count();

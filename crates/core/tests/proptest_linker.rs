@@ -1,6 +1,8 @@
 //! Property tests of the batched inference path: for ANY multiset of
-//! mentions (repeats included), ANY chunking, ANY thread count, every
-//! `QuantMode` and every `k` up to past the dictionary size,
+//! mentions (repeats included), ANY chunking, ANY thread count, both
+//! stage-one scans (the exact index, and the int8 `QuantizedIndex` a
+//! store-backed generation serves) and every `k` up to past the
+//! dictionary size,
 //! `link_batch` must equal a naive reference linker that links each
 //! mention on its own, bit for bit — empty mention and surface bags and
 //! titles that tokenise to nothing included. This is the contract
@@ -19,10 +21,10 @@ use mb_datagen::{World, WorldConfig};
 use mb_encoders::biencoder::BiEncoder;
 use mb_encoders::crossencoder::{CandidateSet, CrossEncoder};
 use mb_encoders::input::{build_vocab, entity_bag, mention_bag, surface_bag, title_bag};
-use mb_encoders::retrieval::CandidateSource;
+use mb_encoders::retrieval::{CandidateSource, QuantizedIndex};
 use mb_kb::{EntityId, KbBuilder, KnowledgeBase};
 use mb_tensor::quant::QuantI8;
-use mb_tensor::{QuantMode, Tape, Tensor};
+use mb_tensor::{Tape, Tensor};
 use mb_text::Vocab;
 use std::sync::{Arc, OnceLock};
 use support::{reference_top_k, Table};
@@ -58,7 +60,7 @@ fn fixture() -> &'static Fixture {
             };
             builder.add_entity(title, &e.description, e.domain).expect("few entities");
         }
-        let kb = builder.build().expect("no aliases");
+        let kb = builder.build();
         let vocab = build_vocab(&kb, [], 1);
         let domain = world.domain("TargetX").clone();
         let mut rng = Rng::seed_from_u64(5);
@@ -103,9 +105,37 @@ fn fixture() -> &'static Fixture {
     })
 }
 
+/// The linker a generation serves over `dict`, with exact encoders:
+/// stage one scans the exact index, or with `int8` the int8
+/// [`QuantizedIndex`] a store-backed generation carries.
+fn served_linker(
+    f: &'static Fixture,
+    dict: &[EntityId],
+    cfg: LinkerConfig,
+    int8: bool,
+) -> TwoStageLinker<'static> {
+    let exact = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, &f.kb, dict, cfg);
+    if !int8 {
+        return exact;
+    }
+    let qindex = QuantizedIndex::from_dense(exact.index()).expect("narrow index");
+    TwoStageLinker::with_frozen(
+        &f.bi,
+        &f.cross,
+        &f.vocab,
+        &f.kb,
+        cfg,
+        exact.index_shared(),
+        Some(Arc::new(qindex)),
+        exact.frozen_bi().clone(),
+        exact.frozen_cross().clone(),
+    )
+    .expect("the exact linker's own state")
+}
+
 /// The entity table of a linker's stage one, rebuilt the plain way:
 /// every dictionary entity's feature-table bag through the training
-/// graph's encoder, stored as `quant` stores it.
+/// graph's encoder, stored as the linker's scan stores it.
 enum Stored {
     F64(Tensor),
     Int8(QuantI8),
@@ -121,10 +151,6 @@ enum Stored {
 struct Reference<'l, 'a> {
     linker: &'l TwoStageLinker<'a>,
     table: Stored,
-    /// The linker's cross-encoder, its embedding table replaced by the
-    /// values the linker's `quant` mode pools: the int8 table's
-    /// dequantized rows give the graph the int8 arm's exact terms.
-    cross: CrossEncoder,
 }
 
 impl<'l, 'a> Reference<'l, 'a> {
@@ -137,17 +163,11 @@ impl<'l, 'a> Reference<'l, 'a> {
             .map(|&id| features.entity(id).expect("the table covers the dictionary").to_vec())
             .collect();
         let vectors = linker.bi.embed_entities(&bags);
-        let table = match linker.cfg.quant {
-            QuantMode::Exact => Stored::F64(vectors),
-            QuantMode::Int8 => Stored::Int8(QuantI8::from_tensor(&vectors)),
+        let table = match linker.quantized_index() {
+            None => Stored::F64(vectors),
+            Some(_) => Stored::Int8(QuantI8::from_tensor(&vectors)),
         };
-        let mut cross = linker.cross.clone();
-        if linker.cfg.quant == QuantMode::Int8 {
-            let emb = cross.params().id_of("emb").expect("the cross-encoder has an embedding");
-            let dequantized = QuantI8::from_tensor(cross.params().get(emb)).dequantize();
-            *cross.params_mut().get_mut(emb) = dequantized;
-        }
-        Reference { linker, table, cross }
+        Reference { linker, table }
     }
 
     fn link(&self, mention: &LinkedMention) -> LinkResult {
@@ -186,7 +206,7 @@ impl<'l, 'a> Reference<'l, 'a> {
             gold_index: None,
         };
         let mut tape = Tape::new();
-        let (_, logits) = self.cross.forward_logits(&mut tape, &set);
+        let (_, logits) = l.cross.forward_logits(&mut tape, &set);
         tape.value(logits).data().to_vec()
     }
 }
@@ -265,12 +285,12 @@ mb_check::check! {
         // 40 of the domain's entities, so that `k` can pass them.
         let dict = &f.kb.domain_entities(f.world.domain("TargetX").id)[..40];
         let k = [1, dict.len() - 1, dict.len(), 64][k_pick];
-        for quant in [QuantMode::Exact, QuantMode::Int8] {
+        for int8 in [false, true] {
             let mut want = None;
             for threads in 1..=4 {
                 let threads = mb_par::Threads::new(threads);
-                let cfg = LinkerConfig { k, quant, threads, ..LinkerConfig::default() };
-                let l = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, &f.kb, dict, cfg);
+                let cfg = LinkerConfig { k, threads, ..LinkerConfig::default() };
+                let l = served_linker(f, dict, cfg, int8);
                 let want = want.get_or_insert_with(|| {
                     let reference = Reference::new(&l);
                     bits(&batch.iter().map(|m| reference.link(m)).collect::<Vec<_>>())
@@ -279,7 +299,7 @@ mb_check::check! {
                 for c in batch.chunks(chunk) {
                     chunked.extend(l.link_batch(c).expect("link"));
                 }
-                prop_assert_eq!(&bits(&chunked), want, "{quant:?} at {threads:?}, k {k}");
+                prop_assert_eq!(&bits(&chunked), want, "int8 {int8} at {threads:?}, k {k}");
             }
         }
     }
@@ -290,11 +310,13 @@ mb_check::check! {
 #[test]
 fn an_empty_dictionary_links_to_an_empty_ranking() {
     let f = fixture();
-    let cfg = LinkerConfig { k: 6, quant: QuantMode::Int8, ..LinkerConfig::default() };
-    let empty = TwoStageLinker::new(&f.bi, &f.cross, &f.vocab, &f.kb, &[], cfg);
-    let linked = empty.link(&f.mentions[0]).expect("link");
-    assert!(linked.retrieved.is_empty() && linked.rerank_scores.is_empty());
-    assert_eq!(linked.predicted, None);
+    let cfg = LinkerConfig { k: 6, ..LinkerConfig::default() };
+    for int8 in [false, true] {
+        let empty = served_linker(f, &[], cfg, int8);
+        let linked = empty.link(&f.mentions[0]).expect("link");
+        assert!(linked.retrieved.is_empty() && linked.rerank_scores.is_empty());
+        assert_eq!(linked.predicted, None);
+    }
 }
 
 /// The end-to-end anchor: a *trained* model evaluated through the

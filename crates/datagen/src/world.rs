@@ -242,7 +242,7 @@ impl World {
             let domain_id = builder.domain(&spec.name).expect("domain id space");
             let staged = stage_domain(spec, &lexicon, config.ambiguity_rate, &domain_rng);
 
-            // Insert into the KB, then wire aliases and meta.
+            // Insert into the KB, then wire meta.
             let ids: Vec<EntityId> = staged
                 .iter()
                 .map(|s| {
@@ -253,12 +253,6 @@ impl World {
                 .collect();
             let n = staged.len() as f64;
             for (k, s) in staged.into_iter().enumerate() {
-                let id = ids[k];
-                if spec.role == DomainRole::Train {
-                    for alias in &s.aliases {
-                        builder.add_alias(alias, id);
-                    }
-                }
                 let related: Vec<EntityId> = s.related.iter().map(|&r| ids[r]).collect();
                 // Zipf-ish popularity by generation rank.
                 let popularity = 1.0 / (1.0 + k as f64).powf(0.8) * n;
@@ -278,7 +272,7 @@ impl World {
             });
         }
 
-        let kb = builder.build().expect("generated world must be internally consistent");
+        let kb = builder.build();
         World { kb, meta, domains, config }
     }
 
@@ -643,31 +637,6 @@ mod tests {
             }
         }
         assert!(low as f64 / total as f64 > 0.95, "{low}/{total} aliases low-overlap");
-    }
-
-    #[test]
-    fn alias_table_only_for_train_domains() {
-        let w = tiny_world();
-        let target = w.domain("TargetX");
-        for &id in w.kb().domain_entities(target.id) {
-            for alias in &w.meta(id).aliases {
-                assert!(
-                    w.kb()
-                        .by_alias(alias)
-                        .iter()
-                        .all(|hit| { w.kb().entity(*hit).domain != target.id }),
-                    "target-domain alias leaked into alias table"
-                );
-            }
-        }
-        // And train-domain aliases are present.
-        let src = w.domain("SrcA");
-        let any = w
-            .kb()
-            .domain_entities(src.id)
-            .iter()
-            .any(|&id| !w.kb().by_alias(&w.meta(id).aliases[0]).is_empty());
-        assert!(any, "train-domain alias table is empty");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use mb_tensor::kernels::{
     dot_block_f64, dot_tile_i8_n, tile_rows, DOT_BLOCK, I8_EXACT_COLS, TILE_QUERIES, TILE_ROWS,
 };
 use mb_tensor::quant::{quantize_i8, QuantI8};
-use mb_tensor::{QuantMode, Tensor};
+use mb_tensor::Tensor;
 use mb_text::Vocab;
 
 /// Queries per scan block: a table is streamed once per block instead
@@ -69,7 +69,7 @@ pub enum Rows<'a> {
     },
 }
 
-/// One block of at most [`QUERY_BLOCK`] queries prepared once for any
+/// One block of at most `QUERY_BLOCK` queries prepared once for any
 /// number of scans: the rows transposed to the `[dim, nq]` layout
 /// [`dot_block_f64`] streams and — quantized on the first int8 scan —
 /// each query's symmetric int8 codes and scale, so int8 rows accumulate
@@ -139,7 +139,7 @@ impl<'a> QueryBlock<'a> {
     /// scores a whole tile for up to [`TILE_QUERIES`] members at once
     /// with vertical multiply-adds, each member's sums in registers of
     /// its own, and no horizontal reduction. They go in runs of at most
-    /// [`SCORE_CHUNK`] rows, and per run the members go in groups of up
+    /// `SCORE_CHUNK` rows, and per run the members go in groups of up
     /// to [`TILE_QUERIES`], the kernel instantiated for the group's
     /// length, so a lone member pays for one query. Per tile, each
     /// member's real rows (never the padding) are scaled in a stack
@@ -251,7 +251,7 @@ fn scan_i8_group<const N: usize>(
 
 /// The frame every [`CandidateSource::top_k_batch`] shares: validate a
 /// `[q, dim]` query matrix against a `dim`-wide source of `len`
-/// entities, cut it into fixed [`QUERY_BLOCK`]-query blocks, rank each
+/// entities, cut it into fixed `QUERY_BLOCK`-query blocks, rank each
 /// block with `rank` — blocks fan out across `threads`, each query
 /// wholly within one worker — and concatenate in query order.
 ///
@@ -485,16 +485,12 @@ pub struct QuantizedIndex {
 impl QuantizedIndex {
     /// Quantize an exact index row by row, as [`QuantI8::from_tensor`]
     /// does, straight into scan tiles: no row-major table is built
-    /// beside them. Returns `None` for [`QuantMode::Exact`] — callers
-    /// keep using the [`DenseIndex`] itself in that mode.
+    /// beside them.
     ///
     /// # Errors
-    /// [`mb_common::Error::ShapeMismatch`] in int8 mode when the vectors
-    /// are wider than [`I8_EXACT_COLS`].
-    pub fn from_dense(index: &DenseIndex, mode: QuantMode) -> mb_common::Result<Option<Self>> {
-        if mode == QuantMode::Exact {
-            return Ok(None);
-        }
+    /// [`mb_common::Error::ShapeMismatch`] when the vectors are wider
+    /// than [`I8_EXACT_COLS`].
+    pub fn from_dense(index: &DenseIndex) -> mb_common::Result<Self> {
         let vectors = &index.vectors;
         let (n, dim) = (vectors.rows(), vectors.cols());
         check_i8_width("QuantizedIndex::from_dense", dim)?;
@@ -505,7 +501,7 @@ impl QuantizedIndex {
             codes
         });
         let tiles = tile_rows(TILE_ROWS, n, dim, codes);
-        Ok(Some(QuantizedIndex { dim, tiles, scales, ids: index.ids.clone() }))
+        Ok(QuantizedIndex { dim, tiles, scales, ids: index.ids.clone() })
     }
 
     /// Assemble from prebuilt int8 tables, their rows concatenated in
@@ -682,11 +678,8 @@ mod tests {
         let (vectors, ids) = random_index(300, 16, 11);
         let exact =
             DenseIndex::try_from_vectors(vectors.clone(), ids.clone()).expect("one id per row");
-        assert!(QuantizedIndex::from_dense(&exact, QuantMode::Exact).expect("exact").is_none());
         let exact_bytes = vectors.numel() * std::mem::size_of::<f64>();
-        let q = QuantizedIndex::from_dense(&exact, QuantMode::Int8)
-            .expect("narrow")
-            .expect("quantized");
+        let q = QuantizedIndex::from_dense(&exact).expect("narrow");
         assert_eq!(q.len(), 300);
         assert!(!q.is_empty());
         assert!(exact_bytes / q.bytes() >= 2, "{exact_bytes} vs {} bytes", q.bytes());
@@ -721,7 +714,7 @@ mod tests {
             let dense =
                 DenseIndex::try_from_vectors(Tensor::zeros(vec![1, cols]), vec![EntityId(0)])
                     .expect("one id per row");
-            let int8 = QuantizedIndex::from_dense(&dense, QuantMode::Int8);
+            let int8 = QuantizedIndex::from_dense(&dense);
             assert_eq!(int8.is_ok(), fits, "{cols} columns");
             if let Err(e) = int8 {
                 assert!(matches!(e, mb_common::Error::ShapeMismatch { .. }), "got {e:?}");

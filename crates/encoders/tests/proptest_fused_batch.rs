@@ -25,7 +25,7 @@ use mb_kb::EntityId;
 use mb_par::Threads;
 use mb_tensor::kernels::TILE_ROWS;
 use mb_tensor::quant::QuantI8;
-use mb_tensor::{QuantMode, Tensor};
+use mb_tensor::Tensor;
 use support::{reference_top_k, Table};
 
 /// Rows that are small perturbations of one base direction: every pair
@@ -177,7 +177,7 @@ fn empty_batches_and_bad_shapes_are_handled_without_panicking() {
     assert!(index.top_k_batch(&rank1, 4, Threads::single()).is_err());
     let wide = Tensor::zeros(vec![2, 7]);
     assert!(index.top_k_batch(&wide, 4, Threads::single()).is_err());
-    let q = QuantizedIndex::from_dense(&index, QuantMode::Int8).expect("int8").expect("quantized");
+    let q = QuantizedIndex::from_dense(&index).expect("int8");
     assert!(q.top_k_batch(&rank1, 4, Threads::single()).is_err());
     assert!(q.top_k_batch(&wide, 4, Threads::single()).is_err());
     assert!(q.top_k_batch(&empty, 4, Threads::new(3)).expect("empty").is_empty());

@@ -40,36 +40,6 @@ impl TitleIndex {
     }
 }
 
-/// Alias table: alternative surface forms → entities. In the paper's
-/// setting this powerful resource exists for rich source domains but is
-/// *unavailable* in the few-shot target domains; `mb-datagen` only
-/// populates it for training domains.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct AliasTable {
-    map: BTreeMap<String, Vec<EntityId>>,
-}
-
-impl AliasTable {
-    /// Empty table.
-    pub fn new() -> Self {
-        AliasTable::default()
-    }
-
-    /// Register an alias for an entity.
-    pub fn insert(&mut self, alias: &str, id: EntityId) {
-        let key = canonical(alias);
-        let ids = self.map.entry(key).or_default();
-        if !ids.contains(&id) {
-            ids.push(id);
-        }
-    }
-
-    /// Entities known under `alias`.
-    pub(crate) fn lookup(&self, alias: &str) -> &[EntityId] {
-        self.map.get(&canonical(alias)).map_or(&[], Vec::as_slice)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,15 +65,5 @@ mod tests {
         ix.insert("mercury", EntityId(2));
         assert_eq!(ix.lookup("Mercury"), &[EntityId(1), EntityId(2)]);
         assert_eq!(ix.map.len(), 1);
-    }
-
-    #[test]
-    fn alias_table_dedups_per_alias() {
-        let mut t = AliasTable::new();
-        t.insert("big blue", EntityId(7));
-        t.insert("Big Blue", EntityId(7));
-        t.insert("big blue", EntityId(8));
-        assert_eq!(t.lookup("BIG blue"), &[EntityId(7), EntityId(8)]);
-        assert_eq!(t.map.len(), 1);
     }
 }

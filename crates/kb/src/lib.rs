@@ -3,13 +3,12 @@
 //! Knowledge-base substrate for metablink-rs.
 //!
 //! A [`KnowledgeBase`] stores entities (title + description) and their
-//! domain partitions, and maintains the lookup
-//! structures entity linking needs: an exact-title index (for the Name
-//! Matching baseline and exact-match supervision) and an alias table
-//! (available for *source* domains only, mirroring the paper's premise
-//! that target-domain dictionaries lack such resources). Candidate
-//! generation is dense retrieval over entity descriptions (`mb-encoders`),
-//! not a lexical index here.
+//! domain partitions, and one lookup structure: an exact-title index
+//! (for the Name Matching baseline and exact-match supervision). As in
+//! the Zeshel setting the paper follows, an entity is known only by its
+//! title and description: there is no alias table, and candidate
+//! generation is dense retrieval over entity descriptions
+//! (`mb-encoders`), not a lexical index here.
 //!
 //! The KB is immutable once [`KbBuilder::build`] returns, and a
 //! [`KnowledgeBase`] is a handle onto those shared tables: cloning it is

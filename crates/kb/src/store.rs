@@ -1,7 +1,7 @@
 //! The frozen knowledge base and its builder.
 
 use crate::entity::{DomainId, Entity, EntityId};
-use crate::index::{AliasTable, TitleIndex};
+use crate::index::TitleIndex;
 use mb_common::{Error, Result};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -11,7 +11,6 @@ use std::sync::Arc;
 pub struct KbBuilder {
     domain_ids: BTreeMap<String, DomainId>,
     entities: Vec<Entity>,
-    aliases: Vec<(String, EntityId)>,
 }
 
 impl KbBuilder {
@@ -60,38 +59,19 @@ impl KbBuilder {
         Ok(id)
     }
 
-    /// Add an alias surface form for an entity (source domains only, by
-    /// convention — the builder does not enforce it, the data generator
-    /// does).
-    pub fn add_alias(&mut self, alias: &str, id: EntityId) {
-        self.aliases.push((alias.to_string(), id));
-    }
-
     /// Freeze into an indexed [`KnowledgeBase`].
-    ///
-    /// # Errors
-    /// Returns [`Error::NotFound`] if an alias references a non-existent
-    /// entity.
-    pub fn build(self) -> Result<KnowledgeBase> {
-        let n = self.entities.len();
+    pub fn build(self) -> KnowledgeBase {
         let mut title_index = TitleIndex::new();
         for e in &self.entities {
             title_index.insert(&e.title, e.id);
-        }
-        let mut alias_table = AliasTable::new();
-        for (alias, id) in &self.aliases {
-            if id.0 as usize >= n {
-                return Err(Error::NotFound(format!("entity id {} (kb has {n})", id.0)));
-            }
-            alias_table.insert(alias, *id);
         }
         let mut by_domain: Vec<Vec<EntityId>> = vec![Vec::new(); self.domain_ids.len()];
         for e in &self.entities {
             // mb-lint: allow(indexing) -- domain ids are issued by this builder, < domain_ids.len()
             by_domain[e.domain.0 as usize].push(e.id);
         }
-        let tables = Tables { entities: self.entities, title_index, alias_table, by_domain };
-        Ok(KnowledgeBase { tables: Arc::new(tables) })
+        let tables = Tables { entities: self.entities, title_index, by_domain };
+        KnowledgeBase { tables: Arc::new(tables) }
     }
 }
 
@@ -111,7 +91,6 @@ pub struct KnowledgeBase {
 struct Tables {
     entities: Vec<Entity>,
     title_index: TitleIndex,
-    alias_table: AliasTable,
     by_domain: Vec<Vec<EntityId>>,
 }
 
@@ -155,11 +134,6 @@ impl KnowledgeBase {
     pub fn by_title(&self, name: &str) -> &[EntityId] {
         self.tables.title_index.lookup(name)
     }
-
-    /// Entities known under `alias` in the alias table.
-    pub fn by_alias(&self, alias: &str) -> &[EntityId] {
-        self.tables.alias_table.lookup(alias)
-    }
 }
 
 #[cfg(test)]
@@ -170,11 +144,10 @@ mod tests {
         let mut b = KbBuilder::new();
         let lego = b.domain("Lego").unwrap();
         let tv = b.domain("Doctor Who").unwrap();
-        let brick = b.add_entity("Red Brick", "a red building brick", lego).unwrap();
+        b.add_entity("Red Brick", "a red building brick", lego).unwrap();
         b.add_entity("Castle Set (2015)", "a castle-themed set", lego).unwrap();
         b.add_entity("The Doctor", "a time traveller", tv).unwrap();
-        b.add_alias("big red", brick);
-        b.build().unwrap()
+        b.build()
     }
 
     #[test]
@@ -195,27 +168,17 @@ mod tests {
     }
 
     #[test]
-    fn title_and_alias_lookup() {
+    fn title_lookup() {
         let kb = sample_kb();
         let hits = kb.by_title("red brick");
         assert_eq!(hits.len(), 1);
         assert_eq!(kb.entity(hits[0]).title, "Red Brick");
-        assert_eq!(kb.by_alias("BIG RED").len(), 1);
         assert!(kb.by_title("unknown").is_empty());
     }
 
     #[test]
-    fn build_rejects_dangling_references() {
-        let mut b = KbBuilder::new();
-        let d = b.domain("D").unwrap();
-        b.add_entity("A", "a", d).unwrap();
-        b.add_alias("ghost", EntityId(99));
-        assert!(b.build().is_err());
-    }
-
-    #[test]
     fn empty_kb_is_valid() {
-        let kb = KbBuilder::new().build().unwrap();
+        let kb = KbBuilder::new().build();
         assert!(kb.is_empty());
         assert!(kb.tables.by_domain.is_empty());
     }
@@ -226,6 +189,5 @@ mod tests {
         let copy = kb.clone();
         assert!(std::ptr::eq(kb.entities(), copy.entities()));
         assert!(std::ptr::eq(kb.by_title("red brick"), copy.by_title("red brick")));
-        assert!(std::ptr::eq(kb.by_alias("big red"), copy.by_alias("big red")));
     }
 }

@@ -21,7 +21,7 @@ mb_check::check! {
             .iter()
             .map(|t| b.add_entity(t, "desc words here", d).unwrap())
             .collect();
-        let kb = b.build().unwrap();
+        let kb = b.build();
         for (t, id) in titles.iter().zip(&ids) {
             prop_assert!(kb.by_title(t).contains(id), "title {t:?} lost");
             // Case-insensitive.

@@ -16,7 +16,7 @@
 //!   file; then same crate; then unique in workspace `src/` files;
 //! - `name(…)` / `recv.name(…)` — same file; then same crate; then
 //!   unique in workspace `src/` files. Method calls whose name shadows
-//!   a ubiquitous std method ([`STD_METHODS`]) never resolve;
+//!   a ubiquitous std method (`STD_METHODS`) never resolve;
 //! - `seg::name(…)` — defs whose impl qualifier is `seg`; then defs in
 //!   a file whose stem is `seg` (module files); an unmatched qualifier
 //!   means an external target, with no local fallback.

@@ -17,7 +17,7 @@
 //!   (`name!(…)`) are not call edges;
 //! - **sites** are the local facts every taint family starts from —
 //!   panicking constructs, nondeterministic sources, allocation-shaped
-//!   calls, and blocking I/O ([`site_kind`] is the only place their
+//!   calls, and blocking I/O (`site_kind` is the only place their
 //!   token patterns are written) — each with its loop depth and the
 //!   locks held there. A site outside every function body (a `use`
 //!   line, a struct field, a signature, a `static` initialiser) is a
@@ -86,7 +86,7 @@ pub enum SiteKind {
     /// `with_capacity`/`to_vec`/`to_string`/`to_owned`/`collect`,
     /// `Box::new`/`String::from`.
     Alloc,
-    /// A blocking I/O method call ([`locks::IO_METHODS`]).
+    /// A blocking I/O method call (`locks::IO_METHODS`).
     Io,
 }
 

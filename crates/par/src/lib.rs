@@ -30,7 +30,7 @@
 //! A panicking worker never deadlocks or poisons a pool: the infallible
 //! entry points re-raise the first panic (by worker index) on the
 //! calling thread after all workers have stopped; [`try_par_chunks`]
-//! instead converts it into [`enum@mb_common::Error::Worker`] so shard
+//! instead converts it into [`mb_common::Error::Worker`] so shard
 //! failures surface as recoverable errors.
 
 #![warn(missing_docs)]
@@ -228,7 +228,7 @@ where
 }
 
 /// [`par_chunks`] with panic containment: a panicking chunk surfaces as
-/// [`enum@mb_common::Error::Worker`] at the fork point instead of
+/// [`mb_common::Error::Worker`] at the fork point instead of
 /// re-panicking on the calling thread.
 pub fn try_par_chunks<T, R, F>(threads: Threads, items: &[T], chunk: usize, f: F) -> Result<Vec<R>>
 where

@@ -14,9 +14,9 @@ use std::time::Duration;
 
 /// Resilience knobs: timeouts, deadline budgets, admission limits.
 ///
-/// All durations are milliseconds; `0` means "disabled" where a knob is
-/// optional (read timeout, watcher) and "use the default" is expressed
-/// by [`ServeConfig::default`].
+/// All durations are milliseconds; `0` disables the optional read
+/// timeout, and "use the default" is expressed by
+/// [`ServeConfig::default`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Socket read timeout for connection handlers (ms); `0` disables
@@ -38,9 +38,6 @@ pub struct ServeConfig {
     /// plus awaiting reply); `0` sizes it automatically from the queue
     /// capacity and worker fan-out.
     pub admission_limit: u64,
-    /// Poll interval for the model-registry source watcher (ms); `0`
-    /// disables watching (reloads happen only via `POST /admin/reload`).
-    pub watch_interval_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -52,7 +49,6 @@ impl Default for ServeConfig {
             max_deadline_ms: 30_000,
             retry_after_s: 1,
             admission_limit: 0,
-            watch_interval_ms: 0,
         }
     }
 }

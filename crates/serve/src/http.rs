@@ -158,9 +158,18 @@ pub fn read_request<R: BufRead>(
     if req.header("transfer-encoding").is_some() {
         return Err(HttpError::Bad("transfer-encoding is not supported".to_string()));
     }
-    if let Some(cl) = req.header("content-length") {
+    // Every `content-length` must name the same length: a second one
+    // that disagrees makes the framing ambiguous (RFC 9112 §6.3).
+    let mut length = None;
+    for (_, cl) in req.headers.iter().filter(|(name, _)| name == "content-length") {
         let len: usize =
             cl.parse().map_err(|_| HttpError::Bad(format!("bad content-length {cl:?}")))?;
+        if let Some(first) = length.filter(|&first| first != len) {
+            return Err(HttpError::Bad(format!("conflicting content-length {first} and {len}")));
+        }
+        length = Some(len);
+    }
+    if let Some(len) = length {
         if len > limits.max_body {
             return Err(HttpError::TooLarge(format!(
                 "body of {len} bytes (cap {})",
@@ -250,6 +259,16 @@ mod tests {
     fn rejects_bad_content_length() {
         let e = parse(b"POST / HTTP/1.1\r\ncontent-length: nope\r\n\r\n").unwrap_err();
         assert_eq!(e.status(), 400);
+        // A second length that disagrees leaves the framing ambiguous.
+        let e = parse(b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 500\r\n\r\nabcde")
+            .unwrap_err();
+        assert_eq!(e.status(), 400);
+        assert!(e.to_string().contains("conflicting content-length 5 and 500"), "{e}");
+        // Repeats that agree frame the body the same way.
+        let req = parse(b"POST / HTTP/1.1\r\ncontent-length: 3\r\nContent-Length: 3\r\n\r\nabc")
+            .unwrap()
+            .unwrap();
+        assert_eq!(req.body, b"abc");
     }
 
     #[test]

@@ -1,4 +1,8 @@
 //! The servable model bundle and its checkpoint loader.
+//!
+//! A [`ServeModel`] freezes both encoders once, with exact tables; a
+//! store-backed [`crate::Generation`] pairs them with the store's int8
+//! scan for stage one.
 
 use mb_common::{Error, Result, Rng};
 use mb_core::linker::LinkerConfig;
@@ -9,6 +13,7 @@ use mb_encoders::frozen::{FrozenBiEncoder, FrozenCrossEncoder};
 use mb_encoders::input::EntityFeatures;
 use mb_kb::{EntityId, KnowledgeBase};
 use mb_tensor::checkpoint::Checkpoint;
+use mb_tensor::QuantMode;
 use mb_text::Vocab;
 use std::sync::Arc;
 
@@ -21,10 +26,10 @@ use std::sync::Arc;
 /// reload loader and every generation share one resident copy of the
 /// entity dictionary.
 ///
-/// Construction freezes (and, per `linker.quant`, quantizes) both
-/// encoders exactly once; every worker thread then serves from those
-/// `Arc`-shared handles — no serve path, index building and reload
-/// included, allocates a tape or clones a parameter tensor.
+/// Construction freezes both encoders (exact tables) exactly once;
+/// every worker thread then serves from those `Arc`-shared handles — no
+/// serve path, index building and reload included, allocates a tape or
+/// clones a parameter tensor.
 pub struct ServeModel {
     /// Shared vocabulary (featurization must match training).
     pub vocab: Vocab,
@@ -34,8 +39,8 @@ pub struct ServeModel {
     pub dictionary: Vec<EntityId>,
     /// Trained bi-encoder (stage one). It embeds the dictionary when a
     /// [`crate::Generation`] builds its exact index — tape-free, over
-    /// these parameters as trained, whatever `linker.quant` is —
-    /// while requests are served by [`ServeModel::frozen_bi`].
+    /// these parameters as trained — while requests are served by
+    /// [`ServeModel::frozen_bi`].
     pub bi: BiEncoder,
     /// Trained cross-encoder (stage two; serving uses
     /// [`ServeModel::frozen_cross`]).
@@ -50,7 +55,7 @@ pub struct ServeModel {
 
 impl ServeModel {
     /// Bundle trained encoders into a servable model, freezing both
-    /// under `linker.quant` (the model's single freeze/quantize point).
+    /// with exact tables (the model's single freeze point).
     pub fn new(
         vocab: Vocab,
         kb: KnowledgeBase,
@@ -60,8 +65,8 @@ impl ServeModel {
         linker: LinkerConfig,
         domain: String,
     ) -> ServeModel {
-        let frozen_bi = bi.freeze(linker.quant);
-        let frozen_cross = cross.freeze(linker.quant);
+        let frozen_bi = bi.freeze(QuantMode::Exact);
+        let frozen_cross = cross.freeze(QuantMode::Exact);
         ServeModel { vocab, kb, dictionary, bi, cross, linker, domain, frozen_bi, frozen_cross }
     }
 

@@ -6,10 +6,10 @@
 //! swap protocol (DESIGN.md §13):
 //!
 //! 1. **Load off the request path.** [`ModelRegistry::reload`] runs on
-//!    the caller's thread (an admin-request handler or the source
-//!    watcher), never on a batch worker. The candidate checkpoint is
-//!    read through the `mb-params v2` loader, whose per-section CRCs
-//!    reject torn or bit-flipped files.
+//!    the caller's thread (the `POST /admin/reload` handler), never on
+//!    a batch worker. The candidate checkpoint is read through the
+//!    `mb-params v2` loader, whose per-section CRCs reject torn or
+//!    bit-flipped files.
 //! 2. **Validate before publishing.** Building a [`Generation`]
 //!    constructs the dense index, the quantized tables, and a
 //!    throwaway [`TwoStageLinker`] — the same fail-fast check the
@@ -67,10 +67,10 @@ pub struct Generation {
     /// Dense retrieval index over the model's dictionary (empty when
     /// the generation retrieves from a sharded store instead).
     pub index: Arc<DenseIndex>,
-    /// Quantized retrieval tables (`None` under exact scoring). For a
-    /// store-backed generation these are assembled **from the shard
-    /// sections byte-for-byte** — start-up and reload never re-quantize
-    /// embeddings.
+    /// The int8 retrieval tables of a store-backed generation (`None`
+    /// for a dictionary-backed one, which scans `index` exactly). They
+    /// are assembled **from the shard sections byte-for-byte** —
+    /// start-up and reload never re-quantize embeddings.
     pub qindex: Option<Arc<QuantizedIndex>>,
     /// The sharded entity store backing this generation, when any.
     pub store: Option<Arc<EntityStore>>,
@@ -95,8 +95,8 @@ impl Generation {
         )?);
         let index = Arc::new(DenseIndex::from_features(&model.bi, &features, &model.dictionary)?);
         model.attach_features(features);
-        let qindex = QuantizedIndex::from_dense(&index, model.linker.quant)?.map(Arc::new);
-        let generation = Generation { id, source, model, index, qindex, store: None, ann: None };
+        let generation =
+            Generation { id, source, model, index, qindex: None, store: None, ann: None };
         generation.linker()?;
         Ok(generation)
     }
@@ -224,7 +224,7 @@ struct ReloadGuard<'a>(&'a AtomicBool);
 impl<'a> ReloadGuard<'a> {
     fn acquire(flag: &'a AtomicBool) -> Result<Self> {
         if flag.swap(true, Ordering::AcqRel) {
-            return Err(Error::Io("a model reload is already in progress".to_string()));
+            return Err(Error::Busy("a model reload is already in progress".to_string()));
         }
         Ok(ReloadGuard(flag))
     }
@@ -261,8 +261,8 @@ impl ModelRegistry {
         Self::with_source(model, None, None)
     }
 
-    /// A registry whose `POST /admin/reload` (and source watcher, when
-    /// enabled) pulls candidate generations from `source` via `loader`.
+    /// A registry whose `POST /admin/reload` pulls candidate
+    /// generations from `source` via `loader`.
     ///
     /// # Errors
     /// Validation errors from [`Generation::build`].
@@ -316,16 +316,6 @@ impl ModelRegistry {
         self.rejected.load(Ordering::Relaxed)
     }
 
-    /// Whether a reload source is configured.
-    pub(crate) fn has_source(&self) -> bool {
-        self.loader.is_some() && self.source.is_some()
-    }
-
-    /// The configured reload source path, when present.
-    pub fn source(&self) -> Option<&Path> {
-        self.source.as_deref()
-    }
-
     /// The sharded-store directory a reload from `path` should bind,
     /// when one is present: `<dir>/store/MANIFEST` next to the
     /// checkpoint (where `<dir>` is `path` itself for a directory
@@ -343,7 +333,7 @@ impl ModelRegistry {
     ///
     /// # Errors
     /// [`Error::Checkpoint`] for no configured loader or a corrupt
-    /// candidate; [`Error::Io`] when a reload is already in flight.
+    /// candidate; [`Error::Busy`] when a reload is already in flight.
     pub fn reload(&self, path: Option<&Path>) -> Result<u64> {
         let Some(loader) = self.loader.as_ref() else {
             return Err(Error::Checkpoint("no reload source configured".to_string()));
@@ -352,7 +342,7 @@ impl ModelRegistry {
             return Err(Error::Checkpoint("no reload source configured".to_string()));
         };
         let _reloading = ReloadGuard::acquire(&self.reloading)?;
-        // Load + validate run here, on the admin/watcher thread, with
+        // Load + validate run here, on the admin handler's thread, with
         // the old generation still serving every request.
         loader(path)
             .inspect_err(|_| {
@@ -520,7 +510,6 @@ mod tests {
     #[test]
     fn reload_without_a_source_is_rejected() {
         let registry = ModelRegistry::new(model(1)).expect("valid model");
-        assert!(!registry.has_source());
         let err = registry.reload(None).unwrap_err();
         assert!(matches!(err, Error::Checkpoint(_)), "got {err:?}");
         assert_eq!(registry.generation_id(), 1);

@@ -19,6 +19,9 @@
 //! draining and rebuild their linker before serving a batch that
 //! arrived across a hot swap, and each reply carries the generation
 //! that computed it so responses are never mixed across generations.
+//! Generations change only through `POST /admin/reload`; one that
+//! arrives while another reload is running answers `503` with
+//! `Retry-After` (the registry's [`mb_common::Error::Busy`]).
 //!
 //! Overload degrades to fast rejections: the admission gate bounds
 //! requests inside the server, per-request deadlines shed queue entries
@@ -170,7 +173,6 @@ pub struct Server {
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
-    watcher: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -187,9 +189,7 @@ impl Server {
     }
 
     /// Serve from an existing [`ModelRegistry`] (built with a loader
-    /// when hot reloads are wanted). When `cfg.serve.watch_interval_ms`
-    /// is non-zero and the registry has a source, a watcher thread
-    /// polls the source file and reloads on change.
+    /// when `POST /admin/reload` should swap in new generations).
     ///
     /// # Errors
     /// [`mb_common::Error::Io`] when the address cannot be bound.
@@ -224,8 +224,7 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(&listener, &shared))
         };
-        let watcher = watcher_thread(&shared);
-        Ok(Server { shared, acceptor, workers, watcher })
+        Ok(Server { shared, acceptor, workers })
     }
 
     /// The bound address (useful with an ephemeral port).
@@ -246,9 +245,6 @@ impl Server {
         for w in self.workers {
             let _ = w.join();
         }
-        if let Some(w) = self.watcher {
-            let _ = w.join();
-        }
     }
 
     /// Graceful shutdown: stop accepting, drain queued work, join all
@@ -257,44 +253,6 @@ impl Server {
         self.shared.request_shutdown();
         self.join();
     }
-}
-
-/// Spawn the model-source watcher when configured: poll the source
-/// file's (mtime, size) every `watch_interval_ms` and reload on change.
-/// Reload failures are logged and counted; the old generation serves on.
-fn watcher_thread(shared: &Arc<Shared>) -> Option<JoinHandle<()>> {
-    let interval = shared.cfg.serve.watch_interval_ms;
-    if interval == 0 || !shared.registry.has_source() {
-        return None;
-    }
-    let shared = Arc::clone(shared);
-    Some(std::thread::spawn(move || {
-        let stat = |shared: &Shared| {
-            shared.registry.source().and_then(|p| {
-                let meta = std::fs::metadata(p).ok()?;
-                Some((meta.modified().ok()?, meta.len()))
-            })
-        };
-        let mut last = stat(&shared);
-        let step = Duration::from_millis(interval.clamp(1, 50));
-        let mut waited = Duration::ZERO;
-        while !shared.shutdown.load(Ordering::SeqCst) {
-            std::thread::sleep(step);
-            waited += step;
-            if waited < Duration::from_millis(interval) {
-                continue;
-            }
-            waited = Duration::ZERO;
-            let now = stat(&shared);
-            if now.is_some() && now != last {
-                match shared.registry.reload(None) {
-                    Ok(id) => eprintln!("mb-serve: watcher swapped to generation {id}"),
-                    Err(e) => eprintln!("mb-serve: watcher reload rejected: {e}"),
-                }
-            }
-            last = now;
-        }
-    }))
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
@@ -553,11 +511,8 @@ fn handle_reload(req: &Request, shared: &Arc<Shared>) -> HttpReply {
     };
     match shared.registry.reload(path.as_deref()) {
         Ok(id) => HttpReply::json(200, format!("{{\"status\":\"swapped\",\"generation\":{id}}}")),
-        // The registry reports a reload already in flight as Error::Io
-        // with this exact phrase; that one sheds rather than conflicts.
-        Err(mb_common::Error::Io(msg)) if msg.contains("already in progress") => {
-            HttpReply::shed(&msg, shared.cfg.serve.retry_after_s)
-        }
+        // A reload already in flight sheds rather than conflicts.
+        Err(mb_common::Error::Busy(msg)) => HttpReply::shed(&msg, shared.cfg.serve.retry_after_s),
         Err(e) => HttpReply::json(
             409,
             format!(

@@ -99,6 +99,13 @@ fn write_candidate(path: &Path, seed: u64) {
 }
 
 fn roundtrip(addr: SocketAddr, raw: &[u8]) -> (u16, String) {
+    let (status, _, body) = exchange(addr, raw);
+    (status, body)
+}
+
+/// One request on a fresh connection: the status, the header lines
+/// (names lowercased) and the body.
+fn exchange(addr: SocketAddr, raw: &[u8]) -> (u16, Vec<String>, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.write_all(raw).expect("send");
     let mut reader = BufReader::new(stream);
@@ -106,20 +113,22 @@ fn roundtrip(addr: SocketAddr, raw: &[u8]) -> (u16, String) {
     reader.read_line(&mut status_line).expect("status line");
     let status: u16 = status_line.split(' ').nth(1).expect("code").parse().expect("numeric");
     let mut content_length = 0usize;
+    let mut headers = Vec::new();
     loop {
         let mut line = String::new();
         reader.read_line(&mut line).expect("header");
-        let line = line.trim_end();
+        let line = line.trim_end().to_ascii_lowercase();
         if line.is_empty() {
             break;
         }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+        if let Some(v) = line.strip_prefix("content-length:") {
             content_length = v.trim().parse().expect("content-length");
         }
+        headers.push(line);
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body).expect("body");
-    (status, String::from_utf8(body).expect("utf-8"))
+    (status, headers, String::from_utf8(body).expect("utf-8"))
 }
 
 fn link_request(m: &LinkedMention) -> Vec<u8> {
@@ -427,6 +436,49 @@ fn a_rejected_or_unwound_reload_leaves_the_old_generation_and_the_next_reload_wo
     std::fs::write(&manifest, &good).expect("restore");
     assert_eq!(registry.reload(None).expect("the next good reload"), 3);
     assert_eq!(answers(&registry.current()), before, "same checkpoint, same store");
+}
+
+/// Reloads are serialized: one that arrives while another is inside its
+/// loader sheds with 503 + `Retry-After` instead of queueing behind it,
+/// and the first one still publishes.
+#[test]
+fn a_reload_arriving_during_another_answers_503_and_the_first_still_publishes() {
+    use std::sync::{mpsc, Mutex};
+    use std::time::Duration;
+    let dir = scratch("busy");
+    let candidate = dir.0.join("model.mbc");
+    write_candidate(&candidate, 7);
+    let (model, _, load) = fixture();
+    let (entered_tx, entered) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel::<()>();
+    let (entered_tx, release_rx) = (Mutex::new(entered_tx), Mutex::new(release_rx));
+    let loader: ModelLoader = Box::new(move |path: &Path| {
+        entered_tx.lock().expect("sender").send(()).expect("the test is waiting");
+        let _ = release_rx.lock().expect("receiver").recv_timeout(Duration::from_secs(60));
+        load(path)
+    });
+    let registry =
+        ModelRegistry::with_loader(model, candidate, loader).expect("valid startup model");
+    let server = Server::start_with_registry(registry, ServerConfig::default()).expect("start");
+    let addr = server.addr();
+
+    let first = std::thread::spawn(move || roundtrip(addr, RELOAD));
+    entered.recv_timeout(Duration::from_secs(60)).expect("the first reload reaches its loader");
+    let (status, headers, body) = exchange(addr, RELOAD);
+    assert_eq!(status, 503, "{body}");
+    assert!(headers.iter().any(|h| h == "retry-after: 1"), "{headers:?}");
+    assert!(body.contains("already in progress"), "{body}");
+    assert_eq!(server.generation(), 1, "nothing published while the first reload loads");
+
+    release.send(()).expect("the loader is waiting");
+    let (status, body) = first.join().expect("first reload");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"generation\":2"), "{body}");
+    assert_eq!(server.generation(), 2);
+    let (_, metrics) = roundtrip(addr, b"GET /metrics HTTP/1.1\r\nhost: t\r\n\r\n");
+    assert!(metrics.contains("serve_reload_rejected_total 0"), "{metrics}");
+    assert!(metrics.contains("serve_model_swaps_total 1"), "{metrics}");
+    server.shutdown();
 }
 
 /// The KB is resident once: the start-up model, the loader's copy and

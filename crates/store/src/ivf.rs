@@ -534,7 +534,7 @@ impl CandidateSource for IvfIndex {
     }
 
     /// Fixed query blocks fan out across workers; each is ranked by
-    /// [`IvfIndex::rank_block`].
+    /// `IvfIndex::rank_block`.
     ///
     /// # Errors
     /// [`Error::ShapeMismatch`] when `queries` is not rank-2 or its

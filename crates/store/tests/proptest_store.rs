@@ -293,9 +293,7 @@ fn store_quantized_index_is_bit_identical_to_in_memory_quantizer() {
     let ids: Vec<mb_kb::EntityId> =
         (0..u32::try_from(n).expect("small")).map(mb_kb::EntityId).collect();
     let dense = mb_encoders::retrieval::DenseIndex::try_from_vectors(tensor, ids).expect("dense");
-    let in_memory = mb_encoders::retrieval::QuantizedIndex::from_dense(&dense, QuantMode::Int8)
-        .expect("narrow")
-        .expect("quantized");
+    let in_memory = mb_encoders::retrieval::QuantizedIndex::from_dense(&dense).expect("narrow");
     let mut rng = mb_common::Rng::seed_from_u64(99);
     for _ in 0..10 {
         let q: Vec<f64> = (0..dim).map(|_| rng.gaussian()).collect();

@@ -137,19 +137,6 @@ impl QuantI8 {
         f64::from(self.data[i * self.cols + j]) * self.scales[i]
     }
 
-    /// Dequantize the whole table (tests and error measurement only —
-    /// the serving path never materialises this).
-    pub fn dequantize(&self) -> Tensor {
-        let mut data = Vec::with_capacity(self.rows * self.cols);
-        for i in 0..self.rows {
-            let scale = self.scales[i];
-            for &q in &self.data[i * self.cols..(i + 1) * self.cols] {
-                data.push(f64::from(q) * scale);
-            }
-        }
-        Tensor::from_vec(vec![self.rows, self.cols], data)
-    }
-
     /// Mean-pool the dequantized rows of `bag` into `out` — the int8
     /// counterpart of [`crate::frozen::bag_embed_row`].
     pub fn bag_embed_row(&self, bag: &[u32], out: &mut [f64]) {
@@ -197,7 +184,7 @@ mod tests {
         let t = Tensor::zeros(vec![3, 5]);
         let q = QuantI8::from_tensor(&t);
         assert_eq!(q.scales(), &[0.0, 0.0, 0.0]);
-        assert_eq!(q.dequantize().data(), t.data());
+        assert!((0..3).all(|i| (0..5).all(|j| q.get(i, j) == 0.0)));
     }
 
     #[test]

@@ -23,6 +23,9 @@ STEPS=(
     # discipline and hot-loop allocation (each at the site and through
     # every call), unsafe gate, tape-free serving. Fails on any finding.
     "lint|cargo run -q -p mb-lint"
+    # Docs: every intra-doc link resolves and names a public item, so a
+    # doc link left pointing at a deleted or private item fails here.
+    "doc|RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps -q"
     "build|cargo build --release --workspace"
     "test|cargo test -q --workspace"
     # Bench smoke: every table and figure of the paper on the benchmark

@@ -94,7 +94,6 @@ const SERVE_FLAGS: &[&str] = &[
     "max-deadline-ms",
     "retry-after-s",
     "admission-limit",
-    "watch-interval-ms",
 ];
 
 const USAGE: &str = "\
@@ -113,7 +112,6 @@ USAGE:
                       [--read-timeout-ms <n>] [--reply-timeout-ms <n>]
                       [--default-deadline-ms <n>] [--max-deadline-ms <n>]
                       [--retry-after-s <n>] [--admission-limit <n>]
-                      [--watch-interval-ms <n>]
   metablink lint      [--root <dir>] [--json]
   metablink lint      --explain <rule>
 
@@ -127,9 +125,8 @@ port, and --addr-file writes the bound address for scripts to discover
 it. The resilience knobs mirror mb_serve::ServeConfig: per-request
 deadline budgets (clients may send \"deadline_ms\", capped by
 --max-deadline-ms) shed queued work with 503 + Retry-After once they
-cannot be met, --admission-limit bounds requests inside the server
-(0 sizes it from the queue), and --watch-interval-ms polls model.mbc
-and reloads on change (0 disables).
+cannot be met, and --admission-limit bounds requests inside the server
+(0 sizes it from the queue).
 
 lint runs the in-repo static-analysis pass on the workspace's own
 sources: panic-freedom, determinism, lock discipline and hot-loop
@@ -146,9 +143,10 @@ threads. Results are bit-identical for every thread count: all
 parallel paths partition by data, never by worker count.";
 
 /// The `--flag value` pairs of one subcommand. A flag `cmd` does not
-/// take, a flag with no value (or one that is itself a `--flag`) and a
-/// stray positional are each an error naming the offender — a typo'd
-/// `--seed` must not train the default model silently.
+/// take, a flag with no value (or one that is itself a `--flag`), a
+/// flag given twice and a stray positional are each an error naming
+/// the offender — a typo'd `--seed` must not train the default model
+/// silently, nor `--k 5 --k 9` quietly run with 9.
 fn parse_flags(
     cmd: &str,
     allowed: &[&str],
@@ -166,10 +164,13 @@ fn parse_flags(
             let takes: Vec<String> = allowed.iter().map(|f| format!("--{f}")).collect();
             return Err(format!("unknown flag --{key} for {cmd} (it takes {})", takes.join(", ")));
         }
-        match args.next() {
-            Some(value) if !value.starts_with("--") => map.insert(key.to_string(), value.clone()),
+        let value = match args.next() {
+            Some(value) if !value.starts_with("--") => value.clone(),
             _ => return Err(format!("flag --{key} needs a value")),
         };
+        if map.insert(key.to_string(), value).is_some() {
+            return Err(format!("flag --{key} given more than once for {cmd}"));
+        }
     }
     Ok(map)
 }
@@ -446,7 +447,6 @@ fn cmd_serve(opts: &HashMap<String, String>) -> Result<(), String> {
             max_deadline_ms: snum("max-deadline-ms", serve_defaults.max_deadline_ms)?,
             retry_after_s: snum("retry-after-s", serve_defaults.retry_after_s)?,
             admission_limit: snum("admission-limit", serve_defaults.admission_limit)?,
-            watch_interval_ms: snum("watch-interval-ms", serve_defaults.watch_interval_ms)?,
         },
         ..defaults
     };

@@ -1,6 +1,7 @@
 //! `metablink` rejects what it does not understand: an unknown flag, a
-//! flag without a value and a stray positional each exit 2 with an
-//! `error:` naming the offender, instead of running on defaults.
+//! flag without a value, a repeated flag and a stray positional each
+//! exit 2 with an `error:` naming the offender, instead of running on
+//! defaults or on whichever copy came last.
 
 use std::process::Command;
 
@@ -17,6 +18,7 @@ fn unknown_valueless_and_stray_arguments_exit_2_naming_the_offender() {
         (&["generate", "--scale", "--seed", "7"][..], "--scale"),
         (&["link", "--surface", "x", "--model"][..], "--model"),
         (&["generate", "small"][..], "\"small\""),
+        (&["link", "--surface", "x", "--k", "5", "--k", "9"][..], "--k"),
     ] {
         let (code, stderr) = metablink(args);
         assert_eq!(code, Some(2), "{args:?} must be a usage error; stderr: {stderr}");

@@ -5,7 +5,9 @@
 //! the frozen handle and `link_batch`'s rerank must agree bit for bit
 //! at every thread count, past the chunking threshold, with empty bags
 //! and empty sets. `link_batch`'s whole output is also pinned by digest
-//! for both `QuantMode`s.
+//! for both stage-one scans: the exact index, and the int8
+//! `QuantizedIndex` a store-backed generation serves beside the same
+//! exact encoders.
 
 use metablink::common::Rng;
 use metablink::core::linker::LinkResult;
@@ -15,10 +17,12 @@ use metablink::datagen::{LinkedMention, World, WorldConfig};
 use metablink::encoders::biencoder::{BiEncoderConfig, EMBED_CHUNK};
 use metablink::encoders::crossencoder::{CandidateSet, CrossEncoderConfig};
 use metablink::encoders::input::{build_vocab, InputConfig, TrainPair};
+use metablink::encoders::retrieval::QuantizedIndex;
 use metablink::encoders::{BiEncoder, CrossEncoder};
 use metablink::par::Threads;
 use metablink::tensor::{Params, QuantMode, Tape, Tensor};
 use metablink::text::Vocab;
+use std::sync::Arc;
 
 fn bits(t: &Tensor) -> Vec<u64> {
     t.data().iter().map(|v| v.to_bits()).collect()
@@ -142,16 +146,28 @@ fn link_batch_outputs_match_the_pinned_digests() {
         ..mentions[7].clone()
     };
     let (bi, cross) = encoders(&vocab);
-    for (quant, want) in
-        [(QuantMode::Exact, 0x367a_0d2f_6a05_c774), (QuantMode::Int8, 0x5f83_c38a_92af_c217)]
-    {
-        for t in 1..=4 {
-            let cfg =
-                LinkerConfig { k: 16, quant, threads: Threads::new(t), ..LinkerConfig::default() };
-            let linker =
-                TwoStageLinker::new(&bi, &cross, &vocab, kb, kb.domain_entities(domain.id), cfg);
+    for t in 1..=4 {
+        let cfg = LinkerConfig { k: 16, threads: Threads::new(t), ..LinkerConfig::default() };
+        let exact =
+            TwoStageLinker::new(&bi, &cross, &vocab, kb, kb.domain_entities(domain.id), cfg);
+        let qindex = QuantizedIndex::from_dense(exact.index()).expect("narrow index");
+        let int8 = TwoStageLinker::with_frozen(
+            &bi,
+            &cross,
+            &vocab,
+            kb,
+            cfg,
+            exact.index_shared(),
+            Some(Arc::new(qindex)),
+            exact.frozen_bi().clone(),
+            exact.frozen_cross().clone(),
+        )
+        .expect("the exact linker's own state");
+        for (scan, linker, want) in
+            [("exact", &exact, 0x367a_0d2f_6a05_c774), ("int8", &int8, 0xa574_26a5_1a02_1dc0)]
+        {
             let got = link_digest(&linker.link_batch(&mentions).expect("valid linker"));
-            assert_eq!(got, want, "{quant:?} threads={t}: {got:#018x}");
+            assert_eq!(got, want, "{scan} index, threads={t}: {got:#018x}");
         }
     }
 }
