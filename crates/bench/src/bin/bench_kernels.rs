@@ -1,8 +1,8 @@
 //! Matmul kernel benchmark: the cache-blocked register-tiled kernel
 //! (`mb_tensor::Tensor::matmul`) against the naive triple loop
 //! (`mb_tensor::kernels::matmul_reference`) at 64/256/512, plus the
-//! transposed variant and the multi-threaded dispatch. Verifies
-//! bit-identity before timing, then writes
+//! transposed variant. Verifies bit-identity of both products before
+//! timing, then writes
 //! `target/experiments/BENCH_kernels.{txt,json}`.
 
 use mb_bench::harness::Harness;
@@ -22,6 +22,8 @@ fn main() {
         let want = matmul_reference(&a, &b, false);
         let got = a.matmul(&b);
         assert_eq!(want.data(), got.data(), "blocked kernel diverged from reference at {n}");
+        let want_t = matmul_reference(&a, &b, true);
+        assert_eq!(want_t.data(), a.matmul_t(&b).data(), "blocked matmul_t diverged at {n}");
 
         h.bench_units(&format!("matmul/naive/{n}"), flops(n), "flop", || {
             std::hint::black_box(matmul_reference(
@@ -36,24 +38,6 @@ fn main() {
         h.bench_units(&format!("matmul_t/blocked/{n}"), flops(n), "flop", || {
             std::hint::black_box(std::hint::black_box(&a).matmul_t(std::hint::black_box(&b)));
         });
-        for threads in [2usize, 4] {
-            let t = mb_par::Threads::new(threads);
-            assert_eq!(
-                want.data(),
-                a.matmul_with(&b, t).data(),
-                "parallel dispatch diverged at {n} with {threads} threads"
-            );
-            h.bench_units(
-                &format!("matmul/blocked/{n}/threads={threads}"),
-                flops(n),
-                "flop",
-                || {
-                    std::hint::black_box(
-                        std::hint::black_box(&a).matmul_with(std::hint::black_box(&b), t),
-                    );
-                },
-            );
-        }
     }
     h.report("Matmul kernels: naive reference vs cache-blocked", "BENCH_kernels");
     speedup_summary(&h);

@@ -207,7 +207,7 @@ fn assert_fused_matches_serial<S: CandidateSource>(
 fn oracle_top_k(store: &EntityStore, q: &[f64]) -> Vec<(u32, u64)> {
     let mut scores = Vec::with_capacity(store.len());
     for shard in store.shards() {
-        scores.extend(shard.table().score_all(q, Threads::single()));
+        scores.extend(shard.table().score_all(q));
     }
     let mut order: Vec<usize> = (0..scores.len()).collect();
     order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));

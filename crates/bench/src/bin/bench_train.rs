@@ -26,7 +26,7 @@ use mb_encoders::biencoder::{BiEncoder, BiEncoderConfig};
 use mb_encoders::crossencoder::{CandidateSet, CrossEncoder, CrossEncoderConfig};
 use mb_encoders::input::{build_vocab, entity_bag, title_bag, InputConfig, TrainPair};
 use mb_par::Threads;
-use mb_tensor::optim::{Adam, Optimizer, Sgd};
+use mb_tensor::optim::Adam;
 use mb_tensor::params::GradVec;
 use std::time::{Duration, Instant};
 
@@ -89,17 +89,11 @@ fn meta_config((syn_batch, seed_batch): (usize, usize), threads: Threads) -> Met
 /// flattened for the cross-thread bit-identity check.
 fn meta_epoch(f: &Fixture, threads: Threads) -> Vec<u64> {
     let mut m = BiEncoder::new(&f.vocab, BiEncoderConfig::default(), &mut Rng::seed_from_u64(1));
-    let mut opt = Sgd::new(1e-3);
+    let cfg = meta_config(BI_BATCHES, threads);
+    let mut opt = Adam::new(cfg.lr);
     let mut rng = Rng::seed_from_u64(5);
     for _ in 0..STEPS {
-        meta_step(
-            &mut m,
-            &f.pairs[..SYN],
-            &f.pairs[SYN..],
-            &mut opt,
-            &meta_config(BI_BATCHES, threads),
-            &mut rng,
-        );
+        meta_step(&mut m, &f.pairs[..SYN], &f.pairs[SYN..], &mut opt, &cfg, &mut rng);
     }
     param_bits(m.params())
 }
@@ -114,7 +108,7 @@ fn timed_step<M: MetaModel>(
     model: &mut M,
     syn: &[M::Example],
     seed_set: &[M::Example],
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     cfg: &MetaConfig,
     rng: &mut Rng,
 ) -> [Duration; 5] {

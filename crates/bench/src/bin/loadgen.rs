@@ -1,33 +1,28 @@
-//! `loadgen` — load generator for the `mb-serve` HTTP server, emitting
-//! the `BENCH_serve.json` throughput/latency report.
+//! `loadgen` — load generator for the `mb-serve` HTTP server.
 //!
-//! Three modes:
+//! Two modes:
 //!
-//! - **Self-contained** (`--self-contained`): builds a tiny synthetic
-//!   world + model in-process, serves it twice over localhost — once
-//!   with `max_batch 1` and once with the batched configuration — and
-//!   reports the throughput ratio. This is the reproducible source of
-//!   `target/experiments/BENCH_serve.json`.
-//! - **Open-loop** (`--open-loop`): serves the same in-process model
-//!   once and sweeps a ladder of *offered* QPS rungs (`--qps`), pacing
-//!   arrivals by the clock instead of waiting for responses — the
-//!   closed-loop mode cannot overload the server by construction, an
-//!   open loop can. Produces the p50/p99-vs-offered-QPS curve
-//!   (`"open_loop"` in `BENCH_serve.json`) plus the gate-format
-//!   `BENCH_serve_openloop.json` that `scripts/bench_gate.sh` pairs
-//!   against the merge-base's.
+//! - **Open-loop** (`--open-loop`): builds a synthetic world + model
+//!   in-process, serves it over localhost and sweeps a ladder of
+//!   *offered* QPS rungs (`--qps`), pacing arrivals by the clock
+//!   instead of waiting for responses, so it can overload the server.
+//!   Prints the p50/p99-vs-offered-QPS table on stderr and writes the
+//!   gate-format `BENCH_serve_openloop.json` that
+//!   `scripts/bench_gate.sh` pairs against the merge-base's.
 //!   Requests carry a `deadline_ms` budget so past-saturation rungs
 //!   degrade to fast 503 + `Retry-After` shedding, which the run
 //!   records separately from served latencies.
 //! - **External** (`--addr HOST:PORT` or `--addr-file PATH`): drives an
-//!   already-running server (the CI `serve-smoke` stage). `--strict`
-//!   exits non-zero unless every response was 2xx, `--check-metrics`
-//!   requires every `/metrics` line `benchmark/` scrapes and a cache
-//!   hit, and `--shutdown` ends the run with a graceful
-//!   `POST /admin/shutdown`.
+//!   already-running server with a closed loop (the CI `serve-smoke`
+//!   stage). `--strict` exits non-zero unless every response was 2xx,
+//!   `--check-metrics` requires every `/metrics` line `benchmark/`
+//!   scrapes and a cache hit, and `--shutdown` ends the run with a
+//!   graceful `POST /admin/shutdown`.
+//!
+//! An unknown or repeated flag, or one the chosen mode does not read,
+//! is an error naming it.
 //!
 //! ```sh
-//! cargo run --release -p mb-bench --bin loadgen -- --self-contained
 //! cargo run --release -p mb-bench --bin loadgen -- --open-loop \
 //!     --qps 40,160,640,2500 --duration-ms 2000
 //! cargo run --release -p mb-bench --bin loadgen -- --addr 127.0.0.1:7878 \
@@ -61,11 +56,9 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "\
-loadgen — load generator for mb-serve (closed-loop and open-loop)
+loadgen — load generator for mb-serve (open-loop and external)
 
 USAGE:
-  loadgen --self-contained [--requests <n>] [--concurrency <n>]
-          [--max-batch <n>]
   loadgen --open-loop [--qps <a,b,c>] [--duration-ms <n>]
           [--deadline-ms <n>] [--concurrency <n>] [--max-batch <n>]
   loadgen (--addr <host:port> | --addr-file <path>) [--requests <n>]
@@ -75,8 +68,17 @@ Open-loop mode paces arrivals by the wall clock (offered load), so it
 can push the server past saturation; each request carries a
 deadline_ms budget and past-saturation rungs are expected to shed
 with fast 503 + Retry-After instead of queueing without bound. It
-writes the latency-vs-offered-QPS curve into BENCH_serve.json and the
-per-rung p50s into BENCH_serve_openloop.json for scripts/bench_gate.sh.";
+prints the latency-vs-offered-QPS table and writes the per-rung p50s
+into BENCH_serve_openloop.json for scripts/bench_gate.sh.";
+
+/// Flags that take no value.
+const SWITCHES: [&str; 5] = ["open-loop", "strict", "check-metrics", "shutdown", "help"];
+/// The flags each mode reads (`--help` aside). A flag of the other
+/// mode is an error too, not silently ignored.
+const OPEN_LOOP_FLAGS: [&str; 6] =
+    ["open-loop", "qps", "duration-ms", "deadline-ms", "concurrency", "max-batch"];
+const EXTERNAL_FLAGS: [&str; 7] =
+    ["addr", "addr-file", "requests", "concurrency", "strict", "check-metrics", "shutdown"];
 
 fn run(args: &[String]) -> Result<(), String> {
     let mut flags: HashMap<String, String> = HashMap::new();
@@ -85,26 +87,31 @@ fn run(args: &[String]) -> Result<(), String> {
         let Some(key) = args[i].strip_prefix("--") else {
             return Err(format!("unexpected argument {:?}\n{USAGE}", args[i]));
         };
-        let boolean = matches!(
-            key,
-            "self-contained" | "open-loop" | "strict" | "check-metrics" | "shutdown" | "help"
-        );
+        if key != "help" && !OPEN_LOOP_FLAGS.contains(&key) && !EXTERNAL_FLAGS.contains(&key) {
+            return Err(format!("unknown flag --{key}\n{USAGE}"));
+        }
+        let boolean = SWITCHES.contains(&key);
         let value = if boolean {
             "true".to_string()
         } else {
             args.get(i + 1).cloned().ok_or(format!("--{key} needs a value\n{USAGE}"))?
         };
-        flags.insert(key.to_string(), value);
+        if flags.insert(key.to_string(), value).is_some() {
+            return Err(format!("flag --{key} given more than once"));
+        }
         i += if boolean { 1 } else { 2 };
     }
     if flags.contains_key("help") {
         println!("{USAGE}");
         return Ok(());
     }
-    if flags.contains_key("max-delay-us") {
-        return Err(
-            "--max-delay-us was removed: batches now form while the worker is busy".to_string()
-        );
+    let (mode, reads) = if flags.contains_key("open-loop") {
+        ("--open-loop", &OPEN_LOOP_FLAGS[..])
+    } else {
+        ("an external run", &EXTERNAL_FLAGS[..])
+    };
+    if let Some(key) = flags.keys().filter(|k| !reads.contains(&k.as_str())).min() {
+        return Err(format!("flag --{key} does not apply to {mode}\n{USAGE}"));
     }
     let parse = |key: &str, default: usize| -> Result<usize, String> {
         match flags.get(key) {
@@ -114,15 +121,9 @@ fn run(args: &[String]) -> Result<(), String> {
     };
     let concurrency = parse("concurrency", 8)?.max(1);
 
-    if flags.contains_key("self-contained") {
-        let requests = parse("requests", 400)?;
+    if flags.contains_key("open-loop") {
         // Default the batch limit to the offered concurrency: a batch
         // can never exceed the number of in-flight requests.
-        let max_batch = parse("max-batch", concurrency)?.max(2);
-        return self_contained(requests, concurrency, max_batch);
-    }
-
-    if flags.contains_key("open-loop") {
         let max_batch = parse("max-batch", concurrency)?.max(2);
         let duration_ms = parse("duration-ms", 2_000)?.max(100) as u64;
         let deadline_ms = parse("deadline-ms", 1_000)?.max(1) as u64;
@@ -142,9 +143,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let addr = match (flags.get("addr"), flags.get("addr-file")) {
         (Some(a), _) => a.clone(),
         (None, Some(path)) => wait_for_addr_file(path)?,
-        (None, None) => {
-            return Err(format!("need --addr, --addr-file, or --self-contained\n{USAGE}"))
-        }
+        (None, None) => return Err(format!("need --addr, --addr-file, or --open-loop\n{USAGE}")),
     };
     let requests = parse("requests", 200)?;
     let stats = drive(&addr, requests, concurrency, &demo_payloads())?;
@@ -231,14 +230,6 @@ impl LoadStats {
         self.total() as f64 / self.elapsed.as_secs_f64().max(1e-9)
     }
 
-    fn quantile_us(&self, q: f64) -> u64 {
-        if self.latencies_us.is_empty() {
-            return 0;
-        }
-        let idx = (q * (self.latencies_us.len() - 1) as f64).round() as usize;
-        self.latencies_us[idx.min(self.latencies_us.len() - 1)]
-    }
-
     fn print(&self, label: &str) {
         eprintln!(
             "{label}: {} requests ({} non-2xx) in {:.2?}  {:.1} req/s  p50 {}µs  p95 {}µs  p99 {}µs",
@@ -246,25 +237,17 @@ impl LoadStats {
             self.non_2xx,
             self.elapsed,
             self.rps(),
-            self.quantile_us(0.50),
-            self.quantile_us(0.95),
-            self.quantile_us(0.99),
+            quantile(&self.latencies_us, 0.50),
+            quantile(&self.latencies_us, 0.95),
+            quantile(&self.latencies_us, 0.99),
         );
     }
 }
 
-/// One keep-alive HTTP exchange on an open connection.
+/// One keep-alive HTTP exchange on an open connection: the status, and
+/// whether the response carried a `Retry-After` header (every 503 from
+/// mb-serve must).
 fn exchange(
-    writer: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    raw: &[u8],
-) -> Result<u16, String> {
-    exchange_ext(writer, reader, raw).map(|(status, _)| status)
-}
-
-/// [`exchange`], also reporting whether the response carried a
-/// `Retry-After` header (every 503 from mb-serve must).
-fn exchange_ext(
     writer: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,
     raw: &[u8],
@@ -356,7 +339,7 @@ fn drive(
                             return Ok((ok, bad, lats));
                         }
                         let t0 = Instant::now();
-                        let status =
+                        let (status, _) =
                             exchange(&mut writer, &mut reader, &payloads[i % payloads.len()])?;
                         lats.push(t0.elapsed().as_micros() as u64);
                         if (200..300).contains(&status) {
@@ -392,14 +375,10 @@ fn drive(
     Ok(LoadStats { ok_2xx, non_2xx, elapsed, latencies_us })
 }
 
-fn link_payload(surface: &str, left: &str, right: &str) -> Vec<u8> {
-    link_payload_ext(surface, left, right, None)
-}
-
 /// `/link` request bytes, optionally carrying a `deadline_ms` budget
 /// (the open-loop sweep sets one so overload rungs shed instead of
 /// queueing without bound).
-fn link_payload_ext(surface: &str, left: &str, right: &str, deadline_ms: Option<u64>) -> Vec<u8> {
+fn link_payload(surface: &str, left: &str, right: &str, deadline_ms: Option<u64>) -> Vec<u8> {
     let deadline = match deadline_ms {
         Some(ms) => format!(",\"deadline_ms\":{ms}"),
         None => String::new(),
@@ -433,11 +412,11 @@ fn demo_payloads() -> Vec<Vec<u8>> {
         ("head judge", "the ", " reviewed the ruling"),
     ]
     .iter()
-    .map(|(s, l, r)| link_payload(s, l, r))
+    .map(|(s, l, r)| link_payload(s, l, r, None))
     .collect()
 }
 
-// ---------------------------------------------------- self-contained bench
+// ----------------------------------------------------- open-loop sweep
 
 /// Build the benchmark model. Untrained weights are fine — serving
 /// cost does not depend on parameter values — but the MODEL SIZE
@@ -488,89 +467,10 @@ fn bench_model() -> (ServeModel, Vec<LinkedMention>) {
     (model, mentions)
 }
 
-/// Serve `model` with the given batch limit and measure a closed loop.
-fn measure_config(
-    model: ServeModel,
-    max_batch: usize,
-    requests: usize,
-    concurrency: usize,
-    payloads: &[Vec<u8>],
-) -> Result<LoadStats, String> {
-    let cfg = ServerConfig {
-        max_batch,
-        // One worker on purpose: the comparison isolates batching
-        // (fused forwards), not thread-level parallelism. The cache is
-        // off so every request pays the full two-stage forward.
-        workers: 1,
-        cache_capacity: 0,
-        ..ServerConfig::default()
-    };
-    let server = Server::start(model, cfg).map_err(|e| format!("start server: {e}"))?;
-    let addr = server.addr().to_string();
-    // Warm-up out of band, then the timed run.
-    drive(&addr, (requests / 10).clamp(8, 64), concurrency, payloads)?;
-    let stats = drive(&addr, requests, concurrency, payloads)?;
-    server.shutdown();
-    Ok(stats)
-}
-
-fn stats_json(s: &LoadStats, max_batch: usize) -> String {
-    format!(
-        "{{\"max_batch\":{max_batch},\"requests\":{},\"non_2xx\":{},\"elapsed_s\":{:.4},\"throughput_rps\":{:.2},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{}}}",
-        s.total(),
-        s.non_2xx,
-        s.elapsed.as_secs_f64(),
-        s.rps(),
-        s.quantile_us(0.50),
-        s.quantile_us(0.95),
-        s.quantile_us(0.99),
-    )
-}
-
-fn self_contained(requests: usize, concurrency: usize, max_batch: usize) -> Result<(), String> {
-    eprintln!("building model …");
-    let (model_a, mentions) = bench_model();
-    eprintln!(
-        "model: vocab {} tokens, {} entities in dictionary",
-        model_a.vocab.len(),
-        model_a.dictionary.len()
-    );
-    let (model_b, _) = bench_model();
-    let payloads: Vec<Vec<u8>> =
-        mentions.iter().map(|m| link_payload(&m.surface, &m.left, &m.right)).collect();
-
-    eprintln!("measuring max_batch=1 (one forward per request) …");
-    let unbatched = measure_config(model_a, 1, requests, concurrency, &payloads)?;
-    unbatched.print("unbatched");
-    eprintln!("measuring max_batch={max_batch} (fused forwards) …");
-    let batched = measure_config(model_b, max_batch, requests, concurrency, &payloads)?;
-    batched.print("batched");
-
-    let speedup = batched.rps() / unbatched.rps().max(1e-9);
-    eprintln!("batched throughput = {speedup:.2}× unbatched");
-    if unbatched.non_2xx + batched.non_2xx > 0 {
-        return Err("non-2xx responses during the benchmark".to_string());
-    }
-
-    let payload = format!(
-        "{{\"kind\":\"serve_bench\",\"concurrency\":{concurrency},\"workers\":1,\"cache\":\"off\",\"unbatched\":{},\"batched\":{},\"speedup\":{:.3}}}",
-        stats_json(&unbatched, 1),
-        stats_json(&batched, max_batch),
-        speedup,
-    );
-    mb_bench::harness::write_json("BENCH_serve", &payload);
-    println!("BENCH_serve: speedup {speedup:.2}× (batched {:.1} req/s vs unbatched {:.1} req/s at concurrency {concurrency})", batched.rps(), unbatched.rps());
-    Ok(())
-}
-
-// ----------------------------------------------------- open-loop sweep
-
 /// Per-rung tally of an open-loop run.
 struct RungStats {
     /// Offered rate in requests per second.
     qps: usize,
-    /// Arrivals scheduled (`qps × duration`).
-    offered: u64,
     ok_2xx: u64,
     shed_503: u64,
     /// 503s that arrived without a `Retry-After` header (must be 0).
@@ -613,26 +513,6 @@ impl RungStats {
             quantile(&self.latencies_us, 0.99),
             quantile(&self.shed_latencies_us, 0.99),
         );
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"qps\":{},\"offered\":{},\"ok\":{},\"shed\":{},\"shed_without_retry_after\":{},\"errors\":{},\"late\":{},\"elapsed_s\":{:.4},\"achieved_rps\":{:.2},\"p50_us\":{},\"p95_us\":{},\"p99_us\":{},\"shed_p50_us\":{},\"shed_p99_us\":{}}}",
-            self.qps,
-            self.offered,
-            self.ok_2xx,
-            self.shed_503,
-            self.shed_without_retry_after,
-            self.errors,
-            self.late,
-            self.elapsed.as_secs_f64(),
-            self.achieved_rps(),
-            quantile(&self.latencies_us, 0.50),
-            quantile(&self.latencies_us, 0.95),
-            quantile(&self.latencies_us, 0.99),
-            quantile(&self.shed_latencies_us, 0.50),
-            quantile(&self.shed_latencies_us, 0.99),
-        )
     }
 }
 
@@ -682,7 +562,7 @@ fn open_loop_drive(
                         }
                         let t0 = Instant::now();
                         let payload = &payloads[k as usize % payloads.len()];
-                        match exchange_ext(&mut writer, &mut reader, payload) {
+                        match exchange(&mut writer, &mut reader, payload) {
                             Ok((status, retry_after)) => {
                                 let us = t0.elapsed().as_micros() as u64;
                                 if (200..300).contains(&status) {
@@ -721,7 +601,6 @@ fn open_loop_drive(
     let elapsed = start.elapsed();
     let mut stats = RungStats {
         qps,
-        offered,
         ok_2xx: 0,
         shed_503: 0,
         shed_without_retry_after: 0,
@@ -746,40 +625,8 @@ fn open_loop_drive(
     Ok(stats)
 }
 
-/// Merge the open-loop curve into `BENCH_serve.json` (preserving the
-/// closed-loop section if a previous `--self-contained` run wrote one)
-/// and write the gate-format `BENCH_serve_openloop.json`.
-fn write_openloop_reports(rungs: &[RungStats], duration_ms: u64, deadline_ms: u64, conc: usize) {
-    let rung_objs: Vec<String> = rungs.iter().map(RungStats::to_json).collect();
-    let field = format!(
-        "\"open_loop\":{{\"concurrency\":{conc},\"duration_ms\":{duration_ms},\"deadline_ms\":{deadline_ms},\"workers\":1,\"cache\":\"off\",\"rungs\":[{}]}}",
-        rung_objs.join(",")
-    );
-    let path = mb_eval::output_dir().join("BENCH_serve.json");
-    let fresh = format!("{{\"kind\":\"serve_bench\",{field}}}");
-    let merged = match std::fs::read_to_string(&path) {
-        Ok(text) if text.contains("\"kind\":\"serve_bench\"") => {
-            // Drop a previous open_loop section, then graft the new one
-            // onto the object (the writer emits single-line JSON with
-            // open_loop as the final key, so a plain text splice is
-            // exact, not a heuristic).
-            let base = match text.find(",\"open_loop\"") {
-                Some(idx) => text[..idx].to_string(),
-                None => {
-                    let t = text.trim_end();
-                    t.strip_suffix('}').map(|s| s.trim_end().to_string()).unwrap_or_default()
-                }
-            };
-            if base.starts_with('{') {
-                format!("{base},{field}}}")
-            } else {
-                fresh
-            }
-        }
-        _ => fresh,
-    };
-    mb_bench::harness::write_json("BENCH_serve", &merged);
-
+/// Write the gate-format `BENCH_serve_openloop.json`: one p50 per rung.
+fn write_openloop_report(rungs: &[RungStats]) {
     let gate_results: Vec<String> = rungs
         .iter()
         .map(|r| {
@@ -805,7 +652,7 @@ fn open_loop(
     let (model, mentions) = bench_model();
     let payloads: Vec<Vec<u8>> = mentions
         .iter()
-        .map(|m| link_payload_ext(&m.surface, &m.left, &m.right, Some(deadline_ms)))
+        .map(|m| link_payload(&m.surface, &m.left, &m.right, Some(deadline_ms)))
         .collect();
     let cfg = ServerConfig {
         max_batch,
@@ -839,7 +686,7 @@ fn open_loop(
     if errors > 0 {
         return Err(format!("{errors} responses were neither 2xx nor 503"));
     }
-    write_openloop_reports(&rungs, duration_ms, deadline_ms, concurrency);
+    write_openloop_report(&rungs);
     println!(
         "BENCH_serve_openloop: {} rungs, peak achieved {:.1} req/s",
         rungs.len(),

@@ -7,7 +7,7 @@ use super::{Artifact, Claim, Numbers, Out, Run, DOMAINS, SEEDS};
 use crate::bench_model_config;
 use mb_common::Rng;
 use mb_core::baselines::name_matching_accuracy;
-use mb_core::linker::LinkMetrics;
+use mb_core::linker::{LinkMetrics, TwoStageLinker};
 use mb_core::pipeline::{DataSource, MetaBlinkConfig, Method};
 use mb_core::reweight::{train_meta, MetaConfig, MetaModel, MetaStats};
 use mb_datagen::mentions::generate_mentions;
@@ -296,8 +296,10 @@ fn table2(run: &mut Run<'_>) -> Out {
         if t.len() >= 6 {
             break;
         }
-        let Some(wrong) = exact.predict(m).filter(|&e| e != m.entity) else { continue };
-        if syn.predict(m) == Some(m.entity) {
+        // An inference error counts as no prediction.
+        let predicted = |linker: &TwoStageLinker<'_>| linker.link(m).ok().and_then(|r| r.predicted);
+        let Some(wrong) = predicted(&exact).filter(|&e| e != m.entity) else { continue };
+        if predicted(&syn) == Some(m.entity) {
             let gold = kb.entity(m.entity).title.clone();
             let (mut text, wrong) = (m.text(), format!("{} (wrong)", kb.entity(wrong).title));
             text.truncate(70);

@@ -8,7 +8,7 @@ use mb_datagen::LinkedMention;
 use mb_encoders::biencoder::BiEncoder;
 use mb_encoders::input::TrainPair;
 use mb_kb::{DomainId, EntityId, KnowledgeBase};
-use mb_tensor::optim::{Adam, Optimizer};
+use mb_tensor::optim::Adam;
 use mb_tensor::params::GradVec;
 use mb_tensor::Tape;
 

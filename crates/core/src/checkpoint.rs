@@ -37,7 +37,7 @@
 use mb_common::storage::{StepBudget, Storage};
 use mb_common::{Error, Result, Rng};
 use mb_tensor::checkpoint::Checkpoint;
-use mb_tensor::optim::Optimizer;
+use mb_tensor::optim::Adam;
 use mb_tensor::Params;
 use std::ops::RangeInclusive;
 use std::path::PathBuf;
@@ -369,7 +369,7 @@ impl MetaResume<'_> {
         &self,
         pool: usize,
         steps: usize,
-        opt: &mut dyn Optimizer,
+        opt: &mut Adam,
         rng: &mut Rng,
         stats: &mut MetaStats,
     ) -> Result<usize> {
@@ -380,7 +380,7 @@ impl MetaResume<'_> {
         })?;
         let key = self.model_key;
         let lacks = |what| Error::Checkpoint(format!("mid-stage checkpoint lacks {what} {key:?}"));
-        opt.restore(ck.optim.get(key).ok_or_else(|| lacks("optimizer state"))?.clone())?;
+        opt.restore(ck.optim.get(key).ok_or_else(|| lacks("optimizer state"))?.clone());
         *rng = Rng::from_state(*ck.rng.get(key).ok_or_else(|| lacks("RNG state"))?);
         *stats = stats_from_checkpoint(key, ck, pool, start)?.ok_or_else(|| lacks("stats"))?;
         Ok(start)
@@ -395,7 +395,7 @@ impl MetaResume<'_> {
     pub fn save(
         &mut self,
         params: &Params,
-        opt: &dyn Optimizer,
+        opt: &Adam,
         rng: &Rng,
         stats: &MetaStats,
         done: usize,

@@ -308,12 +308,6 @@ impl<'a> TwoStageLinker<'a> {
         }
     }
 
-    /// Full two-stage prediction: the re-ranked best entity, or `None`
-    /// when retrieval returns nothing (or inference fails).
-    pub fn predict(&self, mention: &LinkedMention) -> Option<EntityId> {
-        self.link(mention).ok().and_then(|r| r.predicted)
-    }
-
     /// Full two-stage inference for one mention (a one-element
     /// [`TwoStageLinker::link_batch`]).
     ///
@@ -608,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_returns_candidate_from_dictionary() {
+    fn link_predicts_a_candidate_from_the_dictionary() {
         let f = fixture();
         let domain = f.world.domain("TargetX");
         let dict = f.world.kb().domain_entities(domain.id);
@@ -621,7 +615,7 @@ mod tests {
             LinkerConfig { k: 8, ..LinkerConfig::default() },
         );
         for m in f.test.iter().take(10) {
-            let p = linker.predict(m).expect("non-empty dictionary");
+            let p = linker.link(m).expect("valid linker").predicted.expect("non-empty dictionary");
             assert!(dict.contains(&p));
         }
     }

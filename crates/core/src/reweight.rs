@@ -33,7 +33,7 @@ use mb_encoders::biencoder::BiEncoder;
 use mb_encoders::crossencoder::{CandidateSet, CrossEncoder};
 use mb_encoders::input::TrainPair;
 use mb_par::Threads;
-use mb_tensor::optim::Optimizer;
+use mb_tensor::optim::Adam;
 use mb_tensor::params::GradVec;
 use mb_tensor::{Params, Tape, Var};
 
@@ -243,7 +243,7 @@ pub fn meta_step<M: MetaModel>(
     model: &mut M,
     syn: &[M::Example],
     seed_set: &[M::Example],
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     cfg: &MetaConfig,
     rng: &mut Rng,
 ) -> (Vec<f64>, Vec<usize>, f64) {
@@ -317,7 +317,7 @@ pub fn train_meta<M: MetaModel>(
     model: &mut M,
     syn: &[M::Example],
     seed_set: &[M::Example],
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     cfg: &MetaConfig,
     mut ctl: Option<&mut MetaResume<'_>>,
 ) -> Result<MetaStats> {
@@ -431,7 +431,7 @@ pub fn biencoder_meta_step(
     model: &mut BiEncoder,
     syn: &[TrainPair],
     seed_set: &[TrainPair],
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     syn_batch: usize,
     seed_batch: usize,
     seed_mix: f64,
@@ -464,7 +464,7 @@ pub fn crossencoder_meta_step(
     model: &mut CrossEncoder,
     syn: &[CandidateSet],
     seed_set: &[CandidateSet],
-    opt: &mut dyn Optimizer,
+    opt: &mut Adam,
     syn_batch: usize,
     seed_batch: usize,
     seed_mix: f64,
@@ -498,7 +498,6 @@ mod tests {
     use mb_encoders::biencoder::BiEncoderConfig;
     use mb_encoders::crossencoder::CrossEncoderConfig;
     use mb_encoders::input::{build_vocab, entity_bag, title_bag, InputConfig};
-    use mb_tensor::optim::Sgd;
     use mb_tensor::Tensor;
 
     fn setup_pairs(seed: u64, n: usize) -> (BiEncoder, Vec<TrainPair>) {
@@ -553,7 +552,7 @@ mod tests {
         model: &mut M,
         syn: &[M::Example],
         seed_set: &[M::Example],
-        opt: &mut dyn Optimizer,
+        opt: &mut Adam,
         cfg: &MetaConfig,
     ) -> MetaStats {
         train_meta(model, syn, seed_set, opt, cfg, None).expect("nothing to fail without a manager")
@@ -667,9 +666,10 @@ mod tests {
         let (mut bi, mut cross, pairs, sets) = setup(5, 40);
         let cfg =
             MetaConfig { steps: 20, syn_batch: 8, seed_batch: 6, seed: 3, ..Default::default() };
-        let bi_stats = train_plain(&mut bi, &pairs[..30], &pairs[30..], &mut Sgd::new(0.05), &cfg);
+        let bi_stats =
+            train_plain(&mut bi, &pairs[..30], &pairs[30..], &mut Adam::new(cfg.lr), &cfg);
         let cross_stats =
-            train_plain(&mut cross, &sets[..30], &sets[30..], &mut Sgd::new(0.05), &cfg);
+            train_plain(&mut cross, &sets[..30], &sets[30..], &mut Adam::new(cfg.lr), &cfg);
         for stats in [bi_stats, cross_stats] {
             assert_eq!(stats.step_losses.len(), 20);
             assert_eq!(stats.sampled.len(), 30);
@@ -711,9 +711,9 @@ mod tests {
             mb_encoders::train::TrainConfig { epochs: 20, batch_size: 16, lr: 0.01, seed: 5 };
         pre.epochs = 20;
         mb_encoders::train::train_biencoder(&mut model, &seed_set, &pre);
-        let mut opt = Sgd::new(0.01);
         let cfg =
             MetaConfig { steps: 250, syn_batch: 12, seed_batch: 16, seed: 9, ..Default::default() };
+        let mut opt = Adam::new(cfg.lr);
         let stats = train_plain(&mut model, &syn, &seed_set, &mut opt, &cfg);
         (stats.mean_selection_ratio(0..40), stats.mean_selection_ratio(40..80))
     }
@@ -721,8 +721,8 @@ mod tests {
     #[test]
     fn degenerate_inputs_return_empty_stats() {
         let (mut model, pairs) = setup_pairs(7, 8);
-        let mut opt = Sgd::new(0.1);
         let cfg = MetaConfig { steps: 5, ..Default::default() };
+        let mut opt = Adam::new(cfg.lr);
         let s1 = train_plain(&mut model, &pairs[..1], &pairs[4..], &mut opt, &cfg);
         assert!(s1.step_losses.is_empty());
         let s2 = train_plain(&mut model, &pairs[..4], &[], &mut opt, &cfg);

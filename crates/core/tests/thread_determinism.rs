@@ -13,7 +13,7 @@ use mb_encoders::biencoder::{BiEncoder, BiEncoderConfig};
 use mb_encoders::crossencoder::{CandidateSet, CrossEncoder, CrossEncoderConfig};
 use mb_encoders::input::{build_vocab, InputConfig, TrainPair};
 use mb_par::Threads;
-use mb_tensor::optim::Sgd;
+use mb_tensor::optim::Adam;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -118,7 +118,7 @@ fn evaluation_metrics_are_bit_identical_across_thread_counts() {
 /// weights, selected indices, meta loss, trained parameter bits).
 fn bi_meta(f: &Fixture, threads: Threads) -> (Vec<u64>, Vec<usize>, u64, Vec<u64>) {
     let mut m = f.bi.clone();
-    let mut opt = Sgd::new(1e-3);
+    let mut opt = Adam::new(1e-3);
     let mut rng = Rng::seed_from_u64(7);
     let (w, idx, loss) = biencoder_meta_step(
         &mut m,
@@ -149,7 +149,7 @@ fn biencoder_meta_step_is_bit_identical_across_thread_counts() {
 /// sets produced by the linker.
 fn cross_meta(f: &Fixture, sets: &[CandidateSet], threads: Threads) -> (Vec<u64>, u64, Vec<u64>) {
     let mut m = f.cross.clone();
-    let mut opt = Sgd::new(1e-3);
+    let mut opt = Adam::new(1e-3);
     let mut rng = Rng::seed_from_u64(9);
     let (w, _, loss) = crossencoder_meta_step(
         &mut m,
@@ -205,7 +205,7 @@ fn trained_parameters_are_bit_identical_across_thread_counts() {
     let f = fixture();
     let train = |threads: Threads| {
         let mut m = f.bi.clone();
-        let mut opt = Sgd::new(1e-3);
+        let mut opt = Adam::new(1e-3);
         let mut rng = Rng::seed_from_u64(13);
         for _ in 0..4 {
             biencoder_meta_step(

@@ -15,7 +15,7 @@
 use crate::frozen::{self, EmbTable};
 use crate::input::TrainPair;
 use mb_common::{Error, Result, Rng};
-use mb_tensor::optim::Optimizer;
+use mb_tensor::optim::Adam;
 use mb_tensor::params::{GradVec, ParamId};
 use mb_tensor::{init, Params, QuantMode, Tape, Tensor, Var};
 use mb_text::Vocab;
@@ -216,7 +216,7 @@ impl BiEncoder {
     }
 
     /// Apply one optimizer step on a batch; returns the mean loss.
-    pub(crate) fn train_step(&mut self, batch: &[TrainPair], opt: &mut dyn Optimizer) -> f64 {
+    pub(crate) fn train_step(&mut self, batch: &[TrainPair], opt: &mut Adam) -> f64 {
         let (loss, grads) = self.batch_grad(batch);
         opt.step(&mut self.params, &grads);
         loss

@@ -17,7 +17,7 @@ use crate::biencoder::replace_params;
 use crate::frozen::{self, EmbTable};
 use crate::input::TrainPair;
 use mb_common::{Result, Rng};
-use mb_tensor::optim::Optimizer;
+use mb_tensor::optim::Adam;
 use mb_tensor::params::{GradVec, ParamId};
 use mb_tensor::{init, Params, QuantMode, Tape, Var};
 use mb_text::Vocab;
@@ -249,7 +249,7 @@ impl CrossEncoder {
 
     /// One optimizer step on a single example (the paper trains the
     /// cross-encoder with batch size 1); returns the loss.
-    pub(crate) fn train_step(&mut self, set: &CandidateSet, opt: &mut dyn Optimizer) -> f64 {
+    pub(crate) fn train_step(&mut self, set: &CandidateSet, opt: &mut Adam) -> f64 {
         let (loss, grads) = self.example_grad(set);
         opt.step(&mut self.params, &grads);
         loss

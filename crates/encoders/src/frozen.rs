@@ -77,9 +77,9 @@ pub(crate) fn encode_side<'a>(
     for (i, bag) in bags.iter().enumerate() {
         table.pool_row(p(emb), bag, pooled.row_mut(i));
     }
-    let h = frozen::linear(&pooled, p(side.w1), p(side.b1), Threads::single());
+    let h = frozen::linear(&pooled, p(side.w1), p(side.b1));
     let h = frozen::tanh(&h);
-    let out = frozen::linear(&h, p(side.w2), p(side.b2), Threads::single());
+    let out = frozen::linear(&h, p(side.w2), p(side.b2));
     frozen::row_l2_normalize(&out, NORM_EPS)
 }
 
@@ -393,13 +393,12 @@ mod tests {
         let want_e = model.embed_entities(&e_bags);
         assert_bits_eq(&frozen.embed_mentions_batch(&m_bags), &want_m);
         assert_bits_eq(&frozen.embed_entities_batch(&e_bags), &want_e);
+        let mut tape = Tape::new();
+        let fwd = model.forward_losses(&mut tape, &pairs);
+        assert_bits_eq(tape.value(fwd.mentions), &want_m);
+        assert_bits_eq(tape.value(fwd.entities), &want_e);
         for t in [1usize, 2, 3, 4] {
-            let threads = Threads::new(t);
-            let mut tape = Tape::with_threads(threads);
-            let fwd = model.forward_losses(&mut tape, &pairs);
-            assert_bits_eq(tape.value(fwd.mentions), &want_m);
-            assert_bits_eq(tape.value(fwd.entities), &want_e);
-            assert_bits_eq(&frozen.embed_mentions_batch_with(&m_bags, threads), &want_m);
+            assert_bits_eq(&frozen.embed_mentions_batch_with(&m_bags, Threads::new(t)), &want_m);
         }
         assert_eq!(model.embed_mentions(&[]).shape(), &[0, 16]);
         assert_eq!(frozen.embed_mentions_batch(&[]).shape(), &[0, 16]);
@@ -486,13 +485,10 @@ mod tests {
             let got = frozen.score_retrieved(&set.mention, &set.surface, retrieved);
             assert_eq!(&bits(&[got])[0], want);
         }
-        for t in [1usize, 2, 3, 4] {
-            let threads = Threads::new(t);
-            for (set, want) in sets.iter().zip(&want).filter(|(s, _)| !s.is_empty()) {
-                let mut tape = Tape::with_threads(threads);
-                let (_, logits) = model.forward_logits(&mut tape, set);
-                assert_eq!(&bits(&[tape.value(logits).data().to_vec()])[0], want);
-            }
+        for (set, want) in sets.iter().zip(&want).filter(|(s, _)| !s.is_empty()) {
+            let mut tape = Tape::new();
+            let (_, logits) = model.forward_logits(&mut tape, set);
+            assert_eq!(&bits(&[tape.value(logits).data().to_vec()])[0], want);
         }
         // 40 candidates at width 32 × 40 send the graph's two linears
         // down the blocked matmul path; the row pass (one register block

@@ -5,7 +5,6 @@
 
 #![allow(dead_code)] // each suite uses its own subset
 
-use mb_par::Threads;
 use mb_tensor::quant::QuantI8;
 use mb_tensor::Tensor;
 
@@ -23,7 +22,7 @@ pub fn reference_scores(table: Table<'_>, query: &[f64]) -> Vec<f64> {
         Table::F64(t) => {
             (0..t.rows()).map(|i| t.row(i).iter().zip(query).map(|(a, b)| a * b).sum()).collect()
         }
-        Table::Int8(t) => t.score_all(query, Threads::single()),
+        Table::Int8(t) => t.score_all(query),
     }
 }
 

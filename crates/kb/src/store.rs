@@ -39,14 +39,21 @@ impl KbBuilder {
     /// Add an entity, returning its id.
     ///
     /// # Errors
-    /// Returns [`Error::InvalidConfig`] when the input holds more
-    /// entities than the `u32` id space.
+    /// Returns [`Error::InvalidConfig`] when `domain` is not an id this
+    /// builder's [`KbBuilder::domain`] issued, or when the input holds
+    /// more entities than the `u32` id space.
     pub fn add_entity(
         &mut self,
         title: &str,
         description: &str,
         domain: DomainId,
     ) -> Result<EntityId> {
+        if usize::from(domain.0) >= self.domain_ids.len() {
+            return Err(Error::InvalidConfig(format!(
+                "entity {title:?}: domain id {} was not issued by this builder",
+                domain.0
+            )));
+        }
         let id = EntityId(u32::try_from(self.entities.len()).map_err(|_| {
             Error::InvalidConfig(format!("too many entities: id space is u32, adding {title:?}"))
         })?);
@@ -67,8 +74,8 @@ impl KbBuilder {
         }
         let mut by_domain: Vec<Vec<EntityId>> = vec![Vec::new(); self.domain_ids.len()];
         for e in &self.entities {
-            // mb-lint: allow(indexing) -- domain ids are issued by this builder, < domain_ids.len()
-            by_domain[e.domain.0 as usize].push(e.id);
+            // mb-lint: allow(indexing) -- add_entity rejects a domain id this builder did not issue
+            by_domain[usize::from(e.domain.0)].push(e.id);
         }
         let tables = Tables { entities: self.entities, title_index, by_domain };
         KnowledgeBase { tables: Arc::new(tables) }
@@ -165,6 +172,17 @@ mod tests {
         let a = b.domain("X").unwrap();
         let a2 = b.domain("X").unwrap();
         assert_eq!(a, a2);
+    }
+
+    #[test]
+    fn add_entity_rejects_a_domain_id_the_builder_did_not_issue() {
+        let mut b = KbBuilder::new();
+        let err = b.add_entity("a", "b", DomainId(3)).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{err:?}");
+        let x = b.domain("X").unwrap();
+        assert!(b.add_entity("a", "b", DomainId(x.0 + 1)).is_err());
+        b.add_entity("a", "b", x).unwrap();
+        assert_eq!(b.build().domain_entities(x).len(), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::features::{candidates, label_for, NUM_FEATURES};
 use mb_common::Rng;
-use mb_tensor::optim::{Adam, Optimizer};
+use mb_tensor::optim::Adam;
 use mb_tensor::{init, Params, Tape, Tensor};
 use mb_text::tfidf::TfIdf;
 

@@ -248,60 +248,6 @@ where
     }
 }
 
-/// Run `f` over disjoint fixed-size mutable chunks of `data` in
-/// parallel. `f` receives the chunk index and the chunk; each chunk is
-/// visited exactly once.
-///
-/// Workers own contiguous *groups* of chunks, so the mutable split is
-/// expressible entirely in safe code; as with [`par_chunks`], which
-/// worker touches a chunk never affects what is written into it.
-pub fn par_chunks_mut<T, F>(threads: Threads, data: &mut [T], chunk: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let nchunks = chunk_count(data.len(), chunk);
-    let workers = threads.get().min(nchunks.max(1));
-    if workers <= 1 {
-        for (ci, c) in data.chunks_mut(chunk).enumerate() {
-            f(ci, c);
-        }
-        return;
-    }
-    let per = nchunks.div_ceil(workers);
-    let f = &f;
-    let first_panic = thread::scope(|s| {
-        let handles: Vec<_> = data
-            .chunks_mut(per * chunk)
-            .enumerate()
-            .map(|(wi, group)| {
-                s.spawn(move || {
-                    catch_unwind(AssertUnwindSafe(|| {
-                        for (off, c) in group.chunks_mut(chunk).enumerate() {
-                            f(wi * per + off, c);
-                        }
-                    }))
-                })
-            })
-            .collect();
-        let mut first: Option<PanicPayload> = None;
-        for h in handles {
-            let payload = match h.join() {
-                Ok(Ok(())) => None,
-                Ok(Err(p)) => Some(p),
-                Err(p) => Some(p),
-            };
-            if first.is_none() {
-                first = payload;
-            }
-        }
-        first
-    });
-    if let Some(p) = first_panic {
-        resume_unwind(p);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,21 +296,6 @@ mod tests {
                 let lo = ci * 7;
                 let hi = (lo + 7).min(100);
                 assert_eq!(c, &items[lo..hi]);
-            }
-        }
-    }
-
-    #[test]
-    fn chunks_mut_writes_every_slot_exactly_once() {
-        for t in THREAD_COUNTS {
-            let mut data = vec![0u32; 101];
-            par_chunks_mut(Threads::new(t), &mut data, 8, |ci, c| {
-                for x in c.iter_mut() {
-                    *x += 1 + ci as u32;
-                }
-            });
-            for (i, &x) in data.iter().enumerate() {
-                assert_eq!(x, 1 + (i / 8) as u32, "slot {i} threads={t}");
             }
         }
     }

@@ -492,22 +492,14 @@ fn route(req: &Request, shared: &Arc<Shared>) -> HttpReply {
 }
 
 /// `POST /admin/reload`: pull a candidate generation (body `{"path":…}`
-/// overrides the configured source) and hot-swap it. A corrupt or
-/// inconsistent candidate answers 409 with the old generation still
-/// serving; a concurrent reload answers 503 + `Retry-After`.
+/// overrides the configured source) and hot-swap it. A body that is
+/// not exactly that object answers 400; a corrupt or inconsistent
+/// candidate answers 409 with the old generation still serving; a
+/// concurrent reload answers 503 + `Retry-After`.
 fn handle_reload(req: &Request, shared: &Arc<Shared>) -> HttpReply {
-    let path: Option<PathBuf> = if req.body.is_empty() {
-        None
-    } else {
-        match json::parse(&req.body) {
-            Ok(doc) => doc.get("path").and_then(Json::as_str).map(PathBuf::from),
-            Err(e) => {
-                return HttpReply::json(
-                    400,
-                    format!("{{\"error\":{}}}", json::escape(&format!("bad reload body: {e}"))),
-                )
-            }
-        }
+    let path = match reload_path(&req.body) {
+        Ok(path) => path,
+        Err(e) => return HttpReply::json(400, format!("{{\"error\":{}}}", json::escape(&e))),
     };
     match shared.registry.reload(path.as_deref()) {
         Ok(id) => HttpReply::json(200, format!("{{\"status\":\"swapped\",\"generation\":{id}}}")),
@@ -521,6 +513,21 @@ fn handle_reload(req: &Request, shared: &Arc<Shared>) -> HttpReply {
                 shared.registry.generation_id()
             ),
         ),
+    }
+}
+
+/// The source a reload body names: `None` for an empty body (the
+/// configured source), else the string of an object whose only key is
+/// `path`.
+fn reload_path(body: &[u8]) -> Result<Option<PathBuf>, String> {
+    if body.is_empty() {
+        return Ok(None);
+    }
+    let doc = json::parse(body).map_err(|e| format!("bad reload body: {e}"))?;
+    let only_path = matches!(&doc, Json::Obj(map) if map.len() == 1);
+    match doc.get("path") {
+        Some(Json::Str(path)) if only_path => Ok(Some(PathBuf::from(path))),
+        _ => Err("bad reload body: want {\"path\": <string>}".to_string()),
     }
 }
 

@@ -305,15 +305,45 @@ fn reload_with_an_explicit_body_path_swaps_from_that_file() {
     let addr = server.addr();
 
     let body = format!("{{\"path\":{}}}", mb_serve::json::escape(&elsewhere.to_string_lossy()));
+    let (status, reply) = roundtrip(addr, &reload_request(&body));
+    assert_eq!(status, 200, "{reply}");
+    assert!(reply.contains("\"generation\":2"), "{reply}");
+    assert_eq!(server.generation(), 2);
+    server.shutdown();
+}
+
+/// A `POST /admin/reload` carrying `body` as JSON.
+fn reload_request(body: &str) -> Vec<u8> {
     let mut req = format!(
         "POST /admin/reload HTTP/1.1\r\nhost: t\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
         body.len()
     )
     .into_bytes();
     req.extend_from_slice(body.as_bytes());
-    let (status, reply) = roundtrip(addr, &req);
+    req
+}
+
+#[test]
+fn a_reload_body_other_than_one_string_path_answers_400_and_swaps_nothing() {
+    // The configured source is a valid candidate, so a body misread as
+    // "no path" would swap to it and answer 200.
+    let dir = scratch("badbody");
+    let default = dir.0.join("model.mbc");
+    write_candidate(&default, 22);
+    let (model, _, loader) = fixture();
+    let registry = ModelRegistry::with_loader(model, default, loader).expect("valid startup model");
+    let server = Server::start_with_registry(registry, ServerConfig::default()).expect("start");
+    let addr = server.addr();
+
+    for body in [r#"{"path":42}"#, r#"{"pth":"x"}"#, r#"{"path":"x","force":true}"#, "[]", "{}"] {
+        let (status, reply) = roundtrip(addr, &reload_request(body));
+        assert_eq!(status, 400, "{body}: {reply}");
+        assert!(reply.contains("bad reload body"), "{body}: {reply}");
+        assert_eq!(server.generation(), 1, "{body} swapped");
+    }
+    // An empty body still reloads the configured source.
+    let (status, reply) = roundtrip(addr, RELOAD);
     assert_eq!(status, 200, "{reply}");
-    assert!(reply.contains("\"generation\":2"), "{reply}");
     assert_eq!(server.generation(), 2);
     server.shutdown();
 }

@@ -11,7 +11,7 @@
 //! |----------------|-------------------------------------------------------|
 //! | `meta`         | one `<key> <value>` line per entry; always first      |
 //! | `params/<key>` | parameter body: one `param <name>` tensor per tensor  |
-//! | `optim/<key>`  | hyper-parameter line, then `tensor` moments/velocity  |
+//! | `optim/<key>`  | Adam's hyper-parameter line, then `tensor` moments    |
 //! | `rng/<key>`    | the four `u64` state words                            |
 //! | `vec/<key>`    | `f64` values, 17 significant digits                   |
 //!
@@ -231,117 +231,84 @@ fn decode_section(ck: &mut Checkpoint, name: &str, payload: &str) -> Result<()> 
 }
 
 fn encode_optim(s: &OptimState) -> String {
-    let mut out = String::new();
-    match s {
-        OptimState::Sgd { lr, momentum, weight_decay, velocity } => {
-            out.push_str(&format!("sgd {lr:.17e} {momentum:.17e} {weight_decay:.17e}\n"));
-            match velocity {
-                None => out.push_str("velocity none\n"),
-                Some(vs) => {
-                    out.push_str(&format!("velocity {}\n", vs.len()));
-                    for t in vs {
-                        serialize::write_tensor("tensor", t, &mut out);
-                    }
-                }
-            }
-        }
-        OptimState::Adam { lr, beta1, beta2, eps, t, moments } => {
-            out.push_str(&format!("adam {lr:.17e} {beta1:.17e} {beta2:.17e} {eps:.17e} {t}\n"));
-            match moments {
-                None => out.push_str("moments none\n"),
-                Some((m, v)) => {
-                    out.push_str(&format!("moments {}\n", m.len()));
-                    for t in m.iter().chain(v.iter()) {
-                        serialize::write_tensor("tensor", t, &mut out);
-                    }
-                }
+    let OptimState { lr, beta1, beta2, eps, t, moments } = s;
+    let mut out = format!("adam {lr:.17e} {beta1:.17e} {beta2:.17e} {eps:.17e} {t}\n");
+    match moments {
+        None => out.push_str("moments none\n"),
+        Some((m, v)) => {
+            out.push_str(&format!("moments {}\n", m.len()));
+            for t in m.iter().chain(v.iter()) {
+                serialize::write_tensor("tensor", t, &mut out);
             }
         }
     }
     out
 }
 
+/// Decode an `optim/<key>` payload. Adam is the only optimizer kind;
+/// any other header is an [`Error::Parse`].
 fn decode_optim(payload: &str) -> Result<OptimState> {
     let mut lines = payload.lines();
     let header = lines.next().ok_or_else(|| Error::Parse("empty optim section".into()))?;
     let mut parts = header.split_whitespace();
-    let kind = parts.next().ok_or_else(|| Error::Parse("blank optim header".into()))?;
+    match parts.next() {
+        Some("adam") => {}
+        Some(other) => return Err(Error::Parse(format!("unknown optimizer kind {other:?}"))),
+        None => return Err(Error::Parse("blank optim header".into())),
+    }
     let mut take_f64 = |what: &str| -> Result<f64> {
         parts
             .next()
             .and_then(|t| t.parse().ok())
             .ok_or_else(|| Error::Parse(format!("optim header missing {what}")))
     };
-    match kind {
-        "sgd" => {
-            let lr = take_f64("lr")?;
-            let momentum = take_f64("momentum")?;
-            let weight_decay = take_f64("weight_decay")?;
-            let velocity = parse_tensor_group(&mut lines, "velocity")?;
-            Ok(OptimState::Sgd { lr, momentum, weight_decay, velocity })
-        }
-        "adam" => {
-            let lr = take_f64("lr")?;
-            let beta1 = take_f64("beta1")?;
-            let beta2 = take_f64("beta2")?;
-            let eps = take_f64("eps")?;
-            let t: u64 = header
-                .split_whitespace()
-                .nth(5)
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| Error::Parse("adam header missing step count".into()))?;
-            let moments = match parse_tensor_group(&mut lines, "moments")? {
-                None => None,
-                Some(all) => {
-                    if all.len() % 2 != 0 {
-                        return Err(Error::Parse("adam moments must pair m and v".into()));
-                    }
-                    let mut m = all;
-                    let v = m.split_off(m.len() / 2);
-                    Some((m, v))
-                }
-            };
-            Ok(OptimState::Adam { lr, beta1, beta2, eps, t, moments })
-        }
-        other => Err(Error::Parse(format!("unknown optimizer kind {other:?}"))),
-    }
+    let lr = take_f64("lr")?;
+    let beta1 = take_f64("beta1")?;
+    let beta2 = take_f64("beta2")?;
+    let eps = take_f64("eps")?;
+    let t: u64 = parts
+        .next()
+        .and_then(|t| t.parse().ok())
+        .ok_or_else(|| Error::Parse("adam header missing step count".into()))?;
+    let moments = parse_moments(&mut lines)?;
+    Ok(OptimState { lr, beta1, beta2, eps, t, moments })
 }
 
-/// Parse a `"<label> none"` or `"<label> <n>"` line followed by `n`
-/// tensors. For `"moments"` the caller expects `2n` tensors (m then v),
-/// so the count line stores `n` but is followed by `2n` tensors.
-fn parse_tensor_group(lines: &mut std::str::Lines<'_>, label: &str) -> Result<Option<Vec<Tensor>>> {
-    let header = lines.next().ok_or_else(|| Error::Parse(format!("missing {label} line")))?;
+/// Parse a `"moments none"` or `"moments <n>"` line followed by `2n`
+/// tensors: the `n` first moments, then the `n` second moments.
+fn parse_moments(lines: &mut std::str::Lines<'_>) -> Result<Option<(Vec<Tensor>, Vec<Tensor>)>> {
+    let header = lines.next().ok_or_else(|| Error::Parse("missing moments line".into()))?;
     let mut parts = header.split_whitespace();
-    if parts.next() != Some(label) {
-        return Err(Error::Parse(format!("expected {label} line, got {header:?}")));
+    if parts.next() != Some("moments") {
+        return Err(Error::Parse(format!("expected moments line, got {header:?}")));
     }
     let count_tok =
-        parts.next().ok_or_else(|| Error::Parse(format!("{label} line missing count")))?;
+        parts.next().ok_or_else(|| Error::Parse("moments line missing count".into()))?;
     if count_tok == "none" {
         return Ok(None);
     }
     let count: usize =
-        count_tok.parse().map_err(|e| Error::Parse(format!("bad {label} count: {e}")))?;
-    let total = if label == "moments" { count.checked_mul(2) } else { Some(count) }
-        .ok_or_else(|| Error::Parse(format!("bad {label} count {count}")))?;
+        count_tok.parse().map_err(|e| Error::Parse(format!("bad moments count: {e}")))?;
+    let total =
+        count.checked_mul(2).ok_or_else(|| Error::Parse(format!("bad moments count {count}")))?;
     // Not `with_capacity(total)`: the count is input, the lines are what is there.
-    let mut tensors = Vec::new();
+    let mut m = Vec::new();
     for _ in 0..total {
         let header = lines.next().ok_or_else(|| Error::Parse("missing tensor header".into()))?;
         let mut parts = header.split_whitespace();
         if parts.next() != Some("tensor") {
             return Err(Error::Parse(format!("expected tensor header, got {header:?}")));
         }
-        tensors.push(serialize::parse_tensor(parts, lines, "tensor")?);
+        m.push(serialize::parse_tensor(parts, lines, "tensor")?);
     }
-    Ok(Some(tensors))
+    let v = m.split_off(count);
+    Ok(Some((m, v)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer, Sgd};
+    use crate::optim::Adam;
     use crate::params::GradVec;
     use mb_common::storage::MemStorage;
     use mb_common::Rng;
@@ -362,7 +329,6 @@ mod tests {
         ]);
         opt.step(&mut bi, &g);
         ck.optim.insert("bi".into(), opt.state());
-        ck.optim.insert("sgd".into(), Sgd::new(0.1).with_momentum(0.9).state());
         ck.params.insert("bi".into(), bi);
         ck.params.insert("cross".into(), cross);
         ck.rng.insert("meta".into(), rng.state());
@@ -463,6 +429,20 @@ mod tests {
     }
 
     #[test]
+    fn an_optimizer_section_of_another_kind_is_a_typed_error() {
+        // CRC-valid framing around an SGD section, as a writer that
+        // still knew SGD produced it: the decoder rejects the document.
+        let sgd = "sgd 1.00000000000000006e-1 9.00000000000000022e-1 0.00000000000000000e0\n\
+                   velocity none\n";
+        let sections = [("meta".to_string(), String::new()), ("optim/sgd".to_string(), sgd.into())];
+        let bytes = write_frames(MAGIC_V2, &sections).unwrap();
+        match Checkpoint::from_bytes(&bytes) {
+            Err(Error::Parse(msg)) => assert!(msg.contains("\"sgd\""), "{msg}"),
+            other => panic!("expected Error::Parse, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn optimizer_state_restores_through_checkpoint() {
         let mut params = Params::new();
         params.add("x", Tensor::vector(&[1.0, -1.0]));
@@ -476,7 +456,7 @@ mod tests {
         let back = Checkpoint::from_bytes(&ck.to_bytes().unwrap()).unwrap();
 
         let mut restored = Adam::new(0.0);
-        restored.restore(back.optim["opt"].clone()).unwrap();
+        restored.restore(back.optim["opt"].clone());
         assert_eq!(restored.state(), opt.state());
         assert_eq!(restored.steps(), 2);
     }

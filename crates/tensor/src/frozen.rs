@@ -4,8 +4,8 @@
 //! `rows_dot` are the **only** forward arithmetic for those ops: the
 //! [`crate::Tape`] ops of the same names call them and record just the
 //! `Op` their backward needs, so a tape-built forward and a tape-free
-//! one are the same function calls and agree bit for bit at any thread
-//! count; a row-at-a-time forward calls their row forms,
+//! one are the same function calls and agree bit for bit; a
+//! row-at-a-time forward calls their row forms,
 //! [`bag_embed_row`] and [`dot`]. The mean-pooling loop (f64 and int8)
 //! is written once, in `pool_row`.
 //!
@@ -18,7 +18,6 @@
 
 use crate::params::{ParamId, Params};
 use crate::tensor::Tensor;
-use mb_par::Threads;
 use std::sync::Arc;
 
 /// An immutable, cheaply shareable snapshot of a [`Params`] set.
@@ -76,10 +75,10 @@ impl FrozenParams {
 ///
 /// # Panics
 /// Panics unless `x: [n, f]`, `w: [f, o]`, `b: [o]`.
-pub fn linear(x: &Tensor, w: &Tensor, b: &Tensor, threads: Threads) -> Tensor {
+pub fn linear(x: &Tensor, w: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(b.rank(), 1, "linear: bias must be rank-1, got {:?}", b.shape());
     assert_eq!(w.shape()[1], b.shape()[0], "linear: w {:?} vs b {:?}", w.shape(), b.shape());
-    let mut y = x.matmul_with(w, threads);
+    let mut y = x.matmul(w);
     let o = b.shape()[0];
     for i in 0..y.rows() {
         for (yj, bj) in y.row_mut(i).iter_mut().zip(&b.data()[..o]) {

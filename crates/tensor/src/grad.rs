@@ -18,9 +18,8 @@
 //! exception: a dot or squared norm skips the `±0.0` terms of absent
 //! rows, so a result that is *exactly zero* may carry the other sign
 //! (it still compares `== 0.0`), and likewise a dense `−0.0` element in
-//! a row the other side lacks is left as it is by `Grad::axpy`, and
-//! `Grad::scale` by a negative factor leaves absent rows at `+0.0`.
-//! No pinned path produces either.
+//! a row the other side lacks is left as it is by `Grad::axpy`. No
+//! pinned path produces either.
 
 use crate::tensor::Tensor;
 
@@ -231,17 +230,6 @@ impl Grad {
                 other.add_to(k, &mut dense);
                 *self = Grad::Dense(dense);
             }
-        }
-    }
-
-    /// Scale every stored element by `k` in place.
-    pub(crate) fn scale(&mut self, k: f64) {
-        let stored = match self {
-            Grad::Dense(t) => t.data_mut(),
-            Grad::Rows(r) => &mut r.values,
-        };
-        for v in stored {
-            *v *= k;
         }
     }
 

@@ -15,11 +15,10 @@
 //! of the textbook triple loop, using separate multiply and add (no
 //! FMA). Blocking changes *when* each term is added, never the order
 //! within an element's chain, so the blocked kernel is bit-identical to
-//! the naive reference on every input, including non-finite values.
-//! Parallelism splits **output rows** across workers; each element is
-//! still computed by exactly one fold on one worker, so results are
-//! bit-identical for any [`Threads`] value (pinned by the mb-check
-//! property suite and the cross-thread-count determinism tests).
+//! the naive reference on every input, including non-finite values
+//! (pinned by the mb-check property suite). The kernels run on the
+//! calling thread; callers parallelise one level up, over chunks,
+//! queries, mentions and examples.
 //!
 //! Unlike the pre-blocking kernel, zero entries of `A` are *not*
 //! skipped: `0·∞` and `0·NaN` now propagate NaN per IEEE 754 instead of
@@ -27,7 +26,6 @@
 //! equality contract above.
 
 use crate::tensor::Tensor;
-use mb_par::{par_chunks_mut, Threads};
 
 /// Register-tile rows: independent accumulator chains per tile row.
 const MR: usize = 4;
@@ -83,11 +81,10 @@ fn simple(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n: usize, b
     }
 }
 
-/// Blocked product over a band of output rows: `out[0..rows][0..n] +=
-/// a[0..rows][0..k] · B`, where `B` is `k×n` (`bt == false`) or `n×k`
-/// interpreted as transposed (`bt == true`). `out` must start zeroed;
-/// the parallel wrapper hands each worker a disjoint band.
-fn blocked_rows(a: &[f64], b: &[f64], out: &mut [f64], rows: usize, k: usize, n: usize, bt: bool) {
+/// Blocked product `out[0..rows][0..n] += a[0..rows][0..k] · B`, where
+/// `B` is `k×n` (`bt == false`) or `n×k` interpreted as transposed
+/// (`bt == true`). `out` must start zeroed.
+fn blocked(a: &[f64], b: &[f64], out: &mut [f64], rows: usize, k: usize, n: usize, bt: bool) {
     let ldb = if bt { k } else { n };
     // Packed as arrays, so the micro-kernel's tile operands are
     // `[f64; MR]` / `[f64; NR]` by type.
@@ -176,7 +173,7 @@ fn blocked_rows(a: &[f64], b: &[f64], out: &mut [f64], rows: usize, k: usize, n:
 }
 
 /// Shared entry point for both products. `bt` selects `A·Bᵀ`.
-pub(crate) fn matmul_impl(a: &Tensor, b: &Tensor, bt: bool, threads: Threads) -> Tensor {
+pub(crate) fn matmul_impl(a: &Tensor, b: &Tensor, bt: bool) -> Tensor {
     let op = if bt { "matmul_t" } else { "matmul" };
     assert_eq!(a.rank(), 2, "{op} lhs rank {:?}", a.shape());
     assert_eq!(b.rank(), 2, "{op} rhs rank {:?}", b.shape());
@@ -189,19 +186,10 @@ pub(crate) fn matmul_impl(a: &Tensor, b: &Tensor, bt: bool, threads: Threads) ->
     }
     let mut out = vec![0.0; m * n];
     let (ad, bd) = (a.data(), b.data());
-    if !use_blocked(m, k, n) {
-        simple(ad, bd, &mut out, m, k, n, bt);
-    } else if threads.is_single() || m < 2 * MC {
-        blocked_rows(ad, bd, &mut out, m, k, n, bt);
+    if use_blocked(m, k, n) {
+        blocked(ad, bd, &mut out, m, k, n, bt);
     } else {
-        // Row-band parallelism: band height is MC — fixed by the
-        // blocking scheme, never by the worker count — and each band's
-        // elements are computed wholly within one worker.
-        par_chunks_mut(threads, &mut out, MC * n, |band, out_band| {
-            let i0 = band * MC;
-            let rows = out_band.len() / n;
-            blocked_rows(&ad[i0 * k..(i0 + rows) * k], bd, out_band, rows, k, n, bt);
-        });
+        simple(ad, bd, &mut out, m, k, n, bt);
     }
     Tensor::from_vec(vec![m, n], out)
 }
@@ -217,25 +205,11 @@ pub fn matmul_reference(a: &Tensor, b: &Tensor, bt: bool) -> Tensor {
     Tensor::from_vec(vec![m, n], out)
 }
 
-/// Shared dispatch for the quantized scoring kernels: one independent
-/// ascending-column fold per row, rows split across workers in fixed
-/// `MC`-row chunks (the matmul band height), so which worker scores a
-/// row never changes the row's accumulation chain.
-fn score_rows_chunked<F>(rows: usize, threads: Threads, f: F) -> Vec<f64>
-where
-    F: Fn(usize) -> f64 + Sync,
-{
-    if threads.is_single() || rows < 2 * MC {
-        return (0..rows).map(f).collect();
-    }
-    mb_par::par_chunk_ranges(threads, rows, MC, |_, r| r.map(&f).collect::<Vec<f64>>()).concat()
-}
-
 /// Dot product of an int8-quantized query against every row of a
 /// per-row-scaled int8 table. Products accumulate **exactly** in `i64`
 /// (no per-element dequantization); each row's sum is scaled back to
 /// `f64` in one final multiplication, so the only float rounding is
-/// that last step. Bit-identical at any thread count.
+/// that last step.
 pub(crate) fn score_all_i8(
     table: &[i8],
     scales: &[f64],
@@ -243,19 +217,20 @@ pub(crate) fn score_all_i8(
     cols: usize,
     query: &[i8],
     query_scale: f64,
-    threads: Threads,
 ) -> Vec<f64> {
     assert_eq!(table.len(), rows * cols, "score_all_i8: table size mismatch");
     assert_eq!(scales.len(), rows, "score_all_i8: scales length mismatch");
     assert_eq!(query.len(), cols, "score_all_i8: query dim mismatch");
-    score_rows_chunked(rows, threads, |i| {
-        let acc: i64 = table[i * cols..(i + 1) * cols]
-            .iter()
-            .zip(query)
-            .map(|(&t, &q)| i64::from(t) * i64::from(q))
-            .sum();
-        acc as f64 * (scales[i] * query_scale)
-    })
+    (0..rows)
+        .map(|i| {
+            let acc: i64 = table[i * cols..(i + 1) * cols]
+                .iter()
+                .zip(query)
+                .map(|(&t, &q)| i64::from(t) * i64::from(q))
+                .sum();
+            acc as f64 * (scales[i] * query_scale)
+        })
+        .collect()
 }
 
 /// Queries per retrieval scan block (DESIGN.md §16). The block-dot
@@ -445,12 +420,8 @@ mod tests {
             let a = fill(sa, i as u64 + 1);
             let b = fill(sb, i as u64 + 101);
             let bt_b = fill([sb[1], sb[0]], i as u64 + 201);
-            for t in [1, 2, 4] {
-                let got = matmul_impl(&a, &b, false, Threads::new(t));
-                assert_bits_eq(&got, &matmul_reference(&a, &b, false));
-                let got_t = matmul_impl(&a, &bt_b, true, Threads::new(t));
-                assert_bits_eq(&got_t, &matmul_reference(&a, &bt_b, true));
-            }
+            assert_bits_eq(&matmul_impl(&a, &b, false), &matmul_reference(&a, &b, false));
+            assert_bits_eq(&matmul_impl(&a, &bt_b, true), &matmul_reference(&a, &bt_b, true));
         }
     }
 
@@ -462,22 +433,10 @@ mod tests {
         b.data_mut()[3 * 40 + 5] = f64::INFINITY;
         a.data_mut()[41] = f64::NAN;
         b.data_mut()[100] = f64::NEG_INFINITY;
-        for t in [1, 2, 4] {
-            let got = matmul_impl(&a, &b, false, Threads::new(t));
-            let want = matmul_reference(&a, &b, false);
-            for (x, y) in got.data().iter().zip(want.data()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_bands_are_bit_identical_across_thread_counts() {
-        let a = fill([300, 64], 42);
-        let b = fill([64, 96], 43);
-        let base = matmul_impl(&a, &b, false, Threads::single());
-        for t in [2, 3, 4, 8] {
-            assert_bits_eq(&matmul_impl(&a, &b, false, Threads::new(t)), &base);
+        let got = matmul_impl(&a, &b, false);
+        let want = matmul_reference(&a, &b, false);
+        for (x, y) in got.data().iter().zip(want.data()) {
+            assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
@@ -571,24 +530,5 @@ mod tests {
         check_tile_dots::<2>(&mut code);
         check_tile_dots::<3>(&mut code);
         check_tile_dots::<TILE_QUERIES>(&mut code);
-    }
-
-    #[test]
-    fn quantized_scoring_is_bit_identical_across_thread_counts() {
-        // 300 rows crosses the 2*MC parallel-dispatch threshold.
-        let table = fill([300, 32], 11);
-        let query = fill([1, 32], 12);
-        let (i8s, scales): (Vec<Vec<i8>>, Vec<f64>) =
-            (0..300).map(|i| crate::quant::quantize_i8(table.row(i))).unzip();
-        let i8_table: Vec<i8> = i8s.concat();
-        let (q8, q_scale) = crate::quant::quantize_i8(query.data());
-        let base_i8 = score_all_i8(&i8_table, &scales, 300, 32, &q8, q_scale, Threads::single());
-        assert_eq!(base_i8.len(), 300);
-        for t in [2, 3, 4, 7] {
-            let par8 = score_all_i8(&i8_table, &scales, 300, 32, &q8, q_scale, Threads::new(t));
-            for (x, y) in base_i8.iter().zip(&par8) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
     }
 }

@@ -15,7 +15,7 @@
 //!   per-row softmax cross-entropy (cross-encoder ranking), binary cross
 //!   entropy (the rewriter's span scorer), bag-of-embedding lookup with
 //!   mean pooling, and row L2-normalisation.
-//! * [`optim`] — SGD (with momentum/weight decay) and Adam.
+//! * [`optim`] — Adam, the one optimizer.
 //! * [`params`] — named parameter collections with (de)serialization.
 //! * [`grad`] — one tensor's gradient: dense, or row-sparse for an
 //!   embedding table.

@@ -1,7 +1,7 @@
 //! Named parameter collections.
 //!
 //! A [`Params`] owns a model's trainable tensors in a stable order, so
-//! that optimizers, gradient vectors, checkpoints, and the
+//! that the optimizer, gradient vectors, checkpoints, and the
 //! meta-learning machinery can all address parameters positionally
 //! while humans address them by name.
 
@@ -233,25 +233,6 @@ impl GradVec {
         }
     }
 
-    /// Scale all gradients in place (used for gradient clipping).
-    pub(crate) fn scale_in_place(&mut self, k: f64) {
-        for g in &mut self.grads {
-            g.scale(k);
-        }
-    }
-
-    /// Clip to a maximum global norm; returns the scale factor applied.
-    pub fn clip_global_norm(&mut self, max_norm: f64) -> f64 {
-        let n = self.norm();
-        if n > max_norm && n > 0.0 {
-            let k = max_norm / n;
-            self.scale_in_place(k);
-            k
-        } else {
-            1.0
-        }
-    }
-
     /// True if any gradient contains NaN or infinity.
     pub fn has_non_finite(&self) -> bool {
         self.grads.iter().any(Grad::has_non_finite)
@@ -307,16 +288,6 @@ mod tests {
         let b = GradVec::from_tensors(vec![Tensor::vector(&[4.0, 5.0]), Tensor::scalar(6.0)]);
         assert_eq!(a.dot(&b), 4.0 + 10.0 + 18.0);
         assert!((a.norm() - 14.0_f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clip_global_norm_scales_down_only() {
-        let mut g = GradVec::from_tensors(vec![Tensor::vector(&[3.0, 4.0])]);
-        let k = g.clip_global_norm(10.0);
-        assert_eq!(k, 1.0);
-        let k2 = g.clip_global_norm(1.0);
-        assert!((k2 - 0.2).abs() < 1e-12);
-        assert!((g.norm() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -23,7 +23,6 @@
 use crate::frozen::pool_row;
 use crate::kernels;
 use crate::tensor::Tensor;
-use mb_par::Threads;
 
 /// How a frozen embedding table is stored and scored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -152,11 +151,11 @@ impl QuantI8 {
     /// Dot product of `query` against every row without dequantizing
     /// the table: the query is quantized once, products accumulate
     /// exactly in integers, and each row's sum is scaled back in one
-    /// final multiplication. Bit-identical at any thread count.
-    pub fn score_all(&self, query: &[f64], threads: Threads) -> Vec<f64> {
+    /// final multiplication.
+    pub fn score_all(&self, query: &[f64]) -> Vec<f64> {
         assert_eq!(query.len(), self.cols, "QuantI8: query dim mismatch");
         let (q, q_scale) = quantize_i8(query);
-        kernels::score_all_i8(&self.data, &self.scales, self.rows, self.cols, &q, q_scale, threads)
+        kernels::score_all_i8(&self.data, &self.scales, self.rows, self.cols, &q, q_scale)
     }
 }
 

@@ -160,20 +160,12 @@ impl Grads {
 #[derive(Default)]
 pub struct Tape<'p> {
     nodes: Vec<Node<'p>>,
-    threads: mb_par::Threads,
 }
 
 impl<'p> Tape<'p> {
     /// An empty tape.
     pub fn new() -> Self {
         Tape::default()
-    }
-
-    /// An empty tape whose matmul-shaped ops (forward and backward)
-    /// split output rows across `threads` workers. Bit-identical to a
-    /// single-threaded tape for any worker count (DESIGN.md §11).
-    pub fn with_threads(threads: mb_par::Threads) -> Self {
-        Tape { nodes: Vec::new(), threads }
     }
 
     /// Record an input (parameter or constant) node: a `Tensor` the
@@ -226,13 +218,13 @@ impl<'p> Tape<'p> {
 
     /// Matrix product `a @ b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let value = self.val(a).matmul_with(self.val(b), self.threads);
+        let value = self.val(a).matmul(self.val(b));
         self.push(value, Op::Matmul(a, b))
     }
 
     /// Matrix product `a @ bᵀ`.
     pub fn matmul_t(&mut self, a: Var, b: Var) -> Var {
-        let value = self.val(a).matmul_t_with(self.val(b), self.threads);
+        let value = self.val(a).matmul_t(self.val(b));
         self.push(value, Op::MatmulT(a, b))
     }
 
@@ -241,7 +233,7 @@ impl<'p> Tape<'p> {
     /// # Panics
     /// Panics unless `x: [n, f]`, `w: [f, o]`, `b: [o]`.
     pub fn linear(&mut self, x: Var, w: Var, b: Var) -> Var {
-        let value = frozen::linear(self.val(x), self.val(w), self.val(b), self.threads);
+        let value = frozen::linear(self.val(x), self.val(w), self.val(b));
         self.push(value, Op::Linear { x, w, b })
     }
 
@@ -475,21 +467,21 @@ impl<'p> Tape<'p> {
             }
             Op::Matmul(a, b) => {
                 // y = a @ b  =>  ga = g @ bᵀ, gb = aᵀ @ g
-                let ga = g.matmul_t_with(self.val(*b), self.threads);
-                let gb = self.val(*a).transpose().matmul_with(g, self.threads);
+                let ga = g.matmul_t(self.val(*b));
+                let gb = self.val(*a).transpose().matmul(g);
                 self.accum(grads, *a, ga);
                 self.accum(grads, *b, gb);
             }
             Op::MatmulT(a, b) => {
                 // y = a @ bᵀ  =>  ga = g @ b, gb = gᵀ @ a
-                let ga = g.matmul_with(self.val(*b), self.threads);
-                let gb = g.transpose().matmul_with(self.val(*a), self.threads);
+                let ga = g.matmul(self.val(*b));
+                let gb = g.transpose().matmul(self.val(*a));
                 self.accum(grads, *a, ga);
                 self.accum(grads, *b, gb);
             }
             Op::Linear { x, w, b } => {
-                let gx = g.matmul_t_with(self.val(*w), self.threads);
-                let gw = self.val(*x).transpose().matmul_with(g, self.threads);
+                let gx = g.matmul_t(self.val(*w));
+                let gw = self.val(*x).transpose().matmul(g);
                 // gb = column sums of g.
                 let o = self.val(*b).numel();
                 let mut gb = vec![0.0; o];

@@ -284,14 +284,7 @@ impl Tensor {
     /// # Panics
     /// Panics unless shapes are `[m, k] @ [k, n]`.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
-        crate::kernels::matmul_impl(self, other, false, mb_par::Threads::single())
-    }
-
-    /// [`Tensor::matmul`] with output rows split across `threads`
-    /// workers — bit-identical to the single-threaded product for any
-    /// worker count (DESIGN.md §11).
-    pub fn matmul_with(&self, other: &Tensor, threads: mb_par::Threads) -> Tensor {
-        crate::kernels::matmul_impl(self, other, false, threads)
+        crate::kernels::matmul_impl(self, other, false)
     }
 
     /// Matrix product `self @ other.T` for rank-2 tensors — the score
@@ -302,13 +295,7 @@ impl Tensor {
     /// # Panics
     /// Panics unless shapes are `[m, k] @ [n, k]ᵀ`.
     pub fn matmul_t(&self, other: &Tensor) -> Tensor {
-        crate::kernels::matmul_impl(self, other, true, mb_par::Threads::single())
-    }
-
-    /// [`Tensor::matmul_t`] with output rows split across `threads`
-    /// workers — bit-identical for any worker count.
-    pub fn matmul_t_with(&self, other: &Tensor, threads: mb_par::Threads) -> Tensor {
-        crate::kernels::matmul_impl(self, other, true, threads)
+        crate::kernels::matmul_impl(self, other, true)
     }
 
     /// Transpose of a rank-2 tensor.

@@ -49,7 +49,7 @@ fn checkpoint_from(
     };
     ck.optim.insert(
         "model".into(),
-        OptimState::Adam { lr: 1e-3, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: adam_t, moments },
+        OptimState { lr: 1e-3, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: adam_t, moments },
     );
     ck.params.insert("model".into(), params);
     ck.rng.insert("model".into(), rng_state);

@@ -6,7 +6,6 @@
 use mb_check::gen;
 use mb_check::{prop_assert, prop_assert_eq};
 use mb_common::Rng;
-use mb_par::Threads;
 use mb_tensor::quant::{quantize_i8, QuantI8};
 use mb_tensor::{frozen, Tensor};
 
@@ -77,13 +76,11 @@ mb_check::check! {
                 acc as f64 * (scale * q_scale)
             })
             .collect();
-        // Integer accumulation is exact, so every thread count must
-        // reproduce the reference bit for bit.
-        for threads in [1usize, 2, 3, 4] {
-            let got = quant.score_all(&query, Threads::new(threads));
-            for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-                prop_assert_eq!(w.to_bits(), g.to_bits(), "row {} threads {}", i, threads);
-            }
+        // Integer accumulation is exact, so the kernel must reproduce
+        // the reference bit for bit.
+        let got = quant.score_all(&query);
+        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+            prop_assert_eq!(w.to_bits(), g.to_bits(), "row {}", i);
         }
     }
 

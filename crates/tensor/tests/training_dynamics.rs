@@ -1,9 +1,9 @@
 //! Integration-level tests of training dynamics on the tensor
-//! substrate: optimizer determinism, clipping, and a small end-to-end
+//! substrate: optimizer determinism and descent, and a small end-to-end
 //! regression fit exercising most of the op set together.
 
 use mb_common::Rng;
-use mb_tensor::optim::{Adam, Optimizer, Sgd};
+use mb_tensor::optim::Adam;
 use mb_tensor::params::GradVec;
 use mb_tensor::{init, Params, Tape, Tensor};
 
@@ -63,9 +63,8 @@ fn training_is_bitwise_deterministic() {
 }
 
 #[test]
-fn sgd_and_adam_agree_at_the_first_plain_step() {
-    // With zero momentum state, plain SGD moves by lr*g; Adam's first
-    // step moves by ~lr*sign(g). Both must move *downhill*.
+fn adams_first_step_moves_downhill() {
+    // With zero moment state, Adam's first step moves by ~lr*sign(g).
     let mut rng = Rng::seed_from_u64(2);
     let target = Tensor::randn(vec![4], 0.0, 1.0, &mut rng);
     let loss = |p: &Params| -> (f64, GradVec) {
@@ -79,25 +78,11 @@ fn sgd_and_adam_agree_at_the_first_plain_step() {
         let g = tape.backward(l);
         (v, p.collect_grads(&vars, g))
     };
-    for mut opt in [Box::new(Sgd::new(0.05)) as Box<dyn Optimizer>, Box::new(Adam::new(0.05))] {
-        let mut params = Params::new();
-        params.add("x", Tensor::zeros(vec![4]));
-        let (before, g) = loss(&params);
-        opt.step(&mut params, &g);
-        let (after, _) = loss(&params);
-        assert!(after < before, "{} did not descend", opt.learning_rate());
-    }
-}
-
-#[test]
-fn global_norm_clipping_preserves_direction() {
-    let g = GradVec::from_tensors(vec![Tensor::vector(&[3.0, 0.0]), Tensor::vector(&[0.0, 4.0])]);
-    let mut clipped = g.clone();
-    let k = clipped.clip_global_norm(2.5);
-    assert!((k - 0.5).abs() < 1e-12);
-    assert!((clipped.norm() - 2.5).abs() < 1e-12);
-    // Direction preserved: components scale uniformly.
-    let tensors: Vec<Tensor> = clipped.iter().map(|g| g.to_dense()).collect();
-    assert!((tensors[0].data()[0] - 1.5).abs() < 1e-12);
-    assert!((tensors[1].data()[1] - 2.0).abs() < 1e-12);
+    let mut opt = Adam::new(0.05);
+    let mut params = Params::new();
+    params.add("x", Tensor::zeros(vec![4]));
+    let (before, g) = loss(&params);
+    opt.step(&mut params, &g);
+    let (after, _) = loss(&params);
+    assert!(after < before, "Adam did not descend");
 }

@@ -56,7 +56,8 @@ fn main() -> metablink::common::Result<()> {
     println!("\nsample predictions:");
     for m in split.test.iter().take(5) {
         let predicted = linker
-            .predict(m)
+            .link(m)?
+            .predicted
             .ok_or_else(|| metablink::common::Error::NotFound("empty candidate set".to_string()))?;
         let gold = &world.kb().entity(m.entity).title;
         let got = &world.kb().entity(predicted).title;

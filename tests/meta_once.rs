@@ -15,7 +15,7 @@ use mb_encoders::biencoder::{BiEncoder, BiEncoderConfig};
 use mb_encoders::crossencoder::{CandidateSet, CrossEncoder, CrossEncoderConfig};
 use mb_encoders::input::{build_vocab, entity_bag, title_bag, InputConfig, TrainPair};
 use mb_par::Threads;
-use mb_tensor::optim::{Adam, Sgd};
+use mb_tensor::optim::Adam;
 use mb_tensor::Params;
 
 struct Fixture {
@@ -78,9 +78,9 @@ type StepBits = (Vec<u64>, Vec<usize>, u64, Vec<u64>);
 /// the last step's outputs and the parameters it leaves.
 fn three_steps<M: MetaModel + Clone>(
     model: &M,
-    mut step: impl FnMut(&mut M, &mut Sgd, &mut Rng) -> (Vec<f64>, Vec<usize>, f64),
+    mut step: impl FnMut(&mut M, &mut Adam, &mut Rng) -> (Vec<f64>, Vec<usize>, f64),
 ) -> StepBits {
-    let (mut m, mut opt, mut rng) = (model.clone(), Sgd::new(1e-2), Rng::seed_from_u64(7));
+    let (mut m, mut opt, mut rng) = (model.clone(), Adam::new(1e-2), Rng::seed_from_u64(7));
     step(&mut m, &mut opt, &mut rng);
     step(&mut m, &mut opt, &mut rng);
     let (w, idx, loss) = step(&mut m, &mut opt, &mut rng);

@@ -3,8 +3,8 @@
 //! chain is stated twice — as a training graph and as a tape-free
 //! sequence — and the graph's value, the model's own inference methods,
 //! the frozen handle and `link_batch`'s rerank must agree bit for bit
-//! at every thread count, past the chunking threshold, with empty bags
-//! and empty sets. `link_batch`'s whole output is also pinned by digest
+//! (the last two at every thread count), past the chunking threshold,
+//! with empty bags and empty sets. `link_batch`'s whole output is also pinned by digest
 //! for both stage-one scans: the exact index, and the int8
 //! `QuantizedIndex` a store-backed generation serves beside the same
 //! exact encoders.
@@ -90,23 +90,23 @@ fn training_graph_model_and_frozen_forwards_agree_bit_for_bit() {
     assert_eq!(bits(&frozen_bi.embed_entities_batch(&e_bags)), want_e);
     assert_eq!(score_bits(frozen_cross.score_batch(&sets)), want_scores);
     let linked = score_bits(linked);
+    let mut tape = Tape::new();
+    let graph = bi.forward_losses(&mut tape, &pairs);
+    assert_eq!(bits(tape.value(graph.mentions)), want_m);
+    assert_eq!(bits(tape.value(graph.entities)), want_e);
+    for (set, want) in sets.iter().zip(&want_scores).filter(|(s, _)| !s.is_empty()) {
+        let mut tape = Tape::new();
+        let (_, logits) = cross.forward_logits(&mut tape, set);
+        assert_eq!(&bits(tape.value(logits)), want);
+    }
     for t in 1..=4 {
         let threads = Threads::new(t);
-        let mut tape = Tape::with_threads(threads);
-        let graph = bi.forward_losses(&mut tape, &pairs);
-        assert_eq!(bits(tape.value(graph.mentions)), want_m, "threads={t}");
-        assert_eq!(bits(tape.value(graph.entities)), want_e, "threads={t}");
         assert_eq!(bits(&frozen_bi.embed_mentions_batch_with(&m_bags, threads)), want_m);
         let cfg = LinkerConfig { threads, ..linker_cfg };
         let peer = TwoStageLinker::new(&bi, &cross, &vocab, kb, kb.domain_entities(domain.id), cfg);
         let results = peer.link_batch(&mentions).expect("valid linker");
         let reranked: Vec<Vec<f64>> = results.into_iter().map(|r| r.rerank_scores).collect();
         assert_eq!(score_bits(reranked), linked, "threads={t}");
-        for (set, want) in sets.iter().zip(&want_scores).filter(|(s, _)| !s.is_empty()) {
-            let mut tape = Tape::with_threads(threads);
-            let (_, logits) = cross.forward_logits(&mut tape, set);
-            assert_eq!(&bits(tape.value(logits)), want, "threads={t}");
-        }
     }
 }
 
